@@ -49,6 +49,7 @@ from repro.errors import DatasetError, QueryError
 from repro.lvm.volume import LogicalVolume
 from repro.perf.profile import PROBES
 from repro.query.executor import QueryResult, StorageManager
+from repro.query.scheduler import SPTF_RUN_LIMIT
 from repro.query.workload import (
     BeamQuery,
     RangeQuery,
@@ -249,7 +250,7 @@ class Dataset:
     storage manager behind one object.  Use :meth:`create`."""
 
     def __init__(self, *, shape, layout, drive, cell_blocks=1, depth=None,
-                 seed=None, window=128, sptf_run_limit=150_000,
+                 seed=None, window=128, sptf_run_limit=SPTF_RUN_LIMIT,
                  coalesce_gap_blocks=24, layout_opts=None):
         self.shape = tuple(int(s) for s in shape)
         self.layout = str(layout)
@@ -287,7 +288,7 @@ class Dataset:
     def create(cls, shape, layout: str = "multimap",
                drive="atlas10k3", *, cell_blocks: int = 1,
                depth: int | None = None, seed=None, window: int = 128,
-               sptf_run_limit: int = 150_000,
+               sptf_run_limit: int = SPTF_RUN_LIMIT,
                coalesce_gap_blocks: int = 24,
                **layout_opts) -> "Dataset":
         """Build the full stack for ``shape`` under a registered layout.

@@ -22,13 +22,19 @@ Three scheduling policies are provided for batches:
                 fetches: "the disk's internal scheduler will ensure that
                 they are fetched in the most efficient way").
 
-The batch path is vectorised: per-run geometry is computed with numpy and
-the only per-run Python work is the rotational-position recurrence, which
-is inherently sequential.
+The batch path is vectorised: per-run geometry is computed with numpy, and
+seek costs are looked up in the model's seek table (seek time by cylinder
+distance, :attr:`DiskModel.seek_table`) rather than evaluated on the
+curve.  For ``"fifo"`` and ``"sorted"`` the only per-run Python work is
+the rotational-position recurrence, which is inherently sequential.  An
+``"sptf"`` batch takes one scheduling step per request, each a short,
+fixed sequence of numpy operations over the command queue, which lives
+in preallocated arrays kept in issue order.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,26 +73,24 @@ class TrackCache:
 
     def __init__(self, capacity_tracks: int):
         self.capacity = int(capacity_tracks)
-        self._lru: dict[int, int] = {}
-        self._tick = 0
+        # buffered tracks, least recently used first
+        self._lru: OrderedDict[int, None] = OrderedDict()
 
     def hit(self, track_first: int, track_last: int) -> bool:
         """All tracks of the run buffered?  Refreshes recency on hit."""
         tracks = range(track_first, track_last + 1)
         if all(t in self._lru for t in tracks):
             for t in tracks:
-                self._tick += 1
-                self._lru[t] = self._tick
+                self._lru.move_to_end(t)
             return True
         return False
 
     def insert(self, track_first: int, track_last: int) -> None:
         for t in range(track_first, track_last + 1):
-            self._tick += 1
-            self._lru[t] = self._tick
+            self._lru[t] = None
+            self._lru.move_to_end(t)
         while len(self._lru) > self.capacity:
-            oldest = min(self._lru, key=self._lru.get)
-            del self._lru[oldest]
+            self._lru.popitem(last=False)
 
     def clear(self) -> None:
         self._lru.clear()
@@ -260,7 +264,7 @@ class DiskDrive:
         dist = abs(target_track // surfaces - self._track // surfaces)
         if dist == 0:
             return float(self.mechanics.head_switch_ms)
-        return float(self.mechanics.seek_time(dist))
+        return float(self.model.seek_table[dist])
 
     def positioning_time(self, lbn: int) -> tuple[float, float]:
         """(seek_ms, rotation_ms) to position on ``lbn`` — no state change."""
@@ -386,14 +390,12 @@ class DiskDrive:
             "cross_zone": cross_zone,
         }
 
-    def _seek_vector(self, dist: np.ndarray, track_diff: np.ndarray) -> np.ndarray:
-        """Vectorised seek component: seek curve, head switch, or zero."""
-        seeks = self.mechanics.seek_time(dist)
-        seeks = np.where(
-            dist == 0,
-            np.where(track_diff != 0, self.mechanics.head_switch_ms, 0.0),
-            seeks,
-        )
+    def _seek_vector(self, dist: np.ndarray, moved: np.ndarray) -> np.ndarray:
+        """Vectorised seek component for cylinder distances ``dist``:
+        the seek table, a head switch where only the track changes
+        (``moved``), zero where the head stays on its track."""
+        seeks = self.model.seek_table[dist]
+        seeks[(dist == 0) & moved] = self.mechanics.head_switch_ms
         return seeks
 
     def service_runs(
@@ -415,15 +417,31 @@ class DiskDrive:
             ``"fifo"``, ``"sorted"`` or ``"sptf"`` (see module docstring).
         window:
             Lookahead depth for ``"sptf"`` — models the drive's command
-            queue; requests are admitted in issue order.
+            queue; requests are admitted in issue order.  Must be >= 1.
         collect:
             If true, return per-request service times and the service order.
+
+        Raises :class:`GeometryError` for a non-empty batch whose
+        ``starts`` or ``lengths`` is not a 1-D integer array, for run
+        lengths below 1 or LBNs off the disk, and for an ``"sptf"``
+        window below 1.  An empty batch is always legal.
         """
-        starts = np.asarray(starts, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
+        starts = np.asarray(starts)
+        lengths = np.asarray(lengths)
         n = int(starts.size)
         if n == 0:
             return BatchResult.empty()
+        for name, arr in (("starts", starts), ("lengths", lengths)):
+            if arr.ndim != 1:
+                raise GeometryError(
+                    f"{name} must be a 1-D array, got shape {arr.shape}"
+                )
+            if arr.dtype.kind not in "iu":
+                raise GeometryError(
+                    f"{name} must be integers, got dtype {arr.dtype}"
+                )
+        if policy == "sptf" and window < 1:
+            raise GeometryError(f"sptf window must be >= 1, got {window}")
         info = self._prepare_runs(starts, lengths)
         if bool(info["cross_zone"].any()):
             return self._service_cross_zone(starts, lengths, policy, collect)
@@ -439,8 +457,10 @@ class DiskDrive:
 
     def service_lbns(self, lbns, **kwargs) -> BatchResult:
         """Service single-block requests (no coalescing)."""
-        lbns = np.asarray(lbns, dtype=np.int64)
-        return self.service_runs(lbns, np.ones_like(lbns), **kwargs)
+        lbns = np.asarray(lbns)
+        return self.service_runs(
+            lbns, np.ones(lbns.shape, dtype=np.int64), **kwargs
+        )
 
     # -- fixed-order servicing (fifo / sorted) -------------------------
 
@@ -488,7 +508,7 @@ class DiskDrive:
         prev_track[0] = self._track
         prev_track[1:] = tracke[:-1]
         seeks = self._seek_vector(
-            np.abs(cyl0 - prev_cyl), track0 - prev_track
+            np.abs(cyl0 - prev_cyl), track0 != prev_track
         )
 
         # The rotational recurrence is sequential; run it as a tight loop
@@ -538,64 +558,73 @@ class DiskDrive:
 
     def _service_sptf(self, info, window: int, collect: bool) -> BatchResult:
         rot = self._rot
-        mech = self.mechanics
-        surfaces = self.geometry.surfaces
+        overhead = self._overhead
+        snap = 1.0 - SNAP_REV
         n = info["starts"].size
-        cyl0 = info["cyl0"]
-        track0 = info["track0"]
-        a0 = info["a0"]
-        cyle = info["cyle"]
-        tracke = info["tracke"]
-        xfer = info["transfer"] + info["switch"]
+        cyl0 = info["cyl0"].tolist()
+        track0 = info["track0"].tolist()
+        a0 = info["a0"].tolist()
+        cyle = info["cyle"].tolist()
+        tracke = info["tracke"].tolist()
+        xfer = (info["transfer"] + info["switch"]).tolist()
 
-        # Admission in issue order: the window holds the first `window`
-        # not-yet-serviced requests, like a drive command queue.
-        pending = np.arange(n, dtype=np.int64)
-        in_window = min(window, n)
-        window_idx = list(range(in_window))
-        next_admit = in_window
+        # The command queue holds the first `w` requests not yet serviced,
+        # admitted and kept in issue order, so argmin's first-minimum rule
+        # breaks cost ties towards the earliest-issued request.  A serviced
+        # slot is shifted out and the next request admitted at the tail.
+        w = min(window, n)
+        queue = np.empty((3, w), dtype=np.int64)
+        queue[0] = info["cyl0"][:w]
+        queue[1] = info["track0"][:w]
+        queue[2] = np.arange(w)
+        q_cyl, q_track, q_idx = queue
+        q_angle = info["a0"][:w].copy()
+        live = w
+        cyl, trk, ang = q_cyl, q_track, q_angle
+        next_admit = w
 
         t = self._time_ms
-        cur_cyl = self._track // surfaces
+        cur_cyl = self._track // self.geometry.surfaces
         cur_track = self._track
-
-        order = np.empty(n, dtype=np.int64)
-        per_request = np.empty(n, dtype=np.float64) if collect else None
+        order = [0] * n if collect else None
+        per_request = [0.0] * n if collect else None
         seek_total = rot_total = 0.0
 
         for step in range(n):
-            widx = np.asarray(window_idx, dtype=np.int64)
-            cand = pending[widx]
-            dist = np.abs(cyl0[cand] - cur_cyl)
-            seeks = mech.seek_time(dist)
-            seeks = np.where(
-                dist == 0,
-                np.where(track0[cand] != cur_track, mech.head_switch_ms, 0.0),
-                seeks,
-            )
-            arrival = t + self._overhead + seeks
-            waits = (a0[cand] - arrival / rot) % 1.0
-            waits = np.where(waits > 1.0 - SNAP_REV, 0.0, waits) * rot
+            seeks = self._seek_vector(np.abs(cyl - cur_cyl), trk != cur_track)
+            arrival = t + overhead + seeks
+            waits = ang - arrival / rot
+            # the fractional part, equal to `waits % 1.0` bit for bit
+            # (one rounding of the same exact value) at a third the cost
+            waits -= np.floor(waits)
+            waits[waits > snap] = 0.0
+            waits *= rot
             costs = seeks + waits
-            k = int(np.argmin(costs))
-            chosen = int(cand[k])
+            k = int(costs.argmin())
+            chosen = int(q_idx[k])
 
             seek_total += float(seeks[k])
             rot_total += float(waits[k])
-            service_time = (
-                self._overhead + float(costs[k]) + float(xfer[chosen])
-            )
-            if collect:
-                per_request[step] = service_time
+            service_time = overhead + float(costs[k]) + xfer[chosen]
             t += service_time
-            cur_cyl = int(cyle[chosen])
-            cur_track = int(tracke[chosen])
-            order[step] = chosen
+            cur_cyl = cyle[chosen]
+            cur_track = tracke[chosen]
+            if collect:
+                order[step] = chosen
+                per_request[step] = service_time
 
-            del window_idx[k]
+            if k < live - 1:
+                queue[:, k:live - 1] = queue[:, k + 1:live]
+                q_angle[k:live - 1] = q_angle[k + 1:live]
             if next_admit < n:
-                window_idx.append(next_admit)
+                q_cyl[live - 1] = cyl0[next_admit]
+                q_track[live - 1] = track0[next_admit]
+                q_idx[live - 1] = next_admit
+                q_angle[live - 1] = a0[next_admit]
                 next_admit += 1
+            else:
+                live -= 1
+                cyl, trk, ang = q_cyl[:live], q_track[:live], q_angle[:live]
 
         total = t - self._time_ms
         self._time_ms = t
@@ -608,9 +637,9 @@ class DiskDrive:
             rotation_ms=rot_total,
             transfer_ms=float(info["transfer"].sum()),
             switch_ms=float(info["switch"].sum()),
-            overhead_ms=self._overhead * n,
-            per_request_ms=per_request,
-            order=order if collect else None,
+            overhead_ms=overhead * n,
+            per_request_ms=np.array(per_request) if collect else None,
+            order=np.array(order, dtype=np.int64) if collect else None,
         )
 
     # -- exact fallback for zone-crossing runs ---------------------------

@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from repro.api.registry import register_drive
 from repro.disk.geometry import DiskGeometry
@@ -51,6 +54,23 @@ class DiskModel:
     @property
     def capacity_bytes(self) -> int:
         return self.geometry.capacity_bytes
+
+    @cached_property
+    def seek_table(self) -> np.ndarray:
+        """Read-only seek time (ms) by cylinder distance, for every
+        distance the geometry has (``0 .. n_cylinders - 1``).
+
+        Built on first use from :meth:`SeekProfile.time`, whose values
+        it equals bit for bit, and shared by every drive of this model.
+        It is sized from the geometry, not the profile: past the
+        profile's ``max_cylinders`` it holds the curve's linear
+        extrapolation.
+        """
+        table = self.mechanics.seek_time(
+            np.arange(self.geometry.n_cylinders)
+        )
+        table.flags.writeable = False
+        return table
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         gb = self.capacity_bytes / 1e9

@@ -30,7 +30,11 @@ from repro.lvm.volume import LogicalVolume
 from repro.mappings.base import Mapper, RequestPlan, coalesce_ranks
 from repro.obs.span import record_one_shot
 from repro.perf.profile import PROBES
-from repro.query.scheduler import effective_policy, merge_plan_runs
+from repro.query.scheduler import (
+    SPTF_RUN_LIMIT,
+    effective_policy,
+    merge_plan_runs,
+)
 from repro.query.workload import BeamQuery, RangeQuery
 
 __all__ = ["PreparedQuery", "QueryResult", "StorageManager", "WritePrepared"]
@@ -125,7 +129,7 @@ class StorageManager:
         The logical volume whose drives service the requests.
     window:
         Drive command-queue depth for SPTF batches (real drives of the
-        paper's era exposed 32-256 tagged commands).
+        paper's era exposed 32-256 tagged commands); at least 1.
     sptf_run_limit:
         Batches with more runs than this fall back to one elevator pass.
     cache:
@@ -141,10 +145,12 @@ class StorageManager:
         volume: LogicalVolume,
         *,
         window: int = 128,
-        sptf_run_limit: int = 150_000,
+        sptf_run_limit: int = SPTF_RUN_LIMIT,
         coalesce_gap_blocks: int = 24,
         cache=None,
     ):
+        if window < 1:
+            raise QueryError(f"window must be >= 1, got {window}")
         self.volume = volume
         self.window = int(window)
         self.sptf_run_limit = int(sptf_run_limit)

@@ -24,7 +24,7 @@ __all__ = [
 ]
 
 #: beyond this many runs, SPTF batches degrade to an elevator pass
-SPTF_RUN_LIMIT = 20_000
+SPTF_RUN_LIMIT = 150_000
 
 
 def coalesce_lbns(lbns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,7 @@ from repro.api.registry import build_mapper
 from repro.errors import ReplicaError
 from repro.query.executor import PreparedQuery, StorageManager
 from repro.query.scatter import ShardedPrepared
+from repro.query.scheduler import SPTF_RUN_LIMIT
 from repro.registry import Registry, first_doc_line
 from repro.replica.map import ReplicaMap
 from repro.shard.executor import ShardedStorageManager
@@ -205,7 +206,7 @@ class ReplicatedStorageManager(ShardedStorageManager):
         read_policy: str = "primary",
         cell_blocks: int = 1,
         window: int = 128,
-        sptf_run_limit: int = 150_000,
+        sptf_run_limit: int = SPTF_RUN_LIMIT,
         coalesce_gap_blocks: int = 24,
         cache=None,
         layout_opts: dict | None = None,

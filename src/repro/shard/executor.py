@@ -27,6 +27,7 @@ from repro.errors import AllocationError, QueryError
 from repro.lvm.volume import LogicalVolume
 from repro.query.executor import QueryResult, StorageManager
 from repro.query.scatter import ShardedPrepared, scatter_execute
+from repro.query.scheduler import SPTF_RUN_LIMIT
 from repro.query.workload import BeamQuery, RangeQuery
 from repro.shard.map import ShardMap
 
@@ -141,7 +142,7 @@ class ShardedStorageManager(StorageManager):
         *,
         cell_blocks: int = 1,
         window: int = 128,
-        sptf_run_limit: int = 150_000,
+        sptf_run_limit: int = SPTF_RUN_LIMIT,
         coalesce_gap_blocks: int = 24,
         cache=None,
         layout_opts: dict | None = None,

@@ -91,6 +91,11 @@ class TestCreate:
         with pytest.raises(RegistryError, match="atlas10k3"):
             Dataset.create(DIMS, drive="bogus")
 
+    def test_window_below_one_raises(self):
+        with pytest.raises(QueryError, match="window"):
+            Dataset.create((5, 5, 5), layout="multimap", drive="toy",
+                           window=0)
+
     def test_bad_drive_type_raises(self):
         with pytest.raises(DatasetError):
             Dataset.create(DIMS, drive=123)

@@ -6,6 +6,33 @@ import pytest
 from repro.disk import DiskDrive, TrackCache
 
 
+class TickTrackCache:
+    """The original O(capacity)-eviction TrackCache, kept as the
+    reference for the insertion-order implementation."""
+
+    def __init__(self, capacity_tracks: int):
+        self.capacity = int(capacity_tracks)
+        self._lru: dict[int, int] = {}
+        self._tick = 0
+
+    def hit(self, track_first: int, track_last: int) -> bool:
+        tracks = range(track_first, track_last + 1)
+        if all(t in self._lru for t in tracks):
+            for t in tracks:
+                self._tick += 1
+                self._lru[t] = self._tick
+            return True
+        return False
+
+    def insert(self, track_first: int, track_last: int) -> None:
+        for t in range(track_first, track_last + 1):
+            self._tick += 1
+            self._lru[t] = self._tick
+        while len(self._lru) > self.capacity:
+            oldest = min(self._lru, key=self._lru.get)
+            del self._lru[oldest]
+
+
 class TestTrackCache:
     def test_miss_then_hit(self):
         c = TrackCache(4)
@@ -42,6 +69,29 @@ class TestTrackCache:
         c.insert(1, 2)
         c.clear()
         assert not c.hit(1, 1)
+
+    @pytest.mark.parametrize("capacity", [1, 3, 16])
+    def test_matches_tick_reference_on_random_trace(self, capacity):
+        """Same hit answers and the same evictions, in the same order
+        (least recently used first), as the tick-counter original."""
+        rng = np.random.default_rng(capacity)
+        new, ref = TrackCache(capacity), TickTrackCache(capacity)
+        for _ in range(3000):
+            first = int(rng.integers(0, 40))
+            last = first + int(rng.integers(0, 4))
+            if rng.random() < 0.5:
+                assert new.hit(first, last) == ref.hit(first, last)
+                continue
+            before_new, before_ref = list(new._lru), dict(ref._lru)
+            new.insert(first, last)
+            ref.insert(first, last)
+            evicted_new = [t for t in before_new if t not in new._lru]
+            evicted_ref = sorted(
+                (t for t in before_ref if t not in ref._lru),
+                key=before_ref.get,
+            )
+            assert evicted_new == evicted_ref
+            assert set(new._lru) == set(ref._lru)
 
 
 class TestCachedDrive:

@@ -76,6 +76,44 @@ class TestServiceStateEvolution:
             small_drive.reset(track=10**9)
 
 
+class TestBatchInputValidation:
+    """Malformed batches fail with GeometryError, not a numpy error or
+    a silent truncation; an empty batch stays legal."""
+
+    def test_two_dimensional_starts_rejected(self, small_drive):
+        with pytest.raises(GeometryError, match="1-D"):
+            small_drive.service_runs(
+                np.array([[0, 10], [20, 30]]), np.ones((2, 2), dtype=int)
+            )
+
+    def test_float_lbns_rejected(self, small_drive):
+        with pytest.raises(GeometryError, match="integers"):
+            small_drive.service_runs(np.array([0.5]), np.array([1]))
+        with pytest.raises(GeometryError, match="integers"):
+            small_drive.service_lbns([0.5, 3.0])
+        assert small_drive.now_ms == 0.0
+
+    def test_float_lengths_rejected(self, small_drive):
+        with pytest.raises(GeometryError, match="integers"):
+            small_drive.service_runs(np.array([0]), np.array([1.5]))
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_sptf_window_below_one_rejected(self, small_drive, window):
+        with pytest.raises(GeometryError, match="window"):
+            small_drive.service_runs(
+                np.array([0, 10]), np.array([1, 1]),
+                policy="sptf", window=window,
+            )
+
+    @pytest.mark.parametrize("policy", ["fifo", "sorted", "sptf"])
+    def test_empty_batch_stays_legal(self, small_drive, policy):
+        for empty in ([], np.array([]), np.empty((0, 2))):
+            res = small_drive.service_runs(empty, empty, policy=policy,
+                                           window=0)
+            assert res.n_requests == 0
+        assert small_drive.service_lbns([]).n_requests == 0
+
+
 class TestAdjacencyEdges:
     def test_toy_expected_hop_uses_settle_when_offset_zero(self, toy_model):
         adj = AdjacencyModel.for_model(toy_model, depth=9)

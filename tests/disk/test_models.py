@@ -1,9 +1,15 @@
 """Tests for the disk model factories."""
 
+import numpy as np
 import pytest
 
+from repro.api.registry import drive_names, get_drive
 from repro.disk import (
     DiskDrive,
+    DiskGeometry,
+    DiskMechanics,
+    DiskModel,
+    SeekProfile,
     atlas_10k3,
     cheetah_36es,
     paper_disks,
@@ -82,3 +88,47 @@ class TestSyntheticDisk:
         for model in paper_disks():
             bw = DiskDrive(model).streaming_bandwidth_bytes_per_s(0) / 1e6
             assert 30 < bw < 80
+
+
+def _short_profile_model() -> DiskModel:
+    """500 cylinders, but a seek profile whose full stroke is 99."""
+    seek = SeekProfile(settle_ms=1.0, settle_cylinders=8, max_cylinders=99,
+                       avg_seek_ms=3.0, full_stroke_ms=6.0)
+    mech = DiskMechanics(rpm=10_000, seek=seek)
+    geom = DiskGeometry.build(2, [(300, 40), (200, 30)], lambda spt: 3)
+    return DiskModel("short-profile", geom, mech)
+
+
+class TestSeekTable:
+    @pytest.mark.parametrize(
+        "model",
+        [get_drive(name).factory() for name in drive_names()]
+        + [toy_disk(), _short_profile_model()],
+        ids=lambda m: m.name,
+    )
+    def test_equals_the_curve_at_every_distance(self, model):
+        table = model.seek_table
+        assert table.shape == (model.geometry.n_cylinders,)
+        curve = [model.mechanics.seek_time(d) for d in range(table.size)]
+        assert table.tolist() == curve
+
+    def test_sized_from_geometry_not_profile(self):
+        model = _short_profile_model()
+        profile = model.mechanics.seek
+        assert model.geometry.n_cylinders - 1 > profile.max_cylinders
+        past = model.seek_table[profile.max_cylinders:]
+        assert np.all(np.diff(past) > 0)  # linear extrapolation
+
+    def test_full_stroke_service(self):
+        model = _short_profile_model()
+        geom = model.geometry
+        drive = DiskDrive(model)
+        tm = drive.service(geom.track_first_lbn(geom.n_tracks - 1))
+        assert tm.seek_ms == model.mechanics.seek_time(geom.n_cylinders - 1)
+        assert drive.current_cylinder == geom.n_cylinders - 1
+
+    def test_shared_and_read_only(self):
+        model = toy_disk()
+        assert model.seek_table is model.seek_table
+        with pytest.raises(ValueError):
+            model.seek_table[1] = 0.0

@@ -102,6 +102,12 @@ class TestPolicyHandling:
         res = sm.range(mm, (0, 0, 0), (30, 10, 8))
         assert res.policy == "sorted"
 
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_window_below_one_rejected(self, small_model, window):
+        vol = LogicalVolume([small_model], depth=16)
+        with pytest.raises(QueryError, match="window"):
+            StorageManager(vol, window=window)
+
     def test_beam_plans_never_merge_gaps(self, small_model):
         """Beams must fetch exactly their blocks (paper issues per-block
         requests); n_blocks must equal the beam length."""

@@ -1,10 +1,13 @@
 """Tests for batch preparation: coalescing, merging, policy clamping."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.mappings.base import RequestPlan
 from repro.query import coalesce_lbns, effective_policy, merge_plan_runs
+from repro.query.scheduler import SPTF_RUN_LIMIT
 
 
 def plan(starts, lengths, policy="sorted", merge_gap=None):
@@ -85,3 +88,17 @@ class TestEffectivePolicy:
     def test_fifo_untouched(self):
         p = plan(np.arange(200), np.ones(200), "fifo")
         assert effective_policy(p, limit=100) == "fifo"
+
+    def test_one_clamp_default_everywhere(self):
+        from repro.api import Dataset
+        from repro.query import StorageManager
+        from repro.replica.executor import ReplicatedStorageManager
+        from repro.shard.executor import ShardedStorageManager
+
+        assert SPTF_RUN_LIMIT == 150_000
+        limit = inspect.signature(effective_policy).parameters["limit"]
+        assert limit.default == SPTF_RUN_LIMIT
+        for fn in (StorageManager, ShardedStorageManager,
+                   ReplicatedStorageManager, Dataset, Dataset.create):
+            param = inspect.signature(fn).parameters["sptf_run_limit"]
+            assert param.default == SPTF_RUN_LIMIT, fn
