@@ -34,8 +34,8 @@ def _mapper(cls):
 )
 def test_cell_mapping_throughput(benchmark, cls, coords):
     mapper = _mapper(cls)
-    if hasattr(mapper, "code_table"):
-        mapper.code_table()  # exclude the one-time table build
+    if hasattr(mapper, "rank_table"):
+        mapper.rank_table()  # exclude the one-time table build
     out = benchmark(mapper.lbns, coords)
     assert out.shape == (N,)
 
@@ -79,7 +79,12 @@ def test_hilbert_encode_throughput(benchmark):
     assert out.size == 64 ** 3
 
 
-def test_range_plan_throughput(benchmark):
-    mapper = _mapper(MultiMapMapper)
+@pytest.mark.parametrize(
+    "cls", [ZOrderMapper, HilbertMapper, MultiMapMapper]
+)
+def test_range_plan_throughput(benchmark, cls):
+    mapper = _mapper(cls)
+    if hasattr(mapper, "rank_table"):
+        mapper.rank_table()  # exclude the one-time table build
     plan = benchmark(mapper.range_plan, (10, 5, 5), (100, 50, 50))
     assert plan.n_blocks == 90 * 45 * 45

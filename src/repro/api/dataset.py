@@ -103,10 +103,10 @@ class QueryBatch:
         """Append a beam query; ``fixed=None`` draws a random position per
         run (``lo``/``hi`` still bound the span along ``axis``)."""
         if fixed is None:
-            self._entries.append(("random_beam", int(axis), lo, hi))
+            self._entries.append(("random_beam", axis, lo, hi))
         else:
             self._entries.append(
-                ("query", BeamQuery(int(axis), tuple(fixed), lo, hi))
+                ("query", BeamQuery(axis, tuple(fixed), lo, hi))
             )
         return self
 
@@ -115,7 +115,7 @@ class QueryBatch:
         if n < 1:
             raise QueryError("n must be >= 1")
         for _ in range(int(n)):
-            self._entries.append(("random_beam", int(axis), 0, None))
+            self._entries.append(("random_beam", axis, 0, None))
         return self
 
     def range(self, lo, hi) -> "QueryBatch":
@@ -1052,7 +1052,7 @@ class Dataset:
     def read_cells(self, coords, *,
                    rng: np.random.Generator | None = None) -> QueryResult:
         """Fetch specific cells (including any overflow chains)."""
-        coords = np.asarray(coords, dtype=np.int64)
+        coords = np.asarray(coords)
         if coords.ndim == 1:
             coords = coords[np.newaxis, :]
         plan = self.store.read_plan(coords)

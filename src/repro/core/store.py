@@ -215,8 +215,8 @@ class CellStore:
 
     def read_plan(self, coords) -> RequestPlan:
         """Plan reading the given cells *including* their overflow pages."""
+        lbns = [self.mapper.lbns(coords)]  # validates coords first
         flat = self._flat(coords)
-        lbns = [self.mapper.lbns(coords)]
         extra = []
         for cell in flat.tolist():
             for page_lbn, _count in self._overflow.get(int(cell), []):

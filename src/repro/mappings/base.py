@@ -175,7 +175,7 @@ class Mapper(ABC):
 
         Returns one LBN array per group, identical to calling
         :meth:`lbns` per group; concatenating first amortises the
-        encode/table-lookup cost across the whole batch (the per-chunk
+        per-call translation cost across the whole batch (the per-chunk
         loop of a scatter-gather query, a reorg's per-copy translation).
         """
         groups = [self._check_coords(g) for g in coords_groups]
@@ -223,7 +223,13 @@ class Mapper(ABC):
         return lo, hi
 
     def _check_coords(self, coords) -> np.ndarray:
-        arr = np.asarray(coords, dtype=np.int64)
+        arr = np.asarray(coords)
+        if arr.dtype.kind not in "iu":
+            # floats would truncate silently; bools would read as 0/1
+            raise QueryError(
+                f"coords must be integers, got dtype {arr.dtype}"
+            )
+        arr = arr.astype(np.int64, copy=False)
         if arr.ndim == 1:
             arr = arr[np.newaxis, :]
         if arr.ndim != 2 or arr.shape[1] != self.n_dims:

@@ -6,13 +6,15 @@ paper packs curve-ordered points sequentially with fill factor 1, §5.2).
 The only difference between them is the rank function.
 
 For the curve mappings on non-power-of-two grids the rank of a cell is its
-position among the *occupied* cells in curve order; that is computed by
-building the sorted table of all cell codes once (cached) and using binary
-search — fully vectorised, since benchmarks push millions of cells through
-this path.  The table depends only on the curve class and the grid dims,
-so it is published read-only through :data:`repro.perf.memo.MEMO` and
-shared by every clone of the mapper (``with_layout`` re-runs, per-chunk
-mappers of equal shape) instead of being rebuilt per instance.
+position among the *occupied* cells in curve order.  A curve mapper holds
+it in a dense *rank table*: one int64 per cell, laid out Dim0-fastest
+with the Naive layout's strides, so a cell's rank is one gather at its
+flat index and a box's ranks are one N-D slice of the table.  The table
+is built once from the curve ``encode`` and an argsort — ``encode`` runs
+nowhere else — and, since it depends only on the curve class and the
+grid dims, it is published read-only through :data:`repro.perf.memo.MEMO`
+and shared by every clone of the mapper (``with_layout`` re-runs,
+per-chunk mappers of equal shape) instead of being rebuilt per instance.
 """
 
 from __future__ import annotations
@@ -30,9 +32,24 @@ from repro.perf.memo import MEMO
 
 __all__ = ["LinearMapper", "CurveMapper"]
 
+#: the rank-table build encodes and scatters the grid in this many
+#: flat-index chunks (at least ``_MIN_BUILD_CHUNK`` cells each), so its
+#: transients stay a small fraction of the finished table
+_BUILD_CHUNKS = 64
+_MIN_BUILD_CHUNK = 4096
+
 
 class LinearMapper(Mapper):
     """A mapping defined by a total order (rank) over cells."""
+
+    def __init__(self, dims, extent, cell_blocks: int = 1):
+        super().__init__(dims, extent, cell_blocks)
+        # Dim0-fastest (row-major along Dim0) flat index of a cell is
+        # ``coords @ _strides``
+        strides = [1]
+        for s in self.dims[:-1]:
+            strides.append(strides[-1] * s)
+        self._strides = np.asarray(strides, dtype=np.int64)
 
     def rank(self, coords: np.ndarray) -> np.ndarray:
         """Position of each cell in the on-disk order.  Subclasses provide."""
@@ -67,10 +84,6 @@ class LinearMapper(Mapper):
         coords = self._beam_coords(axis, fixed, lo, hi)
         return self.plan_from_ranks(self.rank(coords), "sorted", 0)
 
-    def range_plan(self, lo, hi) -> RequestPlan:
-        lo, hi = self._check_box(lo, hi)
-        return self.plan_from_ranks(self.rank(enumerate_box(lo, hi)))
-
 
 class CurveMapper(LinearMapper):
     """Rank = position along a space-filling curve, rank-compacted."""
@@ -78,7 +91,7 @@ class CurveMapper(LinearMapper):
     def __init__(self, dims, extent, cell_blocks: int = 1):
         super().__init__(dims, extent, cell_blocks)
         self.bits = curves.bits_for(self.dims)
-        self._code_table: np.ndarray | None = None
+        self._rank_table: np.ndarray | None = None
 
     def encode(self, coords: np.ndarray) -> np.ndarray:
         """Curve code of each coordinate row.  Subclasses provide."""
@@ -88,43 +101,59 @@ class CurveMapper(LinearMapper):
         cls = type(self)
         return (cls.__module__, cls.__qualname__, self.dims)
 
-    def _build_code_table(self) -> np.ndarray:
+    def _build_rank_table(self) -> np.ndarray:
         dims = self.dims
         n = self.n_cells
+        step = max(_MIN_BUILD_CHUNK, -(-n // _BUILD_CHUNKS))
+        # the codes in flat (Dim0-fastest) cell order, encoded in groups
+        # of whole slabs along the last axis; this buffer becomes the
+        # rank table below
         table = np.empty(n, dtype=np.int64)
-        last = dims[-1]
-        per_slab = n // last
-        lo = [0] * len(dims)
-        hi = list(dims)
-        for s in range(last):
-            lo[-1], hi[-1] = s, s + 1
-            coords = enumerate_box(lo, hi)
-            table[s * per_slab:(s + 1) * per_slab] = self.encode(coords)
-        table.sort()
+        per_slab = n // dims[-1]
+        slabs = max(1, step // per_slab)
+        lo, hi = [0] * len(dims), list(dims)
+        for s in range(0, dims[-1], slabs):
+            lo[-1], hi[-1] = s, min(s + slabs, dims[-1])
+            table[s * per_slab:hi[-1] * per_slab] = self.encode(
+                enumerate_box(lo, hi)
+            )
+        # order[r] is the flat index of the cell at curve rank r; invert
+        # it into the code buffer chunk by chunk
+        order = np.argsort(table)
+        for a in range(0, n, step):
+            table[order[a:a + step]] = np.arange(
+                a, min(a + step, n), dtype=np.int64
+            )
         # published through the memo and shared across mapper clones
         table.flags.writeable = False
         return table
 
-    def code_table(self) -> np.ndarray:
-        """Sorted codes of every cell in the grid (built lazily, shared
-        across clones through the memo, read-only).
+    def rank_table(self) -> np.ndarray:
+        """Curve rank of every cell at its Dim0-fastest flat index
+        (built lazily, shared across clones through the memo, read-only).
 
-        Building enumerates the whole grid in slabs along the last axis to
-        bound peak memory; the result is one int64 per cell.
+        One int64 per cell; the build's transient peak stays near twice
+        that (the code buffer doubles as the table, plus argsort's index
+        array).
         """
-        if self._code_table is None:
-            self._code_table = MEMO.get_or_build(
-                "code_table", self._memo_key(), self._build_code_table
+        if self._rank_table is None:
+            self._rank_table = MEMO.get_or_build(
+                "rank_table", self._memo_key(), self._build_rank_table
             )
-        return self._code_table
+        return self._rank_table
 
     def rank(self, coords: np.ndarray) -> np.ndarray:
-        codes = self.encode(coords)
-        table = self.code_table()
-        return np.searchsorted(table, codes)
+        return self.rank_table()[coords @ self._strides]
+
+    def range_plan(self, lo, hi) -> RequestPlan:
+        lo, hi = self._check_box(lo, hi)
+        # the table viewed as an array indexed [c_{n-1}, ..., c_1, c_0]
+        grid = self.rank_table().reshape(self.dims[::-1])
+        box = tuple(slice(a, b) for a, b in zip(lo[::-1], hi[::-1]))
+        return self.plan_from_ranks(grid[box].ravel())
 
     def drop_cache(self) -> None:
-        """Free the cached code table (benchmark hygiene) — the shared
+        """Free the cached rank table (benchmark hygiene) — the shared
         memo entry is evicted too, so the next use rebuilds cold."""
-        self._code_table = None
-        MEMO.evict("code_table", self._memo_key())
+        self._rank_table = None
+        MEMO.evict("rank_table", self._memo_key())

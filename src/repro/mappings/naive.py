@@ -23,13 +23,6 @@ class NaiveMapper(LinearMapper):
 
     name = "naive"
 
-    def __init__(self, dims, extent, cell_blocks: int = 1):
-        super().__init__(dims, extent, cell_blocks)
-        strides = [1]
-        for s in self.dims[:-1]:
-            strides.append(strides[-1] * s)
-        self._strides = np.asarray(strides, dtype=np.int64)
-
     def rank(self, coords: np.ndarray) -> np.ndarray:
         return coords @ self._strides
 

@@ -3,7 +3,7 @@ probes, a pure-Python reference pipeline, and the pinned perf sweep.
 
 ``repro.perf`` is the speed scoreboard of the repository:
 
-``memo``       the process-wide :data:`MEMO` sharing curve code tables
+``memo``       the process-wide :data:`MEMO` sharing curve rank tables
                and basic-cube plans across ``with_layout``/``with_shards``
                clones instead of re-deriving them per mapper
 ``profile``    the :data:`PROBES` counter/timer registry hooked into
@@ -11,7 +11,9 @@ probes, a pure-Python reference pipeline, and the pinned perf sweep.
                engine's event loop (off by default; zero overhead and
                bit-identical report JSON while disabled)
 ``reference``  the slow per-cell preparation pipeline vectorized plans
-               are pinned bit-identical against
+               are pinned bit-identical against; it ranks curve cells
+               by encode + binary search, never through the mappers'
+               rank tables
 ``sweep``      ``repro-bench perf``: plans/s, cells/s, prep-vs-service
                split per layout, and the ``--check`` regression gate
                against the checked-in ``BENCH_perf.json``

@@ -1,9 +1,9 @@
 """Process-wide memo for derived mapper state.
 
 Building a mapper derives state that is a pure function of a small key:
-a curve mapper's sorted code table depends only on (curve class, grid
-dims), and a MultiMap basic-cube plan only on (dims, track length, zone
-tracks, depth, strategy).  ``Dataset.with_layout`` / ``with_shards``
+a curve mapper's dense rank table (one int64 per cell) depends only on
+(curve class, grid dims), and a MultiMap basic-cube plan only on (dims,
+track length, zone tracks, depth, strategy).  ``Dataset.with_layout`` / ``with_shards``
 clones — and every per-chunk mapper of a sharded dataset with equal
 chunk shapes — used to re-derive these per instance; the :data:`MEMO`
 lets them share one immutable copy instead.

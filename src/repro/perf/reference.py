@@ -2,9 +2,14 @@
 
 :func:`reference_prepare` rebuilds a :class:`PreparedQuery` the slow,
 obviously-correct way: enumerate the query's cells one by one, translate
-each through ``mapper.lbns`` individually, expand cell blocks in Python,
-and coalesce with plain loops — then apply the §5.2 issue-order rules
-(per-policy merge gap, SPTF clamp) by hand.  The hypothesis suite under
+each individually, expand cell blocks in Python, and coalesce with plain
+loops — then apply the §5.2 issue-order rules (per-policy merge gap,
+SPTF clamp) by hand.  A curve-mapped cell is translated without the
+mapper's rank table: its curve code is encoded and binary-searched among
+the grid's sorted codes (:func:`reference_codes`, built once per curve
+class and grid dims in a small bounded cache), so a wrong table cannot
+agree with its own reference; every other layout's cell goes through
+``mapper.lbns``.  The hypothesis suite under
 ``tests/perf`` asserts the vectorized
 :meth:`~repro.query.executor.StorageManager.prepare` output is
 bit-identical to this for every registered layout, and the perf sweep
@@ -20,17 +25,50 @@ after ``merge_gap=0`` coalescing the two descriptions coincide exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
 from repro.core.multimap import MultiMapMapper
 from repro.errors import QueryError
-from repro.mappings.base import RequestPlan
+from repro.mappings.base import RequestPlan, enumerate_box
+from repro.mappings.linear import CurveMapper
 from repro.query.executor import PreparedQuery
 from repro.query.workload import BeamQuery, RangeQuery
 
-__all__ = ["reference_prepare", "reference_intersections"]
+__all__ = ["reference_prepare", "reference_codes", "reference_intersections"]
+
+
+@functools.lru_cache(maxsize=8)
+def _sorted_codes(cls, dims: tuple[int, ...]) -> np.ndarray:
+    encode = cls(dims, None).encode
+    lo, hi = [0] * len(dims), list(dims)
+    slabs = []
+    for s in range(dims[-1]):
+        lo[-1], hi[-1] = s, s + 1
+        slabs.append(encode(enumerate_box(lo, hi)))
+    codes = np.sort(np.concatenate(slabs))
+    codes.flags.writeable = False
+    return codes
+
+
+def reference_codes(mapper) -> np.ndarray | None:
+    """Sorted curve codes of every cell of a curve mapper's grid (None
+    for other layouts); a cell's rank is its code's position here."""
+    if not isinstance(mapper, CurveMapper):
+        return None
+    return _sorted_codes(type(mapper), mapper.dims)
+
+
+def _reference_lbn(mapper, cell: tuple[int, ...]) -> int:
+    arr = np.asarray([cell], dtype=np.int64)
+    codes = reference_codes(mapper)
+    if codes is None:
+        return int(mapper.lbns(arr)[0])
+    arr = mapper._check_coords(arr)
+    rank = int(np.searchsorted(codes, mapper.encode(arr))[0])
+    return mapper.extent.start + rank * mapper.cell_blocks
 
 
 def _reference_cells(mapper, query) -> list[tuple[int, ...]]:
@@ -73,9 +111,7 @@ def reference_prepare(storage, mapper, query) -> PreparedQuery:
     cells = _reference_cells(mapper, query)
     policy, merge_gap = _reference_raw_policy(mapper, query)
     cb = int(mapper.cell_blocks)
-    lbns = [
-        int(mapper.lbns(np.asarray([c], dtype=np.int64))[0]) for c in cells
-    ]
+    lbns = [_reference_lbn(mapper, c) for c in cells]
     if policy == "fifo":
         # one cell per request, given order, never merged or clamped
         plan = RequestPlan(

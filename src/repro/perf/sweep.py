@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.errors import BenchmarkError
 from repro.perf.memo import MEMO
-from repro.perf.reference import reference_prepare
+from repro.perf.reference import reference_codes, reference_prepare
 from repro.query.workload import BeamQuery, RangeQuery, random_beam, \
     random_range_cube
 
@@ -106,9 +106,10 @@ def run_perf_sweep(
         t0 = perf_counter()
         ds = Dataset.create(shape, layout=layout, drive=drive, seed=seed)
         mapper = ds.mapper
-        if hasattr(mapper, "code_table"):
-            mapper.code_table()
+        if hasattr(mapper, "rank_table"):
+            mapper.rank_table()
         build_ms = (perf_counter() - t0) * 1e3
+        reference_codes(mapper)  # the reference's own table, untimed
         storage = ds.storage
 
         best = float("inf")

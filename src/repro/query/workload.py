@@ -24,6 +24,23 @@ __all__ = [
 ]
 
 
+def _check_int(name: str, value) -> None:
+    # bool is an int subclass, but True as a coordinate is a bug
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise QueryError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_ints(name: str, values) -> None:
+    try:
+        items = list(values)
+    except TypeError:
+        raise QueryError(
+            f"{name} must be a sequence of integers, got {values!r}"
+        ) from None
+    for d, v in enumerate(items):
+        _check_int(f"{name}[{d}]", v)
+
+
 @dataclass(frozen=True)
 class BeamQuery:
     """All cells along ``axis`` with the other coordinates pinned."""
@@ -32,6 +49,13 @@ class BeamQuery:
     fixed: tuple[int, ...]
     lo: int = 0
     hi: int | None = None
+
+    def __post_init__(self) -> None:
+        _check_int("axis", self.axis)
+        _check_ints("fixed", self.fixed)
+        _check_int("lo", self.lo)
+        if self.hi is not None:
+            _check_int("hi", self.hi)
 
     def n_cells(self, dims) -> int:
         hi = dims[self.axis] if self.hi is None else self.hi
@@ -44,6 +68,10 @@ class RangeQuery:
 
     lo: tuple[int, ...]
     hi: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        _check_ints("lo", self.lo)
+        _check_ints("hi", self.hi)
 
     def n_cells(self, dims=None) -> int:
         return int(
@@ -60,6 +88,7 @@ class RangeQuery:
 def random_beam(dims, axis: int, rng: np.random.Generator) -> BeamQuery:
     """Full-length beam along ``axis`` at a random position."""
     dims = tuple(int(s) for s in dims)
+    _check_int("axis", axis)
     if not 0 <= axis < len(dims):
         raise QueryError(f"axis {axis} out of range for dims {dims}")
     fixed = tuple(

@@ -294,7 +294,7 @@ class ShardedStorageManager(StorageManager):
 
     def beam(self, mapper, axis, fixed, lo=0, hi=None, *, rng=None):
         return self.run_query(
-            mapper, BeamQuery(int(axis), tuple(fixed), lo, hi), rng=rng
+            mapper, BeamQuery(axis, tuple(fixed), lo, hi), rng=rng
         )
 
     def range(self, mapper, lo, hi, *, rng=None):

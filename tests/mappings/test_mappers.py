@@ -157,13 +157,13 @@ class TestNaiveSpecifics:
 
 
 class TestCurveMapperSpecifics:
-    def test_code_table_cached(self):
+    def test_rank_table_cached(self):
         m = make(ZOrderMapper)
-        t1 = m.code_table()
-        t2 = m.code_table()
+        t1 = m.rank_table()
+        t2 = m.rank_table()
         assert t1 is t2
         m.drop_cache()
-        assert m.code_table() is not t1
+        assert m.rank_table() is not t1
 
     def test_rank_compaction_dense(self):
         """Ranks on a non-power-of-two grid must be dense 0..n-1."""

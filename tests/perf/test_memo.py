@@ -1,4 +1,4 @@
-"""The mapper memo: shared code tables and basic-cube plans."""
+"""The mapper memo: shared rank tables and basic-cube plans."""
 
 import numpy as np
 import pytest
@@ -20,11 +20,11 @@ def fresh_memo():
     MEMO.enabled = True
 
 
-def test_code_table_shared_across_instances(fresh_memo, make_dataset):
+def test_rank_table_shared_across_instances(fresh_memo, make_dataset):
     a = make_dataset(layout="zorder", shape=(8, 8, 4))
     b = make_dataset(layout="zorder", shape=(8, 8, 4))
-    ta = a.mapper.code_table()
-    tb = b.mapper.code_table()
+    ta = a.mapper.rank_table()
+    tb = b.mapper.rank_table()
     assert ta is tb
     assert not ta.flags.writeable
     assert fresh_memo.stats()["hits"] >= 1
@@ -33,14 +33,14 @@ def test_code_table_shared_across_instances(fresh_memo, make_dataset):
 def test_different_dims_get_different_tables(fresh_memo, make_dataset):
     a = make_dataset(layout="hilbert", shape=(8, 8, 4))
     b = make_dataset(layout="hilbert", shape=(8, 4, 4))
-    assert a.mapper.code_table() is not b.mapper.code_table()
+    assert a.mapper.rank_table() is not b.mapper.rank_table()
 
 
 def test_drop_cache_evicts_memo_entry(fresh_memo, make_dataset):
     m = make_dataset(layout="zorder", shape=(8, 8, 4)).mapper
-    t1 = m.code_table()
+    t1 = m.rank_table()
     m.drop_cache()
-    t2 = m.code_table()
+    t2 = m.rank_table()
     assert t2 is not t1
     assert np.array_equal(t1, t2)
 
@@ -50,12 +50,12 @@ def test_disabled_memo_builds_fresh_per_instance(fresh_memo,
     fresh_memo.enabled = False
     a = make_dataset(layout="zorder", shape=(8, 8, 4))
     b = make_dataset(layout="zorder", shape=(8, 8, 4))
-    ta = a.mapper.code_table()
-    tb = b.mapper.code_table()
+    ta = a.mapper.rank_table()
+    tb = b.mapper.rank_table()
     assert ta is not tb
     assert np.array_equal(ta, tb)
     # each instance still reuses its own table across calls
-    assert a.mapper.code_table() is ta
+    assert a.mapper.rank_table() is ta
 
 
 def test_basic_cube_plan_memoized(fresh_memo):
@@ -105,4 +105,4 @@ def test_with_layout_clone_shares_table(fresh_memo):
     ds = Dataset.create((8, 8, 4), layout="zorder", drive="minidrive",
                         seed=3)
     clone = ds.with_layout("zorder")
-    assert ds.mapper.code_table() is clone.mapper.code_table()
+    assert ds.mapper.rank_table() is clone.mapper.rank_table()
