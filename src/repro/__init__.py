@@ -75,7 +75,6 @@ _LAZY_EXPORTS = {
     "ShardMap": "repro.shard",
     "ShardedStorageManager": "repro.shard",
     "ReplicaMap": "repro.replica",
-    "ReplicatedStorageManager": "repro.replica",
     "FailureInjector": "repro.replica",
     "FailureSchedule": "repro.replica",
     "placement_names": "repro.replica",

@@ -51,7 +51,6 @@ _LAZY_EXPORTS = {
     "FailureSchedule": "repro.replica",
     "ReplicaMap": "repro.replica",
     "ReplicaStats": "repro.replica",
-    "ReplicatedStorageManager": "repro.replica",
     "placement_names": "repro.replica",
     "read_policy_names": "repro.replica",
     "register_placement": "repro.replica",

@@ -2,9 +2,8 @@
 
 One object owns the whole stack the paper layers behind its two
 interfaces (the LVM adjacency API of §3 and the database storage manager
-of §5.1): a simulated drive, a :class:`~repro.lvm.volume.LogicalVolume`,
-a registered layout's mapper, a
-:class:`~repro.query.executor.StorageManager`, and (optionally, via
+of §5.1): simulated drives, a :class:`~repro.lvm.volume.LogicalVolume`,
+a registered layout's mappers, the storage manager, and (optionally, via
 :meth:`Dataset.with_cache`) a shared :class:`~repro.cache.BufferPool`::
 
     from repro.api import Dataset
@@ -18,14 +17,18 @@ wiring goes through the same :func:`~repro.api.registry.build_mapper`
 helper as :func:`repro.datasets.grid.build_chunk_mappers`, so a façade
 stack is bit-identical to a hand-wired one.  ``with_layout`` clones the
 dataset under another mapping on a fresh identical volume — the paper's
-fairness condition for layout comparisons.  ``with_shards`` declusters
-the dataset's chunks across several identical member disks
-(:mod:`repro.shard`) and services queries scatter-gather;
-``with_shards(1)`` is pinned bit-identical to the unsharded stack
-(``tests/shard/test_parity.py``), the same guarantee the capacity-0
-cache parity gives.  Online updates (§4.6) are exposed through a lazily
-created :class:`~repro.core.store.CellStore` (``insert`` / ``delete`` /
-``bulk_load`` / ``reorganize``) on unsharded datasets.
+fairness condition for layout comparisons.
+
+One storage path: every dataset runs on a
+:class:`~repro.shard.ShardedStorageManager` of n member disks × k
+copies, built in one place (``_build_storage``).  ``create`` is the
+1 × 1 case — one chunk spanning the dataset on disk 0 — and
+``with_shards`` / ``with_replication`` rebuild the same manager with
+more disks (§5.3's chunk-per-disk declustering, queries serviced
+scatter-gather) or more copies.  Online updates (§4.6) are exposed
+through a lazily created :class:`~repro.core.store.CellStore`
+(``insert`` / ``delete`` / ``bulk_load`` / ``reorganize``) on one-disk,
+one-chunk datasets.
 
 Determinism: ``Dataset.create(seed=...)`` owns a
 :class:`numpy.random.SeedSequence`; every ``run()`` without an explicit
@@ -37,18 +40,19 @@ as its parent, keeping cross-layout comparisons fair).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
 
-from repro.api.registry import DRIVES, LAYOUTS, DriveEntry, build_mapper
+from repro.api.registry import DRIVES, LAYOUTS, DriveEntry
 from repro.api.report import Report, make_record
 from repro.core.store import CellStore, StoreStats
 from repro.disk.models import DiskModel
 from repro.errors import DatasetError, QueryError
 from repro.lvm.volume import LogicalVolume
 from repro.perf.profile import PROBES
-from repro.query.executor import QueryResult, StorageManager
+from repro.query.executor import QueryResult
 from repro.query.scheduler import SPTF_RUN_LIMIT
 from repro.query.workload import (
     BeamQuery,
@@ -186,6 +190,7 @@ class QueryBatch:
         if n_rep < 1:
             raise QueryError("repeats must be >= 1")
         probe_mark = PROBES.snapshot() if PROBES.enabled else None
+        storage, mapper = ds.storage, ds.mapper
         records = []
         for rep in range(n_rep):
             for entry in self._entries:
@@ -199,7 +204,7 @@ class QueryBatch:
                         q = BeamQuery(q.axis, q.fixed, lo, hi)
                 else:  # random_range
                     q = random_range_cube(ds.shape, entry[1], rng)
-                res = ds.storage.run_query(ds.mapper, q, rng=rng)
+                res = storage.run_query(mapper, q, rng=rng)
                 records.append(make_record(q, res, rep))
         meta = {"repeats": n_rep, "seed": ds.seed}
         if ds.cache is not None and ds.cache.active:
@@ -212,18 +217,18 @@ class QueryBatch:
         if ds.n_shards > 1:
             # per-shard gather totals, cumulative like the cache snapshot
             # (ds.storage.reset_shard_stats() scopes them); gated on > 1
-            # so 1-shard reports stay bit-identical to unsharded ones
-            meta["shards"] = ds.storage.describe_shards()
+            # so single-disk reports keep their JSON layout
+            meta["shards"] = storage.describe_shards()
         if ds.replication_k > 1:
             # copy placement + routing totals (failed disks, failovers,
             # degraded queries); gated on k > 1 so single-copy reports
-            # stay bit-identical to the sharded stack
-            meta["replicas"] = ds.storage.describe_replicas()
+            # keep their JSON layout
+            meta["replicas"] = storage.describe_replicas()
         if probe_mark is not None:
             # preparation counters/timers for this batch; gated on the
             # probes being enabled so default report JSON is untouched
             meta["perf"] = PROBES.delta(probe_mark)
-        tele = getattr(ds.storage, "obs", None)
+        tele = storage.obs
         if tele is not None:
             # telemetry-LIFETIME totals (spans and metrics accumulate
             # across batches; ds.telemetry.reset() scopes them); gated
@@ -233,9 +238,8 @@ class QueryBatch:
             obs_meta = tele.describe()
             if obs_meta:
                 meta["obs"] = obs_meta
-            mon = getattr(tele, "monitor", None)
-            if mon is not None:
-                meta["monitor"] = mon.describe()
+            if tele.monitor is not None:
+                meta["monitor"] = tele.monitor.describe()
         return Report(
             records=tuple(records),
             layout=ds.layout,
@@ -266,13 +270,19 @@ class Dataset:
         self.drive_name, self._drive_factory = _resolve_drive(drive)
         self._layout_entry = LAYOUTS.get(self.layout)
 
+        # checked now: the storage manager that owns the window is only
+        # built on first use
+        if window < 1:
+            raise QueryError(f"window must be >= 1, got {window}")
+
         self.volume = LogicalVolume([self._drive_factory()],
                                     depth=self.depth)
-        # the mapper is built lazily (see the property below): a dataset
-        # that is immediately re-sharded or re-laid-out never pays for a
-        # whole-grid placement it would throw away
-        self._mapper = None
-        self.storage = StorageManager(self.volume, **self._sm_opts)
+        # the storage manager is built lazily (see the property below):
+        # a dataset that is immediately re-sharded or re-laid-out never
+        # pays for a whole-grid placement it would throw away.  Until
+        # then, attached pools and telemetry wait here for the build.
+        self._storage = None
+        self._unbuilt = SimpleNamespace(cache=None, obs=None)
         self._cache_spec: dict | None = None
         self._shard_spec: dict | None = None
         self._replica_spec: dict | None = None
@@ -311,20 +321,52 @@ class Dataset:
         )
 
     @property
-    def mapper(self):
-        """The placed mapper (built on first use; the allocation lands
-        on the fresh volume exactly as an eager build would, so lazy
-        construction is placement-identical)."""
-        if self._mapper is None:
-            self._mapper = build_mapper(
-                self._layout_entry, self.shape, self.volume, 0,
-                cell_blocks=self.cell_blocks, **self.layout_opts,
-            )
-        return self._mapper
+    def storage(self):
+        """The storage manager: n member disks × k copies, 1 × 1 until
+        :meth:`with_shards` / :meth:`with_replication` (built on first
+        use; the allocation lands on the fresh volume exactly as an
+        eager build would, so lazy construction is placement-identical).
+        """
+        if self._storage is None:
+            from repro.shard import ShardMap
 
-    @mapper.setter
-    def mapper(self, value) -> None:
-        self._mapper = value
+            self._storage = self._build_storage(
+                self.volume, ShardMap.build(self.shape, 1)
+            )
+        return self._storage
+
+    def _stack(self):
+        """Where ``cache``/``obs`` live: the built storage manager, or
+        the holder they wait in until the lazy build."""
+        return self._unbuilt if self._storage is None else self._storage
+
+    def _build_storage(self, volume, shard_map, k: int = 1,
+                       placement: str = "rotated",
+                       read_policy: str = "primary"):
+        """Construct the storage manager — the one place every
+        configuration's manager is built — carrying over the attached
+        pool and telemetry (the SAME Telemetry object rides onto the new
+        manager, so recordings span reconfiguration)."""
+        from repro.shard import ShardedStorageManager
+
+        stack = self._stack()
+        storage = ShardedStorageManager(
+            volume, shard_map, self._layout_entry,
+            k=k, placement=placement, read_policy=read_policy,
+            cell_blocks=self.cell_blocks, cache=stack.cache,
+            layout_opts=self.layout_opts, **self._sm_opts,
+        )
+        storage.obs = stack.obs
+        return storage
+
+    @property
+    def mapper(self):
+        """The placed mapper: the cell mapper of a one-chunk dataset,
+        the :class:`~repro.shard.ShardedMapper` over its chunk mappers
+        otherwise."""
+        sharded = self.storage.mapper
+        chunk_mappers = sharded.chunk_mappers
+        return chunk_mappers[0] if len(chunk_mappers) == 1 else sharded
 
     # ------------------------------------------------------------------
     # cloning
@@ -356,9 +398,9 @@ class Dataset:
             clone._ingest_spec = dict(self._ingest_spec)
         if self._shard_spec is not None:
             # same declustering on a fresh identical multi-disk volume;
-            # seeding the replica spec first lets with_shards delegate
-            # to with_replication and build the stack exactly once
-            # (with_shards re-attaches the cache spec itself)
+            # seeding the replica spec first lets with_shards build the
+            # replicated manager once, through _rebuild (which also
+            # re-attaches the cache spec)
             if self._replica_spec is not None:
                 clone._replica_spec = dict(self._replica_spec)
             clone.with_shards(**self._shard_spec)
@@ -388,33 +430,22 @@ class Dataset:
         ``disk_modulo``, ``cube_aligned``), and queries execute
         scatter-gather (per-disk sub-plans in parallel, query time =
         makespan over drives).  ``chunk_shape`` overrides the default
-        last-axis slab chunking.  ``with_shards(1)`` runs the full shard
-        machinery but is **bit-identical** to the unsharded stack — the
-        parity the shard regression tests pin.  An attached cache spec
-        is re-instantiated on the new stack (fresh pool(s)).  Online
-        updates are not available on sharded datasets.
+        last-axis slab chunking.  An unsharded dataset is the 1-disk
+        case of the same storage manager, so ``with_shards(1)`` changes
+        nothing but :attr:`is_sharded`.  An attached replication or
+        cache spec is re-applied on the new disk count (fresh pool(s)).
+        Online updates are not available on sharded datasets.
         """
-        from repro.shard import ShardMap, ShardedStorageManager
+        from repro.shard import ShardMap
 
-        if self._store is not None:
-            raise DatasetError(
-                "cannot shard after the cell store was created"
-            )
-        if self.storage.cache is not None and self._cache_spec is None:
-            # a hand-wired pool (storage.cache = BufferPool(...)) cannot
-            # be re-instantiated for the new volume; dropping it silently
-            # would run the sharded experiment uncached
-            raise DatasetError(
-                "with_shards rebuilds the storage manager and cannot "
-                "carry a hand-wired pool; shard first, then set "
-                "storage.cache (or use with_cache)"
-            )
+        self._check_rebuild("with_shards", "shard")
         n = int(n_shards)
         if n < 1:
             raise DatasetError("n_shards must be >= 1")
         # build the whole new stack in locals and commit only once
         # everything validated: a failed call (unknown strategy, bad
-        # chunk shape, exhausted volume) must leave the dataset intact
+        # chunk shape, too few disks for k, exhausted volume) must leave
+        # the dataset intact
         entry = self._strategy_entry(strategy)
         align = None
         if chunk_shape is None and entry is not None \
@@ -430,47 +461,18 @@ class Dataset:
         shard_map = ShardMap.build(
             self.shape, n, strategy, chunk_shape=chunk_shape, align=align
         )
+        replicas = self._replica_spec or {}
+        if replicas:
+            self._validate_replica_k(int(replicas["k"]), n)
+        self._rebuild(shard_map, **replicas)
         # record the RESOLVED chunk shape (chunk 0 is always full-size),
         # so with_layout clones rebuild the identical chunk grid even
         # when this layout's alignment shaped the default — the fairness
         # condition for cross-layout comparisons
-        new_spec = dict(
+        self._shard_spec = dict(
             n_shards=n, strategy=strategy,
             chunk_shape=shard_map.chunks[0].shape,
         )
-        if self._replica_spec is not None:
-            # re-replicate on the new disk count: validate k BEFORE
-            # committing anything (a failed call must leave the dataset
-            # intact), then delegate the whole build to with_replication
-            # so primaries, pools, and replicas are constructed once
-            spec = self._replica_spec
-            self._validate_replica_k(int(spec["k"]), n)
-            old_shard, self._shard_spec = self._shard_spec, new_spec
-            self._replica_spec = None
-            try:
-                return self.with_replication(**spec)
-            except BaseException:
-                self._shard_spec = old_shard
-                self._replica_spec = spec
-                raise
-        volume = LogicalVolume(
-            [self._drive_factory() for _ in range(n)], depth=self.depth
-        )
-        storage = ShardedStorageManager(
-            volume, shard_map, self._layout_entry,
-            cell_blocks=self.cell_blocks, **self._sm_opts,
-            layout_opts=self.layout_opts,
-        )
-        # the SAME Telemetry object rides onto the new manager, so
-        # recordings span the reconfiguration
-        storage.obs = self.storage.obs
-        self.volume = volume
-        self.storage = storage
-        self.mapper = storage.mapper
-        self._shard_spec = new_spec
-        if self._cache_spec is not None:
-            # fresh pool(s) sized by the same spec on the new stack
-            self.with_cache(**self._cache_spec)
         return self
 
     # ------------------------------------------------------------------
@@ -482,8 +484,7 @@ class Dataset:
         """Keep ``k`` copies of every chunk on distinct member disks
         (chainable; shard first).
 
-        The stack is rebuilt with a
-        :class:`~repro.replica.ReplicatedStorageManager`: copy 0 of
+        The storage manager is rebuilt with ``k`` copies: copy 0 of
         every chunk stays exactly where :meth:`with_shards` placed it
         (replica mappers allocate after every primary), reads route to a
         copy picked by the registered ``read_policy``
@@ -495,73 +496,67 @@ class Dataset:
         adjacent chunks together).  Killing a member disk
         (``storage.fail_disk`` / :class:`repro.replica.FailureInjector`
         / a traffic failure schedule) transparently diverts reads to
-        surviving copies.  ``with_replication(1)`` runs the full replica
-        machinery but is **bit-identical** to the sharded stack — the
-        parity ``tests/replica/test_parity.py`` pins.
+        surviving copies.  Every dataset already holds one copy, so
+        ``with_replication(1)`` changes nothing but
+        :attr:`is_replicated`.
         """
-        from repro.replica import (
-            PLACEMENTS,
-            READ_POLICIES,
-            ReplicatedStorageManager,
-        )
-        from repro.shard import ShardMap
+        from repro.replica import PLACEMENTS, READ_POLICIES
 
-        if self._store is not None:
-            raise DatasetError(
-                "cannot replicate after the cell store was created"
-            )
+        self._check_rebuild("with_replication", "replicate")
         if self._shard_spec is None:
             raise DatasetError(
                 "with_replication needs a sharded dataset; call "
                 "with_shards(n) first (n >= k member disks)"
             )
-        if self.storage.cache is not None and self._cache_spec is None:
-            raise DatasetError(
-                "with_replication rebuilds the storage manager and "
-                "cannot carry a hand-wired pool; replicate first, then "
-                "set storage.cache (or use with_cache)"
-            )
         k = int(k)
         if k < 1:
             raise DatasetError("k must be >= 1")
-        n = int(self._shard_spec["n_shards"])
-        self._validate_replica_k(k, n)
+        self._validate_replica_k(k, int(self._shard_spec["n_shards"]))
         # validate names before rebuilding, so a typo leaves the
         # dataset untouched
         if isinstance(placement, str):
             PLACEMENTS.get(placement)
         if isinstance(read_policy, str):
             READ_POLICIES.get(read_policy)
+        replicas = dict(k=k, placement=placement, read_policy=read_policy)
+        self._rebuild(self.storage.shard_map, **replicas)
+        self._replica_spec = replicas
+        return self
+
+    def _check_rebuild(self, method: str, verb: str) -> None:
+        """Refuse a rebuild that would silently drop state: the cell
+        store, or a pool wired by hand into ``storage.cache`` (which
+        cannot be re-instantiated for a new volume — dropping it would
+        run the experiment uncached)."""
+        if self._store is not None:
+            raise DatasetError(
+                f"cannot {verb} after the cell store was created"
+            )
+        if self._stack().cache is not None and self._cache_spec is None:
+            raise DatasetError(
+                f"{method} rebuilds the storage manager and cannot carry "
+                f"a hand-wired pool; {verb} first, then set storage.cache "
+                f"(or use with_cache)"
+            )
+
+    def _rebuild(self, shard_map, **replicas) -> None:
+        """Build the manager for ``shard_map`` on a fresh identical
+        volume, then commit it (and a fresh pool for the cache spec)."""
         volume = LogicalVolume(
-            [self._drive_factory() for _ in range(n)], depth=self.depth
+            [self._drive_factory() for _ in range(shard_map.n_disks)],
+            depth=self.depth,
         )
-        shard_map = ShardMap.build(
-            self.shape, n, self._shard_spec["strategy"],
-            chunk_shape=self._shard_spec["chunk_shape"],
-        )
-        storage = ReplicatedStorageManager(
-            volume, shard_map, self._layout_entry,
-            k=k, placement=placement, read_policy=read_policy,
-            cell_blocks=self.cell_blocks, **self._sm_opts,
-            layout_opts=self.layout_opts,
-        )
-        # same Telemetry, new manager — recordings span the rebuild
-        storage.obs = self.storage.obs
+        storage = self._build_storage(volume, shard_map, **replicas)
         self.volume = volume
-        self.storage = storage
-        self.mapper = storage.mapper
-        self._replica_spec = dict(
-            k=k, placement=placement, read_policy=read_policy,
-        )
+        self._storage = storage
         if self._cache_spec is not None:
             # fresh pool(s) sized by the same spec on the new stack
             self.with_cache(**self._cache_spec)
-        return self
 
     @staticmethod
     def _validate_replica_k(k: int, n: int) -> None:
-        """Shared k-vs-disk-count check (with_replication and the
-        re-shard delegation both gate on it *before* mutating)."""
+        """Shared k-vs-disk-count check (with_replication and
+        with_shards both gate on it *before* mutating)."""
         if k > n:
             raise DatasetError(
                 f"k={k} copies need at least k member disks; the "
@@ -570,7 +565,7 @@ class Dataset:
 
     @property
     def replication_k(self) -> int:
-        """Copies per chunk (1 for the unreplicated stack)."""
+        """Copies per chunk (1 until :meth:`with_replication`)."""
         return 1 if self._replica_spec is None else int(
             self._replica_spec["k"]
         )
@@ -620,7 +615,7 @@ class Dataset:
 
     @property
     def n_shards(self) -> int:
-        """Member-disk count (1 for the unsharded stack)."""
+        """Member-disk count (1 until :meth:`with_shards`)."""
         return 1 if self._shard_spec is None else int(
             self._shard_spec["n_shards"]
         )
@@ -696,7 +691,7 @@ class Dataset:
             PREFETCHERS.get(prefetch)
         if not capacity_blocks:
             self._cache_spec = None
-            self.storage.cache = None
+            self._stack().cache = None
             return self
 
         # construct the pool before committing the spec, so a rejected
@@ -719,13 +714,13 @@ class Dataset:
             # recorded only when non-default, so shared-pool specs (and
             # their report meta) keep the pre-shard JSON layout
             self._cache_spec["scope"] = scope
-        self.storage.cache = pool
+        self._stack().cache = pool
         return self
 
     @property
     def cache(self):
         """The attached buffer pool, or ``None``."""
-        return self.storage.cache
+        return self._stack().cache
 
     # ------------------------------------------------------------------
     # telemetry (repro.obs) — per-query tracing and metrics
@@ -780,11 +775,11 @@ class Dataset:
         mon = self._build_monitor(monitor)
         if not trace and not metrics and mon is None:
             self._obs_spec = None
-            self.storage.obs = None
+            self._stack().obs = None
             return self
         from repro.obs import Telemetry
 
-        self.storage.obs = Telemetry(
+        self._stack().obs = Telemetry(
             trace=trace, metrics=metrics, exporter=exporter,
             monitor=mon,
         )
@@ -834,12 +829,13 @@ class Dataset:
     @property
     def telemetry(self):
         """The attached :class:`~repro.obs.Telemetry`, or ``None``."""
-        return getattr(self.storage, "obs", None)
+        return self._stack().obs
 
     @property
     def monitor(self):
         """The attached :class:`~repro.monitor.Monitor`, or ``None``."""
-        return getattr(self.telemetry, "monitor", None)
+        tele = self.telemetry
+        return None if tele is None else tele.monitor
 
     # ------------------------------------------------------------------
     # fluent queries
@@ -978,22 +974,18 @@ class Dataset:
 
         Datasets declustered over several member disks — or chunked
         into several pieces even on one disk — have no single cell
-        mapper, so updates are gated; a 1-shard dataset whose *lone*
-        chunk spans the whole dataset has a chunk mapper that *is* the
-        full-dataset mapper (the pinned parity guarantee), so
-        un-sharding back to 1 restores update support.
+        mapper, so updates are gated; a one-disk dataset whose *lone*
+        chunk spans the whole dataset updates through that chunk's
+        mapper, so un-sharding back to 1 restores update support.
         """
-        mapper = self.mapper
-        chunk_mappers = getattr(mapper, "chunk_mappers", None)
-        if self.n_shards > 1 or (
-            chunk_mappers is not None and len(chunk_mappers) > 1
-        ):
+        chunk_mappers = self.storage.mapper.chunk_mappers
+        if self.n_shards > 1 or len(chunk_mappers) > 1:
             raise DatasetError(
                 "online updates (CellStore) are not supported on "
                 "sharded datasets; stream writes through "
                 "Dataset.ingest() instead"
             )
-        return mapper if chunk_mappers is None else chunk_mappers[0]
+        return chunk_mappers[0]
 
     @property
     def store(self) -> CellStore:
@@ -1102,12 +1094,12 @@ class Dataset:
             # gated so uncached datasets keep the pre-cache JSON layout
             out["cache"] = dict(self._cache_spec)
         if self.n_shards > 1:
-            # gated on > 1: a 1-shard dataset reports as unsharded (it
-            # is bit-identical to one, the pinned parity guarantee)
+            # gated on > 1: a one-disk dataset reports as a plain one
+            # (it runs identically, the one-storage-path guarantee)
             out["shards"] = self.storage.shard_map.describe()
         if self.replication_k > 1:
-            # gated on k > 1: a single-copy dataset reports as the
-            # sharded stack it is bit-identical to
+            # gated on k > 1: every dataset holds one copy unless
+            # replicated
             out["replicas"] = dict(self._replica_spec)
         if self._obs_spec is not None:
             # gated so detached datasets keep the pre-obs JSON layout

@@ -162,7 +162,7 @@ class IngestRun:
             if report is not None:
                 reorg = report.to_dict()
                 reorg_ms = report.reorg_ms
-                tele = getattr(ds.storage, "obs", None)
+                tele = ds.storage.obs
                 if tele is not None:
                     from repro.obs.span import record_reorg
 

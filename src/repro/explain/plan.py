@@ -28,7 +28,6 @@ from repro.explain.classify import (
     run_length_histogram,
 )
 from repro.perf.profile import PROBES
-from repro.query.scatter import subplans
 from repro.query.workload import BeamQuery, RangeQuery
 
 __all__ = [
@@ -76,10 +75,8 @@ def prepare_readonly(ds, query):
     saved_cache = storage.cache
     saved_obs = storage.obs
     probes_on = PROBES.enabled
-    replicated = hasattr(storage, "replica_stats")
-    if replicated:
-        saved_stats = copy.deepcopy(storage.replica_stats)
-        saved_rr = copy.deepcopy(storage._rr_counts)
+    saved_stats = copy.deepcopy(storage.replica_stats)
+    saved_rr = copy.deepcopy(storage._rr_counts)
     storage.cache = None
     storage.obs = _RAW_PROBE
     PROBES.disable()
@@ -90,12 +87,11 @@ def prepare_readonly(ds, query):
         storage.obs = saved_obs
         if probes_on:
             PROBES.enable()
-        if replicated:
-            # restore in place so references to the stats object and
-            # the round-robin counter dict stay valid
-            storage.replica_stats.__dict__.update(vars(saved_stats))
-            storage._rr_counts.clear()
-            storage._rr_counts.update(saved_rr)
+        # restore in place so references to the stats object and the
+        # round-robin counter dict stay valid
+        storage.replica_stats.__dict__.update(vars(saved_stats))
+        storage._rr_counts.clear()
+        storage._rr_counts.update(saved_rr)
 
 
 def predict_mechanics(volume, prepared, *, window: int = 128) -> dict:
@@ -108,7 +104,7 @@ def predict_mechanics(volume, prepared, *, window: int = 128) -> dict:
     predicted makespan, and a per-run summary.
     """
     by_disk: dict[int, list] = {}
-    for sub in subplans(prepared):
+    for sub in prepared.subs:
         by_disk.setdefault(int(sub.disk_index), []).append(sub)
     per_disk = {}
     agg = {"seek_ms": 0.0, "rotation_ms": 0.0, "transfer_ms": 0.0,
@@ -187,16 +183,13 @@ def analytic_block(ds, query) -> dict:
 
 
 def _multimap_k(ds):
-    """The dataset's basic-cube dimensions when its mapper exposes them
-    (multimap layouts), else ``None`` (the model picks its own)."""
-    mapper = ds.mapper
-    k = getattr(mapper, "K", None)
-    if k is None:
-        for chunk_mapper in getattr(mapper, "chunk_mappers", ()) or ():
-            k = getattr(chunk_mapper, "K", None)
-            if k is not None:
-                break
-    return k
+    """The basic-cube dimensions of the dataset's first multimap chunk
+    mapper, else ``None`` (the model picks its own)."""
+    for chunk_mapper in ds.storage.mapper.chunk_mappers:
+        k = getattr(chunk_mapper, "K", None)
+        if k is not None:
+            return k
+    return None
 
 
 def _peek_cache(storage, prepared) -> dict | None:
@@ -206,7 +199,7 @@ def _peek_cache(storage, prepared) -> dict | None:
     if pool is None or not pool.active:
         return None
     hits = hit_runs = blocks = 0
-    for sub in subplans(prepared):
+    for sub in prepared.subs:
         h, r = pool.peek_plan(sub.disk_index, sub.plan)
         hits += h
         hit_runs += r
@@ -226,7 +219,7 @@ def explain_query(ds, query) -> dict:
     storage = ds.storage
     spec = query_spec(query)  # rejects unknown query types up front
     prepared = prepare_readonly(ds, query)
-    subs = subplans(prepared)
+    subs = prepared.subs
     volume = ds.volume
 
     sub_rows = []
@@ -294,8 +287,7 @@ def explain_query(ds, query) -> dict:
             "subplans": len(subs),
             "disks": [int(d) for d in prepared.disks],
         }
-    sources = getattr(prepared, "sources", None)
-    if sources is not None and ds.replication_k > 1:
+    if ds.replication_k > 1:
         data["routing"] = {
             "read_policy": storage.read_policy.name,
             "k": int(ds.replication_k),
@@ -306,7 +298,7 @@ def explain_query(ds, query) -> dict:
                     "copy": int(src.copy),
                     "disk": int(sub.disk_index),
                 }
-                for src, sub in zip(sources, subs)
+                for src, sub in zip(prepared.sources, subs)
             ],
         }
     return data

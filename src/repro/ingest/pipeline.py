@@ -11,8 +11,9 @@ become one :class:`~repro.query.executor.WritePrepared` batch per copy,
 issued in sorted LBN order so a locality-preserving layout (MultiMap's
 basic cubes) turns a flush into a few long sequential writes.
 
-Replica-consistent writes: on a replicated manager every flush targets
-the primary *and* all live copies (``write_copies``), with a twin
+Replica-consistent writes: every flush targets the primary *and* all
+live copies of its chunk (``write_copies``; one copy unless the dataset
+is replicated), with a twin
 overflow extent allocated per copy so chain pages land block-for-block
 identically everywhere — an acknowledged batch survives any single
 ``fail_disk``.  Copies on dead disks are skipped (counted, rebuilt
@@ -31,7 +32,6 @@ from typing import ClassVar
 import numpy as np
 
 from repro.core.store import CellStore
-from repro.datasets.grid import Chunk
 from repro.errors import IngestError
 from repro.ingest.loader import IngestPlan, resolve_loader
 from repro.ingest.streams import RecordStream
@@ -66,13 +66,12 @@ class WriteSource:
 class IngestPrepared(ShardedPrepared):
     """One flush prepared as per-copy, per-disk write sub-plans.
 
-    Quacks like a :class:`~repro.replica.executor.ReplicatedPrepared`:
-    ``sources[i]`` describes ``subs[i]`` (``None`` for the memory-only
-    staging sub the traffic path prepends), so the engine's sub-plan
-    bookkeeping needs no new cases.  ``n_points`` counts the points the
-    flush acknowledges."""
+    A :class:`~repro.query.scatter.ShardedPrepared` whose
+    ``sources[i]`` is the :class:`WriteSource` of ``subs[i]`` (``None``
+    for the memory-only staging sub the traffic path prepends), so the
+    engine's sub-plan bookkeeping needs no new cases.  ``n_points``
+    counts the points the flush acknowledges."""
 
-    sources: tuple = ()
     n_points: int = 0
     is_write: ClassVar[bool] = True
 
@@ -169,27 +168,12 @@ class IngestPipeline:
 
         storage = dataset.storage
         self.storage = storage
-        mapper = dataset.mapper
-        self.mapper_name = mapper.name
-        chunk_mappers = getattr(mapper, "chunk_mappers", None)
-        ndim = len(dataset.shape)
-        if chunk_mappers is None:
-            # unsharded: one pseudo-chunk spanning the dataset, the
-            # plain mapper doing the placement
-            self.chunks = (
-                Chunk(0, (0,) * ndim, tuple(dataset.shape),
-                      mapper.disk_index),
-            )
-            self.grid = (1,) * ndim
-            self._chunk_mappers = (mapper,)
-        else:
-            self.chunks = storage.shard_map.chunks
-            self.grid = storage.shard_map.grid
-            self._chunk_mappers = chunk_mappers
-        replica_map = getattr(storage, "replica_map", None)
-        self.n_copies = (
-            int(replica_map.k) if replica_map is not None else 1
-        )
+        self.mapper_name = storage.mapper.name
+        self.chunks = storage.shard_map.chunks
+        self.grid = storage.shard_map.grid
+        self._chunk_mappers = storage.mapper.chunk_mappers
+        replica_map = storage.replica_map
+        self.n_copies = int(replica_map.k)
 
         self.stores = tuple(
             CellStore(
@@ -207,12 +191,11 @@ class IngestPipeline:
         self._copy_extents: list[dict] = []
         for ci, store in enumerate(self.stores):
             exts = {0: store.overflow_extent}
-            if replica_map is not None:
-                for r in range(1, replica_map.k):
-                    disk = int(replica_map.disks[ci, r])
-                    exts[r] = storage.volume.allocate_blocks(
-                        disk, store.overflow_extent.nblocks
-                    )
+            for r in range(1, replica_map.k):
+                disk = int(replica_map.disks[ci, r])
+                exts[r] = storage.volume.allocate_blocks(
+                    disk, store.overflow_extent.nblocks
+                )
             self._copy_extents.append(exts)
 
         # per-disk write buffers: disk -> chunk -> {local flat: count}
@@ -295,12 +278,6 @@ class IngestPipeline:
     # flushing
     # ------------------------------------------------------------------
 
-    def _write_copies(self, chunk_index: int):
-        storage = self.storage
-        if hasattr(storage, "write_copies"):
-            return storage.write_copies(chunk_index)
-        return ((0, self._chunk_mappers[chunk_index]),)
-
     def build_flush(self, disks) -> FlushPlan | None:
         """Fold the given disks' buffers into their stores and prepare
         one write sub-plan per (chunk, live copy)."""
@@ -326,7 +303,7 @@ class IngestPipeline:
                     - store.overflow_extent.start
                 )
                 pts = int(counts.sum())
-                copies = self._write_copies(ci)
+                copies = self.storage.write_copies(ci)
                 self.stats.skipped_copy_writes += (
                     self.n_copies - len(copies)
                 )
@@ -415,7 +392,12 @@ class IngestPipeline:
             cache_ms=len(coords) * self.stage_ms_per_point,
         )
         if flush is None:
-            return stage_sub
+            return IngestPrepared(
+                mapper_name=self.mapper_name,
+                subs=(stage_sub,),
+                n_cells=len(coords),
+                sources=(None,),
+            )
         return IngestPrepared(
             mapper_name=self.mapper_name,
             subs=(stage_sub,) + flush.prepared.subs,

@@ -120,7 +120,7 @@ def plan_reorganize(pipeline, *, throttle: float = 1.0,
         pages_freed += freed
         chunks.append(ci)
         cb = int(pipeline._chunk_mappers[ci].cell_blocks)
-        for copy, cmapper in pipeline._write_copies(ci):
+        for copy, cmapper in pipeline.storage.write_copies(ci):
             if cells.size:
                 home = np.asarray(cmapper.lbns(lcoords), dtype=np.int64)
                 if cb > 1:

@@ -11,7 +11,7 @@ failover re-plans, and background reorganisation.
 The :class:`Tracer` collects one root per query.  Batch executions have
 no global clock, so the tracer keeps a **seeded batch clock** that
 starts at zero and advances by each query's total service time — the
-same accounting the one-shot executor reports — which makes batch trace
+same accounting the batch executor reports — which makes batch trace
 timestamps a pure function of the workload and seed.  Traffic
 executions record at *simulated* event times, so their spans line up
 with the storm's makespan axis.
@@ -32,7 +32,6 @@ from repro.errors import ObsError
 __all__ = [
     "Span",
     "Tracer",
-    "record_one_shot",
     "record_reorg",
     "record_scatter",
     "record_traffic_query",
@@ -144,7 +143,7 @@ def _prepare_span(t0: float, prepared, subs) -> Span:
         "blocks": int(prepared.n_blocks),
         "subs": len(subs),
     }
-    raw = [getattr(sub, "obs", None) for sub in subs]
+    raw = [sub.obs for sub in subs]
     if all(r is not None for r in raw):
         attrs["raw_runs"] = int(sum(r["raw_runs"] for r in raw))
     return Span("prepare", "prepare", t0, 0.0, attrs=attrs)
@@ -175,39 +174,6 @@ def _service_span(t0: float, res, disk: int, cat: str = "service",
     )
 
 
-def record_one_shot(telemetry, prepared, res) -> None:
-    """Record one unsharded :meth:`StorageManager.execute_prepared`:
-    cache service (if any) then one drive batch, on the batch clock."""
-    tracer = telemetry.tracer
-    t0 = tracer.clock_ms if tracer is not None else 0.0
-    total = res.total_ms + prepared.cache_ms
-    write = bool(getattr(prepared, "is_write", False))
-    children = [_prepare_span(t0, prepared, (prepared,))]
-    t = t0
-    if prepared.cache_ms > 0:
-        children.append(_cache_span(
-            t, prepared.cache_ms, prepared.disk_index,
-            prepared.cache_hits, prepared.cache_runs,
-        ))
-        t += prepared.cache_ms
-    children.append(_service_span(
-        t, res, prepared.disk_index,
-        cat="flush" if write else "service",
-    ))
-    root = Span(
-        f"q{tracer.n_queries if tracer is not None else 0}", "query",
-        t0, total,
-        attrs={
-            "mapper": prepared.mapper_name,
-            "policy": prepared.policy,
-            "cells": int(prepared.n_cells),
-            "write": write,
-        },
-        children=tuple(children),
-    )
-    telemetry.observe_query(root, advance=True)
-
-
 def record_scatter(telemetry, prepared, parts, result) -> None:
     """Record one :func:`~repro.query.scatter.scatter_execute` call.
 
@@ -218,7 +184,7 @@ def record_scatter(telemetry, prepared, parts, result) -> None:
     """
     tracer = telemetry.tracer
     t0 = tracer.clock_ms if tracer is not None else 0.0
-    write = any(getattr(sub, "is_write", False) for sub, _ in parts)
+    write = any(sub.is_write for sub, _ in parts)
     children = [_prepare_span(t0, prepared, tuple(s for s, _ in parts))]
     offsets: dict[int, float] = {}
     for sub, res in parts:
@@ -231,7 +197,7 @@ def record_scatter(telemetry, prepared, parts, result) -> None:
             t += sub.cache_ms
         children.append(_service_span(
             t, res, disk,
-            cat="flush" if getattr(sub, "is_write", False) else "service",
+            cat="flush" if sub.is_write else "service",
         ))
         offsets[disk] = t + res.total_ms
     root = Span(
@@ -266,9 +232,7 @@ def record_traffic_query(telemetry, *, client: str, label: str,
     ``[arrival, completion)``, so queueing delay is the gap between the
     root start and its first service child.
     """
-    from repro.query.scatter import subplans
-
-    children = [_prepare_span(arrival_ms, prepared, subplans(prepared))]
+    children = [_prepare_span(arrival_ms, prepared, prepared.subs)]
     for disk in sorted(cache):
         share = cache[disk]
         if share > 0:

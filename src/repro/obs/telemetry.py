@@ -59,7 +59,7 @@ class Telemetry:
         """Record one completed query's span tree.
 
         ``advance`` moves the tracer's seeded batch clock past the root
-        (batch/one-shot recordings tile the axis; traffic recordings
+        (batch recordings tile the axis; traffic recordings
         already carry simulated times and pass ``advance=False``).
         """
         if self.tracer is not None:

@@ -10,9 +10,9 @@ the grid's sorted codes (:func:`reference_codes`, built once per curve
 class and grid dims in a small bounded cache), so a wrong table cannot
 agree with its own reference; every other layout's cell goes through
 ``mapper.lbns``.  The hypothesis suite under
-``tests/perf`` asserts the vectorized
-:meth:`~repro.query.executor.StorageManager.prepare` output is
-bit-identical to this for every registered layout, and the perf sweep
+``tests/perf`` asserts the vectorized preparation — a one-disk
+dataset's single prepared sub-plan — is bit-identical to this for
+every registered layout, and the perf sweep
 times the two against each other for its ``speedup_vs_reference``
 metric.
 

@@ -2,7 +2,8 @@
 
 For each layout the sweep builds a dataset, replays a pinned seeded
 workload (full-length beams cycling every axis, random range cubes, and
-one full-box scan) through :meth:`StorageManager.prepare`, and records:
+one full-box scan) through the dataset's storage manager
+(``storage.prepare``), and records:
 
 * ``plans_per_s`` / ``cells_per_s`` — fast-path preparation throughput
   (best of ``repeats`` passes);
@@ -56,7 +57,15 @@ def _build_workload(shape, n_beams, n_ranges, selectivity_pct,
     return queries
 
 
-def _assert_prepared_equal(fast, ref, layout, query) -> None:
+def _assert_prepared_equal(prepared, ref, layout, query) -> None:
+    """The one-disk dataset's query is one sub-plan, pinned field by
+    field to the reference preparation."""
+    if len(prepared.subs) != 1:
+        raise BenchmarkError(
+            f"expected one sub-plan for layout {layout!r} on {query!r}, "
+            f"got {len(prepared.subs)}"
+        )
+    fast = prepared.subs[0]
     same = (
         fast.mapper_name == ref.mapper_name
         and fast.disk_index == ref.disk_index

@@ -1,10 +1,18 @@
-"""The storage manager: executes queries against a mapping on the volume.
+"""The single-disk storage manager: the §5.2 engine for one mapping.
 
 This is the component the paper calls the "database storage manager"
-(§5.1): it asks the mapper for a request plan, applies the issue-order
-conventions of §5.2, hands the batch to the owning drive, and reports the
-timing breakdown.  Every query can start from a randomised head position,
-matching the paper's averaging over runs at random locations.
+(§5.1) in its single-disk form: it asks the mapper for a request plan,
+applies the issue-order conventions of §5.2, hands the batch to the
+owning drive, and reports the timing breakdown.  Every query can start
+from a randomised head position, matching the paper's averaging over
+runs at random locations.
+
+Every :class:`~repro.api.Dataset` runs on its subclass
+:class:`~repro.shard.executor.ShardedStorageManager` (n disks × k
+copies, 1 × 1 by default), which calls :meth:`StorageManager.prepare_plan`
+/ :meth:`StorageManager.prepare_write` for each per-disk sub-plan; the
+figure harness and hand-wired experiments use this class directly on
+one mapper.
 
 When a :class:`repro.cache.BufferPool` is attached, preparation gains a
 cache-filter step *after* the §5.2 coalescing: resident blocks are
@@ -28,7 +36,6 @@ from repro.disk.drive import BatchResult
 from repro.errors import QueryError
 from repro.lvm.volume import LogicalVolume
 from repro.mappings.base import Mapper, RequestPlan, coalesce_ranks
-from repro.obs.span import record_one_shot
 from repro.perf.profile import PROBES
 from repro.query.scheduler import (
     SPTF_RUN_LIMIT,
@@ -71,6 +78,9 @@ class PreparedQuery:
     #: preparation record for an attached telemetry (None when detached;
     #: excluded from equality so observed and unobserved plans compare equal)
     obs: object = field(default=None, compare=False, repr=False)
+    #: read batches are admitted to the cache; :class:`WritePrepared`
+    #: batches invalidate instead
+    is_write: ClassVar[bool] = False
 
     @property
     def n_runs(self) -> int:
@@ -283,9 +293,6 @@ class StorageManager:
             window=self.window,
         )
         self.admit_prepared(prepared)
-        tele = self.obs
-        if tele is not None:
-            record_one_shot(tele, prepared, res)
         return QueryResult(
             mapper=prepared.mapper_name,
             total_ms=res.total_ms + prepared.cache_ms,
@@ -302,12 +309,12 @@ class StorageManager:
     def admit_prepared(self, prepared: PreparedQuery) -> None:
         """Admit a serviced query's missed blocks (plus prefetch).
 
-        No-op without an active pool.  The traffic simulator calls this
-        when a query's *last* slice completes; the one-shot path calls
-        it from :meth:`execute_prepared`.  Write batches are never
+        No-op without an active pool.  The batch executors call this
+        once a sub-plan is serviced, the traffic simulator when a
+        query's *last* slice completes.  Write batches are never
         admitted — their blocks were invalidated at preparation.
         """
-        if getattr(prepared, "is_write", False):
+        if prepared.is_write:
             return
         cache = self.cache
         if cache is not None and cache.active:

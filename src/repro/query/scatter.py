@@ -1,21 +1,16 @@
-"""Scatter-gather execution of queries sharded across member disks.
+"""Scatter-gather execution of one query over its per-disk sub-plans.
 
-The shard layer (:mod:`repro.shard`) splits one logical query into
-per-chunk :class:`~repro.query.executor.PreparedQuery` sub-plans, each
-bound — via its ``disk_index`` — to the member disk that owns the chunk.
-This module holds the concurrent-execution half: a
-:class:`ShardedPrepared` bundles the sub-plans, and
-:func:`scatter_execute` services them with the paper's multi-disk
-semantics — drives work in parallel, each preserving its own
-seek/rotation state, and the query completes when the slowest drive
-finishes (makespan = max over drives), exactly how the §5.3 chunked
-evaluation overlaps per-disk fetches.
-
-A :class:`ShardedPrepared` with a single sub-plan is serviced through
-the very same sequence of drive calls the one-shot
-:meth:`StorageManager.execute_prepared` path makes, which is what makes
-a 1-shard dataset bit-identical to the unsharded stack (the parity
-``tests/shard/test_parity.py`` pins).
+Every :class:`~repro.api.Dataset` query is prepared by the one storage
+manager (:class:`~repro.shard.executor.ShardedStorageManager`) as a
+:class:`ShardedPrepared`: one :class:`~repro.query.executor.PreparedQuery`
+sub-plan per intersected chunk, each bound — via its ``disk_index`` —
+to the member disk holding the copy it reads, plus the ``sources`` a
+failover re-plans from.  An unsharded dataset is the one-chunk case: a
+single sub-plan on disk 0.  :func:`scatter_execute` services the
+sub-plans with the paper's multi-disk semantics — drives work in
+parallel, each preserving its own seek/rotation state, and the query
+completes when the slowest drive finishes (makespan = max over drives),
+exactly how the §5.3 chunked evaluation overlaps per-disk fetches.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ import numpy as np
 from repro.errors import QueryError
 from repro.query.executor import PreparedQuery, QueryResult
 
-__all__ = ["ShardedPrepared", "scatter_execute", "subplans"]
+__all__ = ["ShardedPrepared", "scatter_execute"]
 
 
 @dataclass(frozen=True)
@@ -37,17 +32,23 @@ class ShardedPrepared:
     ``subs`` holds one fully prepared :class:`PreparedQuery` per
     intersected chunk, in chunk-enumeration order; sub-plans of the same
     disk are serviced sequentially in that order, different disks in
-    parallel.  Aggregate counters below sum over the sub-plans, so the
-    object quacks enough like a :class:`PreparedQuery` for reporting.
+    parallel.  ``sources[i]`` describes ``subs[i]``: a
+    :class:`~repro.replica.executor.SubSource` for a read piece, or
+    ``None`` for a sub-plan with no box to re-plan (an explicit cell
+    list, ingest's memory-only staging sub).  Aggregate counters below
+    sum over the sub-plans.
     """
 
     mapper_name: str
     subs: tuple[PreparedQuery, ...]
     n_cells: int
+    sources: tuple
 
     def __post_init__(self) -> None:
         if not self.subs:
             raise QueryError("a sharded query needs at least one sub-plan")
+        if len(self.sources) != len(self.subs):
+            raise QueryError("every sub-plan needs its source")
 
     @property
     def disks(self) -> tuple[int, ...]:
@@ -65,12 +66,12 @@ class ShardedPrepared:
     @property
     def policy(self) -> str:
         """The effective policy — the shared one, or ``"mixed"`` when
-        the per-sub-plan SPTF clamp resolved differently across chunks
-        (a single sub-plan always reports its own, the parity case)."""
+        the per-sub-plan SPTF clamp resolved differently across chunks."""
         first = self.subs[0].policy
-        if all(sub.policy == first for sub in self.subs[1:]):
-            return first
-        return "mixed"
+        for sub in self.subs:
+            if sub.policy != first:
+                return "mixed"
+        return first
 
     @property
     def n_runs(self) -> int:
@@ -92,19 +93,6 @@ class ShardedPrepared:
     def cache_ms(self) -> float:
         return sum(sub.cache_ms for sub in self.subs)
 
-    @property
-    def obs(self):
-        """The sub-plans' preparation records (a property, not a field,
-        so shard/replica constructors need no telemetry plumbing)."""
-        return tuple(sub.obs for sub in self.subs)
-
-
-def subplans(prepared) -> tuple[PreparedQuery, ...]:
-    """The per-disk sub-plans of any prepared form (plain or sharded)."""
-    if isinstance(prepared, ShardedPrepared):
-        return prepared.subs
-    return (prepared,)
-
 
 def scatter_execute(
     storage,
@@ -115,41 +103,37 @@ def scatter_execute(
     """Service a sharded query's sub-plans with scatter-gather semantics.
 
     Per disk (first-appearance order): the head is randomised once from
-    ``rng`` — the same single draw per drive the one-shot executor makes
-    — then that disk's sub-plans are serviced back to back, each admitted
-    to the cache after service.  Drives run concurrently, so the query's
-    ``total_ms`` is the *makespan*: the largest per-disk busy time
-    (mechanical service plus memory-served cache time).  The mechanical
-    component fields (seek/rotation/transfer/switch) sum the work done
-    across all drives.
+    ``rng``, then that disk's sub-plans are serviced back to back, each
+    admitted to the cache after service.  Drives run concurrently, so
+    the query's ``total_ms`` is the *makespan*: the largest per-disk
+    busy time (mechanical service plus memory-served cache time).  The
+    mechanical component fields (seek/rotation/transfer/switch) sum the
+    work done across all drives.
 
     Returns ``(result, per_disk)`` where ``per_disk`` maps each involved
     disk to its ``{"busy_ms", "blocks", "runs"}`` contribution (the
     gather half the shard stats merge into reports).
     """
-    volume = storage.volume
     by_disk: dict[int, list[PreparedQuery]] = {}
     for sub in prepared.subs:
         by_disk.setdefault(sub.disk_index, []).append(sub)
 
-    tele = getattr(storage, "obs", None)
+    volume, window, tele = storage.volume, storage.window, storage.obs
     parts: list[tuple] = []
     per_disk: dict[int, dict] = {}
     seek = rotation = transfer = switch = 0.0
     blocks = runs = 0
     makespan = 0.0
-    for disk, subs in by_disk.items():
+    for disk, disk_subs in by_disk.items():
         drive = volume.drive(disk)
         if rng is not None:
             drive.randomize_position(rng)
         busy = 0.0
         d_blocks = d_runs = 0
-        for sub in subs:
+        for sub in disk_subs:
+            plan = sub.plan
             res = drive.service_runs(
-                sub.plan.starts,
-                sub.plan.lengths,
-                policy=sub.policy,
-                window=storage.window,
+                plan.starts, plan.lengths, policy=sub.policy, window=window
             )
             storage.admit_prepared(sub)
             if tele is not None:

@@ -43,22 +43,31 @@ def merge_plan_runs(plan: RequestPlan, max_gap: int = 0) -> RequestPlan:
     managers (and drive firmware read-ahead) do exactly this coalescing for
     skip-sequential patterns.  ``max_gap=0`` merges only touching runs.
     """
-    if plan.n_runs <= 1:
+    starts = plan.starts
+    n = starts.size
+    if n <= 1:
         return plan
-    order = np.argsort(plan.starts, kind="stable")
-    starts = plan.starts[order]
-    lengths = plan.lengths[order]
+    lengths = plan.lengths
+    if not (starts[1:] >= starts[:-1]).all():
+        # a stable sort of already-ordered starts is the identity, so
+        # only unordered plans pay for it
+        order = np.argsort(starts, kind="stable")
+        starts = starts[order]
+        lengths = lengths[order]
     # Runs may overlap after mapping (never in practice, but be safe):
     # extend each end monotonically before measuring gaps.
     ends = np.maximum.accumulate(starts + lengths)
-    breaks = np.flatnonzero(starts[1:] > ends[:-1] + max_gap)
-    first = np.concatenate(([0], breaks + 1))
-    last = np.concatenate((breaks, [starts.size - 1]))
+    # a run opens a new read when it starts beyond the previous reads'
+    # end plus the gap; the read before it closes there
+    opens = np.empty(n, dtype=bool)
+    opens[0] = True
+    np.greater(starts[1:], ends[:-1] + max_gap, out=opens[1:])
+    closes = np.empty(n, dtype=bool)
+    closes[:-1] = opens[1:]
+    closes[-1] = True
+    merged = starts[opens]
     return RequestPlan.from_arrays(
-        starts[first],
-        ends[last] - starts[first],
-        plan.policy,
-        plan.merge_gap,
+        merged, ends[closes] - merged, plan.policy, plan.merge_gap,
     )
 
 

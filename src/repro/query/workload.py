@@ -24,21 +24,21 @@ __all__ = [
 ]
 
 
-def _check_int(name: str, value) -> None:
+def _check_int(name: str, value) -> int:
     # bool is an int subclass, but True as a coordinate is a bug
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise QueryError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
-def _check_ints(name: str, values) -> None:
+def _check_ints(name: str, values) -> tuple[int, ...]:
     try:
         items = list(values)
     except TypeError:
         raise QueryError(
             f"{name} must be a sequence of integers, got {values!r}"
         ) from None
-    for d, v in enumerate(items):
-        _check_int(f"{name}[{d}]", v)
+    return tuple(_check_int(f"{name}[{d}]", v) for d, v in enumerate(items))
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,14 @@ class BeamQuery:
     hi: int | None = None
 
     def __post_init__(self) -> None:
-        _check_int("axis", self.axis)
-        _check_ints("fixed", self.fixed)
-        _check_int("lo", self.lo)
+        # numpy integers are accepted but stored as Python ints, so
+        # every downstream count and JSON field is a plain int
+        set_ = object.__setattr__
+        set_(self, "axis", _check_int("axis", self.axis))
+        set_(self, "fixed", _check_ints("fixed", self.fixed))
+        set_(self, "lo", _check_int("lo", self.lo))
         if self.hi is not None:
-            _check_int("hi", self.hi)
+            set_(self, "hi", _check_int("hi", self.hi))
 
     def n_cells(self, dims) -> int:
         hi = dims[self.axis] if self.hi is None else self.hi
@@ -70,8 +73,8 @@ class RangeQuery:
     hi: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_ints("lo", self.lo)
-        _check_ints("hi", self.hi)
+        object.__setattr__(self, "lo", _check_ints("lo", self.lo))
+        object.__setattr__(self, "hi", _check_ints("hi", self.hi))
 
     def n_cells(self, dims=None) -> int:
         return int(

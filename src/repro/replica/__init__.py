@@ -1,14 +1,16 @@
 """repro.replica — fault tolerance via k-way declustered replication.
 
-The replica layer makes the sharded stack survive member-disk failures:
+The replica layer makes a sharded dataset survive member-disk failures:
 a :class:`ReplicaMap` places each chunk's primary plus k-1 replicas on
 distinct member disks through the registered placements of
 :data:`PLACEMENTS` (``rotated`` chained declustering, and
 ``locality_aligned``, which keeps replicas of grid-adjacent chunks
 together so degraded-mode reads keep MultiMap's adjacency dividend), the
-:class:`ReplicatedStorageManager` routes every per-chunk sub-plan to a
-copy chosen by a registered read policy (:data:`READ_POLICIES`:
-``primary`` / ``round_robin`` / ``least_loaded``), and a seeded
+one storage manager (:class:`~repro.shard.ShardedStorageManager`, which
+every dataset runs on with k = 1 by default) routes every per-chunk
+sub-plan to a copy chosen by a registered read policy
+(:data:`READ_POLICIES`: ``primary`` / ``round_robin`` /
+``least_loaded``), and a seeded
 :class:`FailureInjector` kills and revives disks deterministically —
 reads transparently fail over to surviving replicas, with degraded-mode
 accounting and a rebuild model (:func:`plan_rebuild`) that streams a
@@ -24,9 +26,6 @@ dead disk's chunks from replicas onto a spare::
     print(report.meta["replicas"]["stats"]["degraded_queries"])
     print(plan_rebuild(ds.storage, dead).rebuild_ms)
 
-``with_replication(1)`` is bit-identical to the PR 4 sharded stack
-across the executor, batch reports, and traffic runs —
-``tests/replica/test_parity.py`` pins the guarantee.
 :func:`run_avail_sweep` produces the availability/overhead-vs-k curves
 per layout (``repro-bench avail``).
 """
@@ -36,8 +35,6 @@ from repro.replica.executor import (
     READ_POLICIES,
     ReadPolicyEntry,
     ReplicaStats,
-    ReplicatedPrepared,
-    ReplicatedStorageManager,
     SubSource,
     read_policy_names,
     register_read_policy,
@@ -71,8 +68,6 @@ __all__ = [
     "RebuildReport",
     "ReplicaMap",
     "ReplicaStats",
-    "ReplicatedPrepared",
-    "ReplicatedStorageManager",
     "SubSource",
     "interference_profile",
     "placement_names",

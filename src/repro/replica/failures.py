@@ -2,7 +2,7 @@
 
 A :class:`FailureInjector` is the seeded source of failure decisions —
 it picks victim disks reproducibly, applies kills/revives to a
-:class:`~repro.replica.executor.ReplicatedStorageManager` between batch
+:class:`~repro.shard.executor.ShardedStorageManager` between batch
 queries, and builds :class:`FailureSchedule` timelines for the traffic
 engine (queries in flight on a killed disk re-dispatch onto surviving
 replicas; see :mod:`repro.traffic.engine`).  Same seed, same schedule,

@@ -90,19 +90,15 @@ def plan_rebuild(storage, dead_disk: int, *,
                  throttle: float = 1.0) -> RebuildReport:
     """Model rebuilding every chunk copy lost with ``dead_disk``.
 
-    ``storage`` must be a
-    :class:`~repro.replica.executor.ReplicatedStorageManager`; the
-    source for each lost copy is that chunk's lowest surviving copy on
-    a healthy disk (disks in ``storage.failed`` are skipped too).  A
-    chunk whose only copy lived on the dead disk is unrebuildable and
-    raises :class:`ReplicaError`.
+    ``storage`` is a dataset's
+    :class:`~repro.shard.executor.ShardedStorageManager`; the source
+    for each lost copy is that chunk's lowest surviving copy on a
+    healthy disk (disks in ``storage.failed`` are skipped too).  A
+    chunk whose only copy lived on the dead disk — every chunk of a
+    single-copy dataset — is unrebuildable and raises
+    :class:`ReplicaError`.
     """
-    replica_map = getattr(storage, "replica_map", None)
-    if replica_map is None:
-        raise ReplicaError(
-            "rebuild needs a replicated storage manager "
-            "(Dataset.with_replication)"
-        )
+    replica_map = storage.replica_map
     dead = int(dead_disk)
     if not 0 <= dead < replica_map.n_disks:
         raise ReplicaError(

@@ -1,19 +1,25 @@
-"""The sharded storage manager: one dataset, many member disks.
+"""The storage manager of every dataset: n member disks × k copies.
 
 :class:`ShardedStorageManager` extends the single-disk
 :class:`~repro.query.executor.StorageManager` with the multi-disk
 pipeline of §4.4/§5.1: a :class:`~repro.shard.map.ShardMap` declusters
-the dataset's chunks across the volume's member disks, one mapper per
-chunk places its cells (same registry wiring as the façade, so a chunk
-is laid out exactly as a standalone dataset of the chunk's shape would
-be), and queries split into per-chunk sub-plans serviced scatter-gather
+the dataset's chunks across the volume's member disks, a
+:class:`~repro.replica.map.ReplicaMap` places k copies of every chunk
+on distinct disks (k = 1 by default), one mapper per chunk copy places
+its cells (same registry wiring as the façade, so a chunk is laid out
+exactly as a standalone dataset of the chunk's shape would be), and
+queries split into per-chunk sub-plans — each routed to a live copy by
+the registered read policy — serviced scatter-gather
 (:func:`repro.query.scatter.scatter_execute`): drives in parallel,
 per-drive head state preserved, query time = makespan over drives.
+Killed disks (:meth:`fail_disk`) divert reads to surviving copies, and
+a sub-plan caught on a dying disk re-plans on another copy
+(:meth:`failover_sub`).
 
-With one shard the map holds a single chunk covering the whole dataset
-on disk 0, the chunk mapper *is* the unsharded mapper, and every code
-path below reduces to the one-shot executor call for call — the parity
-``tests/shard/test_parity.py`` pins bit-for-bit.
+A plain :meth:`Dataset.create <repro.api.Dataset.create>` is the
+1 disk × 1 copy case: one chunk spanning the dataset on disk 0, whose
+mapper is exactly the paper's single-disk placement, so every query
+reaches the drive through the same calls the §5.2 engine makes.
 """
 
 from __future__ import annotations
@@ -23,12 +29,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.api.registry import LayoutEntry, build_mapper
-from repro.errors import AllocationError, QueryError
+from repro.errors import AllocationError, QueryError, ReplicaError
 from repro.lvm.volume import LogicalVolume
-from repro.query.executor import QueryResult, StorageManager
+from repro.query.executor import PreparedQuery, QueryResult, StorageManager
 from repro.query.scatter import ShardedPrepared, scatter_execute
 from repro.query.scheduler import SPTF_RUN_LIMIT
 from repro.query.workload import BeamQuery, RangeQuery
+from repro.replica.executor import (
+    READ_POLICIES,
+    ReadPolicyEntry,
+    ReplicaStats,
+    SubSource,
+)
+from repro.replica.map import ReplicaMap
 from repro.shard.map import ShardMap
 
 __all__ = ["ShardStats", "ShardedMapper", "ShardedStorageManager"]
@@ -94,12 +107,14 @@ class ShardStats:
 
     def record(self, per_disk: dict, makespan_ms: float) -> None:
         self.n_queries += 1
-        self.makespan_ms += float(makespan_ms)
+        self.makespan_ms += makespan_ms
+        busy, blocks = self.busy_ms, self.served_blocks
+        runs, queries = self.served_runs, self.queries
         for disk, d in per_disk.items():
-            self.busy_ms[disk] += d["busy_ms"]
-            self.served_blocks[disk] += d["blocks"]
-            self.served_runs[disk] += d["runs"]
-            self.queries[disk] += 1
+            busy[disk] += d["busy_ms"]
+            blocks[disk] += d["blocks"]
+            runs[disk] += d["runs"]
+            queries[disk] += 1
 
     @property
     def parallel_efficiency(self) -> float:
@@ -125,13 +140,18 @@ class ShardStats:
 
 
 class ShardedStorageManager(StorageManager):
-    """Executes queries scatter-gather across a sharded placement.
+    """Scatter-gather execution over k copies of a sharded placement.
 
-    Parameters mirror :class:`StorageManager`; additionally the manager
-    owns the chunk mappers it builds (in chunk order, so placement is
-    deterministic) from the registered ``layout`` on the assigned disk
-    of each chunk.  The volume must have exactly the map's disk count —
-    a mismatch raises instead of silently truncating the placement.
+    Parameters mirror :class:`StorageManager` plus the placement: the
+    manager builds one mapper per chunk copy from the registered
+    ``layout`` — every chunk's copy 0 first, on the disk the shard map
+    assigns it (chunk order, so placement is deterministic), then copies
+    1..k-1 on the disks the registered ``placement``
+    (:data:`repro.replica.PLACEMENTS`) picks, so adding copies never
+    moves a primary.  ``read_policy`` (:data:`repro.replica.READ_POLICIES`)
+    chooses the copy every sub-plan reads.  The volume must have
+    exactly the map's disk count — a mismatch raises instead of
+    silently truncating the placement.
     """
 
     def __init__(
@@ -140,6 +160,9 @@ class ShardedStorageManager(StorageManager):
         shard_map: ShardMap,
         layout,
         *,
+        k: int = 1,
+        placement: str = "rotated",
+        read_policy: str = "primary",
         cell_blocks: int = 1,
         window: int = 128,
         sptf_run_limit: int = SPTF_RUN_LIMIT,
@@ -160,134 +183,216 @@ class ShardedStorageManager(StorageManager):
                 f"has {volume.n_disks}"
             )
         self.shard_map = shard_map
+        self.replica_map = ReplicaMap.build(shard_map, k, placement)
+        self.read_policy = (
+            read_policy if isinstance(read_policy, ReadPolicyEntry)
+            else READ_POLICIES.get(read_policy)
+        )
+        self.cell_blocks = int(cell_blocks)
         self.layout_opts = dict(layout_opts or {})
-        chunk_mappers = [
-            build_mapper(
-                layout, chunk.shape, volume, chunk.disk,
-                cell_blocks=cell_blocks, **self.layout_opts,
-            )
-            for chunk in shard_map.chunks
-        ]
+        copies = [[self._build_copy(layout, chunk, chunk.disk)]
+                  for chunk in shard_map.chunks]
+        disks = self.replica_map.disks
+        for i, chunk in enumerate(shard_map.chunks):
+            for r in range(1, self.replica_map.k):
+                copies[i].append(
+                    self._build_copy(layout, chunk, int(disks[i, r]))
+                )
+        self.copy_mappers = tuple(tuple(ms) for ms in copies)
         name = (layout.name if isinstance(layout, LayoutEntry)
                 else str(layout))
-        self.mapper = ShardedMapper(name, shard_map, chunk_mappers)
+        self.mapper = ShardedMapper(name, shard_map,
+                                    [ms[0] for ms in copies])
+        self._primary_disks = tuple(c.disk for c in shard_map.chunks)
+        self.failed: set[int] = set()
+        self._refresh_live()
         self.shard_stats = ShardStats(shard_map.n_disks)
+        self.replica_stats = ReplicaStats(shard_map.n_disks)
+        self._rr_counts: dict[int, int] = {}
+
+    def _build_copy(self, layout, chunk, disk: int):
+        return build_mapper(
+            layout, chunk.shape, self.volume, disk,
+            cell_blocks=self.cell_blocks, **self.layout_opts,
+        )
+
+    # ------------------------------------------------------------------
+    # failure state
+    # ------------------------------------------------------------------
+
+    def _refresh_live(self) -> None:
+        """Cache every chunk's live copies (recomputed only when the
+        failed set changes, never per query)."""
+        self._live = tuple(
+            self.replica_map.live_copies(i, self.failed)
+            for i in range(self.shard_map.n_chunks)
+        )
+
+    def fail_disk(self, disk: int) -> None:
+        """Mark a member disk dead: reads divert to surviving copies and
+        any cached frames of the disk are dropped (a revived or rebuilt
+        disk must not serve stale frames)."""
+        d = int(disk)
+        if not 0 <= d < self.shard_map.n_disks:
+            raise ReplicaError(
+                f"disk {d} out of range for {self.shard_map.n_disks} "
+                f"member disks"
+            )
+        self.failed.add(d)
+        self._refresh_live()
+        cache = self.cache
+        if cache is not None and cache.active:
+            cache.drop_disk(d)
+
+    def revive_disk(self, disk: int) -> None:
+        """Bring a failed member disk back into rotation."""
+        self.failed.discard(int(disk))
+        self._refresh_live()
 
     # ------------------------------------------------------------------
     # scatter: one query -> per-chunk prepared sub-plans
     # ------------------------------------------------------------------
 
-    def _query_pieces(self, query):
-        """Validate ``query`` and split it over the chunks it touches.
-
-        Returns ``(pieces, axis)``: ``pieces`` is a list of
-        ``(chunk, llo, lhi, n_cells)`` in chunk-enumeration order (local
-        chunk coordinates), ``axis`` the beam axis or ``None`` for
-        ranges — enough for :meth:`_piece_plan` to (re-)plan any piece
-        on any chunk mapper, which is what the replica layer's failover
-        re-dispatch builds on."""
+    def _query_box(self, query):
+        """The global half-open box ``query`` reads, as ``(lo, hi,
+        axis)``: ``axis`` is the beam axis, or ``None`` for ranges — with
+        a chunk-local box, enough to (re-)plan the piece on any copy of
+        its chunk, which is what failover builds on.  The box's bounds
+        are checked where it is cut, in
+        :meth:`~repro.shard.map.ShardMap.intersections`."""
         if isinstance(query, BeamQuery):
-            lo, hi = self._beam_box(query)
-            axis = int(query.axis)
-            n_cells_of = lambda llo, lhi: lhi[axis] - llo[axis]  # noqa: E731
-        elif isinstance(query, RangeQuery):
-            lo, hi = tuple(query.lo), tuple(query.hi)
-            axis = None
-            dims = self.mapper.dims
-            if len(lo) != len(dims) or len(hi) != len(dims):
-                raise QueryError("box rank does not match dataset rank")
-            for d in range(len(dims)):
-                if not 0 <= lo[d] < hi[d] <= dims[d]:
-                    raise QueryError(
-                        f"box [{lo[d]}, {hi[d]}) invalid on axis {d}"
-                    )
-            n_cells_of = lambda llo, lhi: int(  # noqa: E731
-                np.prod([b - a for a, b in zip(llo, lhi)], dtype=np.int64)
-            )
-        else:
-            raise QueryError(f"unknown query type {type(query).__name__}")
-        pieces = [
-            (chunk, llo, lhi, n_cells_of(llo, lhi))
-            for chunk, llo, lhi in self.shard_map.intersections(lo, hi)
-        ]
-        if not pieces:
-            raise QueryError("query intersects no chunk")
-        return pieces, axis
+            dims = self.shard_map.dims
+            axis = query.axis
+            if not 0 <= axis < len(dims):
+                raise QueryError(f"axis {axis} out of range")
+            lo = list(query.fixed)
+            if len(lo) != len(dims):
+                raise QueryError("fixed must have one entry per dimension")
+            hi = [v + 1 for v in lo]
+            lo[axis] = query.lo
+            hi[axis] = dims[axis] if query.hi is None else query.hi
+            return lo, hi, axis
+        if isinstance(query, RangeQuery):
+            return query.lo, query.hi, None
+        raise QueryError(f"unknown query type {type(query).__name__}")
 
-    @staticmethod
-    def _piece_plan(chunk_mapper, axis, llo, lhi):
-        """Plan one chunk-local piece on ``chunk_mapper``."""
+    def _select_copy(self, chunk_index: int, exclude_copy=None) -> int:
+        live = self._live[chunk_index]
+        if exclude_copy is not None:
+            live = tuple(r for r in live if r != exclude_copy)
+        if not live:
+            raise ReplicaError(
+                f"chunk {chunk_index} is unreadable: all "
+                f"{self.replica_map.k} copies are on failed disks "
+                f"{sorted(self.failed)}"
+            )
+        return int(self.read_policy.fn(self, chunk_index, live))
+
+    def _prepare_source(self, source: SubSource) -> PreparedQuery:
+        """Plan + prepare one chunk piece on its source's chosen copy."""
+        mapper = self.copy_mappers[source.chunk][source.copy]
+        llo, lhi, axis = source.llo, source.lhi, source.axis
         if axis is None:
-            return chunk_mapper.range_plan(llo, lhi)
-        return chunk_mapper.beam_plan(axis, llo, llo[axis], lhi[axis])
+            plan = mapper.range_plan(llo, lhi)
+        else:
+            plan = mapper.beam_plan(axis, llo, llo[axis], lhi[axis])
+        sub = self.prepare_plan(mapper, plan, source.n_cells)
+        self.replica_stats.record_sub(
+            sub.disk_index, source.copy, sub.n_blocks + sub.cache_hits
+        )
+        return sub
 
     def prepare(self, mapper, query) -> ShardedPrepared:
         """Split a query across the chunks it touches and prepare each
-        sub-plan (coalescing, cache filter, policy clamp) on its chunk's
-        mapper.  ``mapper`` is accepted for interface compatibility; the
-        split always runs against this manager's own chunk mappers."""
-        pieces, axis = self._query_pieces(query)
-        subs = []
+        piece (coalescing, cache filter, policy clamp) on a live copy
+        chosen by the read policy.  ``mapper`` is accepted for interface
+        compatibility; the split always runs against this manager's own
+        chunk mappers."""
+        lo, hi, axis = self._query_box(query)
+        subs, sources = [], []
         total_cells = 0
-        for chunk, llo, lhi, n_cells in pieces:
-            chunk_mapper = self.mapper.chunk_mappers[chunk.index]
-            plan = self._piece_plan(chunk_mapper, axis, llo, lhi)
-            subs.append(self.prepare_plan(chunk_mapper, plan, n_cells))
+        for chunk, llo, lhi in self.shard_map.intersections(lo, hi):
+            if axis is None:
+                n_cells = 1
+                for a, b in zip(llo, lhi):
+                    n_cells *= b - a
+            else:
+                n_cells = lhi[axis] - llo[axis]
+            i = chunk.index
+            source = SubSource(i, self._select_copy(i), axis, llo, lhi,
+                               n_cells)
+            subs.append(self._prepare_source(source))
+            sources.append(source)
             total_cells += n_cells
+        failed = self.failed
+        if failed and any(self._primary_disks[source.chunk] in failed
+                          for source in sources):
+            self.replica_stats.degraded_queries += 1
         return ShardedPrepared(
-            mapper_name=self.mapper.name,
-            subs=tuple(subs),
-            n_cells=total_cells,
+            self.mapper.name, tuple(subs), total_cells, tuple(sources)
         )
 
-    def _beam_box(self, query: BeamQuery):
-        """The beam as a global half-open box (validated)."""
-        dims = self.mapper.dims
-        axis = int(query.axis)
-        if not 0 <= axis < len(dims):
-            raise QueryError(f"axis {axis} out of range")
-        hi_val = dims[axis] if query.hi is None else int(query.hi)
-        if not 0 <= query.lo < hi_val <= dims[axis]:
-            raise QueryError(f"beam span [{query.lo}, {hi_val}) invalid")
-        fixed = tuple(int(v) for v in query.fixed)
-        if len(fixed) != len(dims):
-            raise QueryError("fixed must have one entry per dimension")
-        lo, hi = [], []
-        for d, v in enumerate(fixed):
-            if d == axis:
-                lo.append(int(query.lo))
-                hi.append(hi_val)
-            else:
-                if not 0 <= v < dims[d]:
-                    raise QueryError(f"fixed[{d}]={v} out of range")
-                lo.append(v)
-                hi.append(v + 1)
-        return tuple(lo), tuple(hi)
+    def failover_sub(
+        self, source: SubSource
+    ) -> tuple[SubSource, PreparedQuery]:
+        """Re-dispatch one sub-plan onto a surviving copy.
+
+        Called when the disk servicing ``source`` fails mid-run: the
+        whole piece restarts on another live copy (already-serviced
+        slices are lost work — the blocks must be re-read).  Returns the
+        updated source and the freshly prepared sub-plan; a chunk with
+        no other live copy raises :class:`~repro.errors.ReplicaError`.
+        """
+        copy = self._select_copy(source.chunk, exclude_copy=source.copy)
+        moved = source._replace(copy=copy)
+        sub = self._prepare_source(moved)
+        self.replica_stats.failovers += 1
+        return moved, sub
+
+    def write_copies(self, chunk_index: int):
+        """Every live ``(copy, mapper)`` an ingest flush must write.
+
+        Replica-consistent ingest applies a flush to the primary *and*
+        all k-1 copies, skipping dead disks (their copies rebuild from a
+        survivor later); a chunk whose copies are all dead cannot accept
+        writes at all — raising keeps the data-loss loud."""
+        i = int(chunk_index)
+        live = self._live[i]
+        if not live:
+            raise ReplicaError(
+                f"chunk {i} is unwritable: all {self.replica_map.k} "
+                f"copies are on failed disks {sorted(self.failed)}"
+            )
+        return tuple((r, self.copy_mappers[i][r]) for r in live)
 
     # ------------------------------------------------------------------
     # gather: concurrent service, makespan timing
     # ------------------------------------------------------------------
 
-    def execute_prepared(self, prepared, *, rng=None) -> QueryResult:
-        if not isinstance(prepared, ShardedPrepared):
-            return super().execute_prepared(prepared, rng=rng)
+    def execute_prepared(self, prepared: ShardedPrepared, *,
+                         rng=None) -> QueryResult:
+        """Service a query from :meth:`prepare` scatter-gather (an
+        explicit plan on one disk goes through :meth:`execute_plan`)."""
         result, per_disk = scatter_execute(self, prepared, rng=rng)
         self.shard_stats.record(per_disk, result.total_ms)
         return result
 
-    def admit_prepared(self, prepared) -> None:
-        if isinstance(prepared, ShardedPrepared):
-            for sub in prepared.subs:
-                super().admit_prepared(sub)
-        else:
+    def admit_prepared(self, prepared: PreparedQuery) -> None:
+        """Admit one serviced sub-plan, skipping copies on failed disks
+        (their frames were dropped at :meth:`fail_disk` and must not be
+        repopulated for a disk that cannot serve them)."""
+        if prepared.disk_index not in self.failed:
             super().admit_prepared(prepared)
 
-    def write_copies(self, chunk_index: int):
-        """The ``(copy, chunk_mapper)`` targets an ingest flush of
-        ``chunk_index`` must write — one copy (the primary) without
-        replication; the replica manager overrides this with every live
-        copy."""
-        return ((0, self.mapper.chunk_mappers[int(chunk_index)]),)
+    def execute_plan(self, mapper, plan, n_cells: int, *,
+                     rng=None) -> QueryResult:
+        """Service an explicit plan on one chunk mapper's disk (a cell
+        list read; there is no box to re-plan, so no source)."""
+        sub = self.prepare_plan(mapper, plan, n_cells)
+        return self.execute_prepared(
+            ShardedPrepared(mapper.name, (sub,), sub.n_cells, (None,)),
+            rng=rng,
+        )
 
     def run_query(self, mapper, query, *, rng=None) -> QueryResult:
         return self.execute_prepared(self.prepare(mapper, query), rng=rng)
@@ -314,4 +419,16 @@ class ShardedStorageManager(StorageManager):
         the cache snapshot; ``reset_shard_stats`` scopes it)."""
         out = self.shard_map.describe()
         out["stats"] = self.shard_stats.to_dict()
+        return out
+
+    def reset_replica_stats(self) -> None:
+        self.replica_stats = ReplicaStats(self.shard_map.n_disks)
+
+    def describe_replicas(self) -> dict:
+        """Placement summary plus lifetime routing stats (cumulative,
+        like the shard snapshot; ``reset_replica_stats`` scopes it)."""
+        out = self.replica_map.describe()
+        out["read_policy"] = self.read_policy.name
+        out["failed"] = sorted(self.failed)
+        out["stats"] = self.replica_stats.to_dict()
         return out

@@ -20,12 +20,13 @@ chunk boundaries up to multiples of the MultiMap basic-cube sides
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.datasets.grid import Chunk, GridDataset
-from repro.errors import AllocationError
+from repro.errors import AllocationError, QueryError
 
 __all__ = ["ShardMap"]
 
@@ -81,7 +82,7 @@ class ShardMap:
 
         Without ``align``, ``chunk_shape`` defaults to last-axis slabs
         of ``ceil(dims[-1] / n_disks)`` cells (1 disk ⇒ one chunk
-        covering the whole dataset, the parity configuration).  With
+        covering the whole dataset, a plain dataset's placement).  With
         ``align`` (the per-axis granule — MultiMap's basic-cube sides
         ``K`` for the ``cube_aligned`` strategy), the default instead
         splits the *last axis whose granule does not span it* — the
@@ -161,38 +162,74 @@ class ShardMap:
         disks = np.asarray([c.disk for c in self.chunks], dtype=np.int64)
         return np.bincount(disks, minlength=self.n_disks).tolist()
 
-    def _chunk_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (origins, exclusive ends) of every chunk, built once.
+    def _axis_grid(self):
+        """The chunk boundaries of every split axis plus a
+        grid-position -> chunk lookup, built once.
 
-        The dataclass is frozen but not slotted, so the lazily computed
-        arrays hide in ``__dict__`` without affecting equality or repr.
+        ``split`` lists ``(axis, origins, ends)`` — the sorted distinct
+        chunk origins and their exclusive ends — for each axis the grid
+        cuts into several chunks; ``where`` maps a chunk's positions on
+        those axes (one boundary index each) to its index in
+        :attr:`chunks`.  The dataclass is frozen but not slotted, so the
+        lazily computed tables hide in ``__dict__`` without affecting
+        equality or repr.
         """
-        cached = self.__dict__.get("_bounds_cache")
+        cached = self.__dict__.get("_grid_cache")
         if cached is None:
-            origins = np.array(
-                [c.origin for c in self.chunks], dtype=np.int64
-            )
-            shapes = np.array(
-                [c.shape for c in self.chunks], dtype=np.int64
-            )
-            cached = (origins, origins + shapes)
-            object.__setattr__(self, "_bounds_cache", cached)
+            split = []
+            for d in range(len(self.dims)):
+                ends = {c.origin[d]: c.origin[d] + c.shape[d]
+                        for c in self.chunks}
+                if len(ends) > 1:
+                    origins = sorted(ends)
+                    split.append((d, origins, [ends[o] for o in origins]))
+            where = {
+                tuple(bisect_left(origins, c.origin[d])
+                      for d, origins, _ in split): pos
+                for pos, c in enumerate(self.chunks)
+            }
+            cached = (tuple(split), where)
+            object.__setattr__(self, "_grid_cache", cached)
         return cached
 
-    def intersections(self, lo, hi):
-        """Yield ``(chunk, local_lo, local_hi)`` for every chunk the
-        half-open global box ``[lo, hi)`` overlaps, in chunk order;
-        local coordinates are chunk-relative."""
-        origins, ends = self._chunk_bounds()
-        lo = np.asarray([int(v) for v in lo], dtype=np.int64)
-        hi = np.asarray([int(v) for v in hi], dtype=np.int64)
-        olo = np.maximum(lo, origins)
-        ohi = np.minimum(hi, ends)
-        overlap = np.flatnonzero((olo < ohi).all(axis=1))
-        llo = (olo - origins).tolist()
-        lhi = (ohi - origins).tolist()
-        for i in overlap.tolist():
-            yield self.chunks[i], tuple(llo[i]), tuple(lhi[i])
+    def intersections(self, lo, hi) -> list[tuple]:
+        """``(chunk, local_lo, local_hi)`` for every chunk the half-open
+        box ``[lo, hi)`` overlaps, in chunk order; local coordinates are
+        chunk-relative.  A box of the wrong rank, empty on some axis, or
+        reaching outside the dataset raises :class:`QueryError`.
+
+        The chunks tile a rectilinear grid, so the overlap is a product
+        of per-axis spans of grid positions: only the axes the grid
+        splits are cut, each once against its chunk boundaries.
+        """
+        dims = self.dims
+        if len(lo) != len(dims) or len(hi) != len(dims):
+            raise QueryError("box rank does not match dataset rank")
+        for d, (a, b) in enumerate(zip(lo, hi)):
+            if not 0 <= a < b <= dims[d]:
+                raise QueryError(f"box [{a}, {b}) invalid on axis {d}")
+        split, where = self._axis_grid()
+        # (grid key, local lo, local hi) per overlapped chunk, expanded
+        # one split axis at a time; unsplit axes keep the global bounds.
+        # A chunk list may come in any order (from_chunks), so the
+        # pieces are sorted into it at the end
+        pieces = [((), tuple(lo), tuple(hi))]
+        for d, origins, ends in split:
+            a, b = lo[d], hi[d]
+            cut = []
+            for g in range(bisect_right(origins, a) - 1,
+                           bisect_left(origins, b)):
+                o = origins[g]
+                la, lb = max(a, o) - o, min(b, ends[g]) - o
+                cut += [
+                    (key + (g,), llo[:d] + (la,) + llo[d + 1:],
+                     lhi[:d] + (lb,) + lhi[d + 1:])
+                    for key, llo, lhi in pieces
+                ]
+            pieces = cut
+        out = [(where[key], llo, lhi) for key, llo, lhi in pieces]
+        out.sort()
+        return [(self.chunks[pos], llo, lhi) for pos, llo, lhi in out]
 
     def describe(self) -> dict:
         """JSON-friendly placement summary."""

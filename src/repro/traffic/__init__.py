@@ -1,7 +1,7 @@
 """Concurrent multi-client traffic simulation.
 
-The one-shot executor (:mod:`repro.query.executor`) times a single query
-on an idle drive; this package models *contention*: many clients issuing
+The batch executor (:meth:`repro.api.Dataset.run`) times one query at a
+time on idle drives; this package models *contention*: many clients issuing
 beam/range queries concurrently against drives they share, with
 queueing, slice-level interleaving, and per-client fairness statistics.
 

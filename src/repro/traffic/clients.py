@@ -21,13 +21,13 @@ import numpy as np
 
 from repro.errors import QueryError
 from repro.mappings.base import Mapper
-from repro.query.executor import StorageManager
 from repro.query.workload import (
     BeamQuery,
     RangeQuery,
     random_beam,
     random_range_cube,
 )
+from repro.shard.executor import ShardedStorageManager
 from repro.traffic.arrivals import ArrivalProcess, ClosedLoop
 
 __all__ = ["BeamDraw", "RangeDraw", "QueryMix", "Replay", "TrafficClient"]
@@ -127,16 +127,20 @@ class Replay:
 class TrafficClient:
     """One traffic source: a query mix, an arrival process, and a stack.
 
-    ``storage``/``mapper`` bind the client to a dataset placement; several
-    clients may share them (the common case) or target different mappers
-    on the same volume — contention happens at the drive either way.
-    ``rng`` is the client's private stream: it drives arrivals, query
-    draws, and (in per-query head randomisation mode) the initial head
-    position, all consumed in submission order.
+    ``storage`` is the dataset's
+    :class:`~repro.shard.executor.ShardedStorageManager` (the engine
+    reads its sub-plans, copy routing and failure state); it plans every
+    query on its own placement, so ``mapper`` only names the layout and
+    gives the query draws their dims.  Several clients may share one
+    manager (the common case) or use managers built on the same volume
+    — contention happens at the drive either way.  ``rng`` is the
+    client's private stream: it drives arrivals, query draws, and (in
+    per-query head randomisation mode) the initial head position, all
+    consumed in submission order.
     """
 
     name: str
-    storage: StorageManager
+    storage: ShardedStorageManager
     mapper: Mapper
     mix: QueryMix | Replay
     arrival: ArrivalProcess = field(default_factory=ClosedLoop)

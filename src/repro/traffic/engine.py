@@ -2,24 +2,24 @@
 
 The simulation advances through a single event heap keyed on simulated
 milliseconds.  Clients submit queries according to their arrival process;
-each query is prepared once by its client's :class:`StorageManager`
-(coalescing + effective policy, exactly the one-shot path) and split into
-*service slices* (:func:`repro.query.scheduler.slice_plan`).  Every drive
-services one slice at a time from a FIFO queue, and a multi-slice query
-re-enters the queue behind whatever arrived meanwhile — so requests from
-different clients interleave at the drive rather than running whole
-queries back-to-back, and a query's later slices resume from wherever
-the contending traffic left the head.
+each query is prepared once by its client's storage manager
+(:class:`~repro.shard.executor.ShardedStorageManager`: coalescing +
+effective policy, exactly the batch path) as a
+:class:`~repro.query.scatter.ShardedPrepared` of per-disk sub-plans, and
+every sub-plan is split into *service slices*
+(:func:`repro.query.scheduler.slice_plan`).  Every drive services one
+slice at a time from a FIFO queue, and a multi-slice sub-plan re-enters
+the queue behind whatever arrived meanwhile — so requests from different
+clients interleave at the drive rather than running whole queries
+back-to-back, and a query's later slices resume from wherever the
+contending traffic left the head.
 
-Sharded datasets (whose managers prepare a
-:class:`~repro.query.scatter.ShardedPrepared` of per-disk sub-plans)
-occupy *several* drive queues at once: every sub-plan's slices queue on
-the drive that owns its chunk, drives drain concurrently, and the query
-completes when its **last** disk's portion finishes (each disk's last
-slice plus that disk's share of cache memory time) — the traffic
-analogue of the batch executor's per-disk busy + makespan accounting.
-A one-sub prepared query follows exactly the single-drive path below,
-which keeps 1-shard runs bit-identical to unsharded ones.
+A query fanned out over several member disks occupies several drive
+queues at once: every sub-plan's slices queue on the drive that holds
+the copy it reads, drives drain concurrently, and the query completes
+when its **last** disk's portion finishes (each disk's last slice plus
+that disk's share of cache memory time) — the traffic analogue of the
+batch executor's per-disk busy + makespan accounting.
 
 Head position (``TrafficConfig.head``):
 
@@ -51,15 +51,16 @@ Failures: a :class:`~repro.replica.failures.FailureSchedule` passed as
 ``TrafficSim(..., failures=...)`` kills and revives member disks at
 fixed simulated times.  A killed disk stops servicing immediately: its
 queued jobs — and the job whose slice was in flight, whose partial work
-is lost — re-dispatch through the owning client's replicated storage
-manager (:meth:`ReplicatedStorageManager.failover_sub`), restarting the
-whole sub-plan on a surviving copy's disk; queries submitted afterwards
-avoid dead disks at prepare time.  A client without replicas whose disk
-dies raises — the engine never silently drops queries.  The report's
-meta gains gated ``"failures"`` (the schedule plus re-dispatch totals)
-and ``"replicas"`` (the managers' placement + routing snapshots)
-entries; without a schedule and without replicated clients both keys
-are absent, keeping the JSON bit-identical to pre-replica runs.
+is lost — re-dispatch through the owning client's storage manager
+(:meth:`~repro.shard.executor.ShardedStorageManager.failover_sub`),
+restarting the whole sub-plan on a surviving copy's disk; queries
+submitted afterwards avoid dead disks at prepare time.  A chunk left
+with no live copy raises :class:`~repro.errors.ReplicaError` — the
+engine never silently drops queries.  The report's meta gains gated
+``"failures"`` (the schedule plus re-dispatch totals) and
+``"replicas"`` (the managers' placement + routing snapshots, for
+k > 1) entries; without a schedule and without replicated clients both
+keys are absent.
 
 Determinism: no wall-clock, no hash-order iteration; ties in the event
 heap break by submission sequence number.  Same clients + same seeds
@@ -77,8 +78,8 @@ from repro.disk.drive import BatchResult, DiskDrive
 from repro.errors import QueryError
 from repro.obs.span import record_traffic_query
 from repro.perf.profile import PROBES
-from repro.query.scatter import subplans
 from repro.query.scheduler import slice_plan
+from repro.shard.executor import ShardedStorageManager
 from repro.traffic.clients import TrafficClient
 from repro.traffic.stats import (
     DriveStats,
@@ -96,8 +97,9 @@ class TrafficConfig:
 
     ``slice_runs`` bounds how many runs of one query the drive services
     before other queued requests may cut in; ``None`` services each
-    query as one batch (the one-shot executor's behaviour, required for
-    exact parity with :class:`StorageManager` timings).  ``horizon_ms``
+    query as one batch (the batch executor's behaviour, required for
+    exact parity with :meth:`Dataset.run <repro.api.Dataset.run>`
+    timings).  ``horizon_ms``
     stops open-loop clients from *submitting* past the horizon (queries
     already submitted still finish).
     """
@@ -148,8 +150,7 @@ class _Query:
         self.started = False
         self.acc: BatchResult = BatchResult.empty()
         self.index = index
-        # both prepared forms expose the same aggregate surface
-        # (ShardedPrepared sums its sub-plans)
+        # aggregates over the sub-plans
         self.disk = prepared.disk_index
         self.cache_ms = prepared.cache_ms
         self.cache_hits = prepared.cache_hits
@@ -192,9 +193,9 @@ class _Job:
         self.head_pos = head_pos
         self.policy = policy
         self.disk = disk
-        # the sub-plan's SubSource on a replicated manager (None
-        # otherwise) — what failover re-dispatch re-plans from — and
-        # the PreparedQuery itself, marked abandoned on re-dispatch
+        # the sub-plan's source — the SubSource failover re-dispatch
+        # re-plans from, or an ingest WriteSource — and the
+        # PreparedQuery itself, marked abandoned on re-dispatch
         self.source = source
         self.sub = sub
 
@@ -252,6 +253,13 @@ class TrafficSim:
         names = [c.name for c in self.clients]
         if len(set(names)) != len(names):
             raise QueryError("client names must be unique")
+        for c in self.clients:
+            if not isinstance(c.storage, ShardedStorageManager):
+                raise QueryError(
+                    f"client {c.name!r} needs a dataset's "
+                    f"ShardedStorageManager, got "
+                    f"{type(c.storage).__name__}"
+                )
         self.config = config or TrafficConfig()
         self.meta = dict(meta or {})
         if failures is None:
@@ -306,14 +314,13 @@ class TrafficSim:
             c = cs.client
             query = c.mix.draw(c.mapper.dims, c.rng, cs.issued)
             # the client routes its own submissions: reads through the
-            # storage manager's prepare (the one-shot path), ingest
-            # batches through the client's pipeline — identical calls
-            # for a plain client, so read-only runs are untouched
+            # storage manager's prepare (the batch path), ingest batches
+            # through the client's pipeline
             prepared = c.prepare(query)
-            subs = subplans(prepared)
+            subs = prepared.subs
             # one head draw per involved disk, in sub-plan order — drawn
             # at submission even for all-hit queries, keeping the
-            # client's stream draw-for-draw with the one-shot path
+            # client's stream draw-for-draw with the batch path
             heads: dict[int, tuple | None] = {}
             disk_states: dict[int, _DriveState] = {}
             for sub in subs:
@@ -327,9 +334,8 @@ class TrafficSim:
                     )
             qs = _Query(cs, query, prepared, t, cs.issued)
             cs.issued += 1
-            sources = getattr(prepared, "sources", None)
             real = []
-            for i, sub in enumerate(subs):
+            for sub, source in zip(subs, prepared.sources):
                 disk = sub.disk_index
                 qs.disk_cache[disk] = (
                     qs.disk_cache.get(disk, 0.0) + sub.cache_ms
@@ -338,8 +344,8 @@ class TrafficSim:
                     qs.disk_remaining[disk] = (
                         qs.disk_remaining.get(disk, 0) + 1
                     )
-                    real.append((sub, sources[i] if sources else None))
-            tele = getattr(c.storage, "obs", None)
+                    real.append((sub, source))
+            tele = c.storage.obs
             if tele is not None:
                 # snapshot the cache shares BEFORE billing zeroes them
                 # (plus the per-disk hit/run counts behind them, which
@@ -375,14 +381,6 @@ class TrafficSim:
             for sub, source in real:
                 disk = sub.disk_index
                 ds = disk_states[disk]
-                if ds.failed:
-                    # a replicated manager never routes here (prepare
-                    # skips failed disks), so this client has no copies
-                    # to divert to — fail loudly, never drop the query
-                    raise QueryError(
-                        f"disk {disk} has failed and client "
-                        f"{c.name!r} has no replicas to fail over to"
-                    )
                 # the first sub-plan per drive applies the head draw;
                 # later sub-plans of the same query on that drive resume
                 # from wherever it ends up (the batch path's sequence)
@@ -446,13 +444,7 @@ class TrafficSim:
             # (their frames were dropped with the disk), so they are
             # skipped even if their disk has since been revived.
             storage = cs.client.storage
-            if qs.abandoned:
-                for sub in subplans(qs.prepared):
-                    if not any(sub is a for a in qs.abandoned):
-                        storage.admit_prepared(sub)
-            else:
-                storage.admit_prepared(qs.prepared)
-            for sub in qs.failover_subs:
+            for sub in (*qs.prepared.subs, *qs.failover_subs):
                 if not any(sub is a for a in qs.abandoned):
                     storage.admit_prepared(sub)
             cs.completed += 1
@@ -487,18 +479,15 @@ class TrafficSim:
             qs = job.qs
             c = qs.cs.client
             storage = c.storage
-            if getattr(job.source, "is_write", False):
+            if job.source.is_write:
                 # a write sub targets ONE copy; the surviving copies'
                 # subs of the same flush already carry the batch, so a
                 # dead copy's write is DROPPED (rebuild restores it),
                 # never replayed elsewhere.  No live copy left means
                 # acknowledged data would be lost — that raises.
-                rm = getattr(storage, "replica_map", None)
-                live = (
-                    rm.live_copies(job.source.chunk, storage.failed)
-                    if rm is not None else ()
-                )
-                if not live:
+                if not storage.replica_map.live_copies(
+                    job.source.chunk, storage.failed
+                ):
                     raise QueryError(
                         f"disk {dead} failed mid-flush and chunk "
                         f"{job.source.chunk} has no surviving copy: "
@@ -523,12 +512,7 @@ class TrafficSim:
                     if qs.remaining == 0:
                         push(qs.done_ms, "cache_done", qs)
                 return
-            if job.source is None or not hasattr(storage,
-                                                "failover_sub"):
-                raise QueryError(
-                    f"disk {dead} failed mid-run and client "
-                    f"{c.name!r} has no replicas to fail over to"
-                )
+            # a chunk with no other live copy raises ReplicaError here
             source, sub = storage.failover_sub(job.source)
             n_redispatched += 1
             if qs.obs is not None:
@@ -590,15 +574,10 @@ class TrafficSim:
                 if qs.remaining == 0:
                     push(qs.done_ms, "cache_done", qs)
 
-        def storages_with(attr: str):
-            seen: list = []
-            for cs in states:
-                st = cs.client.storage
-                if hasattr(st, attr) and not any(
-                    st is s for s in seen
-                ):
-                    seen.append(st)
-            return seen
+        storages: list = []
+        for cs in states:
+            if not any(cs.client.storage is s for s in storages):
+                storages.append(cs.client.storage)
 
         def check_member(disk: int) -> None:
             # a typo'd disk index must not silently measure the healthy
@@ -620,23 +599,20 @@ class TrafficSim:
                 st = cs.client.storage
                 if disk >= st.volume.n_disks:
                     continue
-                mon = getattr(getattr(st, "obs", None), "monitor", None)
+                mon = None if st.obs is None else st.obs.monitor
                 if mon is None or any(mon is m for m in seen):
                     continue
                 seen.append(mon)
                 total = st.volume.n_disks
-                failed = getattr(st, "failed", None)
-                n_failed = (len(failed) if failed is not None
-                            else 1 if action == "kill" else 0)
                 mon.record_disk_event(
-                    t, action, disk, total - n_failed, total
+                    t, action, disk, total - len(st.failed), total
                 )
 
         def kill_member(disk: int, t: float) -> None:
             check_member(disk)
             # mark storages first, so failover re-prepares avoid the
             # dead disk (and caches drop its frames)
-            for st in storages_with("fail_disk"):
+            for st in storages:
                 if disk < st.volume.n_disks:
                     st.fail_disk(disk)
             affected: list[_DriveState] = []
@@ -665,7 +641,7 @@ class TrafficSim:
 
         def revive_member(disk: int, t: float) -> None:
             check_member(disk)
-            for st in storages_with("revive_disk"):
+            for st in storages:
                 if disk < st.volume.n_disks:
                     st.revive_disk(disk)
             for cs in states:
@@ -728,7 +704,7 @@ class TrafficSim:
                     # the slice was dispatched at t - res.total_ms
                     jq.obs["slices"].append((
                         job.disk, t - res.total_ms, res,
-                        bool(getattr(job.sub, "is_write", False)),
+                        job.source.is_write,
                     ))
                 ds.busy_ms += res.total_ms
                 ds.served_slices += 1
@@ -777,7 +753,7 @@ class TrafficSim:
         )
         pools = []
         for c in self.clients:
-            pool = getattr(c.storage, "cache", None)
+            pool = c.storage.cache
             if pool is not None and pool.active \
                     and not any(pool is p for p in pools):
                 pools.append(pool)
@@ -814,17 +790,9 @@ class TrafficSim:
                 pipelines[0].describe() if len(pipelines) == 1
                 else [p.describe() for p in pipelines],
             )
-        replicated = []
-        for c in self.clients:
-            st = c.storage
-            rm = getattr(st, "replica_map", None)
-            if rm is not None and rm.k > 1 and not any(
-                st is s for s in replicated
-            ):
-                replicated.append(st)
+        replicated = [st for st in storages if st.replica_map.k > 1]
         if replicated:
-            # gated on k > 1: single-copy managers stay bit-identical
-            # to the sharded stack, meta included
+            # gated on k > 1, so single-copy runs keep their JSON layout
             meta.setdefault(
                 "replicas",
                 replicated[0].describe_replicas()
@@ -833,7 +801,7 @@ class TrafficSim:
             )
         teles = []
         for c in self.clients:
-            tele = getattr(c.storage, "obs", None)
+            tele = c.storage.obs
             if tele is not None and not any(tele is x for x in teles):
                 teles.append(tele)
         if teles:
@@ -849,7 +817,7 @@ class TrafficSim:
                 )
             monitors = []
             for tele in teles:
-                mon = getattr(tele, "monitor", None)
+                mon = tele.monitor
                 if mon is not None and not any(
                     mon is m for m in monitors
                 ):

@@ -55,7 +55,7 @@ class TestExecutorPath:
             ds.mapper, BeamQuery(1, (5, 0, 5))
         )
         assert prepared.cache_hits == 12
-        assert prepared.plan.n_runs == 0
+        assert prepared.subs[0].plan.n_runs == 0
         assert prepared.cache_ms > 0
 
 

@@ -1,5 +1,8 @@
 """Tests for the 4-D OLAP cube and the five §5.5 queries."""
 
+import tracemalloc
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
 
@@ -15,8 +18,31 @@ from repro.query import BeamQuery, RangeQuery
 
 
 @pytest.fixture(scope="module")
-def cube():
-    return OLAPCube.from_fact_table(generate_fact_table(20_000, seed=9))
+def table():
+    return generate_fact_table(20_000, seed=9)
+
+
+@pytest.fixture(scope="module")
+def cube(table):
+    return OLAPCube.from_fact_table(table)
+
+
+def fact_totals(table, rollup=1):
+    """Per-cell point counts and profit sums straight off the facts."""
+    counts = Counter()
+    profit = defaultdict(float)
+    for row, p in zip(table.coordinates().tolist(), table.profit.tolist()):
+        cell = (row[0] // rollup,) + tuple(row[1:])
+        counts[cell] += 1
+        profit[cell] += p
+    return counts, profit
+
+
+def cube_totals(cube):
+    coords = np.stack(np.unravel_index(cube.cells, cube.dims), axis=1)
+    cells = [tuple(c) for c in coords.tolist()]
+    return (dict(zip(cells, cube.counts.tolist())),
+            dict(zip(cells, cube.profit.tolist())))
 
 
 class TestCubeShapes:
@@ -35,14 +61,43 @@ class TestAggregation:
     def test_counts_total(self, cube):
         assert int(cube.counts.sum()) == 20_000
 
-    def test_profit_preserved(self, cube):
-        table = generate_fact_table(20_000, seed=9)
+    def test_profit_preserved(self, cube, table):
         assert cube.profit.sum() == pytest.approx(table.profit.sum())
 
-    def test_cell_lookup(self, cube):
-        table = generate_fact_table(20_000, seed=9)
+    def test_cell_lookup(self, cube, table):
         row = tuple(int(v) for v in table.coordinates()[0])
-        assert cube.counts[row] >= 1
+        assert cube.count_at(row) >= 1
+
+    def test_empty_cell_lookup(self, cube):
+        occupied = set(cube.cells.tolist())
+        empty = next(i for i in range(cube.n_cells) if i not in occupied)
+        coord = np.unravel_index(empty, cube.dims)
+        assert cube.count_at(coord) == 0
+
+    def test_cells_sorted_and_occupied(self, cube):
+        assert np.all(np.diff(cube.cells) > 0)
+        assert np.all(cube.counts >= 1)
+
+    def test_matches_fact_counter(self, cube, table):
+        """Every occupied cell, its count and its profit sum, pinned
+        against a plain Counter over the fact coordinates."""
+        counts, profit = fact_totals(table)
+        got_counts, got_profit = cube_totals(cube)
+        assert got_counts == dict(counts)
+        assert got_profit.keys() == profit.keys()
+        for cell, p in profit.items():
+            assert got_profit[cell] == pytest.approx(p)
+
+    def test_memory_grows_with_facts_not_cells(self, table):
+        """20,000 facts over 442.7M cells: the dense cube needed ~7 GB,
+        the sparse one (roll-up included) stays within a few MB."""
+        tracemalloc.start()
+        try:
+            OLAPCube.from_fact_table(table).roll_up_orderdate(2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestRollUp:
@@ -70,6 +125,20 @@ class TestRollUp:
 
     def test_occupancy_bounds(self, cube):
         assert 0 < cube.occupancy() < 1
+
+    def test_density_from_totals(self, cube):
+        assert cube.mean_points_per_cell == 20_000 / cube.n_cells
+        assert cube.occupancy() == cube.cells.size / cube.n_cells
+
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_rollup_matches_fact_counter(self, cube, table, factor):
+        counts, profit = fact_totals(table, rollup=factor)
+        rolled = cube.roll_up_orderdate(factor)
+        assert rolled.rollup == factor
+        got_counts, got_profit = cube_totals(rolled)
+        assert got_counts == dict(counts)
+        for cell, p in profit.items():
+            assert got_profit[cell] == pytest.approx(p)
 
 
 class TestPaperQueries:

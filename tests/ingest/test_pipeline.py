@@ -258,11 +258,14 @@ class TestPrepareBatch:
         pipe = IngestPipeline(plain, make_stream(), flush_points=100,
                               stage_ms_per_point=0.5)
         prepared = pipe.prepare_batch([[0, 0, 0], [1, 1, 1]])
-        assert isinstance(prepared, WritePrepared)
-        assert not isinstance(prepared, IngestPrepared)
-        assert len(prepared.plan.starts) == 0
-        assert prepared.cache_ms == pytest.approx(1.0)
-        assert prepared.n_cells == 2
+        # no flush rides along: the staging sub is the only sub-plan
+        assert isinstance(prepared, IngestPrepared)
+        assert prepared.sources == (None,)
+        (stage,) = prepared.subs
+        assert isinstance(stage, WritePrepared)
+        assert len(stage.plan.starts) == 0
+        assert prepared.cache_ms == stage.cache_ms == pytest.approx(1.0)
+        assert prepared.n_cells == stage.n_cells == 2
 
     def test_triggered_flush_rides_along(self, plain):
         pipe = IngestPipeline(plain, make_stream(), flush_points=2)

@@ -52,7 +52,10 @@ def range_queries(draw):
     return RangeQuery(tuple(lo), tuple(hi))
 
 
-def assert_prepared_equal(fast, ref):
+def assert_prepared_equal(prepared, ref):
+    # a one-disk dataset prepares every query as exactly one sub-plan
+    assert len(prepared.subs) == 1
+    fast = prepared.subs[0]
     assert fast.mapper_name == ref.mapper_name
     assert fast.disk_index == ref.disk_index
     assert fast.policy == ref.policy

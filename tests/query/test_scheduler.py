@@ -92,13 +92,12 @@ class TestEffectivePolicy:
     def test_one_clamp_default_everywhere(self):
         from repro.api import Dataset
         from repro.query import StorageManager
-        from repro.replica.executor import ReplicatedStorageManager
         from repro.shard.executor import ShardedStorageManager
 
         assert SPTF_RUN_LIMIT == 150_000
         limit = inspect.signature(effective_policy).parameters["limit"]
         assert limit.default == SPTF_RUN_LIMIT
-        for fn in (StorageManager, ShardedStorageManager,
-                   ReplicatedStorageManager, Dataset, Dataset.create):
+        for fn in (StorageManager, ShardedStorageManager, Dataset,
+                   Dataset.create):
             param = inspect.signature(fn).parameters["sptf_run_limit"]
             assert param.default == SPTF_RUN_LIMIT, fn

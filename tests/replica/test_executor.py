@@ -1,4 +1,4 @@
-"""ReplicatedStorageManager: read policies, failover, degraded stats."""
+"""Replicated datasets: read policies, failover, degraded stats."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,8 @@ import pytest
 from repro.api import Dataset
 from repro.errors import DatasetError, RegistryError, ReplicaError
 from repro.query.workload import BeamQuery, RangeQuery
-from repro.replica import ReplicatedPrepared, read_policy_names
+from repro.query.scatter import ShardedPrepared
+from repro.replica import read_policy_names
 
 SHAPE = (24, 12, 12)
 
@@ -122,7 +123,7 @@ class TestReadPolicies:
         prepared = ds.storage.prepare(
             ds.mapper, RangeQuery((0, 0, 0), (24, 12, 4))
         )
-        assert isinstance(prepared, ReplicatedPrepared)
+        assert isinstance(prepared, ShardedPrepared)
         assert len(prepared.sources) == len(prepared.subs)
         for source, sub in zip(prepared.sources, prepared.subs):
             disk = ds.replica_map.disks[source.chunk, source.copy]
@@ -241,6 +242,7 @@ class TestCacheIntegration:
         )
         victim = prepared.subs[0].disk_index
         ds.storage.fail_disk(victim)
-        ds.storage.admit_prepared(prepared)
+        for sub in prepared.subs:
+            ds.storage.admit_prepared(sub)
         assert _resident_on(ds.cache, victim) == 0
         assert ds.cache.occupancy > 0  # live disks' blocks did land

@@ -149,7 +149,7 @@ class TestDegradedTraffic:
     def test_unreplicated_client_failure_raises(self, small_model):
         ds = Dataset.create(SHAPE, layout="multimap", drive=small_model,
                             seed=5).with_shards(3)
-        with pytest.raises(QueryError, match="no replicas"):
+        with pytest.raises(ReplicaError, match="unreadable"):
             (
                 ds.traffic()
                 .clients(2, mix=QueryMix.beams(1, 2), queries=6)

@@ -71,13 +71,15 @@ class TestPlanRebuild:
         b = plan_rebuild(build(small_model).storage, 1).to_dict()
         assert a == b
 
-    def test_requires_replicated_manager(self, small_model):
-        ds = Dataset.create(SHAPE, drive=small_model).with_shards(2)
-        with pytest.raises(ReplicaError, match="replicated"):
-            plan_rebuild(ds.storage, 0)
-
-    def test_k1_rebuild_impossible(self, small_model):
-        ds = build(small_model, k=1)
+    @pytest.mark.parametrize("replicate", [False, True],
+                             ids=["sharded", "with_replication_1"])
+    def test_k1_rebuild_impossible(self, small_model, replicate):
+        """Every dataset holds one copy unless replicated, so a dead
+        disk's chunks have no source to rebuild from."""
+        ds = Dataset.create(SHAPE, layout="multimap", drive=small_model,
+                            seed=7).with_shards(3)
+        if replicate:
+            ds.with_replication(1)
         with pytest.raises(ReplicaError, match="cannot be rebuilt"):
             plan_rebuild(ds.storage, 0)
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.api import Dataset
 from repro.errors import DatasetError, QueryError
-from repro.query.scatter import ShardedPrepared, subplans
+from repro.query.scatter import ShardedPrepared
 from repro.query.workload import BeamQuery, RangeQuery
 
 SHAPE = (24, 12, 12)
@@ -131,25 +131,6 @@ class TestExecute:
         res = ds.storage.range(ds.mapper, (0, 0, 0), (4, 4, 8), rng=rng)
         assert res.n_cells == 4 * 4 * 8
 
-    def test_plain_prepared_falls_through(self, small_model):
-        """A plain PreparedQuery on the sharded manager takes the
-        one-shot single-disk path."""
-        ds = make(small_model, n=2)
-        chunk_mapper = ds.mapper.chunk_mappers[0]
-        plan = chunk_mapper.beam_plan(1, (0, 0, 0))
-        prepared = ds.storage.prepare_plan(chunk_mapper, plan, SHAPE[1])
-        res = ds.storage.execute_prepared(
-            prepared, rng=np.random.default_rng(1)
-        )
-        assert res.n_cells == SHAPE[1]
-
-    def test_subplans_helper(self, small_model):
-        plain = Dataset.create(SHAPE, layout="naive", drive=small_model)
-        p = plain.storage.prepare(
-            plain.mapper, BeamQuery(axis=1, fixed=(0, 0, 0))
-        )
-        assert subplans(p) == (p,)
-
 
 class TestDatasetIntegration:
     def test_with_layout_clone_keeps_sharding(self, small_model):
@@ -252,9 +233,155 @@ class TestDatasetIntegration:
         ds.with_shards(2, strategy="cube_aligned")
         assert ds.shard_map.n_chunks == 1
 
+    def test_reconfigured_create_builds_no_whole_grid(self, small_model,
+                                                      monkeypatch):
+        """The storage manager is built on first use: a dataset
+        re-sharded or re-laid-out right after create (cache and
+        telemetry attached or not) never places the whole grid on the
+        single disk it discards."""
+        import repro.shard.executor as executor
+
+        built = []
+        real = executor.build_mapper
+
+        def spy(layout, shape, *args, **kwargs):
+            built.append(tuple(shape))
+            return real(layout, shape, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "build_mapper", spy)
+        ds = Dataset.create(SHAPE, layout="multimap", drive=small_model)
+        ds.with_cache(512).with_telemetry().with_shards(3)
+        clone = Dataset.create(SHAPE, drive=small_model).with_layout("naive")
+        assert SHAPE not in built
+        assert len(built) == 3
+        clone.random_beams(axis=1, n=1).run()  # first use builds 1 × 1
+        assert built[-1] == SHAPE
+
     def test_seeded_runs_reproducible(self, small_model):
         def run():
             return make(small_model, n=3).random_beams(axis=2, n=4) \
                 .run().to_json()
 
         assert run() == run()
+
+
+# ----------------------------------------------------------------------
+# one storage path: neutral settings are indistinguishable
+# ----------------------------------------------------------------------
+
+LAYOUTS = ["multimap", "naive", "zorder", "hilbert"]
+
+#: constructions that must run byte-identically: every dataset is the
+#: same n disks × k copies manager, 1 × 1 after a plain create
+EQUIVALENT = {
+    "one disk": (
+        lambda ds: ds,
+        lambda ds: ds.with_shards(1),
+        lambda ds: ds.with_shards(1, strategy="round_robin"),
+        lambda ds: ds.with_shards(1).with_replication(1),
+    ),
+    "two disks": (
+        lambda ds: ds.with_shards(2),
+        lambda ds: ds.with_shards(2).with_replication(1),
+        # one copy per chunk: every read policy and placement picks it
+        lambda ds: ds.with_shards(2).with_replication(
+            1, placement="locality_aligned", read_policy="round_robin"),
+        lambda ds: ds.with_shards(2).with_replication(
+            1, read_policy="least_loaded"),
+    ),
+}
+
+CACHES = {
+    "uncached": None,
+    "shared": dict(capacity_blocks=2048, prefetch="track"),
+    "per_shard": dict(capacity_blocks=1024, scope="per_shard"),
+}
+
+
+@pytest.mark.parametrize("group", sorted(EQUIVALENT))
+@pytest.mark.parametrize("slices", [8, None], ids=["sliced", "whole"])
+@pytest.mark.parametrize("cache", sorted(CACHES))
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_equivalent_constructions_byte_identical(small_model, layout,
+                                                 cache, slices, group):
+    """Batch ``Report`` JSON and seeded traffic JSON are byte-identical
+    across every construction of the same disks × copies, uncached and
+    under either cache scope, with sliced or whole-query traffic."""
+    from repro.traffic import QueryMix
+
+    outputs = set()
+    for build in EQUIVALENT[group]:
+        ds = build(Dataset.create(SHAPE, layout=layout, drive=small_model,
+                                  seed=11))
+        if CACHES[cache] is not None:
+            ds.with_cache(**CACHES[cache])
+        report = ds.query().random_beams(axis=1, n=4) \
+            .range_selectivity(5.0).run()
+        storm = ds.traffic().clients(2, mix=QueryMix.beams(1, 2),
+                                     queries=4).slice_runs(slices).run()
+        outputs.add((report.to_json(), storm.to_json()))
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_numpy_integer_queries_report_like_python_ints(small_model, n):
+    """Boxes and beams given as numpy integers store, count and
+    serialise exactly like the same Python ints."""
+    outputs = set()
+    for num in (np.int64, int):
+        ds = Dataset.create(SHAPE, layout="naive", drive=small_model,
+                            seed=5).with_shards(n)
+        report = ds.query() \
+            .range([num(v) for v in (1, 2, 3)], [num(v) for v in (9, 6, 7)]) \
+            .beam(num(1), fixed=[num(v) for v in (4, 0, 5)], lo=num(2)) \
+            .run()
+        assert all(type(r.result.n_cells) is int for r in report.records)
+        outputs.add(report.to_json())
+    assert len(outputs) == 1
+
+
+class TestMetaGating:
+    def test_one_shard_meta_has_no_shard_keys(self, small_model):
+        ds = Dataset.create(SHAPE, layout="multimap", drive=small_model,
+                            seed=1).with_shards(1)
+        report = ds.random_beams(axis=1, n=2).run()
+        assert "shards" not in report.meta
+        assert "shards" not in ds.describe()
+        assert ds.n_shards == 1 and ds.is_sharded
+
+    def test_multi_shard_meta_present(self, small_model):
+        ds = Dataset.create(SHAPE, layout="multimap", drive=small_model,
+                            seed=1).with_shards(3)
+        report = ds.random_beams(axis=2, n=2).run()
+        assert report.meta["shards"]["n_shards"] == 3
+        assert ds.describe()["shards"]["strategy"] == "disk_modulo"
+        assert ds.n_shards == 3
+
+    def test_one_copy_meta_has_no_replica_keys(self, small_model):
+        ds = Dataset.create(SHAPE, layout="multimap", drive=small_model,
+                            seed=1).with_shards(2).with_replication(1)
+        report = ds.random_beams(axis=1, n=2).run()
+        assert "replicas" not in report.meta
+        assert "replicas" not in ds.describe()
+        assert ds.replication_k == 1 and ds.is_replicated
+        assert ds.replica_map is not None
+
+    def test_multi_copy_meta_present(self, small_model):
+        ds = Dataset.create(SHAPE, layout="multimap", drive=small_model,
+                            seed=1).with_shards(3).with_replication(
+            2, placement="locality_aligned", read_policy="round_robin",
+        )
+        report = ds.random_beams(axis=2, n=2).run()
+        assert report.meta["replicas"]["k"] == 2
+        assert report.meta["replicas"]["read_policy"] == "round_robin"
+        assert ds.describe()["replicas"]["placement"] == \
+            "locality_aligned"
+        assert ds.replication_k == 2
+
+    def test_unreplicated_dataset_properties(self, small_model):
+        ds = Dataset.create(SHAPE, layout="multimap", drive=small_model)
+        assert ds.replication_k == 1
+        assert not ds.is_replicated
+        assert ds.replica_map is None
+        assert ds.n_shards == 1 and not ds.is_sharded
+        assert ds.shard_map is None

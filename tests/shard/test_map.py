@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import GridDataset
-from repro.errors import AllocationError
+from repro.errors import AllocationError, QueryError
 from repro.lvm import LogicalVolume, STRATEGIES
 from repro.shard import ShardMap, ShardedStorageManager
 from repro.api.registry import LAYOUTS
@@ -121,6 +121,17 @@ class TestLookups:
             cells += int(np.prod([b - a for a, b in zip(llo, lhi)]))
         expected = int(np.prod([b - a for a, b in zip(lo, hi)]))
         assert cells == expected
+
+    @pytest.mark.parametrize("n_disks,chunk_shape", [(1, None),
+                                                      (2, (5, 3, 3))])
+    def test_intersections_reject_boxes_outside_the_dataset(
+            self, n_disks, chunk_shape):
+        """Split or not, an axis never clips a bad box silently."""
+        smap = ShardMap.build((10, 6, 8), n_disks, chunk_shape=chunk_shape)
+        for lo, hi in [((-1, 0, 0), (5, 6, 8)), ((0, 0, 0), (10, 7, 8)),
+                       ((2, 3, 4), (2, 4, 5)), ((0, 0), (1, 1))]:
+            with pytest.raises(QueryError):
+                smap.intersections(lo, hi)
 
     def test_describe_is_json_friendly(self):
         import json

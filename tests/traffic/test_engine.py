@@ -212,6 +212,19 @@ class TestEngineValidation:
         with pytest.raises(QueryError):
             make_dataset().traffic().run()
 
+    def test_rejects_hand_wired_single_disk_manager(self, make_dataset):
+        """The engine reads sub-plans and failure state off a dataset's
+        manager; a bare StorageManager fails typed, at construction."""
+        from repro.query import StorageManager
+
+        ds = make_dataset()
+        client = TrafficClient(
+            name="a", storage=StorageManager(ds.volume), mapper=ds.mapper,
+            mix=QueryMix.beams(1), rng=np.random.default_rng(0),
+        )
+        with pytest.raises(QueryError, match="ShardedStorageManager"):
+            TrafficSim([client])
+
 
 class TestReportShape:
     def test_render_and_str(self, make_dataset):
