@@ -51,7 +51,6 @@ from repro.core.store import CellStore, StoreStats
 from repro.disk.models import DiskModel
 from repro.errors import DatasetError, QueryError
 from repro.lvm.volume import LogicalVolume
-from repro.perf.profile import PROBES
 from repro.query.executor import QueryResult
 from repro.query.scheduler import SPTF_RUN_LIMIT
 from repro.query.workload import (
@@ -189,7 +188,6 @@ class QueryBatch:
         n_rep = self._repeats if repeats is None else int(repeats)
         if n_rep < 1:
             raise QueryError("repeats must be >= 1")
-        probe_mark = PROBES.snapshot() if PROBES.enabled else None
         storage, mapper = ds.storage, ds.mapper
         records = []
         for rep in range(n_rep):
@@ -224,10 +222,6 @@ class QueryBatch:
             # degraded queries); gated on k > 1 so single-copy reports
             # keep their JSON layout
             meta["replicas"] = storage.describe_replicas()
-        if probe_mark is not None:
-            # preparation counters/timers for this batch; gated on the
-            # probes being enabled so default report JSON is untouched
-            meta["perf"] = PROBES.delta(probe_mark)
         tele = storage.obs
         if tele is not None:
             # telemetry-LIFETIME totals (spans and metrics accumulate
@@ -934,8 +928,8 @@ class Dataset:
         """EXPLAIN (and optionally ANALYZE) one query on this dataset.
 
         EXPLAIN is static and side-effect-free: the plan is prepared
-        against ghost state (live drives, cache policy/stats, replica
-        routing counters, and perf probes are all left untouched) and
+        against ghost state (live drives, cache policy/stats and replica
+        routing counters are all left untouched) and
         its run structure, access-pattern classification, predicted
         mechanical cost, expected cache hits, shard fan-out, and
         replica routing are returned as a JSON-friendly dict.  With

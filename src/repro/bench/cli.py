@@ -1,40 +1,36 @@
 """Command-line entry point: ``python -m repro.bench`` / ``repro-bench``
 (also installed as ``multimap-bench``).
 
-Eleven modes: the default regenerates paper figures, the ``traffic``
-subcommand runs the multi-client traffic storm
-(:func:`repro.traffic.storm.run_storm`), the ``cache`` subcommand
-sweeps buffer-pool capacities per layout
-(:func:`repro.cache.sweep.run_cache_sweep`), the ``scale`` subcommand
-sweeps shard counts per layout
-(:func:`repro.shard.scale.run_scale_sweep`), the ``avail`` subcommand
-sweeps replication factors under a seeded disk failure
-(:func:`repro.replica.avail.run_avail_sweep`), the ``ingest``
-subcommand sweeps ingest goodput per layout x bulk loader
-(:func:`repro.ingest.sweep.run_ingest_sweep`), the ``perf``
-subcommand measures plan-preparation throughput per layout
-(:func:`repro.perf.sweep.run_perf_sweep`) — with ``--check`` it gates
-the numbers against a pinned baseline such as the checked-in
-``BENCH_perf.json`` and exits non-zero on regression — and the
-``trace`` subcommand runs a telemetry-attached storm
-(:func:`repro.obs.trace_cmd.run_trace`) and prints the slowest
-queries, phase totals, and a per-disk utilisation timeline (with
-``--export`` it writes the span trace through a registered exporter).
-The ``dashboard`` subcommand runs a monitored storm
-(:func:`repro.monitor.dashboard.run_dashboard`) and renders the
-windowed time-series, SLO alerts, and health timeline, the
-``explain`` subcommand inspects a query's prepared plan and predicted
-mechanical cost per layout (:func:`repro.explain.run_explain`) — with
-``--analyze`` it executes once and reconciles prediction against
-measurement, with ``--model`` it prints the analytic model's predicted
-speedups — and the ``diff`` subcommand compares two exported run
-reports (:func:`repro.monitor.diff.diff_runs`), exiting 1 when a
-metric moved beyond the tolerance band (``--attribute`` ranks the
-suspects behind the regression).
-The ``--list-*`` flags (one per registry, all driven by the
-``_LISTINGS`` table below) print the registered names with
-descriptions and exit, so users can discover what every registry holds
-without reading source.
+Eleven modes: without a subcommand it regenerates the paper figures
+(``--figure``, ``--scale``); the ten subcommands are
+
+``traffic``    storm sweep, layouts x client counts (:mod:`repro.traffic`)
+``cache``      buffer-pool capacity sweep per layout (:mod:`repro.cache`)
+``scale``      shard-count sweep per layout (:mod:`repro.shard`)
+``avail``      replication sweep under a seeded disk failure
+               (:mod:`repro.replica`)
+``ingest``     ingest goodput, layouts x bulk loaders (:mod:`repro.ingest`)
+``perf``       plan-preparation throughput per layout; ``--check`` gates
+               it against a pinned baseline such as ``BENCH_perf.json``
+               and exits 1 on regression (:mod:`repro.perf.sweep`)
+``trace``      one telemetry-attached storm: slowest queries, phase
+               totals, per-disk utilisation; ``--export`` writes the
+               span trace (:mod:`repro.obs.trace_cmd`)
+``dashboard``  one monitored storm: windowed series, SLO alerts, health
+               timeline (:mod:`repro.monitor.dashboard`)
+``explain``    a query's plan and predicted cost per layout;
+               ``--analyze`` reconciles it against one execution,
+               ``--model`` prints the analytic model (:mod:`repro.explain`)
+``diff``       compares two exported run reports, exiting 1 on a
+               regression; ``--attribute`` ranks the suspects
+               (:mod:`repro.monitor.diff`)
+
+``trace`` and ``dashboard`` share one storm runner
+(:func:`repro.traffic.storm.run_one_storm`) and, with ``traffic``, one
+set of workload flags.  ``diff``, ``diff --attribute`` and ``perf
+--check`` share one band rule (:func:`repro.monitor.diff.band_score`).
+The ``--list-*`` flags (one per registry, driven by the ``_LISTINGS``
+table below) print the registered names with descriptions and exit.
 
 Examples::
 
@@ -54,7 +50,6 @@ Examples::
     repro-bench --list-loaders --list-streams
     repro-bench ingest --shape 64,16,16 --stream clustered --k 2
     repro-bench ingest --loaders fixed,adaptive --json ingest.json
-    repro-bench --list-probes
     repro-bench perf --json BENCH_perf.json
     repro-bench perf --check BENCH_perf.json --json results/perf.json
     repro-bench --list-rules
@@ -74,6 +69,7 @@ import json
 from pathlib import Path
 
 from repro.bench.harness import FIGURES, run_all
+from repro.traffic.arrivals import ARRIVALS, arrival_named
 
 __all__ = ["main"]
 
@@ -96,6 +92,16 @@ def _write_json_report(dest: str, data: dict, default_name: str,
     if not quiet:
         print(f"\nsaved {path}")
     return path
+
+
+def _emit(args, data: dict, render, default_name: str) -> int:
+    """Print ``render(data)`` unless ``--quiet``, then write ``--json``;
+    returns the exit code."""
+    if not args.quiet:
+        print(render(data))
+    if args.json:
+        _write_json_report(args.json, data, default_name, args.quiet)
+    return 0
 
 
 def _positive_int(text: str) -> int:
@@ -147,21 +153,69 @@ def _parse_mix(text: str):
     return QueryMix(parts)
 
 
-def _traffic_main(args) -> int:
-    from repro.traffic import (
-        BurstyArrivals,
-        ClosedLoop,
-        PoissonArrivals,
-        render_storm,
-        run_storm,
-    )
+def _add_output_flags(p, quiet_help: str = "suppress table output") -> None:
+    """``--json`` and ``--quiet``, the last flags of every report
+    subcommand."""
+    p.add_argument("--json", default=None,
+                   help="JSON output file (or directory)")
+    p.add_argument("--quiet", action="store_true", help=quiet_help)
 
-    if args.arrival == "closed":
-        arrival = ClosedLoop(think_ms=args.think_ms)
-    elif args.arrival == "poisson":
-        arrival = PoissonArrivals(rate_qps=args.rate)
+
+def _add_storm_flags(p, *, sweep: bool, clients, queries: int) -> None:
+    """The workload flags of the storm subcommands: ``traffic`` sweeps
+    layouts x client counts (``sweep``, ``clients`` a comma-separated
+    list); ``trace`` and ``dashboard`` run one storm on one layout."""
+    p.add_argument("--shape", default="64,64,32",
+                   help="dataset dims, comma-separated (default 64,64,32)")
+    if sweep:
+        p.add_argument("--layouts",
+                       default="naive,zorder,hilbert,multimap",
+                       help="comma-separated registered layouts")
+        p.add_argument("--clients", default=clients,
+                       help="comma-separated client counts to sweep")
     else:
-        arrival = BurstyArrivals(burst_rate_per_s=args.rate)
+        p.add_argument("--layout", default="multimap",
+                       help="registered layout (default multimap)")
+        p.add_argument("--clients", type=int, default=clients,
+                       help=f"concurrent clients (default {clients})")
+    p.add_argument("--drive", default="atlas10k3",
+                   help="registered drive model (default atlas10k3)")
+    p.add_argument("--queries", type=int, default=queries,
+                   help=f"queries per client (default {queries})")
+    p.add_argument("--mix", default=None, type=_parse_mix,
+                   help="query mix, e.g. 'beam:1,beam:2,range:1.0' "
+                   "(default: beams over axes 1..n-1)")
+    p.add_argument("--arrival", choices=ARRIVALS, default="closed",
+                   help="arrival model (default closed)")
+    p.add_argument("--think-ms", type=float, default=0.0,
+                   help="closed-loop think time in ms")
+    p.add_argument("--rate", type=float, default=50.0,
+                   help="per-client rate for poisson (q/s) or bursty "
+                   "(bursts/s)")
+    p.add_argument("--seed", type=int, default=42,
+                   help="base seed; every client stream derives from it")
+    p.add_argument("--slice-runs", type=int, default=64,
+                   help="runs per service slice; 0 = whole query per "
+                   "batch (default 64)")
+    p.add_argument("--head", choices=("random", "carry"), default="random",
+                   help="per-query random head position or carry-over")
+
+
+#: the one-storm workload flags ``trace``/``dashboard`` hand to
+#: :func:`repro.traffic.storm.run_one_storm`
+_STORM_KEYS = ("layout", "drive", "clients", "queries", "mix", "arrival",
+               "rate", "think_ms", "seed", "slice_runs", "head")
+
+
+def _storm_kwargs(args) -> dict:
+    return {key: getattr(args, key) for key in _STORM_KEYS}
+
+
+def _traffic_main(args) -> int:
+    from repro.traffic import render_storm, run_storm
+
+    arrival = arrival_named(args.arrival, rate=args.rate,
+                            think_ms=args.think_ms)
     data = run_storm(
         _csv_ints(args.shape),
         layouts=_csv_strs(args.layouts),
@@ -174,12 +228,8 @@ def _traffic_main(args) -> int:
         slice_runs=args.slice_runs if args.slice_runs > 0 else None,
         head=args.head,
     )
-    if not args.quiet:
-        print(render_storm(data))
-    dest = args.json or args.out
-    if dest:
-        _write_json_report(dest, data, "traffic.json", args.quiet)
-    return 0
+    args.json = args.json or args.out
+    return _emit(args, data, render_storm, "traffic.json")
 
 
 def _cache_main(args) -> int:
@@ -198,11 +248,7 @@ def _cache_main(args) -> int:
         drive=args.drive,
         seed=args.seed,
     )
-    if not args.quiet:
-        print(render_cache_sweep(data))
-    if args.json:
-        _write_json_report(args.json, data, "cache.json", args.quiet)
-    return 0
+    return _emit(args, data, render_cache_sweep, "cache.json")
 
 
 def _add_cache_parser(subparsers) -> None:
@@ -238,10 +284,7 @@ def _add_cache_parser(subparsers) -> None:
                    help="registered drive model (default minidrive)")
     p.add_argument("--seed", type=int, default=42,
                    help="workload + head-position seed")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress table output")
+    _add_output_flags(p)
     p.set_defaults(func=_cache_main)
 
 
@@ -259,11 +302,7 @@ def _scale_main(args) -> int:
         drive=args.drive,
         seed=args.seed,
     )
-    if not args.quiet:
-        print(render_scale_sweep(data))
-    if args.json:
-        _write_json_report(args.json, data, "scale.json", args.quiet)
-    return 0
+    return _emit(args, data, render_scale_sweep, "scale.json")
 
 
 def _add_scale_parser(subparsers) -> None:
@@ -296,10 +335,7 @@ def _add_scale_parser(subparsers) -> None:
                    help="registered drive model (default atlas10k3)")
     p.add_argument("--seed", type=int, default=42,
                    help="workload + head-position seed")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress table output")
+    _add_output_flags(p)
     p.set_defaults(func=_scale_main)
 
 
@@ -326,8 +362,6 @@ _LISTINGS = (
      "print registered bulk loaders and exit"),
     ("list_streams", "record streams", "repro.ingest", "STREAMS",
      "print registered record streams and exit"),
-    ("list_probes", "perf probes", "repro.perf.profile", "PROBE_SPECS",
-     "print the perf profiling counters/timers and exit"),
     ("list_exporters", "trace exporters", "repro.obs", "EXPORTERS",
      "print registered trace exporters and exit"),
     ("list_rules", "SLO rules", "repro.monitor", "RULES",
@@ -381,11 +415,7 @@ def _avail_main(args) -> int:
         seed=args.seed,
         kill_disk=args.kill_disk,
     )
-    if not args.quiet:
-        print(render_avail_sweep(data))
-    if args.json:
-        _write_json_report(args.json, data, "avail.json", args.quiet)
-    return 0
+    return _emit(args, data, render_avail_sweep, "avail.json")
 
 
 def _add_avail_parser(subparsers) -> None:
@@ -423,10 +453,7 @@ def _add_avail_parser(subparsers) -> None:
                    help="registered drive model (default atlas10k3)")
     p.add_argument("--seed", type=int, default=42,
                    help="workload + head-position + victim seed")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress table output")
+    _add_output_flags(p)
     p.set_defaults(func=_avail_main)
 
 
@@ -448,11 +475,7 @@ def _ingest_main(args) -> int:
         seed=args.seed,
         reorganize=args.reorganize,
     )
-    if not args.quiet:
-        print(render_ingest_sweep(data))
-    if args.json:
-        _write_json_report(args.json, data, "ingest.json", args.quiet)
-    return 0
+    return _emit(args, data, render_ingest_sweep, "ingest.json")
 
 
 def _add_ingest_parser(subparsers) -> None:
@@ -493,16 +516,17 @@ def _add_ingest_parser(subparsers) -> None:
                    help="registered drive model (default minidrive)")
     p.add_argument("--seed", type=int, default=42,
                    help="stream + head-position seed")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress table output")
+    _add_output_flags(p)
     p.set_defaults(func=_ingest_main)
 
 
 def _perf_main(args) -> int:
+    from repro.errors import BenchmarkError
+    from repro.monitor.diff import load_report
     from repro.perf import check_perf, render_perf_sweep, run_perf_sweep
 
+    baseline = (load_report(args.check, BenchmarkError)
+                if args.check else None)
     data = run_perf_sweep(
         _csv_ints(args.shape),
         layouts=_csv_strs(args.layouts),
@@ -516,12 +540,8 @@ def _perf_main(args) -> int:
         ref_cell_cap=args.ref_cell_cap,
         seed=args.seed,
     )
-    if not args.quiet:
-        print(render_perf_sweep(data))
-    if args.json:
-        _write_json_report(args.json, data, "perf.json", args.quiet)
+    _emit(args, data, render_perf_sweep, "perf.json")
     if args.check:
-        baseline = json.loads(Path(args.check).read_text())
         violations = check_perf(
             data, baseline,
             tolerance=args.tolerance,
@@ -582,10 +602,7 @@ def _add_perf_parser(subparsers) -> None:
                    help="allowed fractional drop in absolute plans/s and "
                    "cells/s — wide by design, shared runners vary "
                    "(default 0.9)")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress table output")
+    _add_output_flags(p)
     p.set_defaults(func=_perf_main)
 
 
@@ -597,39 +614,10 @@ def _add_traffic_parser(subparsers) -> None:
         "concurrent workload and report throughput and latency "
         "percentiles per mapping.",
     )
-    p.add_argument("--shape", default="64,64,32",
-                   help="dataset dims, comma-separated (default 64,64,32)")
-    p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
-                   help="comma-separated registered layouts")
-    p.add_argument("--clients", default="1,2,4,8",
-                   help="comma-separated client counts to sweep")
-    p.add_argument("--queries", type=int, default=20,
-                   help="queries per client (default 20)")
-    p.add_argument("--mix", default=None, type=_parse_mix,
-                   help="query mix, e.g. 'beam:1,beam:2,range:1.0' "
-                   "(default: beams over axes 1..n-1)")
-    p.add_argument("--arrival", choices=("closed", "poisson", "bursty"),
-                   default="closed", help="arrival model (default closed)")
-    p.add_argument("--think-ms", type=float, default=0.0,
-                   help="closed-loop think time in ms")
-    p.add_argument("--rate", type=float, default=50.0,
-                   help="per-client rate for poisson (q/s) or bursty "
-                   "(bursts/s)")
-    p.add_argument("--drive", default="atlas10k3",
-                   help="registered drive model (default atlas10k3)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="base seed; every client stream derives from it")
-    p.add_argument("--slice-runs", type=int, default=64,
-                   help="runs per service slice; 0 = whole query per "
-                   "batch (default 64)")
-    p.add_argument("--head", choices=("random", "carry"), default="random",
-                   help="per-query random head position or carry-over")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory)")
+    _add_storm_flags(p, sweep=True, clients="1,2,4,8", queries=20)
     p.add_argument("--out", default=None,
                    help="deprecated alias of --json")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress table output")
+    _add_output_flags(p)
     p.set_defaults(func=_traffic_main)
 
 
@@ -638,20 +626,10 @@ def _trace_main(args) -> int:
 
     data, tele = run_trace(
         _csv_ints(args.shape),
-        layout=args.layout,
-        drive=args.drive,
-        clients=args.clients,
-        queries=args.queries,
-        mix=args.mix,
-        arrival=args.arrival,
-        rate=args.rate,
-        think_ms=args.think_ms,
-        seed=args.seed,
-        slice_runs=args.slice_runs if args.slice_runs else None,
-        head=args.head,
         top=args.top,
         bins=args.bins,
         exporter=args.export,
+        **_storm_kwargs(args),
     )
     if not args.quiet:
         print(render_trace(data))
@@ -678,33 +656,7 @@ def _add_trace_parser(subparsers) -> None:
         "timeline.  --export renders the span trace through a "
         "registered exporter (see --list-exporters).",
     )
-    p.add_argument("--shape", default="64,64,32",
-                   help="dataset dims, comma-separated (default 64,64,32)")
-    p.add_argument("--layout", default="multimap",
-                   help="registered layout (default multimap)")
-    p.add_argument("--drive", default="atlas10k3",
-                   help="registered drive model (default atlas10k3)")
-    p.add_argument("--clients", type=int, default=2,
-                   help="concurrent clients (default 2)")
-    p.add_argument("--queries", type=int, default=8,
-                   help="queries per client (default 8)")
-    p.add_argument("--mix", default=None, type=_parse_mix,
-                   help="query mix, e.g. 'beam:1,beam:2,range:1.0' "
-                   "(default: beams over axes 1..n-1)")
-    p.add_argument("--arrival", choices=("closed", "poisson", "bursty"),
-                   default="closed", help="arrival model (default closed)")
-    p.add_argument("--think-ms", type=float, default=0.0,
-                   help="closed-loop think time in ms")
-    p.add_argument("--rate", type=float, default=50.0,
-                   help="per-client rate for poisson (q/s) or bursty "
-                   "(bursts/s)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="base seed; every client stream derives from it")
-    p.add_argument("--slice-runs", type=int, default=64,
-                   help="runs per service slice; 0 = whole query per "
-                   "batch (default 64)")
-    p.add_argument("--head", choices=("random", "carry"), default="random",
-                   help="per-query random head position or carry-over")
+    _add_storm_flags(p, sweep=False, clients=2, queries=8)
     p.add_argument("--top", type=_positive_int, default=5,
                    help="slowest queries to show (default 5, must be "
                    "positive)")
@@ -716,10 +668,7 @@ def _add_trace_parser(subparsers) -> None:
                    "(jsonl, chrome, prometheus)")
     p.add_argument("--trace-out", default=None,
                    help="file for the exported trace (default: stdout)")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress table output")
+    _add_output_flags(p)
     p.set_defaults(func=_trace_main)
 
 
@@ -728,29 +677,15 @@ def _dashboard_main(args) -> int:
 
     data, tele = run_dashboard(
         _csv_ints(args.shape),
-        layout=args.layout,
-        drive=args.drive,
-        clients=args.clients,
-        queries=args.queries,
-        mix=args.mix,
-        arrival=args.arrival,
-        rate=args.rate,
-        think_ms=args.think_ms,
-        seed=args.seed,
-        slice_runs=args.slice_runs if args.slice_runs else None,
-        head=args.head,
         window_ms=args.window_ms,
         shards=args.shards,
         k=args.k,
         kill_at=args.kill_at,
         kill_disk=args.kill_disk,
         revive_at=args.revive_at,
+        **_storm_kwargs(args),
     )
-    if not args.quiet:
-        print(render_dashboard(data))
-    if args.json:
-        _write_json_report(args.json, data, "dashboard.json", args.quiet)
-    return 0
+    return _emit(args, data, render_dashboard, "dashboard.json")
 
 
 def _add_dashboard_parser(subparsers) -> None:
@@ -764,33 +699,7 @@ def _add_dashboard_parser(subparsers) -> None:
         "alert and the health-state timeline.  The --json export feeds "
         "repro-bench diff.  Rules are listed by --list-rules.",
     )
-    p.add_argument("--shape", default="64,64,32",
-                   help="dataset dims, comma-separated (default 64,64,32)")
-    p.add_argument("--layout", default="multimap",
-                   help="registered layout (default multimap)")
-    p.add_argument("--drive", default="atlas10k3",
-                   help="registered drive model (default atlas10k3)")
-    p.add_argument("--clients", type=int, default=4,
-                   help="concurrent clients (default 4)")
-    p.add_argument("--queries", type=int, default=16,
-                   help="queries per client (default 16)")
-    p.add_argument("--mix", default=None, type=_parse_mix,
-                   help="query mix, e.g. 'beam:1,beam:2,range:1.0' "
-                   "(default: beams over axes 1..n-1)")
-    p.add_argument("--arrival", choices=("closed", "poisson", "bursty"),
-                   default="closed", help="arrival model (default closed)")
-    p.add_argument("--think-ms", type=float, default=0.0,
-                   help="closed-loop think time in ms")
-    p.add_argument("--rate", type=float, default=50.0,
-                   help="per-client rate for poisson (q/s) or bursty "
-                   "(bursts/s)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="base seed; every client stream derives from it")
-    p.add_argument("--slice-runs", type=int, default=64,
-                   help="runs per service slice; 0 = whole query per "
-                   "batch (default 64)")
-    p.add_argument("--head", choices=("random", "carry"), default="random",
-                   help="per-query random head position or carry-over")
+    _add_storm_flags(p, sweep=False, clients=4, queries=16)
     p.add_argument("--window-ms", type=float, default=50.0,
                    help="tumbling-window size in simulated ms "
                    "(default 50)")
@@ -805,10 +714,7 @@ def _add_dashboard_parser(subparsers) -> None:
                    help="member disk to kill (default 0)")
     p.add_argument("--revive-at", type=float, default=None,
                    help="revive the killed disk at this simulated ms")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress dashboard output")
+    _add_output_flags(p, "suppress dashboard output")
     p.set_defaults(func=_dashboard_main)
 
 
@@ -844,11 +750,7 @@ def _explain_main(args) -> int:
         analyze=args.analyze,
         model=args.model,
     )
-    if not args.quiet:
-        print(render_explain(data))
-    if args.json:
-        _write_json_report(args.json, data, "explain.json", args.quiet)
-    return 0
+    return _emit(args, data, render_explain, "explain.json")
 
 
 def _add_explain_parser(subparsers) -> None:
@@ -896,18 +798,15 @@ def _add_explain_parser(subparsers) -> None:
     p.add_argument("--model", action="store_true",
                    help="print the analytic model's predicted "
                    "beam/range speedups")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress plan-tree output")
+    _add_output_flags(p, "suppress plan-tree output")
     p.set_defaults(func=_explain_main)
 
 
 def _diff_main(args) -> int:
-    from repro.monitor.diff import diff_runs, render_diff
+    from repro.monitor.diff import diff_runs, load_report, render_diff
 
-    base = json.loads(Path(args.base).read_text())
-    cur = json.loads(Path(args.current).read_text())
+    base = load_report(args.base)
+    cur = load_report(args.current)
     data = diff_runs(base, cur, tolerance=args.tolerance)
     if getattr(args, "attribute", False):
         from repro.explain import attribute_runs

@@ -1,12 +1,13 @@
 """Regression attribution: localize *why* two runs diverged.
 
-``repro-bench diff`` (PR 9) says *that* a run regressed;
-:func:`attribute_runs` says *where*.  Given the same two exported
-reports (``trace`` or ``dashboard`` JSON), it localizes the divergence
-to specific phases, disks, queries, and monitor signals, scoring each
-suspect by how far it moved relative to the shared tolerance band and
-ranking worst-first.  Two same-seed runs are bit-identical, so a clean
-run attributes to zero suspects — the CI smoke's exact-zero check.
+``repro-bench diff`` says *that* a run regressed; :func:`attribute_runs`
+says *where*.  Given the same two exported reports (``trace`` or
+``dashboard`` JSON), it localizes the divergence to specific phases,
+disks, queries, and monitor signals, scoring each suspect with the
+diff's own band rule (:func:`repro.monitor.diff.band_score`, the same
+floors and the same input checks) and ranking worst-first.  Two
+same-seed runs are bit-identical, so a clean run attributes to zero
+suspects — the CI smoke's exact-zero check.
 
 Suspect kinds:
 
@@ -24,24 +25,12 @@ from __future__ import annotations
 
 from repro.bench.reporting import render_table
 from repro.errors import ExplainError
+from repro.monitor.diff import band_score, check_runs
 
 __all__ = ["attribute_runs", "render_attribution"]
 
-#: absolute floors under which a delta is noise, per metric family —
-#: mirrors the diff layer's bands so same-seed runs attribute to zero
-_FLOORS = {"ms": 1.0, "qps": 1.0, "count": 0.5, "util": 0.02}
-
 #: health states ordered best to worst, for decline detection
 _HEALTH_ORDER = ("healthy", "recovering", "degraded", "saturated")
-
-
-def _score(base: float, cur: float, tolerance: float,
-           floor: str) -> float:
-    """How many tolerance-bands the bad-direction delta spans past the
-    noise floor; <= 0 means within band."""
-    delta = cur - base
-    band = max(abs(base) * tolerance, _FLOORS[floor])
-    return delta / band if band > 0 else 0.0
 
 
 def _suspect(kind: str, name: str, base: float, cur: float,
@@ -55,13 +44,6 @@ def _suspect(kind: str, name: str, base: float, cur: float,
         "score": round(score, 3),
         "why": why,
     }
-
-
-def _monitor_block(data: dict) -> dict | None:
-    block = data.get("monitor")
-    if block is None:
-        block = (data.get("meta") or {}).get("monitor")
-    return block if isinstance(block, dict) else None
 
 
 def _mean_util(report: dict) -> dict[str, float]:
@@ -81,13 +63,8 @@ def attribute_runs(base: dict, cur: dict, *,
     by descending score (worst offender first) and a one-line
     ``summary``; both empty/clean for identical runs.
     """
-    if not isinstance(base, dict) or not isinstance(cur, dict):
-        raise ExplainError(
-            "attribution inputs must be exported report dicts"
-        )
-    tolerance = float(tolerance)
-    if tolerance < 0:
-        raise ExplainError(f"tolerance must be >= 0, got {tolerance}")
+    tolerance, bmon, cmon = check_runs(base, cur, tolerance,
+                                       ExplainError, "attribution")
     suspects: list[dict] = []
 
     # 1. phase totals — which span category grew
@@ -95,7 +72,7 @@ def attribute_runs(base: dict, cur: dict, *,
     cp = cur.get("phase_ms") or {}
     for cat in sorted(set(bp) | set(cp)):
         b, c = float(bp.get(cat, 0.0)), float(cp.get(cat, 0.0))
-        score = _score(b, c, tolerance, "ms")
+        score = band_score(b, c, tolerance, floor="ms")
         if score > 1.0:
             suspects.append(_suspect(
                 "phase", cat, b, c, score,
@@ -106,7 +83,7 @@ def attribute_runs(base: dict, cur: dict, *,
     bu, cu = _mean_util(base), _mean_util(cur)
     for disk in sorted(set(bu) | set(cu), key=int):
         b, c = bu.get(disk, 0.0), cu.get(disk, 0.0)
-        score = _score(b, c, tolerance, "util")
+        score = band_score(b, c, tolerance, floor="util")
         if score > 1.0:
             suspects.append(_suspect(
                 "disk", f"d{disk}", b, c, score,
@@ -120,7 +97,7 @@ def attribute_runs(base: dict, cur: dict, *,
     cq = {q["name"]: q for q in cur.get("slowest") or ()}
     for name in sorted(set(bq) & set(cq)):
         b, c = float(bq[name]["dur_ms"]), float(cq[name]["dur_ms"])
-        score = _score(b, c, tolerance, "ms")
+        score = band_score(b, c, tolerance, floor="ms")
         if score > 1.0:
             why = f"query {name} slowed {c - b:+.2f} ms"
             b_cells = bq[name].get("cells")
@@ -130,11 +107,10 @@ def attribute_runs(base: dict, cur: dict, *,
             suspects.append(_suspect("query", name, b, c, score, why))
 
     # 4. monitor signals — alert volume and health decline
-    bmon, cmon = _monitor_block(base), _monitor_block(cur)
     if bmon is not None and cmon is not None:
         b_alerts = len(bmon.get("alerts") or ())
         c_alerts = len(cmon.get("alerts") or ())
-        score = _score(b_alerts, c_alerts, tolerance, "count")
+        score = band_score(b_alerts, c_alerts, tolerance, floor="count")
         if score > 1.0:
             new_rules = sorted(
                 {a.get("rule") for a in cmon.get("alerts") or ()}

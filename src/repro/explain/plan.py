@@ -4,9 +4,8 @@
 — §5.2 run coalescing, SPTF clamping, shard splitting, replica routing
 — but against *ghost* state, so nothing observable changes: the live
 drives never move, the buffer pool is consulted through the
-non-mutating :meth:`BufferPool.peek_plan` probe, replica read-routing
-counters are snapshotted and restored, and perf probes are muted for
-the duration.  Predicted per-run mechanical cost comes from servicing
+non-mutating :meth:`BufferPool.peek_plan` probe, and replica
+read-routing counters are snapshotted and restored.  Predicted per-run mechanical cost comes from servicing
 the prepared runs on a fresh drive instance built from the same
 :class:`DiskModel` (deterministic: track 0, time 0), mirroring the
 scatter-gather accounting (per-disk sub-plans back to back, makespan =
@@ -27,7 +26,6 @@ from repro.explain.classify import (
     classify_runs,
     run_length_histogram,
 )
-from repro.perf.profile import PROBES
 from repro.query.workload import BeamQuery, RangeQuery
 
 __all__ = [
@@ -67,26 +65,22 @@ def prepare_readonly(ds, query):
     """Prepare ``query`` on ``ds`` without mutating any live state.
 
     The cache is detached for the duration (so plans cover every block
-    and cache stats stay untouched), replica read-routing state is
+    and cache stats stay untouched), and replica read-routing state is
     snapshotted and restored (prepare records sub-reads and advances
-    round-robin counters), and perf probes are muted.
+    round-robin counters).
     """
     storage = ds.storage
     saved_cache = storage.cache
     saved_obs = storage.obs
-    probes_on = PROBES.enabled
     saved_stats = copy.deepcopy(storage.replica_stats)
     saved_rr = copy.deepcopy(storage._rr_counts)
     storage.cache = None
     storage.obs = _RAW_PROBE
-    PROBES.disable()
     try:
         return storage.prepare(ds.mapper, query)
     finally:
         storage.cache = saved_cache
         storage.obs = saved_obs
-        if probes_on:
-            PROBES.enable()
         # restore in place so references to the stats object and the
         # round-robin counter dict stay valid
         storage.replica_stats.__dict__.update(vars(saved_stats))

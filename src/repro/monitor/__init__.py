@@ -22,7 +22,8 @@ output bit-identical):
                 :meth:`~Monitor.describe` is the gated
                 ``meta["monitor"]`` block
 ``diff``        ``repro-bench diff``: run-to-run comparison of exported
-                reports with a tolerance band
+                reports, and the one band rule and report check that
+                ``diff --attribute`` and ``perf --check`` share
 ``dashboard``   ``repro-bench dashboard``: sparkline/heatmap rendering
                 of one monitored storm
 

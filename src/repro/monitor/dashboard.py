@@ -14,61 +14,28 @@ is an exact-zero check.
 
 from __future__ import annotations
 
-from repro.errors import MonitorError
-
 __all__ = ["render_dashboard", "run_dashboard"]
 
 
-def run_dashboard(shape, *, layout: str = "multimap",
-                  drive: str = "atlas10k3", clients: int = 4,
-                  queries: int = 16, mix=None, arrival: str = "closed",
-                  rate: float = 50.0, think_ms: float = 0.0, seed=42,
-                  slice_runs: int | None = 64, head: str = "random",
-                  window_ms: float = 50.0, rules=None,
-                  shards: int | None = None, k: int | None = None,
-                  kill_at: float | None = None, kill_disk: int = 0,
-                  revive_at: float | None = None,
-                  exporter: str | None = None):
+def run_dashboard(shape, *, clients: int = 4, queries: int = 16,
+                  window_ms: float = 50.0, **storm):
     """Run one monitored traffic storm.
 
-    ``shards``/``k`` optionally scale out / replicate the dataset
-    first (a kill needs ``k >= 2`` to keep answering); ``kill_at`` /
-    ``revive_at`` schedule the storm's disk failure.  Returns
+    ``storm`` holds :func:`~repro.traffic.storm.run_one_storm`'s
+    keywords: the workload, the dataset's ``shards``/``k`` (a kill needs
+    ``k >= 2`` to keep answering) and the disk failure.  Returns
     ``(data, telemetry)`` like :func:`~repro.obs.trace_cmd.run_trace`.
     """
-    from repro.api.dataset import Dataset
-    from repro.traffic import BurstyArrivals, ClosedLoop, PoissonArrivals
+    from repro.traffic.storm import run_one_storm
 
-    ds = Dataset.create(tuple(shape), layout=layout, drive=drive,
-                        seed=seed)
-    if shards is not None and shards > 1:
-        ds = ds.with_shards(int(shards))
-    if k is not None and k > 1:
-        ds = ds.with_replication(int(k))
-    ds.with_telemetry(trace=True, metrics=True, exporter=exporter,
-                      monitor={"window_ms": window_ms, "rules": rules})
-    if arrival == "closed":
-        arr = ClosedLoop(think_ms=think_ms)
-    elif arrival == "poisson":
-        arr = PoissonArrivals(rate_qps=rate)
-    elif arrival == "bursty":
-        arr = BurstyArrivals(burst_rate_per_s=rate)
-    else:
-        raise MonitorError(
-            f"arrival must be closed, poisson, or bursty; got {arrival!r}"
-        )
-    run = (
-        ds.traffic()
-        .clients(int(clients), mix=mix, arrival=arr,
-                 queries=int(queries))
-        .slice_runs(slice_runs if slice_runs else None)
-        .head(head)
+    # ``rules: None`` selects the default rule set; it is spelled out
+    # because the telemetry spec is exported in ``data["dataset"]``
+    ds, report = run_one_storm(
+        shape, clients=clients, queries=queries,
+        telemetry=dict(trace=True, metrics=True, exporter=None,
+                       monitor={"window_ms": window_ms, "rules": None}),
+        **storm,
     )
-    if kill_at is not None:
-        run.kill(float(kill_at), int(kill_disk),
-                 revive_at_ms=(float(revive_at)
-                               if revive_at is not None else None))
-    report = run.run()
     tele = ds.telemetry
     tracer = tele.tracer
     data = {
@@ -82,26 +49,11 @@ def run_dashboard(shape, *, layout: str = "multimap",
     return data, tele
 
 
-_GLYPHS = " .:-=+*#%@"
-
-
-def _spark(values, peak=None) -> str:
-    """One sparkline row: each glyph scales its value against the
-    series peak (or an explicit ``peak`` for ratio series)."""
-    top = peak if peak is not None else max(values, default=0.0)
-    if top <= 0:
-        return " " * len(values)
-    return "".join(
-        _GLYPHS[min(int(min(v / top, 1.0) * (len(_GLYPHS) - 1) + 0.5),
-                    len(_GLYPHS) - 1)]
-        for v in values
-    )
-
-
 def render_dashboard(data: dict) -> str:
     """Console dashboard: header, sparkline panel, per-drive heatmap,
     alerts, and the health timeline."""
     from repro.bench.reporting import render_table
+    from repro.obs.trace_cmd import sparkline
 
     mon = data["monitor"]
     windows = mon["windows"]
@@ -124,18 +76,18 @@ def render_dashboard(data: dict) -> str:
             "inflight": [w["inflight"] for w in windows],
         }
         rows = [
-            [name, _spark(vals), f"{max(vals, default=0.0):g}"]
+            [name, sparkline(vals), f"{max(vals, default=0.0):g}"]
             for name, vals in series.items()
         ]
         hits = [w["cache_hit_ratio"] for w in windows]
-        rows.append(["cache hit", _spark(hits, peak=1.0),
+        rows.append(["cache hit", sparkline(hits, peak=1.0),
                      f"{max(hits, default=0.0):g}"])
         caps = [w["capacity"] for w in windows]
-        rows.append(["capacity", _spark(caps, peak=1.0),
+        rows.append(["capacity", sparkline(caps, peak=1.0),
                      f"{min(caps, default=1.0):g}"])
         ingest = [w["ingest_mb_s"] for w in windows]
         if any(ingest):
-            rows.append(["ingest MB/s", _spark(ingest),
+            rows.append(["ingest MB/s", sparkline(ingest),
                          f"{max(ingest):g}"])
         parts.append(render_table(["series", "windows", "peak"], rows))
         # per-drive utilisation heatmap (one row per disk)
@@ -144,7 +96,7 @@ def render_dashboard(data: dict) -> str:
             parts.append("drive utilization (1 glyph per window):")
             for d in disks:
                 row = [w["util"].get(str(d), 0.0) for w in windows]
-                parts.append(f"  d{d} |{_spark(row, peak=1.0)}|")
+                parts.append(f"  d{d} |{sparkline(row, peak=1.0)}|")
     alerts = mon["alerts"]
     if alerts:
         parts.append(f"{len(alerts)} alert(s):")

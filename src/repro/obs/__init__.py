@@ -6,10 +6,9 @@ off the simulated clocks, never the wall clock), and zero-impact when
 detached (results and report JSON stay bit-identical, the pinned parity
 guarantee every other layer's neutral setting gives):
 
-``metrics``    :class:`MetricsRegistry` — counters, gauges, and
-               fixed-bucket streaming :class:`Histogram` s with
-               p50/p90/p99/p999; the generalisation ``PerfProbes`` now
-               shims onto
+``metrics``    :class:`MetricsRegistry` — counters, per-phase
+               simulated-time totals, gauges, and fixed-bucket
+               streaming :class:`Histogram` s with p50/p90/p99/p999
 ``span``       :class:`Span` trees and the :class:`Tracer` — one root
                per query, children per phase (prepare, cache, per-disk
                service with seek/rotate/transfer attribution, ingest

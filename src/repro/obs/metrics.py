@@ -1,25 +1,18 @@
 """Counters, gauges, and fixed-bucket streaming histograms.
 
-:class:`MetricsRegistry` is the generalisation of PR 7's ``PerfProbes``
-counter/timer table: the same named counters and wall-clock timers, plus
-point-in-time gauges and :class:`Histogram` s with p50/p90/p99/p999
-summaries.  ``repro.perf.profile.PerfProbes`` now *subclasses* it as a
-deprecation shim, so every existing probe hook and the gated
-``meta["perf"]`` payload keep working unchanged.
+:class:`MetricsRegistry` holds named counters, per-phase time totals
+(``timers_ms``), point-in-time gauges, and :class:`Histogram` s with
+p50/p90/p99/p999 summaries.
 
 Snapshots are **gated**: ``gauges``/``histograms`` keys appear only when
-non-empty, so a registry used the legacy way (counters + timers only)
-serialises byte-identically to the PR 7 ``PerfProbes`` shape — the same
-convention every other layer's meta follows.
+non-empty, the same convention every other layer's meta follows.
 
-Histogram values are simulated milliseconds, never wall clock, so every
-quantile in an exported snapshot is deterministic under a fixed seed.
+Timers and histogram values are simulated milliseconds, never wall
+clock, so every number in an exported snapshot is deterministic under a
+fixed seed.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from time import perf_counter
 
 from repro.errors import ObsError
 
@@ -183,14 +176,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters, wall-clock timers, gauges, and histograms.
-
-    The counter/timer half is API-compatible with the PR 7
-    ``PerfProbes`` (``inc`` is the new name of ``count``; the shim keeps
-    the alias), and :meth:`snapshot`/:meth:`delta` keep the legacy
-    two-key shape whenever no gauges or histograms were touched — the
-    gating that keeps ``meta["perf"]`` byte-identical.
-    """
+    """Named counters, simulated-time totals, gauges, and histograms."""
 
     def __init__(self) -> None:
         self.counters: dict[str, int] = {}
@@ -205,15 +191,6 @@ class MetricsRegistry:
 
     def add_time(self, name: str, ms: float) -> None:
         self.timers_ms[name] = self.timers_ms.get(name, 0.0) + float(ms)
-
-    @contextmanager
-    def timer(self, name: str):
-        """Accumulate the wall time of a ``with`` block under ``name``."""
-        t0 = perf_counter()
-        try:
-            yield self
-        finally:
-            self.add_time(name, (perf_counter() - t0) * 1e3)
 
     def gauge(self, name: str, value: float) -> None:
         """Set a point-in-time value (last write wins)."""
@@ -237,43 +214,14 @@ class MetricsRegistry:
     # -- reads ---------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """A copy of the current totals (a :meth:`delta` baseline).
-
-        ``gauges``/``histograms`` appear only when non-empty, so a
-        counter/timer-only registry keeps the legacy two-key shape.
-        """
+        """A copy of the current totals; ``gauges``/``histograms``
+        appear only when non-empty."""
         out = {
             "counters": {k: self.counters[k]
                          for k in sorted(self.counters)},
             "timers_ms": {k: self.timers_ms[k]
                           for k in sorted(self.timers_ms)},
         }
-        if self.gauges:
-            out["gauges"] = {k: self.gauges[k]
-                             for k in sorted(self.gauges)}
-        if self.histograms:
-            out["histograms"] = {k: self.histograms[k].to_dict()
-                                 for k in sorted(self.histograms)}
-        return out
-
-    def delta(self, since: dict | None = None) -> dict:
-        """Totals accumulated since ``since`` (JSON-friendly, rounded
-        timers, zero-change names dropped).  Gauges and histograms are
-        point-in-time, so they report their *current* state, gated on
-        being non-empty."""
-        base_c = (since or {}).get("counters", {})
-        base_t = (since or {}).get("timers_ms", {})
-        counters = {
-            name: total - base_c.get(name, 0)
-            for name, total in sorted(self.counters.items())
-            if total != base_c.get(name, 0)
-        }
-        timers = {
-            name: round(total - base_t.get(name, 0.0), 3)
-            for name, total in sorted(self.timers_ms.items())
-            if total != base_t.get(name, 0.0)
-        }
-        out = {"counters": counters, "timers_ms": timers}
         if self.gauges:
             out["gauges"] = {k: self.gauges[k]
                              for k in sorted(self.gauges)}

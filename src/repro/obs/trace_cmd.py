@@ -17,6 +17,7 @@ __all__ = [
     "render_trace",
     "run_trace",
     "slowest_queries",
+    "sparkline",
 ]
 
 
@@ -91,41 +92,21 @@ def disk_utilization(tracer, horizon_ms: float, bins: int = 24) -> dict:
     }
 
 
-def run_trace(shape, *, layout: str = "multimap",
-              drive: str = "atlas10k3", clients: int = 2,
-              queries: int = 8, mix=None, arrival: str = "closed",
-              rate: float = 50.0, think_ms: float = 0.0, seed=42,
-              slice_runs: int | None = 64, head: str = "random",
-              top: int = 5, bins: int = 24,
-              exporter: str | None = None):
+def run_trace(shape, *, clients: int = 2, queries: int = 8,
+              top: int = 5, bins: int = 24, exporter: str | None = None,
+              **storm):
     """Run one telemetry-attached traffic storm and distil its trace.
 
-    Returns ``(data, telemetry)``: a JSON-friendly report plus the live
-    :class:`~repro.obs.telemetry.Telemetry` (for exporting).
+    ``storm`` holds :func:`~repro.traffic.storm.run_one_storm`'s
+    workload keywords.  Returns ``(data, telemetry)``: a JSON-friendly
+    report plus the live :class:`~repro.obs.telemetry.Telemetry`.
     """
-    from repro.api.dataset import Dataset
-    from repro.traffic import BurstyArrivals, ClosedLoop, PoissonArrivals
+    from repro.traffic.storm import run_one_storm
 
-    ds = Dataset.create(tuple(shape), layout=layout, drive=drive,
-                        seed=seed)
-    ds.with_telemetry(trace=True, metrics=True, exporter=exporter)
-    if arrival == "closed":
-        arr = ClosedLoop(think_ms=think_ms)
-    elif arrival == "poisson":
-        arr = PoissonArrivals(rate_qps=rate)
-    elif arrival == "bursty":
-        arr = BurstyArrivals(burst_rate_per_s=rate)
-    else:
-        raise ObsError(
-            f"arrival must be closed, poisson, or bursty; got {arrival!r}"
-        )
-    report = (
-        ds.traffic()
-        .clients(int(clients), mix=mix, arrival=arr,
-                 queries=int(queries))
-        .slice_runs(slice_runs if slice_runs else None)
-        .head(head)
-        .run()
+    ds, report = run_one_storm(
+        shape, clients=clients, queries=queries,
+        telemetry=dict(trace=True, metrics=True, exporter=exporter),
+        **storm,
     )
     tele = ds.telemetry
     tracer = tele.tracer
@@ -144,7 +125,20 @@ def run_trace(shape, *, layout: str = "multimap",
     return data, tele
 
 
-_UTIL_GLYPHS = " .:-=+*#%@"
+_GLYPHS = " .:-=+*#%@"
+
+
+def sparkline(values, peak=None) -> str:
+    """One glyph per value, scaled against the series peak (or an
+    explicit ``peak`` for ratio series)."""
+    top = peak if peak is not None else max(values, default=0.0)
+    if top <= 0:
+        return " " * len(values)
+    return "".join(
+        _GLYPHS[min(int(min(v / top, 1.0) * (len(_GLYPHS) - 1) + 0.5),
+                    len(_GLYPHS) - 1)]
+        for v in values
+    )
 
 
 def render_trace(data: dict) -> str:
@@ -182,10 +176,5 @@ def render_trace(data: dict) -> str:
     if util["busy"]:
         parts.append(f"disk utilization ({util['bin_ms']:.1f} ms/bin):")
         for disk, row in util["busy"].items():
-            glyphs = "".join(
-                _UTIL_GLYPHS[min(int(f * (len(_UTIL_GLYPHS) - 1) + 0.5),
-                                 len(_UTIL_GLYPHS) - 1)]
-                for f in row
-            )
-            parts.append(f"  d{disk} |{glyphs}|")
+            parts.append(f"  d{disk} |{sparkline(row, peak=1.0)}|")
     return "\n".join(parts)

@@ -1,40 +1,29 @@
-"""Plan-preparation fast path: memoized mapper tables, profiling
-probes, a pure-Python reference pipeline, and the pinned perf sweep.
+"""Plan-preparation fast path: memoized mapper tables, a pure-Python
+reference pipeline, and the pinned perf sweep.
 
 ``repro.perf`` is the speed scoreboard of the repository:
 
 ``memo``       the process-wide :data:`MEMO` sharing curve rank tables
                and basic-cube plans across ``with_layout``/``with_shards``
                clones instead of re-deriving them per mapper
-``profile``    the :data:`PROBES` counter/timer registry hooked into
-               :meth:`StorageManager.prepare_plan` and the traffic
-               engine's event loop (off by default; zero overhead and
-               bit-identical report JSON while disabled)
 ``reference``  the slow per-cell preparation pipeline vectorized plans
                are pinned bit-identical against; it ranks curve cells
                by encode + binary search, never through the mappers'
                rank tables
 ``sweep``      ``repro-bench perf``: plans/s, cells/s, prep-vs-service
                split per layout, and the ``--check`` regression gate
-               against the checked-in ``BENCH_perf.json``
+               against the checked-in ``BENCH_perf.json``, scored by
+               the shared band rule of :mod:`repro.monitor.diff`
 
-``memo`` and ``profile`` import nothing from the rest of the package so
-mappers can use them without cycles; the sweep (which builds Datasets)
-loads lazily.
+Host time per layer is measured from outside the program by
+``perfbench/run.py --trace 1``.  ``memo`` imports nothing from the rest
+of the package so mappers can use it without cycles; the sweep (which
+builds Datasets) loads lazily.
 """
 
 from __future__ import annotations
 
 from repro.perf.memo import MEMO, MapperMemo
-from repro.perf.profile import (
-    PROBE_DOCS,
-    PROBE_SPECS,
-    PROBES,
-    PerfProbes,
-    ProbeSpec,
-    profiled,
-    register_probe,
-)
 
 #: lazily loaded names -> defining module (sweep/reference pull in the
 #: Dataset façade, which imports the mappers that import repro.perf.memo)
@@ -49,13 +38,6 @@ _LAZY_EXPORTS = {
 __all__ = [
     "MEMO",
     "MapperMemo",
-    "PROBES",
-    "PROBE_DOCS",
-    "PROBE_SPECS",
-    "PerfProbes",
-    "ProbeSpec",
-    "profiled",
-    "register_probe",
     *_LAZY_EXPORTS,
 ]
 

@@ -19,7 +19,9 @@ one full-box scan) through the dataset's storage manager
 machine in the same process, so it is stable across hardware —
 :func:`check_perf` gates primarily on it, with a very wide band on the
 absolute throughputs, which is what keeps the CI gate meaningful on
-shared runners.
+shared runners.  Both bands are scored by the diff layer's
+:func:`~repro.monitor.diff.band_score` under its zero ``relative``
+floor, and both inputs pass its report validator first.
 """
 
 from __future__ import annotations
@@ -29,12 +31,17 @@ from time import perf_counter
 import numpy as np
 
 from repro.errors import BenchmarkError
+from repro.monitor.diff import band_edge, band_score, validate_report
 from repro.perf.memo import MEMO
 from repro.perf.reference import reference_codes, reference_prepare
 from repro.query.workload import BeamQuery, RangeQuery, random_beam, \
     random_range_cube
 
 __all__ = ["run_perf_sweep", "render_perf_sweep", "check_perf"]
+
+#: the fields :func:`check_perf` reads from a sweep and its baseline
+_SWEEP = {"meta": object, str: {"speedup_vs_reference!": float,
+                                "plans_per_s!": float, "cells_per_s!": float}}
 
 
 def _query_cells(query, shape) -> int:
@@ -233,6 +240,8 @@ def check_perf(
     """
     if not 0 <= tolerance < 1 or not 0 <= throughput_tolerance < 1:
         raise BenchmarkError("tolerances must be in [0, 1)")
+    validate_report(baseline, _SWEEP, BenchmarkError, "baseline")
+    validate_report(data, _SWEEP, BenchmarkError, "sweep")
     violations = []
     for layout, base in baseline.items():
         if layout == "meta":
@@ -241,19 +250,14 @@ def check_perf(
         if cur is None:
             violations.append(f"{layout}: missing from this sweep")
             continue
-        floor = base["speedup_vs_reference"] * (1 - tolerance)
-        if cur["speedup_vs_reference"] < floor:
-            violations.append(
-                f"{layout}: speedup_vs_reference "
-                f"{cur['speedup_vs_reference']:.1f}x fell below "
-                f"{floor:.1f}x (baseline "
-                f"{base['speedup_vs_reference']:.1f}x)"
-            )
-        for metric in ("plans_per_s", "cells_per_s"):
-            floor = base[metric] * (1 - throughput_tolerance)
-            if cur[metric] < floor:
-                violations.append(
-                    f"{layout}: {metric} {cur[metric]:.0f} fell below "
-                    f"{floor:.0f} (baseline {base[metric]:.0f})"
-                )
+        for metric, tol, show in (
+            ("speedup_vs_reference", tolerance, "{:.1f}x".format),
+            ("plans_per_s", throughput_tolerance, "{:.0f}".format),
+            ("cells_per_s", throughput_tolerance, "{:.0f}".format),
+        ):
+            b, c = base[metric], cur[metric]
+            if band_score(b, c, tol, floor="relative", worse="down") > 1:
+                edge = band_edge(b, tol, floor="relative", worse="down")
+                violations.append(f"{layout}: {metric} {show(c)} fell "
+                                  f"below {show(edge)} (baseline {show(b)})")
     return violations

@@ -27,7 +27,6 @@ storage manager.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import ClassVar
 
 import numpy as np
@@ -36,7 +35,6 @@ from repro.disk.drive import BatchResult
 from repro.errors import QueryError
 from repro.lvm.volume import LogicalVolume
 from repro.mappings.base import Mapper, RequestPlan, coalesce_ranks
-from repro.perf.profile import PROBES
 from repro.query.scheduler import (
     SPTF_RUN_LIMIT,
     effective_policy,
@@ -187,9 +185,6 @@ class StorageManager:
         served from memory and only the miss runs — still in the §5.2
         issue order — go to the drive.
         """
-        probing = PROBES.enabled
-        if probing:
-            t0 = perf_counter()
         observing = self.obs is not None
         if observing:
             raw_runs = plan.n_runs
@@ -209,11 +204,6 @@ class StorageManager:
         # resolve the SPTF clamp on what the drive will actually queue:
         # a warm cache can shrink a too-large batch back under the limit
         policy = effective_policy(plan, self.sptf_run_limit)
-        if probing:
-            PROBES.add_time("prepare_plan_ms", (perf_counter() - t0) * 1e3)
-            PROBES.count("plans_prepared")
-            PROBES.count("cells_planned", int(n_cells))
-            PROBES.count("runs_prepared", plan.n_runs)
         return PreparedQuery(
             mapper_name=mapper.name,
             disk_index=mapper.disk_index,

@@ -101,9 +101,9 @@ class DocsView(Mapping):
 
     Descriptions come from each entry's ``description`` attribute, or —
     for registries holding bare classes/functions — the registrant's
-    docstring first line (:func:`first_doc_line`).  The perf probe table
-    exposes :data:`repro.perf.profile.PROBE_DOCS` through this view, so
-    probe docs stay in sync with the registered definitions instead of a
+    docstring first line (:func:`first_doc_line`).  The ``repro-bench
+    --list-*`` flags print their tables through this view, so listed
+    docs stay in sync with the registered definitions instead of a
     hand-maintained dict.
     """
 

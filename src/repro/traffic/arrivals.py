@@ -32,8 +32,11 @@ import numpy as np
 
 from repro.errors import QueryError
 
-__all__ = ["ArrivalProcess", "ClosedLoop", "PoissonArrivals",
-           "BurstyArrivals"]
+__all__ = ["ARRIVALS", "ArrivalProcess", "ClosedLoop", "PoissonArrivals",
+           "BurstyArrivals", "arrival_named"]
+
+#: the arrival models :func:`arrival_named` (and the CLI) select by name
+ARRIVALS = ("closed", "poisson", "bursty")
 
 
 class ArrivalProcess:
@@ -154,3 +157,19 @@ class BurstyArrivals(ArrivalProcess):
             "intra_ms": float(self.intra_ms),
             "start_ms": float(self.start_ms),
         }
+
+
+def arrival_named(name: str, *, rate: float = 50.0,
+                  think_ms: float = 0.0) -> ArrivalProcess:
+    """The arrival model called ``name``: ``closed`` with ``think_ms``
+    think time, ``poisson`` at ``rate`` queries/s, or ``bursty`` at
+    ``rate`` bursts/s."""
+    if name == "closed":
+        return ClosedLoop(think_ms=think_ms)
+    if name == "poisson":
+        return PoissonArrivals(rate_qps=rate)
+    if name == "bursty":
+        return BurstyArrivals(burst_rate_per_s=rate)
+    raise QueryError(
+        f"arrival must be closed, poisson, or bursty; got {name!r}"
+    )

@@ -72,12 +72,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from time import perf_counter
 
 from repro.disk.drive import BatchResult, DiskDrive
 from repro.errors import QueryError
 from repro.obs.span import record_traffic_query
-from repro.perf.profile import PROBES
 from repro.query.scheduler import slice_plan
 from repro.shard.executor import ShardedStorageManager
 from repro.traffic.clients import TrafficClient
@@ -275,13 +273,6 @@ class TrafficSim:
 
     def run(self) -> TrafficReport:
         cfg = self.config
-        # wall-clock probes only (meta-gated, never simulated time), so
-        # determinism of the report body is untouched
-        probing = PROBES.enabled
-        if probing:
-            wall_t0 = perf_counter()
-            probe_mark = PROBES.snapshot()
-        n_events = 0
         heap: list[tuple] = []
         seq = 0
         drives: dict[int, _DriveState] = {}
@@ -673,7 +664,6 @@ class TrafficSim:
         makespan = 0.0
         while heap:
             t, _, kind, payload = heapq.heappop(heap)
-            n_events += 1
             if kind == "arrive":
                 cs = payload
                 if cs.issued >= cs.client.n_queries:
@@ -828,14 +818,6 @@ class TrafficSim:
                     monitors[0].describe() if len(monitors) == 1
                     else [m.describe() for m in monitors],
                 )
-        if probing:
-            # gated on the probes being enabled, so default runs keep
-            # their JSON layout bit-for-bit
-            PROBES.count("traffic_events", n_events)
-            PROBES.add_time(
-                "traffic_run_ms", (perf_counter() - wall_t0) * 1e3
-            )
-            meta.setdefault("perf", PROBES.delta(probe_mark))
         return TrafficReport(
             traces=tuple(traces),
             drives=drive_stats,

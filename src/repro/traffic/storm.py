@@ -1,4 +1,4 @@
-"""Layout-vs-load sweeps: the "traffic storm" scenario.
+"""Seeded "traffic storm" runs: the layout-vs-load sweep and one storm.
 
 ``run_storm`` replays the same seeded multi-client workload against each
 registered layout at rising client counts and collects throughput and
@@ -7,15 +7,19 @@ Figure 6 comparisons.  Fairness mirrors :meth:`Dataset.with_layout`:
 every (layout, client-count) cell builds a fresh dataset from the same
 seed, so client *k* draws the identical query stream in every cell and
 only the placement (and the contention it causes) differs.
+
+``run_one_storm`` runs one such storm on one layout with telemetry
+attached, optionally killing a member disk mid-storm: the runner behind
+the ``trace`` and ``dashboard`` subcommands.
 """
 
 from __future__ import annotations
 
 from repro.bench.reporting import render_table
-from repro.traffic.arrivals import ClosedLoop
+from repro.traffic.arrivals import ClosedLoop, arrival_named
 from repro.traffic.clients import QueryMix
 
-__all__ = ["run_storm", "render_storm"]
+__all__ = ["run_one_storm", "run_storm", "render_storm"]
 
 DEFAULT_LAYOUTS = ("naive", "zorder", "hilbert", "multimap")
 DEFAULT_CLIENTS = (1, 2, 4, 8)
@@ -78,6 +82,49 @@ def run_storm(
         "client_counts": [int(n) for n in client_counts],
     }
     return data
+
+
+def run_one_storm(shape, *, clients: int, queries: int, telemetry: dict,
+                  layout: str = "multimap", drive: str = "atlas10k3",
+                  mix: QueryMix | None = None, arrival: str = "closed",
+                  rate: float = 50.0, think_ms: float = 0.0, seed=42,
+                  slice_runs: int | None = 64, head: str = "random",
+                  shards: int | None = None, k: int | None = None,
+                  kill_at: float | None = None, kill_disk: int = 0,
+                  revive_at: float | None = None):
+    """Run one seeded storm on one layout; returns ``(dataset, report)``.
+
+    The dataset is declustered over ``shards`` disks and replicated
+    ``k`` times when those exceed 1, then gets ``telemetry``
+    (:meth:`Dataset.with_telemetry` keywords).  ``clients`` clients each
+    issue ``queries`` queries under the named ``arrival`` model
+    (:func:`~repro.traffic.arrivals.arrival_named`); ``kill_at`` kills
+    member disk ``kill_disk`` at that simulated ms, and ``revive_at``
+    brings it back.
+    """
+    from repro.api.dataset import Dataset
+
+    ds = Dataset.create(tuple(shape), layout=layout, drive=drive,
+                        seed=seed)
+    if shards is not None and shards > 1:
+        ds = ds.with_shards(int(shards))
+    if k is not None and k > 1:
+        ds = ds.with_replication(int(k))
+    ds.with_telemetry(**telemetry)
+    run = (
+        ds.traffic()
+        .clients(int(clients), mix=mix,
+                 arrival=arrival_named(arrival, rate=rate,
+                                       think_ms=think_ms),
+                 queries=int(queries))
+        .slice_runs(slice_runs if slice_runs else None)
+        .head(head)
+    )
+    if kill_at is not None:
+        run.kill(float(kill_at), int(kill_disk),
+                 revive_at_ms=(float(revive_at)
+                               if revive_at is not None else None))
+    return ds, run.run()
 
 
 def _layout_rows(data: dict, metric) -> tuple[list[int], list[list]]:

@@ -94,6 +94,27 @@ class TestAttributeRuns:
         with pytest.raises(ExplainError):
             attribute_runs({}, {}, tolerance=-0.1)
 
+    def test_nan_tolerance_raises(self):
+        base = _report(phase={"service": 100.0})
+        cur = _report(phase={"service": 900.0})
+        with pytest.raises(ExplainError, match="tolerance must be finite"):
+            attribute_runs(base, cur, tolerance=float("nan"))
+
+    def test_query_without_duration_names_the_field(self):
+        base = _report(slowest=[{"name": "c0#1", "dur_ms": 10.0}])
+        cur = _report(slowest=[{"name": "c0#1"}])
+        with pytest.raises(ExplainError,
+                           match=r"current\.slowest\[0\] is missing "
+                                 r"'dur_ms'"):
+            attribute_runs(base, cur)
+
+    def test_non_integer_disk_key_names_the_field(self):
+        base = _report(busy={"0": [0.5]})
+        cur = _report(busy={"x": [0.5]})
+        with pytest.raises(ExplainError,
+                           match=r"current\.utilization\.busy key 'x'"):
+            attribute_runs(base, cur)
+
 
 class TestRender:
     def test_clean_render(self):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.bench.cli import main
+from repro.errors import MonitorError
 
 DASH_QUICK = ["dashboard", "--shape", "16,8,8", "--drive", "minidrive",
               "--clients", "2", "--queries", "3", "--seed", "11"]
@@ -79,6 +80,29 @@ class TestDiff:
         assert main(["diff", str(a), str(b)]) == 1
         assert main(["diff", str(a), str(b),
                      "--tolerance", "0.5"]) == 0
+
+    def test_missing_report_names_the_file(self, tmp_path):
+        a = export(tmp_path, "a.json", DASH_QUICK)
+        missing = tmp_path / "missing.json"
+        with pytest.raises(MonitorError, match="missing.json"):
+            main(["diff", str(missing), str(a)])
+
+    def test_non_json_report_names_the_file(self, tmp_path):
+        a = export(tmp_path, "a.json", DASH_QUICK)
+        garbled = tmp_path / "garbled.json"
+        garbled.write_text("makespan 100 ms")
+        with pytest.raises(MonitorError, match="garbled.json is not JSON"):
+            main(["diff", str(a), str(garbled)])
+
+    def test_nan_tolerance_is_rejected(self, tmp_path):
+        data = json.loads(export(tmp_path, "run.json", DASH_QUICK)
+                          .read_text())
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(dict(data, makespan_ms=100.0)))
+        b.write_text(json.dumps(dict(data, makespan_ms=900.0)))
+        assert main(["diff", str(a), str(b)]) == 1
+        with pytest.raises(MonitorError, match="tolerance must be finite"):
+            main(["diff", str(a), str(b), "--tolerance", "nan"])
 
     def test_json_export(self, tmp_path):
         a = export(tmp_path, "a.json", DASH_QUICK)

@@ -134,6 +134,34 @@ class TestValidation:
         with pytest.raises(MonitorError, match="tolerance"):
             diff_runs(report(), report(), tolerance=-0.1)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        # a NaN band compares false everywhere: 100 -> 900 ms would
+        # pass as "no regressions"
+        with pytest.raises(MonitorError, match="tolerance must be finite"):
+            diff_runs(report(makespan_ms=100.0),
+                      report(makespan_ms=900.0), tolerance=tolerance)
+
+    def test_non_numeric_metric_names_the_field(self):
+        with pytest.raises(MonitorError,
+                           match=r"current\.makespan_ms must be a number"):
+            diff_runs(report(), perturb("makespan_ms", "abc"))
+
+    def test_non_mapping_phase_totals_name_the_field(self):
+        with pytest.raises(MonitorError,
+                           match=r"base\.phase_ms must be a mapping"):
+            diff_runs(report(phase_ms=[1, 2]), report())
+
+    def test_null_sections_still_read_as_absent(self):
+        base = report(phase_ms=None, monitor=None)
+        out = diff_runs(base, report(phase_ms=None))
+        assert out["phase_ms"] == {} and "quantiles" not in out
+
+    def test_nested_monitor_field_is_named(self):
+        with pytest.raises(MonitorError,
+                           match=r"current\.monitor\.windows\[1\]\.qps"):
+            diff_runs(report(), perturb("monitor.windows.1.qps", "fast"))
+
 
 class TestRender:
     def test_clean_diff_renders(self):

@@ -21,9 +21,9 @@ class TestListExporters:
             assert name in out
 
     def test_combines_with_other_listings(self, capsys):
-        assert main(["--list-exporters", "--list-probes"]) == 0
+        assert main(["--list-exporters", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "registered perf probes:" in out
+        assert "registered SLO rules:" in out
         assert "registered trace exporters:" in out
 
 

@@ -69,6 +69,20 @@ def test_check_flags_missing_layout(sweep_data):
     assert violations == ["hilbert: missing from this sweep"]
 
 
+def test_check_names_a_missing_baseline_field(sweep_data):
+    baseline = json.loads(json.dumps(sweep_data))
+    del baseline["naive"]["speedup_vs_reference"]
+    with pytest.raises(BenchmarkError,
+                       match=r"baseline\.naive is missing "
+                             r"'speedup_vs_reference'"):
+        check_perf(sweep_data, baseline)
+
+
+def test_check_rejects_a_list_baseline(sweep_data):
+    with pytest.raises(BenchmarkError, match="baseline must be a mapping"):
+        check_perf(sweep_data, [sweep_data])
+
+
 def test_check_rejects_bad_tolerances(sweep_data):
     with pytest.raises(BenchmarkError):
         check_perf(sweep_data, sweep_data, tolerance=1.0)
@@ -102,6 +116,16 @@ def test_cli_perf_writes_json(tmp_path, capsys):
     assert "speedup vs ref" in capsys.readouterr().out
 
 
+def test_cli_perf_check_names_an_unreadable_baseline(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(BenchmarkError, match="missing.json"):
+        main([*CLI_ARGS, "--quiet", "--check", str(missing)])
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    with pytest.raises(BenchmarkError, match="garbled.json is not JSON"):
+        main([*CLI_ARGS, "--quiet", "--check", str(garbled)])
+
+
 def test_cli_perf_check_pass_and_fail(tmp_path, capsys):
     baseline = tmp_path / "base.json"
     assert main([*CLI_ARGS, "--quiet", "--json", str(baseline)]) == 0
@@ -115,11 +139,3 @@ def test_cli_perf_check_pass_and_fail(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "perf check FAILED" in out
     assert "speedup_vs_reference" in out
-
-
-def test_cli_list_probes(capsys):
-    assert main(["--list-probes"]) == 0
-    out = capsys.readouterr().out
-    assert "perf probes" in out
-    assert "plans_prepared" in out
-    assert "traffic_run_ms" in out
