@@ -12,6 +12,7 @@ from repro.disk import DiskDrive, atlas_10k3
 from repro.lvm import LogicalVolume
 from repro.mappings import HilbertMapper, NaiveMapper, ZOrderMapper
 from repro.mappings.base import enumerate_box
+from repro.query.workload import range_for_selectivity
 
 DIMS = (128, 64, 64)
 N = int(np.prod(DIMS))
@@ -68,6 +69,26 @@ def test_drive_sptf_batch_throughput(benchmark):
 
     res = benchmark(run)
     assert res.n_requests == 3_000
+
+
+def test_drive_sptf_range_plan_throughput(benchmark):
+    """The batch shape SPTF serves in practice: a MultiMap range plan,
+    semi-sequential runs on adjacent tracks, at the storage window."""
+    mapper = _mapper(MultiMapMapper)
+    shape = range_for_selectivity(DIMS, 1.0)
+    lo = tuple((d - w) // 2 for d, w in zip(DIMS, shape))
+    plan = mapper.range_plan(lo, tuple(a + w for a, w in zip(lo, shape)))
+    assert plan.policy == "sptf" and plan.n_runs > 128
+    drive = DiskDrive(atlas_10k3())
+
+    def run():
+        drive.reset()
+        return drive.service_runs(
+            plan.starts, plan.lengths, policy="sptf", window=128
+        )
+
+    res = benchmark(run)
+    assert res.n_requests == plan.n_runs
 
 
 def test_hilbert_encode_throughput(benchmark):

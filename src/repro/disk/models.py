@@ -72,6 +72,19 @@ class DiskModel:
         table.flags.writeable = False
         return table
 
+    @cached_property
+    def seek_list(self) -> list[float]:
+        """:attr:`seek_table` as a Python list, for scalar lookups in
+        the SPTF scheduler's per-step loop (built once per model)."""
+        return self.seek_table.tolist()
+
+    @cached_property
+    def seek_floor_ms(self) -> float:
+        """Cheapest move off the current track: the smaller of a head
+        switch and the shortest seek.  Every request on another track
+        costs at least this much to reach."""
+        return min([self.mechanics.head_switch_ms, *self.seek_list[1:]])
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         gb = self.capacity_bytes / 1e9
         return f"DiskModel({self.name!r}, {gb:.1f} GB)"

@@ -137,6 +137,25 @@ class TestCachedDrive:
         assert res.per_request_ms[0] > res.per_request_ms[1] * 3
         assert res.n_requests == 4
 
+    def test_sptf_batch_bypasses_cache(self, small_model):
+        """An in-zone sptf batch neither consults nor fills the cache: it
+        costs what it costs on a cacheless drive, and leaves the buffered
+        tracks and their recency order as they were."""
+        drive = DiskDrive(small_model, cache_tracks=8)
+        spt = small_model.geometry.track_length(0)
+        drive.service(100 + 2 * spt)
+        drive.service(100)
+        buffered = list(drive.cache._lru)
+        plain = DiskDrive(small_model)
+        plain.reset(drive.current_track, drive.now_ms)
+        lbns = np.array([101, 100 + 2 * spt, 100 + 5 * spt, 102])
+        got = drive.service_lbns(lbns, policy="sptf", collect=True)
+        want = plain.service_lbns(lbns, policy="sptf", collect=True)
+        assert list(drive.cache._lru) == buffered
+        assert got.total_ms == want.total_ms
+        assert np.array_equal(got.order, want.order)
+        assert np.array_equal(got.per_request_ms, want.per_request_ms)
+
     def test_cached_beats_uncached_on_clustered_reads(self, small_model):
         rng = np.random.default_rng(2)
         spt = small_model.geometry.track_length(0)

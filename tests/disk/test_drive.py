@@ -186,10 +186,28 @@ class TestBatchService:
         assert res.n_requests == 3
 
     def test_unknown_policy_rejected(self, small_drive):
-        with pytest.raises(ValueError):
+        with pytest.raises(GeometryError, match="fifo, sorted, sptf"):
             small_drive.service_runs(
                 np.array([0]), np.array([1]), policy="nope"
             )
+
+    @pytest.mark.parametrize("batch", ["zone_crossing", "empty"])
+    def test_unknown_policy_rejected_before_any_work(self, small_drive,
+                                                     batch):
+        """The policy is checked first: a batch with a zone-crossing run
+        (serviced run by run) and an empty batch reject it too, and the
+        head does not move."""
+        hi = small_drive.geometry.zone_lbn_span(0)[1]
+        starts, lengths = {
+            "zone_crossing": ([hi - 2, 10], [4, 2]),
+            "empty": ([], []),
+        }[batch]
+        with pytest.raises(GeometryError, match="'bogus'"):
+            small_drive.service_runs(
+                np.array(starts, dtype=np.int64),
+                np.array(lengths, dtype=np.int64), policy="bogus",
+            )
+        assert (small_drive.current_track, small_drive.now_ms) == (0, 0.0)
 
     def test_bad_lengths_rejected(self, small_drive):
         with pytest.raises(GeometryError):

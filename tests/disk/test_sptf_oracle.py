@@ -9,6 +9,15 @@ The property below pins :meth:`DiskDrive.service_runs` with
 times, every cost total, and the final head track and clock — on every
 registered drive, including the zero-skew toy disk, whose equal costs
 exercise the lowest-issue-index tie-break.
+
+The drive scores only the queued requests that can still beat the best
+cost, walking the queue in rotational order until a lower bound rules
+the rest out.  The cases under ``TestPrunedQueueMatchesReference`` aim
+where that bound could go wrong: full 128-deep queues over hundreds of
+steps (the MultiMap range plans of the benchmark's paper-batch workload,
+and random batches of up to 450 runs), heads parked at the far end of
+the disk, so the first step's bound is loose, clocks up to 1e9 ms,
+where phases lose precision, and start angles straddling the 0/1 wrap.
 """
 
 from functools import cache
@@ -18,9 +27,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Dataset
 from repro.api.registry import drive_names, get_drive
 from repro.disk import DiskDrive, toy_disk
 from repro.disk.drive import SNAP_REV, BatchResult
+from repro.query.workload import random_range_cube
 
 
 def reference_sptf(self, info, window: int, collect: bool) -> BatchResult:
@@ -106,10 +117,12 @@ def _model(name):
     return get_drive(name).factory()
 
 
-def _batch(model, rng, n, spread, dup_frac, long_runs):
+def _batch(model, rng, n, spread, dup_frac, long_runs, wrap=False):
     """``n`` runs inside one zone around a random track: ``spread``
     tracks either side (0 = one track), run lengths up to 4 blocks or
-    3 tracks, and a ``dup_frac`` share of exact duplicate runs."""
+    3 tracks, and a ``dup_frac`` share of exact duplicate runs.  With
+    ``wrap`` every run starts within two sectors of angle 0, so the
+    queue's angles straddle the 0/1 wrap."""
     geom = model.geometry
     z = int(rng.integers(len(geom.zones)))
     lo, hi = geom.zone_lbn_span(z)
@@ -119,7 +132,13 @@ def _batch(model, rng, n, spread, dup_frac, long_runs):
     tracks = np.clip(
         base + rng.integers(-spread, spread + 1, size=n), 0, n_tracks - 1
     )
-    starts = lo + tracks * spt + rng.integers(0, spt, size=n)
+    if wrap:
+        # sector s of in-zone track tz sits at ((s + skew * tz) % spt) / spt
+        skew = geom.zone(z).skew_sectors
+        sectors = (rng.integers(-2, 2, size=n) - skew * tracks) % spt
+    else:
+        sectors = rng.integers(0, spt, size=n)
+    starts = lo + tracks * spt + sectors
     max_len = 3 * spt if long_runs else 4
     lengths = np.minimum(rng.integers(1, max_len + 1, size=n), hi - starts)
     dup = np.flatnonzero(rng.random(n) < dup_frac)
@@ -199,3 +218,87 @@ class TestSPTFMatchesReference:
         for window in range(1, starts.size + 2):
             _assert_matches_reference(model, starts, lengths, window,
                                       collect, (0, 0.0))
+
+
+def _far_head(model, starts, rng, clock, scale):
+    """A head parked at the end of the disk farthest from the batch, its
+    clock drawn up to ``scale`` ms: anywhere (``"any"``), on a whole
+    revolution (``"lap"``), or where the cheapest move off the track
+    lands within 1e-7 ms of angle 0 (``"edge"``)."""
+    geom = model.geometry
+    mech = model.mechanics
+    rot = mech.rotation_ms
+    far = 0 if geom.track_of(int(starts[0])) >= geom.n_tracks // 2 \
+        else geom.n_tracks - 1
+    if clock == "any":
+        return far, float(rng.uniform(0.0, scale))
+    laps = int(rng.integers(scale // rot + 1))
+    if clock == "lap":
+        return far, laps * rot
+    land = mech.command_overhead_ms + model.seek_floor_ms
+    nudge = float(rng.choice([-1e-7, 0.0, 1e-7]))
+    return far, max(laps * rot - land + nudge, 0.0)
+
+
+@st.composite
+def _queue_cases(draw):
+    return (
+        draw(st.sampled_from(drive_names())),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(1, 450)),
+        draw(st.integers(1, 128)),
+        draw(st.booleans()),
+        draw(st.sampled_from([0, 4, 40, 100_000])),
+        draw(st.sampled_from([0.0, 0.3])),
+        draw(st.booleans()),
+        draw(st.booleans()),
+        draw(st.sampled_from(["any", "lap", "edge"])),
+        draw(st.sampled_from([10.0, 1e6, 1e9])),
+    )
+
+
+class TestPrunedQueueMatchesReference:
+    @settings(max_examples=120, deadline=None)
+    @given(_queue_cases())
+    def test_deep_queues_far_heads_late_clocks(self, case):
+        (name, seed, n, window, collect, spread, dup_frac, long_runs,
+         wrap, clock, scale) = case
+        model = _model(name)
+        rng = np.random.default_rng(seed)
+        starts, lengths = _batch(model, rng, n, spread, dup_frac,
+                                 long_runs, wrap)
+        head = _far_head(model, starts, rng, clock, scale)
+        _assert_matches_reference(model, starts, lengths, window, collect,
+                                  head)
+
+    @pytest.mark.parametrize("selectivity", [0.1, 1.0])
+    def test_paper_batch_multimap_range_plans(self, selectivity,
+                                              monkeypatch):
+        """The batches a MultiMap range cube hands the drive on the
+        paper-batch shape: (216, 64, 64) on atlas10k3, window 128.  The
+        0.1 % cube's ~100 runs all fit the queue; the 1 % cube's ~430
+        keep it full for hundreds of steps."""
+        batches = []
+        service_runs = DiskDrive.service_runs
+
+        def spy(drive, starts, lengths, **kw):
+            if kw.get("policy") == "sptf":
+                batches.append((np.array(starts), np.array(lengths),
+                                kw["window"]))
+            return service_runs(drive, starts, lengths, **kw)
+
+        monkeypatch.setattr(DiskDrive, "service_runs", spy)
+        ds = Dataset.create((216, 64, 64), layout="multimap",
+                            drive="atlas10k3", seed=1)
+        rng = np.random.default_rng(int(selectivity * 10))
+        ds.run([random_range_cube(ds.shape, selectivity, rng)], rng=rng)
+        monkeypatch.undo()
+
+        (starts, lengths, window), = batches
+        assert window == 128
+        assert (starts.size > window) == (selectivity == 1.0)
+        model = _model("atlas10k3")
+        for collect in (False, True):
+            head = DiskDrive(model).draw_position(rng)
+            _assert_matches_reference(model, starts, lengths, window,
+                                      collect, head)

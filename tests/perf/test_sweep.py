@@ -126,7 +126,19 @@ def test_cli_perf_check_names_an_unreadable_baseline(tmp_path):
         main([*CLI_ARGS, "--quiet", "--check", str(garbled)])
 
 
-def test_cli_perf_check_pass_and_fail(tmp_path, capsys):
+def test_cli_perf_check_pass_and_fail(tmp_path, capsys, monkeypatch,
+                                      sweep_data):
+    """The CLI wiring of ``--check``, on one fixed report so no timing
+    is involved: a clean baseline exits 0; a baseline whose speedup the
+    report falls far short of exits 1 and names the metric.  The band
+    rule itself is covered by the ``check_perf`` tests above."""
+    shapes = []
+
+    def fixed_sweep(shape, **kwargs):
+        shapes.append(shape)
+        return sweep_data
+
+    monkeypatch.setattr("repro.perf.run_perf_sweep", fixed_sweep)
     baseline = tmp_path / "base.json"
     assert main([*CLI_ARGS, "--quiet", "--json", str(baseline)]) == 0
     assert main([*CLI_ARGS, "--quiet", "--check", str(baseline)]) == 0
@@ -139,3 +151,4 @@ def test_cli_perf_check_pass_and_fail(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "perf check FAILED" in out
     assert "speedup_vs_reference" in out
+    assert shapes == [(16, 8, 8)] * 3
