@@ -21,7 +21,7 @@ from repro.errors import IngestError
 from repro.ingest.loader import resolve_loader
 from repro.ingest.pipeline import IngestPipeline
 from repro.ingest.reorg import plan_reorganize
-from repro.ingest.streams import make_stream
+from repro.ingest.streams import check_count, make_stream
 from repro.query.scatter import scatter_execute
 
 __all__ = ["IngestRun"]
@@ -41,9 +41,12 @@ class IngestRun:
         self.dataset = dataset
         self.stream_spec = spec.pop("stream", "uniform")
         self.loader_spec = spec.pop("loader", "fixed")
-        self.n_points = int(spec.pop("n_points", 2048))
-        self.batch_points = int(spec.pop("batch_points", 256))
-        self.flush_points = int(spec.pop("flush_points", 1024))
+        self.n_points = check_count("n_points",
+                                    spec.pop("n_points", 2048))
+        self.batch_points = check_count("batch_points",
+                                        spec.pop("batch_points", 256))
+        self.flush_points = check_count("flush_points",
+                                        spec.pop("flush_points", 1024))
         seed = spec.pop("seed", None)
         if seed is None:
             seed = dataset.seed if dataset.seed is not None else 0
@@ -68,13 +71,13 @@ class IngestRun:
 
     def with_points(self, n_points: int,
                     batch_points: int | None = None) -> "IngestRun":
-        self.n_points = int(n_points)
+        self.n_points = check_count("n_points", n_points)
         if batch_points is not None:
-            self.batch_points = int(batch_points)
+            self.batch_points = check_count("batch_points", batch_points)
         return self
 
     def with_flush(self, flush_points: int) -> "IngestRun":
-        self.flush_points = int(flush_points)
+        self.flush_points = check_count("flush_points", flush_points)
         return self
 
     def with_reorganize(self, on: bool = True, *,

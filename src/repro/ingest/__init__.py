@@ -2,10 +2,11 @@
 
 The write path for the scaled-out stack: seeded record streams
 (:data:`STREAMS`: ``uniform`` / ``clustered`` / ``drifting`` /
-``replay``) feed a staged :class:`IngestPipeline` — per-shard write
-buffers keyed by owning member disk, a locality-preserving flush that
-packs buffered points into whole basic cubes before issuing sorted
-sequential writes, and a modelled background reorganisation
+``replay``) feed a staged :class:`IngestPipeline` — write buffers kept
+as one count array keyed by owning member disk, chunk and cell, a
+locality-preserving flush that packs buffered points into whole basic
+cubes before issuing sorted sequential writes, and a modelled
+background reorganisation
 (:func:`plan_reorganize`) that folds overflow chains back with the
 rebuild layer's throttled-interference accounting.  A bulk loader
 (:data:`LOADERS`: ``fixed`` / ``adaptive``) fixes the ingest plan;

@@ -1,15 +1,21 @@
 """The staged ingest pipeline: buffer → flush → sequential writes.
 
-Incoming points are routed to the chunk that owns their cell and held
-in **per-disk write buffers** (one buffer per owning member disk, one
-cell-count map per chunk).  When a disk's buffered backlog crosses
-``flush_points`` — or the stream ends — that disk's chunks flush: each
-chunk's buffered points are folded into its :class:`CellStore`
-(§4.6 semantics: free cell space absorbs, the rest spills to overflow
-chains), and the touched **whole cells plus dirtied overflow pages**
-become one :class:`~repro.query.executor.WritePrepared` batch per copy,
-issued in sorted LBN order so a locality-preserving layout (MultiMap's
-basic cubes) turns a flush into a few long sequential writes.
+Incoming points are routed to the chunk that owns their cell and
+counted in one **keyed count array**, one int64 per dataset cell.  Keys
+number every cell by owning member disk, then chunk, then chunk-local
+flat index, so a chunk's cells form one contiguous key segment and a
+disk's chunks sit side by side.  Staging a batch is a fixed number of
+numpy calls — gathers for the keys, one scatter-add for the counts, one
+``bincount`` for the per-disk backlogs — whatever its size or spread.
+When a disk's backlog crosses ``flush_points`` — or the stream ends —
+that disk's chunks flush in chunk order.  The nonzero entries of a
+chunk's segment are its buffered cells, already sorted by local index.
+They fold into the chunk's :class:`CellStore` (§4.6 semantics: free
+cell space absorbs, the rest spills to overflow chains), and the
+touched **whole cells plus dirtied overflow pages** become one
+:class:`~repro.query.executor.WritePrepared` batch per copy, issued in
+sorted LBN order so a locality-preserving layout (MultiMap's basic
+cubes) turns a flush into a few long sequential writes.
 
 Replica-consistent writes: every flush targets the primary *and* all
 live copies of its chunk (``write_copies``; one copy unless the dataset
@@ -34,7 +40,7 @@ import numpy as np
 from repro.core.store import CellStore
 from repro.errors import IngestError
 from repro.ingest.loader import IngestPlan, resolve_loader
-from repro.ingest.streams import RecordStream
+from repro.ingest.streams import RecordStream, check_count
 from repro.mappings.base import RequestPlan
 from repro.query.executor import WritePrepared
 from repro.query.scatter import ShardedPrepared
@@ -114,6 +120,14 @@ class IngestStats:
         }
 
 
+def _expand_extents(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Every LBN of the extents ``(starts, lengths)``, extent by extent."""
+    ends = np.cumsum(lengths, dtype=np.int64)
+    return np.arange(ends[-1], dtype=np.int64) + np.repeat(
+        np.asarray(starts, dtype=np.int64) - (ends - lengths), lengths
+    )
+
+
 class IngestPipeline:
     """Buffers a record stream and flushes it as sequential cube writes.
 
@@ -154,15 +168,13 @@ class IngestPipeline:
                 f"stream dims {tuple(stream.dims)} do not match dataset "
                 f"shape {tuple(dataset.shape)}"
             )
-        if flush_points < 1:
-            raise IngestError("flush_points must be >= 1")
+        self.flush_points = check_count("flush_points", flush_points)
         self.dataset = dataset
         self.stream = stream
         self.loader = resolve_loader(loader)
         if plan is None:
             plan = self.loader.fn(dataset, stream, **(loader_opts or {}))
         self.plan = plan
-        self.flush_points = int(flush_points)
         self.stage_ms_per_point = float(stage_ms_per_point)
         self.stats = IngestStats()
 
@@ -198,23 +210,60 @@ class IngestPipeline:
                 )
             self._copy_extents.append(exts)
 
-        # per-disk write buffers: disk -> chunk -> {local flat: count}
-        self._buffers: dict[int, dict[int, dict[int, int]]] = {}
-        self._pending: dict[int, int] = {}
+        self._dims = np.asarray(dataset.shape, dtype=np.int64)
         self._grid_strides = np.cumprod((1,) + self.grid[:-1]).astype(
             np.int64
         )
         self._base_shape = np.asarray(self.chunks[0].shape,
                                       dtype=np.int64)
+        # the keyed buffer: one count per cell, keys numbered by owning
+        # disk, then chunk index, then chunk-local flat index.  Strides
+        # come from each chunk's own shape (edge chunks can be smaller
+        # than chunks[0]); ``_key_offset`` folds the chunk's key base and
+        # origin together, so a cell's key is offset + coords . strides
+        disk_of = np.array([c.disk for c in self.chunks], dtype=np.int64)
+        sizes = np.array([c.n_cells for c in self.chunks], dtype=np.int64)
+        order = np.argsort(disk_of, kind="stable")
+        base = np.empty(len(self.chunks), dtype=np.int64)
+        base[order] = np.cumsum(sizes[order]) - sizes[order]
+        self._key_strides = np.array(
+            [np.cumprod((1,) + c.shape[:-1]) for c in self.chunks],
+            dtype=np.int64,
+        )
+        origins = np.array([c.origin for c in self.chunks], dtype=np.int64)
+        self._key_offset = base - (origins * self._key_strides).sum(axis=1)
+        self._key_spans = list(zip(base.tolist(), (base + sizes).tolist()))
+        self._chunk_disk = disk_of
+        n_disks = int(storage.shard_map.n_disks)
+        self._disk_chunks = [
+            order[disk_of[order] == d].tolist() for d in range(n_disks)
+        ]
+        self._counts = np.zeros(int(sizes.sum()), dtype=np.int64)
+        self._backlog = np.zeros(n_disks, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # staging
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _flatten_local(coords: np.ndarray, shape) -> np.ndarray:
-        strides = np.cumprod((1,) + tuple(shape)[:-1]).astype(np.int64)
-        return coords @ strides
+    def _check_coords(self, coords) -> np.ndarray:
+        """A batch of cell coordinates as an ``(n, ndim)`` int64 array;
+        raises :class:`IngestError` for anything that is not integer
+        cells on the dataset's grid."""
+        coords = np.asarray(coords)
+        # bool is an integer to numpy, but True as a coordinate is a bug
+        if coords.dtype.kind not in "iu":
+            raise IngestError(
+                f"coords must be integers, got dtype {coords.dtype}"
+            )
+        coords = coords.astype(np.int64, copy=False)
+        if coords.ndim == 1:
+            coords = coords[np.newaxis, :]
+        if coords.ndim != 2 or coords.shape[1] != len(self._dims):
+            raise IngestError("coordinate rank does not match dataset")
+        if coords.size and ((coords < 0).any()
+                            or (coords >= self._dims).any()):
+            raise IngestError("coordinates out of dataset bounds")
+        return coords
 
     @staticmethod
     def _unflatten_local(flats: np.ndarray, shape) -> np.ndarray:
@@ -228,51 +277,20 @@ class IngestPipeline:
     def stage(self, coords) -> list[int]:
         """Buffer a batch of cell coordinates; returns the member disks
         whose backlog crossed ``flush_points``."""
-        coords = np.asarray(coords, dtype=np.int64)
-        if coords.ndim == 1:
-            coords = coords[np.newaxis, :]
-        dims = np.asarray(self.dataset.shape, dtype=np.int64)
-        if coords.shape[1] != len(dims):
-            raise IngestError("coordinate rank does not match dataset")
-        if coords.size and ((coords < 0).any()
-                            or (coords >= dims).any()):
-            raise IngestError("coordinates out of dataset bounds")
+        coords = self._check_coords(coords)
         cid = (coords // self._base_shape) @ self._grid_strides
-        order = np.argsort(cid, kind="stable")
-        cid = cid[order]
-        coords = coords[order]
-        bounds = np.flatnonzero(np.diff(cid)) + 1
-        for rows, ci in zip(
-            np.split(np.arange(len(cid)), bounds),
-            cid[np.concatenate(([0], bounds))] if len(cid) else (),
-        ):
-            ci = int(ci)
-            chunk = self.chunks[ci]
-            local = coords[rows] - np.asarray(chunk.origin,
-                                              dtype=np.int64)
-            flats, counts = np.unique(
-                self._flatten_local(local, chunk.shape),
-                return_counts=True,
-            )
-            buf = self._buffers.setdefault(chunk.disk, {}).setdefault(
-                ci, {}
-            )
-            for f, c in zip(flats.tolist(), counts.tolist()):
-                buf[f] = buf.get(f, 0) + c
-            self._pending[chunk.disk] = (
-                self._pending.get(chunk.disk, 0) + len(rows)
-            )
+        keys = self._key_offset[cid] + (
+            coords * self._key_strides[cid]
+        ).sum(axis=1)
+        np.add.at(self._counts, keys, 1)
+        self._backlog += np.bincount(self._chunk_disk[cid],
+                                     minlength=self._backlog.size)
         self.stats.streamed_points += len(coords)
-        return sorted(
-            d for d, p in self._pending.items() if p >= self.flush_points
-        )
+        return np.flatnonzero(self._backlog >= self.flush_points).tolist()
 
     def drain_disks(self) -> list[int]:
         """Member disks with any buffered points (the final-drain set)."""
-        return sorted(
-            d for d, bufs in self._buffers.items()
-            if any(bufs.values())
-        )
+        return np.flatnonzero(self._backlog).tolist()
 
     # ------------------------------------------------------------------
     # flushing
@@ -286,14 +304,15 @@ class IngestPipeline:
         n_points = 0
         flushed: list[int] = []
         for disk in sorted({int(d) for d in disks}):
-            chunk_bufs = self._buffers.get(disk, {})
-            for ci in sorted(chunk_bufs):
-                cells = chunk_bufs[ci]
-                if not cells:
+            if not 0 <= disk < self._backlog.size:
+                continue  # off the volume: nothing was ever buffered
+            for ci in self._disk_chunks[disk]:
+                lo, hi = self._key_spans[ci]
+                segment = self._counts[lo:hi]
+                flats = np.flatnonzero(segment)
+                if not flats.size:
                     continue
-                items = sorted(cells.items())
-                flats = np.array([f for f, _ in items], dtype=np.int64)
-                counts = np.array([c for _, c in items], dtype=np.int64)
+                counts = segment[flats]
                 chunk = self.chunks[ci]
                 lcoords = self._unflatten_local(flats, chunk.shape)
                 store = self.stores[ci]
@@ -314,11 +333,7 @@ class IngestPipeline:
                         # down each touched basic cube whole, one long
                         # sequential run per track group (§4.6)
                         starts, lengths = cmapper.write_extents(lcoords)
-                        home = np.concatenate([
-                            s + np.arange(n, dtype=np.int64)
-                            for s, n in zip(starts.tolist(),
-                                            lengths.tolist())
-                        ])
+                        home = _expand_extents(starts, lengths)
                     else:
                         home = np.asarray(cmapper.lbns(lcoords),
                                           dtype=np.int64)
@@ -348,8 +363,8 @@ class IngestPipeline:
                 n_points += pts
                 self.stats.overflow_points += spilled
                 flushed.append(ci)
-                chunk_bufs[ci] = {}
-            self._pending[disk] = 0
+                segment[flats] = 0
+            self._backlog[disk] = 0
         if not subs:
             return None
         self.stats.flushes += 1
@@ -374,9 +389,7 @@ class IngestPipeline:
         sub-plans.  ``final`` drains every buffer regardless of
         thresholds (the last batch acknowledges everything).
         """
-        coords = np.asarray(coords, dtype=np.int64)
-        if coords.ndim == 1:
-            coords = coords[np.newaxis, :]
+        coords = self._check_coords(coords)
         ready = self.stage(coords)
         if final:
             ready = self.drain_disks()

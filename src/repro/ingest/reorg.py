@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.disk.drive import DiskDrive
 from repro.errors import IngestError
-from repro.mappings.base import RequestPlan, coalesce_ranks
+from repro.mappings.base import RequestPlan, coalesce_ranks, sorted_unique
 from repro.replica.rebuild import interference_profile
 
 __all__ = ["ReorgReport", "plan_reorganize"]
@@ -64,14 +64,18 @@ class ReorgReport:
         }
 
 
-def _service(drive: DiskDrive, lbns: np.ndarray, window: int) -> float:
-    if lbns.size == 0:
-        return 0.0
-    starts, lengths = coalesce_ranks(np.unique(lbns))
+def _service(drive: DiskDrive, lbns: np.ndarray,
+             window: int) -> tuple[float, int]:
+    """Service the distinct blocks of ``lbns`` as one sorted batch;
+    returns its time and the number of distinct blocks."""
+    blocks = sorted_unique(lbns)
+    if blocks.size == 0:
+        return 0.0, 0
+    starts, lengths = coalesce_ranks(blocks)
     plan = RequestPlan(starts, lengths, policy="sorted", merge_gap=0)
     res = drive.service_runs(plan.starts, plan.lengths,
                              policy=plan.policy, window=window)
-    return res.total_ms
+    return res.total_ms, int(blocks.size)
 
 
 def plan_reorganize(pipeline, *, throttle: float = 1.0,
@@ -135,11 +139,12 @@ def plan_reorganize(pipeline, *, throttle: float = 1.0,
             drive = drive_for(disk)
             # read the chained cells + their chains, write the folded
             # cells back in place
-            read = np.concatenate([home, pages])
-            ms = _service(drive, read, storage.window)
-            ms += _service(drive, home, storage.window)
-            io_ms[disk] = io_ms.get(disk, 0.0) + ms
-            n_blocks += int(np.unique(read).size + np.unique(home).size)
+            read_ms, n_read = _service(
+                drive, np.concatenate([home, pages]), storage.window
+            )
+            write_ms, n_write = _service(drive, home, storage.window)
+            io_ms[disk] = io_ms.get(disk, 0.0) + (read_ms + write_ms)
+            n_blocks += n_read + n_write
 
     if not chunks:
         return None

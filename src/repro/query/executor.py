@@ -34,7 +34,12 @@ import numpy as np
 from repro.disk.drive import BatchResult
 from repro.errors import QueryError
 from repro.lvm.volume import LogicalVolume
-from repro.mappings.base import Mapper, RequestPlan, coalesce_ranks
+from repro.mappings.base import (
+    Mapper,
+    RequestPlan,
+    coalesce_ranks,
+    sorted_unique,
+)
 from repro.query.scheduler import (
     SPTF_RUN_LIMIT,
     effective_policy,
@@ -239,7 +244,7 @@ class StorageManager:
         contents.  Runs merge only on exact adjacency (``merge_gap=0``):
         a write must not touch blocks it does not own.
         """
-        lbns = np.unique(np.asarray(lbns, dtype=np.int64).ravel())
+        lbns = sorted_unique(np.asarray(lbns, dtype=np.int64).ravel())
         if lbns.size == 0:
             raise QueryError("a write batch needs at least one block")
         starts, lengths = coalesce_ranks(lbns)

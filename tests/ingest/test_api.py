@@ -83,6 +83,27 @@ class TestIngestRun:
         assert run.flush_points == 48
         assert run.reorganize and run.throttle == 0.5
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_points", 100.7), ("batch_points", 10.9),
+        ("flush_points", 2.5), ("flush_points", 64.0),
+        ("n_points", True),
+    ])
+    def test_non_integer_sizes_rejected(self, plain, field, value):
+        with pytest.raises(IngestError,
+                           match=f"{field} must be an integer"):
+            plain.ingest(**{field: value})
+        plain.with_ingest(**{field: value})
+        with pytest.raises(IngestError, match=field):
+            plain.ingest()
+
+    def test_fluent_setters_reject_non_integer_sizes(self, plain):
+        with pytest.raises(IngestError, match="n_points"):
+            plain.ingest().with_points(96.5)
+        with pytest.raises(IngestError, match="batch_points"):
+            plain.ingest().with_points(96, 32.5)
+        with pytest.raises(IngestError, match="flush_points"):
+            plain.ingest().with_flush(48.5)
+
     def test_seed_defaults_to_the_dataset(self, plain):
         assert plain.ingest().build_stream().seed == plain.seed
         assert plain.ingest(seed=9).build_stream().seed == 9

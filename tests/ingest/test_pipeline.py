@@ -63,6 +63,29 @@ class TestValidation:
         with pytest.raises(IngestError, match="bounds"):
             pipe.stage([[0, -1, 0]])
 
+    @pytest.mark.parametrize("coords, dtype", [
+        ([[1.7, 2.2, 3.9]], "float64"),
+        ([[True, False, True]], "bool"),
+        ([["a", "b", "c"]], "<U1"),
+    ])
+    def test_stage_rejects_non_integer_coords(self, plain, coords, dtype):
+        """Floats are not truncated onto cells, bools are not 0/1 and
+        strings fail as an IngestError, not numpy's bare ValueError;
+        the traffic path's prepare_batch checks the same way."""
+        pipe = IngestPipeline(plain, make_stream())
+        for call in (pipe.stage, pipe.prepare_batch):
+            with pytest.raises(IngestError,
+                               match=f"coords must be integers.*{dtype}"):
+                call(coords)
+        assert pipe.stats.streamed_points == 0
+        assert pipe.drain_disks() == []
+
+    @pytest.mark.parametrize("flush_points", [2.5, 4.0, True])
+    def test_rejects_non_integer_flush_points(self, plain, flush_points):
+        with pytest.raises(IngestError, match="flush_points must be an "
+                           "integer"):
+            IngestPipeline(plain, make_stream(), flush_points=flush_points)
+
 
 class TestStaging:
     def test_below_threshold_buffers_quietly(self, plain):
@@ -100,6 +123,21 @@ class TestFlush:
         pipe = IngestPipeline(plain, make_stream())
         assert pipe.build_flush([plain.mapper.disk_index]) is None
         assert pipe.build_flush([]) is None
+
+    def test_flushing_a_disk_without_chunks_changes_nothing(self,
+                                                            small_model):
+        """One chunk on a 3-disk volume: disks 1 and 2 own nothing, and
+        -1 and 3 are off the volume; flushing them flushes nothing and
+        leaves disk 0's backlog (and its threshold count) alone."""
+        ds = Dataset.create(SHAPE, layout="zorder", drive=small_model,
+                            seed=5).with_shards(3, chunk_shape=SHAPE)
+        pipe = IngestPipeline(ds, make_stream(), flush_points=3)
+        assert pipe.stage([[0, 0, 0], [1, 1, 1]]) == []
+        assert pipe.build_flush([-1, 1, 2, 3]) is None
+        assert pipe.drain_disks() == [0]
+        assert pipe.stage([[2, 2, 2]]) == [0]
+        flush = pipe.build_flush([0, -1])
+        assert flush.n_points == 3 and flush.chunks == (0,)
 
     def test_flush_covers_exactly_the_mapped_cells(self, plain):
         """No overflow: the write blocks are precisely the cells'

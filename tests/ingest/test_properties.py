@@ -5,8 +5,8 @@ The contracts the write path leans on:
 * **conservation** — buffered + flushed == streamed for any batch
   split: the final drain acknowledges every point exactly once, and
   the per-chunk stores hold precisely the points routed to them;
-* **routing** — a per-disk write buffer only ever holds chunks whose
-  owning member disk is that buffer's disk;
+* **routing** — flushing one disk flushes only the chunks that disk
+  owns and acknowledges exactly the staged points routed to it;
 * **placement** — a flush's write blocks are exactly the home blocks
   the chunk mappers assign to the staged cells (plus overflow pages),
   so no byte lands outside the mapper's own placement;
@@ -37,11 +37,11 @@ coords_lists = st.lists(
 )
 
 
-def build(small_model, *, shards=0, k=0, ppc=64):
+def build(small_model, *, shards=0, k=0, ppc=64, chunk_shape=None):
     ds = Dataset.create(SHAPE, layout="zorder", drive=small_model,
                         seed=5)
     if shards:
-        ds = ds.with_shards(shards)
+        ds = ds.with_shards(shards, chunk_shape=chunk_shape)
     if k:
         ds = ds.with_replication(k)
     stream = UniformStream(SHAPE, n_points=8, seed=1)
@@ -84,16 +84,36 @@ def test_no_point_lost_or_duplicated(small_model, coords, split):
 
 
 @settings(max_examples=25, deadline=None)
-@given(coords=coords_lists)
-def test_buffers_only_hold_their_own_disks_chunks(small_model, coords):
-    _, pipe = build(small_model, shards=2)
-    pipe.stage(np.asarray(coords, dtype=np.int64))
-    total = 0
-    for disk, chunk_bufs in pipe._buffers.items():
-        for ci, cells in chunk_bufs.items():
-            assert pipe.chunks[ci].disk == disk
-            total += sum(cells.values())
-    assert total == len(coords)
+@given(coords=coords_lists,
+       chunk_shape=st.sampled_from([None, (8, 4, 4), (6, 8, 3)]))
+def test_buffers_only_hold_their_own_disks_chunks(small_model, coords,
+                                                  chunk_shape):
+    """Routing through public output: ``build_flush([d])`` flushes only
+    chunks disk ``d`` owns and acknowledges exactly the staged points
+    whose cell lies in one of them.  Chunk shapes (6, 8, 3) leave
+    smaller edge chunks and give a disk several chunks."""
+    _, pipe = build(small_model, shards=2, chunk_shape=chunk_shape)
+    arr = np.asarray(coords, dtype=np.int64)
+    pipe.stage(arr)
+    origins = np.array([c.origin for c in pipe.chunks])
+    ends = origins + np.array([c.shape for c in pipe.chunks])
+    inside = ((arr[:, None, :] >= origins) & (arr[:, None, :] < ends)).all(-1)
+    assert (inside.sum(axis=1) == 1).all()
+    chunk_of = inside.argmax(axis=1)
+    owner = np.array([c.disk for c in pipe.chunks])[chunk_of]
+    acked = 0
+    for disk in range(pipe.storage.shard_map.n_disks):
+        routed = owner == disk
+        flush = pipe.build_flush([disk])
+        if flush is None:
+            assert not routed.any()
+            continue
+        assert all(pipe.chunks[ci].disk == disk for ci in flush.chunks)
+        assert set(flush.chunks) == set(chunk_of[routed].tolist())
+        assert {s.chunk for s in flush.prepared.sources} == set(flush.chunks)
+        assert flush.n_points == int(routed.sum())
+        acked += flush.n_points
+    assert acked == len(coords)
 
 
 @settings(max_examples=25, deadline=None)

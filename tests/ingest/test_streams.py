@@ -112,6 +112,24 @@ class TestReplayStream:
         with pytest.raises(IngestError):
             ReplayStream(DIMS, coords=np.zeros((0, 3), dtype=np.int64))
 
+    @pytest.mark.parametrize("coords, dtype", [
+        ([[1.7, 2.2, 3.9]], "float64"),
+        ([[0, 0, float("nan")]], "float64"),
+        ([[True, False, True]], "bool"),
+    ])
+    def test_rejects_non_integer_coords(self, coords, dtype):
+        with pytest.raises(IngestError,
+                           match=f"replay coords must be integers.*{dtype}"):
+            ReplayStream(DIMS, coords=coords)
+
+    @pytest.mark.parametrize("row", [[100, 0, 0], [0, -5, 0], [0, 0, 8]])
+    def test_rejects_off_grid_coords(self, row):
+        """Caller coordinates are never clipped onto the grid: the
+        first off-grid row is named instead."""
+        coords = [[1, 1, 1], row]
+        with pytest.raises(IngestError, match=r"row 1 \[.*\] is off"):
+            ReplayStream(DIMS, coords=coords)
+
 
 class TestValidation:
     def test_bad_dims(self):
@@ -125,6 +143,13 @@ class TestValidation:
             UniformStream(DIMS, n_points=0)
         with pytest.raises(IngestError):
             UniformStream(DIMS, batch_points=0)
+
+    def test_non_integer_counts_are_not_truncated(self):
+        with pytest.raises(IngestError, match="n_points must be an integer"):
+            UniformStream(DIMS, n_points=100.7)
+        with pytest.raises(IngestError,
+                           match="batch_points must be an integer"):
+            UniformStream(DIMS, batch_points=True)
 
     def test_bad_cluster_opts(self):
         with pytest.raises(IngestError):
