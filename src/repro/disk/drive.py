@@ -22,11 +22,14 @@ Three scheduling policies are provided for batches:
                 fetches: "the disk's internal scheduler will ensure that
                 they are fetched in the most efficient way").
 
-The batch path is vectorised: per-run geometry is computed with numpy, and
-seek costs are looked up in the model's seek table (seek time by cylinder
-distance, :attr:`DiskModel.seek_table`) rather than evaluated on the
-curve.  For ``"fifo"`` and ``"sorted"`` the only per-run Python work is
-the rotational-position recurrence, which is inherently sequential.
+One cost model serves every batch, and :meth:`DiskDrive.service` is a
+one-run ``"fifo"`` batch.  Per-run geometry and in-run cost are computed
+with numpy, zone by zone for a run that crosses zones, and seek costs are
+looked up in :attr:`DiskModel.seek_table` (seek time by cylinder
+distance).  For ``"fifo"`` and ``"sorted"`` the only per-run Python work
+is the rotational-position recurrence, which is inherently sequential,
+and, with a firmware :class:`TrackCache`, one lookup per run that settles
+the batch's hits before any timing.
 
 An ``"sptf"`` batch takes one scheduling step per request, and a step
 scores only the queued requests that can still win.  The command queue
@@ -60,6 +63,7 @@ No planner issues such batches.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -87,6 +91,13 @@ def _wait_rev(delta: float) -> float:
     """Fractional-revolution wait to reach angle delta ahead (snapped)."""
     w = delta % 1.0
     return 0.0 if w > 1.0 - SNAP_REV else w
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise GeometryError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class TrackCache:
@@ -199,12 +210,18 @@ class DiskDrive:
         Optional firmware segment cache capacity in whole tracks (0 = no
         cache, the default — matching the paper's measured behaviour).
         Cache hits are served at bus speed; see :class:`TrackCache`.
+        An integer >= 0.
     """
 
     #: bus transfer cost per cached block (Ultra160-class, ms)
     CACHE_BLOCK_MS = 0.0032
 
     def __init__(self, model: DiskModel, cache_tracks: int = 0):
+        cache_tracks = _integer("cache_tracks", cache_tracks)
+        if cache_tracks < 0:
+            raise GeometryError(
+                f"cache_tracks must be >= 0, got {cache_tracks}"
+            )
         self.model = model
         self.geometry: DiskGeometry = model.geometry
         self.mechanics: DiskMechanics = model.mechanics
@@ -213,19 +230,27 @@ class DiskDrive:
         self._time_ms = 0.0
         self._track = 0
         self.cache = TrackCache(cache_tracks) if cache_tracks > 0 else None
-        # Exact cost of crossing one in-zone track boundary mid-run:
-        # settle plus the wait for the skewed next track to come around.
+        # Exact cost of crossing a track boundary mid-run: settle, then
+        # the wait for the next track's sector 0, which lies `delta`
+        # revolutions past where the last track ended.  Inside a zone
+        # that is one skew.  A zone's last track ends where its own
+        # sector 0 sits, and the next zone's first track starts at 0.
+        rot = self._rot
         settle = self.mechanics.head_switch_ms
-        self._boundary_cost = np.array(
-            [
-                settle
-                + _wait_rev(
-                    z.skew_sectors / z.sectors_per_track - settle / self._rot
-                )
-                * self._rot
-                for z in self.geometry.zones
-            ]
-        )
+
+        def crossing(delta: float) -> float:
+            return settle + _wait_rev(delta - settle / rot) * rot
+
+        geom = self.geometry
+        self._boundary_cost = np.array([
+            crossing(z.skew_sectors / z.sectors_per_track) for z in geom.zones
+        ])
+        self._exit_cost = np.array([
+            crossing(0.0 - geom.start_angle(
+                geom.zone_lbn_span(z.index)[1] - z.sectors_per_track
+            ))
+            for z in geom.zones
+        ])
 
     # ------------------------------------------------------------------
     # state
@@ -244,8 +269,11 @@ class DiskDrive:
         return self._track // self.geometry.surfaces
 
     def reset(self, track: int = 0, time_ms: float = 0.0) -> None:
+        track = _integer("track", track)
         if not 0 <= track < self.geometry.n_tracks:
             raise GeometryError(f"track {track} out of range")
+        if not (isinstance(time_ms, numbers.Real) and math.isfinite(time_ms)):
+            raise GeometryError(f"time_ms must be finite, got {time_ms!r}")
         self._track = track
         self._time_ms = float(time_ms)
 
@@ -286,102 +314,52 @@ class DiskDrive:
     # single-request service
     # ------------------------------------------------------------------
 
-    def _seek_component(self, target_track: int) -> float:
-        """Seek/settle cost to reach ``target_track`` from the current one."""
-        if target_track == self._track:
-            return 0.0
-        surfaces = self.geometry.surfaces
-        dist = abs(target_track // surfaces - self._track // surfaces)
-        if dist == 0:
-            return float(self.mechanics.head_switch_ms)
-        return float(self.model.seek_table[dist])
-
     def positioning_time(self, lbn: int) -> tuple[float, float]:
-        """(seek_ms, rotation_ms) to position on ``lbn`` — no state change."""
-        geom = self.geometry
-        geom.check_lbn(lbn)
-        track = geom.track_of(lbn)
-        seek = self._seek_component(track)
+        """(seek_ms, rotation_ms) to position on ``lbn`` — no state change.
+
+        The seek follows the batch rule; unlike a serviced run's, the
+        arrival leaves out the command overhead.
+        """
+        lbn = _integer("lbn", lbn)
+        self.geometry.check_lbn(lbn)
+        info = self._prepare_runs([lbn], [1])
+        dist = np.abs(info["cyl0"] - self.current_cylinder)
+        seek = float(self._seek_vector(dist, info["track0"] != self._track)[0])
         arrival = self._time_ms + seek
-        angle = geom.start_angle(lbn)
-        wait = _wait_rev(angle - arrival / self._rot) * self._rot
-        return seek, wait
+        wait = _wait_rev(float(info["a0"][0]) - arrival / self._rot)
+        return seek, wait * self._rot
 
     def service(self, lbn: int, nblocks: int = 1) -> RunTiming:
-        """Service one run of ``nblocks`` consecutive LBNs; advance state."""
-        if nblocks < 1:
-            raise GeometryError("nblocks must be >= 1")
-        geom = self.geometry
-        geom.check_lbn(lbn)
-        geom.check_lbn(lbn + nblocks - 1)
-        start_ms = self._time_ms
-        track = geom.track_of(lbn)
-        if self.cache is not None:
-            last_track = geom.track_of(lbn + nblocks - 1)
-            if self.cache.hit(track, last_track):
-                cost = self._overhead + nblocks * self.CACHE_BLOCK_MS
-                self._time_ms += cost
-                return RunTiming(
-                    start_ms, 0.0, 0.0, nblocks * self.CACHE_BLOCK_MS,
-                    0.0, self._overhead,
-                )
-        seek = self._seek_component(track)
-        arrival = self._time_ms + self._overhead + seek
-        angle = geom.start_angle(lbn)
-        wait = _wait_rev(angle - arrival / self._rot) * self._rot
-        t = arrival + wait
-        transfer, switch, end_track = self._transfer_scalar(lbn, nblocks, t)
-        self._time_ms = t + transfer + switch
-        self._track = end_track
-        if self.cache is not None:
-            self.cache.insert(track, end_track)
-        return RunTiming(start_ms, seek, wait, transfer, switch, self._overhead)
+        """Service one run of ``nblocks`` consecutive LBNs; advance state.
 
-    def _transfer_scalar(
-        self, lbn: int, nblocks: int, t: float
-    ) -> tuple[float, float, int]:
-        """Exact transfer of a run, track by track (handles zone crossings).
-
-        Returns (transfer_ms, switch_ms, final_track).  ``t`` is the time at
-        which the first sector starts passing under the head.
+        A one-run ``"fifo"`` batch: it costs the run exactly as
+        :meth:`service_runs` would, firmware cache included.  The batch
+        machinery makes a call cost ~50 µs of host time (2-vCPU x86),
+        about four times what a per-run scalar path took; only
+        :mod:`repro.disk.characterize` calls it in bulk.
         """
-        geom = self.geometry
-        mech = self.mechanics
-        rot = self._rot
-        track = geom.track_of(lbn)
-        sector = geom.sector_of(lbn)
-        spt = geom.track_length(track)
-        transfer = 0.0
-        switch = 0.0
-        remaining = nblocks
-        while True:
-            burst = min(remaining, spt - sector)
-            transfer += burst * (rot / spt)
-            t += burst * (rot / spt)
-            remaining -= burst
-            if remaining == 0:
-                return transfer, switch, track
-            # cross to the next track: settle, then wait for its first
-            # sector to come around (the skew normally absorbs the settle).
-            track += 1
-            spt = geom.track_length(track)
-            sector = 0
-            t_settle = t + mech.head_switch_ms
-            next_angle = geom.start_angle(geom.track_first_lbn(track))
-            realign = _wait_rev(next_angle - t_settle / rot) * rot
-            switch += mech.head_switch_ms + realign
-            t = t_settle + realign
+        lbn = _integer("lbn", lbn)
+        nblocks = _integer("nblocks", nblocks)
+        if nblocks < 1:
+            raise GeometryError(f"nblocks must be >= 1, got {nblocks}")
+        self.geometry.check_lbn(lbn)
+        self.geometry.check_lbn(lbn + nblocks - 1)
+        start_ms = self._time_ms
+        res = self.service_runs([lbn], [nblocks], policy="fifo")
+        return RunTiming(
+            start_ms, res.seek_ms, res.rotation_ms, res.transfer_ms,
+            res.switch_ms, res.overhead_ms,
+        )
 
     # ------------------------------------------------------------------
     # batch service
     # ------------------------------------------------------------------
 
     def _prepare_runs(self, starts, lengths):
-        """Vectorised per-run geometry needed by the batch schedulers.
+        """Vectorised per-run geometry and cost for the batch schedulers.
 
         Returns a dict of ndarrays: start cylinder/track/angle, end
-        cylinder/track/angle, in-run transfer + switch cost.  Runs that
-        cross a zone boundary are flagged for the exact scalar path.
+        cylinder/track, and each run's in-run transfer and switch cost.
         """
         geom = self.geometry
         rot = self._rot
@@ -393,17 +371,22 @@ class DiskDrive:
             raise GeometryError("run lengths must be >= 1")
         ends = starts + lengths - 1
 
-        zi0, track0, sector0, spt0, a0 = geom.decompose(starts)
-        zie, tracke, sectore, spte, ae = geom.decompose(ends)
+        zi0, track0, _, spt0, a0 = geom.decompose(starts)
+        zie, tracke, _, _, _ = geom.decompose(ends)
 
-        cross_zone = zi0 != zie
         sector_time = rot / spt0
         boundaries = tracke - track0
         transfer = lengths * sector_time
         # Each in-zone boundary costs settle + realign to the skewed next
         # track; that cost depends only on the zone, precomputed at init.
         switch = boundaries * self._boundary_cost[zi0]
-        end_angle = (ae + 1.0 / spte) % 1.0
+        crossing = zi0 != zie
+        if crossing.any():
+            rows = np.flatnonzero(crossing)
+            zones = range(int(zi0[rows].min()), int(zie[rows].max()) + 1)
+            transfer[rows], switch[rows] = self._cross_zone_costs(
+                starts[rows], ends[rows], zones
+            )
 
         surfaces = self.geometry.surfaces
         return {
@@ -414,11 +397,32 @@ class DiskDrive:
             "a0": a0,
             "cyle": tracke // surfaces,
             "tracke": tracke,
-            "end_angle": end_angle,
             "transfer": transfer,
             "switch": switch,
-            "cross_zone": cross_zone,
         }
+
+    def _cross_zone_costs(self, starts, ends, zones):
+        """(transfer, switch) of runs crossing zones, all within ``zones``:
+        in each zone a run touches, its blocks there at that zone's sector
+        time and its track boundaries there at that zone's boundary cost,
+        plus the exit cost of each zone it leaves."""
+        geom = self.geometry
+        transfer = np.zeros(starts.size)
+        switch = np.zeros(starts.size)
+        for z in zones:
+            lo, hi = geom.zone_lbn_span(z)
+            spt = geom.zone(z).sectors_per_track
+            first = np.maximum(starts, lo)
+            last = np.minimum(ends, hi - 1)
+            inside = first <= last
+            blocks = (last - first + 1) * inside
+            tracks = ((last - lo) // spt - (first - lo) // spt) * inside
+            leaves = inside & (ends >= hi)
+            transfer += blocks * (self._rot / spt)
+            switch += (
+                tracks * self._boundary_cost[z] + leaves * self._exit_cost[z]
+            )
+        return transfer, switch
 
     def _seek_vector(self, dist: np.ndarray, moved: np.ndarray) -> np.ndarray:
         """Vectorised seek component for cylinder distances ``dist``:
@@ -451,20 +455,19 @@ class DiskDrive:
         collect:
             If true, return per-request service times and the service order.
 
-        An ``"sptf"`` batch within one zone bypasses the firmware
-        :class:`TrackCache`: it neither consults nor fills it.  With the
-        cache in play a queued request's cost would depend on which
-        tracks happen to be buffered, which every serviced request
-        changes, so the scheduler could no longer rank the queue by
-        head position alone.  (A batch with a zone-crossing run is
-        serviced run by run through :meth:`service`, cache included.)
+        ``"fifo"`` and ``"sorted"`` batches consult and fill the firmware
+        :class:`TrackCache`, if the drive has one.  An ``"sptf"`` batch
+        bypasses it: it neither consults nor fills it.  With the cache in
+        play a queued request's cost would depend on which tracks happen
+        to be buffered, which every serviced request changes, so the
+        scheduler could no longer rank the queue by head position alone.
 
         Raises :class:`GeometryError` for a policy other than the three
         above (checked first, even for an empty batch), for a non-empty
         batch whose ``starts`` or ``lengths`` is not a 1-D integer
         array, for run lengths below 1 or LBNs off the disk, and for an
-        ``"sptf"`` window below 1.  An empty batch is otherwise always
-        legal.
+        ``"sptf"`` window that is not an integer >= 1.  An empty batch is
+        otherwise always legal.
         """
         if policy not in POLICIES:
             raise GeometryError(
@@ -485,11 +488,9 @@ class DiskDrive:
                 raise GeometryError(
                     f"{name} must be integers, got dtype {arr.dtype}"
                 )
-        if policy == "sptf" and window < 1:
+        if policy == "sptf" and _integer("window", window) < 1:
             raise GeometryError(f"sptf window must be >= 1, got {window}")
         info = self._prepare_runs(starts, lengths)
-        if bool(info["cross_zone"].any()):
-            return self._service_cross_zone(starts, lengths, policy, collect)
         if policy == "sorted":
             order = np.argsort(starts, kind="stable")
             return self._service_in_order(info, order, collect)
@@ -508,47 +509,38 @@ class DiskDrive:
     # -- fixed-order servicing (fifo / sorted) -------------------------
 
     def _service_in_order(self, info, order, collect: bool) -> BatchResult:
-        if self.cache is not None:
-            # the cache makes run costs state-dependent; take the exact
-            # scalar path (ablation feature, throughput is secondary)
-            starts = info["starts"]
-            lengths = info["lengths"]
-            timings = [
-                self.service(int(starts[i]), int(lengths[i])) for i in order
-            ]
-            per_request = (
-                np.array([tm.total_ms for tm in timings])
-                if collect
-                else None
-            )
-            return BatchResult(
-                total_ms=sum(tm.total_ms for tm in timings),
-                n_requests=len(timings),
-                n_blocks=int(lengths.sum()),
-                seek_ms=sum(tm.seek_ms for tm in timings),
-                rotation_ms=sum(tm.rotation_ms for tm in timings),
-                transfer_ms=sum(tm.transfer_ms for tm in timings),
-                switch_ms=sum(tm.switch_ms for tm in timings),
-                overhead_ms=sum(tm.overhead_ms for tm in timings),
-                per_request_ms=per_request,
-                order=order if collect else None,
-            )
         rot = self._rot
+        overhead = self._overhead
         n = order.size
-        cyl0 = info["cyl0"][order]
-        track0 = info["track0"][order]
-        a0 = info["a0"][order]
-        cyle = info["cyle"][order]
-        tracke = info["tracke"][order]
-        transfer = info["transfer"][order]
-        switch = info["switch"][order]
+        # The recurrence below runs over `segments` of the mechanically
+        # serviced runs `mech`; a cache hit costs bus time and leaves the
+        # head where it was (see _cache_pass).  Without a cache, `mech`
+        # is the whole batch and one segment.
+        segments = ((0, n, ()),)
+        mech = order
+        if self.cache is not None:
+            bus_xfer = info["lengths"][order] * self.CACHE_BLOCK_MS
+            bus = overhead + bus_xfer
+            misses, segments = self._cache_pass(
+                info["track0"][order].tolist(),
+                info["tracke"][order].tolist(), bus.tolist(),
+            )
+            mech = order[misses]
+        m = mech.size
+        cyl0 = info["cyl0"][mech]
+        track0 = info["track0"][mech]
+        a0 = info["a0"][mech]
+        cyle = info["cyle"][mech]
+        tracke = info["tracke"][mech]
+        transfer = info["transfer"][mech]
+        switch = info["switch"][mech]
 
         # Seek components are order-dependent but fully precomputable.
-        prev_cyl = np.empty(n, dtype=np.int64)
-        prev_cyl[0] = self._track // self.geometry.surfaces
+        prev_cyl = np.empty(m, dtype=np.int64)
+        prev_cyl[:1] = self._track // self.geometry.surfaces
         prev_cyl[1:] = cyle[:-1]
-        prev_track = np.empty(n, dtype=np.int64)
-        prev_track[0] = self._track
+        prev_track = np.empty(m, dtype=np.int64)
+        prev_track[:1] = self._track
         prev_track[1:] = tracke[:-1]
         seeks = self._seek_vector(
             np.abs(cyl0 - prev_cyl), track0 != prev_track
@@ -557,45 +549,77 @@ class DiskDrive:
         # The rotational recurrence is sequential; run it as a tight loop
         # over plain floats.
         t = self._time_ms
-        overhead = self._overhead
         seeks_l = seeks.tolist()
         a0_l = a0.tolist()
         xfer_l = (transfer + switch).tolist()
-        waits = [0.0] * n if collect else None
+        waits = [0.0] * m if collect else None
         rot_total = 0.0
         snap = 1.0 - SNAP_REV
-        for i in range(n):
-            arrival = t + overhead + seeks_l[i]
-            wait = (a0_l[i] - (arrival / rot)) % 1.0
-            if wait > snap:
-                wait = 0.0
-            wait *= rot
-            rot_total += wait
-            t = arrival + wait + xfer_l[i]
-            if collect:
-                waits[i] = wait
+        for lo, hi, delays in segments:
+            for delay in delays:
+                t += delay
+            for i in range(lo, hi):
+                arrival = t + overhead + seeks_l[i]
+                wait = (a0_l[i] - (arrival / rot)) % 1.0
+                if wait > snap:
+                    wait = 0.0
+                wait *= rot
+                rot_total += wait
+                t = arrival + wait + xfer_l[i]
+                if collect:
+                    waits[i] = wait
 
         total = t - self._time_ms
         self._time_ms = t
-        self._track = int(tracke[-1])
+        if m:
+            self._track = int(tracke[-1])
 
+        transfer_ms = float(transfer.sum())
         per_request = None
         if collect:
             per_request = (
                 seeks + np.asarray(waits) + transfer + switch + overhead
             )
+        if m < n:  # some runs hit the cache
+            transfer_ms += float(np.delete(bus_xfer, misses).sum())
+            if collect:
+                bus[misses] = per_request
+                per_request = bus
         return BatchResult(
             total_ms=total,
             n_requests=n,
             n_blocks=int(info["lengths"].sum()),
             seek_ms=float(seeks.sum()),
             rotation_ms=rot_total,
-            transfer_ms=float(transfer.sum()),
+            transfer_ms=transfer_ms,
             switch_ms=float(switch.sum()),
             overhead_ms=overhead * n,
             per_request_ms=per_request,
             order=order if collect else None,
         )
+
+    def _cache_pass(self, track0, tracke, bus):
+        """Look up each run's tracks, in service order, in the cache.
+
+        A run leaves its tracks most recently used whether it hits or
+        misses (and is inserted), so the hits follow from the track
+        ranges alone.  Returns the misses' service positions and
+        segments ``(lo, hi, delays)``: misses ``lo..hi-1`` are consecutive
+        and follow hits costing ``delays`` (from ``bus``) in all.
+        """
+        cache = self.cache
+        misses, segments, delays, lo = [], [], [], 0
+        for p, (first, last) in enumerate(zip(track0, tracke)):
+            if cache.hit(first, last):
+                if len(misses) > lo:
+                    segments.append((lo, len(misses), delays))
+                    lo, delays = len(misses), []
+                delays.append(bus[p])
+            else:
+                cache.insert(first, last)
+                misses.append(p)
+        segments.append((lo, len(misses), delays))
+        return misses, segments
 
     # -- windowed shortest-positioning-time-first -----------------------
 
@@ -730,35 +754,6 @@ class DiskDrive:
             overhead_ms=overhead * n,
             per_request_ms=np.array(per_request) if collect else None,
             order=np.array(order, dtype=np.int64) if collect else None,
-        )
-
-    # -- exact fallback for zone-crossing runs ---------------------------
-
-    def _service_cross_zone(
-        self, starts, lengths, policy: str, collect: bool
-    ) -> BatchResult:
-        order = (
-            np.argsort(starts, kind="stable")
-            if policy == "sorted"
-            else np.arange(starts.size, dtype=np.int64)
-        )
-        timings = []
-        for i in order:
-            timings.append(self.service(int(starts[i]), int(lengths[i])))
-        per_request = (
-            np.array([tm.total_ms for tm in timings]) if collect else None
-        )
-        return BatchResult(
-            total_ms=sum(tm.total_ms for tm in timings),
-            n_requests=len(timings),
-            n_blocks=int(np.asarray(lengths).sum()),
-            seek_ms=sum(tm.seek_ms for tm in timings),
-            rotation_ms=sum(tm.rotation_ms for tm in timings),
-            transfer_ms=sum(tm.transfer_ms for tm in timings),
-            switch_ms=sum(tm.switch_ms for tm in timings),
-            overhead_ms=sum(tm.overhead_ms for tm in timings),
-            per_request_ms=per_request,
-            order=order if collect else None,
         )
 
     # ------------------------------------------------------------------

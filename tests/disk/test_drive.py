@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.disk import DiskDrive, synthetic_disk
 from repro.errors import GeometryError
+from test_service_oracle import reference_batch, reference_service
 
 
 class TestSingleRequests:
@@ -106,14 +107,23 @@ class TestZoneCrossing:
         assert tm.transfer_ms == pytest.approx(expected)
         assert tm.switch_ms > 0
 
-    def test_batch_with_zone_crossing_run_falls_back(self, small_drive):
-        geom = small_drive.geometry
-        lo, hi = geom.zone_lbn_span(0)
-        res = small_drive.service_runs(
-            np.array([hi - 2, 0]), np.array([4, 3]), policy="sorted"
+    def test_batch_with_zone_crossing_run_matches_reference(self,
+                                                            small_model):
+        """A batch holding a zone-crossing run is serviced like any
+        other, and costs what servicing it run by run does."""
+        lo, hi = small_model.geometry.zone_lbn_span(0)
+        starts, lengths = np.array([hi - 2, 0]), np.array([4, 3])
+        drive, ref = DiskDrive(small_model), DiskDrive(small_model)
+        res = drive.service_runs(starts, lengths, policy="sorted",
+                                 collect=True)
+        order, timings = reference_batch(ref, starts, lengths, "sorted")
+        assert (res.n_requests, res.n_blocks) == (2, 7)
+        assert res.order.tolist() == order.tolist() == [1, 0]
+        assert res.per_request_ms.tolist() == pytest.approx(
+            [tm.total_ms for tm in timings], rel=1e-12
         )
-        assert res.n_requests == 2
-        assert res.n_blocks == 7
+        assert drive.now_ms == pytest.approx(ref.now_ms, rel=1e-12)
+        assert drive.current_track == ref.current_track
 
 
 class TestBatchService:
@@ -130,7 +140,7 @@ class TestBatchService:
         d2 = DiskDrive(small_model)
         total = 0.0
         for s, n in zip(starts, lengths):
-            tm = d2.service(int(s), int(n))
+            tm = reference_service(d2, int(s), int(n))
             total += tm.total_ms
         assert batch.total_ms == pytest.approx(total)
         assert d1.now_ms == pytest.approx(d2.now_ms)
@@ -144,7 +154,7 @@ class TestBatchService:
         order = np.argsort(starts)
         d2 = DiskDrive(small_model)
         total = sum(
-            d2.service(int(starts[i]), int(lengths[i])).total_ms
+            reference_service(d2, int(starts[i]), int(lengths[i])).total_ms
             for i in order
         )
         assert batch.total_ms == pytest.approx(total)
@@ -195,8 +205,7 @@ class TestBatchService:
     def test_unknown_policy_rejected_before_any_work(self, small_drive,
                                                      batch):
         """The policy is checked first: a batch with a zone-crossing run
-        (serviced run by run) and an empty batch reject it too, and the
-        head does not move."""
+        and an empty batch reject it too, and the head does not move."""
         hi = small_drive.geometry.zone_lbn_span(0)[1]
         starts, lengths = {
             "zone_crossing": ([hi - 2, 10], [4, 2]),

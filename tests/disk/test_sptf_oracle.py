@@ -8,7 +8,9 @@ The property below pins :meth:`DiskDrive.service_runs` with
 ``policy="sptf"`` to it by exact equality — service order, per-request
 times, every cost total, and the final head track and clock — on every
 registered drive, including the zero-skew toy disk, whose equal costs
-exercise the lowest-issue-index tie-break.
+exercise the lowest-issue-index tie-break.  Batches may hold runs that
+cross a zone boundary: they are scheduled like any other (their costs
+are pinned by ``test_service_oracle.py``).
 
 The drive scores only the queued requests that can still beat the best
 cost, walking the queue in rotational order until a lower bound rules
@@ -117,12 +119,16 @@ def _model(name):
     return get_drive(name).factory()
 
 
-def _batch(model, rng, n, spread, dup_frac, long_runs, wrap=False):
+def _batch(model, rng, n, spread, dup_frac, long_runs, wrap=False,
+           cross=False):
     """``n`` runs inside one zone around a random track: ``spread``
     tracks either side (0 = one track), run lengths up to 4 blocks or
     3 tracks, and a ``dup_frac`` share of exact duplicate runs.  With
     ``wrap`` every run starts within two sectors of angle 0, so the
-    queue's angles straddle the 0/1 wrap."""
+    queue's angles straddle the 0/1 wrap.  With ``cross`` (on a drive
+    with more than one zone) about a third of the runs instead cross
+    the zone's boundary with a neighbour zone, up to two tracks either
+    side."""
     geom = model.geometry
     z = int(rng.integers(len(geom.zones)))
     lo, hi = geom.zone_lbn_span(z)
@@ -141,6 +147,16 @@ def _batch(model, rng, n, spread, dup_frac, long_runs, wrap=False):
     starts = lo + tracks * spt + sectors
     max_len = 3 * spt if long_runs else 4
     lengths = np.minimum(rng.integers(1, max_len + 1, size=n), hi - starts)
+    if cross and len(geom.zones) > 1:
+        b = z + 1 if z + 1 < len(geom.zones) else z  # zone after the edge
+        edge = geom.zone_first_lbn(b)
+        before = geom.zone(b - 1).sectors_per_track
+        after = geom.zone(b).sectors_per_track
+        over = np.flatnonzero(rng.random(n) < 1 / 3)
+        starts[over] = edge - rng.integers(1, 2 * before + 1, size=over.size)
+        lengths[over] = edge - starts[over] + rng.integers(
+            1, 2 * after + 1, size=over.size
+        )
     dup = np.flatnonzero(rng.random(n) < dup_frac)
     src = rng.integers(0, n, size=dup.size)
     starts[dup] = starts[src]
@@ -157,9 +173,8 @@ def _assert_matches_reference(model, starts, lengths, window, collect,
     got = drive.service_runs(
         starts, lengths, policy="sptf", window=window, collect=collect
     )
-    info = ref._prepare_runs(starts, lengths)
-    assert not info["cross_zone"].any()
-    want = reference_sptf(ref, info, window, collect)
+    want = reference_sptf(ref, ref._prepare_runs(starts, lengths), window,
+                          collect)
 
     for field in ("total_ms", "n_requests", "n_blocks", "seek_ms",
                   "rotation_ms", "transfer_ms", "switch_ms",
@@ -190,6 +205,7 @@ def _cases(draw):
         draw(st.sampled_from([0.0, 0.3])),
         draw(st.booleans()),
         draw(st.booleans()),
+        draw(st.booleans()),
     )
 
 
@@ -198,10 +214,11 @@ class TestSPTFMatchesReference:
     @given(_cases())
     def test_bit_identical_to_reference(self, case):
         (name, seed, n, window, collect, spread, dup_frac, long_runs,
-         parked) = case
+         parked, cross) = case
         model = _model(name)
         rng = np.random.default_rng(seed)
-        starts, lengths = _batch(model, rng, n, spread, dup_frac, long_runs)
+        starts, lengths = _batch(model, rng, n, spread, dup_frac, long_runs,
+                                 cross=cross)
         head = (0, 0.0) if parked else DiskDrive(model).draw_position(rng)
         _assert_matches_reference(model, starts, lengths, window, collect,
                                   head)
@@ -218,6 +235,19 @@ class TestSPTFMatchesReference:
         for window in range(1, starts.size + 2):
             _assert_matches_reference(model, starts, lengths, window,
                                       collect, (0, 0.0))
+
+    def test_zone_crossing_batch_in_sptf_order(self):
+        """A batch with a zone-crossing run is scheduled like any other:
+        the request on the head's track goes first although it was
+        issued after the run across the far zone boundary."""
+        model = _model("minidrive")
+        edge = model.geometry.zone_lbn_span(0)[1]
+        starts = np.array([edge - 3, 5], dtype=np.int64)
+        lengths = np.array([6, 1], dtype=np.int64)
+        _assert_matches_reference(model, starts, lengths, 2, True, (0, 0.0))
+        res = DiskDrive(model).service_runs(starts, lengths, policy="sptf",
+                                            window=2, collect=True)
+        assert res.order.tolist() == [1, 0]
 
 
 def _far_head(model, starts, rng, clock, scale):
@@ -254,6 +284,7 @@ def _queue_cases(draw):
         draw(st.booleans()),
         draw(st.sampled_from(["any", "lap", "edge"])),
         draw(st.sampled_from([10.0, 1e6, 1e9])),
+        draw(st.booleans()),
     )
 
 
@@ -262,11 +293,11 @@ class TestPrunedQueueMatchesReference:
     @given(_queue_cases())
     def test_deep_queues_far_heads_late_clocks(self, case):
         (name, seed, n, window, collect, spread, dup_frac, long_runs,
-         wrap, clock, scale) = case
+         wrap, clock, scale, cross) = case
         model = _model(name)
         rng = np.random.default_rng(seed)
         starts, lengths = _batch(model, rng, n, spread, dup_frac,
-                                 long_runs, wrap)
+                                 long_runs, wrap, cross)
         head = _far_head(model, starts, rng, clock, scale)
         _assert_matches_reference(model, starts, lengths, window, collect,
                                   head)
