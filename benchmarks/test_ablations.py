@@ -16,15 +16,14 @@ reproduction to its modelling knobs:
 import numpy as np
 from conftest import run_once
 
+from repro.api import Dataset
 from repro.bench.reporting import render_table
 from repro.core import MultiMapMapper
 from repro.disk import atlas_10k3, synthetic_disk
 from repro.lvm import LogicalVolume, round_robin
-from repro.mappings import ZOrderMapper
-from repro.query import StorageManager, random_range_cube
+from repro.query import BeamQuery
 
 DIMS = (216, 64, 64)
-N_CELLS = int(np.prod(DIMS))
 
 
 def test_sptf_window_sweep(benchmark, report):
@@ -33,12 +32,10 @@ def test_sptf_window_sweep(benchmark, report):
     def run():
         out = {}
         for window in (1, 8, 32, 128, 512):
-            vol = LogicalVolume([atlas_10k3()], depth=128)
-            mm = MultiMapMapper(DIMS, vol)
-            sm = StorageManager(vol, window=window)
+            ds = Dataset.create(DIMS, "multimap", atlas_10k3(), depth=128,
+                                window=window)
             rng = np.random.default_rng(31)
-            q = random_range_cube(DIMS, 1.0, rng)
-            out[window] = sm.range(mm, q.lo, q.hi, rng=rng).total_ms
+            out[window] = ds.range_selectivity(1.0).run(rng=rng).total_ms
         return out
 
     data = run_once(benchmark, run)
@@ -69,18 +66,9 @@ def test_command_overhead_sweep(benchmark, report):
             )
             res = {}
             for which in ("zorder", "multimap"):
-                vol = LogicalVolume([model], depth=128)
-                if which == "multimap":
-                    mapper = MultiMapMapper(DIMS, vol)
-                else:
-                    mapper = ZOrderMapper(
-                        DIMS, vol.allocate_blocks(0, N_CELLS)
-                    )
-                sm = StorageManager(vol)
+                ds = Dataset.create(DIMS, which, model, depth=128)
                 rng = np.random.default_rng(17)
-                res[which] = sm.beam(
-                    mapper, 1, (5, 0, 9), rng=rng
-                ).ms_per_cell
+                res[which] = ds.beam(1, (5, 0, 9)).run(rng=rng).mean()
             rows.append([overhead, round(res["zorder"], 3),
                          round(res["multimap"], 3)])
         return rows
@@ -133,23 +121,21 @@ def test_declustering_scales_throughput(benchmark, report):
 
     def run():
         chunk = (216, 32, 32)
-        n_cells = int(np.prod(chunk))
         out = {}
         for n_disks in (1, 2, 4):
-            vol = LogicalVolume(
-                [atlas_10k3() for _ in range(n_disks)], depth=128
-            )
-            mappers = [
-                MultiMapMapper(chunk, vol, disk)
-                for disk in range(n_disks)
-            ]
-            sm = StorageManager(vol)
+            ds = Dataset.create(
+                (216, 32, 32 * n_disks), "multimap", atlas_10k3(),
+                depth=128,
+            ).with_shards(n_disks, "round_robin", chunk_shape=chunk)
             rng = np.random.default_rng(3)
-            # one beam per chunk; disks service their chunk in parallel,
-            # so elapsed = max over disks, throughput = cells / elapsed
+            # one beam per chunk (chunk i on disk i); disks service their
+            # chunk in parallel, so elapsed = max over disks, throughput
+            # = cells / elapsed
             times = [
-                sm.beam(m, 2, (5, 9, 0), rng=rng).total_ms
-                for m in mappers
+                ds.storage.run_query(
+                    BeamQuery(2, (5, 9, 0), 32 * i, 32 * i + 32), rng=rng
+                ).total_ms
+                for i in range(n_disks)
             ]
             out[n_disks] = {
                 "per_disk_ms": float(np.mean(times)),
@@ -178,33 +164,20 @@ def test_modern_cache_erodes_layout_differences(benchmark, report):
     removes are largely absorbed by the cache instead, and the gap between
     the layouts collapses."""
     from repro.disk import DiskDrive
-    from repro.mappings import NaiveMapper
-    from repro.query import random_beam
 
     def run():
         rows = []
         for cache in (0, 16, 64):
             row = {"cache": cache}
             for which in ("naive", "zorder", "multimap"):
-                vol = LogicalVolume([atlas_10k3()], depth=128)
-                vol.drives[0] = DiskDrive(atlas_10k3(), cache_tracks=cache)
-                if which == "multimap":
-                    mapper = MultiMapMapper(DIMS, vol)
-                elif which == "naive":
-                    mapper = NaiveMapper(
-                        DIMS, vol.allocate_blocks(0, N_CELLS)
-                    )
-                else:
-                    mapper = ZOrderMapper(
-                        DIMS, vol.allocate_blocks(0, N_CELLS)
-                    )
-                sm = StorageManager(vol)
+                ds = Dataset.create(DIMS, which, atlas_10k3(), depth=128)
+                # swap in the cached drive before first use
+                ds.volume.drives[0] = DiskDrive(atlas_10k3(),
+                                                cache_tracks=cache)
                 rng = np.random.default_rng(7)
-                vals = [
-                    sm.beam(mapper, 1, q.fixed, rng=rng).ms_per_cell
-                    for q in (random_beam(DIMS, 1, rng) for _ in range(4))
-                ]
-                row[which] = round(float(np.mean(vals)), 3)
+                row[which] = round(
+                    ds.random_beams(1, 4).run(rng=rng).mean(), 3
+                )
             rows.append(row)
         return rows
 
@@ -245,33 +218,14 @@ def test_gray_curve_baseline(benchmark, report):
     """The related-work Gray-coded curve (Faloutsos 1986): its clustering
     sits with the other curves — between Z-order and Hilbert on most
     workloads — and it shares their streaming penalty on Dim0."""
-    from repro.datasets import build_chunk_mappers
-    from repro.query import random_beam
-
     def run():
-        mappers = build_chunk_mappers(
-            DIMS, atlas_10k3, which=("naive", "zorder", "hilbert", "gray")
-        )
         out = {}
-        for name, (mapper, volume) in mappers.items():
-            sm = StorageManager(volume)
+        for name in ("naive", "zorder", "hilbert", "gray"):
+            ds = Dataset.create(DIMS, name, atlas_10k3, depth=128)
             rng = np.random.default_rng(3)
             out[name] = {
                 f"dim{axis}": round(
-                    float(
-                        np.mean(
-                            [
-                                sm.beam(
-                                    mapper, axis, q.fixed, rng=rng
-                                ).ms_per_cell
-                                for q in (
-                                    random_beam(DIMS, axis, rng)
-                                    for _ in range(3)
-                                )
-                            ]
-                        )
-                    ),
-                    3,
+                    ds.random_beams(axis, 3).run(rng=rng).mean(), 3
                 )
                 for axis in range(3)
             }

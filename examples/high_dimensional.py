@@ -12,26 +12,26 @@ Run:  python examples/high_dimensional.py
 
 import numpy as np
 
+from repro.api import Dataset
 from repro.bench.reporting import render_table
-from repro.core import MultiMapMapper, max_dimensions
+from repro.core import max_dimensions
 from repro.disk import atlas_10k3
-from repro.lvm import LogicalVolume
-from repro.query import StorageManager
 
 
 def main() -> None:
     model = atlas_10k3()
-    vol = LogicalVolume([model], depth=128)
     print(f"D = 128  =>  N_max = {max_dimensions(128)} dimensions\n")
 
     dims = (32,) + (2,) * 7 + (8,)   # 9-D, inner sides at the K_i = 2 limit
-    mapper = MultiMapMapper(dims, vol, strategy="volume")
+    ds = Dataset.create(dims, "multimap", model, depth=128,
+                        strategy="volume")
+    mapper = ds.mapper
     print(f"dataset {dims}  ({mapper.n_cells} cells)")
     print(f"basic cube K = {mapper.K}")
     print(f"inner volume prod(K1..K7) = {int(np.prod(mapper.K[1:-1]))} "
           f"(= D: Equation 3 is tight)\n")
 
-    drive = vol.drive(0)
+    drive = ds.volume.drive(0)
     geom = model.geometry
     rows = []
     for axis in (1, 4, 7, 8):
@@ -58,9 +58,8 @@ def main() -> None:
         ["axis", "step", "tracks apart", "hop ms", "rotational wait ms"],
         rows,
     ))
-    sm = StorageManager(vol)
-    res = sm.beam(mapper, 0, (0,) * 9, rng=np.random.default_rng(1))
-    print(f"\ndim0 beam streams at {res.ms_per_cell:.3f} ms/cell")
+    report = ds.beam(0, (0,) * 9).run(rng=np.random.default_rng(1))
+    print(f"\ndim0 beam streams at {report.mean():.3f} ms/cell")
     print(
         "Every hop costs one settle with zero rotational latency, even"
         "\nthe dim8 hop spanning all 128 adjacent tracks — the whole"

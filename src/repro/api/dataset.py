@@ -12,12 +12,12 @@ a registered layout's mappers, the storage manager, and (optionally, via
     report = ds.random_beams(axis=1, n=5).run()
     print(report.render_table())
 
-Layouts and drives resolve through :mod:`repro.api.registry`, and the
-wiring goes through the same :func:`~repro.api.registry.build_mapper`
-helper as :func:`repro.datasets.grid.build_chunk_mappers`, so a façade
-stack is bit-identical to a hand-wired one.  ``with_layout`` clones the
-dataset under another mapping on a fresh identical volume — the paper's
-fairness condition for layout comparisons.
+Layouts and drives resolve through :mod:`repro.api.registry`, and every
+chunk copy is placed by :func:`~repro.api.registry.build_mapper`.
+``with_layout`` clones the dataset under another mapping on a fresh
+identical volume — the paper's fairness condition for layout
+comparisons.  The §5 figures (:mod:`repro.bench.figures`) run on this
+façade, one dataset per layout.
 
 One storage path: every dataset runs on a
 :class:`~repro.shard.ShardedStorageManager` of n member disks × k
@@ -52,7 +52,7 @@ from repro.disk.models import DiskModel
 from repro.errors import DatasetError, QueryError
 from repro.lvm.volume import LogicalVolume
 from repro.query.executor import QueryResult
-from repro.query.scheduler import SPTF_RUN_LIMIT
+from repro.query.scheduler import DEFAULT_WINDOW, SPTF_RUN_LIMIT
 from repro.query.workload import (
     BeamQuery,
     RangeQuery,
@@ -89,7 +89,8 @@ class QueryBatch:
     *lazy* (random beams and random range cubes), in which case the query
     is drawn from the run's generator immediately before execution — the
     same interleaving as the paper's "averaged over runs at random
-    locations" methodology, and stream-compatible with hand-wired loops.
+    locations" methodology: each query, then its head position, comes
+    from the one generator.
     """
 
     def __init__(self, dataset: Dataset):
@@ -188,7 +189,7 @@ class QueryBatch:
         n_rep = self._repeats if repeats is None else int(repeats)
         if n_rep < 1:
             raise QueryError("repeats must be >= 1")
-        storage, mapper = ds.storage, ds.mapper
+        storage = ds.storage
         records = []
         for rep in range(n_rep):
             for entry in self._entries:
@@ -202,7 +203,7 @@ class QueryBatch:
                         q = BeamQuery(q.axis, q.fixed, lo, hi)
                 else:  # random_range
                     q = random_range_cube(ds.shape, entry[1], rng)
-                res = storage.run_query(mapper, q, rng=rng)
+                res = storage.run_query(q, rng=rng)
                 records.append(make_record(q, res, rep))
         meta = {"repeats": n_rep, "seed": ds.seed}
         if ds.cache is not None and ds.cache.active:
@@ -248,7 +249,8 @@ class Dataset:
     storage manager behind one object.  Use :meth:`create`."""
 
     def __init__(self, *, shape, layout, drive, cell_blocks=1, depth=None,
-                 seed=None, window=128, sptf_run_limit=SPTF_RUN_LIMIT,
+                 seed=None, window=DEFAULT_WINDOW,
+                 sptf_run_limit=SPTF_RUN_LIMIT,
                  coalesce_gap_blocks=24, layout_opts=None):
         self.shape = tuple(int(s) for s in shape)
         self.layout = str(layout)
@@ -291,17 +293,18 @@ class Dataset:
     @classmethod
     def create(cls, shape, layout: str = "multimap",
                drive="atlas10k3", *, cell_blocks: int = 1,
-               depth: int | None = None, seed=None, window: int = 128,
+               depth: int | None = None, seed=None,
+               window: int = DEFAULT_WINDOW,
                sptf_run_limit: int = SPTF_RUN_LIMIT,
                coalesce_gap_blocks: int = 24,
                **layout_opts) -> "Dataset":
         """Build the full stack for ``shape`` under a registered layout.
 
-        Parameters mirror the hand-wired idiom: ``depth`` pins the
-        adjacency depth D; the default ``None`` uses the drive's native
-        settle region, which is 128 on both paper drives — exactly the
-        value the paper's prototype pins — while small test/toy disks get
-        their own maximum instead of an out-of-range error.
+        ``depth`` pins the adjacency depth D; the default ``None`` uses
+        the drive's native settle region, which is 128 on both paper
+        drives — exactly the value the paper's prototype pins — while
+        small test/toy disks get their own maximum instead of an
+        out-of-range error.
         ``cell_blocks`` is the LBNs per cell (§5.2 maps one cell to one
         512-byte block), and ``**layout_opts`` pass through to the mapper
         (e.g. MultiMap's ``strategy=`` / ``zones=``).
@@ -1011,14 +1014,15 @@ class Dataset:
         return store.bulk_load(coords, counts)
 
     def insert(self, cell_coord, n: int = 1) -> str:
-        store = self.store  # resolve (and gate sharded) first
+        # the store validates before it changes anything; only then
+        # drop the cell's cached frames
+        where = self.store.insert(cell_coord, n)
         self._invalidate_cell_blocks(cell_coord)
-        return store.insert(cell_coord, n)
+        return where
 
     def delete(self, cell_coord, n: int = 1) -> None:
-        store = self.store
+        self.store.delete(cell_coord, n)
         self._invalidate_cell_blocks(cell_coord)
-        store.delete(cell_coord, n)
 
     @property
     def needs_reorganization(self) -> bool:

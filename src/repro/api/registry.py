@@ -1,8 +1,8 @@
 """String-keyed registries for layouts and drive models.
 
-The façade (:mod:`repro.api.dataset`) and the chunk factory
-(:func:`repro.datasets.grid.build_chunk_mappers`) both resolve layout and
-drive names through the registries below, so every consumer constructs
+The façade (:mod:`repro.api.dataset`) resolves layout and drive names
+through the registries below, and its storage manager places every
+chunk copy through :func:`build_mapper`, so every consumer constructs
 identical stacks.  Entries are contributed by the defining modules via
 decorators::
 
@@ -164,11 +164,11 @@ def build_mapper(layout, dims, volume, disk: int = 0, *,
                  cell_blocks: int = 1, **layout_opts):
     """Construct a registered layout's mapper on ``volume``.
 
-    This is the single wiring point shared by :class:`repro.api.Dataset`
-    and :func:`repro.datasets.grid.build_chunk_mappers`, so both produce
-    bit-identical placements: ``"extent"`` layouts get one
-    ``allocate_blocks`` extent sized ``n_cells * cell_blocks``; ``"volume"``
-    layouts drive the LVM interface themselves.
+    This is the single wiring point behind every
+    :class:`repro.api.Dataset`: its storage manager builds each chunk
+    copy here.  ``"extent"`` layouts get one ``allocate_blocks`` extent
+    sized ``n_cells * cell_blocks``; ``"volume"`` layouts drive the LVM
+    interface themselves.
     """
     import numpy as np
 

@@ -121,7 +121,14 @@ def _positive_int(text: str) -> int:
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v)
+    """Argparse type for comma-separated integers (``16,8,8``); a bad
+    entry exits 2 with a usage message instead of a traceback."""
+    try:
+        return tuple(int(v) for v in text.split(",") if v)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _csv_strs(text: str) -> tuple[str, ...]:
@@ -165,13 +172,13 @@ def _add_storm_flags(p, *, sweep: bool, clients, queries: int) -> None:
     """The workload flags of the storm subcommands: ``traffic`` sweeps
     layouts x client counts (``sweep``, ``clients`` a comma-separated
     list); ``trace`` and ``dashboard`` run one storm on one layout."""
-    p.add_argument("--shape", default="64,64,32",
+    p.add_argument("--shape", default="64,64,32", type=_csv_ints,
                    help="dataset dims, comma-separated (default 64,64,32)")
     if sweep:
         p.add_argument("--layouts",
                        default="naive,zorder,hilbert,multimap",
                        help="comma-separated registered layouts")
-        p.add_argument("--clients", default=clients,
+        p.add_argument("--clients", default=clients, type=_csv_ints,
                        help="comma-separated client counts to sweep")
     else:
         p.add_argument("--layout", default="multimap",
@@ -217,9 +224,9 @@ def _traffic_main(args) -> int:
     arrival = arrival_named(args.arrival, rate=args.rate,
                             think_ms=args.think_ms)
     data = run_storm(
-        _csv_ints(args.shape),
+        args.shape,
         layouts=_csv_strs(args.layouts),
-        client_counts=_csv_ints(args.clients),
+        client_counts=args.clients,
         drive=args.drive,
         queries_per_client=args.queries,
         mix=args.mix,
@@ -236,14 +243,14 @@ def _cache_main(args) -> int:
     from repro.cache import render_cache_sweep, run_cache_sweep
 
     data = run_cache_sweep(
-        _csv_ints(args.shape),
+        args.shape,
         layouts=_csv_strs(args.layouts),
-        capacities=_csv_ints(args.capacities),
+        capacities=args.capacities,
         policy=args.policy,
         prefetch=args.prefetch,
         n_beams=args.beams,
         repeats=args.repeats,
-        axes=_csv_ints(args.axes),
+        axes=args.axes,
         region_frac=args.region,
         drive=args.drive,
         seed=args.seed,
@@ -260,12 +267,13 @@ def _add_cache_parser(subparsers) -> None:
         "cache hit ratio, prefetch accuracy, and query timings — the "
         "memory half of MultiMap's locality dividend.",
     )
-    p.add_argument("--shape", default="120,16,16",
+    p.add_argument("--shape", default="120,16,16", type=_csv_ints,
                    help="dataset dims, comma-separated; the default "
                    "fills whole minidrive tracks along dim 0")
     p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
                    help="comma-separated registered layouts")
     p.add_argument("--capacities", default="0,4096,12288,24576",
+                   type=_csv_ints,
                    help="comma-separated pool capacities in blocks "
                    "(0 = uncached baseline)")
     p.add_argument("--policy", default="lru",
@@ -276,7 +284,7 @@ def _add_cache_parser(subparsers) -> None:
                    help="beams per round (default 16)")
     p.add_argument("--repeats", type=int, default=3,
                    help="rounds over the same beams (default 3)")
-    p.add_argument("--axes", default="1",
+    p.add_argument("--axes", default="1", type=_csv_ints,
                    help="beam axes, cycled (default 1)")
     p.add_argument("--region", type=float, default=0.4,
                    help="fraction of each dim beam anchors cluster in")
@@ -292,13 +300,13 @@ def _scale_main(args) -> int:
     from repro.shard import render_scale_sweep, run_scale_sweep
 
     data = run_scale_sweep(
-        _csv_ints(args.shape),
+        args.shape,
         layouts=_csv_strs(args.layouts),
-        shard_counts=_csv_ints(args.shards),
+        shard_counts=args.shards,
         strategy=args.strategy,
         split_axis=args.split_axis,
         n_beams=args.beams,
-        axes=_csv_ints(args.axes) if args.axes else None,
+        axes=args.axes or None,
         drive=args.drive,
         seed=args.seed,
     )
@@ -315,11 +323,11 @@ def _add_scale_parser(subparsers) -> None:
         "speedup per mapping — the multi-disk half of MultiMap's "
         "locality dividend.",
     )
-    p.add_argument("--shape", default="64,64,32",
+    p.add_argument("--shape", default="64,64,32", type=_csv_ints,
                    help="dataset dims, comma-separated (default 64,64,32)")
     p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
                    help="comma-separated registered layouts")
-    p.add_argument("--shards", default="1,2,4",
+    p.add_argument("--shards", default="1,2,4", type=_csv_ints,
                    help="comma-separated shard counts to sweep")
     p.add_argument("--strategy", default="disk_modulo",
                    help="registered declustering strategy "
@@ -328,7 +336,7 @@ def _add_scale_parser(subparsers) -> None:
                    help="axis the chunking slabs (default 1)")
     p.add_argument("--beams", type=int, default=12,
                    help="beams in the fixed workload (default 12)")
-    p.add_argument("--axes", default=None,
+    p.add_argument("--axes", default=None, type=_csv_ints,
                    help="beam axes, cycled (default: every non-streaming "
                    "axis)")
     p.add_argument("--drive", default="atlas10k3",
@@ -403,14 +411,14 @@ def _avail_main(args) -> int:
     from repro.replica import render_avail_sweep, run_avail_sweep
 
     data = run_avail_sweep(
-        _csv_ints(args.shape),
+        args.shape,
         layouts=_csv_strs(args.layouts),
-        ks=_csv_ints(args.ks),
+        ks=args.ks,
         n_disks=args.disks,
         placement=args.placement,
         read_policy=args.read_policy,
         n_beams=args.beams,
-        axes=_csv_ints(args.axes) if args.axes else None,
+        axes=args.axes or None,
         drive=args.drive,
         seed=args.seed,
         kill_disk=args.kill_disk,
@@ -428,11 +436,11 @@ def _add_avail_parser(subparsers) -> None:
         "single-failure availability — the fault-tolerance half of "
         "MultiMap's locality dividend.",
     )
-    p.add_argument("--shape", default="64,16,16",
+    p.add_argument("--shape", default="64,16,16", type=_csv_ints,
                    help="dataset dims, comma-separated (default 64,16,16)")
     p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
                    help="comma-separated registered layouts")
-    p.add_argument("--ks", default="1,2,3",
+    p.add_argument("--ks", default="1,2,3", type=_csv_ints,
                    help="comma-separated replication factors to sweep")
     p.add_argument("--disks", type=int, default=3,
                    help="member disks (>= max k, default 3)")
@@ -444,7 +452,7 @@ def _add_avail_parser(subparsers) -> None:
                    "(primary, round_robin, least_loaded, ...)")
     p.add_argument("--beams", type=int, default=8,
                    help="beams in the fixed workload (default 8)")
-    p.add_argument("--axes", default=None,
+    p.add_argument("--axes", default=None, type=_csv_ints,
                    help="beam axes, cycled (default: every non-streaming "
                    "axis)")
     p.add_argument("--kill-disk", type=int, default=None,
@@ -461,7 +469,7 @@ def _ingest_main(args) -> int:
     from repro.ingest import render_ingest_sweep, run_ingest_sweep
 
     data = run_ingest_sweep(
-        _csv_ints(args.shape),
+        args.shape,
         layouts=_csv_strs(args.layouts),
         loaders=_csv_strs(args.loaders),
         stream=args.stream,
@@ -488,7 +496,7 @@ def _add_ingest_parser(subparsers) -> None:
         "overflow per mapping — the write-path half of MultiMap's "
         "locality dividend.",
     )
-    p.add_argument("--shape", default="64,16,16",
+    p.add_argument("--shape", default="64,16,16", type=_csv_ints,
                    help="dataset dims, comma-separated (default 64,16,16)")
     p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
                    help="comma-separated registered layouts")
@@ -528,7 +536,7 @@ def _perf_main(args) -> int:
     baseline = (load_report(args.check, BenchmarkError)
                 if args.check else None)
     data = run_perf_sweep(
-        _csv_ints(args.shape),
+        args.shape,
         layouts=_csv_strs(args.layouts),
         drive=args.drive,
         n_beams=args.beams,
@@ -568,7 +576,7 @@ def _add_perf_parser(subparsers) -> None:
         " before timing is trusted).  With --check, gate the numbers "
         "against a pinned baseline JSON and exit 1 on regression.",
     )
-    p.add_argument("--shape", default="64,64,32",
+    p.add_argument("--shape", default="64,64,32", type=_csv_ints,
                    help="dataset dims, comma-separated (default 64,64,32)")
     p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
                    help="comma-separated registered layouts")
@@ -625,7 +633,7 @@ def _trace_main(args) -> int:
     from repro.obs.trace_cmd import render_trace, run_trace
 
     data, tele = run_trace(
-        _csv_ints(args.shape),
+        args.shape,
         top=args.top,
         bins=args.bins,
         exporter=args.export,
@@ -676,7 +684,7 @@ def _dashboard_main(args) -> int:
     from repro.monitor.dashboard import render_dashboard, run_dashboard
 
     data, tele = run_dashboard(
-        _csv_ints(args.shape),
+        args.shape,
         window_ms=args.window_ms,
         shards=args.shards,
         k=args.k,
@@ -735,11 +743,11 @@ def _explain_main(args) -> int:
     from repro.explain import render_explain, run_explain
 
     data = run_explain(
-        _csv_ints(args.shape),
+        args.shape,
         layouts=_csv_strs(args.layouts),
         drive=args.drive,
         axis=args.axis,
-        fixed=_csv_ints(args.fixed) if args.fixed else None,
+        fixed=args.fixed or None,
         box=args.box,
         shards=args.shards,
         k=args.k,
@@ -768,7 +776,7 @@ def _add_explain_parser(subparsers) -> None:
         "per phase and per disk.  --model prints the analytic model's "
         "predicted beam/range speedups.",
     )
-    p.add_argument("--shape", default="240,12,12",
+    p.add_argument("--shape", default="240,12,12", type=_csv_ints,
                    help="dataset dimensions, comma separated")
     p.add_argument("--layouts", default="multimap",
                    help="comma-separated layouts to explain")
@@ -776,7 +784,7 @@ def _add_explain_parser(subparsers) -> None:
                    help="drive model (see --list-drives)")
     p.add_argument("--axis", type=int, default=None,
                    help="beam axis (default 0)")
-    p.add_argument("--fixed", default=None,
+    p.add_argument("--fixed", default=None, type=_csv_ints,
                    help="beam's pinned coordinates, comma separated "
                    "(default: centre of each other dimension)")
     p.add_argument("--box", type=_parse_box, default=None,

@@ -6,6 +6,14 @@ paper-style tables and EXPERIMENTS.md can diff against the published
 values.  Scale is controlled by a :class:`Scale` preset: ``paper`` runs
 the full chunk sizes and sweeps, ``small`` shrinks them for CI runs while
 preserving each experiment's structure.
+
+The grid figures (6a, 6b, 8 and the model check) run on one
+:class:`~repro.api.Dataset` per layout — fresh identical disks for each,
+the paper's fairness condition — so they take the same storage path as
+every other workload and EXPLAIN.  Each passes its own generator to
+``run``, which draws every query and then its head position from it.
+Fig. 7's leaf layouts are not registered layouts, so those figures
+service their plans on the drive directly.
 """
 
 from __future__ import annotations
@@ -16,11 +24,11 @@ import numpy as np
 
 from repro.analytic.model import AnalyticModel, DriveParameters
 from repro.datasets.earthquake import EarthquakeDataset, build_leaf_layouts
-from repro.datasets.grid import MAPPER_ORDER, build_chunk_mappers
+from repro.datasets.grid import MAPPER_ORDER
 from repro.datasets.olap import OLAP_CHUNK_DIMS, paper_olap_queries
 from repro.disk import AdjacencyModel, DiskDrive, paper_disks
 from repro.disk.characterize import measure_seek_profile
-from repro.query import StorageManager, random_beam, random_range_cube
+from repro.query.scheduler import DEFAULT_WINDOW
 
 __all__ = [
     "Scale",
@@ -162,24 +170,26 @@ def fig1b_semi_sequential(n: int = 300, seed: int = 7) -> dict:
 # Figure 6: synthetic 3-D dataset
 # ---------------------------------------------------------------------
 
+def _grid_datasets(shape, model, layouts=MAPPER_ORDER) -> dict:
+    """One dataset per layout, each on its own fresh disk of ``model``."""
+    # imported here: repro.api loads repro.bench for its report tables
+    from repro.api import Dataset
+
+    return {name: Dataset.create(shape, name, model) for name in layouts}
+
+
 def fig6a_beam(scale: Scale = PAPER_SCALE, seed: int = 42) -> dict:
     """Figure 6(a): beam queries per dimension, avg I/O time per cell."""
     out = {}
     for disk_name, model in _models().items():
-        mappers = build_chunk_mappers(scale.chunk_dims, lambda m=model: m)
+        datasets = _grid_datasets(scale.chunk_dims, model)
         per_mapper = {}
-        for mname in MAPPER_ORDER:
-            mapper, volume = mappers[mname]
-            sm = StorageManager(volume)
+        for mname, ds in datasets.items():
             axes = {}
             for axis in range(len(scale.chunk_dims)):
                 rng = np.random.default_rng(seed + axis)
-                vals = []
-                for _ in range(scale.beam_runs):
-                    q = random_beam(scale.chunk_dims, axis, rng)
-                    r = sm.beam(mapper, q.axis, q.fixed, rng=rng)
-                    vals.append(r.ms_per_cell)
-                axes[f"dim{axis}"] = round(float(np.mean(vals)), 4)
+                report = ds.random_beams(axis, scale.beam_runs).run(rng=rng)
+                axes[f"dim{axis}"] = round(report.mean("ms_per_cell"), 4)
             per_mapper[mname] = axes
         out[disk_name] = per_mapper
     return out
@@ -189,19 +199,14 @@ def fig6b_range(scale: Scale = PAPER_SCALE, seed: int = 99) -> dict:
     """Figure 6(b): range-query speedup relative to Naive vs selectivity."""
     out = {}
     for disk_name, model in _models().items():
-        mappers = build_chunk_mappers(scale.chunk_dims, lambda m=model: m)
-        totals: dict[str, dict[float, float]] = {m: {} for m in MAPPER_ORDER}
+        datasets = _grid_datasets(scale.chunk_dims, model)
+        totals: dict[str, dict[float, float]] = {m: {} for m in datasets}
         for sel in scale.selectivities:
-            for mname in MAPPER_ORDER:
-                mapper, volume = mappers[mname]
-                sm = StorageManager(volume)
+            for mname, ds in datasets.items():
                 rng = np.random.default_rng(seed)
-                vals = []
-                for _ in range(scale.range_runs):
-                    q = random_range_cube(scale.chunk_dims, sel, rng)
-                    r = sm.range(mapper, q.lo, q.hi, rng=rng)
-                    vals.append(r.total_ms)
-                totals[mname][sel] = float(np.mean(vals))
+                report = (ds.range_selectivity(sel)
+                          .repeats(scale.range_runs).run(rng=rng))
+                totals[mname][sel] = report.mean("total_ms")
         speedups = {
             mname: {
                 sel: round(totals["naive"][sel] / t, 3)
@@ -240,7 +245,6 @@ def fig7a_beam(scale: Scale = PAPER_SCALE, seed: int = 11) -> dict:
     for disk_name, layouts in all_layouts.items():
         per_mapper = {}
         for mname, layout in layouts.items():
-            sm = StorageManager(layout.volume)
             axes = {}
             for axis, label in enumerate("XYZ"):
                 rng = np.random.default_rng(seed + axis)
@@ -255,7 +259,7 @@ def fig7a_beam(scale: Scale = PAPER_SCALE, seed: int = 11) -> dict:
                     drive.randomize_position(rng)
                     res = drive.service_runs(
                         plan.starts, plan.lengths, policy=plan.policy,
-                        window=sm.window,
+                        window=DEFAULT_WINDOW,
                     )
                     vals.append(res.total_ms / leaves.size)
                 axes[label] = round(float(np.mean(vals)), 4)
@@ -278,7 +282,6 @@ def fig7b_range(scale: Scale = PAPER_SCALE, seed: int = 13) -> dict:
         per_mapper: dict = {}
         counts = {}
         for mname, layout in layouts.items():
-            sm = StorageManager(layout.volume)
             series = {}
             for sel in scale.quake_selectivities:
                 rng = np.random.default_rng(seed)
@@ -294,7 +297,7 @@ def fig7b_range(scale: Scale = PAPER_SCALE, seed: int = 13) -> dict:
                     drive.randomize_position(rng)
                     res = drive.service_runs(
                         plan.starts, plan.lengths, policy=plan.policy,
-                        window=sm.window,
+                        window=DEFAULT_WINDOW,
                     )
                     vals.append(res.total_ms)
                 series[sel] = round(float(np.mean(vals)), 2)
@@ -313,17 +316,15 @@ def fig8_olap(scale: Scale = PAPER_SCALE, seed: int = 23) -> dict:
     """Figure 8: the five OLAP queries, avg I/O time per cell."""
     out = {}
     for disk_name, model in _models().items():
-        mappers = build_chunk_mappers(scale.olap_chunk, lambda m=model: m)
+        datasets = _grid_datasets(scale.olap_chunk, model)
         per_mapper = {}
-        for mname in MAPPER_ORDER:
-            mapper, volume = mappers[mname]
-            sm = StorageManager(volume)
+        for mname, ds in datasets.items():
             series = {}
             for run in range(scale.olap_runs):
                 rng = np.random.default_rng(seed + run)
                 queries = paper_olap_queries(scale.olap_chunk, rng)
-                for qname, query in queries.items():
-                    res = sm.run_query(mapper, query, rng=rng)
+                report = ds.run(list(queries.values()), rng=rng)
+                for qname, res in zip(queries, report.results):
                     series.setdefault(qname, []).append(res.ms_per_cell)
             per_mapper[mname] = {
                 q: round(float(np.mean(v)), 4) for q, v in series.items()
@@ -380,21 +381,17 @@ def model_validation(scale: Scale = SMALL_SCALE, seed: int = 5) -> dict:
     for disk_name, model in _models().items():
         params = DriveParameters.from_model(model)
         analytic = AnalyticModel(params)
-        mappers = build_chunk_mappers(
-            dims, lambda m=model: m, which=("naive", "multimap")
-        )
+        datasets = _grid_datasets(dims, model, ("naive", "multimap"))
         rows = {}
-        for mname in ("naive", "multimap"):
-            mapper, volume = mappers[mname]
-            sm = StorageManager(volume)
+        for mname, ds in datasets.items():
             for axis in range(3):
                 rng = np.random.default_rng(seed)
-                q = random_beam(dims, axis, rng)
-                sim = sm.beam(mapper, q.axis, q.fixed, rng=rng).total_ms
+                sim = ds.random_beams(axis, 1).run(rng=rng).total_ms
                 if mname == "naive":
                     pred = analytic.naive_beam_ms(dims, axis)
                 else:
-                    pred = analytic.multimap_beam_ms(dims, axis, mapper.K)
+                    pred = analytic.multimap_beam_ms(dims, axis,
+                                                     ds.mapper.K)
                 rows[f"{mname}_beam_dim{axis}"] = {
                     "simulated_ms": round(sim, 2),
                     "predicted_ms": round(pred, 2),

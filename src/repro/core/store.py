@@ -21,6 +21,7 @@ import numpy as np
 from repro.errors import DatasetError, MappingError
 from repro.lvm.volume import LogicalVolume
 from repro.mappings.base import Mapper, RequestPlan, coalesce_ranks
+from repro.query.workload import _check_ints
 
 __all__ = ["CellStore", "StoreStats"]
 
@@ -105,6 +106,25 @@ class CellStore:
             strides.append(strides[-1] * s)
         return arr @ np.asarray(strides, dtype=np.int64)
 
+    def _cells(self, coords) -> np.ndarray:
+        """Flat indices of caller coordinates, checked by the mapper
+        (integer dtype, rank, bounds; :class:`QueryError` otherwise)."""
+        return self._flat(self.mapper._check_coords(coords))
+
+    def _cell(self, cell_coord) -> int:
+        """One caller coordinate's flat index; each entry must be an
+        integer (numpy would read ``(True, 0, 0)`` as row 1)."""
+        return int(self._cells(_check_ints("cell_coord", cell_coord))[0])
+
+    @staticmethod
+    def _check_n(n, least: int = 1) -> int:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) \
+                or n < least:
+            raise DatasetError(
+                f"n must be an integer >= {least}, got {n!r}"
+            )
+        return int(n)
+
     # ------------------------------------------------------------------
     # loading and updates
     # ------------------------------------------------------------------
@@ -115,11 +135,21 @@ class CellStore:
         ``coords`` are cell coordinates (repeats allowed); ``counts``
         optionally gives points per row.  Returns the number of points
         that exceeded the fill-factor budget and went to overflow pages.
+        Bad coordinates raise :class:`QueryError` and bad counts
+        :class:`DatasetError`, before anything is stored.
         """
-        flat = self._flat(coords)
+        flat = self._cells(coords)
         if counts is None:
             counts = np.ones(flat.shape, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
+        else:
+            counts = np.asarray(counts)
+            if counts.dtype.kind not in "iu" or counts.shape != flat.shape \
+                    or (counts.size and counts.min() < 0):
+                raise DatasetError(
+                    f"counts must hold one non-negative integer per "
+                    f"coordinate row ({flat.size} rows)"
+                )
+            counts = counts.astype(np.int64, copy=False)
         budget = int(self.points_per_cell * self.fill_factor)
         budget = max(budget, 1)
         overflowed = 0
@@ -142,8 +172,11 @@ class CellStore:
         ``"overflow"`` when an overflow page had to absorb them (§4.6:
         "If there is free space in the destination cell, new points will
         be stored there.  Otherwise, an overflow page will be created").
+        A bad coordinate raises :class:`QueryError` and an ``n`` below 1
+        :class:`DatasetError`, before anything is stored.
         """
-        cell = int(self._flat(cell_coord)[0])
+        cell = self._cell(cell_coord)
+        n = self._check_n(n)
         free = self.points_per_cell - int(self._occupancy[cell])
         self._loaded[cell] = True
         if n <= free:
@@ -156,8 +189,10 @@ class CellStore:
         return "overflow"
 
     def delete(self, cell_coord, n: int = 1) -> None:
-        """Remove points, draining overflow chains first."""
-        cell = int(self._flat(cell_coord)[0])
+        """Remove points, draining overflow chains first (inputs are
+        checked as in :meth:`insert`; ``n = 0`` is a no-op)."""
+        cell = self._cell(cell_coord)
+        n = self._check_n(n, least=0)  # deleting nothing is a no-op
         chain = self._overflow.get(cell, [])
         while n > 0 and chain:
             page = chain[-1]

@@ -9,7 +9,6 @@ from repro.datasets.grid import (
     MAPPER_ORDER,
     Chunk,
     GridDataset,
-    build_chunk_mappers,
     paper_synthetic_3d,
 )
 from repro.datasets.olap import (
@@ -39,7 +38,6 @@ __all__ = [
     "OLAP_ROLLED_DIMS",
     "P_TYPES",
     "TPCH_DOMAINS",
-    "build_chunk_mappers",
     "build_leaf_layouts",
     "generate_fact_table",
     "paper_olap_queries",

@@ -2,12 +2,10 @@
 
 The synthetic evaluation dataset is a uniform 1024³ cell grid partitioned
 into chunks of at most 259³ cells, each chunk mapped to one disk of the
-volume.  This module provides the dataset descriptor, the chunker, and a
-factory that builds all four mappings for one chunk on a fresh volume so
-experiments compare layouts on identical storage.  Layout construction
-routes through the :mod:`repro.api.registry` registries — the same path
-the :class:`repro.api.Dataset` façade uses, which is the preferred entry
-point for new code.
+volume.  This module provides the dataset descriptor and the chunker
+behind :meth:`GridDataset.shard_map`; layouts are placed on a chunk by
+:class:`repro.api.Dataset`, one dataset per layout on fresh identical
+disks when experiments compare layouts.
 """
 
 from __future__ import annotations
@@ -16,16 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api.registry import LAYOUTS, build_mapper
-from repro.errors import DatasetError, RegistryError
+from repro.errors import DatasetError
 from repro.lvm.striping import assign_chunks
-from repro.lvm.volume import LogicalVolume
 
 __all__ = [
     "Chunk",
     "GridDataset",
     "MAPPER_ORDER",
-    "build_chunk_mappers",
     "paper_synthetic_3d",
 ]
 
@@ -125,35 +120,3 @@ class GridDataset:
 def paper_synthetic_3d() -> GridDataset:
     """The 1024³ synthetic dataset of §5.3."""
     return GridDataset((1024, 1024, 1024))
-
-
-def build_chunk_mappers(
-    chunk_dims,
-    model_factory,
-    *,
-    depth: int = 128,
-    cell_blocks: int = 1,
-    which=MAPPER_ORDER,
-):
-    """One (mapper, storage-volume) pair per layout for a chunk.
-
-    Each mapping gets a *fresh* volume built from ``model_factory`` so all
-    four layouts occupy the same LBN region of identical disks — the
-    fairness condition of the paper's evaluation.  Layout names resolve
-    through :data:`repro.api.registry.LAYOUTS`, the same path the
-    :class:`repro.api.Dataset` façade wires through.
-
-    Returns ``dict[name, (mapper, volume)]``.
-    """
-    out = {}
-    for name in which:
-        try:
-            entry = LAYOUTS.get(name)
-        except RegistryError as exc:
-            raise DatasetError(str(exc)) from exc
-        volume = LogicalVolume([model_factory()], depth=depth)
-        mapper = build_mapper(
-            entry, chunk_dims, volume, 0, cell_blocks=cell_blocks
-        )
-        out[name] = (mapper, volume)
-    return out

@@ -161,7 +161,7 @@ def analyze_query(ds, query, predicted: dict) -> tuple[dict, dict]:
     tele = Telemetry(trace=True, metrics=False)
     storage.obs = tele
     try:
-        storage.run_query(ds.mapper, query, rng=ds.rng())
+        storage.run_query(query, rng=ds.rng())
     finally:
         storage.obs = saved_obs
     roots = tele.tracer.roots

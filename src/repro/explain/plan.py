@@ -26,6 +26,7 @@ from repro.explain.classify import (
     classify_runs,
     run_length_histogram,
 )
+from repro.query.scheduler import DEFAULT_WINDOW
 from repro.query.workload import BeamQuery, RangeQuery
 
 __all__ = [
@@ -77,7 +78,7 @@ def prepare_readonly(ds, query):
     storage.cache = None
     storage.obs = _RAW_PROBE
     try:
-        return storage.prepare(ds.mapper, query)
+        return storage.prepare(query)
     finally:
         storage.cache = saved_cache
         storage.obs = saved_obs
@@ -88,7 +89,8 @@ def prepare_readonly(ds, query):
         storage._rr_counts.update(saved_rr)
 
 
-def predict_mechanics(volume, prepared, *, window: int = 128) -> dict:
+def predict_mechanics(volume, prepared, *,
+                      window: int = DEFAULT_WINDOW) -> dict:
     """Predicted mechanical cost of a prepared query, per disk.
 
     Each involved disk gets a fresh ghost :class:`DiskDrive` built from

@@ -132,14 +132,14 @@ def run_perf_sweep(
         for _ in range(repeats):
             t0 = perf_counter()
             for q in queries:
-                storage.prepare(mapper, q)
+                storage.prepare(q)
             best = min(best, perf_counter() - t0)
         prep_ms = best * 1e3
 
         # prep-vs-service split: one more prepare pass, then execute
         rng = np.random.default_rng(seed)
         t0 = perf_counter()
-        prepared = [storage.prepare(mapper, q) for q in queries]
+        prepared = [storage.prepare(q) for q in queries]
         prep_once_ms = (perf_counter() - t0) * 1e3
         t0 = perf_counter()
         for p in prepared:
@@ -160,7 +160,7 @@ def run_perf_sweep(
         sub_fast = []
         for _ in range(repeats):
             t0 = perf_counter()
-            sub_fast = [storage.prepare(mapper, q) for q in subset]
+            sub_fast = [storage.prepare(q) for q in subset]
             fast_best = min(fast_best, perf_counter() - t0)
         fast_ms = fast_best * 1e3
         t0 = perf_counter()

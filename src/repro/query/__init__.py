@@ -1,4 +1,5 @@
-"""Query workloads and the storage manager that executes them."""
+"""Query workloads, the §5.2 preparation stage and the scatter-gather
+executor that services prepared queries."""
 
 from repro.query.executor import PreparedQuery, QueryResult, StorageManager
 from repro.query.scatter import ShardedPrepared, scatter_execute

@@ -1,18 +1,19 @@
-"""The single-disk storage manager: the §5.2 engine for one mapping.
+"""The §5.2 preparation stage of the storage manager.
 
 This is the component the paper calls the "database storage manager"
-(§5.1) in its single-disk form: it asks the mapper for a request plan,
-applies the issue-order conventions of §5.2, hands the batch to the
-owning drive, and reports the timing breakdown.  Every query can start
-from a randomised head position, matching the paper's averaging over
-runs at random locations.
+(§5.1): it asks the mapper for a request plan, applies the issue-order
+conventions of §5.2, hands the batch to the owning drive, and reports
+the timing breakdown.  :class:`StorageManager` holds the stage that
+works on one mapper's plan — coalescing, cache filter and SPTF clamp
+(:meth:`StorageManager.prepare_plan`, :meth:`StorageManager.prepare_write`)
+and the cache admit after service.
 
 Every :class:`~repro.api.Dataset` runs on its subclass
 :class:`~repro.shard.executor.ShardedStorageManager` (n disks × k
-copies, 1 × 1 by default), which calls :meth:`StorageManager.prepare_plan`
-/ :meth:`StorageManager.prepare_write` for each per-disk sub-plan; the
-figure harness and hand-wired experiments use this class directly on
-one mapper.
+copies, 1 × 1 by default), which splits each query into per-disk
+sub-plans, prepares each one here and services them scatter-gather
+(:func:`repro.query.scatter.scatter_execute`).  The paper's figures,
+EXPLAIN, traffic and ingest all run queries through that one manager.
 
 When a :class:`repro.cache.BufferPool` is attached, preparation gains a
 cache-filter step *after* the §5.2 coalescing: resident blocks are
@@ -31,7 +32,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.disk.drive import BatchResult
 from repro.errors import QueryError
 from repro.lvm.volume import LogicalVolume
 from repro.mappings.base import (
@@ -41,11 +41,11 @@ from repro.mappings.base import (
     sorted_unique,
 )
 from repro.query.scheduler import (
+    DEFAULT_WINDOW,
     SPTF_RUN_LIMIT,
     effective_policy,
     merge_plan_runs,
 )
-from repro.query.workload import BeamQuery, RangeQuery
 
 __all__ = ["PreparedQuery", "QueryResult", "StorageManager", "WritePrepared"]
 
@@ -56,8 +56,7 @@ class PreparedQuery:
 
     The plan has already been coalesced (for ``"sorted"``/``"sptf"``
     batches) and ``policy`` is the *effective* policy after the SPTF batch
-    clamp — servicing ``plan`` under ``policy`` is exactly what
-    :meth:`StorageManager.execute_plan` would do.  Keeping this stage
+    clamp — the batch the drive services.  Keeping this stage
     separate lets the traffic simulator split the plan into service slices
     (:func:`repro.query.scheduler.slice_plan`) and interleave slices from
     different clients at the drive, resuming the drive position between
@@ -134,7 +133,7 @@ class QueryResult:
 
 
 class StorageManager:
-    """Executes beam and range queries for any mapper on a volume.
+    """Prepares request plans for any mapper on a volume (§5.2).
 
     Parameters
     ----------
@@ -157,7 +156,7 @@ class StorageManager:
         self,
         volume: LogicalVolume,
         *,
-        window: int = 128,
+        window: int = DEFAULT_WINDOW,
         sptf_run_limit: int = SPTF_RUN_LIMIT,
         coalesce_gap_blocks: int = 24,
         cache=None,
@@ -173,18 +172,14 @@ class StorageManager:
         #: every path below is then bit-identical to a build without obs)
         self.obs = None
 
-    # ------------------------------------------------------------------
-    # plan execution
-    # ------------------------------------------------------------------
-
     def prepare_plan(
         self, mapper: Mapper, plan: RequestPlan, n_cells: int
     ) -> PreparedQuery:
         """Apply the issue-order conventions of §5.2 without servicing.
 
         Coalesces nearby runs of sortable batches and resolves the
-        effective scheduling policy; the result can be serviced in one
-        batch (:meth:`execute_prepared`) or split into slices by the
+        effective scheduling policy; the result is serviced in one batch
+        by the scatter-gather executor or split into slices by the
         traffic simulator.  With a buffer pool attached, the cache
         filter then partitions the prepared plan: resident blocks are
         served from memory and only the miss runs — still in the §5.2
@@ -221,17 +216,6 @@ class StorageManager:
             obs={"raw_runs": raw_runs} if observing else None,
         )
 
-    def prepare(self, mapper: Mapper, query) -> PreparedQuery:
-        """Plan and prepare a :class:`BeamQuery` / :class:`RangeQuery`."""
-        if isinstance(query, BeamQuery):
-            plan = mapper.beam_plan(query.axis, query.fixed, query.lo,
-                                    query.hi)
-            return self.prepare_plan(mapper, plan, query.n_cells(mapper.dims))
-        if isinstance(query, RangeQuery):
-            plan = mapper.range_plan(query.lo, query.hi)
-            return self.prepare_plan(mapper, plan, query.n_cells())
-        raise QueryError(f"unknown query type {type(query).__name__}")
-
     def prepare_write(
         self, mapper: Mapper, lbns, n_points: int
     ) -> WritePrepared:
@@ -264,48 +248,11 @@ class StorageManager:
             ),
         )
 
-    def execute_prepared(
-        self,
-        prepared: PreparedQuery,
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> QueryResult:
-        """Service a prepared query in one batch on its disk.
-
-        Drive timing components cover only the miss runs; blocks the
-        cache filter already claimed add their memory service time to
-        ``total_ms`` (and to the block/run counts) without touching the
-        mechanical breakdown.  Missed blocks are admitted to the pool —
-        with their prefetched neighbors — once serviced.
-        """
-        drive = self.volume.drive(prepared.disk_index)
-        if rng is not None:
-            drive.randomize_position(rng)
-        res: BatchResult = drive.service_runs(
-            prepared.plan.starts,
-            prepared.plan.lengths,
-            policy=prepared.policy,
-            window=self.window,
-        )
-        self.admit_prepared(prepared)
-        return QueryResult(
-            mapper=prepared.mapper_name,
-            total_ms=res.total_ms + prepared.cache_ms,
-            n_cells=prepared.n_cells,
-            n_blocks=res.n_blocks + prepared.cache_hits,
-            n_runs=res.n_requests + prepared.cache_runs,
-            seek_ms=res.seek_ms,
-            rotation_ms=res.rotation_ms,
-            transfer_ms=res.transfer_ms,
-            switch_ms=res.switch_ms,
-            policy=prepared.policy,
-        )
-
     def admit_prepared(self, prepared: PreparedQuery) -> None:
         """Admit a serviced query's missed blocks (plus prefetch).
 
-        No-op without an active pool.  The batch executors call this
-        once a sub-plan is serviced, the traffic simulator when a
+        No-op without an active pool.  The scatter-gather executor calls
+        this once a sub-plan is serviced, the traffic simulator when a
         query's *last* slice completes.  Write batches are never
         admitted — their blocks were invalidated at preparation.
         """
@@ -315,63 +262,3 @@ class StorageManager:
         if cache is not None and cache.active:
             cache.admit_plan(self.volume, prepared.disk_index,
                              prepared.plan)
-
-    def execute_plan(
-        self,
-        mapper: Mapper,
-        plan: RequestPlan,
-        n_cells: int,
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> QueryResult:
-        """Service a prepared plan on the mapper's disk."""
-        prepared = self.prepare_plan(mapper, plan, n_cells)
-        return self.execute_prepared(prepared, rng=rng)
-
-    # ------------------------------------------------------------------
-    # query entry points
-    # ------------------------------------------------------------------
-
-    def beam(
-        self,
-        mapper: Mapper,
-        axis: int,
-        fixed,
-        lo: int = 0,
-        hi: int | None = None,
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> QueryResult:
-        plan = mapper.beam_plan(axis, fixed, lo, hi)
-        hi_val = mapper.dims[axis] if hi is None else hi
-        return self.execute_plan(mapper, plan, hi_val - lo, rng=rng)
-
-    def range(
-        self,
-        mapper: Mapper,
-        lo,
-        hi,
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> QueryResult:
-        plan = mapper.range_plan(lo, hi)
-        n_cells = int(
-            np.prod([b - a for a, b in zip(lo, hi)], dtype=np.int64)
-        )
-        return self.execute_plan(mapper, plan, n_cells, rng=rng)
-
-    def run_query(
-        self,
-        mapper: Mapper,
-        query,
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> QueryResult:
-        """Dispatch a :class:`BeamQuery` or :class:`RangeQuery`."""
-        if isinstance(query, BeamQuery):
-            return self.beam(
-                mapper, query.axis, query.fixed, query.lo, query.hi, rng=rng
-            )
-        if isinstance(query, RangeQuery):
-            return self.range(mapper, query.lo, query.hi, rng=rng)
-        raise QueryError(f"unknown query type {type(query).__name__}")

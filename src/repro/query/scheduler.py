@@ -17,6 +17,7 @@ import numpy as np
 from repro.mappings.base import RequestPlan, coalesce_ranks
 
 __all__ = [
+    "DEFAULT_WINDOW",
     "coalesce_lbns",
     "merge_plan_runs",
     "effective_policy",
@@ -29,6 +30,10 @@ __all__ = [
 #: costs about half a second of host time.  The limit stays where the
 #: simulated figures were produced: moving it moves them.
 SPTF_RUN_LIMIT = 150_000
+
+#: default drive command-queue depth for SPTF batches (real drives of the
+#: paper's era exposed 32-256 tagged commands)
+DEFAULT_WINDOW = 128
 
 
 def coalesce_lbns(lbns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -99,9 +99,7 @@ def run_avail_sweep(
             d_ms = 0.0
             for q in queries:
                 try:
-                    res = degraded.storage.run_query(
-                        degraded.mapper, q, rng=rng
-                    )
+                    res = degraded.storage.run_query(q, rng=rng)
                 except ReplicaError:
                     skipped += 1
                     continue

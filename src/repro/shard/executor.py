@@ -1,6 +1,6 @@
 """The storage manager of every dataset: n member disks × k copies.
 
-:class:`ShardedStorageManager` extends the single-disk
+:class:`ShardedStorageManager` extends the §5.2 preparation stage of
 :class:`~repro.query.executor.StorageManager` with the multi-disk
 pipeline of §4.4/§5.1: a :class:`~repro.shard.map.ShardMap` declusters
 the dataset's chunks across the volume's member disks, a
@@ -33,7 +33,7 @@ from repro.errors import AllocationError, QueryError, ReplicaError
 from repro.lvm.volume import LogicalVolume
 from repro.query.executor import PreparedQuery, QueryResult, StorageManager
 from repro.query.scatter import ShardedPrepared, scatter_execute
-from repro.query.scheduler import SPTF_RUN_LIMIT
+from repro.query.scheduler import DEFAULT_WINDOW, SPTF_RUN_LIMIT
 from repro.query.workload import BeamQuery, RangeQuery
 from repro.replica.executor import (
     READ_POLICIES,
@@ -164,7 +164,7 @@ class ShardedStorageManager(StorageManager):
         placement: str = "rotated",
         read_policy: str = "primary",
         cell_blocks: int = 1,
-        window: int = 128,
+        window: int = DEFAULT_WINDOW,
         sptf_run_limit: int = SPTF_RUN_LIMIT,
         coalesce_gap_blocks: int = 24,
         cache=None,
@@ -302,12 +302,10 @@ class ShardedStorageManager(StorageManager):
         )
         return sub
 
-    def prepare(self, mapper, query) -> ShardedPrepared:
+    def prepare(self, query) -> ShardedPrepared:
         """Split a query across the chunks it touches and prepare each
         piece (coalescing, cache filter, policy clamp) on a live copy
-        chosen by the read policy.  ``mapper`` is accepted for interface
-        compatibility; the split always runs against this manager's own
-        chunk mappers."""
+        chosen by the read policy."""
         lo, hi, axis = self._query_box(query)
         subs, sources = [], []
         total_cells = 0
@@ -394,18 +392,10 @@ class ShardedStorageManager(StorageManager):
             rng=rng,
         )
 
-    def run_query(self, mapper, query, *, rng=None) -> QueryResult:
-        return self.execute_prepared(self.prepare(mapper, query), rng=rng)
-
-    def beam(self, mapper, axis, fixed, lo=0, hi=None, *, rng=None):
-        return self.run_query(
-            mapper, BeamQuery(axis, tuple(fixed), lo, hi), rng=rng
-        )
-
-    def range(self, mapper, lo, hi, *, rng=None):
-        return self.run_query(
-            mapper, RangeQuery(tuple(lo), tuple(hi)), rng=rng
-        )
+    def run_query(self, query, *, rng=None) -> QueryResult:
+        """Prepare and service one :class:`BeamQuery` /
+        :class:`RangeQuery`."""
+        return self.execute_prepared(self.prepare(query), rng=rng)
 
     # ------------------------------------------------------------------
     # introspection

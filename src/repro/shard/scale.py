@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.reporting import render_table
+from repro.errors import DatasetError
 from repro.query.workload import random_beam
 
 __all__ = ["scale_beams", "run_scale_sweep", "render_scale_sweep"]
@@ -76,6 +77,11 @@ def run_scale_sweep(
 
     shape = tuple(int(s) for s in shape)
     shard_counts = tuple(int(n) for n in shard_counts)
+    if any(n < 1 for n in shard_counts):
+        # before any work: the chunk shapes below divide by the count
+        raise DatasetError(
+            f"shard counts must be >= 1, got {list(shard_counts)}"
+        )
     split_axis = int(split_axis) % len(shape)
     entry = STRATEGIES.get(strategy) if isinstance(strategy, str) \
         else strategy

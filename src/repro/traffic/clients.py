@@ -157,7 +157,7 @@ class TrafficClient:
         """Plan one drawn query against this client's stack.  Subclasses
         override to route submissions elsewhere (the ingest client plans
         write batches through its pipeline instead)."""
-        return self.storage.prepare(self.mapper, query)
+        return self.storage.prepare(query)
 
     def describe(self) -> dict:
         return {

@@ -38,7 +38,9 @@ Head position (``TrafficConfig.head``):
 
 Caching: when a client's storage manager carries a
 :class:`repro.cache.BufferPool`, queries are cache-filtered at
-*submission* (inside :meth:`StorageManager.prepare`) and the missed
+*submission* (inside :meth:`ShardedStorageManager.prepare`, which runs
+:meth:`~repro.query.executor.StorageManager.prepare_plan` per
+sub-plan) and the missed
 blocks are admitted — with their prefetched neighbors — when the last
 slice completes, so concurrent clients sharing one pool interact the
 way shared caches do: one client's miss work becomes another's hits,

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analytic import AnalyticModel, DriveParameters
-from repro.core import MultiMapMapper
+from repro.api import Dataset
 from repro.errors import QueryError
-from repro.lvm import LogicalVolume
-from repro.mappings import NaiveMapper
-from repro.query import StorageManager
 from repro.disk import atlas_10k3
 
 
@@ -77,28 +74,13 @@ class TestPredictionsVsSimulator:
     @pytest.fixture(scope="class")
     def measured(self, model):
         out = {}
-        vol = LogicalVolume([model], depth=128)
-        naive = NaiveMapper(
-            self.DIMS, vol.allocate_blocks(0, int(np.prod(self.DIMS)))
-        )
-        sm = StorageManager(vol)
         rng = np.random.default_rng(0)
-        for axis in range(3):
-            vals = [
-                sm.beam(naive, axis, (5, 5, 5), rng=rng).total_ms
-                for _ in range(5)
-            ]
-            out[("naive", axis)] = float(np.mean(vals))
-        volm = LogicalVolume([model], depth=128)
-        mm = MultiMapMapper(self.DIMS, volm)
-        smm = StorageManager(volm)
-        for axis in range(3):
-            vals = [
-                smm.beam(mm, axis, (5, 5, 5), rng=rng).total_ms
-                for _ in range(5)
-            ]
-            out[("multimap", axis)] = float(np.mean(vals))
-        out["mm_K"] = mm.K
+        for name in ("naive", "multimap"):
+            ds = Dataset.create(self.DIMS, name, model, depth=128)
+            for axis in range(3):
+                report = ds.beam(axis, (5, 5, 5)).repeats(5).run(rng=rng)
+                out[(name, axis)] = report.mean("total_ms")
+        out["mm_K"] = ds.mapper.K
         return out
 
     @pytest.mark.parametrize("axis", [0, 1, 2])

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analytic import AnalyticModel, DriveParameters
-from repro.core import MultiMapMapper
-from repro.lvm import LogicalVolume
-from repro.mappings import NaiveMapper
-from repro.query import StorageManager
+from repro.api import Dataset
 from repro.disk import atlas_10k3
 
 DIMS = (259, 128, 64)
@@ -21,26 +18,22 @@ def analytic():
 class TestRangePredictions:
     @pytest.mark.parametrize("shape", [(20, 20, 20), (56, 56, 56)])
     def test_naive_range_within_2x(self, analytic, shape):
-        vol = LogicalVolume([atlas_10k3()], depth=128)
-        naive = NaiveMapper(DIMS, vol.allocate_blocks(0, int(np.prod(DIMS))))
-        sm = StorageManager(vol)
+        naive = Dataset.create(DIMS, "naive", atlas_10k3(), depth=128)
         rng = np.random.default_rng(3)
         lo = tuple(int(rng.integers(0, s - w)) for s, w in zip(DIMS, shape))
         hi = tuple(a + w for a, w in zip(lo, shape))
-        sim = sm.range(naive, lo, hi, rng=rng).total_ms
+        sim = naive.range(lo, hi).run(rng=rng).total_ms
         pred = analytic.naive_range_ms(DIMS, shape)
         assert 0.5 < pred / sim < 2.0
 
     @pytest.mark.parametrize("shape", [(20, 20, 20), (56, 56, 56)])
     def test_multimap_range_within_2x(self, analytic, shape):
-        vol = LogicalVolume([atlas_10k3()], depth=128)
-        mm = MultiMapMapper(DIMS, vol)
-        sm = StorageManager(vol)
+        mm = Dataset.create(DIMS, "multimap", atlas_10k3(), depth=128)
         rng = np.random.default_rng(3)
         lo = tuple(int(rng.integers(0, s - w)) for s, w in zip(DIMS, shape))
         hi = tuple(a + w for a, w in zip(lo, shape))
-        sim = sm.range(mm, lo, hi, rng=rng).total_ms
-        pred = analytic.multimap_range_ms(DIMS, shape, mm.K)
+        sim = mm.range(lo, hi).run(rng=rng).total_ms
+        pred = analytic.multimap_range_ms(DIMS, shape, mm.mapper.K)
         assert 0.5 < pred / sim < 2.0
 
     def test_full_width_slab_streams(self, analytic):

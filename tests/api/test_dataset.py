@@ -1,30 +1,71 @@
-"""Dataset façade: hand-wired parity, fluent batches, seeding, updates."""
+"""Dataset façade: engine parity, fluent batches, seeding, updates."""
 
 import numpy as np
 import pytest
 
 from repro.api import Dataset
-from repro.api.registry import layout_names
-from repro.datasets import build_chunk_mappers
+from repro.api.registry import build_mapper, layout_names
 from repro.errors import DatasetError, QueryError, RegistryError
-from repro.query import BeamQuery, RangeQuery, StorageManager
+from repro.lvm import LogicalVolume
+from repro.query import BeamQuery, QueryResult, RangeQuery, StorageManager
 
 DIMS = (20, 10, 8)
 DEPTH = 16
 
 
-def hand_wired(small_model, name):
-    return build_chunk_mappers(
-        DIMS, lambda: small_model, depth=DEPTH, which=(name,)
-    )[name]
+def plain_engine(small_model, name):
+    """The layout's mapper on a fresh one-disk volume with a bare §5.2
+    preparation stage over it."""
+    volume = LogicalVolume([small_model], depth=DEPTH)
+    return build_mapper(name, DIMS, volume, 0), StorageManager(volume)
+
+
+def oracle_execute(sm, mapper, plan, n_cells, *, rng=None) -> QueryResult:
+    """Single-disk execution of one plan: prepare it (§5.2), service it in
+    one batch on the mapper's disk, admit it to the cache.  The reference
+    a one-disk Dataset must reproduce bit for bit."""
+    prepared = sm.prepare_plan(mapper, plan, n_cells)
+    drive = sm.volume.drive(prepared.disk_index)
+    if rng is not None:
+        drive.randomize_position(rng)
+    res = drive.service_runs(
+        prepared.plan.starts,
+        prepared.plan.lengths,
+        policy=prepared.policy,
+        window=sm.window,
+    )
+    sm.admit_prepared(prepared)
+    return QueryResult(
+        mapper=prepared.mapper_name,
+        total_ms=res.total_ms + prepared.cache_ms,
+        n_cells=prepared.n_cells,
+        n_blocks=res.n_blocks + prepared.cache_hits,
+        n_runs=res.n_requests + prepared.cache_runs,
+        seek_ms=res.seek_ms,
+        rotation_ms=res.rotation_ms,
+        transfer_ms=res.transfer_ms,
+        switch_ms=res.switch_ms,
+        policy=prepared.policy,
+    )
+
+
+def oracle_beam(sm, mapper, axis, fixed, *, rng=None) -> QueryResult:
+    plan = mapper.beam_plan(axis, fixed)
+    return oracle_execute(sm, mapper, plan, mapper.dims[axis], rng=rng)
+
+
+def oracle_range(sm, mapper, lo, hi, *, rng=None) -> QueryResult:
+    plan = mapper.range_plan(lo, hi)
+    n_cells = int(np.prod([b - a for a, b in zip(lo, hi)]))
+    return oracle_execute(sm, mapper, plan, n_cells, rng=rng)
 
 
 class TestParity:
-    """A Dataset-built stack must match the hand-wired idiom bit for bit."""
+    """A one-disk Dataset must match the plain §5.2 engine bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(layout_names()))
     def test_request_plans_identical(self, small_model, name):
-        mapper, _volume = hand_wired(small_model, name)
+        mapper, _sm = plain_engine(small_model, name)
         ds = Dataset.create(DIMS, layout=name, drive=small_model,
                             depth=DEPTH)
         for hand_plan, ds_plan in (
@@ -42,20 +83,19 @@ class TestParity:
 
     @pytest.mark.parametrize("name", sorted(layout_names()))
     def test_query_timings_identical(self, small_model, name):
-        mapper, volume = hand_wired(small_model, name)
-        sm = StorageManager(volume)
+        mapper, sm = plain_engine(small_model, name)
         ds = Dataset.create(DIMS, layout=name, drive=small_model,
                             depth=DEPTH)
 
-        hand = sm.beam(mapper, 1, (0, 3, 0),
-                       rng=np.random.default_rng(5))
+        hand = oracle_beam(sm, mapper, 1, (0, 3, 0),
+                           rng=np.random.default_rng(5))
         via_ds = ds.beam(1, fixed=(0, 3, 0)).run(
             rng=np.random.default_rng(5)
         ).results[0]
         assert hand == via_ds
 
-        hand = sm.range(mapper, (0, 0, 0), (6, 6, 6),
-                        rng=np.random.default_rng(9))
+        hand = oracle_range(sm, mapper, (0, 0, 0), (6, 6, 6),
+                            rng=np.random.default_rng(9))
         via_ds = ds.range((0, 0, 0), (6, 6, 6)).run(
             rng=np.random.default_rng(9)
         ).results[0]
@@ -63,14 +103,13 @@ class TestParity:
 
     def test_random_stream_matches_hand_loop(self, small_model):
         """Lazy batch entries interleave generation and execution exactly
-        like the hand-wired ``for q in (random_beam(...) ...)`` idiom."""
+        like a ``for q in (random_beam(...) ...)`` loop."""
         from repro.query import random_beam
 
-        mapper, volume = hand_wired(small_model, "multimap")
-        sm = StorageManager(volume)
+        mapper, sm = plain_engine(small_model, "multimap")
         rng = np.random.default_rng(42)
         hand = [
-            sm.beam(mapper, q.axis, q.fixed, rng=rng).total_ms
+            oracle_beam(sm, mapper, q.axis, q.fixed, rng=rng).total_ms
             for q in (random_beam(DIMS, 1, rng) for _ in range(4))
         ]
 

@@ -136,6 +136,49 @@ class TestScaleSubcommand:
             main(SCALE_QUICK + ["--strategy", "nope"])
 
 
+class TestTypedErrors:
+    """Bad sweep parameters fail with a typed error or an argparse usage
+    message, never a bare builtin traceback."""
+
+    @pytest.mark.parametrize("shards", ["0", "1,0", "-2"])
+    def test_scale_rejects_shard_counts_below_one(self, shards):
+        from repro.errors import DatasetError
+
+        # a zero count used to die in ZeroDivisionError while the sweep
+        # computed its chunk shapes
+        with pytest.raises(DatasetError, match="shard counts"):
+            main(SCALE_QUICK + ["--shards", shards])
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--shape", "16,8,x"),
+        ("--shards", "1,two"),
+        ("--axes", "1.5"),
+    ])
+    def test_scale_bad_integer_list_exits_with_usage(self, capsys, flag,
+                                                     value):
+        with pytest.raises(SystemExit) as exc:
+            main(SCALE_QUICK + [flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "comma-separated integers" in err
+
+    @pytest.mark.parametrize("argv", [
+        CACHE_QUICK + ["--capacities", "0,abc"],
+        CACHE_QUICK + ["--axes", "y"],
+        TRAFFIC_QUICK + ["--clients", "1,x"],
+        ["avail", "--ks", "1,k", "--quiet"],
+        ["ingest", "--shape", "16;8;8", "--quiet"],
+        ["explain", "--fixed", "0,q", "--quiet"],
+        ["trace", "--shape", "24x12x12", "--quiet"],
+    ])
+    def test_every_integer_list_flag_exits_with_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "comma-separated integers" in err
+
+
 class TestListFlags:
     """Registry introspection without reading source."""
 

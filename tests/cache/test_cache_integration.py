@@ -51,9 +51,7 @@ class TestExecutorPath:
         ds.query().beam(1, fixed=(5, 0, 5)).run()
         from repro.query.workload import BeamQuery
 
-        prepared = ds.storage.prepare(
-            ds.mapper, BeamQuery(1, (5, 0, 5))
-        )
+        prepared = ds.storage.prepare(BeamQuery(1, (5, 0, 5)))
         assert prepared.cache_hits == 12
         assert prepared.subs[0].plan.n_runs == 0
         assert prepared.cache_ms > 0
@@ -268,8 +266,8 @@ class TestStorageManagerDirect:
         from repro.query.workload import BeamQuery
 
         q = BeamQuery(2, (3, 3, 0))
-        cold = ds.storage.run_query(ds.mapper, q, rng=rng)
-        warm = ds.storage.run_query(ds.mapper, q, rng=rng)
+        cold = ds.storage.run_query(q, rng=rng)
+        warm = ds.storage.run_query(q, rng=rng)
         assert warm.total_ms < cold.total_ms
         assert warm.n_blocks == cold.n_blocks
         assert ds.storage.cache.stats.hit_ratio == 0.5

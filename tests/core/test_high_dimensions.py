@@ -80,14 +80,16 @@ class TestNineDimensions:
             volume.models[0].mechanics.settle_ms
         )
 
-    def test_beam_along_every_axis(self, volume):
-        mapper, dims = make_mapper(volume, 7)
-        from repro.query import StorageManager
+    def test_beam_along_every_axis(self):
+        from repro.api import Dataset
+        from repro.query import BeamQuery
 
-        sm = StorageManager(volume)
+        dims = (32,) + (2,) * 5 + (4,)
+        ds = Dataset.create(dims, "multimap", atlas_10k3(), depth=128,
+                            strategy="volume")
         for axis in range(7):
             fixed = tuple(0 for _ in dims)
-            res = sm.beam(mapper, axis, fixed)
+            res = ds.storage.run_query(BeamQuery(axis, fixed))
             assert res.n_cells == dims[axis]
 
     def test_range_query_in_6d(self, volume):

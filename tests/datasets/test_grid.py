@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datasets import GridDataset, build_chunk_mappers, paper_synthetic_3d
+from repro.datasets import GridDataset, paper_synthetic_3d
 from repro.errors import DatasetError
 
 
@@ -60,38 +60,16 @@ class TestChunking:
             GridDataset((8, 8)).chunks((0, 4))
 
 
-class TestBuildChunkMappers:
-    def test_all_four_mappings(self, small_model):
-        out = build_chunk_mappers(
-            (20, 10, 8), lambda: small_model, depth=16
-        )
-        assert set(out) == {"naive", "zorder", "hilbert", "multimap"}
-
-    def test_each_on_fresh_volume(self, small_model):
-        out = build_chunk_mappers(
-            (20, 10, 8), lambda: small_model, depth=16
-        )
-        volumes = [v for _, v in out.values()]
-        assert len({id(v) for v in volumes}) == 4
-
-    def test_gray_available(self, small_model):
-        out = build_chunk_mappers(
-            (20, 10, 8), lambda: small_model, depth=16, which=("gray",)
-        )
-        assert out["gray"][0].name == "gray"
-
-    def test_unknown_mapper_rejected(self, small_model):
-        with pytest.raises(DatasetError):
-            build_chunk_mappers(
-                (20, 10, 8), lambda: small_model, which=("bogus",)
-            )
-
+class TestLayoutPlacement:
     def test_mappers_cover_same_cells(self, small_model):
+        """Every registered layout places the grid bijectively."""
+        from repro.api import Dataset
+        from repro.api.registry import layout_names
         from repro.mappings.base import enumerate_box
 
         dims = (20, 10, 8)
-        out = build_chunk_mappers(dims, lambda: small_model, depth=16)
         coords = enumerate_box((0, 0, 0), dims)
-        for name, (mapper, _vol) in out.items():
-            lbns = mapper.lbns(coords)
+        for name in sorted(layout_names()):
+            ds = Dataset.create(dims, name, small_model, depth=16)
+            lbns = ds.mapper.lbns(coords)
             assert np.unique(lbns).size == coords.shape[0], name

@@ -115,7 +115,7 @@ class TestExplainProperties:
         twin = Dataset.create(shape, layout=layout, drive="minidrive",
                               seed=seed)
         twin.with_telemetry(trace=True, metrics=False)
-        twin.storage.run_query(twin.mapper, query, rng=twin.rng())
+        twin.storage.run_query(query, rng=twin.rng())
         root = twin.telemetry.tracer.roots[0]
         phases = {}
         for span in root.walk():

@@ -62,13 +62,13 @@ class TestDetachedParity:
         for _ in range(3):
             q1 = random_beam(SHAPE, 1, rng1)
             q2 = random_beam(SHAPE, 1, rng2)
-            assert ds1.storage.run_query(ds1.mapper, q1, rng=rng1) \
-                == ds2.storage.run_query(ds2.mapper, q2, rng=rng2)
+            assert ds1.storage.run_query(q1, rng=rng1) \
+                == ds2.storage.run_query(q2, rng=rng2)
         for _ in range(2):
             q1 = random_range_cube(SHAPE, 8.0, rng1)
             q2 = random_range_cube(SHAPE, 8.0, rng2)
-            assert ds1.storage.run_query(ds1.mapper, q1, rng=rng1) \
-                == ds2.storage.run_query(ds2.mapper, q2, rng=rng2)
+            assert ds1.storage.run_query(q1, rng=rng1) \
+                == ds2.storage.run_query(q2, rng=rng2)
 
 
 class TestTrafficParity:

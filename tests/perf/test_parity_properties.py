@@ -73,7 +73,7 @@ def assert_prepared_equal(prepared, ref):
        query=st.one_of(beam_queries(), range_queries()))
 def test_prepare_matches_reference(layout, cell_blocks, query):
     ds = dataset_for(layout, cell_blocks)
-    fast = ds.storage.prepare(ds.mapper, query)
+    fast = ds.storage.prepare(query)
     ref = reference_prepare(ds.storage, ds.mapper, query)
     assert_prepared_equal(fast, ref)
 

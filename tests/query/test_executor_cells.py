@@ -1,70 +1,62 @@
 """Executor behaviour with multi-block cells and partial beams."""
 
 import numpy as np
-import pytest
 
-from repro.core import MultiMapMapper
-from repro.lvm import LogicalVolume
-from repro.mappings import NaiveMapper
-from repro.query import BeamQuery, StorageManager
+from repro.api import Dataset
+from repro.query import BeamQuery, RangeQuery
 
 
-@pytest.fixture()
-def volume(small_model):
-    return LogicalVolume([small_model], depth=16)
+def make(small_model, dims, layout="naive", **opts):
+    """A one-disk dataset on the small test disk (D = 16)."""
+    return Dataset.create(dims, layout, small_model, depth=16, **opts)
+
+
+def beam(ds, axis, fixed, lo=0, hi=None):
+    return ds.storage.run_query(BeamQuery(axis, tuple(fixed), lo, hi))
+
+
+def box(ds, lo, hi, *, rng=None):
+    return ds.storage.run_query(RangeQuery(tuple(lo), tuple(hi)), rng=rng)
 
 
 class TestMultiBlockCells:
-    def test_naive_cell_blocks_counts(self, volume):
-        dims = (20, 10, 8)
-        n = int(np.prod(dims))
-        m = NaiveMapper(dims, volume.allocate_blocks(0, n * 2), cell_blocks=2)
-        sm = StorageManager(volume)
-        res = sm.beam(m, 0, (0, 3, 4))
+    def test_naive_cell_blocks_counts(self, small_model):
+        m = make(small_model, (20, 10, 8), cell_blocks=2)
+        res = beam(m, 0, (0, 3, 4))
         assert res.n_cells == 20
         assert res.n_blocks == 40
 
-    def test_multimap_cell_blocks_counts(self, volume):
-        m = MultiMapMapper((20, 10, 8), volume, cell_blocks=3)
-        sm = StorageManager(volume)
-        res = sm.range(m, (0, 0, 0), (10, 5, 4))
+    def test_multimap_cell_blocks_counts(self, small_model):
+        m = make(small_model, (20, 10, 8), "multimap", cell_blocks=3)
+        res = box(m, (0, 0, 0), (10, 5, 4))
         assert res.n_cells == 200
         assert res.n_blocks >= 600
 
-    def test_larger_cells_cost_more_transfer(self, volume, small_model):
-        sm = StorageManager(volume)
-        m1 = MultiMapMapper((20, 10, 8), volume, strategy="volume")
-        vol2 = LogicalVolume([small_model], depth=16)
-        m3 = MultiMapMapper(
-            (20, 10, 8), vol2, cell_blocks=4, strategy="volume"
-        )
-        sm2 = StorageManager(vol2)
+    def test_larger_cells_cost_more_transfer(self, small_model):
+        m1 = make(small_model, (20, 10, 8), "multimap", strategy="volume")
+        m3 = make(small_model, (20, 10, 8), "multimap", cell_blocks=4,
+                  strategy="volume")
         rng1, rng2 = np.random.default_rng(4), np.random.default_rng(4)
-        t1 = sm.range(m1, (0, 0, 0), (20, 10, 8), rng=rng1).total_ms
-        t4 = sm2.range(m3, (0, 0, 0), (20, 10, 8), rng=rng2).total_ms
+        t1 = box(m1, (0, 0, 0), (20, 10, 8), rng=rng1).total_ms
+        t4 = box(m3, (0, 0, 0), (20, 10, 8), rng=rng2).total_ms
         assert t4 > t1 * 2
 
 
 class TestPartialBeams:
-    def test_beam_with_bounds(self, volume):
-        dims = (30, 10, 8)
-        m = NaiveMapper(dims, volume.allocate_blocks(0, int(np.prod(dims))))
-        sm = StorageManager(volume)
-        res = sm.beam(m, 0, (0, 2, 2), lo=5, hi=25)
+    def test_beam_with_bounds(self, small_model):
+        m = make(small_model, (30, 10, 8))
+        res = beam(m, 0, (0, 2, 2), lo=5, hi=25)
         assert res.n_cells == 20
         assert res.n_blocks == 20
 
-    def test_run_query_beam_with_bounds(self, volume):
-        dims = (30, 10, 8)
-        m = NaiveMapper(dims, volume.allocate_blocks(0, int(np.prod(dims))))
-        sm = StorageManager(volume)
+    def test_run_query_beam_with_bounds(self, small_model):
+        m = make(small_model, (30, 10, 8))
         q = BeamQuery(axis=1, fixed=(4, 0, 3), lo=2, hi=9)
-        res = sm.run_query(m, q)
+        res = m.storage.run_query(q)
         assert res.n_cells == 7
 
-    def test_multimap_partial_beam_crossing_cubes(self, volume):
-        m = MultiMapMapper((40, 12, 10), volume)
-        sm = StorageManager(volume)
-        res = sm.beam(m, 1, (7, 0, 3), lo=1, hi=12)
+    def test_multimap_partial_beam_crossing_cubes(self, small_model):
+        m = make(small_model, (40, 12, 10), "multimap")
+        res = beam(m, 1, (7, 0, 3), lo=1, hi=12)
         assert res.n_cells == 11
         assert res.n_blocks == 11

@@ -106,8 +106,8 @@ class TestReadPolicies:
         ds = build(small_model, k=2, read_policy="round_robin")
         q = BeamQuery(2, (0, 0, 0), 0, None)
         rng = np.random.default_rng(0)
-        ds.storage.run_query(ds.mapper, q, rng=rng)
-        ds.storage.run_query(ds.mapper, q, rng=rng)
+        ds.storage.run_query(q, rng=rng)
+        ds.storage.run_query(q, rng=rng)
         stats = ds.storage.replica_stats
         assert stats.primary_reads > 0 and stats.replica_reads > 0
 
@@ -120,9 +120,7 @@ class TestReadPolicies:
 
     def test_prepared_carries_sources(self, small_model):
         ds = build(small_model, k=2)
-        prepared = ds.storage.prepare(
-            ds.mapper, RangeQuery((0, 0, 0), (24, 12, 4))
-        )
+        prepared = ds.storage.prepare(RangeQuery((0, 0, 0), (24, 12, 4)))
         assert isinstance(prepared, ShardedPrepared)
         assert len(prepared.sources) == len(prepared.subs)
         for source, sub in zip(prepared.sources, prepared.subs):
@@ -141,9 +139,7 @@ class TestFailover:
         assert stats["replica_reads"] > 0
         assert stats["degraded_queries"] > 0
         # no sub-plan may touch the dead disk
-        prepared = ds.storage.prepare(
-            ds.mapper, RangeQuery((0, 0, 0), SHAPE)
-        )
+        prepared = ds.storage.prepare(RangeQuery((0, 0, 0), SHAPE))
         assert all(s.disk_index != victim for s in prepared.subs)
 
     def test_revive_restores_primary_routing(self, small_model):
@@ -159,13 +155,13 @@ class TestFailover:
         for d in disks:
             ds.storage.fail_disk(d)
         with pytest.raises(ReplicaError, match="unreadable"):
-            ds.storage.prepare(ds.mapper, RangeQuery((0, 0, 0), SHAPE))
+            ds.storage.prepare(RangeQuery((0, 0, 0), SHAPE))
 
     def test_k1_failure_loses_chunks(self, small_model):
         ds = build(small_model, n=3, k=1)
         ds.storage.fail_disk(0)
         with pytest.raises(ReplicaError, match="all 1 copies"):
-            ds.storage.prepare(ds.mapper, RangeQuery((0, 0, 0), SHAPE))
+            ds.storage.prepare(RangeQuery((0, 0, 0), SHAPE))
 
     def test_fail_disk_validates_range(self, small_model):
         ds = build(small_model, n=3, k=2)
@@ -174,9 +170,7 @@ class TestFailover:
 
     def test_failover_sub_restarts_on_live_copy(self, small_model):
         ds = build(small_model, n=3, k=2)
-        prepared = ds.storage.prepare(
-            ds.mapper, RangeQuery((0, 0, 0), SHAPE)
-        )
+        prepared = ds.storage.prepare(RangeQuery((0, 0, 0), SHAPE))
         source = prepared.sources[0]
         dead = int(ds.replica_map.disks[source.chunk, source.copy])
         ds.storage.fail_disk(dead)
@@ -194,12 +188,8 @@ class TestFailover:
         degraded = build(small_model, n=3, k=2, seed=5)
         degraded.storage.fail_disk(0)
         q = RangeQuery((0, 0, 0), (24, 12, 6))
-        r_h = healthy.storage.run_query(
-            healthy.mapper, q, rng=np.random.default_rng(1)
-        )
-        r_d = degraded.storage.run_query(
-            degraded.mapper, q, rng=np.random.default_rng(1)
-        )
+        r_h = healthy.storage.run_query(q, rng=np.random.default_rng(1))
+        r_d = degraded.storage.run_query(q, rng=np.random.default_rng(1))
         assert r_h.n_cells == r_d.n_cells
         assert r_h.n_blocks == r_d.n_blocks
 
@@ -237,9 +227,7 @@ class TestCacheIntegration:
 
     def test_admit_skips_failed_disks(self, small_model):
         ds = build(small_model, n=3, k=2).with_cache(8192)
-        prepared = ds.storage.prepare(
-            ds.mapper, RangeQuery((0, 0, 0), SHAPE)
-        )
+        prepared = ds.storage.prepare(RangeQuery((0, 0, 0), SHAPE))
         victim = prepared.subs[0].disk_index
         ds.storage.fail_disk(victim)
         for sub in prepared.subs:

@@ -19,9 +19,7 @@ def make(small_model, layout="multimap", n=4, **kw):
 class TestPrepare:
     def test_cross_shard_beam_fans_out(self, small_model):
         ds = make(small_model, n=4)
-        prepared = ds.storage.prepare(
-            ds.mapper, BeamQuery(axis=2, fixed=(0, 3, 0))
-        )
+        prepared = ds.storage.prepare(BeamQuery(axis=2, fixed=(0, 3, 0)))
         assert isinstance(prepared, ShardedPrepared)
         assert len(prepared.subs) == 4
         assert sorted(prepared.disks) == [0, 1, 2, 3]
@@ -29,9 +27,7 @@ class TestPrepare:
 
     def test_single_shard_beam_stays_local(self, small_model):
         ds = make(small_model, n=4)
-        prepared = ds.storage.prepare(
-            ds.mapper, BeamQuery(axis=1, fixed=(0, 0, 5))
-        )
+        prepared = ds.storage.prepare(BeamQuery(axis=1, fixed=(0, 0, 5)))
         # fixed[2]=5 lives in exactly one last-axis slab
         assert len(prepared.subs) == 1
         assert prepared.n_cells == SHAPE[1]
@@ -39,7 +35,7 @@ class TestPrepare:
     def test_range_cells_partition_across_chunks(self, small_model):
         ds = make(small_model, n=3)
         q = RangeQuery((2, 3, 1), (20, 9, 11))
-        prepared = ds.storage.prepare(ds.mapper, q)
+        prepared = ds.storage.prepare(q)
         assert prepared.n_cells == q.n_cells()
         assert sum(s.n_cells for s in prepared.subs) == q.n_cells()
 
@@ -52,20 +48,18 @@ class TestPrepare:
                                drive=small_model, seed=17)
         sharded = make(small_model, n=4)
         q = BeamQuery(axis=2, fixed=(1, 2, 0))
-        p1 = plain.storage.prepare(plain.mapper, q)
-        p2 = sharded.storage.prepare(sharded.mapper, q)
+        p1 = plain.storage.prepare(q)
+        p2 = sharded.storage.prepare(q)
         assert p1.n_blocks == p2.n_blocks == SHAPE[2]
 
     def test_invalid_queries_raise(self, small_model):
         ds = make(small_model, n=2)
         with pytest.raises(QueryError):
-            ds.storage.prepare(ds.mapper, BeamQuery(axis=9, fixed=(0,) * 3))
+            ds.storage.prepare(BeamQuery(axis=9, fixed=(0,) * 3))
         with pytest.raises(QueryError):
-            ds.storage.prepare(
-                ds.mapper, RangeQuery((0, 0, 0), (25, 12, 12))
-            )
+            ds.storage.prepare(RangeQuery((0, 0, 0), (25, 12, 12)))
         with pytest.raises(QueryError):
-            ds.storage.prepare(ds.mapper, object())
+            ds.storage.prepare(object())
 
 
 class TestExecute:
@@ -73,9 +67,7 @@ class TestExecute:
         from repro.query.scatter import scatter_execute
 
         ds = make(small_model, n=4)
-        prepared = ds.storage.prepare(
-            ds.mapper, BeamQuery(axis=2, fixed=(3, 4, 0))
-        )
+        prepared = ds.storage.prepare(BeamQuery(axis=2, fixed=(3, 4, 0)))
         result, per_disk = scatter_execute(
             ds.storage, prepared, rng=np.random.default_rng(1)
         )
@@ -96,7 +88,7 @@ class TestExecute:
                                 drive=small_model, seed=29).with_shards(n)
             rng = np.random.default_rng(5)
             res = ds.storage.run_query(
-                ds.mapper, BeamQuery(axis=2, fixed=(0, 0, 0)), rng=rng
+                BeamQuery(axis=2, fixed=(0, 0, 0)), rng=rng
             )
             return res.total_ms
 
@@ -126,9 +118,10 @@ class TestExecute:
     def test_beam_range_entry_points(self, small_model):
         ds = make(small_model, n=2)
         rng = np.random.default_rng(3)
-        res = ds.storage.beam(ds.mapper, 2, (0, 1, 0), rng=rng)
+        res = ds.storage.run_query(BeamQuery(2, (0, 1, 0)), rng=rng)
         assert res.n_cells == SHAPE[2]
-        res = ds.storage.range(ds.mapper, (0, 0, 0), (4, 4, 8), rng=rng)
+        res = ds.storage.run_query(RangeQuery((0, 0, 0), (4, 4, 8)),
+                                   rng=rng)
         assert res.n_cells == 4 * 4 * 8
 
 

@@ -88,7 +88,7 @@ class StoragePath(RuleBasedStateMachine):
             except ReplicaError:
                 return
             raise AssertionError(f"{query} read a chunk with no live copy")
-        prepared = self.storage.prepare(self.ds.mapper, query)
+        prepared = self.storage.prepare(query)
         assert all(sub.disk_index not in self.storage.failed
                    for sub in prepared.subs)
         self.check_result(
@@ -101,7 +101,7 @@ class StoragePath(RuleBasedStateMachine):
         sub-plans are serviced and admitted."""
         if self.unreadable(query):
             return
-        prepared = self.storage.prepare(self.ds.mapper, query)
+        prepared = self.storage.prepare(query)
         self.storage.fail_disk(data.draw(st.sampled_from(prepared.disks)))
         self.check_result(
             query, self.storage.execute_prepared(prepared, rng=self.rng)

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from repro.analytic import AnalyticModel, DriveParameters
+from repro.api import Dataset
 from repro.core import CellStore, MultiMapMapper
-from repro.datasets import build_chunk_mappers
+from repro.datasets import MAPPER_ORDER
 from repro.disk import DiskDrive, extract_profile, synthetic_disk
 from repro.lvm import LogicalVolume
-from repro.query import StorageManager, random_beam, random_range_cube
 
 DIMS = (122, 26, 20)  # strides deliberately not multiples of T
 
@@ -36,73 +36,46 @@ def model():
 
 @pytest.fixture(scope="module")
 def world(model):
-    mappers = build_chunk_mappers(DIMS, lambda: model, depth=32)
-    managers = {
-        name: StorageManager(volume)
-        for name, (mapper, volume) in mappers.items()
+    """One dataset per layout, each on its own fresh disk."""
+    return {
+        name: Dataset.create(DIMS, name, model, depth=32)
+        for name in MAPPER_ORDER
     }
-    return mappers, managers
 
 
-def _avg_beam(mapper, sm, axis, runs=4, seed=0):
+def _avg_beam(ds, axis, runs=4, seed=0):
     rng = np.random.default_rng(seed)
-    return float(
-        np.mean(
-            [
-                sm.beam(mapper, axis, q.fixed, rng=rng).ms_per_cell
-                for q in (random_beam(DIMS, axis, rng) for _ in range(runs))
-            ]
-        )
-    )
+    return ds.random_beams(axis, runs).run(rng=rng).mean("ms_per_cell")
 
 
 class TestPaperOrderings:
     def test_streaming_hierarchy_dim0(self, world):
-        mappers, managers = world
-        times = {
-            name: _avg_beam(m, managers[name], 0)
-            for name, (m, _v) in mappers.items()
-        }
+        times = {name: _avg_beam(ds, 0) for name, ds in world.items()}
         assert times["naive"] < times["zorder"] / 5
         assert times["multimap"] < times["zorder"] / 5
 
     def test_multimap_wins_nonprimary_beams_overall(self, world):
-        mappers, managers = world
         combined = {
-            name: _avg_beam(m, managers[name], 1)
-            + _avg_beam(m, managers[name], 2)
-            for name, (m, _v) in mappers.items()
+            name: _avg_beam(ds, 1) + _avg_beam(ds, 2)
+            for name, ds in world.items()
         }
         assert combined["multimap"] == min(combined.values())
         assert combined["multimap"] < combined["naive"] * 0.75
 
     def test_low_selectivity_range_ordering(self, world):
-        mappers, managers = world
         totals = {}
-        for name, (m, _v) in mappers.items():
+        for name, ds in world.items():
             rng = np.random.default_rng(5)
-            totals[name] = float(
-                np.mean(
-                    [
-                        managers[name].range(m, q.lo, q.hi, rng=rng).total_ms
-                        for q in (
-                            random_range_cube(DIMS, 1.0, rng)
-                            for _ in range(3)
-                        )
-                    ]
-                )
-            )
+            totals[name] = (ds.range_selectivity(1.0).repeats(3)
+                            .run(rng=rng).mean("total_ms"))
         # naive is never the best at low selectivity
         assert min(totals, key=totals.get) != "naive"
 
     def test_full_scan_convergence(self, world):
-        mappers, managers = world
         totals = {}
-        for name, (m, _v) in mappers.items():
+        for name, ds in world.items():
             rng = np.random.default_rng(5)
-            totals[name] = managers[name].range(
-                m, (0, 0, 0), DIMS, rng=rng
-            ).total_ms
+            totals[name] = ds.range((0, 0, 0), DIMS).run(rng=rng).total_ms
         assert totals["zorder"] == pytest.approx(totals["naive"], rel=0.05)
         assert totals["hilbert"] == pytest.approx(totals["naive"], rel=0.05)
         assert totals["multimap"] < totals["naive"] * 1.4
@@ -118,13 +91,11 @@ class TestCharacterisationToMapping:
         assert int(np.prod(mm.K[1:-1])) <= profile.adjacency_depth
 
     def test_analytic_model_consistent_with_world(self, model, world):
-        mappers, managers = world
         params = DriveParameters.from_model(model, depth=32)
         analytic = AnalyticModel(params)
-        measured = _avg_beam(
-            mappers["multimap"][0], managers["multimap"], 1
-        )
-        predicted = analytic.multimap_beam_ms(DIMS, 1, mappers["multimap"][0].K)
+        measured = _avg_beam(world["multimap"], 1)
+        predicted = analytic.multimap_beam_ms(DIMS, 1,
+                                              world["multimap"].mapper.K)
         assert predicted / DIMS[1] == pytest.approx(measured, rel=0.5)
 
 

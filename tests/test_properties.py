@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Dataset
 from repro.core import MultiMapMapper, map_cell
 from repro.disk import DiskDrive, synthetic_disk
 from repro.lvm import LogicalVolume
@@ -21,7 +22,6 @@ from repro.mappings import (
     ZOrderMapper,
 )
 from repro.mappings.base import enumerate_box
-from repro.query import StorageManager
 
 
 def random_disk(rng):
@@ -105,10 +105,8 @@ class TestEndToEndInvariants:
     def test_query_times_are_finite_and_positive(self, case):
         model, dims, seed = case
         rng = np.random.default_rng(seed)
-        vol = LogicalVolume([model])
-        naive = NaiveMapper(dims, vol.allocate_blocks(0, int(np.prod(dims))))
-        sm = StorageManager(vol)
-        res = sm.range(naive, (0,) * len(dims), dims, rng=rng)
+        naive = Dataset.create(dims, "naive", model)
+        res = naive.range((0,) * len(dims), dims).run(rng=rng).results[0]
         assert np.isfinite(res.total_ms)
         assert res.total_ms > 0
 

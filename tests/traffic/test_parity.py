@@ -105,16 +105,16 @@ class TestPreparedPathParity:
         rng2 = np.random.default_rng(5)
         for i in range(4):
             q = random_beam(shape, 1, rng1)
-            r1 = ds1.storage.run_query(ds1.mapper, q, rng=rng1)
+            r1 = ds1.storage.run_query(q, rng=rng1)
             q2 = random_beam(shape, 1, rng2)
-            prepared = ds2.storage.prepare(ds2.mapper, q2)
+            prepared = ds2.storage.prepare(q2)
             r2 = ds2.storage.execute_prepared(prepared, rng=rng2)
             assert r1 == r2
         for i in range(3):
             q = random_range_cube(shape, 10.0, rng1)
-            r1 = ds1.storage.run_query(ds1.mapper, q, rng=rng1)
+            r1 = ds1.storage.run_query(q, rng=rng1)
             q2 = random_range_cube(shape, 10.0, rng2)
-            prepared = ds2.storage.prepare(ds2.mapper, q2)
+            prepared = ds2.storage.prepare(q2)
             r2 = ds2.storage.execute_prepared(prepared, rng=rng2)
             assert r1 == r2
 
@@ -133,8 +133,8 @@ class TestPreparedPathParity:
         rng = np.random.default_rng(17)
         q = random_range_cube(shape, 20.0, rng)
 
-        prep1 = ds1.storage.prepare(ds1.mapper, q)
-        prep2 = ds2.storage.prepare(ds2.mapper, q)
+        prep1 = ds1.storage.prepare(q)
+        prep2 = ds2.storage.prepare(q)
         if prep1.policy == "sptf":
             pytest.skip("sptf schedules across the whole batch")
 
