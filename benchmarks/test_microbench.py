@@ -55,6 +55,37 @@ def test_drive_sorted_batch_throughput(benchmark):
     assert res.n_requests == 100_000
 
 
+def _beam_batch():
+    """failover-storm's median drive batch: 11 one-block runs, one per
+    track, each a track length past the last (MultiMap's
+    semi-sequential path, §5.2), in path order."""
+    model = atlas_10k3()
+    spt = model.geometry.track_length(0)
+    starts = 4_321 + spt * np.arange(11, dtype=np.int64)
+    return model, starts, np.ones(11, dtype=np.int64)
+
+
+@pytest.mark.parametrize("policy", ["fifo", "sorted"])
+def test_drive_small_batch_fixed_cost(benchmark, policy):
+    """What a small batch pays per call: preparation, seek vector, the
+    recurrence and the totals.  ``sorted`` gets the path reversed, so
+    its sort has work to do."""
+    model, starts, lengths = _beam_batch()
+    if policy == "sorted":
+        starts = starts[::-1].copy()
+    drive = DiskDrive(model)
+    res = benchmark(drive.service_runs, starts, lengths, policy=policy)
+    assert res.n_requests == 11 and res.n_blocks == 11
+
+
+def test_drive_service_call_fixed_cost(benchmark):
+    """One ``service()`` call: a one-run fifo batch."""
+    model, starts, _ = _beam_batch()
+    drive = DiskDrive(model)
+    timing = benchmark(drive.service, int(starts[0]), 1)
+    assert timing.transfer_ms > 0
+
+
 def test_drive_sptf_batch_throughput(benchmark):
     drive = DiskDrive(atlas_10k3())
     rng = np.random.default_rng(0)

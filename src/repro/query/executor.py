@@ -32,7 +32,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.errors import QueryError
+from repro.errors import MappingError, QueryError
 from repro.lvm.volume import LogicalVolume
 from repro.mappings.base import (
     Mapper,
@@ -46,8 +46,35 @@ from repro.query.scheduler import (
     effective_policy,
     merge_plan_runs,
 )
+from repro.query.workload import _check_int
 
-__all__ = ["PreparedQuery", "QueryResult", "StorageManager", "WritePrepared"]
+__all__ = [
+    "PreparedQuery",
+    "QueryResult",
+    "StorageManager",
+    "WritePrepared",
+    "check_setting",
+]
+
+#: the least legal value of each storage setting
+_LEAST = {
+    "window": 1,
+    "sptf_run_limit": 0,
+    "coalesce_gap_blocks": 0,
+    "cell_blocks": 1,
+}
+
+
+def check_setting(name: str, value) -> int:
+    """A storage setting as an int: an integer (not a bool) at or above
+    its least value (see :class:`StorageManager`).  Raises
+    :class:`QueryError`, or :class:`MappingError` for ``cell_blocks`` as
+    the mappers do."""
+    error = MappingError if name == "cell_blocks" else QueryError
+    value = _check_int(name, value, error)
+    if value < _LEAST[name]:
+        raise error(f"{name} must be >= {_LEAST[name]}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -143,13 +170,20 @@ class StorageManager:
         Drive command-queue depth for SPTF batches (real drives of the
         paper's era exposed 32-256 tagged commands); at least 1.
     sptf_run_limit:
-        Batches with more runs than this fall back to one elevator pass.
+        Batches with more runs than this fall back to one elevator pass;
+        at least 0, which serves every SPTF batch ``"sorted"``.
+    coalesce_gap_blocks:
+        The largest hole, in blocks, a range plan without its own
+        ``merge_gap`` reads through when coalescing; at least 0.
     cache:
         Optional :class:`repro.cache.BufferPool` shared by every query
         this manager prepares (and by every other manager handed the
         same pool — the per-volume cache of the traffic simulator).
         ``None`` or a capacity-0 pool leaves all paths bit-identical to
         the uncached manager.
+
+    The three settings must be integers (not bools); anything else
+    raises :class:`QueryError` (:func:`check_setting`).
     """
 
     def __init__(
@@ -161,12 +195,12 @@ class StorageManager:
         coalesce_gap_blocks: int = 24,
         cache=None,
     ):
-        if window < 1:
-            raise QueryError(f"window must be >= 1, got {window}")
+        self.window = check_setting("window", window)
+        self.sptf_run_limit = check_setting("sptf_run_limit", sptf_run_limit)
+        self.coalesce_gap_blocks = check_setting(
+            "coalesce_gap_blocks", coalesce_gap_blocks
+        )
         self.volume = volume
-        self.window = int(window)
-        self.sptf_run_limit = int(sptf_run_limit)
-        self.coalesce_gap_blocks = int(coalesce_gap_blocks)
         self.cache = cache
         #: attached :class:`repro.obs.Telemetry`, or None (the default:
         #: every path below is then bit-identical to a build without obs)

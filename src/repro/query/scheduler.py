@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import QueryError
 from repro.mappings.base import RequestPlan, coalesce_ranks
 
 __all__ = [
@@ -51,13 +52,21 @@ def merge_plan_runs(plan: RequestPlan, max_gap: int = 0) -> RequestPlan:
     streaming through it costs only the gap's transfer time.  Real storage
     managers (and drive firmware read-ahead) do exactly this coalescing for
     skip-sequential patterns.  ``max_gap=0`` merges only touching runs.
+    A plan with nothing to merge is returned as it is, not copied.
     """
     starts = plan.starts
     n = starts.size
     if n <= 1:
         return plan
     lengths = plan.lengths
-    if not (starts[1:] >= starts[:-1]).all():
+    prev = starts[:-1]
+    if max_gap >= 0 and (starts[1:] > prev + lengths[:-1] + max_gap).all():
+        # Every run starts more than the gap past the previous run's
+        # end, so the runs are sorted, disjoint and none merges: the
+        # common case of plans whose runs coalesce_ranks already made
+        # maximal.  (A negative gap could pass overlapping runs here.)
+        return plan
+    if not (starts[1:] >= prev).all():
         # a stable sort of already-ordered starts is the identity, so
         # only unordered plans pay for it
         order = np.argsort(starts, kind="stable")
@@ -100,12 +109,12 @@ def slice_plan(plan: RequestPlan, max_runs: int | None) -> list[RequestPlan]:
     slice, modelling a command queue that only holds admitted requests.
 
     ``max_runs=None`` (or a plan no larger than ``max_runs``) yields the
-    plan unsplit.
+    plan unsplit; a ``max_runs`` below 1 raises :class:`QueryError`.
     """
+    if max_runs is not None and max_runs < 1:
+        raise QueryError(f"max_runs must be >= 1, got {max_runs}")
     if max_runs is None or plan.n_runs <= max_runs:
         return [plan]
-    if max_runs < 1:
-        raise ValueError("max_runs must be >= 1")
     return [
         RequestPlan.from_arrays(
             plan.starts[i:i + max_runs],

@@ -24,10 +24,10 @@ __all__ = [
 ]
 
 
-def _check_int(name: str, value) -> int:
+def _check_int(name: str, value, error=QueryError) -> int:
     # bool is an int subclass, but True as a coordinate is a bug
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise QueryError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 

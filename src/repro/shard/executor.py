@@ -31,7 +31,12 @@ import numpy as np
 from repro.api.registry import LayoutEntry, build_mapper
 from repro.errors import AllocationError, QueryError, ReplicaError
 from repro.lvm.volume import LogicalVolume
-from repro.query.executor import PreparedQuery, QueryResult, StorageManager
+from repro.query.executor import (
+    PreparedQuery,
+    QueryResult,
+    StorageManager,
+    check_setting,
+)
 from repro.query.scatter import ShardedPrepared, scatter_execute
 from repro.query.scheduler import DEFAULT_WINDOW, SPTF_RUN_LIMIT
 from repro.query.workload import BeamQuery, RangeQuery
@@ -188,7 +193,7 @@ class ShardedStorageManager(StorageManager):
             read_policy if isinstance(read_policy, ReadPolicyEntry)
             else READ_POLICIES.get(read_policy)
         )
-        self.cell_blocks = int(cell_blocks)
+        self.cell_blocks = check_setting("cell_blocks", cell_blocks)
         self.layout_opts = dict(layout_opts or {})
         copies = [[self._build_copy(layout, chunk, chunk.disk)]
                   for chunk in shard_map.chunks]

@@ -79,6 +79,7 @@ from repro.disk.drive import BatchResult, DiskDrive
 from repro.errors import QueryError
 from repro.obs.span import record_traffic_query
 from repro.query.scheduler import slice_plan
+from repro.query.workload import _check_int
 from repro.shard.executor import ShardedStorageManager
 from repro.traffic.clients import TrafficClient
 from repro.traffic.stats import (
@@ -95,13 +96,13 @@ __all__ = ["TrafficConfig", "TrafficSim"]
 class TrafficConfig:
     """Knobs of the traffic engine.
 
-    ``slice_runs`` bounds how many runs of one query the drive services
-    before other queued requests may cut in; ``None`` services each
-    query as one batch (the batch executor's behaviour, required for
-    exact parity with :meth:`Dataset.run <repro.api.Dataset.run>`
-    timings).  ``horizon_ms``
-    stops open-loop clients from *submitting* past the horizon (queries
-    already submitted still finish).
+    ``slice_runs`` (an integer >= 1, not a bool) bounds how many runs of
+    one query the drive services before other queued requests may cut
+    in; ``None`` services each query as one batch (the batch executor's
+    behaviour, required for exact parity with :meth:`Dataset.run
+    <repro.api.Dataset.run>` timings).  ``horizon_ms`` stops open-loop
+    clients from *submitting* past the horizon (queries already
+    submitted still finish).
     """
 
     slice_runs: int | None = 256
@@ -112,8 +113,11 @@ class TrafficConfig:
     def __post_init__(self) -> None:
         if self.head not in ("random", "carry"):
             raise QueryError(f"unknown head mode {self.head!r}")
-        if self.slice_runs is not None and self.slice_runs < 1:
-            raise QueryError("slice_runs must be >= 1 or None")
+        if self.slice_runs is not None:
+            n = _check_int("slice_runs", self.slice_runs)
+            if n < 1:
+                raise QueryError(f"slice_runs must be >= 1 or None, got {n}")
+            object.__setattr__(self, "slice_runs", n)
 
     def describe(self) -> dict:
         return {

@@ -17,6 +17,16 @@ costs in another order, so the clock, totals, cost components and
 per-request times must match within ``REL`` relative, with an ``ABS`` ms
 floor for values at or near zero (a rotational wait of a sequential run
 is zero or a rounding error of the clock).
+
+``reference_prepare_runs`` is the batch path's per-run preparation as
+it stood when it decomposed every run's first *and* last LBN, kept
+verbatim.  The drive now decomposes only the first LBNs and derives an
+in-zone run's end track from its start; the properties below pin every
+array it returns to the reference exactly, values and dtype, with runs
+drawn to start on a zone's first LBN and end on a zone's last LBN or on
+the disk's last LBN.  A batch the drive rejects must raise
+:class:`GeometryError` before it changes the clock, the head or the
+cache.
 """
 
 from functools import cache
@@ -28,7 +38,8 @@ from hypothesis import strategies as st
 
 from repro.api.registry import drive_names, get_drive
 from repro.disk import DiskDrive, TrackCache, synthetic_disk
-from repro.disk.drive import RunTiming, _wait_rev
+from repro.disk.drive import POLICIES, RunTiming, _wait_rev
+from repro.errors import GeometryError
 
 REL = 1e-9
 ABS = 1e-9
@@ -119,6 +130,53 @@ def reference_batch(drive, starts, lengths, policy: str):
         reference_service(drive, int(starts[i]), int(lengths[i]))
         for i in order
     ]
+
+
+def reference_prepare_runs(self, starts, lengths):
+    """Vectorised per-run geometry and cost for the batch schedulers.
+
+    Returns a dict of ndarrays: start cylinder/track/angle, end
+    cylinder/track, and each run's in-run transfer and switch cost.
+    """
+    geom = self.geometry
+    rot = self._rot
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if starts.shape != lengths.shape:
+        raise GeometryError("starts and lengths must have equal shape")
+    if lengths.size and lengths.min() < 1:
+        raise GeometryError("run lengths must be >= 1")
+    ends = starts + lengths - 1
+
+    zi0, track0, _, spt0, a0 = geom.decompose(starts)
+    zie, tracke, _, _, _ = geom.decompose(ends)
+
+    sector_time = rot / spt0
+    boundaries = tracke - track0
+    transfer = lengths * sector_time
+    # Each in-zone boundary costs settle + realign to the skewed next
+    # track; that cost depends only on the zone, precomputed at init.
+    switch = boundaries * self._boundary_cost[zi0]
+    crossing = zi0 != zie
+    if crossing.any():
+        rows = np.flatnonzero(crossing)
+        zones = range(int(zi0[rows].min()), int(zie[rows].max()) + 1)
+        transfer[rows], switch[rows] = self._cross_zone_costs(
+            starts[rows], ends[rows], zones
+        )
+
+    surfaces = self.geometry.surfaces
+    return {
+        "starts": starts,
+        "lengths": lengths,
+        "cyl0": track0 // surfaces,
+        "track0": track0,
+        "a0": a0,
+        "cyle": tracke // surfaces,
+        "tracke": tracke,
+        "transfer": transfer,
+        "switch": switch,
+    }
 
 
 class LoggedCache(TrackCache):
@@ -306,3 +364,137 @@ class TestServiceIsOneRunBatch:
             if cache_tracks:
                 assert single.cache.log == batch.cache.log
                 assert list(single.cache._lru) == list(batch.cache._lru)
+
+
+def _edge_runs(model, rng, n):
+    """``n`` runs on zone edges: each starts on a zone's first LBN or
+    ends on a zone's last LBN (of its own zone or a later one) or on
+    the disk's last LBN, with up to three tracks on the other side."""
+    geom = model.geometry
+    n_zones = len(geom.zones)
+    starts, lengths = [], []
+    for _ in range(n):
+        z = int(rng.integers(n_zones))
+        lo, hi = geom.zone_lbn_span(z)
+        reach = int(rng.integers(1, 3 * geom.zone(z).sectors_per_track + 1))
+        kind = int(rng.integers(3))
+        if kind == 0:  # from the zone's first LBN
+            start, end = lo, lo + reach - 1
+        else:  # to a zone's last LBN: this one, a later one or the disk's
+            last = z if kind == 1 else int(rng.integers(z, n_zones))
+            if kind == 2 and rng.random() < 0.5:
+                last = n_zones - 1
+            end = geom.zone_lbn_span(last)[1] - 1
+            start = (lo if rng.random() < 0.25 else hi - reach)
+        start = max(start, 0)
+        end = min(max(end, start), geom.n_lbns - 1)
+        starts.append(start)
+        lengths.append(end - start + 1)
+    return (np.array(starts, dtype=np.int64),
+            np.array(lengths, dtype=np.int64))
+
+
+@st.composite
+def _prepare_cases(draw):
+    return (
+        draw(st.sampled_from([*drive_names(), "three-zone"])),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(1, 40)),
+    )
+
+
+class TestPrepareRunsMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_prepare_cases())
+    def test_every_array_equal(self, case):
+        """Zone-edge runs mixed with ordinary and zone-crossing ones."""
+        name, seed, n = case
+        model = _model(name)
+        rng = np.random.default_rng(seed)
+        edge = _edge_runs(model, rng, n)
+        other = _runs(model, rng, n)
+        starts = np.concatenate([edge[0], other[0]])
+        lengths = np.concatenate([edge[1], other[1]])
+        mix = rng.permutation(starts.size)
+        starts, lengths = starts[mix], lengths[mix]
+        drive = DiskDrive(model)
+        got = drive._prepare_runs(starts, lengths)
+        want = reference_prepare_runs(drive, starts, lengths)
+        assert got.keys() == want.keys()
+        for key, array in want.items():
+            assert got[key].dtype == array.dtype, key
+            assert np.array_equal(got[key], array), key
+
+    @pytest.mark.parametrize("name", [*drive_names(), "three-zone"])
+    def test_every_zone_edge(self, name):
+        """Each zone's first and last LBN, alone and as the ends of a run
+        over the zone, and the disk's last LBN."""
+        geom = _model(name).geometry
+        spans = [geom.zone_lbn_span(z) for z in range(len(geom.zones))]
+        starts = [lo for lo, _ in spans] + [hi - 1 for _, hi in spans]
+        lengths = [1] * len(starts)
+        starts += [lo for lo, _ in spans] + [spans[0][0]]
+        lengths += [hi - lo for lo, hi in spans] + [geom.n_lbns]
+        starts = np.array(starts, dtype=np.int64)
+        lengths = np.array(lengths, dtype=np.int64)
+        drive = DiskDrive(_model(name))
+        got = drive._prepare_runs(starts, lengths)
+        want = reference_prepare_runs(drive, starts, lengths)
+        for key, array in want.items():
+            assert got[key].dtype == array.dtype, key
+            assert np.array_equal(got[key], array), key
+
+
+@st.composite
+def _rejected_cases(draw):
+    return (
+        draw(st.sampled_from([*drive_names(), "three-zone"])),
+        draw(st.sampled_from((0, 8))),
+        draw(st.sampled_from(POLICIES)),
+        draw(st.sampled_from(("negative start", "past the disk",
+                              "zero length"))),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestRejectedBatchChangesNothing:
+    @settings(max_examples=150, deadline=None)
+    @given(_rejected_cases())
+    def test_raises_before_any_state_change(self, case):
+        """One bad run among good ones, on a drive whose cache holds
+        tracks from an earlier batch."""
+        name, cache_tracks, policy, fault, seed = case
+        model = _model(name)
+        geom = model.geometry
+        rng = np.random.default_rng(seed)
+        drive = DiskDrive(model, cache_tracks=cache_tracks)
+        drive.reset(int(rng.integers(geom.n_tracks)),
+                    float(rng.uniform(0.0, 1e4)))
+        drive.service_runs(*_runs(model, rng, 4), policy="fifo")
+        starts, lengths = _runs(model, rng, 5)
+        bad = int(rng.integers(starts.size))
+        if fault == "negative start":
+            starts[bad] = -int(rng.integers(1, 100))
+        elif fault == "past the disk":
+            # the last LBN lands on n_lbns or just past it
+            lengths[bad] = geom.n_lbns - starts[bad] + int(
+                rng.integers(1, 3))
+        else:
+            lengths[bad] = 0
+        clock, track = drive.now_ms, drive.current_track
+        recency = None if drive.cache is None else list(drive.cache._lru)
+        with pytest.raises(GeometryError):
+            drive.service_runs(starts, lengths, policy=policy)
+        assert drive.now_ms == clock
+        assert drive.current_track == track
+        if drive.cache is not None:
+            assert list(drive.cache._lru) == recency
+
+    def test_huge_length_raises(self):
+        """A length that overflows int64 once added to its start is off
+        the disk, not a short run."""
+        drive = DiskDrive(_model("three-zone"))
+        for length in (2**62, 2**63 - 1):
+            with pytest.raises(GeometryError):
+                drive.service_runs([5], [length], policy="fifo")
+        assert drive.now_ms == 0.0 and drive.current_track == 0

@@ -1,0 +1,87 @@
+"""The storage settings are integers at or above their least value.
+
+``window`` (>= 1), ``sptf_run_limit`` (>= 0; 0 serves every SPTF batch
+``"sorted"``), ``coalesce_gap_blocks`` (>= 0) and ``cell_blocks``
+(>= 1) are checked by :class:`StorageManager` and by
+:meth:`Dataset.create` before any drive or volume is built.  Each bad
+value below used to be accepted, truncated, or fail later in a bare
+``TypeError``/``ValueError``: ``window=nan`` only on the first range
+query, and ``coalesce_gap_blocks=-1`` silently changed range timings.
+"""
+
+import numpy as np
+import pytest
+
+from repro.api import Dataset
+from repro.disk import toy_disk
+from repro.errors import MappingError, QueryError
+from repro.lvm import LogicalVolume
+from repro.query import StorageManager
+
+NAN = float("nan")
+NOT_INTEGERS = [2.5, NAN, True, "4", None]
+
+
+def create(**setting):
+    """``Dataset.create`` with one setting; asserts no drive was built."""
+    built = []
+
+    def factory():
+        built.append(True)
+        return toy_disk()
+
+    try:
+        return Dataset.create((5, 5, 5), layout="naive",
+                              drive=("toy", factory), **setting)
+    finally:
+        assert not built
+
+
+def manager(**setting):
+    return StorageManager(LogicalVolume([toy_disk()], depth=4), **setting)
+
+
+@pytest.mark.parametrize("build", [create, manager])
+@pytest.mark.parametrize("value", NOT_INTEGERS)
+def test_window_must_be_an_integer(build, value):
+    with pytest.raises(QueryError, match="window"):
+        build(window=value)
+
+
+@pytest.mark.parametrize("build", [create, manager])
+@pytest.mark.parametrize("value", [-3, -1, *NOT_INTEGERS])
+def test_sptf_run_limit_must_be_a_non_negative_integer(build, value):
+    with pytest.raises(QueryError, match="sptf_run_limit"):
+        build(sptf_run_limit=value)
+
+
+@pytest.mark.parametrize("build", [create, manager])
+@pytest.mark.parametrize("value", [-1, -24, 1.5, *NOT_INTEGERS])
+def test_coalesce_gap_blocks_must_be_a_non_negative_integer(build, value):
+    with pytest.raises(QueryError, match="coalesce_gap_blocks"):
+        build(coalesce_gap_blocks=value)
+
+
+@pytest.mark.parametrize("value", [0, -2, "2", *NOT_INTEGERS])
+def test_cell_blocks_must_be_a_positive_integer(value):
+    with pytest.raises(MappingError, match="cell_blocks"):
+        create(cell_blocks=value)
+
+
+def test_integer_settings_are_stored_as_ints():
+    ds = Dataset.create((5, 5, 5), layout="naive", drive="toy", depth=4,
+                        window=np.int32(8), sptf_run_limit=np.int64(0),
+                        coalesce_gap_blocks=np.uint8(0),
+                        cell_blocks=np.int16(1))
+    storage = ds.storage
+    settings = (storage.window, storage.sptf_run_limit,
+                storage.coalesce_gap_blocks, storage.cell_blocks)
+    assert settings == (8, 0, 0, 1)
+    assert all(type(v) is int for v in settings)
+
+
+def test_zero_sptf_run_limit_serves_sptf_sorted():
+    ds = Dataset.create((5, 5, 5), layout="multimap", drive="toy",
+                        depth=4, sptf_run_limit=0, seed=1)
+    report = ds.range((0, 0, 0), (4, 4, 4)).run()
+    assert [r.policy for r in report.results] == ["sorted"]

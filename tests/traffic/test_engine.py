@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import QueryError
+from repro.mappings.base import RequestPlan
+from repro.query.scheduler import slice_plan
 from repro.query.workload import BeamQuery, RangeQuery
 from repro.traffic import (
     ClosedLoop,
@@ -27,6 +29,38 @@ class TestConfig:
 
     def test_none_slice_runs_ok(self):
         assert TrafficConfig(slice_runs=None).slice_runs is None
+
+    # 2.5 and nan used to fail at run time in a bare TypeError from
+    # slice_plan, "4" in a bare TypeError, and True sliced one run at a
+    # time
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), "4", True])
+    def test_rejects_non_integer_slice_runs(self, bad):
+        with pytest.raises(QueryError, match="slice_runs"):
+            TrafficConfig(slice_runs=bad)
+
+    def test_numpy_slice_runs_stored_as_int(self):
+        n = TrafficConfig(slice_runs=np.int64(8)).slice_runs
+        assert n == 8 and type(n) is int
+
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), "4", True])
+    def test_run_rejects_bad_slice_runs_before_drawing(self, make_dataset,
+                                                       bad):
+        """A rejected run leaves the dataset's generator stream alone:
+        the next run replays a fresh same-seed dataset's first run."""
+        ds = make_dataset()
+        with pytest.raises(QueryError, match="slice_runs"):
+            ds.traffic().clients(2, queries=3).slice_runs(bad).run()
+        got = ds.traffic().clients(2, queries=3).slice_runs(8).run()
+        want = make_dataset().traffic().clients(2, queries=3).slice_runs(
+            8).run()
+        assert got.to_dict() == want.to_dict()
+
+    @pytest.mark.parametrize("max_runs", [0, -1])
+    def test_slice_plan_below_one_raises_query_error(self, max_runs):
+        plan = RequestPlan(np.arange(0, 30, 3), np.ones(10, dtype=np.int64))
+        for p in (plan, RequestPlan(plan.starts[:0], plan.lengths[:0])):
+            with pytest.raises(QueryError, match="max_runs"):
+                slice_plan(p, max_runs)
 
 
 class TestSingleClient:
