@@ -7,6 +7,7 @@ per second), unlike the figure benches which report simulated I/O time.
 import numpy as np
 import pytest
 
+from repro.api import Dataset
 from repro.core import MultiMapMapper
 from repro.disk import DiskDrive, atlas_10k3
 from repro.lvm import LogicalVolume
@@ -140,3 +141,43 @@ def test_range_plan_throughput(benchmark, cls):
         mapper.rank_table()  # exclude the one-time table build
     plan = benchmark(mapper.range_plan, (10, 5, 5), (100, 50, 50))
     assert plan.n_blocks == 90 * 45 * 45
+
+
+#: perfbench's query workloads: paper-batch plans on one disk, and
+#: failover-storm plans each beam per chunk of a 3-disk dataset
+PERFBENCH_SHAPES = {
+    "paper-batch": ((216, 64, 64), 1),
+    "failover-storm": ((64, 64, 32), 3),
+}
+_PLAN_MAPPERS: dict = {}
+
+
+def _plan_mapper(workload, layout):
+    """The workload's (first chunk's) mapper, rank table built."""
+    key = (workload, layout)
+    if key not in _PLAN_MAPPERS:
+        shape, disks = PERFBENCH_SHAPES[workload]
+        ds = Dataset.create(shape, layout=layout, drive="atlas10k3", seed=1)
+        if disks > 1:
+            ds.with_shards(disks)
+        mapper = ds.storage.copy_mappers[0][0]
+        if hasattr(mapper, "rank_table"):
+            mapper.rank_table()
+        _PLAN_MAPPERS[key] = mapper
+    return _PLAN_MAPPERS[key]
+
+
+@pytest.mark.parametrize("workload", list(PERFBENCH_SHAPES))
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize(
+    "layout", ["naive", "zorder", "hilbert", "multimap"]
+)
+def test_beam_plan_fixed_cost(benchmark, workload, layout, axis):
+    """One beam across the whole axis (11 to 216 cells): validation,
+    the index vector and the layout's closed form.  A fixed number of
+    rounds keeps these 24 cases to about a second in all."""
+    mapper = _plan_mapper(workload, layout)
+    fixed = tuple(s // 3 for s in mapper.dims)
+    plan = benchmark.pedantic(mapper.beam_plan, (axis, fixed), rounds=200,
+                              iterations=5, warmup_rounds=5)
+    assert plan.n_blocks == mapper.dims[axis]

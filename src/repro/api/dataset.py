@@ -49,7 +49,7 @@ from repro.api.registry import DRIVES, LAYOUTS, DriveEntry
 from repro.api.report import Report, make_record
 from repro.core.store import CellStore, StoreStats
 from repro.disk.models import DiskModel
-from repro.errors import DatasetError, QueryError
+from repro.errors import DatasetError, QueryError, _check_int
 from repro.lvm.volume import LogicalVolume
 from repro.query.executor import QueryResult, check_setting
 from repro.query.scheduler import DEFAULT_WINDOW, SPTF_RUN_LIMIT
@@ -80,6 +80,25 @@ def _resolve_drive(drive) -> tuple[str, object]:
         f"drive must be a registered name, a DiskModel, or a factory; "
         f"got {type(drive).__name__}"
     )
+
+
+def _check_shape(shape) -> tuple[int, ...]:
+    """A dataset shape as Python ints: a non-empty sequence of integers
+    (numpy integers included, bools not), each at least 1."""
+    try:
+        items = tuple(shape)
+    except TypeError:
+        raise DatasetError(
+            f"shape must be a sequence of integers, got {shape!r}"
+        ) from None
+    if not items:
+        raise DatasetError("shape must have at least one dimension")
+    dims = tuple(_check_int(f"shape[{d}]", s, DatasetError)
+                 for d, s in enumerate(items))
+    for d, s in enumerate(dims):
+        if s < 1:
+            raise DatasetError(f"shape[{d}] must be >= 1, got {s}")
+    return dims
 
 
 class QueryBatch:
@@ -252,10 +271,10 @@ class Dataset:
                  seed=None, window=DEFAULT_WINDOW,
                  sptf_run_limit=SPTF_RUN_LIMIT,
                  coalesce_gap_blocks=24, layout_opts=None):
-        self.shape = tuple(int(s) for s in shape)
-        self.layout = str(layout)
         # checked now: the storage manager that owns these settings is
         # only built on first use
+        self.shape = _check_shape(shape)
+        self.layout = str(layout)
         self.cell_blocks = check_setting("cell_blocks", cell_blocks)
         self._sm_opts = {
             "window": check_setting("window", window),
@@ -316,6 +335,9 @@ class Dataset:
         any drive or volume is built: a bad one raises
         :class:`~repro.errors.QueryError`, or
         :class:`~repro.errors.MappingError` for ``cell_blocks``.
+        ``shape`` must be a non-empty sequence of integers of at least 1
+        each (not bools), checked at the same point; a bad one raises
+        :class:`~repro.errors.DatasetError`.
         """
         return cls(
             shape=shape, layout=layout, drive=drive,

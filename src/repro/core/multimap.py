@@ -22,8 +22,12 @@ track skew; composing the hops of a whole coordinate gives::
     track  = cube_track_base + dtrack          dtrack = sum x_i * step_i
     sector = (base + x0 + A*sigma - w*dtrack) mod T,    sigma = sum x_i
 
-which vectorises over millions of cells.  A property test asserts the two
-implementations agree cell-for-cell.
+which vectorises over millions of cells.  It is evaluated column by
+column (:meth:`MultiMapMapper._locate`): each coordinate is a Python int
+shared by every cell or an index vector, so a beam's fixed coordinates
+cost scalar arithmetic and a range cube's rows broadcast from per-axis
+index vectors.  A property test asserts the two implementations agree
+cell-for-cell.
 
 The mapper learns each zone's (A, w) *through the LVM interface calls
 alone* — the sector deltas of the first and second adjacent blocks are
@@ -41,7 +45,7 @@ from repro.api.registry import register_layout
 from repro.core.planner import CubePlan, plan_basic_cube
 from repro.errors import MappingError
 from repro.lvm.volume import LogicalVolume
-from repro.mappings.base import Mapper, RequestPlan, enumerate_box
+from repro.mappings.base import Mapper, RequestPlan, box_columns
 
 __all__ = ["MultiMapMapper", "ZoneAllocation"]
 
@@ -117,8 +121,7 @@ class MultiMapMapper(Mapper):
             grid_strides = [1]
             for g in self._grid[:-1]:
                 grid_strides.append(grid_strides[-1] * g)
-            self._grid_strides = np.asarray(grid_strides, dtype=np.int64)
-            self._K_arr = np.asarray(self.K, dtype=np.int64)
+            self._grid_strides = tuple(grid_strides)
             saved = volume.allocation_cursor(disk)
             try:
                 self._allocations = self._allocate(zone_infos)
@@ -229,35 +232,47 @@ class MultiMapMapper(Mapper):
     # closed-form cell mapping
     # ------------------------------------------------------------------
 
-    def _locate(self, coords: np.ndarray):
-        """(rec, track_offset_lbn, sector) for each cell.
+    def _cube_slots(self, cube_idx):
+        """(rec, group, slot) of each linear cube index: its zone
+        allocation record, track group within it and slot on the
+        group's tracks."""
+        rec = (
+            np.searchsorted(self._rec_first_cube, cube_idx, side="right") - 1
+        )
+        group, slot = divmod(
+            cube_idx - self._rec_first_cube[rec], self._rec_pack[rec]
+        )
+        return rec, group, slot
+
+    def _locate(self, cols):
+        """(rec, track_offset_lbn, sector, spt) for each cell.
+
+        ``cols`` holds one coordinate per dimension: a Python int shared
+        by every cell, or an int64 array; the arrays broadcast together,
+        and so do the results.  A beam's fixed coordinates therefore
+        cost scalar arithmetic, and a box's rows come from per-axis
+        index vectors (:func:`~repro.mappings.base.box_columns`).
 
         ``track_offset_lbn`` is the LBN of the cell's track start relative
         to the zone allocation's first LBN; adding ``sector`` gives the
         final LBN.
         """
-        cube_coord = coords // self._K_arr
-        rel = coords - cube_coord * self._K_arr
-        cube_idx = cube_coord @ self._grid_strides
-        rec = (
-            np.searchsorted(self._rec_first_cube, cube_idx, side="right") - 1
-        )
-        local = cube_idx - self._rec_first_cube[rec]
-        pack = self._rec_pack[rec]
-        group = local // pack
-        slot = local - group * pack
-
-        dtrack = np.zeros(coords.shape[0], dtype=np.int64)
-        sigma = np.zeros(coords.shape[0], dtype=np.int64)
-        for i in range(1, self.n_dims):
-            dtrack += rel[:, i] * self._steps[i - 1]
-            sigma += rel[:, i]
+        K = self.K
+        cube_idx, rel0 = divmod(cols[0], K[0])
+        dtrack = sigma = 0
+        for x, k, g, step in zip(cols[1:], K[1:], self._grid_strides[1:],
+                                 self._steps):
+            c, r = divmod(x, k)
+            cube_idx = cube_idx + c * g
+            dtrack = dtrack + r * step
+            sigma = sigma + r
+        rec, group, slot = self._cube_slots(cube_idx)
 
         spt = self._rec_spt[rec]
         offset = self._rec_offset[rec]
         skew = self._rec_skew[rec]
         cb = self.cell_blocks
-        base = slot * (self.K[0] * cb)
+        base = slot * (K[0] * cb)
         shift = (offset * sigma - skew * dtrack) % spt
         if cb > 1:
             # Multi-block cells must stay cell-aligned so no cell straddles
@@ -265,16 +280,19 @@ class MultiMapMapper(Mapper):
             # and wrap within the largest cell-aligned prefix of the track.
             spt_eff = (spt // cb) * cb
             shift = (-(-shift // cb) * cb) % spt_eff
-            sector = (base + rel[:, 0] * cb + shift) % spt_eff
+            sector = (base + rel0 * cb + shift) % spt_eff
         else:
-            sector = (base + rel[:, 0] + shift) % spt
+            sector = (base + rel0 + shift) % spt
         track_delta = group * self._tracks_per_cube + dtrack
         return rec, track_delta, sector, spt
 
-    def lbns(self, coords) -> np.ndarray:
-        arr = self._check_coords(coords)
-        rec, track_delta, sector, spt = self._locate(arr)
+    def _cell_lbns(self, cols):
+        """LBN of each cell of :meth:`_locate`'s ``cols``."""
+        rec, track_delta, sector, spt = self._locate(cols)
         return self._rec_lbn[rec] + track_delta * spt + sector
+
+    def lbns(self, coords) -> np.ndarray:
+        return self._cell_lbns(self._check_coords(coords).T)
 
     def write_extents(self, coords) -> tuple[np.ndarray, np.ndarray]:
         """Whole-cube write extents covering ``coords`` (§4.6 bulk load).
@@ -290,12 +308,8 @@ class MultiMapMapper(Mapper):
         one extent.
         """
         arr = self._check_coords(coords)
-        cube_idx = (arr // self._K_arr) @ self._grid_strides
-        rec = (
-            np.searchsorted(self._rec_first_cube, cube_idx, side="right") - 1
-        )
-        local = cube_idx - self._rec_first_cube[rec]
-        group = local // self._rec_pack[rec]
+        cube_idx = (arr // self.K) @ self._grid_strides
+        rec, group, _ = self._cube_slots(cube_idx)
         spt = self._rec_spt[rec]
         tpc = self._tracks_per_cube
         starts = self._rec_lbn[rec] + group * tpc * spt
@@ -353,49 +367,43 @@ class MultiMapMapper(Mapper):
 
     def first_lbn_of_cube(self, cube_coord) -> int:
         """LBN storing cell (0,..,0) of a cube — the Figure 5 anchor."""
-        cube_coord = np.asarray(cube_coord, dtype=np.int64)
-        origin = (cube_coord * self._K_arr)[np.newaxis, :]
-        return int(self.lbns(origin)[0])
+        origin = np.asarray(cube_coord, dtype=np.int64) * self.K
+        return int(self.lbns(origin[np.newaxis, :])[0])
 
     # ------------------------------------------------------------------
     # query planning
     # ------------------------------------------------------------------
 
     def beam_plan(self, axis, fixed, lo=0, hi=None) -> RequestPlan:
-        coords = self._beam_coords(axis, fixed, lo, hi)
+        axis, fixed, lo, hi = self._check_beam(axis, fixed, lo, hi)
         if axis == 0:
-            starts, lengths = self._rows_to_runs(
-                coords[:1], int(coords[0, 0]), int(coords[-1, 0]) + 1
-            )
+            starts, lengths = self._rows_to_runs(fixed[1:], lo, hi)
             order = np.argsort(starts, kind="stable")
             return RequestPlan.from_arrays(
                 starts[order], lengths[order], "sorted", 0
             )
         # Semi-sequential path: one cell per request, already in path
         # (= ascending LBN) order.
-        lbns = self.lbns(coords)
+        cols = list(fixed)
+        cols[axis] = np.arange(lo, hi, dtype=np.int64)
+        lbns = self._cell_lbns(cols)
         lengths = np.full(lbns.shape, self.cell_blocks, dtype=np.int64)
         return RequestPlan.from_arrays(lbns, lengths, "fifo", 0)
 
     def range_plan(self, lo, hi) -> RequestPlan:
         lo, hi = self._check_box(lo, hi)
-        if self.n_dims == 1:
-            rows = np.zeros((1, 1), dtype=np.int64)
-            rows[0, 0] = lo[0]
-            starts, lengths = self._rows_to_runs(rows, lo[0], hi[0])
-            return RequestPlan.from_arrays(starts, lengths, "sorted")
-        row_coords = enumerate_box(lo[1:], hi[1:])
-        anchors = np.empty(
-            (row_coords.shape[0], self.n_dims), dtype=np.int64
+        starts, lengths = self._rows_to_runs(
+            box_columns(lo[1:], hi[1:]), lo[0], hi[0]
         )
-        anchors[:, 0] = lo[0]
-        anchors[:, 1:] = row_coords
-        starts, lengths = self._rows_to_runs(anchors, lo[0], hi[0])
+        if self.n_dims == 1:
+            return RequestPlan.from_arrays(starts, lengths, "sorted")
         order = np.argsort(starts, kind="stable")
         return RequestPlan.from_arrays(starts[order], lengths[order], "sptf")
 
-    def _rows_to_runs(self, anchors: np.ndarray, x0_lo: int, x0_hi: int):
-        """Runs covering x0 in [x0_lo, x0_hi) for each anchor row.
+    def _rows_to_runs(self, cols, x0_lo: int, x0_hi: int):
+        """Runs covering x0 in [x0_lo, x0_hi) for each row; ``cols``
+        holds the rows' coordinates on Dim1 onwards, as :meth:`_locate`
+        takes them, and the runs follow the rows' ravel order.
 
         Rows are split at basic-cube columns (x0 crossing K0) and at track
         wrap-around (a skew-shifted row may straddle the track end, in
@@ -410,17 +418,14 @@ class MultiMapMapper(Mapper):
             seg_lo = max(x0_lo, c0 * k0)
             seg_hi = min(x0_hi, (c0 + 1) * k0)
             seg_len = (seg_hi - seg_lo) * cb
-            coords = anchors.copy()
-            coords[:, 0] = seg_lo
-            rec, track_delta, sector, spt = self._locate(coords)
-            base_lbn = self._rec_lbn[rec] + track_delta * spt
+            rec, track_delta, sector, spt = self._locate((seg_lo, *cols))
+            base_lbn = np.ravel(self._rec_lbn[rec] + track_delta * spt)
             # rows wrap within the cell-aligned prefix of the track
             wrap_at = spt if cb == 1 else (spt // cb) * cb
-            overflow = sector + seg_len - wrap_at
+            overflow = np.ravel(sector + seg_len - wrap_at)
             wraps = overflow > 0
-            first_len = np.where(wraps, wrap_at - sector, seg_len)
-            all_starts.append(base_lbn + sector)
-            all_lengths.append(first_len)
+            all_starts.append(base_lbn + np.ravel(sector))
+            all_lengths.append(np.where(wraps, seg_len - overflow, seg_len))
             if bool(wraps.any()):
                 all_starts.append(base_lbn[wraps])
                 all_lengths.append(overflow[wraps])

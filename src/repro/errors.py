@@ -2,9 +2,14 @@
 
 All library-raised exceptions derive from :class:`ReproError` so callers can
 catch everything coming out of this package with a single ``except`` clause.
+The integer checks the API boundaries share live here too, below every
+layer that raises through them (:mod:`repro.query.workload` re-exports
+them).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class ReproError(Exception):
@@ -81,3 +86,24 @@ class ExplainError(ReproError):
     """Raised by :mod:`repro.explain` for invalid diagnosis requests
     (unexplainable query types, mismatched stride arrays, malformed
     reports handed to the attributor)."""
+
+
+def _check_int(name: str, value, error=QueryError) -> int:
+    # bool is an int subclass, but True as a coordinate is a bug
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_ints(name: str, values) -> tuple[int, ...]:
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise QueryError(
+            f"{name} must be a sequence of integers, got {values!r}"
+        ) from None
+    for d, v in enumerate(items):
+        if type(v) is not int:
+            # numpy integers pass, anything else raises
+            _check_int(f"{name}[{d}]", v)
+    return tuple(map(int, items))

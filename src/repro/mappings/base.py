@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import MappingError, QueryError
+from repro.errors import MappingError, QueryError, _check_int, _check_ints
 from repro.lvm.volume import Extent
 
-__all__ = ["RequestPlan", "Mapper", "coalesce_ranks", "enumerate_box",
-           "sorted_unique"]
+__all__ = ["RequestPlan", "Mapper", "box_columns", "coalesce_ranks",
+           "enumerate_box", "sorted_unique"]
 
 
 @dataclass
@@ -90,14 +90,14 @@ def coalesce_ranks(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Collapse a sorted array of distinct ranks into (starts, lengths) of
     maximal consecutive runs."""
     ranks = np.asarray(ranks, dtype=np.int64)
-    if ranks.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    breaks = np.flatnonzero(np.diff(ranks) != 1)
-    starts_idx = np.concatenate(([0], breaks + 1))
-    ends_idx = np.concatenate((breaks, [ranks.size - 1]))
-    starts = ranks[starts_idx]
-    lengths = ranks[ends_idx] - starts + 1
-    return starts, lengths
+    n = ranks.size
+    # edge[i]: a run starts at i (i < n) or the last one ends (i == n);
+    # a run's length is then the distance to the next edge
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[n] = True
+    np.not_equal(ranks[1:], ranks[:-1] + 1, out=edge[1:n])
+    bounds = np.flatnonzero(edge)
+    return ranks[bounds[:-1]], bounds[1:] - bounds[:-1]
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -127,6 +127,17 @@ def enumerate_box(lo, hi) -> np.ndarray:
     # want dim 0 fastest, so transpose the stack order.
     stacked = np.stack([g.T.ravel() for g in grids], axis=1)
     return stacked
+
+
+def box_columns(lo, hi) -> list[np.ndarray]:
+    """One index vector per axis of the half-open box [lo, hi), shaped so
+    that they broadcast together: axis d's vector lies along array axis
+    ``-1 - d``, so the ravel of any broadcast sum lists the box's cells
+    with dimension 0 varying fastest, in :func:`enumerate_box` order."""
+    return [
+        np.arange(a, b, dtype=np.int64).reshape((-1,) + (1,) * d)
+        for d, (a, b) in enumerate(zip(lo, hi))
+    ]
 
 
 class Mapper(ABC):
@@ -174,71 +185,46 @@ class Mapper(ABC):
     def range_plan(self, lo, hi) -> RequestPlan:
         """Plan fetching every cell of the half-open box [lo, hi)."""
 
+    @abstractmethod
     def beam_plan(self, axis: int, fixed, lo: int = 0, hi: int | None = None
                   ) -> RequestPlan:
         """Plan a beam query: all cells along ``axis`` with the other
-        coordinates pinned to ``fixed`` (whose ``axis`` entry is ignored).
-
-        The default implementation maps each cell and issues the (sorted,
-        coalesced) result; subclasses override to exploit their layout.
-        """
-        coords = self._beam_coords(axis, fixed, lo, hi)
-        ranks_lbns = np.sort(self.lbns(coords))
-        starts, lengths = coalesce_ranks(
-            self._expand_cells(ranks_lbns)
-        )
-        return RequestPlan.from_arrays(starts, lengths, "sorted", 0)
-
-    def lbns_batch(self, coords_groups) -> list[np.ndarray]:
-        """Translate many coordinate groups in one vectorised pass.
-
-        Returns one LBN array per group, identical to calling
-        :meth:`lbns` per group; concatenating first amortises the
-        per-call translation cost across the whole batch (the per-chunk
-        loop of a scatter-gather query, a reorg's per-copy translation).
-        """
-        groups = [self._check_coords(g) for g in coords_groups]
-        if not groups:
-            return []
-        if len(groups) == 1:
-            return [self.lbns(groups[0])]
-        lbns = self.lbns(np.concatenate(groups, axis=0))
-        splits = np.cumsum([g.shape[0] for g in groups[:-1]])
-        return np.split(lbns, splits)
+        coordinates pinned to ``fixed`` (whose ``axis`` entry is ignored)."""
 
     # ------------------------------------------------------------------
     # shared helpers
     # ------------------------------------------------------------------
 
-    def _beam_coords(self, axis, fixed, lo, hi) -> np.ndarray:
-        if not 0 <= axis < self.n_dims:
+    def _check_beam(self, axis, fixed, lo, hi
+                    ) -> tuple[int, tuple[int, ...], int, int]:
+        """A beam's ``(axis, fixed, lo, hi)`` as Python ints, ``hi``
+        resolved; every entry must be an integer (numpy integers
+        included, bools not), else :class:`QueryError`."""
+        dims = self.dims
+        axis = _check_int("axis", axis)
+        if not 0 <= axis < len(dims):
             raise QueryError(f"axis {axis} out of range")
-        hi = self.dims[axis] if hi is None else int(hi)
-        if not 0 <= lo < hi <= self.dims[axis]:
+        lo = _check_int("lo", lo)
+        hi = dims[axis] if hi is None else _check_int("hi", hi)
+        if not 0 <= lo < hi <= dims[axis]:
             raise QueryError(f"beam span [{lo}, {hi}) invalid")
-        fixed = tuple(fixed)
-        if len(fixed) != self.n_dims:
+        fixed = _check_ints("fixed", fixed)
+        if len(fixed) != len(dims):
             raise QueryError("fixed must have one entry per dimension")
-        for d, v in enumerate(fixed):
-            if d != axis and not 0 <= int(v) < self.dims[d]:
+        for d, (v, s) in enumerate(zip(fixed, dims)):
+            if d != axis and not 0 <= v < s:
                 raise QueryError(f"fixed[{d}]={v} out of range")
-        count = hi - lo
-        coords = np.empty((count, self.n_dims), dtype=np.int64)
-        for d, v in enumerate(fixed):
-            coords[:, d] = 0 if d == axis else int(v)
-        coords[:, axis] = np.arange(lo, hi)
-        return coords
+        return axis, fixed, lo, hi
 
     def _check_box(self, lo, hi) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        lo = tuple(int(v) for v in lo)
-        hi = tuple(int(v) for v in hi)
-        if len(lo) != self.n_dims or len(hi) != self.n_dims:
+        dims = self.dims
+        lo = _check_ints("lo", lo)
+        hi = _check_ints("hi", hi)
+        if len(lo) != len(dims) or len(hi) != len(dims):
             raise QueryError("box rank does not match dataset rank")
-        for d in range(self.n_dims):
-            if not 0 <= lo[d] < hi[d] <= self.dims[d]:
-                raise QueryError(
-                    f"box [{lo[d]}, {hi[d]}) invalid on axis {d}"
-                )
+        for d, (a, b, s) in enumerate(zip(lo, hi, dims)):
+            if not 0 <= a < b <= s:
+                raise QueryError(f"box [{a}, {b}) invalid on axis {d}")
         return lo, hi
 
     def _check_coords(self, coords) -> np.ndarray:
@@ -258,13 +244,6 @@ class Mapper(ABC):
             if arr.min() < 0 or (arr >= upper).any():
                 raise QueryError("coordinate out of dataset bounds")
         return arr
-
-    def _expand_cells(self, first_lbns: np.ndarray) -> np.ndarray:
-        """Turn per-cell first-LBNs into per-block LBNs (cell_blocks > 1)."""
-        if self.cell_blocks == 1:
-            return first_lbns
-        offs = np.arange(self.cell_blocks, dtype=np.int64)
-        return (first_lbns[:, np.newaxis] + offs).ravel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(dims={self.dims})"

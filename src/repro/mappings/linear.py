@@ -9,7 +9,8 @@ For the curve mappings on non-power-of-two grids the rank of a cell is its
 position among the *occupied* cells in curve order.  A curve mapper holds
 it in a dense *rank table*: one int64 per cell, laid out Dim0-fastest
 with the Naive layout's strides, so a cell's rank is one gather at its
-flat index and a box's ranks are one N-D slice of the table.  The table
+flat index, a beam's ranks are one gather at an ``arange`` of flat
+indices, and a box's ranks are one N-D slice of the table.  The table
 is built once from the curve ``encode`` and an argsort — ``encode`` runs
 nowhere else — and, since it depends only on the curve class and the
 grid dims, it is published read-only through :data:`repro.perf.memo.MEMO`
@@ -44,12 +45,14 @@ class LinearMapper(Mapper):
 
     def __init__(self, dims, extent, cell_blocks: int = 1):
         super().__init__(dims, extent, cell_blocks)
-        # Dim0-fastest (row-major along Dim0) flat index of a cell is
-        # ``coords @ _strides``
+        # Dim0-fastest (row-major along Dim0) flat index of a cell:
+        # ``coords @ _stride_vec`` for a coordinate matrix, or
+        # ``sum(x_d * _strides[d])`` in Python ints for a closed form
         strides = [1]
         for s in self.dims[:-1]:
             strides.append(strides[-1] * s)
-        self._strides = np.asarray(strides, dtype=np.int64)
+        self._strides = tuple(strides)
+        self._stride_vec = np.asarray(strides, dtype=np.int64)
 
     def rank(self, coords: np.ndarray) -> np.ndarray:
         """Position of each cell in the on-disk order.  Subclasses provide."""
@@ -79,10 +82,16 @@ class LinearMapper(Mapper):
             self.extent.start + starts * cb, lengths * cb, policy, merge_gap
         )
 
-    def beam_plan(self, axis: int, fixed, lo: int = 0, hi: int | None = None
-                  ) -> RequestPlan:
-        coords = self._beam_coords(axis, fixed, lo, hi)
-        return self.plan_from_ranks(self.rank(coords), "sorted", 0)
+    def _beam_span(self, axis, fixed, lo, hi) -> tuple[int, int, int]:
+        """``(first, step, count)``: a beam's cells sit at the flat
+        indices ``first + step * i`` for ``i < count``, ascending."""
+        axis, fixed, lo, hi = self._check_beam(axis, fixed, lo, hi)
+        step = self._strides[axis]
+        first = lo * step
+        for d, (x, stride) in enumerate(zip(fixed, self._strides)):
+            if d != axis:
+                first += x * stride
+        return first, step, hi - lo
 
 
 class CurveMapper(LinearMapper):
@@ -143,7 +152,13 @@ class CurveMapper(LinearMapper):
         return self._rank_table
 
     def rank(self, coords: np.ndarray) -> np.ndarray:
-        return self.rank_table()[coords @ self._strides]
+        return self.rank_table()[coords @ self._stride_vec]
+
+    def beam_plan(self, axis: int, fixed, lo: int = 0, hi: int | None = None
+                  ) -> RequestPlan:
+        first, step, count = self._beam_span(axis, fixed, lo, hi)
+        flat = np.arange(first, first + step * count, step, dtype=np.int64)
+        return self.plan_from_ranks(self.rank_table()[flat], "sorted", 0)
 
     def range_plan(self, lo, hi) -> RequestPlan:
         lo, hi = self._check_box(lo, hi)

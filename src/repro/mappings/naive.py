@@ -3,7 +3,10 @@
 The N-D space is linearised with dimension 0 varying fastest, so Dim0
 enjoys sequential access and every other dimension strides.  Beam and
 range plans are computed arithmetically — no per-cell enumeration — since
-rows along Dim0 are contiguous by construction.
+rows along Dim0 are contiguous by construction: a beam is one run, or
+one ``arange`` of single-cell runs a stride apart, and a box lists its
+runs (one per Dim0 row, or per block of rows where the box spans the
+leading axes) from broadcast per-axis index vectors.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.registry import register_layout
-from repro.mappings.base import RequestPlan, enumerate_box
+from repro.mappings.base import RequestPlan, box_columns
 from repro.mappings.linear import LinearMapper
 
 __all__ = ["NaiveMapper"]
@@ -24,30 +27,44 @@ class NaiveMapper(LinearMapper):
     name = "naive"
 
     def rank(self, coords: np.ndarray) -> np.ndarray:
-        return coords @ self._strides
+        return coords @ self._stride_vec
+
+    def beam_plan(self, axis: int, fixed, lo: int = 0, hi: int | None = None
+                  ) -> RequestPlan:
+        first, step, count = self._beam_span(axis, fixed, lo, hi)
+        cb = self.cell_blocks
+        start = self.extent.start + first * cb
+        if step == 1:
+            # the beam is one contiguous row
+            return RequestPlan.from_arrays(
+                np.array([start], dtype=np.int64),
+                np.array([count * cb], dtype=np.int64), "sorted", 0,
+            )
+        # cells a stride apart never touch: one run per cell
+        return RequestPlan.from_arrays(
+            np.arange(start, start + step * cb * count, step * cb,
+                      dtype=np.int64),
+            np.full(count, cb, dtype=np.int64), "sorted", 0,
+        )
 
     def range_plan(self, lo, hi) -> RequestPlan:
         lo, hi = self._check_box(lo, hi)
-        # One run per row: the Dim0 extent is contiguous; enumerate only
-        # the non-Dim0 coordinates.
-        row_len = (hi[0] - lo[0]) * self.cell_blocks
-        if self.n_dims == 1:
-            rows = np.zeros((1, 1), dtype=np.int64)
-        else:
-            rows = enumerate_box(lo[1:], hi[1:])
-        anchors = np.empty((rows.shape[0], self.n_dims), dtype=np.int64)
-        anchors[:, 0] = lo[0]
-        if self.n_dims > 1:
-            anchors[:, 1:] = rows
-        starts = self.extent.start + self.rank(anchors) * self.cell_blocks
-        # Merge rows that happen to be contiguous (full-width spans).
-        starts.sort()
-        lengths = np.full(starts.shape, row_len, dtype=np.int64)
-        merged = np.flatnonzero(starts[1:] != starts[:-1] + row_len)
-        run_start_idx = np.concatenate(([0], merged + 1))
-        run_end_idx = np.concatenate((merged, [starts.size - 1]))
+        # Axes below k span the whole grid, so each run covers axis k's
+        # span for one combination of the coordinates above it (k = 0
+        # unless the box is full-width along Dim0): one run per such
+        # combination, listed by broadcast index vectors in ascending
+        # LBN order.
+        k = 0
+        while k < self.n_dims - 1 and hi[k] - lo[k] == self.dims[k]:
+            k += 1
+        cb = self.cell_blocks
+        strides = self._strides
+        starts = self.extent.start + lo[k] * strides[k] * cb
+        for col, stride in zip(box_columns(lo[k + 1:], hi[k + 1:]),
+                               strides[k + 1:]):
+            starts = starts + col * (stride * cb)
+        starts = np.ravel(starts)
+        run_len = (hi[k] - lo[k]) * strides[k] * cb
         return RequestPlan.from_arrays(
-            starts[run_start_idx],
-            starts[run_end_idx] + row_len - starts[run_start_idx],
-            "sorted",
+            starts, np.full(starts.size, run_len, dtype=np.int64), "sorted"
         )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import QueryError
+from repro.errors import QueryError, _check_int, _check_ints
 
 __all__ = [
     "BeamQuery",
@@ -22,23 +22,6 @@ __all__ = [
     "random_range_cube",
     "range_for_selectivity",
 ]
-
-
-def _check_int(name: str, value, error=QueryError) -> int:
-    # bool is an int subclass, but True as a coordinate is a bug
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _check_ints(name: str, values) -> tuple[int, ...]:
-    try:
-        items = list(values)
-    except TypeError:
-        raise QueryError(
-            f"{name} must be a sequence of integers, got {values!r}"
-        ) from None
-    return tuple(_check_int(f"{name}[{d}]", v) for d, v in enumerate(items))
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ class TestMultiZone:
         geom = model.geometry
         coords = enumerate_box((0, 0, 0), mm.dims)
         lbns = mm.lbns(coords)
-        rec, _, _, _ = mm._locate(coords)
+        rec, _, _, _ = mm._locate(coords.T)
         for alloc_idx, alloc in enumerate(mm._allocations):
             sel = rec == alloc_idx
             if not sel.any():

@@ -4,8 +4,8 @@ search rank it replaced.
 ``ReferenceRank`` is that rank kept verbatim: a sorted table of every
 cell's curve code (built in slabs along the last axis) and one
 ``encode`` + ``np.searchsorted`` per query.  The property below requires
-``rank``, ``lbns``, ``lbns_batch``, ``beam_plan`` and ``range_plan`` to
-equal it exactly for all three curves.
+``rank``, ``lbns``, ``beam_plan`` and ``range_plan`` to equal it exactly
+for all three curves.
 """
 
 import tracemalloc
@@ -54,7 +54,9 @@ class ReferenceRank:
         return m.extent.start + self.rank(coords) * m.cell_blocks
 
     def beam_plan(self, axis, fixed, lo, hi):
-        coords = self.mapper._beam_coords(axis, fixed, lo, hi)
+        hi = self.mapper.dims[axis] if hi is None else hi
+        coords = np.tile(np.asarray(fixed, dtype=np.int64), (hi - lo, 1))
+        coords[:, axis] = np.arange(lo, hi)
         return self.mapper.plan_from_ranks(self.rank(coords), "sorted", 0)
 
     def range_plan(self, lo, hi):
@@ -120,13 +122,6 @@ def test_rank_table_matches_reference(cls, dims, cell_blocks, data):
                               max_size=12))
     cells = every[rows]
     assert_same_array(m.lbns(cells), ref.lbns(cells))
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)),
-                                     max_size=3)))
-    groups = np.split(cells, cuts)
-    got = m.lbns_batch(groups)
-    assert len(got) == len(groups)
-    for g, group in zip(got, groups):
-        assert_same_array(g, ref.lbns(group))
 
     axis, fixed, lo, hi = data.draw(beams(dims))
     assert_same_plan(m.beam_plan(axis, fixed, lo, hi),
@@ -161,7 +156,6 @@ def test_queries_never_encode_once_the_table_exists(cls, monkeypatch):
     monkeypatch.setattr(m, "encode", no_encode)
     m.rank(enumerate_box((0, 0, 0), (2, 2, 2)))
     m.lbns([[1, 2, 3]])
-    m.lbns_batch([[[0, 0, 0]], [[5, 4, 6]]])
     m.beam_plan(1, (2, 0, 3))
     m.range_plan((1, 1, 1), (4, 5, 6))
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import Dataset
-from repro.mappings.base import Mapper
+from repro.mappings.base import RequestPlan, coalesce_ranks
 from repro.perf.reference import reference_intersections, reference_prepare
 from repro.query.workload import BeamQuery, RangeQuery
 from repro.shard.map import ShardMap
@@ -78,17 +78,30 @@ def test_prepare_matches_reference(layout, cell_blocks, query):
     assert_prepared_equal(fast, ref)
 
 
+def generic_beam_plan(mapper, axis, fixed, lo, hi):
+    """A beam planned cell by cell: map every cell, sort, expand cells
+    to blocks, coalesce."""
+    hi = mapper.dims[axis] if hi is None else hi
+    coords = np.tile(np.asarray(fixed, dtype=np.int64), (hi - lo, 1))
+    coords[:, axis] = np.arange(lo, hi)
+    lbns = np.sort(mapper.lbns(coords))
+    blocks = (lbns[:, np.newaxis]
+              + np.arange(mapper.cell_blocks, dtype=np.int64)).ravel()
+    starts, lengths = coalesce_ranks(blocks)
+    return RequestPlan.from_arrays(starts, lengths, "sorted", 0)
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(layout=st.sampled_from(("naive", "zorder", "hilbert")),
        query=beam_queries())
 def test_linear_beam_override_matches_generic(layout, query):
-    # LinearMapper.beam_plan short-circuits through plan_from_ranks;
-    # the generic base implementation must describe the same runs
+    # the linear layouts plan beams from flat index vectors; planning
+    # the same beam cell by cell must describe the same runs
     mapper = dataset_for(layout, 1).mapper
     fast = mapper.beam_plan(query.axis, query.fixed, query.lo, query.hi)
-    generic = Mapper.beam_plan(mapper, query.axis, query.fixed,
-                               query.lo, query.hi)
+    generic = generic_beam_plan(mapper, query.axis, query.fixed,
+                                query.lo, query.hi)
     assert fast.policy == generic.policy
     assert fast.merge_gap == generic.merge_gap
     assert np.array_equal(fast.starts, generic.starts)

@@ -112,7 +112,5 @@ def test_mapper_lbns_rejects_float_and_bool_coordinates(layout):
         mapper.lbns([[0.5, 1, 2]])
     with pytest.raises(QueryError, match="integers"):
         mapper.lbns(np.zeros((2, 3), dtype=bool))
-    with pytest.raises(QueryError, match="integers"):
-        mapper.lbns_batch([[[0, 1, 2]], [[1.0, 1, 2]]])
     ok = mapper.lbns(np.array([[0, 1, 2]], dtype=np.uint16))
     assert ok.tolist() == mapper.lbns([[0, 1, 2]]).tolist()

@@ -7,6 +7,7 @@
 value below used to be accepted, truncated, or fail later in a bare
 ``TypeError``/``ValueError``: ``window=nan`` only on the first range
 query, and ``coalesce_gap_blocks=-1`` silently changed range timings.
+The dataset's ``shape`` is checked at the same point.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from repro.api import Dataset
 from repro.disk import toy_disk
-from repro.errors import MappingError, QueryError
+from repro.errors import DatasetError, MappingError, QueryError
 from repro.lvm import LogicalVolume
 from repro.query import StorageManager
 
@@ -85,3 +86,28 @@ def test_zero_sptf_run_limit_serves_sptf_sorted():
                         depth=4, sptf_run_limit=0, seed=1)
     report = ds.range((0, 0, 0), (4, 4, 4)).run()
     assert [r.policy for r in report.results] == ["sorted"]
+
+
+@pytest.mark.parametrize("shape", [
+    (), "abc", 5, None, (16.5, 8, 8), (True, 8, 8), (0, 8, 8), (8, -1),
+    (8, np.float64(2.0)), (8, "8"),
+], ids=repr)
+def test_shape_must_be_positive_integers(shape):
+    # () used to build a 0-dimensional dataset that failed on first
+    # use, (16.5, 8, 8) and (True, 8, 8) were truncated, "abc" raised
+    # a bare ValueError and (0, 8, 8) failed only at the storage build
+    built = []
+
+    def factory():
+        built.append(True)
+        return toy_disk()
+
+    with pytest.raises(DatasetError, match="shape"):
+        Dataset.create(shape, layout="naive", drive=("toy", factory))
+    assert not built
+
+
+def test_shape_is_stored_as_ints():
+    ds = Dataset.create(np.array([5, 4, 3]), layout="naive", drive="toy")
+    assert ds.shape == (5, 4, 3)
+    assert all(type(s) is int for s in ds.shape)
