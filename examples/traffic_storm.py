@@ -26,13 +26,13 @@ from repro.traffic import QueryMix, render_storm, run_storm
 
 QUICK = dict(
     shape=(64, 64, 32),
-    client_counts=(1, 2, 4, 8),
-    queries_per_client=12,
+    clients=(1, 2, 4, 8),
+    queries=12,
 )
 FULL = dict(
     shape=(128, 64, 64),
-    client_counts=(1, 2, 4, 8, 16),
-    queries_per_client=30,
+    clients=(1, 2, 4, 8, 16),
+    queries=30,
 )
 LAYOUTS = ("naive", "zorder", "hilbert", "multimap")
 
@@ -48,8 +48,8 @@ def main(argv=None) -> int:
     data = run_storm(
         params["shape"],
         layouts=LAYOUTS,
-        client_counts=params["client_counts"],
-        queries_per_client=params["queries_per_client"],
+        clients=params["clients"],
+        queries=params["queries"],
         mix=QueryMix.beams(1, 2),
         seed=42,
         slice_runs=64,
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
     # The claim this example demonstrates: MultiMap sustains at least the
     # throughput of every linearised layout at every tested client count.
     ok = True
-    for n in params["client_counts"]:
+    for n in params["clients"]:
         mm = data["multimap"][n]["throughput_qps"]
         for layout in LAYOUTS:
             if layout == "multimap":

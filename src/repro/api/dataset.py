@@ -49,7 +49,12 @@ from repro.api.registry import DRIVES, LAYOUTS, DriveEntry
 from repro.api.report import Report, make_record
 from repro.core.store import CellStore, StoreStats
 from repro.disk.models import DiskModel
-from repro.errors import DatasetError, QueryError, _check_int
+from repro.errors import (
+    DatasetError,
+    QueryError,
+    _check_count,
+    _check_shape,
+)
 from repro.lvm.volume import LogicalVolume
 from repro.query.executor import QueryResult, check_setting
 from repro.query.scheduler import DEFAULT_WINDOW, SPTF_RUN_LIMIT
@@ -80,25 +85,6 @@ def _resolve_drive(drive) -> tuple[str, object]:
         f"drive must be a registered name, a DiskModel, or a factory; "
         f"got {type(drive).__name__}"
     )
-
-
-def _check_shape(shape) -> tuple[int, ...]:
-    """A dataset shape as Python ints: a non-empty sequence of integers
-    (numpy integers included, bools not), each at least 1."""
-    try:
-        items = tuple(shape)
-    except TypeError:
-        raise DatasetError(
-            f"shape must be a sequence of integers, got {shape!r}"
-        ) from None
-    if not items:
-        raise DatasetError("shape must have at least one dimension")
-    dims = tuple(_check_int(f"shape[{d}]", s, DatasetError)
-                 for d, s in enumerate(items))
-    for d, s in enumerate(dims):
-        if s < 1:
-            raise DatasetError(f"shape[{d}] must be >= 1, got {s}")
-    return dims
 
 
 class QueryBatch:
@@ -135,9 +121,7 @@ class QueryBatch:
 
     def random_beams(self, axis: int, n: int = 5) -> "QueryBatch":
         """Append ``n`` random full-length beams along ``axis``."""
-        if n < 1:
-            raise QueryError("n must be >= 1")
-        for _ in range(int(n)):
+        for _ in range(_check_count("n", n)):
             self._entries.append(("random_beam", axis, 0, None))
         return self
 
@@ -169,9 +153,7 @@ class QueryBatch:
 
     def repeats(self, n: int) -> "QueryBatch":
         """Execute the whole batch ``n`` times (lazy entries redraw)."""
-        if n < 1:
-            raise QueryError("repeats must be >= 1")
-        self._repeats = int(n)
+        self._repeats = _check_count("repeats", n)
         return self
 
     def __len__(self) -> int:
@@ -205,9 +187,8 @@ class QueryBatch:
         ds = self._dataset
         if rng is None:
             rng = ds.rng()
-        n_rep = self._repeats if repeats is None else int(repeats)
-        if n_rep < 1:
-            raise QueryError("repeats must be >= 1")
+        n_rep = (self._repeats if repeats is None
+                 else _check_count("repeats", repeats))
         storage = ds.storage
         records = []
         for rep in range(n_rep):
@@ -466,9 +447,7 @@ class Dataset:
         from repro.shard import ShardMap
 
         self._check_rebuild("with_shards", "shard")
-        n = int(n_shards)
-        if n < 1:
-            raise DatasetError("n_shards must be >= 1")
+        n = _check_count("n_shards", n_shards, DatasetError)
         # build the whole new stack in locals and commit only once
         # everything validated: a failed call (unknown strategy, bad
         # chunk shape, too few disks for k, exhausted volume) must leave
@@ -535,9 +514,7 @@ class Dataset:
                 "with_replication needs a sharded dataset; call "
                 "with_shards(n) first (n >= k member disks)"
             )
-        k = int(k)
-        if k < 1:
-            raise DatasetError("k must be >= 1")
+        k = _check_count("k", k, DatasetError)
         self._validate_replica_k(k, int(self._shard_spec["n_shards"]))
         # validate names before rebuilding, so a typo leaves the
         # dataset untouched
@@ -683,8 +660,8 @@ class Dataset:
         array), so one shard's scan cannot evict another's working set.
         ``with_shards`` re-instantiates the spec on the new disk count.
         """
-        if capacity_blocks < 0:
-            raise DatasetError("capacity_blocks must be >= 0")
+        capacity_blocks = _check_count("capacity_blocks", capacity_blocks,
+                                       DatasetError, low=0)
         if scope not in ("shared", "per_shard"):
             raise DatasetError(
                 f"cache scope must be 'shared' or 'per_shard', "

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import QueryError
+from repro.errors import QueryError, _check_count
 from repro.traffic.arrivals import (
     ArrivalProcess,
     BurstyArrivals,
@@ -67,18 +67,18 @@ class TrafficRun:
         creation order unless ``name`` (used as a prefix for ``n > 1``)
         says otherwise.
         """
-        if n < 1:
-            raise QueryError("n must be >= 1")
+        n = _check_count("n", n)
+        queries = _check_count("queries", queries)
         ndim = len(self._dataset.shape)
         mix = mix or QueryMix.beams(*range(1, ndim) if ndim > 1 else (0,))
         arrival = arrival or ClosedLoop()
-        for i in range(int(n)):
+        for i in range(n):
             idx = len(self._specs)
             if name is None:
                 cname = f"c{idx}"
             else:
                 cname = name if n == 1 else f"{name}{i}"
-            self._specs.append((cname, mix, arrival, int(queries)))
+            self._specs.append((cname, mix, arrival, queries))
         return self
 
     def closed(self, n: int = 1, *, think_ms: float = 0.0,

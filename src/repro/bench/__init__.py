@@ -1,4 +1,5 @@
-"""Benchmark harness: one regenerator per paper figure."""
+"""Benchmark harness: one regenerator per paper figure, and the sweep
+engine (:mod:`repro.bench.sweep`) behind the five layout sweeps."""
 
 from repro.bench.figures import (
     PAPER_SCALE,

@@ -2,14 +2,19 @@
 (also installed as ``multimap-bench``).
 
 Eleven modes: without a subcommand it regenerates the paper figures
-(``--figure``, ``--scale``); the ten subcommands are
+(``--figure``, ``--scale``).  Five subcommands are layout sweeps, each
+the paper's §5 comparison carried over to one more layer:
 
-``traffic``    storm sweep, layouts x client counts (:mod:`repro.traffic`)
-``cache``      buffer-pool capacity sweep per layout (:mod:`repro.cache`)
-``scale``      shard-count sweep per layout (:mod:`repro.shard`)
-``avail``      replication sweep under a seeded disk failure
-               (:mod:`repro.replica`)
-``ingest``     ingest goodput, layouts x bulk loaders (:mod:`repro.ingest`)
+``traffic``    layouts x client counts under a seeded storm
+               (:mod:`repro.traffic`)
+``cache``      layouts x buffer-pool capacities (:mod:`repro.cache`)
+``scale``      layouts x shard counts (:mod:`repro.shard`)
+``avail``      layouts x replication factors under a seeded disk
+               failure (:mod:`repro.replica`)
+``ingest``     layouts x bulk loaders, write goodput (:mod:`repro.ingest`)
+
+and five run one job each:
+
 ``perf``       plan-preparation throughput per layout; ``--check`` gates
                it against a pinned baseline such as ``BENCH_perf.json``
                and exits 1 on regression (:mod:`repro.perf.sweep`)
@@ -25,12 +30,20 @@ Eleven modes: without a subcommand it regenerates the paper figures
                regression; ``--attribute`` ranks the suspects
                (:mod:`repro.monitor.diff`)
 
-``trace`` and ``dashboard`` share one storm runner
-(:func:`repro.traffic.storm.run_one_storm`) and, with ``traffic``, one
-set of workload flags.  ``diff``, ``diff --attribute`` and ``perf
---check`` share one band rule (:func:`repro.monitor.diff.band_score`).
-The ``--list-*`` flags (one per registry, driven by the ``_LISTINGS``
-table below) print the registered names with descriptions and exit.
+The sweeps share one engine (:mod:`repro.bench.sweep`), one main
+(``_sweep_main``, driven by the ``_SWEEPS`` table below) and one parser
+helper for the flags they share: ``--shape``, ``--layouts``,
+``--drive``, ``--seed``, ``--json`` and ``--quiet``, plus ``--beams``
+and ``--axes`` for the beam workloads of ``cache``, ``scale`` and
+``avail``.  Every other flag of a sweep is named after its runner's
+keyword.  ``traffic``, ``trace`` and ``dashboard`` share the storm
+workload flags (``_STORM_KEYS``): both storm runners
+(:func:`repro.traffic.storm.run_storm` and
+:func:`repro.traffic.storm.run_one_storm`) take them by name.
+``diff``, ``diff --attribute`` and ``perf --check`` share one band rule
+(:func:`repro.monitor.diff.band_score`).  The ``--list-*`` flags (one
+per registry, driven by the ``_LISTINGS`` table below) print the
+registered names with descriptions and exit.
 
 Examples::
 
@@ -69,7 +82,7 @@ import json
 from pathlib import Path
 
 from repro.bench.harness import FIGURES, run_all
-from repro.traffic.arrivals import ARRIVALS, arrival_named
+from repro.traffic.arrivals import ARRIVALS
 
 __all__ = ["main"]
 
@@ -161,32 +174,41 @@ def _parse_mix(text: str):
 
 
 def _add_output_flags(p, quiet_help: str = "suppress table output") -> None:
-    """``--json`` and ``--quiet``, the last flags of every report
-    subcommand."""
+    """``--json`` and ``--quiet``, the flags every report subcommand
+    shares."""
     p.add_argument("--json", default=None,
                    help="JSON output file (or directory)")
     p.add_argument("--quiet", action="store_true", help=quiet_help)
 
 
+#: the storm workload flags, named after the keywords both storm runners
+#: take: :func:`repro.traffic.storm.run_storm` (``traffic``) and
+#: :func:`repro.traffic.storm.run_one_storm` (``trace``, ``dashboard``)
+_STORM_KEYS = ("clients", "queries", "mix", "arrival", "rate", "think_ms",
+               "slice_runs", "head")
+
+
 def _add_storm_flags(p, *, sweep: bool, clients, queries: int) -> None:
-    """The workload flags of the storm subcommands: ``traffic`` sweeps
-    layouts x client counts (``sweep``, ``clients`` a comma-separated
-    list); ``trace`` and ``dashboard`` run one storm on one layout."""
-    p.add_argument("--shape", default="64,64,32", type=_csv_ints,
-                   help="dataset dims, comma-separated (default 64,64,32)")
+    """The storm workload flags (:data:`_STORM_KEYS`).  ``traffic``
+    sweeps layouts x client counts (``sweep``: ``clients`` is a
+    comma-separated list, and :func:`_add_sweep_parser` adds the dataset
+    flags); ``trace`` and ``dashboard`` run one storm on one layout."""
     if sweep:
-        p.add_argument("--layouts",
-                       default="naive,zorder,hilbert,multimap",
-                       help="comma-separated registered layouts")
         p.add_argument("--clients", default=clients, type=_csv_ints,
                        help="comma-separated client counts to sweep")
     else:
+        p.add_argument("--shape", default="64,64,32", type=_csv_ints,
+                       help="dataset dims, comma-separated (default "
+                       "64,64,32)")
         p.add_argument("--layout", default="multimap",
                        help="registered layout (default multimap)")
+        p.add_argument("--drive", default="atlas10k3",
+                       help="registered drive model (default atlas10k3)")
+        p.add_argument("--seed", type=int, default=42,
+                       help="base seed; every client stream derives from "
+                       "it")
         p.add_argument("--clients", type=int, default=clients,
                        help=f"concurrent clients (default {clients})")
-    p.add_argument("--drive", default="atlas10k3",
-                   help="registered drive model (default atlas10k3)")
     p.add_argument("--queries", type=int, default=queries,
                    help=f"queries per client (default {queries})")
     p.add_argument("--mix", default=None, type=_parse_mix,
@@ -199,8 +221,6 @@ def _add_storm_flags(p, *, sweep: bool, clients, queries: int) -> None:
     p.add_argument("--rate", type=float, default=50.0,
                    help="per-client rate for poisson (q/s) or bursty "
                    "(bursts/s)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="base seed; every client stream derives from it")
     p.add_argument("--slice-runs", type=int, default=64,
                    help="runs per service slice; 0 = whole query per "
                    "batch (default 64)")
@@ -208,70 +228,93 @@ def _add_storm_flags(p, *, sweep: bool, clients, queries: int) -> None:
                    help="per-query random head position or carry-over")
 
 
-#: the one-storm workload flags ``trace``/``dashboard`` hand to
-#: :func:`repro.traffic.storm.run_one_storm`
-_STORM_KEYS = ("layout", "drive", "clients", "queries", "mix", "arrival",
-               "rate", "think_ms", "seed", "slice_runs", "head")
-
-
 def _storm_kwargs(args) -> dict:
-    return {key: getattr(args, key) for key in _STORM_KEYS}
+    return {key: getattr(args, key)
+            for key in ("layout", "drive", "seed") + _STORM_KEYS}
 
 
-def _traffic_main(args) -> int:
-    from repro.traffic import render_storm, run_storm
+#: the sweep subcommands: name -> (module, runner, renderer).  Every
+#: runner is one :func:`repro.bench.sweep.run_sweep` over the layouts
+#: and one swept value.
+_SWEEPS = {
+    "traffic": ("repro.traffic", "run_storm", "render_storm"),
+    "cache": ("repro.cache", "run_cache_sweep", "render_cache_sweep"),
+    "scale": ("repro.shard", "run_scale_sweep", "render_scale_sweep"),
+    "avail": ("repro.replica", "run_avail_sweep", "render_avail_sweep"),
+    "ingest": ("repro.ingest", "run_ingest_sweep", "render_ingest_sweep"),
+}
 
-    arrival = arrival_named(args.arrival, rate=args.rate,
-                            think_ms=args.think_ms)
-    data = run_storm(
-        args.shape,
-        layouts=_csv_strs(args.layouts),
-        client_counts=args.clients,
-        drive=args.drive,
-        queries_per_client=args.queries,
-        mix=args.mix,
-        arrival=arrival,
-        seed=args.seed,
-        slice_runs=args.slice_runs if args.slice_runs > 0 else None,
-        head=args.head,
+
+def _sweep_main(args) -> int:
+    """Run a sweep subcommand: its runner gets ``--shape`` and the flags
+    ``args.sweep_keys`` names, its renderer prints the result."""
+    from importlib import import_module
+
+    module, run, render = _SWEEPS[args.command]
+    module = import_module(module)
+    data = getattr(module, run)(
+        args.shape, **{key: getattr(args, key) for key in args.sweep_keys}
     )
-    args.json = args.json or args.out
-    return _emit(args, data, render_storm, "traffic.json")
+    return _emit(args, data, getattr(module, render),
+                 f"{args.command}.json")
 
 
-def _cache_main(args) -> int:
-    from repro.cache import render_cache_sweep, run_cache_sweep
+def _add_sweep_parser(subparsers, name: str, keys, *,
+                      shape: str = "64,64,32", drive: str = "atlas10k3",
+                      beams: int | None = None, axes: str | None = None,
+                      seed_help: str = "workload + head-position seed",
+                      **parser_kw):
+    """The parser of sweep subcommand ``name``, holding the flags every
+    sweep shares: ``--shape``, ``--layouts``, ``--drive``, ``--seed``,
+    ``--json`` and ``--quiet``, and with ``beams`` also ``--beams`` and
+    ``--axes`` (default ``axes``, else every non-streaming axis).  The
+    caller adds the sweep's own flags, each with its runner keyword as
+    ``dest``, and lists those keywords in ``keys``."""
+    p = subparsers.add_parser(name, **parser_kw)
+    p.add_argument("--shape", default=shape, type=_csv_ints,
+                   help=f"dataset dims, comma-separated (default {shape})")
+    p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
+                   type=_csv_strs, help="comma-separated registered layouts")
+    p.add_argument("--drive", default=drive,
+                   help=f"registered drive model (default {drive})")
+    p.add_argument("--seed", type=int, default=42, help=seed_help)
+    keys = ("layouts", "drive", "seed") + tuple(keys)
+    if beams is not None:
+        p.add_argument("--beams", dest="n_beams", type=int, default=beams,
+                       help=f"beams in the workload (default {beams})")
+        p.add_argument("--axes", default=axes, type=_csv_ints,
+                       help="beam axes, cycled (default: "
+                       f"{axes or 'every non-streaming axis'})")
+        keys += ("n_beams", "axes")
+    _add_output_flags(p)
+    p.set_defaults(func=_sweep_main, sweep_keys=keys)
+    return p
 
-    data = run_cache_sweep(
-        args.shape,
-        layouts=_csv_strs(args.layouts),
-        capacities=args.capacities,
-        policy=args.policy,
-        prefetch=args.prefetch,
-        n_beams=args.beams,
-        repeats=args.repeats,
-        axes=args.axes,
-        region_frac=args.region,
-        drive=args.drive,
-        seed=args.seed,
+
+def _add_traffic_parser(subparsers) -> None:
+    p = _add_sweep_parser(
+        subparsers, "traffic", _STORM_KEYS,
+        seed_help="base seed; every client stream derives from it",
+        help="multi-client traffic storm across layouts",
+        description="Sweep layouts x client counts under a seeded "
+        "concurrent workload and report throughput and latency "
+        "percentiles per mapping.",
     )
-    return _emit(args, data, render_cache_sweep, "cache.json")
+    _add_storm_flags(p, sweep=True, clients="1,2,4,8", queries=20)
 
 
 def _add_cache_parser(subparsers) -> None:
-    p = subparsers.add_parser(
-        "cache",
+    p = _add_sweep_parser(
+        subparsers, "cache",
+        ("capacities", "policy", "prefetch", "repeats", "region_frac"),
+        shape="120,16,16", drive="minidrive", beams=16, axes="1",
         help="hit-ratio-vs-capacity sweep per layout",
         description="Replay a seeded overlapping-beam workload against "
         "each layout at rising buffer-pool capacities and report the "
         "cache hit ratio, prefetch accuracy, and query timings — the "
-        "memory half of MultiMap's locality dividend.",
+        "memory half of MultiMap's locality dividend.  The default shape "
+        "fills whole minidrive tracks along dim 0.",
     )
-    p.add_argument("--shape", default="120,16,16", type=_csv_ints,
-                   help="dataset dims, comma-separated; the default "
-                   "fills whole minidrive tracks along dim 0")
-    p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
-                   help="comma-separated registered layouts")
     p.add_argument("--capacities", default="0,4096,12288,24576",
                    type=_csv_ints,
                    help="comma-separated pool capacities in blocks "
@@ -280,42 +323,16 @@ def _add_cache_parser(subparsers) -> None:
                    help="eviction policy (lru, slru, scan, or registered)")
     p.add_argument("--prefetch", default="track",
                    help="prefetcher (none, track, adjacent, or registered)")
-    p.add_argument("--beams", type=int, default=16,
-                   help="beams per round (default 16)")
     p.add_argument("--repeats", type=int, default=3,
                    help="rounds over the same beams (default 3)")
-    p.add_argument("--axes", default="1", type=_csv_ints,
-                   help="beam axes, cycled (default 1)")
-    p.add_argument("--region", type=float, default=0.4,
+    p.add_argument("--region", dest="region_frac", type=float, default=0.4,
                    help="fraction of each dim beam anchors cluster in")
-    p.add_argument("--drive", default="minidrive",
-                   help="registered drive model (default minidrive)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="workload + head-position seed")
-    _add_output_flags(p)
-    p.set_defaults(func=_cache_main)
-
-
-def _scale_main(args) -> int:
-    from repro.shard import render_scale_sweep, run_scale_sweep
-
-    data = run_scale_sweep(
-        args.shape,
-        layouts=_csv_strs(args.layouts),
-        shard_counts=args.shards,
-        strategy=args.strategy,
-        split_axis=args.split_axis,
-        n_beams=args.beams,
-        axes=args.axes or None,
-        drive=args.drive,
-        seed=args.seed,
-    )
-    return _emit(args, data, render_scale_sweep, "scale.json")
 
 
 def _add_scale_parser(subparsers) -> None:
-    p = subparsers.add_parser(
-        "scale",
+    p = _add_sweep_parser(
+        subparsers, "scale", ("shard_counts", "strategy", "split_axis"),
+        beams=12,
         help="speedup-vs-disks sweep per layout",
         description="Replay a seeded beam workload against each layout "
         "at rising shard counts (chunks declustered across member disks,"
@@ -323,28 +340,77 @@ def _add_scale_parser(subparsers) -> None:
         "speedup per mapping — the multi-disk half of MultiMap's "
         "locality dividend.",
     )
-    p.add_argument("--shape", default="64,64,32", type=_csv_ints,
-                   help="dataset dims, comma-separated (default 64,64,32)")
-    p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
-                   help="comma-separated registered layouts")
-    p.add_argument("--shards", default="1,2,4", type=_csv_ints,
+    p.add_argument("--shards", dest="shard_counts", default="1,2,4",
+                   type=_csv_ints,
                    help="comma-separated shard counts to sweep")
     p.add_argument("--strategy", default="disk_modulo",
                    help="registered declustering strategy "
                    "(round_robin, disk_modulo, cube_aligned, ...)")
     p.add_argument("--split-axis", type=int, default=1,
                    help="axis the chunking slabs (default 1)")
-    p.add_argument("--beams", type=int, default=12,
-                   help="beams in the fixed workload (default 12)")
-    p.add_argument("--axes", default=None, type=_csv_ints,
-                   help="beam axes, cycled (default: every non-streaming "
-                   "axis)")
-    p.add_argument("--drive", default="atlas10k3",
-                   help="registered drive model (default atlas10k3)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="workload + head-position seed")
-    _add_output_flags(p)
-    p.set_defaults(func=_scale_main)
+
+
+def _add_avail_parser(subparsers) -> None:
+    p = _add_sweep_parser(
+        subparsers, "avail",
+        ("ks", "n_disks", "placement", "read_policy", "kill_disk"),
+        shape="64,16,16", beams=8,
+        seed_help="workload + head-position + victim seed",
+        help="availability/overhead-vs-k sweep per layout",
+        description="Replay a seeded beam workload against each layout "
+        "at rising replication factors, healthy and with one seeded "
+        "member-disk failure, and report throughput in both modes plus "
+        "single-failure availability — the fault-tolerance half of "
+        "MultiMap's locality dividend.",
+    )
+    p.add_argument("--ks", default="1,2,3", type=_csv_ints,
+                   help="comma-separated replication factors to sweep")
+    p.add_argument("--disks", dest="n_disks", type=int, default=3,
+                   help="member disks (>= max k, default 3)")
+    p.add_argument("--placement", default="rotated",
+                   help="registered replica placement "
+                   "(rotated, locality_aligned, ...)")
+    p.add_argument("--read-policy", default="primary",
+                   help="registered read policy "
+                   "(primary, round_robin, least_loaded, ...)")
+    p.add_argument("--kill-disk", type=int, default=None,
+                   help="member disk to kill (default: seeded draw)")
+
+
+def _add_ingest_parser(subparsers) -> None:
+    p = _add_sweep_parser(
+        subparsers, "ingest",
+        ("loaders", "stream", "n_points", "batch_points", "flush_points",
+         "n_shards", "k", "strategy", "reorganize"),
+        shape="64,16,16", drive="minidrive",
+        seed_help="stream + head-position seed",
+        help="ingest-MB/s sweep, layouts x loaders",
+        description="Stream a seeded record stream into each layout "
+        "under each registered bulk loader (buffered, flushed as whole "
+        "basic cubes, replica-consistent) and report write goodput and "
+        "overflow per mapping — the write-path half of MultiMap's "
+        "locality dividend.",
+    )
+    p.add_argument("--loaders", default="fixed,adaptive", type=_csv_strs,
+                   help="comma-separated registered loaders")
+    p.add_argument("--stream", default="clustered",
+                   help="registered record stream "
+                   "(uniform, clustered, drifting)")
+    p.add_argument("--points", dest="n_points", type=int, default=4096,
+                   help="points streamed per cell (default 4096)")
+    p.add_argument("--batch-points", type=int, default=256,
+                   help="points per arriving batch (default 256)")
+    p.add_argument("--flush-points", type=int, default=1024,
+                   help="per-disk backlog that triggers a flush")
+    p.add_argument("--shards", dest="n_shards", type=int, default=2,
+                   help="member disks (default 2)")
+    p.add_argument("--k", type=int, default=1,
+                   help="replication factor (default 1)")
+    p.add_argument("--strategy", default="disk_modulo",
+                   help="registered declustering strategy")
+    p.add_argument("--reorganize", action="store_true",
+                   help="fold overflow chains back after the stream "
+                   "(modelled background I/O counted in total time)")
 
 
 #: one row per registry the CLI can list: (argparse dest, printed
@@ -405,127 +471,6 @@ def _list_registries(args) -> bool:
         for name, desc in rows:
             print(f"  {name:<{width}}  {desc}")
     return bool(sections)
-
-
-def _avail_main(args) -> int:
-    from repro.replica import render_avail_sweep, run_avail_sweep
-
-    data = run_avail_sweep(
-        args.shape,
-        layouts=_csv_strs(args.layouts),
-        ks=args.ks,
-        n_disks=args.disks,
-        placement=args.placement,
-        read_policy=args.read_policy,
-        n_beams=args.beams,
-        axes=args.axes or None,
-        drive=args.drive,
-        seed=args.seed,
-        kill_disk=args.kill_disk,
-    )
-    return _emit(args, data, render_avail_sweep, "avail.json")
-
-
-def _add_avail_parser(subparsers) -> None:
-    p = subparsers.add_parser(
-        "avail",
-        help="availability/overhead-vs-k sweep per layout",
-        description="Replay a seeded beam workload against each layout "
-        "at rising replication factors, healthy and with one seeded "
-        "member-disk failure, and report throughput in both modes plus "
-        "single-failure availability — the fault-tolerance half of "
-        "MultiMap's locality dividend.",
-    )
-    p.add_argument("--shape", default="64,16,16", type=_csv_ints,
-                   help="dataset dims, comma-separated (default 64,16,16)")
-    p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
-                   help="comma-separated registered layouts")
-    p.add_argument("--ks", default="1,2,3", type=_csv_ints,
-                   help="comma-separated replication factors to sweep")
-    p.add_argument("--disks", type=int, default=3,
-                   help="member disks (>= max k, default 3)")
-    p.add_argument("--placement", default="rotated",
-                   help="registered replica placement "
-                   "(rotated, locality_aligned, ...)")
-    p.add_argument("--read-policy", default="primary",
-                   help="registered read policy "
-                   "(primary, round_robin, least_loaded, ...)")
-    p.add_argument("--beams", type=int, default=8,
-                   help="beams in the fixed workload (default 8)")
-    p.add_argument("--axes", default=None, type=_csv_ints,
-                   help="beam axes, cycled (default: every non-streaming "
-                   "axis)")
-    p.add_argument("--kill-disk", type=int, default=None,
-                   help="member disk to kill (default: seeded draw)")
-    p.add_argument("--drive", default="atlas10k3",
-                   help="registered drive model (default atlas10k3)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="workload + head-position + victim seed")
-    _add_output_flags(p)
-    p.set_defaults(func=_avail_main)
-
-
-def _ingest_main(args) -> int:
-    from repro.ingest import render_ingest_sweep, run_ingest_sweep
-
-    data = run_ingest_sweep(
-        args.shape,
-        layouts=_csv_strs(args.layouts),
-        loaders=_csv_strs(args.loaders),
-        stream=args.stream,
-        n_points=args.points,
-        batch_points=args.batch_points,
-        flush_points=args.flush_points,
-        n_shards=args.shards,
-        k=args.k,
-        strategy=args.strategy,
-        drive=args.drive,
-        seed=args.seed,
-        reorganize=args.reorganize,
-    )
-    return _emit(args, data, render_ingest_sweep, "ingest.json")
-
-
-def _add_ingest_parser(subparsers) -> None:
-    p = subparsers.add_parser(
-        "ingest",
-        help="ingest-MB/s sweep, layouts x loaders",
-        description="Stream a seeded record stream into each layout "
-        "under each registered bulk loader (buffered, flushed as whole "
-        "basic cubes, replica-consistent) and report write goodput and "
-        "overflow per mapping — the write-path half of MultiMap's "
-        "locality dividend.",
-    )
-    p.add_argument("--shape", default="64,16,16", type=_csv_ints,
-                   help="dataset dims, comma-separated (default 64,16,16)")
-    p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
-                   help="comma-separated registered layouts")
-    p.add_argument("--loaders", default="fixed,adaptive",
-                   help="comma-separated registered loaders")
-    p.add_argument("--stream", default="clustered",
-                   help="registered record stream "
-                   "(uniform, clustered, drifting)")
-    p.add_argument("--points", type=int, default=4096,
-                   help="points streamed per cell (default 4096)")
-    p.add_argument("--batch-points", type=int, default=256,
-                   help="points per arriving batch (default 256)")
-    p.add_argument("--flush-points", type=int, default=1024,
-                   help="per-disk backlog that triggers a flush")
-    p.add_argument("--shards", type=int, default=2,
-                   help="member disks (default 2)")
-    p.add_argument("--k", type=int, default=1,
-                   help="replication factor (default 1)")
-    p.add_argument("--strategy", default="disk_modulo",
-                   help="registered declustering strategy")
-    p.add_argument("--reorganize", action="store_true",
-                   help="fold overflow chains back after the stream "
-                   "(modelled background I/O counted in total time)")
-    p.add_argument("--drive", default="minidrive",
-                   help="registered drive model (default minidrive)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="stream + head-position seed")
-    _add_output_flags(p)
-    p.set_defaults(func=_ingest_main)
 
 
 def _perf_main(args) -> int:
@@ -612,21 +557,6 @@ def _add_perf_parser(subparsers) -> None:
                    "(default 0.9)")
     _add_output_flags(p)
     p.set_defaults(func=_perf_main)
-
-
-def _add_traffic_parser(subparsers) -> None:
-    p = subparsers.add_parser(
-        "traffic",
-        help="multi-client traffic storm across layouts",
-        description="Sweep layouts x client counts under a seeded "
-        "concurrent workload and report throughput and latency "
-        "percentiles per mapping.",
-    )
-    _add_storm_flags(p, sweep=True, clients="1,2,4,8", queries=20)
-    p.add_argument("--out", default=None,
-                   help="deprecated alias of --json")
-    _add_output_flags(p)
-    p.set_defaults(func=_traffic_main)
 
 
 def _trace_main(args) -> int:

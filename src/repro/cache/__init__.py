@@ -6,7 +6,8 @@ registry-registered eviction policies (:data:`POLICIES`) and
 prefetchers (:data:`PREFETCHERS`) that exploit the same LVM adjacency
 interface MultiMap maps onto.  See :mod:`repro.cache.pool` for how it
 plugs into the §5.2 issue-order pipeline, and :mod:`repro.cache.sweep`
-for the hit-ratio-vs-capacity experiment::
+for the hit-ratio-vs-capacity sweep (``repro-bench cache``, on the
+shared sweep engine :mod:`repro.bench.sweep`)::
 
     from repro import Dataset
 

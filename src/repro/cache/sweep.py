@@ -15,20 +15,26 @@ so queries overlap both spatially (neighboring anchors share tracks)
 and temporally (repeats re-read the same cells) — the
 repeated/overlapping access the paper's OLAP and earthquake scenarios
 produce.  Every (layout, capacity) cell replays identical queries on a
-fresh same-seed dataset, so only placement and pool behaviour differ.
+fresh same-seed dataset (:func:`repro.bench.sweep.run_sweep`), so only
+placement and pool behaviour differ.
 """
 
 from __future__ import annotations
 
+from numbers import Real
+
 import numpy as np
 
-from repro.bench.reporting import render_table
+from repro.bench.sweep import DEFAULT_LAYOUTS, render_sweep, run_sweep
+from repro.errors import (
+    BenchmarkError,
+    DatasetError,
+    _check_count,
+    _check_shape,
+)
 from repro.query.workload import BeamQuery
 
 __all__ = ["overlapping_beams", "run_cache_sweep", "render_cache_sweep"]
-
-DEFAULT_LAYOUTS = ("naive", "zorder", "hilbert", "multimap")
-DEFAULT_CAPACITIES = (0, 4096, 12288, 24576)
 
 
 def overlapping_beams(
@@ -47,10 +53,19 @@ def overlapping_beams(
     paper's multi-dimensional workloads do.  Deterministic for a given
     ``seed``.
     """
-    shape = tuple(int(s) for s in shape)
+    shape = _check_shape(shape)
+    n_beams = _check_count("n_beams", n_beams, BenchmarkError)
+    axes = tuple(axes)
+    if not axes:
+        raise BenchmarkError("axes must name at least one beam axis")
+    # NaN fails both comparisons
+    if not (isinstance(region_frac, Real) and 0 < region_frac <= 1):
+        raise BenchmarkError(
+            f"region_frac must be in (0, 1], got {region_frac!r}"
+        )
     rng = np.random.default_rng(seed)
     queries = []
-    for i in range(int(n_beams)):
+    for i in range(n_beams):
         axis = int(axes[i % len(axes)])
         fixed = tuple(
             0 if d == axis
@@ -64,7 +79,7 @@ def overlapping_beams(
 def run_cache_sweep(
     shape,
     layouts=DEFAULT_LAYOUTS,
-    capacities=DEFAULT_CAPACITIES,
+    capacities=(0, 4096, 12288, 24576),
     *,
     policy: str = "lru",
     prefetch: str = "track",
@@ -74,7 +89,6 @@ def run_cache_sweep(
     region_frac: float = 0.4,
     drive: str = "minidrive",
     seed: int = 42,
-    dataset_opts: dict | None = None,
 ) -> dict:
     """Sweep layouts × pool capacities under one repeated beam workload.
 
@@ -83,85 +97,64 @@ def run_cache_sweep(
     aggregates, plus a ``meta`` entry recording the sweep parameters.
     Capacity 0 cells run with no pool at all (the parity baseline).
     """
-    from repro.api.dataset import Dataset
-
-    shape = tuple(int(s) for s in shape)
+    shape = _check_shape(shape)
+    capacities = [_check_count("capacity", c, DatasetError, low=0)
+                  for c in capacities]
+    repeats = _check_count("repeats", repeats)
     queries = overlapping_beams(
         shape, n_beams=n_beams, axes=axes,
         region_frac=region_frac, seed=seed,
     )
-    data: dict = {}
-    for layout in layouts:
-        per_cap: dict = {}
-        for cap in capacities:
-            ds = Dataset.create(
-                shape, layout=layout, drive=drive, seed=seed,
-                **(dataset_opts or {}),
-            ).with_cache(int(cap), policy=policy, prefetch=prefetch)
-            report = ds.query().add(queries).repeats(repeats).run()
-            cell = {
-                "capacity": int(cap),
-                "total_ms": report.total_ms,
-                "mean_query_ms": report.mean("total_ms"),
-            }
-            if ds.cache is not None:
-                stats = ds.cache.stats
-                cell.update(
-                    hit_ratio=stats.hit_ratio,
-                    prefetch_accuracy=stats.prefetch_accuracy,
-                    occupancy=ds.cache.occupancy,
-                )
-            else:
-                cell.update(hit_ratio=0.0, prefetch_accuracy=0.0,
-                            occupancy=0)
-            per_cap[int(cap)] = cell
-        data[layout] = per_cap
-    data["meta"] = {
-        "shape": list(shape),
-        "drive": drive if isinstance(drive, str) else getattr(
-            drive, "name", str(drive)
-        ),
-        "policy": policy,
-        "prefetch": prefetch,
-        "n_beams": int(n_beams),
-        "repeats": int(repeats),
-        "axes": [int(a) for a in axes],
-        "region_frac": float(region_frac),
-        "seed": int(seed),
-        "capacities": [int(c) for c in capacities],
-        "layouts": [str(layout) for layout in layouts],
-    }
-    return data
 
+    def measure(fresh, cap: int) -> dict:
+        ds = fresh().with_cache(cap, policy=policy, prefetch=prefetch)
+        report = ds.query().add(queries).repeats(repeats).run()
+        cell = {
+            "capacity": cap,
+            "total_ms": report.total_ms,
+            "mean_query_ms": report.mean("total_ms"),
+        }
+        if ds.cache is not None:
+            stats = ds.cache.stats
+            cell.update(
+                hit_ratio=stats.hit_ratio,
+                prefetch_accuracy=stats.prefetch_accuracy,
+                occupancy=ds.cache.occupancy,
+            )
+        else:
+            cell.update(hit_ratio=0.0, prefetch_accuracy=0.0, occupancy=0)
+        return cell
 
-def _layout_rows(data: dict, metric) -> tuple[list[int], list[list]]:
-    caps = data["meta"]["capacities"]
-    rows = []
-    for layout in data["meta"]["layouts"]:
-        per_cap = data[layout]
-        rows.append([layout] + [metric(per_cap[c]) for c in caps])
-    return caps, rows
-
+    return run_sweep(
+        shape, layouts, capacities, measure, drive=drive, seed=seed,
+        meta={
+            "policy": policy,
+            "prefetch": prefetch,
+            "n_beams": int(n_beams),
+            "repeats": repeats,
+            "axes": [int(a) for a in axes],
+            "region_frac": float(region_frac),
+            "seed": int(seed),
+            "capacities": capacities,
+            "layouts": [str(layout) for layout in layouts],
+        },
+    )
 
 def render_cache_sweep(data: dict) -> str:
     """Hit-ratio and mean-latency tables, capacity columns per layout."""
     meta = data["meta"]
-    parts = [
+    cap = "cap {}".format
+    return render_sweep(
+        data,
         f"cache sweep: shape={tuple(meta['shape'])} on {meta['drive']}, "
         f"policy={meta['policy']}, prefetch={meta['prefetch']}, "
         f"{meta['n_beams']} beams x {meta['repeats']} repeats, "
-        f"seed={meta['seed']}"
-    ]
-    caps, rows = _layout_rows(data, lambda c: f"{c['hit_ratio']:.1%}")
-    headers = ["layout"] + [f"cap {c}" for c in caps]
-    parts.append("cache hit ratio vs pool capacity (blocks)")
-    parts.append(render_table(headers, rows))
-    _, rows = _layout_rows(data, lambda c: f"{c['mean_query_ms']:.2f}")
-    parts.append("mean query time (ms) vs pool capacity")
-    parts.append(render_table(headers, rows))
-    _, rows = _layout_rows(
-        data, lambda c: f"{c['prefetch_accuracy']:.1%}"
+        f"seed={meta['seed']}",
+        meta["capacities"],
+        [("cache hit ratio vs pool capacity (blocks)", cap,
+          "{0[hit_ratio]:.1%}".format),
+         ("mean query time (ms) vs pool capacity", cap,
+          "{0[mean_query_ms]:.2f}".format),
+         ("prefetch accuracy vs pool capacity", cap,
+          "{0[prefetch_accuracy]:.1%}".format)],
     )
-    parts.append("prefetch accuracy vs pool capacity")
-    parts.append(render_table(headers, rows))
-    return "\n\n".join(parts)

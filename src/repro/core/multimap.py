@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.api.registry import register_layout
 from repro.core.planner import CubePlan, plan_basic_cube
-from repro.errors import MappingError
+from repro.errors import MappingError, _check_count
 from repro.lvm.volume import LogicalVolume
 from repro.mappings.base import Mapper, RequestPlan, box_columns
 
@@ -81,6 +81,8 @@ class MultiMapMapper(Mapper):
         plan: CubePlan | None = None,
         zones: list[int] | None = None,
     ):
+        # Mapper.__init__ first, so the dims are checked before planning
+        super().__init__(dims, extent=None, cell_blocks=cell_blocks, disk=disk)
         self.volume = volume
         self.disk = disk
         zone_infos = volume.zones(disk)
@@ -101,13 +103,10 @@ class MultiMapMapper(Mapper):
             raise MappingError("cells larger than a track")
         min_tracks = min(z.tracks for z in zone_infos)
         candidates = [plan] if plan is not None else [
-            plan_basic_cube(dims, t, min_tracks, depth, strategy=strategy)
+            plan_basic_cube(self.dims, t, min_tracks, depth,
+                            strategy=strategy)
             for t in dict.fromkeys((t_outer, t_min))
         ]
-
-        # Mapper.__init__ before allocation so dims validation happens once.
-        super().__init__(dims, extent=None, cell_blocks=cell_blocks, disk=disk)
-
         self._zone_infos = zone_infos
         last_error: MappingError | None = None
         for cand in candidates:
@@ -331,8 +330,7 @@ class MultiMapMapper(Mapper):
         the final slab and fresh basic cubes are allocated only when a new
         cube row starts.
         """
-        if n_cells < 1:
-            raise MappingError("append size must be >= 1")
+        n_cells = _check_count("n_cells", n_cells, MappingError)
         old_dims = self.dims
         new_last = old_dims[-1] + n_cells
         k_last = self.K[-1]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import DatasetError, MappingError
+from repro.errors import DatasetError, MappingError, _check_count
 from repro.lvm.volume import LogicalVolume
 from repro.mappings.base import Mapper, RequestPlan, coalesce_ranks
 from repro.query.workload import _check_ints
@@ -116,15 +116,6 @@ class CellStore:
         integer (numpy would read ``(True, 0, 0)`` as row 1)."""
         return int(self._cells(_check_ints("cell_coord", cell_coord))[0])
 
-    @staticmethod
-    def _check_n(n, least: int = 1) -> int:
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) \
-                or n < least:
-            raise DatasetError(
-                f"n must be an integer >= {least}, got {n!r}"
-            )
-        return int(n)
-
     # ------------------------------------------------------------------
     # loading and updates
     # ------------------------------------------------------------------
@@ -176,7 +167,7 @@ class CellStore:
         :class:`DatasetError`, before anything is stored.
         """
         cell = self._cell(cell_coord)
-        n = self._check_n(n)
+        n = _check_count("n", n, DatasetError)
         free = self.points_per_cell - int(self._occupancy[cell])
         self._loaded[cell] = True
         if n <= free:
@@ -192,7 +183,8 @@ class CellStore:
         """Remove points, draining overflow chains first (inputs are
         checked as in :meth:`insert`; ``n = 0`` is a no-op)."""
         cell = self._cell(cell_coord)
-        n = self._check_n(n, least=0)  # deleting nothing is a no-op
+        # deleting nothing is a no-op
+        n = _check_count("n", n, DatasetError, low=0)
         chain = self._overflow.get(cell, [])
         while n > 0 and chain:
             page = chain[-1]

@@ -86,7 +86,7 @@ import numpy as np
 from repro.disk.geometry import DiskGeometry
 from repro.disk.mechanics import DiskMechanics
 from repro.disk.models import DiskModel
-from repro.errors import GeometryError
+from repro.errors import GeometryError, _check_count, _check_int
 
 __all__ = ["DiskDrive", "BatchResult", "RunTiming", "TrackCache"]
 
@@ -104,13 +104,6 @@ def _wait_rev(delta: float) -> float:
     """Fractional-revolution wait to reach angle delta ahead (snapped)."""
     w = delta % 1.0
     return 0.0 if w > 1.0 - SNAP_REV else w
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int: a Python or numpy integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise GeometryError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 class TrackCache:
@@ -230,11 +223,8 @@ class DiskDrive:
     CACHE_BLOCK_MS = 0.0032
 
     def __init__(self, model: DiskModel, cache_tracks: int = 0):
-        cache_tracks = _integer("cache_tracks", cache_tracks)
-        if cache_tracks < 0:
-            raise GeometryError(
-                f"cache_tracks must be >= 0, got {cache_tracks}"
-            )
+        cache_tracks = _check_count("cache_tracks", cache_tracks,
+                                    GeometryError, low=0)
         self.model = model
         self.geometry: DiskGeometry = model.geometry
         self.mechanics: DiskMechanics = model.mechanics
@@ -282,7 +272,7 @@ class DiskDrive:
         return self._track // self.geometry.surfaces
 
     def reset(self, track: int = 0, time_ms: float = 0.0) -> None:
-        track = _integer("track", track)
+        track = _check_int("track", track, GeometryError)
         if not 0 <= track < self.geometry.n_tracks:
             raise GeometryError(f"track {track} out of range")
         if not (isinstance(time_ms, numbers.Real) and math.isfinite(time_ms)):
@@ -333,7 +323,7 @@ class DiskDrive:
         The seek follows the batch rule; unlike a serviced run's, the
         arrival leaves out the command overhead.
         """
-        lbn = _integer("lbn", lbn)
+        lbn = _check_int("lbn", lbn, GeometryError)
         self.geometry.check_lbn(lbn)
         info = self._prepare_runs([lbn], [1])
         dist = np.abs(info["cyl0"] - self.current_cylinder)
@@ -351,8 +341,8 @@ class DiskDrive:
         two to three times what a per-run scalar path took; only
         :mod:`repro.disk.characterize` calls it in bulk.
         """
-        lbn = _integer("lbn", lbn)
-        nblocks = _integer("nblocks", nblocks)
+        lbn = _check_int("lbn", lbn, GeometryError)
+        nblocks = _check_int("nblocks", nblocks, GeometryError)
         if nblocks < 1:
             raise GeometryError(f"nblocks must be >= 1, got {nblocks}")
         self.geometry.check_lbn(lbn)
@@ -512,10 +502,7 @@ class DiskDrive:
         if starts.shape != lengths.shape:
             raise GeometryError("starts and lengths must have equal shape")
         if policy == "sptf":
-            if _integer("window", window) < 1:
-                raise GeometryError(
-                    f"sptf window must be >= 1, got {window}"
-                )
+            _check_count("window", window, GeometryError)
             return self._service_sptf(
                 self._prepare_runs(starts, lengths), window, collect
             )

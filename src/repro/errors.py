@@ -2,9 +2,9 @@
 
 All library-raised exceptions derive from :class:`ReproError` so callers can
 catch everything coming out of this package with a single ``except`` clause.
-The integer checks the API boundaries share live here too, below every
-layer that raises through them (:mod:`repro.query.workload` re-exports
-them).
+The integer, count and shape checks the API boundaries share live here
+too, below every layer that raises through them
+(:mod:`repro.query.workload` re-exports the integer checks).
 """
 
 from __future__ import annotations
@@ -95,6 +95,15 @@ def _check_int(name: str, value, error=QueryError) -> int:
     return int(value)
 
 
+def _check_count(name: str, value, error=QueryError, low: int = 1) -> int:
+    """``value`` as a Python int of at least ``low``: an integer (numpy
+    integers included, bools not), never truncated."""
+    count = _check_int(name, value, error)
+    if count < low:
+        raise error(f"{name} must be >= {low}, got {count}")
+    return count
+
+
 def _check_ints(name: str, values) -> tuple[int, ...]:
     try:
         items = tuple(values)
@@ -107,3 +116,22 @@ def _check_ints(name: str, values) -> tuple[int, ...]:
             # numpy integers pass, anything else raises
             _check_int(f"{name}[{d}]", v)
     return tuple(map(int, items))
+
+
+def _check_shape(shape, error=DatasetError) -> tuple[int, ...]:
+    """A grid shape as Python ints: a non-empty sequence of integers
+    (numpy integers included, bools not), each at least 1."""
+    try:
+        items = tuple(shape)
+    except TypeError:
+        raise error(
+            f"shape must be a sequence of integers, got {shape!r}"
+        ) from None
+    if not items:
+        raise error("shape must have at least one dimension")
+    dims = tuple(_check_int(f"shape[{d}]", s, error)
+                 for d, s in enumerate(items))
+    for d, s in enumerate(dims):
+        if s < 1:
+            raise error(f"shape[{d}] must be >= 1, got {s}")
+    return dims

@@ -28,7 +28,7 @@ and :class:`IngestClient` (``TrafficRun.ingest``); with ingest detached
 the read path is bit-identical to the read-only stack — the parity
 ``tests/ingest/test_parity.py`` pins.  :func:`run_ingest_sweep`
 produces the ingest-MB/s tables per layout × loader
-(``repro-bench ingest``).
+(``repro-bench ingest``, on :mod:`repro.bench.sweep`).
 """
 
 from repro.ingest.loader import (

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import IngestError
+from repro.errors import IngestError, _check_count
 from repro.registry import Registry, first_doc_line
 
 __all__ = [
@@ -75,11 +75,7 @@ def stream_names() -> tuple[str, ...]:
 def check_count(name: str, value) -> int:
     """``value`` as an int >= 1.  A float or bool raises instead of being
     truncated: ``n_points=100.7`` is a caller's bug, not 100 points."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise IngestError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise IngestError(f"{name} must be >= 1")
-    return int(value)
+    return _check_count(name, value, IngestError)
 
 
 def make_stream(spec, dims, **opts) -> "RecordStream":

@@ -3,9 +3,11 @@
 ``run_ingest_sweep`` streams one fixed, seeded record stream into each
 registered layout under each registered loader and records goodput —
 the write-path analogue of the scale-out sweep.  Every (layout, loader)
-cell builds a fresh same-seed dataset, shards it identically, and
-replays the *identical* stream, so only the placement (where cells land
-on the platter) and the ingest plan (cell capacity, chunk split) differ.
+cell builds a fresh same-seed dataset
+(:func:`repro.bench.sweep.run_sweep`), shards and replicates it
+identically, and replays the *identical* stream, so only the placement
+(where cells land on the platter) and the ingest plan (cell capacity,
+chunk split) differ.
 
 The expected shape: MultiMap's flushes write whole basic cubes as a few
 long sequential runs, so its goodput beats the space-filling curves
@@ -17,18 +19,16 @@ so on a skewed stream ``adaptive`` ≥ ``fixed`` for every layout.
 
 from __future__ import annotations
 
-from repro.bench.reporting import render_table
+from repro.bench.sweep import DEFAULT_LAYOUTS, render_sweep, run_sweep
+from repro.errors import DatasetError, IngestError, _check_count, _check_shape
 
 __all__ = ["run_ingest_sweep", "render_ingest_sweep"]
-
-DEFAULT_LAYOUTS = ("naive", "zorder", "hilbert", "multimap")
-DEFAULT_LOADERS = ("fixed", "adaptive")
 
 
 def run_ingest_sweep(
     shape,
     layouts=DEFAULT_LAYOUTS,
-    loaders=DEFAULT_LOADERS,
+    loaders=("fixed", "adaptive"),
     *,
     stream: str = "clustered",
     stream_opts: dict | None = None,
@@ -41,7 +41,6 @@ def run_ingest_sweep(
     drive: str = "atlas10k3",
     seed: int = 42,
     reorganize: bool = False,
-    dataset_opts: dict | None = None,
 ) -> dict:
     """Sweep layouts × loaders under one fixed record stream.
 
@@ -54,94 +53,71 @@ def run_ingest_sweep(
     the stream sample, so when it re-chunks, it re-chunks every layout
     the same way — the fairness condition of the sweep).
     """
-    from repro.api.dataset import Dataset
+    shape = _check_shape(shape)
+    n_shards = _check_count("n_shards", n_shards, DatasetError)
+    k = _check_count("k", k, DatasetError)
+    n_points = _check_count("n_points", n_points, IngestError)
+    batch_points = _check_count("batch_points", batch_points, IngestError)
+    flush_points = _check_count("flush_points", flush_points, IngestError)
 
-    shape = tuple(int(s) for s in shape)
-    data: dict = {}
-    for layout in layouts:
-        per_loader: dict = {}
-        for loader in loaders:
-            ds = Dataset.create(
-                shape, layout=layout, drive=drive, seed=seed,
-                **(dataset_opts or {}),
-            )
-            if int(n_shards) > 1:
-                ds = ds.with_shards(int(n_shards), strategy=strategy)
-            if int(k) > 1:
-                ds = ds.with_replication(int(k))
-            report = ds.with_ingest(
-                stream=stream,
-                loader=loader,
-                n_points=int(n_points),
-                batch_points=int(batch_points),
-                flush_points=int(flush_points),
-                seed=int(seed),
-                reorganize=bool(reorganize),
-                **(stream_opts or {}),
-            ).ingest().run()
-            per_loader[loader] = {
-                "mb_per_s": report.mb_per_s,
-                "points_per_s": report.points_per_s,
-                "stage_ms": report.stage_ms,
-                "write_ms": report.write_ms,
-                "total_ms": report.total_ms,
-                "flushes": report.flushes,
-                "home_blocks": report.home_blocks,
-                "blocks_written": report.blocks_written,
-                "overflow_points": report.overflow_points,
-                "plan": report.plan,
-            }
-        data[layout] = per_loader
-    data["meta"] = {
-        "shape": list(shape),
-        "drive": drive if isinstance(drive, str) else getattr(
-            drive, "name", str(drive)
-        ),
-        "stream": str(stream),
-        "stream_opts": dict(stream_opts or {}),
-        "n_points": int(n_points),
-        "batch_points": int(batch_points),
-        "flush_points": int(flush_points),
-        "n_shards": int(n_shards),
-        "k": int(k),
-        "strategy": str(strategy),
-        "seed": int(seed),
-        "reorganize": bool(reorganize),
-        "layouts": [str(layout) for layout in layouts],
-        "loaders": [str(ld) for ld in loaders],
-    }
-    return data
+    def measure(fresh, loader: str) -> dict:
+        report = fresh().with_shards(
+            n_shards, strategy=strategy
+        ).with_replication(k).with_ingest(
+            stream=stream,
+            loader=loader,
+            n_points=n_points,
+            batch_points=batch_points,
+            flush_points=flush_points,
+            seed=int(seed),
+            reorganize=bool(reorganize),
+            **(stream_opts or {}),
+        ).ingest().run()
+        return {
+            "mb_per_s": report.mb_per_s,
+            "points_per_s": report.points_per_s,
+            "stage_ms": report.stage_ms,
+            "write_ms": report.write_ms,
+            "total_ms": report.total_ms,
+            "flushes": report.flushes,
+            "home_blocks": report.home_blocks,
+            "blocks_written": report.blocks_written,
+            "overflow_points": report.overflow_points,
+            "plan": report.plan,
+        }
 
-
-def _layout_rows(data: dict, metric) -> tuple[list[str], list[list]]:
-    loaders = data["meta"]["loaders"]
-    rows = []
-    for layout in data["meta"]["layouts"]:
-        per_loader = data[layout]
-        rows.append(
-            [layout] + [metric(per_loader[ld]) for ld in loaders]
-        )
-    return loaders, rows
+    return run_sweep(
+        shape, layouts, loaders, measure, drive=drive, seed=seed,
+        meta={
+            "stream": str(stream),
+            "stream_opts": dict(stream_opts or {}),
+            "n_points": n_points,
+            "batch_points": batch_points,
+            "flush_points": flush_points,
+            "n_shards": n_shards,
+            "k": k,
+            "strategy": str(strategy),
+            "seed": int(seed),
+            "reorganize": bool(reorganize),
+            "layouts": [str(layout) for layout in layouts],
+            "loaders": [str(ld) for ld in loaders],
+        },
+    )
 
 
 def render_ingest_sweep(data: dict) -> str:
     """Goodput and overflow tables, loader columns per layout."""
     meta = data["meta"]
-    parts = [
+    return render_sweep(
+        data,
         f"ingest sweep: shape={tuple(meta['shape'])} on {meta['drive']}, "
         f"{meta['n_points']} points of {meta['stream']} stream, "
-        f"{meta['n_shards']} shard(s) x{meta['k']}, seed={meta['seed']}"
-    ]
-    loaders, rows = _layout_rows(data, lambda c: f"{c['mb_per_s']:.3f}")
-    headers = ["layout"] + [f"{ld} MB/s" for ld in loaders]
-    parts.append("ingest goodput (MB/s) per loader")
-    parts.append(render_table(headers, rows))
-    _, rows = _layout_rows(data, lambda c: f"{c['overflow_points']}")
-    headers = ["layout"] + [f"{ld} spills" for ld in loaders]
-    parts.append("overflowed points per loader")
-    parts.append(render_table(headers, rows))
-    _, rows = _layout_rows(data, lambda c: f"{c['write_ms']:.2f}")
-    headers = ["layout"] + [f"{ld} write ms" for ld in loaders]
-    parts.append("write makespan (ms) per loader")
-    parts.append(render_table(headers, rows))
-    return "\n\n".join(parts)
+        f"{meta['n_shards']} shard(s) x{meta['k']}, seed={meta['seed']}",
+        meta["loaders"],
+        [("ingest goodput (MB/s) per loader", "{} MB/s".format,
+          "{0[mb_per_s]:.3f}".format),
+         ("overflowed points per loader", "{} spills".format,
+          "{0[overflow_points]}".format),
+         ("write makespan (ms) per loader", "{} write ms".format,
+          "{0[write_ms]:.2f}".format)],
+    )

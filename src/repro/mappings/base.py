@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import MappingError, QueryError, _check_int, _check_ints
+from repro.errors import (
+    MappingError,
+    QueryError,
+    _check_count,
+    _check_int,
+    _check_ints,
+    _check_shape,
+)
 from repro.lvm.volume import Extent
 
 __all__ = ["RequestPlan", "Mapper", "box_columns", "coalesce_ranks",
@@ -153,14 +160,10 @@ class Mapper(ABC):
         cell_blocks: int = 1,
         disk: int | None = None,
     ):
-        dims = tuple(int(s) for s in dims)
-        if not dims or any(s < 1 for s in dims):
-            raise MappingError(f"invalid dims {dims}")
-        if cell_blocks < 1:
-            raise MappingError("cell_blocks must be >= 1")
-        self.dims = dims
+        self.dims = _check_shape(dims, MappingError)
         self.extent = extent
-        self.cell_blocks = int(cell_blocks)
+        self.cell_blocks = _check_count("cell_blocks", cell_blocks,
+                                        MappingError)
         if disk is None:
             disk = extent.disk if extent is not None else 0
         self.disk_index = int(disk)

@@ -32,7 +32,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.errors import MappingError, QueryError
+from repro.errors import MappingError, QueryError, _check_count
 from repro.lvm.volume import LogicalVolume
 from repro.mappings.base import (
     Mapper,
@@ -46,7 +46,6 @@ from repro.query.scheduler import (
     effective_policy,
     merge_plan_runs,
 )
-from repro.query.workload import _check_int
 
 __all__ = [
     "PreparedQuery",
@@ -71,10 +70,7 @@ def check_setting(name: str, value) -> int:
     :class:`QueryError`, or :class:`MappingError` for ``cell_blocks`` as
     the mappers do."""
     error = MappingError if name == "cell_blocks" else QueryError
-    value = _check_int(name, value, error)
-    if value < _LEAST[name]:
-        raise error(f"{name} must be >= {_LEAST[name]}, got {value}")
-    return value
+    return _check_count(name, value, error, _LEAST[name])
 
 
 @dataclass(frozen=True)

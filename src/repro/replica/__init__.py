@@ -27,7 +27,7 @@ dead disk's chunks from replicas onto a spare::
     print(plan_rebuild(ds.storage, dead).rebuild_ms)
 
 :func:`run_avail_sweep` produces the availability/overhead-vs-k curves
-per layout (``repro-bench avail``).
+per layout (``repro-bench avail``, on :mod:`repro.bench.sweep`).
 """
 
 from repro.replica.avail import render_avail_sweep, run_avail_sweep

@@ -19,7 +19,7 @@ makespan::
     print(report.meta["shards"]["stats"]["parallel_efficiency"])
 
 :func:`run_scale_sweep` produces the speedup-vs-disks curves per
-layout (``repro-bench scale``).
+layout (``repro-bench scale``, on :mod:`repro.bench.sweep`).
 """
 
 from repro.shard.executor import (

@@ -3,9 +3,10 @@
 ``run_scale_sweep`` replays one fixed, seeded beam workload against each
 registered layout at rising shard counts and records per-query makespan
 timings — producing the throughput/speedup-vs-disks curve per layout.
-Every (layout, n_shards) cell builds a fresh same-seed dataset, shards it
-with :meth:`Dataset.with_shards`, and runs the *identical* query objects,
-so only the placement and the scatter-gather parallelism differ.
+Every (layout, n_shards) cell builds a fresh same-seed dataset
+(:func:`repro.bench.sweep.run_sweep`), shards it with
+:meth:`Dataset.with_shards`, and runs the *identical* query objects, so
+only the placement and the scatter-gather parallelism differ.
 
 The sweep chunks along one *split axis* (default: axis 1, recomputed per
 shard count) and queries beams over the non-streaming axes, so beams
@@ -22,14 +23,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench.reporting import render_table
-from repro.errors import DatasetError
+from repro.bench.sweep import DEFAULT_LAYOUTS, render_sweep, run_sweep
+from repro.errors import (
+    BenchmarkError,
+    DatasetError,
+    _check_count,
+    _check_int,
+    _check_shape,
+)
 from repro.query.workload import random_beam
 
 __all__ = ["scale_beams", "run_scale_sweep", "render_scale_sweep"]
 
-DEFAULT_LAYOUTS = ("naive", "zorder", "hilbert", "multimap")
-DEFAULT_SHARDS = (1, 2, 4)
+
+def _beam_axes(shape, axes) -> tuple[int, ...]:
+    """``axes`` as ints; none named means every non-streaming axis."""
+    if not axes:
+        return tuple(range(1, len(shape))) if len(shape) > 1 else (0,)
+    return tuple(int(a) for a in axes)
+
+
+def _mb_per_s(blocks: int, total_ms: float) -> float:
+    if total_ms <= 0:
+        return 0.0
+    return blocks * 512 / 1e6 / (total_ms / 1000.0)
 
 
 def scale_beams(shape, *, n_beams: int = 12, axes=None, seed: int = 0):
@@ -37,20 +54,20 @@ def scale_beams(shape, *, n_beams: int = 12, axes=None, seed: int = 0):
     non-streaming axis, the traffic storm's mix) at seeded random
     positions — the same concrete queries for every (layout,
     shard-count) cell."""
-    shape = tuple(int(s) for s in shape)
-    if axes is None:
-        axes = tuple(range(1, len(shape))) if len(shape) > 1 else (0,)
+    shape = _check_shape(shape)
+    n_beams = _check_count("n_beams", n_beams, BenchmarkError)
+    axes = _beam_axes(shape, axes)
     rng = np.random.default_rng(seed)
     return [
-        random_beam(shape, int(axes[i % len(axes)]), rng)
-        for i in range(int(n_beams))
+        random_beam(shape, axes[i % len(axes)], rng)
+        for i in range(n_beams)
     ]
 
 
 def run_scale_sweep(
     shape,
     layouts=DEFAULT_LAYOUTS,
-    shard_counts=DEFAULT_SHARDS,
+    shard_counts=(1, 2, 4),
     *,
     strategy: str = "disk_modulo",
     split_axis: int = 1,
@@ -59,7 +76,6 @@ def run_scale_sweep(
     axes=None,
     drive: str = "atlas10k3",
     seed: int = 42,
-    dataset_opts: dict | None = None,
 ) -> dict:
     """Sweep layouts × shard counts under one fixed beam workload.
 
@@ -75,14 +91,17 @@ def run_scale_sweep(
 
     from repro.lvm.striping import STRATEGIES
 
-    shape = tuple(int(s) for s in shape)
-    shard_counts = tuple(int(n) for n in shard_counts)
-    if any(n < 1 for n in shard_counts):
-        # before any work: the chunk shapes below divide by the count
-        raise DatasetError(
-            f"shard counts must be >= 1, got {list(shard_counts)}"
+    shape = _check_shape(shape)
+    # before any work: the chunk shapes below divide by the count
+    shard_counts = [_check_count("shard counts", n, DatasetError)
+                    for n in shard_counts]
+    split_axis = _check_int("split_axis", split_axis, BenchmarkError)
+    if not -len(shape) <= split_axis < len(shape):
+        raise BenchmarkError(
+            f"split_axis must be in [{-len(shape)}, {len(shape)}) for "
+            f"shape {shape}, got {split_axis}"
         )
-    split_axis = int(split_axis) % len(shape)
+    split_axis %= len(shape)
     entry = STRATEGIES.get(strategy) if isinstance(strategy, str) \
         else strategy
     align_cubes = bool(getattr(entry, "align_cubes", False))
@@ -97,10 +116,8 @@ def run_scale_sweep(
     if align_cubes and chunk_shape is None:
         from repro.shard.map import ShardMap
 
-        align = Dataset.create(
-            shape, layout="multimap", drive=drive, seed=seed,
-            **(dataset_opts or {}),
-        )._basic_cube_sides()
+        align = Dataset.create(shape, layout="multimap", drive=drive,
+                               seed=seed)._basic_cube_sides()
     shapes_by_n: dict[int, tuple[int, ...]] = {}
     for n in shard_counts:
         if chunk_shape is not None:
@@ -113,86 +130,68 @@ def run_scale_sweep(
             cs = list(shape)
             cs[split_axis] = -(-shape[split_axis] // n)
             shapes_by_n[n] = tuple(cs)
-    if axes is None:
-        axes = tuple(range(1, len(shape))) if len(shape) > 1 else (0,)
+    axes = _beam_axes(shape, axes)
     queries = scale_beams(shape, n_beams=n_beams, axes=axes, seed=seed)
-    data: dict = {}
-    for layout in layouts:
-        per_n: dict = {}
-        base_ms = None
-        for n in shard_counts:
-            ds = Dataset.create(
-                shape, layout=layout, drive=drive, seed=seed,
-                **(dataset_opts or {}),
-            ).with_shards(n, strategy=strategy,
-                          chunk_shape=shapes_by_n[n])
-            report = ds.query().add(queries).run()
-            blocks = sum(r.result.n_blocks for r in report.records)
-            total_ms = report.total_ms
-            if base_ms is None:
-                base_ms = total_ms
-            per_n[n] = {
-                "n_shards": n,
-                "total_ms": total_ms,
-                "mean_query_ms": report.mean("total_ms"),
-                "ms_per_cell": report.mean("ms_per_cell"),
-                "served_blocks": blocks,
-                "mb_per_s": (
-                    blocks * 512 / 1e6 / (total_ms / 1000.0)
-                    if total_ms > 0 else 0.0
-                ),
-                "speedup": base_ms / total_ms if total_ms > 0 else 0.0,
-            }
-        data[layout] = per_n
-    data["meta"] = {
-        "shape": list(shape),
-        "drive": drive if isinstance(drive, str) else getattr(
-            drive, "name", str(drive)
-        ),
-        "strategy": strategy_name,
-        # cube_aligned overrides the slab axis (it splits on a basic-cube
-        # boundary instead), so don't record a split_axis it ignored
-        "split_axis": None if (align_cubes and chunk_shape is None)
-        else split_axis,
-        "chunk_shape": list(chunk_shape) if chunk_shape else None,
-        "chunk_shapes": {
-            int(n): list(s) for n, s in shapes_by_n.items()
+
+    def measure(fresh, n: int) -> dict:
+        report = fresh().with_shards(
+            n, strategy=strategy, chunk_shape=shapes_by_n[n]
+        ).query().add(queries).run()
+        blocks = sum(r.result.n_blocks for r in report.records)
+        return {
+            "n_shards": n,
+            "total_ms": report.total_ms,
+            "mean_query_ms": report.mean("total_ms"),
+            "ms_per_cell": report.mean("ms_per_cell"),
+            "served_blocks": blocks,
+            "mb_per_s": _mb_per_s(blocks, report.total_ms),
+        }
+
+    data = run_sweep(
+        shape, layouts, shard_counts, measure, drive=drive, seed=seed,
+        meta={
+            "strategy": strategy_name,
+            # cube_aligned overrides the slab axis (it splits on a
+            # basic-cube boundary instead), so don't record a split_axis
+            # it ignored
+            "split_axis": None if (align_cubes and chunk_shape is None)
+            else split_axis,
+            "chunk_shape": list(chunk_shape) if chunk_shape else None,
+            "chunk_shapes": {n: list(s) for n, s in shapes_by_n.items()},
+            "n_beams": int(n_beams),
+            "axes": list(axes),
+            "seed": int(seed),
+            "shard_counts": shard_counts,
+            "layouts": [str(layout) for layout in layouts],
         },
-        "n_beams": int(n_beams),
-        "axes": [int(a) for a in axes],
-        "seed": int(seed),
-        "shard_counts": list(shard_counts),
-        "layouts": [str(layout) for layout in layouts],
-    }
+    )
+    # each layout's speedup is relative to its own first shard count
+    for layout, per_n in data.items():
+        if layout != "meta":
+            base_ms = per_n[shard_counts[0]]["total_ms"]
+            for cell in per_n.values():
+                cell["speedup"] = (base_ms / cell["total_ms"]
+                                   if cell["total_ms"] > 0 else 0.0)
     return data
-
-
-def _layout_rows(data: dict, metric) -> tuple[list[int], list[list]]:
-    counts = data["meta"]["shard_counts"]
-    rows = []
-    for layout in data["meta"]["layouts"]:
-        per_n = data[layout]
-        rows.append([layout] + [metric(per_n[n]) for n in counts])
-    return counts, rows
 
 
 def render_scale_sweep(data: dict) -> str:
     """Throughput, speedup, and ms/cell tables, shard columns per layout."""
     meta = data["meta"]
-    parts = [
+
+    def disks(n: int) -> str:
+        return f"{n} disk" + ("s" if n > 1 else "")
+
+    return render_sweep(
+        data,
         f"scale-out sweep: shape={tuple(meta['shape'])} on {meta['drive']},"
         f" strategy={meta['strategy']}, {meta['n_beams']} beams over axes "
-        f"{meta['axes']}, seed={meta['seed']}"
-    ]
-    counts, rows = _layout_rows(data, lambda c: f"{c['mb_per_s']:.2f}")
-    headers = ["layout"] + [f"{n} disk" + ("s" if n > 1 else "")
-                            for n in counts]
-    parts.append("throughput (MB/s) vs shard count")
-    parts.append(render_table(headers, rows))
-    _, rows = _layout_rows(data, lambda c: f"{c['speedup']:.2f}x")
-    parts.append("speedup vs shard count (relative to first column)")
-    parts.append(render_table(headers, rows))
-    _, rows = _layout_rows(data, lambda c: f"{c['ms_per_cell']:.4f}")
-    parts.append("mean ms/cell vs shard count")
-    parts.append(render_table(headers, rows))
-    return "\n\n".join(parts)
+        f"{meta['axes']}, seed={meta['seed']}",
+        meta["shard_counts"],
+        [("throughput (MB/s) vs shard count", disks,
+          "{0[mb_per_s]:.2f}".format),
+         ("speedup vs shard count (relative to first column)", disks,
+          "{0[speedup]:.2f}x".format),
+         ("mean ms/cell vs shard count", disks,
+          "{0[ms_per_cell]:.4f}".format)],
+    )

@@ -19,7 +19,10 @@ Quick tour::
     print(report.render_table())
 
 Everything is seeded and wall-clock free: the same seeds produce a
-bit-identical :class:`TrafficReport`.
+bit-identical :class:`TrafficReport`.  :func:`run_storm` sweeps layouts
+x client counts (``repro-bench traffic``, on :mod:`repro.bench.sweep`);
+:func:`~repro.traffic.storm.run_one_storm` runs one storm for
+``trace`` and ``dashboard``.
 """
 
 from repro.traffic.arrivals import (

@@ -94,9 +94,9 @@ class TestStorm:
         data = run_storm(
             SHAPE,
             layouts=("naive", "multimap"),
-            client_counts=(1, 2),
+            clients=(1, 2),
             drive=small_model,
-            queries_per_client=3,
+            queries=3,
             seed=1,
         )
         assert set(data) == {"naive", "multimap", "meta"}
@@ -115,9 +115,9 @@ class TestStorm:
         data = run_storm(
             SHAPE,
             layouts=("naive", "multimap"),
-            client_counts=(2,),
+            clients=(2,),
             drive=small_model,
-            queries_per_client=4,
+            queries=4,
             seed=3,
         )
         assert (
@@ -146,7 +146,7 @@ class TestCliTraffic:
         rc = main([
             "traffic", "--shape", "16,8,8", "--clients", "1",
             "--queries", "2", "--layouts", "multimap",
-            "--quiet", "--out", str(out),
+            "--quiet", "--json", str(out),
             "--mix", "beam:1,range:5.0", "--arrival", "poisson",
             "--rate", "100",
         ])

@@ -301,8 +301,3 @@ class TestSharedJsonWriter:
         assert rc == 0
         payload = json.loads(dest.read_text())
         assert "naive" in payload and "meta" in payload
-
-    def test_traffic_out_alias_still_works(self, tmp_path, capsys):
-        rc = main(TRAFFIC_QUICK + ["--out", str(tmp_path / "dir")])
-        assert rc == 0
-        assert (tmp_path / "dir" / "traffic.json").exists()

@@ -67,6 +67,14 @@ class TestAppendSlabs:
         with pytest.raises(MappingError):
             mapper.append_slabs(0)
 
+    @pytest.mark.parametrize("n", [1.5, True, np.float64(2.0), "3"],
+                             ids=repr)
+    def test_rejects_non_integer_counts(self, mapper, n):
+        # 1.5 used to leave dims (40, 12, 11.5)
+        with pytest.raises(MappingError, match="n_cells"):
+            mapper.append_slabs(n)
+        assert mapper.dims == (40, 12, 10)
+
     def test_exhaustion_raises_cleanly(self, small_model):
         vol = LogicalVolume([small_model], depth=16)
         mm = MultiMapMapper((60, 12, 10), vol)

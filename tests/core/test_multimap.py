@@ -116,6 +116,13 @@ class TestMappingInvariants:
         with pytest.raises(QueryError):
             mm.lbns(np.array([[40, 0, 0]]))
 
+    @pytest.mark.parametrize("dims", [(4.5, True), (3, "3"), 5, (0, 3)],
+                             ids=repr)
+    def test_dims_must_be_positive_integers(self, toy_volume, dims):
+        # 5 used to raise a bare TypeError from the cube planner
+        with pytest.raises(MappingError, match="shape"):
+            MultiMapMapper(dims, toy_volume)
+
     def test_too_large_dataset_rejected(self, small_model):
         vol = LogicalVolume([small_model], depth=16)
         with pytest.raises(MappingError):

@@ -23,7 +23,6 @@ def data(small_model):
         SHAPE,
         layouts=("naive", "multimap"),
         loaders=("fixed",),
-        dataset_opts={},
         drive=small_model,
         **QUICK,
     )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import QueryError
+from repro.errors import MappingError, QueryError
 from repro.lvm import Extent, LogicalVolume
 from repro.mappings import (
     GrayMapper,
@@ -116,6 +116,28 @@ class TestCommonMapperBehaviour:
             m.beam_plan(3, (0, 0, 0))
         with pytest.raises(QueryError):
             m.beam_plan(0, (0, 6, 0))
+
+    @pytest.mark.parametrize("cls", ALL_MAPPERS)
+    @pytest.mark.parametrize("dims", [
+        (4.5, True), (True, 8), (8, np.float64(2.0)), (8, "8"), (), 5,
+        (0, 8),
+    ], ids=repr)
+    def test_dims_must_be_positive_integers(self, cls, dims):
+        # (4.5, True) used to build a (4, 1) mapper without complaint
+        with pytest.raises(MappingError, match="shape"):
+            cls(dims, Extent(0, 0, 100))
+
+    @pytest.mark.parametrize("cls", ALL_MAPPERS)
+    @pytest.mark.parametrize("cell_blocks", [1.5, True, 0], ids=repr)
+    def test_cell_blocks_must_be_a_positive_integer(self, cls, cell_blocks):
+        # 1.5 used to be read as 1 block per cell
+        with pytest.raises(MappingError, match="cell_blocks"):
+            cls((4, 4), Extent(0, 0, 100), cell_blocks)
+
+    def test_numpy_dims_are_stored_as_ints(self):
+        m = NaiveMapper(np.array([4, 3]), Extent(0, 0, 12))
+        assert m.dims == (4, 3)
+        assert all(type(s) is int for s in m.dims)
 
     @pytest.mark.parametrize("cls", ALL_MAPPERS)
     def test_cell_blocks_scale_plans(self, cls):
