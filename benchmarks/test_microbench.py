@@ -10,8 +10,13 @@ import pytest
 from repro.api import Dataset
 from repro.core import MultiMapMapper
 from repro.disk import DiskDrive, atlas_10k3
-from repro.lvm import LogicalVolume
-from repro.mappings import HilbertMapper, NaiveMapper, ZOrderMapper
+from repro.lvm import Extent, LogicalVolume
+from repro.mappings import (
+    GrayMapper,
+    HilbertMapper,
+    NaiveMapper,
+    ZOrderMapper,
+)
 from repro.mappings.base import enumerate_box
 from repro.query.workload import range_for_selectivity
 
@@ -121,6 +126,20 @@ def test_drive_sptf_range_plan_throughput(benchmark):
 
     res = benchmark(run)
     assert res.n_requests == plan.n_runs
+
+
+@pytest.mark.parametrize("cls", [ZOrderMapper, GrayMapper, HilbertMapper])
+def test_rank_table_build(benchmark, cls):
+    """One cold rank-table build on paper-batch's chunk: a box encoder
+    per group of slabs, the argsort and its inversion.  (Hilbert's
+    level-step table is a constant of the curve, built once per process
+    in the first round.)"""
+    dims = (216, 64, 64)
+    mapper = cls(dims, Extent(0, 0, int(np.prod(dims))))
+    table = benchmark.pedantic(mapper.rank_table, setup=mapper.drop_cache,
+                               rounds=5, iterations=1)
+    assert table.shape == (mapper.n_cells,)
+    mapper.drop_cache()
 
 
 def test_hilbert_encode_throughput(benchmark):

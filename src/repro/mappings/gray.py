@@ -24,3 +24,6 @@ class GrayMapper(CurveMapper):
 
     def encode(self, coords: np.ndarray) -> np.ndarray:
         return curves.gray_rank(coords, self.bits)
+
+    def encode_box(self, lo, hi) -> np.ndarray:
+        return curves.gray_rank_box(lo, hi, self.bits)

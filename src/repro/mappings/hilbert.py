@@ -23,3 +23,6 @@ class HilbertMapper(CurveMapper):
 
     def encode(self, coords: np.ndarray) -> np.ndarray:
         return curves.hilbert_encode(coords, self.bits)
+
+    def encode_box(self, lo, hi) -> np.ndarray:
+        return curves.hilbert_encode_box(lo, hi, self.bits)

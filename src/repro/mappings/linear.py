@@ -11,11 +11,18 @@ it in a dense *rank table*: one int64 per cell, laid out Dim0-fastest
 with the Naive layout's strides, so a cell's rank is one gather at its
 flat index, a beam's ranks are one gather at an ``arange`` of flat
 indices, and a box's ranks are one N-D slice of the table.  The table
-is built once from the curve ``encode`` and an argsort — ``encode`` runs
-nowhere else — and, since it depends only on the curve class and the
-grid dims, it is published read-only through :data:`repro.perf.memo.MEMO`
-and shared by every clone of the mapper (``with_layout`` re-runs,
-per-chunk mappers of equal shape) instead of being rebuilt per instance.
+is built once, a few slabs at a time, from the curve's box encoder
+(``encode_box``: the codes of every cell of a box, computed from one
+index vector per axis, see :mod:`repro.mappings.curves`) and an
+argsort, so no coordinate matrix is built (except for Hilbert grids of
+more than four dims, whose boxes are encoded cell by cell).  The
+per-coordinate ``encode`` is left to the reference ranks of the tests
+and of :mod:`repro.perf.reference`, an oracle independent of the box
+encoders.
+Since the table depends only on the curve class and the grid dims, it
+is published read-only through :data:`repro.perf.memo.MEMO` and shared
+by every clone of the mapper (``with_layout`` re-runs, per-chunk
+mappers of equal shape) instead of being rebuilt per instance.
 """
 
 from __future__ import annotations
@@ -23,12 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mappings import curves
-from repro.mappings.base import (
-    Mapper,
-    RequestPlan,
-    coalesce_ranks,
-    enumerate_box,
-)
+from repro.mappings.base import Mapper, RequestPlan, coalesce_ranks
 from repro.perf.memo import MEMO
 
 __all__ = ["LinearMapper", "CurveMapper"]
@@ -106,6 +108,12 @@ class CurveMapper(LinearMapper):
         """Curve code of each coordinate row.  Subclasses provide."""
         raise NotImplementedError
 
+    def encode_box(self, lo, hi) -> np.ndarray:
+        """Curve code of every cell of the box ``[lo, hi)``, Dim0-fastest
+        (equal to ``encode(enumerate_box(lo, hi))``).  Subclasses
+        provide."""
+        raise NotImplementedError
+
     def _memo_key(self) -> tuple:
         cls = type(self)
         return (cls.__module__, cls.__qualname__, self.dims)
@@ -123,9 +131,7 @@ class CurveMapper(LinearMapper):
         lo, hi = [0] * len(dims), list(dims)
         for s in range(0, dims[-1], slabs):
             lo[-1], hi[-1] = s, min(s + slabs, dims[-1])
-            table[s * per_slab:hi[-1] * per_slab] = self.encode(
-                enumerate_box(lo, hi)
-            )
+            table[s * per_slab:hi[-1] * per_slab] = self.encode_box(lo, hi)
         # order[r] is the flat index of the cell at curve rank r; invert
         # it into the code buffer chunk by chunk
         order = np.argsort(table)

@@ -19,3 +19,6 @@ class ZOrderMapper(CurveMapper):
 
     def encode(self, coords: np.ndarray) -> np.ndarray:
         return curves.morton_encode(coords, self.bits)
+
+    def encode_box(self, lo, hi) -> np.ndarray:
+        return curves.morton_encode_box(lo, hi, self.bits)

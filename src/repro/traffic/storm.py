@@ -20,7 +20,13 @@ workload keywords: ``clients``, ``queries`` per client, ``mix``, the
 from __future__ import annotations
 
 from repro.bench.sweep import DEFAULT_LAYOUTS, render_sweep, run_sweep
-from repro.errors import _check_count, _check_shape
+from repro.errors import (
+    DatasetError,
+    ReplicaError,
+    _check_count,
+    _check_int,
+    _check_shape,
+)
 from repro.traffic.arrivals import arrival_named
 from repro.traffic.clients import QueryMix
 
@@ -89,12 +95,16 @@ def run_one_storm(shape, *, clients: int, queries: int, telemetry: dict,
     """
     from repro.api.dataset import Dataset
 
-    ds = Dataset.create(tuple(shape), layout=layout, drive=drive,
-                        seed=seed)
-    if shards is not None and shards > 1:
-        ds = ds.with_shards(int(shards))
-    if k is not None and k > 1:
-        ds = ds.with_replication(int(k))
+    shape = _check_shape(shape)
+    shards = 1 if shards is None else _check_count("shards", shards,
+                                                    DatasetError)
+    k = 1 if k is None else _check_count("k", k, DatasetError)
+    kill_disk = _check_int("kill_disk", kill_disk, ReplicaError)
+    ds = Dataset.create(shape, layout=layout, drive=drive, seed=seed)
+    if shards > 1:
+        ds = ds.with_shards(shards)
+    if k > 1:
+        ds = ds.with_replication(k)
     ds.with_telemetry(**telemetry)
     run = (
         ds.traffic()
@@ -106,7 +116,7 @@ def run_one_storm(shape, *, clients: int, queries: int, telemetry: dict,
         .head(head)
     )
     if kill_at is not None:
-        run.kill(float(kill_at), int(kill_disk),
+        run.kill(float(kill_at), kill_disk,
                  revive_at_ms=(float(revive_at)
                                if revive_at is not None else None))
     return ds, run.run()

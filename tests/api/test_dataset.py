@@ -417,3 +417,44 @@ class TestLazyImport:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_bench_and_datasets_exports_resolve(self):
+        import repro.bench
+        import repro.datasets
+
+        for pkg in (repro.bench, repro.datasets):
+            for name in pkg.__all__:
+                assert getattr(pkg, name) is not None
+            assert sorted(dir(pkg)) == sorted(pkg.__all__)
+            with pytest.raises(AttributeError):
+                pkg.nonexistent_attribute
+
+    def test_storage_stack_skips_figures_and_generators(self):
+        """Building and querying a dataset loads neither the figure
+        harness nor the earthquake, OLAP and TPC-H generators."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        code = (
+            "import sys\n"
+            "from repro.api import Dataset\n"
+            "ds = Dataset.create((12, 8, 8), layout='hilbert', "
+            "drive='atlas10k3', seed=1)\n"
+            "ds.random_beams(axis=1, n=2).run()\n"
+            "ds.range_selectivity(1.0).run()\n"
+            "loaded = sorted({'repro.bench.figures', 'repro.bench.harness',"
+            " 'repro.datasets.earthquake', 'repro.datasets.olap',"
+            " 'repro.datasets.tpch'} & set(sys.modules))\n"
+            "assert not loaded, loaded\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__
+        )))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 """Tests for space-filling-curve codes: correctness and curve properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,3 +173,118 @@ class TestHilbert:
                 total_h += clusters(curves.hilbert_encode(box, 5))
                 total_m += clusters(curves.morton_encode(box, 5))
         assert total_h <= total_m
+
+
+BOX_ENCODERS = [
+    (curves.morton_encode_box, curves.morton_encode),
+    (curves.gray_rank_box, curves.gray_rank),
+    (curves.hilbert_encode_box, curves.hilbert_encode),
+]
+BOX_IDS = ["morton", "gray", "hilbert"]
+
+
+def assert_box_matches(box, encode, lo, hi, bits):
+    from repro.mappings.base import enumerate_box
+
+    got = box(lo, hi, bits)
+    want = encode(enumerate_box(lo, hi), bits)
+    assert got.dtype == np.int64
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@st.composite
+def grid_boxes(draw):
+    """A 1- to 6-D grid (size-1 axes and non-powers of two included),
+    its bit width, and a box inside it."""
+    n_dims = draw(st.integers(1, 6))
+    top = (17, 9, 7, 5, 4, 3)[n_dims - 1]
+    dims = draw(st.tuples(*[st.integers(1, top)] * n_dims))
+    lo, hi = [], []
+    for s in dims:
+        a = draw(st.integers(0, s - 1))
+        lo.append(a)
+        hi.append(draw(st.integers(a + 1, s)))
+    return tuple(lo), tuple(hi), curves.bits_for(dims)
+
+
+class TestBoxEncoders:
+    """The box encoders equal their per-coordinate encoder on the box's
+    Dim0-fastest enumeration, bit for bit."""
+
+    @given(case=grid_boxes())
+    @settings(max_examples=300, deadline=None)
+    def test_property_matches_per_coordinate(self, case):
+        lo, hi, bits = case
+        for box, encode in BOX_ENCODERS:
+            assert_box_matches(box, encode, lo, hi, bits)
+
+    @pytest.mark.parametrize("box, encode", BOX_ENCODERS, ids=BOX_IDS)
+    @pytest.mark.parametrize("dims", [
+        (32, 2, 2, 2, 2, 2, 2, 2, 8),
+        (2,) * 12,
+        (3, 1, 4, 1, 1, 1, 2, 1, 1, 1, 1, 5),
+        (2,) * 13,
+        (3, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2),
+    ], ids=lambda dims: f"{len(dims)}d")
+    def test_many_dimensions(self, box, encode, dims):
+        full = ((0,) * len(dims), dims)
+        inner = (tuple(s // 2 for s in dims), dims)
+        for lo, hi in (full, inner):
+            assert_box_matches(box, encode, lo, hi, curves.bits_for(dims))
+
+    @pytest.mark.parametrize("box, encode", BOX_ENCODERS, ids=BOX_IDS)
+    def test_code_budget(self, box, encode):
+        """Past the 62-bit code budget both encoders raise the same
+        error; at the budget both encode."""
+        cells = np.zeros((1, 8), dtype=np.int64)
+        with pytest.raises(MappingError, match="62-bit") as per_cell:
+            encode(cells, 8)
+        with pytest.raises(MappingError, match="62-bit") as per_box:
+            box((0,) * 8, (1,) * 8, 8)
+        assert str(per_box.value) == str(per_cell.value)
+        assert_box_matches(box, encode, (0,) * 2, (3, 5), 31)
+
+    @pytest.mark.parametrize("box, encode", BOX_ENCODERS, ids=BOX_IDS)
+    def test_rejects_what_per_coordinate_rejects(self, box, encode):
+        for lo, hi, bits in [((0, 0), (5, 2), 2), ((-1, 0), (2, 2), 2)]:
+            from repro.mappings.base import enumerate_box
+
+            with pytest.raises(MappingError) as per_cell:
+                encode(enumerate_box(lo, hi), bits)
+            with pytest.raises(MappingError) as per_box:
+                box(lo, hi, bits)
+            assert str(per_box.value) == str(per_cell.value)
+
+    @pytest.mark.parametrize("box, encode", BOX_ENCODERS, ids=BOX_IDS)
+    def test_empty_box(self, box, encode):
+        out = box((2, 1), (2, 3), 2)
+        assert out.dtype == np.int64 and out.shape == (0,)
+
+    @pytest.mark.parametrize("box, encode", BOX_ENCODERS, ids=BOX_IDS)
+    def test_rejects_mismatched_bounds(self, box, encode):
+        for lo, hi in [((0, 0), (2,)), ((), ())]:
+            with pytest.raises(MappingError, match="same dims"):
+                box(lo, hi, 2)
+
+    @pytest.mark.parametrize("box, encode", BOX_ENCODERS, ids=BOX_IDS)
+    @pytest.mark.parametrize("dims, lo, hi", [
+        ((259, 259, 259), (3, 100, 250), (70, 141, 259)),
+        ((591, 75, 25, 25), (500, 7, 0, 11), (591, 30, 25, 14)),
+    ], ids=["259^3", "fig8-chunk"])
+    def test_paper_scale_boxes(self, box, encode, dims, lo, hi):
+        """Boxes deep inside the paper's grids reach every bit level."""
+        assert_box_matches(box, encode, lo, hi, curves.bits_for(dims))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_hilbert_steps_table(self, n):
+        """One row of 2**n entries per state reachable from the identity:
+        n! axis orders x 2**n flip masks (the parity follows from them),
+        48 in 3-D and 384 in 4-D; built once per dimension count and
+        read-only, and every entry names a row."""
+        states = math.factorial(n) << n
+        table = curves._hilbert_steps(n)
+        assert table.size == states << n
+        assert not table.flags.writeable
+        assert curves._hilbert_steps(n) is table
+        assert ((table >> n) < states).all()

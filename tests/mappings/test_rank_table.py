@@ -147,13 +147,15 @@ def test_table_is_one_int64_per_cell_in_naive_order(cls):
 
 @pytest.mark.parametrize("cls", CURVES)
 def test_queries_never_encode_once_the_table_exists(cls, monkeypatch):
+    """Nor does the build: it takes its codes from the box encoder."""
     m = make(cls, (6, 5, 7), cell_blocks=3)
-    m.rank_table()
 
     def no_encode(coords):
-        raise AssertionError("encode called outside the table build")
+        raise AssertionError("per-coordinate encode called")
 
     monkeypatch.setattr(m, "encode", no_encode)
+    m.drop_cache()
+    m.rank_table()
     m.rank(enumerate_box((0, 0, 0), (2, 2, 2)))
     m.lbns([[1, 2, 3]])
     m.beam_plan(1, (2, 0, 3))
@@ -175,3 +177,25 @@ def test_build_peak_memory_is_bounded():
         m.drop_cache()
     assert table.nbytes == 8 * m.n_cells
     assert peak <= 2.5 * table.nbytes
+
+
+@pytest.mark.parametrize("cls", CURVES)
+def test_many_dims_table_matches_reference_with_bounded_peak(cls):
+    """Ten dims of three cells: Z-order and Gray use their box encoders
+    (peak within 2.5x the table); above four dims the Hilbert box is
+    enumerated and encoded cell by cell, so its peak holds one slab
+    group's coordinate matrix (a third of this grid, ten int64 per cell)
+    and the per-coordinate encoder's temporaries, about 11x the table."""
+    dims = (3,) * 10
+    m = make(cls, dims)
+    m.drop_cache()
+    tracemalloc.start()
+    try:
+        table = m.rank_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    every = enumerate_box((0,) * len(dims), dims)
+    assert_same_array(m.rank(every), ReferenceRank(m).rank(every))
+    m.drop_cache()
+    assert peak <= (16 if cls is HilbertMapper else 2.5) * table.nbytes
