@@ -6,7 +6,7 @@ reproduction to its modelling knobs:
 * drive queue depth (SPTF window) — how much of MultiMap's range-query
   advantage comes from the drive reordering semi-sequential batches;
 * command overhead — the calibration knob behind the curve-mapping beam
-  penalties (EXPERIMENTS.md discusses it);
+  penalties (README, "Deviations from the paper");
 * planner strategy — space-optimal ("compact") vs the paper's
   bigger-cubes-are-better ("volume") guidance;
 * declustering across disks — §4.4's claim that MultiMap composes with

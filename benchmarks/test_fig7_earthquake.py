@@ -25,7 +25,8 @@ def test_fig7a_beam_queries(benchmark, scale, report):
     for disk in disks:
         per = data[disk]
         # Z (the deepest stride for X-major Naive) shows the clean win;
-        # Y ties within noise at reduced dataset scale (EXPERIMENTS.md).
+        # Y ties within 10 % at both scales (README, "Deviations from
+        # the paper").
         assert per["multimap"]["Z"] < per["naive"]["Z"]
         for axis in ("Y", "Z"):
             assert per["multimap"][axis] <= per["naive"][axis] * 1.1
@@ -47,9 +48,9 @@ def test_fig7b_range_queries(benchmark, scale, report):
               f"(elements: {data.get('elements_fetched')})")
         report(render_table(["mapping"] + [f"{s}%" for s in sels], rows))
         for s in sels:
-            # multimap stays within 1.8x of the best (Naive leads at
-            # reduced dataset scale — see EXPERIMENTS.md) and clearly
-            # beats both curve layouts
+            # multimap stays within 1.8x of the best (Naive leads, at
+            # both scales — README, "Deviations from the paper") and
+            # clearly beats both curve layouts
             best = min(per[name][s] for name in per)
             assert per["multimap"][s] <= best * 1.8
             assert per["multimap"][s] < per["zorder"][s]

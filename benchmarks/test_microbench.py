@@ -10,6 +10,7 @@ import pytest
 from repro.api import Dataset
 from repro.core import MultiMapMapper
 from repro.disk import DiskDrive, atlas_10k3
+from repro.disk.drive import SCALAR_RUNS
 from repro.lvm import Extent, LogicalVolume
 from repro.mappings import (
     GrayMapper,
@@ -61,14 +62,14 @@ def test_drive_sorted_batch_throughput(benchmark):
     assert res.n_requests == 100_000
 
 
-def _beam_batch():
-    """failover-storm's median drive batch: 11 one-block runs, one per
-    track, each a track length past the last (MultiMap's
-    semi-sequential path, §5.2), in path order."""
+def _beam_batch(n: int = 11):
+    """``n`` one-block runs, one per track, each a track length past the
+    last (MultiMap's semi-sequential path, §5.2), in path order; 11 is
+    failover-storm's median drive batch."""
     model = atlas_10k3()
     spt = model.geometry.track_length(0)
-    starts = 4_321 + spt * np.arange(11, dtype=np.int64)
-    return model, starts, np.ones(11, dtype=np.int64)
+    starts = 4_321 + spt * np.arange(n, dtype=np.int64)
+    return model, starts, np.ones(n, dtype=np.int64)
 
 
 @pytest.mark.parametrize("policy", ["fifo", "sorted"])
@@ -82,6 +83,20 @@ def test_drive_small_batch_fixed_cost(benchmark, policy):
     drive = DiskDrive(model)
     res = benchmark(drive.service_runs, starts, lengths, policy=policy)
     assert res.n_requests == 11 and res.n_blocks == 11
+
+
+@pytest.mark.parametrize("policy", ["fifo", "sorted"])
+@pytest.mark.parametrize("n", [40, 64])
+def test_drive_batch_near_threshold(benchmark, n, policy):
+    """The same path batch on either side of ``SCALAR_RUNS``: 40 runs
+    take the scalar pass, 64 the numpy preparation."""
+    assert (n <= SCALAR_RUNS) == (n == 40)
+    model, starts, lengths = _beam_batch(n)
+    if policy == "sorted":
+        starts = starts[::-1].copy()
+    drive = DiskDrive(model)
+    res = benchmark(drive.service_runs, starts, lengths, policy=policy)
+    assert res.n_requests == n and res.n_blocks == n
 
 
 def test_drive_service_call_fixed_cost(benchmark):

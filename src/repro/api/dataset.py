@@ -53,6 +53,7 @@ from repro.errors import (
     DatasetError,
     QueryError,
     _check_count,
+    _check_rng,
     _check_shape,
 )
 from repro.lvm.volume import LogicalVolume
@@ -183,8 +184,11 @@ class QueryBatch:
         Without ``rng``, the dataset's seed sequence provides the next
         child generator.  One generator drives both lazy query positions
         and the randomised initial head position of every execution.
+        An ``rng`` that is not a :class:`numpy.random.Generator` raises
+        :class:`~repro.errors.QueryError`.
         """
         ds = self._dataset
+        _check_rng(rng)
         if rng is None:
             rng = ds.rng()
         n_rep = (self._repeats if repeats is None
@@ -264,8 +268,10 @@ class Dataset:
             "coalesce_gap_blocks": check_setting("coalesce_gap_blocks",
                                                  coalesce_gap_blocks),
         }
-        self.depth = None if depth is None else int(depth)
-        self.seed = seed
+        self.depth = (None if depth is None
+                      else _check_count("depth", depth, DatasetError))
+        self.seed = (None if seed is None
+                     else _check_count("seed", seed, DatasetError, low=0))
         self.layout_opts = dict(layout_opts or {})
         self.drive_name, self._drive_factory = _resolve_drive(drive)
         self._layout_entry = LAYOUTS.get(self.layout)
@@ -317,8 +323,10 @@ class Dataset:
         :class:`~repro.errors.QueryError`, or
         :class:`~repro.errors.MappingError` for ``cell_blocks``.
         ``shape`` must be a non-empty sequence of integers of at least 1
-        each (not bools), checked at the same point; a bad one raises
-        :class:`~repro.errors.DatasetError`.
+        each (not bools), ``depth`` None or an integer of at least 1 and
+        ``seed`` None or an integer of at least 0 (numpy integers
+        included, bools not), checked at the same point; a bad one
+        raises :class:`~repro.errors.DatasetError`.
         """
         return cls(
             shape=shape, layout=layout, drive=drive,
@@ -1049,6 +1057,7 @@ class Dataset:
     def read_cells(self, coords, *,
                    rng: np.random.Generator | None = None) -> QueryResult:
         """Fetch specific cells (including any overflow chains)."""
+        _check_rng(rng)
         coords = np.asarray(coords)
         if coords.ndim == 1:
             coords = coords[np.newaxis, :]

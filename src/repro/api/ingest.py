@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import IngestError
+from repro.errors import IngestError, _check_rng
 from repro.ingest.loader import resolve_loader
 from repro.ingest.pipeline import IngestPipeline
 from repro.ingest.reorg import plan_reorganize
@@ -99,7 +99,10 @@ class IngestRun:
         )
 
     def run(self, rng: np.random.Generator | None = None):
-        """Stream every batch through the pipeline and report."""
+        """Stream every batch through the pipeline and report.  ``rng``
+        is None (the dataset's next child generator) or a numpy
+        Generator; anything else raises :class:`IngestError`."""
+        _check_rng(rng, IngestError)
         ds = self.dataset
         stream = self.build_stream()
         entry = resolve_loader(self.loader_spec)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import QueryError, _check_count
+from repro.errors import QueryError, _check_count, _check_rng
 from repro.traffic.arrivals import (
     ArrivalProcess,
     BurstyArrivals,
@@ -216,10 +216,13 @@ class TrafficRun:
         Without ``rng``, client *i* gets the dataset's next spawned child
         generator.  With an explicit ``rng``, a single client uses it
         directly (mirroring ``QueryBatch.run(rng=...)``); several clients
-        get independent generators seeded from its draws.
+        get independent generators seeded from its draws.  An ``rng``
+        that is not a :class:`numpy.random.Generator` raises
+        :class:`~repro.errors.QueryError`.
         """
         if not self._specs and not self._ingest_specs:
             raise QueryError("add at least one client before run()")
+        _check_rng(rng)
         # checked before any client draws from the dataset's generators
         config = TrafficConfig(
             slice_runs=self._slice_runs,

@@ -2,10 +2,11 @@
 
 Every function returns plain dict/list data (JSON-friendly) with the same
 rows/series as the corresponding paper artefact, so the harness can print
-paper-style tables and EXPERIMENTS.md can diff against the published
-values.  Scale is controlled by a :class:`Scale` preset: ``paper`` runs
-the full chunk sizes and sweeps, ``small`` shrinks them for CI runs while
-preserving each experiment's structure.
+paper-style tables and the README's "Deviations from the paper" section
+can set them against the published values.  Scale is controlled by a
+:class:`Scale` preset: ``paper`` runs the full chunk sizes and sweeps,
+``small`` shrinks them for CI runs while preserving each experiment's
+structure.
 
 The grid figures (6a, 6b, 8 and the model check) run on one
 :class:`~repro.api.Dataset` per layout — fresh identical disks for each,

@@ -1,8 +1,8 @@
 """Run-everything driver: regenerates every paper figure and saves JSON.
 
 ``run_all`` executes each figure regenerator at the requested scale,
-prints paper-style tables, and (optionally) writes ``results/<fig>.json``
-for EXPERIMENTS.md bookkeeping.
+prints paper-style tables, and (optionally) writes ``results/<fig>.json``,
+the payloads ``BENCH_small.json`` and ``BENCH_paper.json`` pin.
 """
 
 from __future__ import annotations

@@ -18,8 +18,9 @@ choice explicit:
 
 * ``K_{N-1} = min(S_{N-1}, zone_tracks / prod(K_1..K_{N-2}))`` (Eq. 2).
 
-The planner also reports the §4.4 waste diagnostics so EXPERIMENTS.md can
-quote them.
+The planner also reports the §4.4 waste diagnostics, which the README's
+"Deviations from the paper" section uses to explain the paper-scale
+Fig. 6b deficit.
 """
 
 from __future__ import annotations

@@ -23,26 +23,44 @@ Three scheduling policies are provided for batches:
                 they are fetched in the most efficient way").
 
 One cost model serves every batch, and :meth:`DiskDrive.service` is a
-one-run ``"fifo"`` batch.  Per-run geometry and in-run cost are computed
-with numpy, zone by zone for a run that crosses zones, and seek costs are
-looked up in :attr:`DiskModel.seek_table` (seek time by cylinder
-distance).  For ``"fifo"`` and ``"sorted"`` the only per-run Python work
-is the rotational-position recurrence, which is inherently sequential,
-and, with a firmware :class:`TrackCache`, one lookup per run that settles
-the batch's hits before any timing.
+one-run ``"fifo"`` batch.  Seek costs are looked up in
+:attr:`DiskModel.seek_table` (seek time by cylinder distance), and a run
+that crosses zones pays each zone's share at that zone's sector time and
+boundary cost.  A ``"fifo"`` or ``"sorted"`` batch takes one of two
+paths, chosen by its size alone; both evaluate the same float
+expressions in the same order, so they agree bit for bit
+(``tests/disk/test_drive_paths.py``).
 
-Most batches are small (MultiMap fetches a non-primary beam as one
-single-block run per cell, §5.2), so what a batch pays regardless of
-its size matters.  A batch is put in service order before it is
-prepared (a stable sort of the starts for ``"sorted"``, issue order
-otherwise), so the prepared fields are gathered again only for the
-cache misses of a batch that had hits.  Preparation makes one geometry
-pass, over the run starts: a run that ends before its start zone's end
-LBN ends ``(sector0 + length - 1) // spt0`` tracks on, and only runs
-that reach a later zone, or leave the disk, decompose their last LBN.
-An 11-run ``"fifo"`` batch of single blocks costs ~36 µs of host time
-(2-vCPU x86), ~3 µs of it the recurrence, where decomposing both ends
-and gathering every field in service order took ~47 µs.
+Most batches are small: MultiMap fetches a non-primary beam as one
+single-block run per cell (§5.2), and the §5.3 chunked layouts split
+every query into per-disk sub-plans.  On the benchmark's
+``failover-storm`` workload three fifo/sorted batches in four have at
+most 40 runs (median 11), and on ``ingest-reorg`` nineteen in twenty
+(median 10).  On such a batch numpy's per-call overhead is nearly all
+of the cost, so a batch of at most :data:`SCALAR_RUNS` runs is served by
+one Python pass: per run it locates the start's zone with ``bisect`` in
+a per-zone row table built at init, settles the firmware cache, prices
+the seek, rotational wait, transfer and in-run switches, and advances
+the clock.  Seek, transfer and switch are then summed by numpy's
+reduction, as the numpy path sums them.  The pass costs ~1.2 µs a run
+plus ~8 µs a batch.
+
+A larger batch is prepared with numpy in service order (a stable sort
+of the starts for ``"sorted"``, issue order otherwise).  Preparation
+makes one geometry pass, over the run starts: a run that ends before
+its start zone's end LBN ends ``(sector0 + length - 1) // spt0`` tracks
+on, and only runs that reach a later zone, or leave the disk, decompose
+their last LBN.  The only per-run Python work is then the
+rotational-position recurrence, which is inherently sequential, and,
+with a firmware :class:`TrackCache`, one lookup per run that settles the
+batch's hits before any timing; the prepared fields are gathered again
+only for the misses of a batch that had hits.  This path costs ~50 µs a
+batch up to ~64 runs.  Timed over fifo/sorted batches captured from the
+three benchmark workloads (best of seven per batch, median per bucket,
+2-vCPU x86), the two cross at 40-43 runs, where both take ~51-54 µs;
+an 11-run ``"fifo"`` batch of single blocks takes ~20-28 µs through
+:meth:`DiskDrive.service_runs`, against ~60-67 µs when it went through
+numpy, of which ~3 µs was the recurrence.
 
 An ``"sptf"`` batch takes one scheduling step per request, and a step
 scores only the queued requests that can still win.  The command queue
@@ -80,6 +98,7 @@ import numbers
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -98,6 +117,11 @@ SNAP_REV = 1e-7
 
 #: the batch scheduling policies :meth:`DiskDrive.service_runs` accepts
 POLICIES = ("fifo", "sorted", "sptf")
+
+#: ``"fifo"``/``"sorted"`` batches of at most this many runs are served by
+#: one scalar pass, larger ones by numpy preparation; the two cost the
+#: same near here (module docstring)
+SCALAR_RUNS = 40
 
 
 def _wait_rev(delta: float) -> float:
@@ -254,6 +278,17 @@ class DiskDrive:
             ))
             for z in geom.zones
         ])
+        # The scalar pass's per-zone rows: first LBN, sectors per track,
+        # first track, skew, end LBN, sector time and boundary cost.
+        self._zone_rows = []
+        for z, cost in zip(geom.zones, self._boundary_cost.tolist()):
+            lo, hi = geom.zone_lbn_span(z.index)
+            spt = z.sectors_per_track
+            self._zone_rows.append((
+                lo, spt, geom.zone_first_track(z.index), z.skew_sectors, hi,
+                rot / spt, cost,
+            ))
+        self._zone_firsts = [row[0] for row in self._zone_rows]
 
     # ------------------------------------------------------------------
     # state
@@ -336,10 +371,10 @@ class DiskDrive:
         """Service one run of ``nblocks`` consecutive LBNs; advance state.
 
         A one-run ``"fifo"`` batch: it costs the run exactly as
-        :meth:`service_runs` would, firmware cache included.  The batch
-        machinery makes a call cost ~36 µs of host time (2-vCPU x86),
-        two to three times what a per-run scalar path took; only
-        :mod:`repro.disk.characterize` calls it in bulk.
+        :meth:`service_runs` would, firmware cache included, through the
+        scalar pass.  A call costs ~14 µs of host time (2-vCPU x86),
+        against ~67 µs when every batch went through numpy preparation;
+        only :mod:`repro.disk.characterize` calls it in bulk.
         """
         lbn = _check_int("lbn", lbn, GeometryError)
         nblocks = _check_int("nblocks", nblocks, GeometryError)
@@ -506,6 +541,10 @@ class DiskDrive:
             return self._service_sptf(
                 self._prepare_runs(starts, lengths), window, collect
             )
+        if n <= SCALAR_RUNS:
+            return self._service_scalar(
+                starts, lengths, policy == "sorted", collect
+            )
         # fifo and sorted runs are prepared in service order
         order = None
         if policy == "sorted":
@@ -525,6 +564,120 @@ class DiskDrive:
         )
 
     # -- fixed-order servicing (fifo / sorted) -------------------------
+
+    def _service_scalar(self, starts, lengths, sort: bool,
+                        collect: bool) -> BatchResult:
+        """Service a small fifo (or, with ``sort``, sorted) batch in one
+        Python pass, run by run, with the float expressions
+        :meth:`_prepare_runs` and :meth:`_service_in_order` evaluate:
+        locate the start's zone, settle the firmware cache, price the
+        seek, rotational wait, transfer and in-run switches, advance the
+        clock.  Seek, transfer and switch are summed by numpy's reduction,
+        as the numpy path sums them, so the result is bit for bit its
+        result."""
+        geom = self.geometry
+        starts_l = starts.tolist()
+        lengths_l = lengths.tolist()
+        if (min(lengths_l) < 1 or min(starts_l) < 0
+                or max(map(add, starts_l, lengths_l)) > geom.n_lbns):
+            # the numpy preparation raises the batch's GeometryError
+            self._prepare_runs(starts, lengths)
+        n = len(starts_l)
+        order = None
+        if sort:
+            order = sorted(range(n), key=starts_l.__getitem__)
+            starts_l = [starts_l[i] for i in order]
+            lengths_l = [lengths_l[i] for i in order]
+
+        rot = self._rot
+        overhead = self._overhead
+        snap = 1.0 - SNAP_REV
+        head_switch = self.mechanics.head_switch_ms
+        seek_list = self.model.seek_list
+        surfaces = geom.surfaces
+        rows = self._zone_rows
+        firsts = self._zone_firsts
+        cache = self.cache
+        t = self._time_ms
+        track = self._track
+        cyl = track // surfaces
+        seeks, transfers, switches = [], [], []
+        bus_xfers = []  # the cache hits'
+        per_request = [] if collect else None
+        rot_total = 0.0
+        for lbn, length in zip(starts_l, lengths_l):
+            z = bisect_right(firsts, lbn) - 1
+            first, spt, track_first, skew, end, sector_time, boundary = rows[z]
+            rel = lbn - first
+            tz = rel // spt
+            sector = rel - tz * spt
+            track0 = track_first + tz
+            span = length - 1
+            if span < end - lbn:  # ends in its start zone
+                crossed = (sector + span) // spt
+                tracke = track0 + crossed
+                transfer = length * sector_time
+                switch = crossed * boundary
+            else:
+                last = lbn + span
+                ze = bisect_right(firsts, last) - 1
+                first_e, spt_e, track_first_e = rows[ze][:3]
+                tracke = track_first_e + (last - first_e) // spt_e
+                transfer, switch = self._cross_zone_costs(
+                    np.array([lbn]), np.array([last]), range(z, ze + 1)
+                )
+                transfer, switch = float(transfer[0]), float(switch[0])
+            if cache is not None:
+                if cache.hit(track0, tracke):
+                    bus_xfer = length * self.CACHE_BLOCK_MS
+                    t += overhead + bus_xfer
+                    bus_xfers.append(bus_xfer)
+                    if collect:
+                        per_request.append(overhead + bus_xfer)
+                    continue
+                cache.insert(track0, tracke)
+            cyl0 = track0 // surfaces
+            dist = cyl0 - cyl
+            seek = seek_list[dist if dist >= 0 else -dist]
+            if not dist and track0 != track:
+                seek = head_switch
+            arrival = t + overhead + seek
+            wait = (((sector + skew * tz) % spt) / spt - arrival / rot) % 1.0
+            if wait > snap:
+                wait = 0.0
+            wait *= rot
+            rot_total += wait
+            t = arrival + wait + (transfer + switch)
+            track, cyl = tracke, tracke // surfaces
+            seeks.append(seek)
+            transfers.append(transfer)
+            switches.append(switch)
+            if collect:
+                per_request.append(seek + wait + transfer + switch + overhead)
+
+        total = t - self._time_ms
+        self._time_ms = t
+        self._track = track
+        seek_ms, transfer_ms, switch_ms = np.array(
+            (seeks, transfers, switches)
+        ).sum(axis=1).tolist()
+        if bus_xfers:
+            transfer_ms += float(np.array(bus_xfers).sum())
+        if collect:
+            order = (np.arange(n, dtype=np.int64) if order is None
+                     else np.array(order, dtype=np.int64))
+        return BatchResult(
+            total_ms=total,
+            n_requests=n,
+            n_blocks=sum(lengths_l),
+            seek_ms=seek_ms,
+            rotation_ms=rot_total,
+            transfer_ms=transfer_ms,
+            switch_ms=switch_ms,
+            overhead_ms=overhead * n,
+            per_request_ms=np.array(per_request) if collect else None,
+            order=order if collect else None,
+        )
 
     def _service_in_order(self, info, order, collect: bool) -> BatchResult:
         """Service the prepared runs in the order given; ``order`` maps

@@ -104,6 +104,13 @@ def _check_count(name: str, value, error=QueryError, low: int = 1) -> int:
     return count
 
 
+def _check_rng(rng, error=QueryError) -> None:
+    """Raise ``error`` unless ``rng`` is None or a
+    :class:`numpy.random.Generator`."""
+    if rng is not None and not isinstance(rng, np.random.Generator):
+        raise error(f"rng must be a numpy.random.Generator, got {rng!r}")
+
+
 def _check_ints(name: str, values) -> tuple[int, ...]:
     try:
         items = tuple(values)

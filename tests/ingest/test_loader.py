@@ -1,12 +1,20 @@
 """Bulk loaders: the fixed defaults and the adaptive sampling plan."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Dataset
 from repro.errors import IngestError
 from repro.ingest.loader import (
     LOADERS,
     IngestPlan,
+    _linear_quantile,
     loader_names,
     resolve_loader,
 )
@@ -127,3 +135,49 @@ class TestAdaptiveLoader:
         assert out["chunk_shape"] == list(plan.chunk_shape)
         assert out["loader"] == "adaptive"
         assert out["sampled_points"] == 256
+
+
+class TestLinearQuantile:
+    """The adaptive loader's order statistic against ``np.quantile``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 5000), min_size=1, max_size=600),
+        st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_equals_numpy_quantile(self, values, q):
+        import numpy as np
+
+        assert _linear_quantile(np.array(values), q) == float(
+            np.quantile(np.array(values), q))
+
+    @pytest.mark.parametrize("q", [0.98, 0.5, 1.0, 1e-9])
+    def test_one_value_and_the_default_quantile(self, q):
+        import numpy as np
+
+        for values in ([7], [3, 3], [1, 9], list(range(100, 0, -1))):
+            assert _linear_quantile(np.array(values), q) == float(
+                np.quantile(np.array(values), q))
+
+    def test_ingest_run_does_not_load_numpy_ma(self):
+        """``np.quantile`` imports ``numpy.ma`` on first use; a cold
+        adaptive ingest (the perfbench ``ingest-reorg`` set-up's shape)
+        must not."""
+        code = (
+            "import sys\n"
+            "from repro.api import Dataset\n"
+            "for loader in ('fixed', 'adaptive'):\n"
+            "    ds = (Dataset.create((32, 8, 8), layout='multimap',\n"
+            "                         drive='minidrive', seed=1)\n"
+            "          .with_shards(2).with_replication(2))\n"
+            "    ds.ingest(stream='clustered', loader=loader,\n"
+            "              n_points=256, batch_points=256,\n"
+            "              flush_points=512, seed=1,\n"
+            "              reorganize=True).run()\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma loaded'\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
