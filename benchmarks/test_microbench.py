@@ -19,7 +19,11 @@ from repro.mappings import (
     ZOrderMapper,
 )
 from repro.mappings.base import enumerate_box
-from repro.query.workload import range_for_selectivity
+from repro.query.workload import (
+    random_beam,
+    random_range_cube,
+    range_for_selectivity,
+)
 
 DIMS = (128, 64, 64)
 N = int(np.prod(DIMS))
@@ -141,6 +145,24 @@ def test_drive_sptf_range_plan_throughput(benchmark):
 
     res = benchmark(run)
     assert res.n_requests == plan.n_runs
+
+
+@pytest.mark.parametrize("layout", ["naive", "zorder", "hilbert", "multimap"])
+def test_dataset_run_batch(benchmark, layout):
+    """One paper-batch round on one layout: two random beams per axis
+    and a 0.1 % and a 1 % range cube on (216, 64, 64) atlas10k3, served
+    as one ``Dataset.run`` batch, heads drawn from the same seed on
+    every call (placement and plan tables built beforehand)."""
+    shape = (216, 64, 64)
+    rng = np.random.default_rng(3)
+    queries = [random_beam(shape, axis, rng)
+               for axis in range(len(shape)) for _ in range(2)]
+    queries += [random_range_cube(shape, pct, rng) for pct in (0.1, 1.0)]
+    ds = Dataset.create(shape, layout=layout, drive="atlas10k3", seed=3)
+    ds.run(queries, rng=np.random.default_rng(0))
+
+    report = benchmark(lambda: ds.run(queries, rng=np.random.default_rng(4)))
+    assert len(report.records) == len(queries)
 
 
 @pytest.mark.parametrize("cls", [ZOrderMapper, GrayMapper, HilbertMapper])

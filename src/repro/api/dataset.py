@@ -76,7 +76,7 @@ def _resolve_drive(drive) -> tuple[str, object]:
         return str(drive[0]), drive[1]
     if isinstance(drive, str):
         entry: DriveEntry = DRIVES.get(drive)
-        return entry.name, entry.factory
+        return entry.name, lambda: entry.model
     if isinstance(drive, DiskModel):
         return drive.name, lambda: drive
     if callable(drive):
@@ -93,10 +93,12 @@ class QueryBatch:
 
     Entries may be concrete (:class:`BeamQuery` / :class:`RangeQuery`) or
     *lazy* (random beams and random range cubes), in which case the query
-    is drawn from the run's generator immediately before execution — the
-    same interleaving as the paper's "averaged over runs at random
-    locations" methodology: each query, then its head position, comes
-    from the one generator.
+    is drawn from the run's generator immediately before it is prepared
+    — the same interleaving as the paper's "averaged over runs at random
+    locations" methodology: each query, then its head positions, comes
+    from the one generator.  The drives service the prepared queries a
+    group at a time (:func:`repro.query.scatter.scatter_batch`), with the
+    same results as serving each before drawing the next.
     """
 
     def __init__(self, dataset: Dataset):
@@ -194,21 +196,29 @@ class QueryBatch:
         n_rep = (self._repeats if repeats is None
                  else _check_count("repeats", repeats))
         storage = ds.storage
-        records = []
-        for rep in range(n_rep):
-            for entry in self._entries:
-                kind = entry[0]
-                if kind == "query":
-                    q = entry[1]
-                elif kind == "random_beam":
-                    _, axis, lo, hi = entry
-                    q = random_beam(ds.shape, axis, rng)
-                    if lo != 0 or hi is not None:
-                        q = BeamQuery(q.axis, q.fixed, lo, hi)
-                else:  # random_range
-                    q = random_range_cube(ds.shape, entry[1], rng)
-                res = storage.run_query(q, rng=rng)
-                records.append(make_record(q, res, rep))
+        queries = []
+
+        def prepared():
+            # each query is drawn and prepared only once the one before
+            # it has drawn its head positions: one generator feeds both
+            for rep in range(n_rep):
+                for entry in self._entries:
+                    kind = entry[0]
+                    if kind == "query":
+                        q = entry[1]
+                    elif kind == "random_beam":
+                        _, axis, lo, hi = entry
+                        q = random_beam(ds.shape, axis, rng)
+                        if lo != 0 or hi is not None:
+                            q = BeamQuery(q.axis, q.fixed, lo, hi)
+                    else:  # random_range
+                        q = random_range_cube(ds.shape, entry[1], rng)
+                    queries.append((q, rep))
+                    yield storage.prepare(q)
+
+        results = storage.execute_batch(prepared(), rng=rng)
+        records = [make_record(q, res, rep)
+                   for (q, rep), res in zip(queries, results)]
         meta = {"repeats": n_rep, "seed": ds.seed}
         if ds.cache is not None and ds.cache.active:
             # pool-LIFETIME cumulative snapshot taken after the batch —

@@ -21,6 +21,7 @@ importing anything else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from repro.errors import RegistryError
@@ -64,6 +65,14 @@ class DriveEntry:
     name: str
     factory: Callable[[], object] = field(repr=False)
     description: str = ""
+
+    @cached_property
+    def model(self):
+        """The drive's one model in this process, built by the factory
+        on first use and shared by every dataset that names the drive
+        (models are immutable), so its seek table is built once.
+        Calling :attr:`factory` still builds a fresh model."""
+        return self.factory()
 
 
 _populated = False

@@ -62,19 +62,40 @@ an 11-run ``"fifo"`` batch of single blocks takes ~20-28 µs through
 :meth:`DiskDrive.service_runs`, against ~60-67 µs when it went through
 numpy, of which ~3 µs was the recurrence.
 
+That fixed cost can be shared.  :meth:`DiskDrive.prepare_batches` takes
+several batches in service order (a :class:`~repro.api.Dataset` batch's
+sub-plans on one disk) and prepares every one the drive would prepare
+with numpy in one pass, made when the first of them is serviced: one
+stable sort orders all the ``"sorted"`` batches, one geometry pass
+covers every run, and one seek vector prices each run's seek from the
+run before it.  Each batch is still serviced by its own
+:meth:`~DiskDrive.service_runs` call (``prepared=``), from its rows of
+the group: its first seek is priced from wherever the head then is, and
+its sums are numpy's reductions over its own rows, so every
+:class:`BatchResult` equals the batch's result alone
+(``tests/disk/test_drive_groups.py``).  Replaying paper-batch's fifo and
+sorted batches of more than :data:`SCALAR_RUNS` runs (22 a round, five
+or six per layout's batch) took 1.09 ms a round as groups against 1.61
+ms one batch at a time (raw, median of nine, 2-vCPU x86).
+
 An ``"sptf"`` batch takes one scheduling step per request, and a step
 scores only the queued requests that can still win.  The command queue
 is kept sorted by start angle.  Every request off the head's track needs
 at least :attr:`DiskModel.seek_floor_ms` to reach, and a longer seek
 only eats into its rotational wait, so a request's cost is at least that
 floor plus its rotational distance from where the floor lands the head.
-A step walks the queue in that rotational order and stops once the bound
+A step walks the queue in that rotational order, as two loops over the
+queue's two arcs from the bound's start angle, and stops once the bound
 exceeds the best cost so far; requests on the head's own track, which
-need no seek, are scored first from a per-track index.  The result is
-exact.  Each scored request's cost is the same float expression a pass
-over the whole queue evaluates, ties go to the lowest issue index, and
-the bound is lowered by the snap window (``SNAP_REV``) and by a rounding
-allowance derived from the head's clock, so it never exceeds a cost as
+need no seek, are scored first, by a scan of the queue made only when a
+per-track count says the track holds one (about one step in 90 on
+paper-batch).  The winner is removed at the queue position where its
+step scored it.  The result is exact.  Each scored request's cost is the
+same float expression a pass over the whole queue evaluates, ties go to
+the lowest issue index, and the bound is lowered by the snap window
+(``SNAP_REV``) and by a rounding allowance derived from the head's clock
+(16 ulps of its phase, recomputed only when the phase enters a new
+binade, as the clock only grows), so it never exceeds a cost as
 computed.  ``tests/disk/test_sptf_oracle.py`` pins order, per-request
 times and totals to a full-pass reference.
 
@@ -84,11 +105,14 @@ settle-time seek away.  On the benchmark's paper-batch workload a step
 scores about 5 of ~100 queued requests and costs ~3-4 µs, against ~13
 µs for the numpy pass over the whole queue it replaced; the median host
 time per round fell from 12.2 to 7.5 ms (shared 2-vCPU x86 container,
-CPU-normalised).  Batches scattered over the whole disk at deep windows
-are the trade-off: the floor ignores their long seeks, so a step scores
-a large share of the queue in Python.  A 3,000-request whole-disk
-scatter at window 512 steps in ~20 µs, where the numpy pass took ~14.
-No planner issues such batches.
+CPU-normalised).  Replaying paper-batch's SPTF batches (530 steps a
+round), the count, the two loops, the in-place removal and the binade
+check took the walk from 3.3-3.4 to 2.8 ms a round (raw, same box).
+Batches scattered over the whole disk at deep windows are the trade-off:
+the floor ignores their long seeks, so a step scores a large share of
+the queue in Python.  A 3,000-request whole-disk scatter at window 512
+steps in ~20 µs, where the numpy pass took ~14.  No planner issues such
+batches.
 """
 
 from __future__ import annotations
@@ -98,6 +122,7 @@ import numbers
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import add
 
 import numpy as np
@@ -107,7 +132,7 @@ from repro.disk.mechanics import DiskMechanics
 from repro.disk.models import DiskModel
 from repro.errors import GeometryError, _check_count, _check_int
 
-__all__ = ["DiskDrive", "BatchResult", "RunTiming", "TrackCache"]
+__all__ = ["DiskDrive", "BatchResult", "RunBatch", "RunTiming", "TrackCache"]
 
 # Rotational waits within SNAP_REV of a full revolution are floating-point
 # artifacts of on-the-knife-edge alignments (e.g. the zero-skew toy disk);
@@ -227,6 +252,61 @@ class BatchResult:
     @staticmethod
     def empty() -> "BatchResult":
         return BatchResult(0.0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+class RunBatch:
+    """One checked batch of runs for :meth:`DiskDrive.service_runs`.
+
+    Made by :meth:`DiskDrive.prepare_batches` from its ``starts`` and
+    ``lengths`` arrays.  A batch the drive prepares with
+    numpy (``"sptf"``, or more than :data:`SCALAR_RUNS` runs) is member
+    ``k`` of a ``group`` and owns its rows ``lo:hi`` of the group's
+    arrays, in service order; the others are served by the scalar pass.
+    """
+
+    __slots__ = ("drive", "policy", "starts", "lengths", "n", "group",
+                 "k", "lo", "hi")
+
+    def __init__(self, drive, policy, starts, lengths, n):
+        self.drive = drive
+        self.policy = policy
+        self.starts = starts
+        self.lengths = lengths
+        self.n = n
+        self.group = None
+        self.k = self.lo = self.hi = 0
+
+    @property
+    def n_blocks(self) -> int:
+        return self.group.blocks[self.k]
+
+    def order(self) -> np.ndarray:
+        """Issue index of each service position of a prepared fifo or
+        sorted batch."""
+        perm = self.group.perm
+        if self.policy != "sorted" or perm is None:
+            return np.arange(self.n, dtype=np.int64)
+        return perm[self.lo:self.hi] - self.lo
+
+
+class _PreparedGroup:
+    """Batches prepared together, in service order: ``runs`` holds each
+    one's ``(starts, lengths, policy)`` until the first of them is
+    serviced, which prepares them all (:meth:`DiskDrive._prepare`):
+    ``info`` as :meth:`DiskDrive._prepare_runs` returns it, the
+    permutation ``perm`` that sorted the ``"sorted"`` batches (None if
+    none was), each run's seek from the run before it (``seeks``, also
+    as ``seek_list``; None for an all-``"sptf"`` group), the start angles
+    and in-run costs as lists, and each batch's block count."""
+
+    __slots__ = ("runs", "bounds", "info", "perm", "seeks", "seek_list",
+                 "a0", "xfer", "blocks")
+
+    def __init__(self, runs: list[tuple]):
+        self.runs = runs
+        self.bounds = [0, *accumulate(run[0].size for run in runs)]
+        self.info = self.perm = self.seeks = self.seek_list = None
+        self.a0 = self.xfer = self.blocks = None
 
 
 class DiskDrive:
@@ -477,6 +557,122 @@ class DiskDrive:
         seeks[(dist == 0) & moved] = self.mechanics.head_switch_ms
         return seeks
 
+    @staticmethod
+    def _check_runs(starts, lengths, policy: str):
+        """One batch's policy and runs checked, all but their geometry,
+        which the preparation and the scalar pass check; returns the
+        runs as arrays."""
+        if policy not in POLICIES:
+            raise GeometryError(
+                f"unknown policy {policy!r}; expected one of "
+                f"{', '.join(POLICIES)}"
+            )
+        runs = (np.asarray(starts), np.asarray(lengths))
+        if runs[0].size:
+            for name, arr in zip(("starts", "lengths"), runs):
+                if arr.ndim != 1:
+                    raise GeometryError(
+                        f"{name} must be a 1-D array, got shape {arr.shape}"
+                    )
+                if arr.dtype.kind not in "iu":
+                    raise GeometryError(
+                        f"{name} must be integers, got dtype {arr.dtype}"
+                    )
+            if runs[0].shape != runs[1].shape:
+                raise GeometryError("starts and lengths must have equal shape")
+        return runs
+
+    def prepare_batches(self, batches) -> list["RunBatch"]:
+        """Check several batches and group them for :meth:`service_runs`.
+
+        ``batches`` holds ``(starts, lengths, policy)`` triples in the
+        order they will be serviced.  Each is checked as
+        :meth:`service_runs` checks it, and the batches it would prepare
+        with numpy (``"sptf"``, or more than :data:`SCALAR_RUNS` runs)
+        form one group, prepared when the first of them is serviced: one
+        sort of the ``"sorted"`` ones, one geometry pass and one vector
+        of in-batch seeks over all of them, so numpy's fixed cost is paid
+        once for the group.  Preparation reads no drive state, so each
+        batch is served from wherever the head and clock are when it is
+        serviced.  A group's geometry errors (lengths below 1, LBNs off
+        the disk) are raised when its first batch is serviced, before
+        any of them is; the other batches' when each is serviced.
+
+        Returns one :class:`RunBatch` per batch, passed back with the
+        same arrays as ``service_runs(starts, lengths, policy=...,
+        prepared=batch)``.
+        """
+        out = []
+        for starts, lengths, policy in batches:
+            starts, lengths = self._check_runs(starts, lengths, policy)
+            out.append(RunBatch(self, policy, starts, lengths,
+                                int(starts.size)))
+        members = [b for b in out
+                   if b.n and (b.policy == "sptf" or b.n > SCALAR_RUNS)]
+        if members:
+            self._group(members)
+        return out
+
+    @staticmethod
+    def _group(batches: list["RunBatch"]) -> None:
+        """Make ``batches`` one group, each owning its rows of it."""
+        group = _PreparedGroup(
+            [(b.starts, b.lengths, b.policy) for b in batches]
+        )
+        for k, b in enumerate(batches):
+            b.group, b.k = group, k
+            b.lo, b.hi = group.bounds[k], group.bounds[k + 1]
+
+    def _prepare(self, group: _PreparedGroup) -> None:
+        """Prepare a group's batches in service order in one numpy pass."""
+        runs, bounds = group.runs, group.bounds
+        policies = [run[2] for run in runs]
+        perm = None
+        if len(runs) == 1:
+            starts, lengths, policy = runs[0]
+            if policy == "sorted":
+                perm = np.argsort(starts, kind="stable")
+        else:
+            starts = np.concatenate([run[0] for run in runs],
+                                    dtype=np.int64, casting="unsafe")
+            lengths = np.concatenate([run[1] for run in runs],
+                                     dtype=np.int64, casting="unsafe")
+            sizes = np.diff(bounds)
+            if "sorted" in policies:
+                # one stable sort orders every "sorted" batch by start
+                # within its own span: batch k's keys lie in
+                # [k * span, (k + 1) * span), keyed by start there and by
+                # row (issue order) in the other batches
+                span = self.geometry.n_lbns + bounds[-1]
+                key = np.repeat(
+                    np.arange(len(runs), dtype=np.int64) * span, sizes
+                )
+                sort = [policy == "sorted" for policy in policies]
+                key += np.where(np.repeat(sort, sizes), starts,
+                                np.arange(bounds[-1], dtype=np.int64))
+                perm = np.argsort(key, kind="stable")
+        if perm is not None:
+            starts, lengths = starts[perm], lengths[perm]
+        info = self._prepare_runs(starts, lengths)
+        if policies.count("sptf") < len(policies):
+            # each run's seek from the run before it; every batch's first
+            # seek is from the head, priced when the batch is serviced
+            cyl0, track0 = info["cyl0"], info["track0"]
+            prev_cyl = np.empty_like(cyl0)
+            prev_cyl[0] = cyl0[0]
+            prev_cyl[1:] = info["cyle"][:-1]
+            prev_track = np.empty_like(track0)
+            prev_track[0] = track0[0]
+            prev_track[1:] = info["tracke"][:-1]
+            group.seeks = self._seek_vector(
+                np.abs(cyl0 - prev_cyl), track0 != prev_track
+            )
+            group.seek_list = group.seeks.tolist()
+        group.info, group.perm, group.runs = info, perm, None
+        group.a0 = info["a0"].tolist()
+        group.xfer = (info["transfer"] + info["switch"]).tolist()
+        group.blocks = np.add.reduceat(info["lengths"], bounds[:-1]).tolist()
+
     def service_runs(
         self,
         starts,
@@ -485,6 +681,7 @@ class DiskDrive:
         policy: str = "sorted",
         window: int = 64,
         collect: bool = False,
+        prepared: "RunBatch | None" = None,
     ) -> BatchResult:
         """Service a batch of runs under a scheduling policy.
 
@@ -499,6 +696,12 @@ class DiskDrive:
             queue; requests are admitted in issue order.  Must be >= 1.
         collect:
             If true, return per-request service times and the service order.
+        prepared:
+            This batch's :class:`RunBatch` from :meth:`prepare_batches`,
+            made from these same ``starts`` and ``lengths`` arrays and
+            this ``policy``: the batch is then served from its group's
+            preparation instead of being checked and prepared again.
+            The result is the same either way.
 
         ``"fifo"`` and ``"sorted"`` batches consult and fill the firmware
         :class:`TrackCache`, if the drive has one.  An ``"sptf"`` batch
@@ -511,50 +714,39 @@ class DiskDrive:
         above (checked first, even for an empty batch), for a non-empty
         batch whose ``starts`` or ``lengths`` is not a 1-D integer
         array or whose two arrays differ in shape, for run lengths below
-        1 or LBNs off the disk, and for an ``"sptf"`` window that is not
-        an integer >= 1, always before the clock, head or cache change.
-        An empty batch is otherwise always legal.
+        1 or LBNs off the disk, for an ``"sptf"`` window that is not
+        an integer >= 1, and for a ``prepared`` batch made from other
+        runs, another policy or another drive, always before the clock,
+        head or cache change.  An empty batch is otherwise always legal.
         """
-        if policy not in POLICIES:
+        batch = prepared
+        if batch is None:
+            starts, lengths = self._check_runs(starts, lengths, policy)
+        elif (batch.drive is not self or batch.policy != policy
+              or batch.starts is not starts
+              or batch.lengths is not lengths):
             raise GeometryError(
-                f"unknown policy {policy!r}; expected one of "
-                f"{', '.join(POLICIES)}"
+                "prepared batch was made from other runs, another policy "
+                "or another drive"
             )
-        starts = np.asarray(starts)
-        lengths = np.asarray(lengths)
         n = int(starts.size)
         if n == 0:
             return BatchResult.empty()
-        for name, arr in (("starts", starts), ("lengths", lengths)):
-            if arr.ndim != 1:
-                raise GeometryError(
-                    f"{name} must be a 1-D array, got shape {arr.shape}"
-                )
-            if arr.dtype.kind not in "iu":
-                raise GeometryError(
-                    f"{name} must be integers, got dtype {arr.dtype}"
-                )
-        if starts.shape != lengths.shape:
-            raise GeometryError("starts and lengths must have equal shape")
         if policy == "sptf":
             _check_count("window", window, GeometryError)
-            return self._service_sptf(
-                self._prepare_runs(starts, lengths), window, collect
-            )
-        if n <= SCALAR_RUNS:
+        elif n <= SCALAR_RUNS and (batch is None or batch.group is None):
             return self._service_scalar(
                 starts, lengths, policy == "sorted", collect
             )
-        # fifo and sorted runs are prepared in service order
-        order = None
-        if policy == "sorted":
-            order = np.argsort(starts, kind="stable")
-            starts, lengths = starts[order], lengths[order]
-        elif collect:
-            order = np.arange(n, dtype=np.int64)
-        return self._service_in_order(
-            self._prepare_runs(starts, lengths), order, collect
-        )
+        if batch is None:
+            batch = RunBatch(self, policy, starts, lengths, n)
+        if batch.group is None:
+            self._group([batch])
+        if batch.group.info is None:
+            self._prepare(batch.group)
+        if policy == "sptf":
+            return self._service_sptf(batch, window, collect)
+        return self._service_in_order(batch, collect)
 
     def service_lbns(self, lbns, **kwargs) -> BatchResult:
         """Service single-block requests (no coalescing)."""
@@ -679,64 +871,77 @@ class DiskDrive:
             order=order if collect else None,
         )
 
-    def _service_in_order(self, info, order, collect: bool) -> BatchResult:
-        """Service the prepared runs in the order given; ``order`` maps
-        service positions to issue indices (None for fifo unless
-        ``collect``) and is returned with ``collect``."""
+    def _service_in_order(self, batch: "RunBatch",
+                          collect: bool) -> BatchResult:
+        """Service a prepared fifo or sorted batch in its service order;
+        its seeks were prepared with it, all but the first, which is
+        priced from the head here."""
         rot = self._rot
         overhead = self._overhead
-        n = info["starts"].size
+        group, lo, hi = batch.group, batch.lo, batch.hi
+        info = group.info
+        n = hi - lo
+        transfer = info["transfer"][lo:hi]
+        switch = info["switch"][lo:hi]
         # The recurrence below runs over `segments` of the mechanically
         # serviced runs; a cache hit costs bus time and leaves the head
         # where it was (see _cache_pass).  Without a cache, or when every
         # run misses, that is the whole batch, and no field is gathered.
         segments = ((0, n, ()),)
-        mech = info
+        m = n
         if self.cache is not None:
-            bus_xfer = info["lengths"] * self.CACHE_BLOCK_MS
+            bus_xfer = info["lengths"][lo:hi] * self.CACHE_BLOCK_MS
             bus = overhead + bus_xfer
             misses, segments = self._cache_pass(
-                info["track0"].tolist(), info["tracke"].tolist(),
-                bus.tolist(),
+                info["track0"][lo:hi].tolist(),
+                info["tracke"][lo:hi].tolist(), bus.tolist(),
             )
-            if len(misses) < n:
-                misses = np.array(misses, dtype=np.int64)
-                mech = {key: info[key][misses] for key in (
-                    "cyl0", "track0", "a0", "cyle", "tracke", "transfer",
-                    "switch")}
-        cyl0 = mech["cyl0"]
-        track0 = mech["track0"]
-        a0 = mech["a0"]
-        cyle = mech["cyle"]
-        tracke = mech["tracke"]
-        transfer = mech["transfer"]
-        switch = mech["switch"]
-        m = cyl0.size
-
-        # Seek components are order-dependent but fully precomputable.
-        prev_cyl = np.empty(m, dtype=np.int64)
-        prev_cyl[:1] = self._track // self.geometry.surfaces
-        prev_cyl[1:] = cyle[:-1]
-        prev_track = np.empty(m, dtype=np.int64)
-        prev_track[:1] = self._track
-        prev_track[1:] = tracke[:-1]
-        seeks = self._seek_vector(
-            np.abs(cyl0 - prev_cyl), track0 != prev_track
-        )
+            m = len(misses)
+        if m == n:
+            # the group's own rows, from `lo`
+            seeks = group.seeks[lo:hi]
+            dist = (int(info["cyl0"][lo])
+                    - self._track // self.geometry.surfaces)
+            first = self.model.seek_list[dist if dist >= 0 else -dist]
+            if not dist and int(info["track0"][lo]) != self._track:
+                first = self.mechanics.head_switch_ms
+            seeks[0] = group.seek_list[lo] = first
+            seeks_l, a0_l, xfer_l = group.seek_list, group.a0, group.xfer
+            segments = ((lo, hi, ()),)
+            off = lo
+            last_track = info["tracke"][hi - 1]
+        else:
+            off = 0
+            misses = np.array(misses, dtype=np.int64)
+            rows = misses + lo
+            cyl0, track0, cyle, tracke = (
+                info[key][rows] for key in ("cyl0", "track0", "cyle",
+                                            "tracke"))
+            transfer, switch = transfer[misses], switch[misses]
+            prev_cyl = np.empty(m, dtype=np.int64)
+            prev_cyl[:1] = self._track // self.geometry.surfaces
+            prev_cyl[1:] = cyle[:-1]
+            prev_track = np.empty(m, dtype=np.int64)
+            prev_track[:1] = self._track
+            prev_track[1:] = tracke[:-1]
+            seeks = self._seek_vector(
+                np.abs(cyl0 - prev_cyl), track0 != prev_track
+            )
+            seeks_l = seeks.tolist()
+            a0_l = info["a0"][rows].tolist()
+            xfer_l = (transfer + switch).tolist()
+            last_track = tracke[-1] if m else None
 
         # The rotational recurrence is sequential; run it as a tight loop
         # over plain floats.
         t = self._time_ms
-        seeks_l = seeks.tolist()
-        a0_l = a0.tolist()
-        xfer_l = (transfer + switch).tolist()
         waits = [0.0] * m if collect else None
         rot_total = 0.0
         snap = 1.0 - SNAP_REV
-        for lo, hi, delays in segments:
+        for lo_i, hi_i, delays in segments:
             for delay in delays:
                 t += delay
-            for i in range(lo, hi):
+            for i in range(lo_i, hi_i):
                 arrival = t + overhead + seeks_l[i]
                 wait = (a0_l[i] - (arrival / rot)) % 1.0
                 if wait > snap:
@@ -745,19 +950,20 @@ class DiskDrive:
                 rot_total += wait
                 t = arrival + wait + xfer_l[i]
                 if collect:
-                    waits[i] = wait
+                    waits[i - off] = wait
 
         total = t - self._time_ms
         self._time_ms = t
         if m:
-            self._track = int(tracke[-1])
+            self._track = int(last_track)
 
         transfer_ms = float(transfer.sum())
-        per_request = None
+        per_request = order = None
         if collect:
             per_request = (
                 seeks + np.asarray(waits) + transfer + switch + overhead
             )
+            order = batch.order()
         if m < n:  # some runs hit the cache
             transfer_ms += float(np.delete(bus_xfer, misses).sum())
             if collect:
@@ -766,14 +972,14 @@ class DiskDrive:
         return BatchResult(
             total_ms=total,
             n_requests=n,
-            n_blocks=int(info["lengths"].sum()),
+            n_blocks=batch.n_blocks,
             seek_ms=float(seeks.sum()),
             rotation_ms=rot_total,
             transfer_ms=transfer_ms,
             switch_ms=float(switch.sum()),
             overhead_ms=overhead * n,
             per_request_ms=per_request,
-            order=order if collect else None,
+            order=order,
         )
 
     def _cache_pass(self, track0, tracke, bus):
@@ -801,7 +1007,8 @@ class DiskDrive:
 
     # -- windowed shortest-positioning-time-first -----------------------
 
-    def _service_sptf(self, info, window: int, collect: bool) -> BatchResult:
+    def _service_sptf(self, batch: "RunBatch", window: int,
+                      collect: bool) -> BatchResult:
         rot = self._rot
         overhead = self._overhead
         snap = 1.0 - SNAP_REV
@@ -810,23 +1017,26 @@ class DiskDrive:
         floor = self.model.seek_floor_ms
         # more revolutions than any arrival lies past the clock
         lap = (seeks[-1] + switch) / rot + 1.0
-        n = info["starts"].size
-        cyl0 = info["cyl0"].tolist()
-        track0 = info["track0"].tolist()
-        a0 = info["a0"].tolist()
-        cyle = info["cyle"].tolist()
-        tracke = info["tracke"].tolist()
-        xfer = (info["transfer"] + info["switch"]).tolist()
+        group, lo, hi = batch.group, batch.lo, batch.hi
+        info = group.info
+        n = hi - lo
+        cyl0 = info["cyl0"][lo:hi].tolist()
+        track0 = info["track0"][lo:hi].tolist()
+        cyle = info["cyle"][lo:hi].tolist()
+        tracke = info["tracke"][lo:hi].tolist()
+        a0 = group.a0[lo:hi]
+        xfer = group.xfer[lo:hi]
 
         # The command queue holds the first `w` requests not yet serviced,
         # admitted in issue order: parallel lists sorted by start angle
-        # (`q_ang`, `q_idx`), plus the queued requests of each track.
+        # (`q_ang`, `q_idx`), plus a count of the queued requests of each
+        # track.
         w = min(window, n)
         q_idx = sorted(range(w), key=a0.__getitem__)
         q_ang = [a0[j] for j in q_idx]
-        on_track: dict[int, list[int]] = {}
+        queued: dict[int, int] = {}
         for j in range(w):
-            on_track.setdefault(track0[j], []).append(j)
+            queued[track0[j]] = queued.get(track0[j], 0) + 1
         next_admit = w
 
         t = self._time_ms
@@ -835,26 +1045,31 @@ class DiskDrive:
         order = [0] * n if collect else None
         per_request = [0.0] * n if collect else None
         seek_total = rot_total = 0.0
+        # `err` (below) holds for every phase under `top`, the end of the
+        # binade it was computed in; the clock only grows
+        top = err = 0.0
 
         for step in range(n):
             # Every scored request costs exactly what a full-queue pass
             # would compute: arrival `(t + overhead) + seek`, the snapped
             # fractional wait, `seek + wait`; the lowest issue index wins
-            # a tie.
+            # a tie.  `best_p` is the winner's queue position.
             t0 = t + overhead
             best = math.inf
-            chosen = -1
+            chosen = best_p = -1
             best_seek = best_wait = 0.0
             # Requests on the head's track need no seek, so the bound
             # below does not hold for them: score them all first.
-            here = on_track.get(cur_track)
-            if here:
+            if queued.get(cur_track):
                 phase = t0 / rot
-                for j in here:
-                    wait = (a0[j] - phase) % 1.0
+                for p, a in enumerate(q_ang):
+                    j = q_idx[p]
+                    if track0[j] != cur_track:
+                        continue
+                    wait = (a - phase) % 1.0
                     wait = 0.0 if wait > snap else wait * rot
                     if wait < best or (wait == best and j < chosen):
-                        best, chosen, best_wait = wait, j, wait
+                        best, chosen, best_p, best_wait = wait, j, p, wait
 
             # Any other request needs at least `floor` to reach, and a
             # longer seek only eats into its rotational wait, so one whose
@@ -865,16 +1080,20 @@ class DiskDrive:
             # every cost as computed: SNAP_REV, as a wait just short of a
             # revolution snaps to zero, and `err`, 16 ulps of the largest
             # phase in play, as each phase is rounded by a few ulps.
-            err = 16.0 * math.ulp(t0 / rot + lap)
+            x = t0 / rot + lap
+            if x >= top:
+                err = 16.0 * math.ulp(x)
+                top = math.ldexp(1.0, math.frexp(x)[1])
             start = ((t0 + floor) / rot - SNAP_REV - err) % 1.0
             slack = SNAP_REV + 2.0 * err
             lim = start + (best - floor) / rot + slack
             i = bisect_left(q_ang, start)
-            # p runs over positions i..m-1 as negative indices, then
-            # wraps to 0..i-1, whose angles lie one revolution further
-            for p in range(i - len(q_ang), i):
+            # Two arcs: positions i.. from `start` to the end of the
+            # queue, then 0..i-1, whose angles lie one revolution further
+            # on.  The two loops score alike.
+            for p in range(i, len(q_ang)):
                 a = q_ang[p]
-                if (a if p < 0 else a + 1.0) > lim:
+                if a > lim:
                     break
                 j = q_idx[p]
                 d = cyl0[j] - cur_cyl
@@ -888,8 +1107,29 @@ class DiskDrive:
                 wait = 0.0 if wait > snap else wait * rot
                 cost = seek + wait
                 if cost < best or (cost == best and j < chosen):
-                    best, chosen, best_seek, best_wait = cost, j, seek, wait
+                    best, chosen, best_p = cost, j, p
+                    best_seek, best_wait = seek, wait
                     lim = start + (cost - floor) / rot + slack
+            else:
+                for p in range(i):
+                    a = q_ang[p]
+                    if a + 1.0 > lim:
+                        break
+                    j = q_idx[p]
+                    d = cyl0[j] - cur_cyl
+                    if d:
+                        seek = seeks[d if d > 0 else -d]
+                    elif track0[j] != cur_track:
+                        seek = switch
+                    else:
+                        continue
+                    wait = (a - (t0 + seek) / rot) % 1.0
+                    wait = 0.0 if wait > snap else wait * rot
+                    cost = seek + wait
+                    if cost < best or (cost == best and j < chosen):
+                        best, chosen, best_p = cost, j, p
+                        best_seek, best_wait = seek, wait
+                        lim = start + (cost - floor) / rot + slack
 
             seek_total += best_seek
             rot_total += best_wait
@@ -901,21 +1141,14 @@ class DiskDrive:
                 order[step] = chosen
                 per_request[step] = service_time
 
-            p = bisect_left(q_ang, a0[chosen])
-            while q_idx[p] != chosen:
-                p += 1
-            del q_ang[p], q_idx[p]
-            mates = on_track[track0[chosen]]
-            if len(mates) == 1:
-                del on_track[track0[chosen]]
-            else:
-                mates.remove(chosen)
+            del q_ang[best_p], q_idx[best_p]
+            queued[track0[chosen]] -= 1
             if next_admit < n:
                 j = next_admit
                 p = bisect_right(q_ang, a0[j])
                 q_ang.insert(p, a0[j])
                 q_idx.insert(p, j)
-                on_track.setdefault(track0[j], []).append(j)
+                queued[track0[j]] = queued.get(track0[j], 0) + 1
                 next_admit += 1
 
         total = t - self._time_ms
@@ -924,11 +1157,11 @@ class DiskDrive:
         return BatchResult(
             total_ms=total,
             n_requests=n,
-            n_blocks=int(info["lengths"].sum()),
+            n_blocks=batch.n_blocks,
             seek_ms=seek_total,
             rotation_ms=rot_total,
-            transfer_ms=float(info["transfer"].sum()),
-            switch_ms=float(info["switch"].sum()),
+            transfer_ms=float(info["transfer"][lo:hi].sum()),
+            switch_ms=float(info["switch"][lo:hi].sum()),
             overhead_ms=overhead * n,
             per_request_ms=np.array(per_request) if collect else None,
             order=np.array(order, dtype=np.int64) if collect else None,

@@ -79,7 +79,7 @@ class DiskGeometry:
 
     The geometry keeps one per-zone table, built once here and shared by
     every drive of the model: first LBN, sectors per track, first track,
-    skew and end LBN of each zone, one array per field.
+    skew and end LBN of each zone, one read-only array per field.
     :meth:`decompose` locates its LBNs' zones with one ``searchsorted``
     and gathers each field it needs from that field's array: numpy's
     fast path for 1-D gathers makes four of them cost 0.5 µs at 11 LBNs
@@ -129,6 +129,10 @@ class DiskGeometry:
         self.n_tracks = int(zone_tracks.sum())
         self.n_lbns = int(zone_lbns.sum())
         self.n_cylinders = int(expected_cyl)
+        # every dataset of a registered drive shares its model
+        for table in (self._spt, self._skew, self._zone_first_track,
+                      self._zone_first_lbn, self.zone_end_lbns):
+            table.flags.writeable = False
 
     # ------------------------------------------------------------------
     # basic properties

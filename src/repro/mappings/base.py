@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from repro.errors import (
 from repro.lvm.volume import Extent
 
 __all__ = ["RequestPlan", "Mapper", "box_columns", "coalesce_ranks",
-           "enumerate_box", "sorted_unique"]
+           "enumerate_box", "sorted_unique", "split_box"]
 
 
 @dataclass
@@ -134,6 +135,28 @@ def enumerate_box(lo, hi) -> np.ndarray:
     # want dim 0 fastest, so transpose the stack order.
     stacked = np.stack([g.T.ravel() for g in grids], axis=1)
     return stacked
+
+
+def split_box(lo, hi, max_cells: int):
+    """Cut the half-open box [lo, hi) into boxes of at most ``max_cells``
+    cells (at least one each), yielded as ``(lo, hi)`` lists in
+    :func:`enumerate_box` order.  Each spans the box along the axes
+    below some axis k, a range along axis k, and one index along each
+    axis above it, so each is contiguous in that order and their
+    enumerations, one after another, are the box's."""
+    lo, hi = [int(a) for a in lo], [int(b) for b in hi]
+    k, below = 0, 1
+    while k < len(lo) - 1 and below * (hi[k] - lo[k]) <= max_cells:
+        below *= hi[k] - lo[k]
+        k += 1
+    step = max(1, max_cells // below)
+    # the axes above k, the last one outermost
+    higher = [range(lo[d], hi[d]) for d in range(len(lo) - 1, k, -1)]
+    for fixed in product(*higher):
+        fixed = list(fixed[::-1])
+        for a in range(lo[k], hi[k], step):
+            yield (lo[:k] + [a] + fixed,
+                   hi[:k] + [min(a + step, hi[k])] + [x + 1 for x in fixed])
 
 
 def box_columns(lo, hi) -> list[np.ndarray]:

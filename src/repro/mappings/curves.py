@@ -31,11 +31,12 @@ Conventions
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from repro.errors import MappingError
-from repro.mappings.base import enumerate_box
+from repro.mappings.base import box_columns, split_box
 
 __all__ = [
     "bits_for",
@@ -418,7 +419,8 @@ def hilbert_encode_box(lo, hi, bits: int) -> np.ndarray:
     from its parent block's through one lookup in :func:`_hilbert_steps`
     per block, indexed by the parent's state and the block's per-axis
     bit pattern.  The last level's blocks are the cells.  Boxes of more
-    than ``_TABLE_DIMS`` dims are enumerated and encoded cell by cell.
+    than ``_TABLE_DIMS`` dims are encoded cell by cell, a piece at a
+    time.
     """
     bounds = _box_bounds(lo, hi, bits)
     if bounds is None:
@@ -427,7 +429,18 @@ def hilbert_encode_box(lo, hi, bits: int) -> np.ndarray:
     if n == 1:
         return np.arange(*bounds[0], dtype=np.int64)
     if n > _TABLE_DIMS:
-        return hilbert_encode(enumerate_box(lo, hi), bits)
+        # cell by cell, as hilbert_encode does, from each axis's
+        # coordinates; in pieces of 2/n of the box's cells, so those
+        # (n words per cell) stay twice the size of the codes
+        out = np.empty(math.prod(b - a for a, b in bounds), dtype=np.int64)
+        at = 0
+        for plo, phi in split_box(lo, hi, max(1, 2 * out.size // n)):
+            x = [c.flatten()
+                 for c in np.broadcast_arrays(*box_columns(plo, phi))]
+            codes = _interleave_transposed(_axes_to_transpose(x, bits), bits)
+            out[at:at + codes.size] = codes
+            at += codes.size
+        return out
     table = _hilbert_steps(n)
     digit = (1 << n) - 1
     # one block above the top level, holding the whole box, in state 0

@@ -30,7 +30,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mappings import curves
-from repro.mappings.base import Mapper, RequestPlan, coalesce_ranks
+from repro.mappings.base import (
+    Mapper,
+    RequestPlan,
+    coalesce_ranks,
+    split_box,
+)
 from repro.perf.memo import MEMO
 
 __all__ = ["LinearMapper", "CurveMapper"]
@@ -122,16 +127,15 @@ class CurveMapper(LinearMapper):
         dims = self.dims
         n = self.n_cells
         step = max(_MIN_BUILD_CHUNK, -(-n // _BUILD_CHUNKS))
-        # the codes in flat (Dim0-fastest) cell order, encoded in groups
-        # of whole slabs along the last axis; this buffer becomes the
-        # rank table below
+        # the codes in flat (Dim0-fastest) cell order, encoded a box of
+        # at most `step` cells at a time; this buffer becomes the rank
+        # table below
         table = np.empty(n, dtype=np.int64)
-        per_slab = n // dims[-1]
-        slabs = max(1, step // per_slab)
-        lo, hi = [0] * len(dims), list(dims)
-        for s in range(0, dims[-1], slabs):
-            lo[-1], hi[-1] = s, min(s + slabs, dims[-1])
-            table[s * per_slab:hi[-1] * per_slab] = self.encode_box(lo, hi)
+        at = 0
+        for lo, hi in split_box([0] * len(dims), dims, step):
+            codes = self.encode_box(lo, hi)
+            table[at:at + codes.size] = codes
+            at += codes.size
         # order[r] is the flat index of the cell at curve rank r; invert
         # it into the code buffer chunk by chunk
         order = np.argsort(table)

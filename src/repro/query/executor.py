@@ -12,7 +12,7 @@ Every :class:`~repro.api.Dataset` runs on its subclass
 :class:`~repro.shard.executor.ShardedStorageManager` (n disks × k
 copies, 1 × 1 by default), which splits each query into per-disk
 sub-plans, prepares each one here and services them scatter-gather
-(:func:`repro.query.scatter.scatter_execute`).  The paper's figures,
+(:func:`repro.query.scatter.scatter_batch`).  The paper's figures,
 EXPLAIN, traffic and ingest all run queries through that one manager.
 
 When a :class:`repro.cache.BufferPool` is attached, preparation gains a
@@ -282,8 +282,10 @@ class StorageManager:
         """Admit a serviced query's missed blocks (plus prefetch).
 
         No-op without an active pool.  The scatter-gather executor calls
-        this once a sub-plan is serviced, the traffic simulator when a
-        query's *last* slice completes.  Write batches are never
+        this once a sub-plan's head positions are drawn (admission reads
+        only the plan and the volume, so the drive may service it
+        later), the traffic simulator when a query's *last* slice
+        completes.  Write batches are never
         admitted — their blocks were invalidated at preparation.
         """
         if prepared.is_write:

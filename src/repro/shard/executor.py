@@ -9,8 +9,8 @@ on distinct disks (k = 1 by default), one mapper per chunk copy places
 its cells (same registry wiring as the façade, so a chunk is laid out
 exactly as a standalone dataset of the chunk's shape would be), and
 queries split into per-chunk sub-plans — each routed to a live copy by
-the registered read policy — serviced scatter-gather
-(:func:`repro.query.scatter.scatter_execute`): drives in parallel,
+the registered read policy — serviced scatter-gather, a batch at a time
+(:func:`repro.query.scatter.scatter_batch`): drives in parallel,
 per-drive head state preserved, query time = makespan over drives.
 Killed disks (:meth:`fail_disk`) divert reads to surviving copies, and
 a sub-plan caught on a dying disk re-plans on another copy
@@ -37,7 +37,7 @@ from repro.query.executor import (
     StorageManager,
     check_setting,
 )
-from repro.query.scatter import ShardedPrepared, scatter_execute
+from repro.query.scatter import ShardedPrepared, scatter_batch
 from repro.query.scheduler import DEFAULT_WINDOW, SPTF_RUN_LIMIT
 from repro.query.workload import BeamQuery, RangeQuery
 from repro.replica.executor import (
@@ -372,13 +372,27 @@ class ShardedStorageManager(StorageManager):
     # gather: concurrent service, makespan timing
     # ------------------------------------------------------------------
 
+    def execute_batch(self, entries, *, rng=None) -> list[QueryResult]:
+        """Service queries from :meth:`prepare` scatter-gather, in two
+        phases per group (:func:`~repro.query.scatter.scatter_batch`),
+        and return their results in order.  ``entries`` may prepare each
+        query lazily.  Each query's gather totals are recorded in
+        :attr:`shard_stats` in order, those of the queries before an
+        entry that raises included."""
+        results: list[QueryResult] = []
+
+        def gather(result: QueryResult, per_disk: dict) -> None:
+            self.shard_stats.record(per_disk, result.total_ms)
+            results.append(result)
+
+        scatter_batch(self, entries, gather, rng=rng)
+        return results
+
     def execute_prepared(self, prepared: ShardedPrepared, *,
                          rng=None) -> QueryResult:
-        """Service a query from :meth:`prepare` scatter-gather (an
+        """Service one query from :meth:`prepare` (a batch of one; an
         explicit plan on one disk goes through :meth:`execute_plan`)."""
-        result, per_disk = scatter_execute(self, prepared, rng=rng)
-        self.shard_stats.record(per_disk, result.total_ms)
-        return result
+        return self.execute_batch((prepared,), rng=rng)[0]
 
     def admit_prepared(self, prepared: PreparedQuery) -> None:
         """Admit one serviced sub-plan, skipping copies on failed disks

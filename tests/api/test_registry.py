@@ -150,6 +150,26 @@ class TestPopulationRecovery:
         assert regmod._populated is True
 
 
+class TestSharedModels:
+    def test_datasets_share_the_registered_model(self):
+        """Every member disk of every dataset that names a drive, across
+        rebuilds and layout clones, holds the drive's one model; calling
+        the factory still builds a fresh one."""
+        from repro.api import Dataset
+        from repro.disk.models import mini_drive
+
+        entry = get_drive("minidrive")
+        ds = Dataset.create((16, 8, 8), layout="multimap",
+                            drive="minidrive").with_shards(
+            2, "cube_aligned")
+        clone = ds.with_layout("naive")
+        models = ds.volume.models + clone.volume.models
+        assert len(models) == 4
+        assert all(m is entry.model for m in models)
+        assert entry.factory() is not entry.model
+        assert mini_drive() is not mini_drive()
+
+
 class TestFreshRegistry:
     def test_independent_of_globals(self):
         reg = Registry("gadget")

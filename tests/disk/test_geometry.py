@@ -53,6 +53,16 @@ class TestConstruction:
         with pytest.raises(GeometryError):
             Zone(0, 0, 0, 10, 0)
 
+    def test_zone_tables_are_read_only(self):
+        """Every drive of a model shares its geometry, and every dataset
+        of a registered drive shares the model."""
+        g = two_zone_geometry()
+        for table in (g._spt, g._skew, g._zone_first_track,
+                      g._zone_first_lbn, g.zone_end_lbns):
+            with pytest.raises(ValueError):
+                table[0] = 1
+        assert g.decompose(np.array([0, 61]))[1].tolist() == [0, 6]
+
 
 class TestScalarAccessors:
     def test_first_lbn_is_track0_sector0(self):

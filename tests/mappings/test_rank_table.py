@@ -181,21 +181,21 @@ def test_build_peak_memory_is_bounded():
 
 @pytest.mark.parametrize("cls", CURVES)
 def test_many_dims_table_matches_reference_with_bounded_peak(cls):
-    """Ten dims of three cells: Z-order and Gray use their box encoders
-    (peak within 2.5x the table); above four dims the Hilbert box is
-    enumerated and encoded cell by cell, so its peak holds one slab
-    group's coordinate matrix (a third of this grid, ten int64 per cell)
-    and the per-coordinate encoder's temporaries, about 11x the table."""
-    dims = (3,) * 10
-    m = make(cls, dims)
-    m.drop_cache()
-    tracemalloc.start()
-    try:
-        table = m.rank_table()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    every = enumerate_box((0,) * len(dims), dims)
-    assert_same_array(m.rank(every), ReferenceRank(m).rank(every))
-    m.drop_cache()
-    assert peak <= (16 if cls is HilbertMapper else 2.5) * table.nbytes
+    """Ten dims of three cells and sixteen of two, whose slabs along the
+    last axis are a third and a half of the grid: the build encodes
+    boxes of at most its step, and above four dims Hilbert encodes each
+    box cell by cell in pieces of 2/n of its cells, so every curve's
+    peak stays within 2.5x the table."""
+    for dims in ((3,) * 10, (2,) * 16):
+        m = make(cls, dims)
+        m.drop_cache()
+        tracemalloc.start()
+        try:
+            table = m.rank_table()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        every = enumerate_box((0,) * len(dims), dims)
+        assert_same_array(m.rank(every), ReferenceRank(m).rank(every))
+        m.drop_cache()
+        assert peak <= 2.5 * table.nbytes, dims
