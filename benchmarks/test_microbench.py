@@ -165,6 +165,32 @@ def test_dataset_run_batch(benchmark, layout):
     assert len(report.records) == len(queries)
 
 
+@pytest.mark.parametrize("layout", ["naive", "zorder", "hilbert", "multimap"])
+def test_ingest_run(benchmark, layout):
+    """One ingest-reorg run on one layout: 2,048 clustered points in
+    256-point batches and 512-point flushes under the fixed loader, then
+    the background reorganisation, into (32, 8, 8) on minidrive, 2 disks
+    x 2 copies.  A run consumes its volume, so every round writes into a
+    fresh dataset, built outside the timed call."""
+
+    def fresh():
+        ds = (Dataset.create((32, 8, 8), layout=layout, drive="minidrive",
+                             seed=3)
+              .with_shards(2).with_replication(2))
+        run = ds.ingest(stream="clustered", loader="fixed", n_points=2048,
+                        batch_points=256, flush_points=512, seed=3,
+                        reorganize=True)
+        return (run,), {}
+
+    report = benchmark.pedantic(
+        lambda run: run.run(rng=np.random.default_rng(4)),
+        setup=fresh, rounds=20, iterations=1,
+    )
+    assert report.n_points == report.store["n_points"] == 2048
+    assert report.reorg is not None
+    assert report.store["overflow_pages"] == 0
+
+
 @pytest.mark.parametrize("cls", [ZOrderMapper, GrayMapper, HilbertMapper])
 def test_rank_table_build(benchmark, cls):
     """One cold rank-table build on paper-batch's chunk: a box encoder

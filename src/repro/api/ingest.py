@@ -2,10 +2,14 @@
 
 An :class:`IngestRun` binds a seeded record stream and a bulk loader to
 a dataset, drives the staged :class:`~repro.ingest.pipeline
-.IngestPipeline` batch by batch (flushes execute scatter-gather, like
-read queries), optionally folds overflow chains back with a modelled
+.IngestPipeline` a window of batches at a time (flushes execute
+scatter-gather, like read queries, after the batch whose staging
+triggers them), optionally folds overflow chains back with a modelled
 background reorganisation, and returns an
-:class:`~repro.ingest.report.IngestReport`.
+:class:`~repro.ingest.report.IngestReport`.  Its options are checked
+when it is built (sizes, seed, throttle) or when :meth:`IngestRun.run`
+builds the stream and the plan (stream and loader options), before the
+loader re-chunks the dataset or any block is written.
 
 When the resolved plan suggests a chunk shape (the adaptive loader on a
 sharded dataset) the run re-chunks the dataset *before* building the
@@ -17,10 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import IngestError, _check_rng
+from repro.errors import IngestError, _check_count, _check_rng
 from repro.ingest.loader import resolve_loader
 from repro.ingest.pipeline import IngestPipeline
-from repro.ingest.reorg import plan_reorganize
+from repro.ingest.reorg import check_throttle, plan_reorganize
 from repro.ingest.streams import check_count, make_stream
 from repro.query.scatter import scatter_execute
 
@@ -50,9 +54,9 @@ class IngestRun:
         seed = spec.pop("seed", None)
         if seed is None:
             seed = dataset.seed if dataset.seed is not None else 0
-        self.seed = int(seed)
+        self.seed = _check_count("seed", seed, IngestError, low=0)
         self.reorganize = bool(spec.pop("reorganize", False))
-        self.throttle = float(spec.pop("throttle", 1.0))
+        self.throttle = check_throttle(spec.pop("throttle", 1.0))
         self.adapt_chunks = bool(spec.pop("adapt_chunks", True))
         self.loader_opts = dict(spec.pop("loader_opts", {}))
         self.stream_opts = spec
@@ -83,7 +87,7 @@ class IngestRun:
     def with_reorganize(self, on: bool = True, *,
                         throttle: float = 1.0) -> "IngestRun":
         self.reorganize = bool(on)
-        self.throttle = float(throttle)
+        self.throttle = check_throttle(throttle)
         return self
 
     # execution --------------------------------------------------------
@@ -151,9 +155,10 @@ class IngestRun:
                 per_disk[d] = per_disk.get(d, 0.0) + s["busy_ms"]
 
         n_batches = 0
-        for batch in stream.batches():
-            n_batches += 1
-            execute(pipeline.stage(batch))
+        for coords, ends in stream.windows():
+            n_batches += len(ends)
+            for disks in pipeline.stage_window(coords, ends):
+                execute(disks)
         execute(pipeline.drain_disks())
         if pipeline.stats.buffered_points:
             raise IngestError(

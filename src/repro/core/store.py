@@ -9,7 +9,20 @@ reorganisation.  This module implements that scheme on top of any
 :class:`~repro.mappings.base.Mapper`.
 
 Point capacity is expressed per cell; overflow pages live in a separate
-extent on the same disk and are chained per cell.
+extent on the same disk and are chained per cell.  A page holds
+``points_per_cell`` points, and a chain fills its last page before it
+takes a new one and drains from its last page first, so every page of a
+chain is full except the last.  A chain is therefore its point count
+plus its page list, and the store keeps both as arrays: the points of
+each cell's chain, each cell's last page, and the owning cell of each
+page of the extent (pages are taken in extent order and never reused,
+so a chain's pages are its owner's pages in ascending order).  Spills,
+folds, capacity and statistics are then array passes, with no per-cell
+Python loop.  ``points_per_cell`` is the page size too: change it only
+while no chain is live, or just before a :meth:`CellStore.reorganize`
+that folds every chain back (raising it to
+:meth:`CellStore.required_capacity`, as
+:func:`repro.ingest.reorg.plan_reorganize` does).
 """
 
 from __future__ import annotations
@@ -20,7 +33,12 @@ import numpy as np
 
 from repro.errors import DatasetError, MappingError, _check_count
 from repro.lvm.volume import LogicalVolume
-from repro.mappings.base import Mapper, RequestPlan, coalesce_ranks
+from repro.mappings.base import (
+    Mapper,
+    RequestPlan,
+    coalesce_ranks,
+    sorted_unique,
+)
 from repro.query.workload import _check_ints
 
 __all__ = ["CellStore", "StoreStats"]
@@ -40,6 +58,21 @@ class StoreStats:
     mean_fill: float
 
 
+def _cell_totals(flat: np.ndarray,
+                 counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct cells of ``flat``, ascending, and the sum of
+    ``counts`` over each one's rows."""
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    first = np.empty(flat.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    if not starts.size:
+        return flat, counts[:0]
+    return flat[starts], np.add.reduceat(counts[order], starts)
+
+
 class CellStore:
     """Cells with fill factor, overflow chains and reclamation triggers.
 
@@ -50,7 +83,7 @@ class CellStore:
     volume:
         Volume the overflow extent is allocated from (the mapper's disk).
     points_per_cell:
-        Physical capacity of one cell.
+        Physical capacity of one cell (and of one overflow page).
     fill_factor:
         Fraction of capacity used during initial load (leaving headroom
         for inserts); 1.0 reproduces the paper's read-only evaluation.
@@ -81,17 +114,23 @@ class CellStore:
         self.fill_factor = float(fill_factor)
         self.reclaim_threshold = float(reclaim_threshold)
 
-        self._occupancy = np.zeros(mapper.n_cells, dtype=np.int64)
-        self._loaded = np.zeros(mapper.n_cells, dtype=bool)
-        # overflow chains: cell flat index -> list of (page_lbn, count)
-        self._overflow: dict[int, list[list[int]]] = {}
+        n = mapper.n_cells
+        self._occupancy = np.zeros(n, dtype=np.int64)
+        self._loaded = np.zeros(n, dtype=bool)
         self._overflow_extent = volume.allocate_blocks(
             mapper.disk_index, max_overflow_pages
         )
+        pages = self._overflow_extent.nblocks
+        # overflow chains (module docstring): per cell, its chain's
+        # points and the index of its last page (-1: no chain); per page
+        # of the extent, its owning cell (-1: free) and whether it was
+        # written to since the last drain (ingest flushes read that to
+        # know which chain pages need disk writes)
+        self._chain_points = np.zeros(n, dtype=np.int64)
+        self._last_page = np.full(n, -1, dtype=np.int64)
+        self._page_cell = np.full(pages, -1, dtype=np.int64)
+        self._touched = np.zeros(pages, dtype=bool)
         self._next_overflow_page = 0
-        # overflow-page LBNs written to since the last drain (ingest
-        # flushes read this to know which chain pages need disk writes)
-        self._touched_pages: set[int] = set()
 
     # ------------------------------------------------------------------
     # addressing helpers
@@ -141,20 +180,16 @@ class CellStore:
                     f"coordinate row ({flat.size} rows)"
                 )
             counts = counts.astype(np.int64, copy=False)
-        budget = int(self.points_per_cell * self.fill_factor)
-        budget = max(budget, 1)
-        overflowed = 0
-        totals = np.bincount(
-            flat, weights=counts, minlength=self.mapper.n_cells
-        ).astype(np.int64)
+        budget = max(int(self.points_per_cell * self.fill_factor), 1)
+        cells, totals = _cell_totals(flat, counts)
         loaded = np.minimum(totals, budget)
-        self._occupancy += loaded
-        self._loaded |= totals > 0
-        for cell in np.flatnonzero(totals > budget):
-            extra = int(totals[cell] - budget)
-            overflowed += extra
-            self._spill(int(cell), extra)
-        return overflowed
+        extra = totals - loaded
+        over = np.flatnonzero(extra)
+        if over.size:
+            self._spill(cells[over], extra[over])
+        self._occupancy[cells] += loaded
+        self._loaded[cells[totals > 0]] = True
+        return int(extra.sum())
 
     def insert(self, cell_coord, n: int = 1) -> str:
         """Insert ``n`` points into a cell.
@@ -168,16 +203,14 @@ class CellStore:
         """
         cell = self._cell(cell_coord)
         n = _check_count("n", n, DatasetError)
-        free = self.points_per_cell - int(self._occupancy[cell])
+        absorbed = min(n, max(self.points_per_cell
+                              - int(self._occupancy[cell]), 0))
+        if absorbed < n:
+            self._spill(np.array([cell], dtype=np.int64),
+                        np.array([n - absorbed], dtype=np.int64))
+        self._occupancy[cell] += absorbed
         self._loaded[cell] = True
-        if n <= free:
-            self._occupancy[cell] += n
-            return "cell"
-        if free > 0:
-            self._occupancy[cell] += free
-            n -= free
-        self._spill(cell, n)
-        return "overflow"
+        return "cell" if absorbed == n else "overflow"
 
     def delete(self, cell_coord, n: int = 1) -> None:
         """Remove points, draining overflow chains first (inputs are
@@ -185,18 +218,13 @@ class CellStore:
         cell = self._cell(cell_coord)
         # deleting nothing is a no-op
         n = _check_count("n", n, DatasetError, low=0)
-        chain = self._overflow.get(cell, [])
-        while n > 0 and chain:
-            page = chain[-1]
-            take = min(n, page[1])
-            page[1] -= take
-            n -= take
-            if page[1] == 0:
-                chain.pop()
-        if not chain and cell in self._overflow:
-            del self._overflow[cell]
-        take = min(n, int(self._occupancy[cell]))
-        self._occupancy[cell] -= take
+        take = min(n, int(self._chain_points[cell]))
+        if take:
+            self._chain_points[cell] -= take
+            used = self._page_cell[:self._next_overflow_page]
+            self._trim(np.flatnonzero(used == cell))
+        take_cell = min(n - take, int(self._occupancy[cell]))
+        self._occupancy[cell] -= take_cell
 
     def bulk_insert(self, coords, counts=None) -> int:
         """Vectorised :meth:`insert`: absorb into free cell space at full
@@ -207,34 +235,76 @@ class CellStore:
         if counts is None:
             counts = np.ones(flat.shape, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
-        totals = np.bincount(
-            flat, weights=counts, minlength=self.mapper.n_cells
-        ).astype(np.int64)
-        free = np.maximum(self.points_per_cell - self._occupancy, 0)
-        absorbed = np.minimum(totals, free)
-        self._occupancy += absorbed
-        self._loaded |= totals > 0
-        overflowed = 0
-        for cell in np.flatnonzero(totals > absorbed):
-            extra = int(totals[cell] - absorbed[cell])
-            overflowed += extra
-            self._spill(int(cell), extra)
-        return overflowed
+        return self.bulk_insert_flat(*_cell_totals(flat, counts))
 
-    def _spill(self, cell: int, n: int) -> None:
-        pages = self._overflow.setdefault(cell, [])
-        while n > 0:
-            if pages and pages[-1][1] < self.points_per_cell:
-                take = min(n, self.points_per_cell - pages[-1][1])
-                pages[-1][1] += take
-                n -= take
-                self._touched_pages.add(pages[-1][0])
-                continue
-            if self._next_overflow_page >= self._overflow_extent.nblocks:
-                raise MappingError("overflow extent exhausted")
-            lbn = self._overflow_extent.start + self._next_overflow_page
-            self._next_overflow_page += 1
-            pages.append([lbn, 0])
+    def bulk_insert_flat(self, cells: np.ndarray,
+                         counts: np.ndarray) -> int:
+        """:meth:`bulk_insert` at flat cell indices: ``cells`` sorted,
+        distinct and in range, ``counts`` their int64 point counts (not
+        checked; the ingest flush passes its buffered cells as they
+        are)."""
+        occupancy = self._occupancy[cells]
+        absorbed = np.minimum(
+            counts, np.maximum(self.points_per_cell - occupancy, 0)
+        )
+        extra = counts - absorbed
+        over = np.flatnonzero(extra)
+        if over.size:
+            self._spill(cells[over], extra[over])
+        self._occupancy[cells] = occupancy + absorbed
+        self._loaded[cells[counts > 0]] = True
+        return int(extra.sum())
+
+    def _spill(self, cells: np.ndarray, extra: np.ndarray) -> None:
+        """Append ``extra`` (>= 1) points to each of ``cells``' chains
+        (sorted, distinct): each fills its last page, then takes new
+        pages in cell order.  Raises :class:`MappingError`, with nothing
+        changed, when the extent cannot hold the new pages."""
+        ppc = self.points_per_cell
+        held = self._chain_points[cells]
+        total = held + extra
+        # a chain of p points fills ceil(p / ppc) pages
+        new = (total + (ppc - 1)) // ppc - (held + (ppc - 1)) // ppc
+        first = self._next_overflow_page
+        end = first + int(new.sum())
+        if end > self._page_cell.size:
+            raise MappingError("overflow extent exhausted")
+        # a partly filled last page takes points before any new one
+        self._touched[self._last_page[cells[held % ppc > 0]]] = True
+        owners = np.repeat(cells, new)
+        self._page_cell[first:end] = owners
+        self._touched[first:end] = True
+        # new pages follow every older one: a grown chain's last page is
+        # its highest new page
+        np.maximum.at(self._last_page, owners, np.arange(first, end))
+        self._chain_points[cells] = total
+        self._next_overflow_page = end
+
+    def _trim(self, pages: np.ndarray) -> np.ndarray:
+        """Free the pages of chains beyond what their points fill, and
+        reset their last pages; ``pages`` lists every page of the chains
+        to trim, ascending.  Returns the freed page indices."""
+        ppc = self.points_per_cell
+        owner = self._page_cell[pages]
+        keep = (self._chain_points[owner] + (ppc - 1)) // ppc
+        self._last_page[owner] = -1
+        if not keep.any():  # every chain emptied: all their pages go
+            self._page_cell[pages] = -1
+            return pages
+        # group the pages by cell, ascending within each chain, and rank
+        # them from each chain's first page
+        order = np.argsort(owner, kind="stable")
+        pages, owner, keep = pages[order], owner[order], keep[order]
+        head = np.empty(pages.size, dtype=bool)
+        head[:1] = True
+        np.not_equal(owner[1:], owner[:-1], out=head[1:])
+        at = np.arange(pages.size)
+        rank = at - np.maximum.accumulate(np.where(head, at, 0))
+        freed = pages[rank >= keep]
+        self._page_cell[freed] = -1
+        last = rank == keep - 1
+        self._last_page[owner[last]] = pages[last]
+        return freed
 
     # ------------------------------------------------------------------
     # reads
@@ -242,15 +312,13 @@ class CellStore:
 
     def read_plan(self, coords) -> RequestPlan:
         """Plan reading the given cells *including* their overflow pages."""
-        lbns = [self.mapper.lbns(coords)]  # validates coords first
-        flat = self._flat(coords)
-        extra = []
-        for cell in flat.tolist():
-            for page_lbn, _count in self._overflow.get(int(cell), []):
-                extra.append(page_lbn)
-        if extra:
-            lbns.append(np.asarray(extra, dtype=np.int64))
-        merged = np.unique(np.concatenate(lbns))
+        home = self.mapper.lbns(coords)  # validates coords first
+        used = self._page_cell[:self._next_overflow_page]
+        pages = np.flatnonzero(np.isin(used, self._flat(coords)))
+        merged = sorted_unique(np.concatenate(
+            [np.asarray(home, dtype=np.int64).ravel(),
+             self._overflow_extent.start + pages]
+        ))
         starts, lengths = coalesce_ranks(merged)
         return RequestPlan(starts, lengths, policy="sorted", merge_gap=0)
 
@@ -267,18 +335,19 @@ class CellStore:
     def drain_touched_pages(self) -> np.ndarray:
         """Sorted LBNs of overflow pages dirtied since the last drain,
         clearing the dirty set."""
-        pages = np.array(sorted(self._touched_pages), dtype=np.int64)
-        self._touched_pages.clear()
-        return pages
+        pages = np.flatnonzero(self._touched)
+        self._touched[pages] = False
+        return self._overflow_extent.start + pages
 
     def chained_cells(self) -> np.ndarray:
         """Sorted flat indices of cells with live overflow chains."""
-        return np.array(sorted(self._overflow), dtype=np.int64)
+        used = self._page_cell[:self._next_overflow_page]
+        return sorted_unique(used[used >= 0])
 
     def overflow_page_lbns(self) -> np.ndarray:
         """Sorted LBNs of every live overflow page."""
-        lbns = [p[0] for chain in self._overflow.values() for p in chain]
-        return np.array(sorted(lbns), dtype=np.int64)
+        used = self._page_cell[:self._next_overflow_page]
+        return self._overflow_extent.start + np.flatnonzero(used >= 0)
 
     # ------------------------------------------------------------------
     # reclamation
@@ -298,59 +367,51 @@ class CellStore:
         """Smallest per-cell capacity that would fold every live chain
         back into its cell (the §4.6 re-provisioning target: size cells
         to the density the stream actually delivered)."""
-        need = self.points_per_cell
-        for cell, chain in self._overflow.items():
-            need = max(
-                need,
-                int(self._occupancy[cell]) + sum(p[1] for p in chain),
-            )
-        return need
+        cells = self.chained_cells()
+        if not cells.size:
+            return self.points_per_cell
+        need = self._occupancy[cells] + self._chain_points[cells]
+        return max(self.points_per_cell, int(need.max()))
 
     def reorganize(self) -> int:
         """Fold overflow chains back into cells where they now fit and
         reset the underflow bookkeeping.  Returns pages freed.  This
         stands in for the paper's "dataset reorganization, an expensive
         operation for any mapping technique"."""
-        freed = 0
-        for cell in list(self._overflow):
-            chain = self._overflow[cell]
-            while chain:
-                free = self.points_per_cell - int(self._occupancy[cell])
-                if free <= 0:
-                    break
-                page = chain[-1]
-                take = min(free, page[1])
-                self._occupancy[cell] += take
-                page[1] -= take
-                if page[1] == 0:
-                    chain.pop()
-                    freed += 1
-                    self._touched_pages.discard(page[0])
-                else:
-                    break
-            if not chain:
-                del self._overflow[cell]
+        used = self._page_cell[:self._next_overflow_page]
+        pages = np.flatnonzero(used >= 0)
+        cells = sorted_unique(used[pages])
+        occupancy = self._occupancy[cells]
+        held = self._chain_points[cells]
+        moved = np.minimum(
+            np.maximum(self.points_per_cell - occupancy, 0), held
+        )
+        self._occupancy[cells] = occupancy + moved
+        self._chain_points[cells] = held - moved
+        freed = self._trim(pages)
+        self._touched[freed] = False
         self._loaded &= self._occupancy > 0
-        return freed
+        return int(freed.size)
 
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
 
     def stats(self) -> StoreStats:
-        pages = sum(len(c) for c in self._overflow.values())
-        opoints = sum(p[1] for c in self._overflow.values() for p in c)
+        used = self._page_cell[:self._next_overflow_page]
+        opoints = int(self._chain_points.sum())
         loaded = self._occupancy[self._loaded]
         return StoreStats(
             n_cells=self.mapper.n_cells,
             n_points=int(self._occupancy.sum()) + opoints,
             capacity_per_cell=self.points_per_cell,
             fill_factor=self.fill_factor,
-            overflow_pages=pages,
+            overflow_pages=int(np.count_nonzero(used >= 0)),
             overflow_points=opoints,
             underflow_cells=int(self.underflow_cells.size),
+            # the mean of exact integer sums, as np.mean computes it
             mean_fill=(
-                float(loaded.mean()) / self.points_per_cell
+                int(loaded.sum()) / loaded.size / self.points_per_cell
                 if loaded.size
                 else 0.0
             ),

@@ -122,7 +122,6 @@ import numbers
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import add
 
 import numpy as np
@@ -260,12 +259,10 @@ class RunBatch:
     Made by :meth:`DiskDrive.prepare_batches` from its ``starts`` and
     ``lengths`` arrays.  A batch the drive prepares with
     numpy (``"sptf"``, or more than :data:`SCALAR_RUNS` runs) is member
-    ``k`` of a ``group`` and owns its rows ``lo:hi`` of the group's
-    arrays, in service order; the others are served by the scalar pass.
+    ``k`` of a ``group``; the others are served by the scalar pass.
     """
 
-    __slots__ = ("drive", "policy", "starts", "lengths", "n", "group",
-                 "k", "lo", "hi")
+    __slots__ = ("drive", "policy", "starts", "lengths", "n", "group", "k")
 
     def __init__(self, drive, policy, starts, lengths, n):
         self.drive = drive
@@ -274,19 +271,7 @@ class RunBatch:
         self.lengths = lengths
         self.n = n
         self.group = None
-        self.k = self.lo = self.hi = 0
-
-    @property
-    def n_blocks(self) -> int:
-        return self.group.blocks[self.k]
-
-    def order(self) -> np.ndarray:
-        """Issue index of each service position of a prepared fifo or
-        sorted batch."""
-        perm = self.group.perm
-        if self.policy != "sorted" or perm is None:
-            return np.arange(self.n, dtype=np.int64)
-        return perm[self.lo:self.hi] - self.lo
+        self.k = 0
 
 
 class _PreparedGroup:
@@ -297,16 +282,30 @@ class _PreparedGroup:
     permutation ``perm`` that sorted the ``"sorted"`` batches (None if
     none was), each run's seek from the run before it (``seeks``, also
     as ``seek_list``; None for an all-``"sptf"`` group), the start angles
-    and in-run costs as lists, and each batch's block count."""
+    and in-run costs as lists, and each batch's block count.  Batch
+    ``k`` owns rows ``bounds[k]:bounds[k + 1]`` of the arrays.  A batch
+    serviced without :meth:`DiskDrive.prepare_batches` is a group of
+    one."""
 
-    __slots__ = ("runs", "bounds", "info", "perm", "seeks", "seek_list",
-                 "a0", "xfer", "blocks")
+    __slots__ = ("runs", "bounds", "sorted", "info", "perm", "seeks",
+                 "seek_list", "a0", "xfer", "blocks")
 
     def __init__(self, runs: list[tuple]):
         self.runs = runs
-        self.bounds = [0, *accumulate(run[0].size for run in runs)]
+        self.bounds = [0]
+        self.sorted = []
+        for starts, _, policy in runs:
+            self.bounds.append(self.bounds[-1] + starts.size)
+            self.sorted.append(policy == "sorted")
         self.info = self.perm = self.seeks = self.seek_list = None
         self.a0 = self.xfer = self.blocks = None
+
+    def order(self, k: int) -> np.ndarray:
+        """Issue index of each service position of batch ``k``."""
+        lo, hi = self.bounds[k], self.bounds[k + 1]
+        if not self.sorted[k] or self.perm is None:
+            return np.arange(hi - lo, dtype=np.int64)
+        return self.perm[lo:hi] - lo
 
 
 class DiskDrive:
@@ -621,16 +620,14 @@ class DiskDrive:
         )
         for k, b in enumerate(batches):
             b.group, b.k = group, k
-            b.lo, b.hi = group.bounds[k], group.bounds[k + 1]
 
     def _prepare(self, group: _PreparedGroup) -> None:
         """Prepare a group's batches in service order in one numpy pass."""
         runs, bounds = group.runs, group.bounds
-        policies = [run[2] for run in runs]
         perm = None
         if len(runs) == 1:
-            starts, lengths, policy = runs[0]
-            if policy == "sorted":
+            starts, lengths, _ = runs[0]
+            if group.sorted[0]:
                 perm = np.argsort(starts, kind="stable")
         else:
             starts = np.concatenate([run[0] for run in runs],
@@ -638,7 +635,7 @@ class DiskDrive:
             lengths = np.concatenate([run[1] for run in runs],
                                      dtype=np.int64, casting="unsafe")
             sizes = np.diff(bounds)
-            if "sorted" in policies:
+            if any(group.sorted):
                 # one stable sort orders every "sorted" batch by start
                 # within its own span: batch k's keys lie in
                 # [k * span, (k + 1) * span), keyed by start there and by
@@ -647,26 +644,23 @@ class DiskDrive:
                 key = np.repeat(
                     np.arange(len(runs), dtype=np.int64) * span, sizes
                 )
-                sort = [policy == "sorted" for policy in policies]
-                key += np.where(np.repeat(sort, sizes), starts,
+                key += np.where(np.repeat(group.sorted, sizes), starts,
                                 np.arange(bounds[-1], dtype=np.int64))
                 perm = np.argsort(key, kind="stable")
         if perm is not None:
             starts, lengths = starts[perm], lengths[perm]
         info = self._prepare_runs(starts, lengths)
-        if policies.count("sptf") < len(policies):
+        if not all(run[2] == "sptf" for run in runs):
             # each run's seek from the run before it; every batch's first
             # seek is from the head, priced when the batch is serviced
             cyl0, track0 = info["cyl0"], info["track0"]
-            prev_cyl = np.empty_like(cyl0)
-            prev_cyl[0] = cyl0[0]
-            prev_cyl[1:] = info["cyle"][:-1]
-            prev_track = np.empty_like(track0)
-            prev_track[0] = track0[0]
-            prev_track[1:] = info["tracke"][:-1]
-            group.seeks = self._seek_vector(
-                np.abs(cyl0 - prev_cyl), track0 != prev_track
-            )
+            dist = np.empty_like(cyl0)
+            dist[0] = 0
+            np.subtract(cyl0[1:], info["cyle"][:-1], out=dist[1:])
+            moved = np.empty(dist.size, dtype=bool)
+            moved[0] = False
+            np.not_equal(track0[1:], info["tracke"][:-1], out=moved[1:])
+            group.seeks = self._seek_vector(np.abs(dist, out=dist), moved)
             group.seek_list = group.seeks.tolist()
         group.info, group.perm, group.runs = info, perm, None
         group.a0 = info["a0"].tolist()
@@ -739,14 +733,16 @@ class DiskDrive:
                 starts, lengths, policy == "sorted", collect
             )
         if batch is None:
-            batch = RunBatch(self, policy, starts, lengths, n)
-        if batch.group is None:
-            self._group([batch])
-        if batch.group.info is None:
-            self._prepare(batch.group)
+            group, k = _PreparedGroup([(starts, lengths, policy)]), 0
+        else:
+            if batch.group is None:
+                self._group([batch])
+            group, k = batch.group, batch.k
+        if group.info is None:
+            self._prepare(group)
         if policy == "sptf":
-            return self._service_sptf(batch, window, collect)
-        return self._service_in_order(batch, collect)
+            return self._service_sptf(group, k, window, collect)
+        return self._service_in_order(group, k, collect)
 
     def service_lbns(self, lbns, **kwargs) -> BatchResult:
         """Service single-block requests (no coalescing)."""
@@ -871,14 +867,14 @@ class DiskDrive:
             order=order if collect else None,
         )
 
-    def _service_in_order(self, batch: "RunBatch",
+    def _service_in_order(self, group: _PreparedGroup, k: int,
                           collect: bool) -> BatchResult:
-        """Service a prepared fifo or sorted batch in its service order;
-        its seeks were prepared with it, all but the first, which is
-        priced from the head here."""
+        """Service batch ``k`` of a prepared group, a fifo or sorted
+        batch, in its service order; its seeks were prepared with it,
+        all but the first, which is priced from the head here."""
         rot = self._rot
         overhead = self._overhead
-        group, lo, hi = batch.group, batch.lo, batch.hi
+        lo, hi = group.bounds[k], group.bounds[k + 1]
         info = group.info
         n = hi - lo
         transfer = info["transfer"][lo:hi]
@@ -963,7 +959,7 @@ class DiskDrive:
             per_request = (
                 seeks + np.asarray(waits) + transfer + switch + overhead
             )
-            order = batch.order()
+            order = group.order(k)
         if m < n:  # some runs hit the cache
             transfer_ms += float(np.delete(bus_xfer, misses).sum())
             if collect:
@@ -972,7 +968,7 @@ class DiskDrive:
         return BatchResult(
             total_ms=total,
             n_requests=n,
-            n_blocks=batch.n_blocks,
+            n_blocks=group.blocks[k],
             seek_ms=float(seeks.sum()),
             rotation_ms=rot_total,
             transfer_ms=transfer_ms,
@@ -1007,7 +1003,7 @@ class DiskDrive:
 
     # -- windowed shortest-positioning-time-first -----------------------
 
-    def _service_sptf(self, batch: "RunBatch", window: int,
+    def _service_sptf(self, group: _PreparedGroup, k: int, window: int,
                       collect: bool) -> BatchResult:
         rot = self._rot
         overhead = self._overhead
@@ -1017,7 +1013,7 @@ class DiskDrive:
         floor = self.model.seek_floor_ms
         # more revolutions than any arrival lies past the clock
         lap = (seeks[-1] + switch) / rot + 1.0
-        group, lo, hi = batch.group, batch.lo, batch.hi
+        lo, hi = group.bounds[k], group.bounds[k + 1]
         info = group.info
         n = hi - lo
         cyl0 = info["cyl0"][lo:hi].tolist()
@@ -1157,7 +1153,7 @@ class DiskDrive:
         return BatchResult(
             total_ms=total,
             n_requests=n,
-            n_blocks=batch.n_blocks,
+            n_blocks=group.blocks[k],
             seek_ms=seek_total,
             rotation_ms=rot_total,
             transfer_ms=float(info["transfer"][lo:hi].sum()),

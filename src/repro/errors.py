@@ -2,12 +2,14 @@
 
 All library-raised exceptions derive from :class:`ReproError` so callers can
 catch everything coming out of this package with a single ``except`` clause.
-The integer, count and shape checks the API boundaries share live here
-too, below every layer that raises through them
+The integer, count, float, keyword and shape checks the API boundaries
+share live here too, below every layer that raises through them
 (:mod:`repro.query.workload` re-exports the integer checks).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -102,6 +104,29 @@ def _check_count(name: str, value, error=QueryError, low: int = 1) -> int:
     if count < low:
         raise error(f"{name} must be >= {low}, got {count}")
     return count
+
+
+def _check_float(name: str, value, error=QueryError) -> float:
+    """``value`` as a finite Python float: a real number (numpy floats
+    and integers included, bools not); NaN and infinities raise."""
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise error(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _check_keywords(name: str, given, allowed, error=QueryError) -> None:
+    """Raise ``error`` naming any key of ``given`` not in ``allowed``."""
+    unknown = sorted(set(given) - set(allowed))
+    if unknown:
+        raise error(
+            f"unknown {name} option(s) {', '.join(map(repr, unknown))} "
+            f"(accepted: {', '.join(sorted(allowed))})"
+        )
 
 
 def _check_rng(rng, error=QueryError) -> None:

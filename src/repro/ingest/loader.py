@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import IngestError
+from repro.errors import IngestError, _check_count, _check_float
 from repro.registry import Registry, first_doc_line
 
 __all__ = [
@@ -122,13 +122,22 @@ def _linear_quantile(values, q: float) -> float:
     return float(a + (b - a) * t)
 
 
+def _check_fraction(name: str, value) -> float:
+    """A finite float in (0, 1]."""
+    value = _check_float(name, value, IngestError)
+    if not 0.0 < value <= 1.0:
+        raise IngestError(f"{name} must be in (0, 1]")
+    return value
+
+
 @register_loader("fixed")
 def _fixed(dataset, stream, *, points_per_cell: int = 16,
            fill_factor: float = 1.0, **_ignored) -> IngestPlan:
     """Keep the configured chunking and a fixed per-cell capacity."""
     return IngestPlan(
-        points_per_cell=int(points_per_cell),
-        fill_factor=float(fill_factor),
+        points_per_cell=_check_count("points_per_cell", points_per_cell,
+                                     IngestError),
+        fill_factor=_check_fraction("fill_factor", fill_factor),
         chunk_shape=None,
         meta={"loader": "fixed"},
     )
@@ -141,11 +150,16 @@ def _adaptive(dataset, stream, *, points_per_cell: int = 16,
               **_ignored) -> IngestPlan:
     """Sample the stream: size cells to the observed density, split
     chunks along the flattest marginal."""
-    if not 0.0 < quantile <= 1.0:
-        raise IngestError("quantile must be in (0, 1]")
+    points_per_cell = _check_count("points_per_cell", points_per_cell,
+                                   IngestError)
+    fill_factor = _check_fraction("fill_factor", fill_factor)
+    sample_points = _check_count("sample_points", sample_points,
+                                 IngestError)
+    quantile = _check_fraction("quantile", quantile)
+    headroom = _check_float("headroom", headroom, IngestError)
     if headroom < 1.0:
         raise IngestError("headroom must be >= 1")
-    sample = stream.sample(min(int(sample_points), stream.n_points))
+    sample = stream.sample(min(sample_points, stream.n_points))
     dims = tuple(int(s) for s in dataset.shape)
 
     # per-cell density estimate: quantile of the sampled occupancy,
@@ -176,7 +190,7 @@ def _adaptive(dataset, stream, *, points_per_cell: int = 16,
 
     return IngestPlan(
         points_per_cell=ppc,
-        fill_factor=float(fill_factor),
+        fill_factor=fill_factor,
         chunk_shape=chunk_shape,
         meta={
             "loader": "adaptive",

@@ -4,18 +4,34 @@ Incoming points are routed to the chunk that owns their cell and
 counted in one **keyed count array**, one int64 per dataset cell.  Keys
 number every cell by owning member disk, then chunk, then chunk-local
 flat index, so a chunk's cells form one contiguous key segment and a
-disk's chunks sit side by side.  Staging a batch is a fixed number of
-numpy calls — gathers for the keys, one scatter-add for the counts, one
-``bincount`` for the per-disk backlogs — whatever its size or spread.
-When a disk's backlog crosses ``flush_points`` — or the stream ends —
-that disk's chunks flush in chunk order.  The nonzero entries of a
-chunk's segment are its buffered cells, already sorted by local index.
-They fold into the chunk's :class:`CellStore` (§4.6 semantics: free
-cell space absorbs, the rest spills to overflow chains), and the
-touched **whole cells plus dirtied overflow pages** become one
+disk's chunks sit side by side.  When a disk's backlog crosses
+``flush_points`` — or the stream ends — that disk's chunks flush in
+chunk order.
+
+A run is staged a **window** at a time (:meth:`IngestPipeline
+.stage_window`): consecutive batches, at most
+:data:`~repro.ingest.streams.WINDOW_POINTS` points (whole batches, at
+least one), so memory stays bounded however long the stream.  The
+window's points are checked and keyed once, and one ``bincount`` counts
+them per batch and per disk; from those counts a short pass over the
+batches finds which disks cross ``flush_points`` after which batch.
+At each such flush event the points staged since the previous one fold
+into the count array (one ``np.add.at``), so a flush sees exactly the
+buffer that staging the batches one by one would leave.  ``stage()``
+and the traffic path's ``prepare_batch()`` stage a window of one batch.
+
+A flush reads a chunk's buffered cells, already sorted by local index,
+as the nonzero entries of its segment.  They fold into the chunk's
+:class:`CellStore` (§4.6 semantics: free cell space absorbs, the rest
+spills to overflow chains) at their flat indices, and the touched
+**whole cells plus dirtied overflow pages** become one
 :class:`~repro.query.executor.WritePrepared` batch per copy, issued in
 sorted LBN order so a locality-preserving layout (MultiMap's basic
-cubes) turns a flush into a few long sequential writes.
+cubes) turns a flush into a few long sequential writes.  The flat
+indices go straight to a linear layout's ranks
+(:meth:`~repro.mappings.base.Mapper.flat_lbns`); coordinates are built
+only for a layout that places whole cubes (MultiMap's
+``write_extents``).
 
 Replica-consistent writes: every flush targets the primary *and* all
 live copies of its chunk (``write_copies``; one copy unless the dataset
@@ -41,7 +57,7 @@ from repro.core.store import CellStore
 from repro.errors import IngestError
 from repro.ingest.loader import IngestPlan, resolve_loader
 from repro.ingest.streams import RecordStream, check_count
-from repro.mappings.base import RequestPlan
+from repro.mappings.base import RequestPlan, box_columns, unflatten
 from repro.query.executor import WritePrepared
 from repro.query.scatter import ShardedPrepared
 
@@ -211,33 +227,46 @@ class IngestPipeline:
             self._copy_extents.append(exts)
 
         self._dims = np.asarray(dataset.shape, dtype=np.int64)
+        # a cell's chunk is (coords // _base_shape) . _grid_strides; the
+        # reference pipeline of tests/ingest/test_pipeline_oracle.py
+        # routes its points by them
         self._grid_strides = np.cumprod((1,) + self.grid[:-1]).astype(
             np.int64
         )
         self._base_shape = np.asarray(self.chunks[0].shape,
                                       dtype=np.int64)
         # the keyed buffer: one count per cell, keys numbered by owning
-        # disk, then chunk index, then chunk-local flat index.  Strides
-        # come from each chunk's own shape (edge chunks can be smaller
-        # than chunks[0]); ``_key_offset`` folds the chunk's key base and
-        # origin together, so a cell's key is offset + coords . strides
+        # disk, then chunk index, then chunk-local flat index (strides
+        # from each chunk's own shape: edge chunks can be smaller than
+        # chunks[0]).  ``_cell_key`` holds every cell's key at its
+        # Dim0-fastest flat index in the dataset, so a point's key is
+        # one gather, and ``_disk_key_ends`` ends each disk's keys.
+        n_disks = int(storage.shard_map.n_disks)
         disk_of = np.array([c.disk for c in self.chunks], dtype=np.int64)
         sizes = np.array([c.n_cells for c in self.chunks], dtype=np.int64)
         order = np.argsort(disk_of, kind="stable")
         base = np.empty(len(self.chunks), dtype=np.int64)
         base[order] = np.cumsum(sizes[order]) - sizes[order]
-        self._key_strides = np.array(
-            [np.cumprod((1,) + c.shape[:-1]) for c in self.chunks],
-            dtype=np.int64,
-        )
-        origins = np.array([c.origin for c in self.chunks], dtype=np.int64)
-        self._key_offset = base - (origins * self._key_strides).sum(axis=1)
         self._key_spans = list(zip(base.tolist(), (base + sizes).tolist()))
-        self._chunk_disk = disk_of
-        n_disks = int(storage.shard_map.n_disks)
         self._disk_chunks = [
             order[disk_of[order] == d].tolist() for d in range(n_disks)
         ]
+        self._disk_key_ends = np.cumsum(
+            [int(sizes[chunks].sum()) for chunks in self._disk_chunks],
+            dtype=np.int64,
+        )
+        self._flat_strides = np.cumprod(
+            (1,) + tuple(dataset.shape)[:-1]
+        ).astype(np.int64)
+        self._cell_key = np.empty(int(sizes.sum()), dtype=np.int64)
+        for chunk, (lo, hi) in zip(self.chunks, self._key_spans):
+            box = box_columns(
+                chunk.origin,
+                [o + n for o, n in zip(chunk.origin, chunk.shape)],
+            )
+            flats = sum(col * stride for col, stride
+                        in zip(box, self._flat_strides.tolist()))
+            self._cell_key[np.ravel(flats)] = np.arange(lo, hi)
         self._counts = np.zeros(int(sizes.sum()), dtype=np.int64)
         self._backlog = np.zeros(n_disks, dtype=np.int64)
 
@@ -260,33 +289,64 @@ class IngestPipeline:
             coords = coords[np.newaxis, :]
         if coords.ndim != 2 or coords.shape[1] != len(self._dims):
             raise IngestError("coordinate rank does not match dataset")
-        if coords.size and ((coords < 0).any()
-                            or (coords >= self._dims).any()):
+        # axis by axis: a comparison against all dims at once runs numpy
+        # over rows of ndim values
+        if coords.size and (coords.min() < 0 or any(
+            coords[:, d].max() >= s
+            for d, s in enumerate(self.dataset.shape)
+        )):
             raise IngestError("coordinates out of dataset bounds")
         return coords
 
-    @staticmethod
-    def _unflatten_local(flats: np.ndarray, shape) -> np.ndarray:
-        rem = np.asarray(flats, dtype=np.int64).copy()
-        out = np.empty((len(rem), len(shape)), dtype=np.int64)
-        for d, s in enumerate(shape):
-            out[:, d] = rem % s
-            rem //= s
-        return out
+    _unflatten_local = staticmethod(unflatten)
 
     def stage(self, coords) -> list[int]:
         """Buffer a batch of cell coordinates; returns the member disks
         whose backlog crossed ``flush_points``."""
+        # a one-batch window yields at most once, with the batch buffered
+        return next(self.stage_window(coords), [])
+
+    def stage_window(self, coords, ends=None):
+        """Buffer a window of consecutive batches: ``coords`` holds them
+        one after another, batch ``b`` ending at row ``ends[b]`` (one
+        batch if ``ends`` is None).  A generator: after each batch whose
+        staging brings some disks' backlogs to ``flush_points`` it
+        yields those disks, with every point up to that batch buffered;
+        a caller flushes them (:meth:`build_flush`) before resuming.
+        The rest of the window is buffered when the generator ends."""
         coords = self._check_coords(coords)
-        cid = (coords // self._base_shape) @ self._grid_strides
-        keys = self._key_offset[cid] + (
-            coords * self._key_strides[cid]
-        ).sum(axis=1)
+        if ends is None:
+            ends = (len(coords),)
+        keys = self._cell_key[coords @ self._flat_strides]
+        disks = np.searchsorted(self._disk_key_ends, keys, side="right")
+        n_disks = self._backlog.size
+        if len(ends) > 1:
+            sizes = [b - a for a, b in zip((0, *ends), ends)]
+            disks += np.repeat(np.arange(len(ends)) * n_disks, sizes)
+        # staged points per batch (rows) and disk (columns)
+        per_batch = np.bincount(
+            disks, minlength=len(ends) * n_disks
+        ).reshape(len(ends), n_disks).tolist()
+        flush = self.flush_points
+        backlog = self._backlog.tolist()
+        lo = 0  # the first row not yet folded into the buffers
+        pending = [0] * n_disks
+        for end, staged in zip(ends, per_batch):
+            pending = [p + n for p, n in zip(pending, staged)]
+            ready = [d for d, (b, p) in enumerate(zip(backlog, pending))
+                     if b + p >= flush]
+            if ready:
+                self._fold(keys[lo:end], pending)
+                lo, pending = end, [0] * n_disks
+                yield ready
+                backlog = self._backlog.tolist()
+        self._fold(keys[lo:], pending)
+
+    def _fold(self, keys: np.ndarray, per_disk: list[int]) -> None:
+        """Buffer staged points: their keys and their count per disk."""
         np.add.at(self._counts, keys, 1)
-        self._backlog += np.bincount(self._chunk_disk[cid],
-                                     minlength=self._backlog.size)
-        self.stats.streamed_points += len(coords)
-        return np.flatnonzero(self._backlog >= self.flush_points).tolist()
+        self._backlog += per_disk
+        self.stats.streamed_points += len(keys)
 
     def drain_disks(self) -> list[int]:
         """Member disks with any buffered points (the final-drain set)."""
@@ -313,10 +373,8 @@ class IngestPipeline:
                 if not flats.size:
                     continue
                 counts = segment[flats]
-                chunk = self.chunks[ci]
-                lcoords = self._unflatten_local(flats, chunk.shape)
                 store = self.stores[ci]
-                spilled = store.bulk_insert(lcoords, counts)
+                spilled = store.bulk_insert_flat(flats, counts)
                 page_idx = (
                     store.drain_touched_pages()
                     - store.overflow_extent.start
@@ -327,16 +385,18 @@ class IngestPipeline:
                     self.n_copies - len(copies)
                 )
                 cb = int(self._chunk_mappers[ci].cell_blocks)
+                lcoords = None
                 for copy, cmapper in copies:
                     if hasattr(cmapper, "write_extents"):
                         # locality-preserving packing: the flush lays
                         # down each touched basic cube whole, one long
                         # sequential run per track group (§4.6)
+                        if lcoords is None:
+                            lcoords = unflatten(flats, cmapper.dims)
                         starts, lengths = cmapper.write_extents(lcoords)
                         home = _expand_extents(starts, lengths)
                     else:
-                        home = np.asarray(cmapper.lbns(lcoords),
-                                          dtype=np.int64)
+                        home = cmapper.flat_lbns(flats)
                         if cb > 1:
                             home = (
                                 home[:, None]

@@ -21,11 +21,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.disk.drive import DiskDrive
-from repro.errors import IngestError
-from repro.mappings.base import RequestPlan, coalesce_ranks, sorted_unique
+from repro.errors import IngestError, _check_float
+from repro.mappings.base import coalesce_ranks, sorted_unique
 from repro.replica.rebuild import interference_profile
 
-__all__ = ["ReorgReport", "plan_reorganize"]
+__all__ = ["ReorgReport", "check_throttle", "plan_reorganize"]
+
+
+def check_throttle(throttle) -> float:
+    """A reorganisation throttle as a finite float in (0, 1]."""
+    throttle = _check_float("throttle", throttle, IngestError)
+    if not 0 < throttle <= 1:
+        raise IngestError("throttle must be in (0, 1]")
+    return throttle
 
 
 @dataclass(frozen=True)
@@ -72,9 +80,8 @@ def _service(drive: DiskDrive, lbns: np.ndarray,
     if blocks.size == 0:
         return 0.0, 0
     starts, lengths = coalesce_ranks(blocks)
-    plan = RequestPlan(starts, lengths, policy="sorted", merge_gap=0)
-    res = drive.service_runs(plan.starts, plan.lengths,
-                             policy=plan.policy, window=window)
+    res = drive.service_runs(starts, lengths, policy="sorted",
+                             window=window)
     return res.total_ms, int(blocks.size)
 
 
@@ -92,8 +99,7 @@ def plan_reorganize(pipeline, *, throttle: float = 1.0,
     chain folds back and its pages free.  Without it only chains whose
     cells already have free space fold.
     """
-    if not 0 < throttle <= 1:
-        raise IngestError("throttle must be in (0, 1]")
+    throttle = check_throttle(throttle)
     storage = pipeline.storage
     drives: dict[int, DiskDrive] = {}
     io_ms: dict[int, float] = {}
@@ -111,11 +117,10 @@ def plan_reorganize(pipeline, *, throttle: float = 1.0,
         return d
 
     for ci, store in enumerate(pipeline.stores):
-        if not (store.needs_reorganization or store.chained_cells().size):
-            continue
         cells = store.chained_cells()
+        if not (cells.size or store.needs_reorganization):
+            continue
         page_idx = store.overflow_page_lbns() - store.overflow_extent.start
-        lcoords = pipeline._unflatten_local(cells, pipeline.chunks[ci].shape)
         if grow:
             store.points_per_cell = store.required_capacity()
         freed = store.reorganize()
@@ -126,7 +131,7 @@ def plan_reorganize(pipeline, *, throttle: float = 1.0,
         cb = int(pipeline._chunk_mappers[ci].cell_blocks)
         for copy, cmapper in pipeline.storage.write_copies(ci):
             if cells.size:
-                home = np.asarray(cmapper.lbns(lcoords), dtype=np.int64)
+                home = cmapper.flat_lbns(cells)
                 if cb > 1:
                     home = (
                         home[:, None] + np.arange(cb, dtype=np.int64)
@@ -155,6 +160,6 @@ def plan_reorganize(pipeline, *, throttle: float = 1.0,
         n_blocks=n_blocks,
         io_ms_by_disk=io_ms,
         ideal_ms=ideal,
-        throttle=float(throttle),
-        reorg_ms=ideal / float(throttle),
+        throttle=throttle,
+        reorg_ms=ideal / throttle,
     )

@@ -17,16 +17,24 @@ Builtin generators (registered in :data:`STREAMS`):
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from repro.errors import IngestError, _check_count
+from repro.errors import (
+    IngestError,
+    _check_count,
+    _check_float,
+    _check_keywords,
+)
 from repro.registry import Registry, first_doc_line
 
 __all__ = [
     "STREAMS",
+    "WINDOW_POINTS",
     "ClusteredStream",
     "DriftingStream",
     "RecordStream",
@@ -57,6 +65,12 @@ class StreamEntry:
 STREAMS = Registry("stream")
 
 
+#: :meth:`RecordStream.windows` draws at most this many points at a time
+#: (whole batches, at least one), so an ingest run holds a bounded share
+#: of its stream however long it is
+WINDOW_POINTS = 1 << 16
+
+
 def register_stream(name: str, *, description: str = ""):
     """Class decorator adding a stream generator to :data:`STREAMS`."""
 
@@ -78,9 +92,36 @@ def check_count(name: str, value) -> int:
     return _check_count(name, value, IngestError)
 
 
+def check_spread(spread) -> float:
+    """A hotspot's noise spread as a finite float > 0."""
+    spread = _check_float("spread", spread, IngestError)
+    if spread <= 0:
+        raise IngestError("spread must be > 0")
+    return spread
+
+
+@cache
+def _keywords(cls) -> frozenset:
+    """The keywords ``cls(dims, **opts)`` accepts: each ``__init__``'s
+    keyword parameters up the class chain, until one that passes no
+    ``**opts`` on."""
+    names: set[str] = set()
+    for klass in cls.__mro__:
+        init = klass.__dict__.get("__init__")
+        if init is None:
+            continue
+        params = list(inspect.signature(init).parameters.values())[2:]
+        names.update(p.name for p in params
+                     if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY))
+        if not any(p.kind is p.VAR_KEYWORD for p in params):
+            break
+    return frozenset(names)
+
+
 def make_stream(spec, dims, **opts) -> "RecordStream":
     """Resolve a stream spec — a registered name, a stream class, or an
-    already-built instance — into a :class:`RecordStream`."""
+    already-built instance — into a :class:`RecordStream`; a keyword
+    the stream does not take raises :class:`IngestError`."""
     if isinstance(spec, RecordStream):
         return spec
     if isinstance(spec, str):
@@ -92,18 +133,27 @@ def make_stream(spec, dims, **opts) -> "RecordStream":
             f"unknown stream spec {spec!r} (registered: "
             f"{', '.join(stream_names())})"
         )
+    _check_keywords(factory.__name__, opts, _keywords(factory), IngestError)
     return factory(dims, **opts)
 
 
 class RecordStream:
     """Base class: a seeded, replayable stream of cell coordinates.
 
-    Subclasses implement :meth:`_draw`, mapping global point indices to
-    an ``(n, ndim)`` int64 coordinate array with the given generator.
-    ``batches()`` feeds the pipeline; ``sample()`` gives loaders an
-    independent look at the distribution (separate seeded substream,
-    indices spread over the whole run so drifting streams are sampled
-    fairly).
+    The stream is cut into batches of ``batch_points`` points, and
+    :meth:`windows` draws them a window of whole batches at a time: each
+    batch makes its own generator calls (:meth:`_draw_batch`), in batch
+    order, and the window's draws are then turned into coordinates by
+    one :meth:`_place` and one clip onto the grid.  Subclasses implement
+    those two: ``_draw_batch(rng, n)`` returns one batch's raw draws as
+    a tuple of arrays, one row per point, and ``_place(raw, idx)`` the
+    ``(n, ndim)`` coordinates of the raw draws of consecutive batches,
+    concatenated array by array, at the global point indices ``idx``.  Every
+    step of ``_place`` is elementwise, so a window's coordinates are
+    bit-identical to drawing and placing its batches one by one.
+    ``sample()`` gives loaders an independent look at the distribution
+    (separate seeded substream, indices spread over the whole run so
+    drifting streams are sampled fairly).
     """
 
     kind = "stream"
@@ -116,22 +166,43 @@ class RecordStream:
         self.dims = dims
         self.n_points = check_count("n_points", n_points)
         self.batch_points = check_count("batch_points", batch_points)
-        self.seed = int(seed)
+        # numpy's generators take any int >= 0 as a seed
+        self.seed = _check_count("seed", seed, IngestError, low=0)
         self._hi = np.asarray(dims, dtype=np.int64) - 1
 
     @property
     def n_batches(self) -> int:
         return -(-self.n_points // self.batch_points)
 
-    def batches(self):
-        """A fresh, replay-identical iterator of coordinate batches."""
+    def windows(self, max_points: int | None = None):
+        """A fresh, replay-identical iterator of ``(coords, ends)``
+        windows: ``coords`` holds consecutive batches, batch ``b`` of the
+        window ending at row ``ends[b]``.  A window holds as many whole
+        batches as fit in ``max_points`` points (default
+        :data:`WINDOW_POINTS`), and at least one."""
+        if max_points is None:
+            max_points = WINDOW_POINTS
+        per_window = max(1, max_points // self.batch_points)
         rng = np.random.default_rng(self.seed)
         done = 0
         while done < self.n_points:
-            n = min(self.batch_points, self.n_points - done)
-            idx = np.arange(done, done + n, dtype=np.int64)
-            yield self._clip(self._draw(rng, idx))
-            done += n
+            stop = min(done + per_window * self.batch_points, self.n_points)
+            ends = list(range(self.batch_points, stop - done,
+                              self.batch_points)) + [stop - done]
+            raws = [self._draw_batch(rng, b - a)
+                    for a, b in zip([0] + ends[:-1], ends)]
+            raw = raws[0] if len(raws) == 1 else tuple(
+                np.concatenate(parts) for parts in zip(*raws)
+            )
+            idx = np.arange(done, stop, dtype=np.int64)
+            yield self._clip(self._place(raw, idx)), ends
+            done = stop
+
+    def batches(self):
+        """A fresh, replay-identical iterator of coordinate batches (the
+        windows of one batch)."""
+        for coords, _ in self.windows(self.batch_points):
+            yield coords
 
     def sample(self, n: int) -> np.ndarray:
         """``n`` points from an independent substream, indices spread
@@ -141,15 +212,22 @@ class RecordStream:
             raise IngestError("sample size must be >= 1")
         rng = np.random.default_rng((self.seed, 0x5A))
         idx = np.linspace(0, self.n_points - 1, n).astype(np.int64)
-        return self._clip(self._draw(rng, idx))
+        return self._clip(self._place(self._draw_batch(rng, n), idx))
 
     def _clip(self, coords: np.ndarray) -> np.ndarray:
-        return np.minimum(
-            np.maximum(coords.astype(np.int64, copy=False), 0), self._hi
-        )
+        """Clip freshly placed int64 coordinates onto the grid, in place,
+        axis by axis (over whole rows numpy would loop over ndim values
+        at a time)."""
+        for d, hi in enumerate(self._hi.tolist()):
+            col = coords[:, d]
+            np.maximum(col, 0, out=col)
+            np.minimum(col, hi, out=col)
+        return coords
 
-    def _draw(self, rng: np.random.Generator,
-              idx: np.ndarray) -> np.ndarray:
+    def _draw_batch(self, rng: np.random.Generator, n: int):
+        raise NotImplementedError
+
+    def _place(self, raw, idx: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -177,11 +255,11 @@ class UniformStream(RecordStream):
 
     kind = "uniform"
 
-    def _draw(self, rng, idx):
-        n = len(idx)
-        return np.stack(
-            [rng.integers(0, s, size=n) for s in self.dims], axis=1
-        )
+    def _draw_batch(self, rng, n):
+        return tuple(rng.integers(0, s, size=n) for s in self.dims)
+
+    def _place(self, raw, idx):
+        return np.stack(raw, axis=1)
 
 
 @register_stream("clustered")
@@ -193,12 +271,8 @@ class ClusteredStream(RecordStream):
     def __init__(self, dims, *, n_clusters: int = 4, spread: float = 0.05,
                  **opts):
         super().__init__(dims, **opts)
-        if n_clusters < 1:
-            raise IngestError("n_clusters must be >= 1")
-        if spread <= 0:
-            raise IngestError("spread must be > 0")
-        self.n_clusters = int(n_clusters)
-        self.spread = float(spread)
+        self.n_clusters = check_count("n_clusters", n_clusters)
+        self.spread = check_spread(spread)
         self._scale = _noise_scale(self.spread, self.dims)
         crng = np.random.default_rng((self.seed, 0xC))
         self.centers = np.stack(
@@ -206,11 +280,17 @@ class ClusteredStream(RecordStream):
             axis=1,
         )
 
-    def _draw(self, rng, idx):
-        n = len(idx)
+    def _draw_batch(self, rng, n):
         pick = rng.integers(0, self.n_clusters, size=n)
-        noise = rng.standard_normal((n, len(self.dims))) * self._scale
-        return np.rint(self.centers[pick] + noise).astype(np.int64)
+        return pick, rng.standard_normal((n, len(self.dims)))
+
+    def _place(self, raw, idx):
+        pick, z = raw
+        out = np.empty(z.shape, dtype=np.int64)
+        for d, (center, scale) in enumerate(zip(self.centers.T,
+                                                self._scale)):
+            out[:, d] = np.rint(center[pick] + z[:, d] * scale)
+        return out
 
     def describe(self) -> dict:
         out = super().describe()
@@ -227,17 +307,20 @@ class DriftingStream(RecordStream):
 
     def __init__(self, dims, *, spread: float = 0.08, **opts):
         super().__init__(dims, **opts)
-        if spread <= 0:
-            raise IngestError("spread must be > 0")
-        self.spread = float(spread)
+        self.spread = check_spread(spread)
         self._scale = _noise_scale(self.spread, self.dims)
         self._span = np.asarray(self.dims, dtype=np.float64) - 1
 
-    def _draw(self, rng, idx):
+    def _draw_batch(self, rng, n):
+        return (rng.standard_normal((n, len(self.dims))),)
+
+    def _place(self, raw, idx):
         progress = idx / max(self.n_points - 1, 1)
-        center = progress[:, None] * self._span[None, :]
-        noise = rng.standard_normal((len(idx), len(self.dims))) * self._scale
-        return np.rint(center + noise).astype(np.int64)
+        z = raw[0]
+        out = np.empty(z.shape, dtype=np.int64)
+        for d, (span, scale) in enumerate(zip(self._span, self._scale)):
+            out[:, d] = np.rint(progress * span + z[:, d] * scale)
+        return out
 
     def describe(self) -> dict:
         out = super().describe()
@@ -275,5 +358,8 @@ class ReplayStream(RecordStream):
             )
         self.coords = coords
 
-    def _draw(self, rng, idx):
+    def _draw_batch(self, rng, n):
+        return ()
+
+    def _place(self, raw, idx):
         return self.coords[idx]

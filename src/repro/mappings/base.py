@@ -28,7 +28,7 @@ from repro.errors import (
 from repro.lvm.volume import Extent
 
 __all__ = ["RequestPlan", "Mapper", "box_columns", "coalesce_ranks",
-           "enumerate_box", "sorted_unique", "split_box"]
+           "enumerate_box", "sorted_unique", "split_box", "unflatten"]
 
 
 @dataclass
@@ -159,6 +159,17 @@ def split_box(lo, hi, max_cells: int):
                    hi[:k] + [min(a + step, hi[k])] + [x + 1 for x in fixed])
 
 
+def unflatten(flats, dims) -> np.ndarray:
+    """The ``(n, len(dims))`` int64 coordinates of Dim0-fastest flat
+    cell indices (the inverse of ``coords @ strides``)."""
+    rem = np.asarray(flats, dtype=np.int64).copy()
+    out = np.empty((len(rem), len(dims)), dtype=np.int64)
+    for d, s in enumerate(dims):
+        out[:, d] = rem % s
+        rem //= s
+    return out
+
+
 def box_columns(lo, hi) -> list[np.ndarray]:
     """One index vector per axis of the half-open box [lo, hi), shaped so
     that they broadcast together: axis d's vector lies along array axis
@@ -206,6 +217,12 @@ class Mapper(ABC):
     @abstractmethod
     def lbns(self, coords) -> np.ndarray:
         """First LBN of each cell; ``coords`` is (n_cells, n_dims)."""
+
+    def flat_lbns(self, flats: np.ndarray) -> np.ndarray:
+        """First LBN of each cell given by its Dim0-fastest flat index
+        (int64, in range; not checked).  Linear mappers read their rank
+        at the index; others map the cells' coordinates."""
+        return self.lbns(unflatten(flats, self.dims))
 
     @abstractmethod
     def range_plan(self, lo, hi) -> RequestPlan:

@@ -61,13 +61,20 @@ class LinearMapper(Mapper):
         self._strides = tuple(strides)
         self._stride_vec = np.asarray(strides, dtype=np.int64)
 
-    def rank(self, coords: np.ndarray) -> np.ndarray:
-        """Position of each cell in the on-disk order.  Subclasses provide."""
+    def flat_rank(self, flats: np.ndarray) -> np.ndarray:
+        """Position in the on-disk order of each cell, given by its
+        Dim0-fastest flat index.  Subclasses provide."""
         raise NotImplementedError
 
+    def rank(self, coords: np.ndarray) -> np.ndarray:
+        """Position of each cell in the on-disk order."""
+        return self.flat_rank(coords @ self._stride_vec)
+
     def lbns(self, coords) -> np.ndarray:
-        arr = self._check_coords(coords)
-        return self.extent.start + self.rank(arr) * self.cell_blocks
+        return self.flat_lbns(self._check_coords(coords) @ self._stride_vec)
+
+    def flat_lbns(self, flats: np.ndarray) -> np.ndarray:
+        return self.extent.start + self.flat_rank(flats) * self.cell_blocks
 
     def plan_from_ranks(
         self,
@@ -161,8 +168,8 @@ class CurveMapper(LinearMapper):
             )
         return self._rank_table
 
-    def rank(self, coords: np.ndarray) -> np.ndarray:
-        return self.rank_table()[coords @ self._stride_vec]
+    def flat_rank(self, flats: np.ndarray) -> np.ndarray:
+        return self.rank_table()[flats]
 
     def beam_plan(self, axis: int, fixed, lo: int = 0, hi: int | None = None
                   ) -> RequestPlan:

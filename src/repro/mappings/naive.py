@@ -26,8 +26,8 @@ class NaiveMapper(LinearMapper):
 
     name = "naive"
 
-    def rank(self, coords: np.ndarray) -> np.ndarray:
-        return coords @ self._stride_vec
+    def flat_rank(self, flats: np.ndarray) -> np.ndarray:
+        return flats
 
     def beam_plan(self, axis: int, fixed, lo: int = 0, hi: int | None = None
                   ) -> RequestPlan:

@@ -194,3 +194,95 @@ class TestStoreGate:
         report = ds.ingest(n_points=64, flush_points=16).run()
         assert report.n_points == 64
         assert report.skipped_copy_writes == 0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestRunOptionsChecked:
+    """Bad run options raise :class:`IngestError` before the adaptive
+    loader re-chunks the dataset or any block is written."""
+
+    @pytest.fixture()
+    def sharded(self, small_model):
+        return Dataset.create(SHAPE, layout="zorder", drive=small_model,
+                              seed=7).with_shards(2)
+
+    @staticmethod
+    def untouched(ds):
+        """The dataset's chunk shape and every drive's clock and head."""
+        drives = ds.storage.volume.drives
+        return (tuple(ds.storage.shard_map.chunks[0].shape),
+                [(d.now_ms, d.current_track) for d in drives])
+
+    def assert_refused(self, ds, match, **opts):
+        before = self.untouched(ds)
+        with pytest.raises(IngestError, match=match):
+            ds.ingest(loader="adaptive", n_points=256, flush_points=64,
+                      **opts).run()
+        assert self.untouched(ds) == before
+
+    @pytest.mark.parametrize("stream", ["clustered", "drifting"])
+    @pytest.mark.parametrize("spread", [NAN, INF, -INF, True, "0.1"])
+    def test_spread_must_be_a_finite_number(self, sharded, stream,
+                                            spread):
+        self.assert_refused(sharded, "spread", stream=stream,
+                            spread=spread)
+
+    @pytest.mark.parametrize("n_clusters", [2.5, True, 0])
+    def test_n_clusters_is_not_truncated(self, sharded, n_clusters):
+        self.assert_refused(sharded, "n_clusters", stream="clustered",
+                            n_clusters=n_clusters)
+
+    @pytest.mark.parametrize("seed", [2.5, True, -1])
+    def test_seed_is_not_truncated(self, sharded, seed):
+        with pytest.raises(IngestError, match="seed"):
+            sharded.ingest(seed=seed)
+        with pytest.raises(IngestError, match="seed"):
+            UniformStream(SHAPE, seed=seed)
+
+    @pytest.mark.parametrize("opts, match", [
+        ({"points_per_cell": 2.5}, "points_per_cell"),
+        ({"points_per_cell": True}, "points_per_cell"),
+        ({"sample_points": 2.5}, "sample_points"),
+        ({"headroom": NAN}, "headroom"),
+        ({"headroom": INF}, "headroom"),
+        ({"quantile": NAN}, "quantile"),
+        ({"fill_factor": NAN}, "fill_factor"),
+    ])
+    def test_loader_options_are_checked(self, sharded, opts, match):
+        self.assert_refused(sharded, match, stream="clustered",
+                            loader_opts=opts)
+
+    def test_fixed_loader_options_are_checked(self, sharded):
+        before = self.untouched(sharded)
+        with pytest.raises(IngestError, match="points_per_cell"):
+            sharded.ingest(loader_opts={"points_per_cell": 2.5}).run()
+        assert self.untouched(sharded) == before
+
+    @pytest.mark.parametrize("throttle", [NAN, 0, 0.0, 1.5, True, "1"])
+    def test_throttle_is_checked_when_the_run_is_built(self, sharded,
+                                                       throttle):
+        with pytest.raises(IngestError, match="throttle"):
+            sharded.ingest(reorganize=True, throttle=throttle)
+        with pytest.raises(IngestError, match="throttle"):
+            sharded.ingest().with_reorganize(throttle=throttle)
+
+    def test_unknown_stream_keyword(self, sharded):
+        self.assert_refused(sharded, "bogus", bogus=1)
+        sharded.with_ingest(stream="clustered", bogus=1)
+        before = self.untouched(sharded)
+        with pytest.raises(IngestError, match="bogus"):
+            sharded.ingest().run()
+        assert self.untouched(sharded) == before
+
+    def test_every_stream_keyword_is_accepted(self, sharded):
+        for stream, opts in [
+            ("uniform", {}),
+            ("clustered", {"n_clusters": 2, "spread": 0.1}),
+            ("drifting", {"spread": 0.1}),
+            ("replay", {"coords": np.zeros((4, 3), dtype=np.int64)}),
+        ]:
+            report = sharded.ingest(stream=stream, n_points=64,
+                                    flush_points=32, **opts).run()
+            assert report.n_points == (4 if stream == "replay" else 64)
