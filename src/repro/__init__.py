@@ -33,11 +33,10 @@ The layers underneath remain importable for direct use:
 ``repro.traffic``   concurrent multi-client traffic simulation
 ``repro.perf``      plan-prep fast path: memoization, probes, perf sweep
 ``repro.obs``       telemetry: span tracing, metrics, trace exporters
-``repro.monitor``   windowed SLO monitoring, health states, run diffing
 ``repro.explain``   EXPLAIN/ANALYZE plan diagnosis, regression attribution
 ``repro.datasets``  the paper's three evaluation datasets
 ``repro.analytic``  the expected-cost model
-``repro.bench``     one regenerator per paper figure
+``repro.bench``     one regenerator per paper figure, the CLI, run diffing
 
 All façade attributes load lazily (PEP 562): ``import repro`` stays cheap.
 """

@@ -45,16 +45,19 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.api.registry import DRIVES, LAYOUTS, DriveEntry
+from repro.api.registry import _WIRED_ARGS, DRIVES, LAYOUTS, DriveEntry
 from repro.api.report import Report, make_record
 from repro.core.store import CellStore, StoreStats
 from repro.disk.models import DiskModel
 from repro.errors import (
     DatasetError,
+    MappingError,
     QueryError,
     _check_count,
+    _check_keywords,
     _check_rng,
     _check_shape,
+    _keywords,
 )
 from repro.lvm.volume import LogicalVolume
 from repro.query.executor import QueryResult, check_setting
@@ -241,14 +244,8 @@ class QueryBatch:
         if tele is not None:
             # telemetry-LIFETIME totals (spans and metrics accumulate
             # across batches; ds.telemetry.reset() scopes them); gated
-            # on attachment so detached report JSON is untouched — and
-            # a monitor-only Telemetry describes to {}, whose payload
-            # lives under "monitor" instead
-            obs_meta = tele.describe()
-            if obs_meta:
-                meta["obs"] = obs_meta
-            if tele.monitor is not None:
-                meta["monitor"] = tele.monitor.describe()
+            # on attachment so detached report JSON is untouched
+            meta["obs"] = tele.describe()
         return Report(
             records=tuple(records),
             layout=ds.layout,
@@ -285,6 +282,10 @@ class Dataset:
         self.layout_opts = dict(layout_opts or {})
         self.drive_name, self._drive_factory = _resolve_drive(drive)
         self._layout_entry = LAYOUTS.get(self.layout)
+        _check_keywords(
+            f"{self.layout} layout", self.layout_opts,
+            _keywords(self._layout_entry.cls) - _WIRED_ARGS, MappingError,
+        )
 
         self.volume = LogicalVolume([self._drive_factory()],
                                     depth=self.depth)
@@ -322,7 +323,10 @@ class Dataset:
         out-of-range error.
         ``cell_blocks`` is the LBNs per cell (§5.2 maps one cell to one
         512-byte block), and ``**layout_opts`` pass through to the mapper
-        (e.g. MultiMap's ``strategy=`` / ``zones=``).
+        (e.g. MultiMap's ``strategy=`` / ``zones=``); a keyword the
+        layout's mapper does not take raises
+        :class:`~repro.errors.MappingError` here, before anything is
+        built.
         ``window``, ``sptf_run_limit`` and ``coalesce_gap_blocks`` are
         the storage manager's settings (see
         :class:`~repro.query.executor.StorageManager`; an
@@ -748,32 +752,8 @@ class Dataset:
     # telemetry (repro.obs) — per-query tracing and metrics
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _build_monitor(monitor):
-        """Instantiate the monitor half of a telemetry spec.
-
-        ``None``/``False`` -> no monitor; ``True`` -> a default
-        :class:`~repro.monitor.Monitor`; a mapping -> constructor
-        options.  Like cache specs, a pre-built instance is rejected so
-        :meth:`with_layout` clones can re-instantiate private state.
-        """
-        if monitor is None or monitor is False:
-            return None
-        from repro.monitor import Monitor
-
-        if monitor is True:
-            return Monitor()
-        if isinstance(monitor, dict):
-            return Monitor(**monitor)
-        raise DatasetError(
-            f"monitor must be True, False, None, or an options dict "
-            f"(got {type(monitor).__name__}); clones re-instantiate "
-            f"the spec, so pass options rather than a Monitor instance"
-        )
-
     def with_telemetry(self, trace: bool = True, metrics: bool = True,
-                       exporter: str | None = None,
-                       monitor=None) -> "Dataset":
+                       exporter: str | None = None) -> "Dataset":
         """Attach a fresh :class:`~repro.obs.Telemetry` (chainable).
 
         ``trace`` records one deterministic span tree per query (phases:
@@ -782,82 +762,32 @@ class Dataset:
         ``metrics`` accumulates counters and latency histograms;
         ``exporter`` names a default :data:`~repro.obs.EXPORTERS` entry
         (``jsonl``, ``chrome``, ``prometheus``) for
-        ``ds.telemetry.export()``; ``monitor`` attaches a
-        :class:`~repro.monitor.Monitor` (``True`` for defaults, or an
-        options dict like ``{"window_ms": 25.0}``) for windowed
-        time-series, SLO alerts, and health tracking — see also
-        :meth:`with_monitor`.  ``trace=False, metrics=False`` with no
-        monitor detaches — the default state, in which every result and
+        ``ds.telemetry.export()``.  ``trace=False, metrics=False``
+        detaches — the default state, in which every result and
         report is bit-identical to a build without telemetry (the same
         parity guarantee ``with_cache(0)`` gives).  The handle survives
         :meth:`with_shards`/:meth:`with_replication` rebuilds, and
         :meth:`with_layout` clones carry the spec with a private
         recording.
         """
-        mon = self._build_monitor(monitor)
-        if not trace and not metrics and mon is None:
+        if not trace and not metrics:
             self._obs_spec = None
             self._stack().obs = None
             return self
         from repro.obs import Telemetry
 
         self._stack().obs = Telemetry(
-            trace=trace, metrics=metrics, exporter=exporter,
-            monitor=mon,
+            trace=trace, metrics=metrics, exporter=exporter
         )
         self._obs_spec = dict(
             trace=bool(trace), metrics=bool(metrics), exporter=exporter
         )
-        if monitor is not None and monitor is not False:
-            # gated so monitor-less specs (and their describe() JSON)
-            # keep the pre-monitor layout
-            self._obs_spec["monitor"] = (
-                True if monitor is True else dict(monitor)
-            )
         return self
-
-    def with_monitor(self, monitor=True, **options) -> "Dataset":
-        """Attach (or detach) continuous monitoring (chainable).
-
-        Sugar over :meth:`with_telemetry`: merges a monitor into the
-        current telemetry spec, attaching default trace + metrics when
-        nothing was attached yet.  ``monitor=True`` uses defaults,
-        keyword ``options`` (e.g. ``window_ms=25.0``, ``rules={...}``)
-        configure the :class:`~repro.monitor.Monitor`, and
-        ``monitor=False``/``None`` removes just the monitor (detaching
-        telemetry entirely if nothing else was attached).
-        """
-        spec = dict(self._obs_spec or {"trace": True, "metrics": True,
-                                       "exporter": None})
-        spec.pop("monitor", None)
-        if monitor is None or monitor is False:
-            if options:
-                raise DatasetError(
-                    "with_monitor(False) removes the monitor; monitor "
-                    "options make no sense alongside it"
-                )
-            if self._obs_spec is None:
-                return self
-            return self.with_telemetry(**spec)
-        if monitor is not True and not isinstance(monitor, dict):
-            raise DatasetError(
-                f"monitor must be True, False, None, or an options "
-                f"dict, got {type(monitor).__name__}"
-            )
-        opts = dict(monitor) if isinstance(monitor, dict) else {}
-        opts.update(options)
-        return self.with_telemetry(**spec, monitor=opts or True)
 
     @property
     def telemetry(self):
         """The attached :class:`~repro.obs.Telemetry`, or ``None``."""
         return self._stack().obs
-
-    @property
-    def monitor(self):
-        """The attached :class:`~repro.monitor.Monitor`, or ``None``."""
-        tele = self.telemetry
-        return None if tele is None else tele.monitor
 
     # ------------------------------------------------------------------
     # fluent queries

@@ -169,6 +169,11 @@ def drive_names() -> tuple[str, ...]:
     return DRIVES.names()
 
 
+#: the mapper arguments :func:`build_mapper` passes itself; a layout's
+#: options are its mapper class's other keywords
+_WIRED_ARGS = frozenset({"extent", "volume", "disk", "cell_blocks"})
+
+
 def build_mapper(layout, dims, volume, disk: int = 0, *,
                  cell_blocks: int = 1, **layout_opts):
     """Construct a registered layout's mapper on ``volume``.

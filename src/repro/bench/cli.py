@@ -1,7 +1,7 @@
 """Command-line entry point: ``python -m repro.bench`` / ``repro-bench``
 (also installed as ``multimap-bench``).
 
-Eleven modes: without a subcommand it regenerates the paper figures
+Ten modes: without a subcommand it regenerates the paper figures
 (``--figure``, ``--scale``).  Five subcommands are layout sweeps, each
 the paper's §5 comparison carried over to one more layer:
 
@@ -13,7 +13,7 @@ the paper's §5 comparison carried over to one more layer:
                failure (:mod:`repro.replica`)
 ``ingest``     layouts x bulk loaders, write goodput (:mod:`repro.ingest`)
 
-and five run one job each:
+and four run one job each:
 
 ``perf``       plan-preparation throughput per layout; ``--check`` gates
                it against a pinned baseline such as ``BENCH_perf.json``
@@ -21,14 +21,12 @@ and five run one job each:
 ``trace``      one telemetry-attached storm: slowest queries, phase
                totals, per-disk utilisation; ``--export`` writes the
                span trace (:mod:`repro.obs.trace_cmd`)
-``dashboard``  one monitored storm: windowed series, SLO alerts, health
-               timeline (:mod:`repro.monitor.dashboard`)
 ``explain``    a query's plan and predicted cost per layout;
                ``--analyze`` reconciles it against one execution,
                ``--model`` prints the analytic model (:mod:`repro.explain`)
 ``diff``       compares two exported run reports, exiting 1 on a
                regression; ``--attribute`` ranks the suspects
-               (:mod:`repro.monitor.diff`)
+               (:mod:`repro.bench.diff`)
 
 The sweeps share one engine (:mod:`repro.bench.sweep`), one main
 (``_sweep_main``, driven by the ``_SWEEPS`` table below) and one parser
@@ -36,12 +34,12 @@ helper for the flags they share: ``--shape``, ``--layouts``,
 ``--drive``, ``--seed``, ``--json`` and ``--quiet``, plus ``--beams``
 and ``--axes`` for the beam workloads of ``cache``, ``scale`` and
 ``avail``.  Every other flag of a sweep is named after its runner's
-keyword.  ``traffic``, ``trace`` and ``dashboard`` share the storm
-workload flags (``_STORM_KEYS``): both storm runners
+keyword.  ``traffic`` and ``trace`` share the storm workload flags
+(``_STORM_KEYS``): both storm runners
 (:func:`repro.traffic.storm.run_storm` and
 :func:`repro.traffic.storm.run_one_storm`) take them by name.
 ``diff``, ``diff --attribute`` and ``perf --check`` share one band rule
-(:func:`repro.monitor.diff.band_score`).  The ``--list-*`` flags (one
+(:func:`repro.bench.diff.band_score`).  The ``--list-*`` flags (one
 per registry, driven by the ``_LISTINGS`` table below) print the
 registered names with descriptions and exit.
 
@@ -65,9 +63,7 @@ Examples::
     repro-bench ingest --loaders fixed,adaptive --json ingest.json
     repro-bench perf --json BENCH_perf.json
     repro-bench perf --check BENCH_perf.json --json results/perf.json
-    repro-bench --list-rules
-    repro-bench dashboard --shape 32,12,12 --shards 2 --k 2 \\
-        --kill-at 40 --revive-at 160 --json run_a.json
+    repro-bench trace --shape 24,12,12 --drive minidrive --json run_a.json
     repro-bench diff run_a.json run_b.json --tolerance 0.05
     repro-bench --list-costs
     repro-bench explain --shape 240,12,12 --layouts multimap,zorder
@@ -183,7 +179,7 @@ def _add_output_flags(p, quiet_help: str = "suppress table output") -> None:
 
 #: the storm workload flags, named after the keywords both storm runners
 #: take: :func:`repro.traffic.storm.run_storm` (``traffic``) and
-#: :func:`repro.traffic.storm.run_one_storm` (``trace``, ``dashboard``)
+#: :func:`repro.traffic.storm.run_one_storm` (``trace``)
 _STORM_KEYS = ("clients", "queries", "mix", "arrival", "rate", "think_ms",
                "slice_runs", "head")
 
@@ -192,7 +188,7 @@ def _add_storm_flags(p, *, sweep: bool, clients, queries: int) -> None:
     """The storm workload flags (:data:`_STORM_KEYS`).  ``traffic``
     sweeps layouts x client counts (``sweep``: ``clients`` is a
     comma-separated list, and :func:`_add_sweep_parser` adds the dataset
-    flags); ``trace`` and ``dashboard`` run one storm on one layout."""
+    flags); ``trace`` runs one storm on one layout."""
     if sweep:
         p.add_argument("--clients", default=clients, type=_csv_ints,
                        help="comma-separated client counts to sweep")
@@ -438,8 +434,6 @@ _LISTINGS = (
      "print registered record streams and exit"),
     ("list_exporters", "trace exporters", "repro.obs", "EXPORTERS",
      "print registered trace exporters and exit"),
-    ("list_rules", "SLO rules", "repro.monitor", "RULES",
-     "print registered SLO monitoring rules and exit"),
     ("list_costs", "dominant-cost classes", "repro.explain",
      "COST_CLASSES",
      "print the dominant-cost classifier's classes and exit"),
@@ -475,7 +469,7 @@ def _list_registries(args) -> bool:
 
 def _perf_main(args) -> int:
     from repro.errors import BenchmarkError
-    from repro.monitor.diff import load_report
+    from repro.bench.diff import load_report
     from repro.perf import check_perf, render_perf_sweep, run_perf_sweep
 
     baseline = (load_report(args.check, BenchmarkError)
@@ -610,52 +604,6 @@ def _add_trace_parser(subparsers) -> None:
     p.set_defaults(func=_trace_main)
 
 
-def _dashboard_main(args) -> int:
-    from repro.monitor.dashboard import render_dashboard, run_dashboard
-
-    data, tele = run_dashboard(
-        args.shape,
-        window_ms=args.window_ms,
-        shards=args.shards,
-        k=args.k,
-        kill_at=args.kill_at,
-        kill_disk=args.kill_disk,
-        revive_at=args.revive_at,
-        **_storm_kwargs(args),
-    )
-    return _emit(args, data, render_dashboard, "dashboard.json")
-
-
-def _add_dashboard_parser(subparsers) -> None:
-    p = subparsers.add_parser(
-        "dashboard",
-        help="monitored storm: windowed series, SLO alerts, health",
-        description="Run one traffic storm with continuous monitoring "
-        "attached — optionally killing (and reviving) a member disk "
-        "mid-storm — then render the windowed time-series as sparkline "
-        "rows and a per-drive utilisation heatmap, plus every SLO "
-        "alert and the health-state timeline.  The --json export feeds "
-        "repro-bench diff.  Rules are listed by --list-rules.",
-    )
-    _add_storm_flags(p, sweep=False, clients=4, queries=16)
-    p.add_argument("--window-ms", type=float, default=50.0,
-                   help="tumbling-window size in simulated ms "
-                   "(default 50)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="decluster across this many member disks first")
-    p.add_argument("--k", type=int, default=None,
-                   help="replication factor (k >= 2 keeps a killed "
-                   "disk's data answerable)")
-    p.add_argument("--kill-at", type=float, default=None,
-                   help="kill a member disk at this simulated ms")
-    p.add_argument("--kill-disk", type=int, default=0,
-                   help="member disk to kill (default 0)")
-    p.add_argument("--revive-at", type=float, default=None,
-                   help="revive the killed disk at this simulated ms")
-    _add_output_flags(p, "suppress dashboard output")
-    p.set_defaults(func=_dashboard_main)
-
-
 def _parse_box(spec: str):
     """``lo,lo,..:hi,hi,..`` -> (lo tuple, hi tuple)."""
     try:
@@ -741,7 +689,7 @@ def _add_explain_parser(subparsers) -> None:
 
 
 def _diff_main(args) -> int:
-    from repro.monitor.diff import diff_runs, load_report, render_diff
+    from repro.bench.diff import diff_runs, load_report, render_diff
 
     base = load_report(args.base)
     cur = load_report(args.current)
@@ -767,10 +715,10 @@ def _add_diff_parser(subparsers) -> None:
     p = subparsers.add_parser(
         "diff",
         help="compare two exported run reports; exit 1 on regression",
-        description="Load two --json exports (trace or dashboard runs) "
-        "and compare phase totals, latency quantiles, and the "
-        "window-by-window series, flagging every metric that moved "
-        "beyond the tolerance band in the bad direction.  Two same-seed "
+        description="Load two trace --json exports and compare the "
+        "makespan, throughput and phase totals, flagging every metric "
+        "that moved beyond the tolerance band in the bad direction.  "
+        "Two same-seed "
         "runs are bit-identical, so a clean diff is an exact-zero "
         "check; exits 1 when regressions are flagged.",
     )
@@ -781,7 +729,7 @@ def _add_diff_parser(subparsers) -> None:
                    "flags (default 0.1)")
     p.add_argument("--attribute", action="store_true",
                    help="rank the suspects behind the regression "
-                   "(phases, disks, queries, monitor signals)")
+                   "(phases, disks, queries)")
     p.add_argument("--json", default=None,
                    help="JSON output file (or directory) for the diff")
     p.add_argument("--quiet", action="store_true",
@@ -826,7 +774,6 @@ def main(argv=None) -> int:
     _add_ingest_parser(subparsers)
     _add_perf_parser(subparsers)
     _add_trace_parser(subparsers)
-    _add_dashboard_parser(subparsers)
     _add_explain_parser(subparsers)
     _add_diff_parser(subparsers)
     args = parser.parse_args(argv)

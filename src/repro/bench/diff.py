@@ -1,10 +1,8 @@
 """Run-to-run comparison: the one scorer behind every regression gate.
 
 ``repro-bench diff base.json current.json`` loads two reports written
-by the ``--json`` writer (``trace`` or ``dashboard`` exports — anything
-carrying ``makespan_ms``/``phase_ms`` and, when monitoring was on, a
-``monitor`` block) and compares them: phase totals, overall latency
-quantiles, and window-by-window throughput/p99 series, flagging every
+by ``trace --json`` (anything carrying ``makespan_ms``/``phase_ms``)
+and compares their headline totals and per-phase times, flagging every
 metric that moved beyond a relative tolerance band (with small absolute
 floors so sub-millisecond noise never flags).  Two same-seed runs are
 bit-identical, so a clean diff is an exact-zero check — which is what
@@ -13,7 +11,8 @@ the CI smoke job relies on.
 The band rule (:func:`band_score`), its floor table and the input
 checks (:func:`validate_report`) also serve ``diff --attribute``
 (:func:`repro.explain.attribute_runs`) and ``perf --check``
-(:func:`repro.perf.sweep.check_perf`).
+(:func:`repro.perf.sweep.check_perf`).  Bad inputs raise
+:class:`~repro.errors.MonitorError`.
 """
 
 from __future__ import annotations
@@ -112,14 +111,7 @@ def validate_report(data, shape, error, path: str) -> None:
                 validate_report(value, sub, error, f"{path}.{key}")
 
 
-#: what diff and attribution read from a report's monitor block, and
-#: from the rest of the report
-_MONITOR = {
-    "summary": {"latency_ms": {str: float}},
-    "windows": [{"qps": float, "p99_ms": float}],
-    "alerts": [{}],
-    "health": {},
-}
+#: what diff and attribution read from a report
 _RUN = {
     "makespan_ms": float,
     "throughput_qps": float,
@@ -129,19 +121,10 @@ _RUN = {
 }
 
 
-def _monitor_block(data: dict) -> dict | None:
-    """The ``monitor`` payload wherever the report put it (top level
-    for dashboard exports, under ``meta`` for batch reports)."""
-    block = data.get("monitor")
-    if block is None:
-        block = (data.get("meta") or {}).get("monitor")
-    return block if isinstance(block, dict) else None
-
-
-def check_runs(base, cur, tolerance, error, what: str):
+def check_runs(base, cur, tolerance, error, what: str) -> float:
     """Check the inputs of a base → current comparison (``what`` is
     ``diff`` or ``attribution``), raising ``error``; returns the
-    tolerance and both monitor blocks (None where a report has none)."""
+    tolerance as a float."""
     if not isinstance(base, dict) or not isinstance(cur, dict):
         raise error(f"{what} inputs must be exported report dicts")
     tolerance = float(tolerance)
@@ -149,13 +132,9 @@ def check_runs(base, cur, tolerance, error, what: str):
         raise error(f"tolerance must be finite, got {tolerance}")
     if tolerance < 0:
         raise error(f"tolerance must be >= 0, got {tolerance}")
-    blocks = []
     for name, data in (("base", base), ("current", cur)):
         validate_report(data, _RUN, error, name)
-        blocks.append(_monitor_block(data))
-        if blocks[-1] is not None:
-            validate_report(blocks[-1], _MONITOR, error, f"{name}.monitor")
-    return tolerance, *blocks
+    return tolerance
 
 
 def _flag(regressions, label, base, cur, tolerance, *,
@@ -183,8 +162,7 @@ def diff_runs(base: dict, cur: dict, *, tolerance: float = 0.1) -> dict:
     every metric that moved beyond ``tolerance`` (relative) in the bad
     direction; empty for identical (same-seed) runs.
     """
-    tolerance, bmon, cmon = check_runs(base, cur, tolerance,
-                                       MonitorError, "diff")
+    tolerance = check_runs(base, cur, tolerance, MonitorError, "diff")
     regressions: list[str] = []
     out: dict = {
         "base_dataset": base.get("dataset"),
@@ -214,45 +192,6 @@ def diff_runs(base: dict, cur: dict, *, tolerance: float = 0.1) -> dict:
         for cat in sorted(set(bp) | set(cp))
     }
 
-    if bmon is not None and cmon is not None:
-        # overall latency quantiles
-        bq = (bmon.get("summary") or {}).get("latency_ms") or {}
-        cq = (cmon.get("summary") or {}).get("latency_ms") or {}
-        out["quantiles"] = {
-            q: _flag(regressions, f"latency.{q}", bq.get(q, 0.0),
-                     cq.get(q, 0.0), tolerance, worse="up")
-            for q in sorted(set(bq) | set(cq))
-        }
-        # window-by-window regressions (compared over the shared span)
-        bw = bmon.get("windows") or []
-        cw = cmon.get("windows") or []
-        flagged = []
-        for b, c in zip(bw, cw):
-            row_regs: list[str] = []
-            _flag(row_regs, "qps", b.get("qps", 0.0), c.get("qps", 0.0),
-                  tolerance, floor="qps", worse="down")
-            _flag(row_regs, "p99_ms", b.get("p99_ms", 0.0),
-                  c.get("p99_ms", 0.0), tolerance, worse="up")
-            if row_regs:
-                w = b.get("w", len(flagged))
-                flagged.append({"w": w, "why": row_regs})
-                regressions.extend(f"window {w}: {r}" for r in row_regs)
-        out["windows"] = {
-            "base": len(bw),
-            "cur": len(cw),
-            "compared": min(len(bw), len(cw)),
-            "flagged": flagged,
-        }
-        # alert volume (more alerts = worse)
-        out["alerts"] = _flag(
-            regressions, "alerts", len(bmon.get("alerts") or ()),
-            len(cmon.get("alerts") or ()), tolerance, floor="count",
-            worse="up")
-        bh = (bmon.get("health") or {}).get("state")
-        ch = (cmon.get("health") or {}).get("state")
-        out["health"] = {"base": bh, "cur": ch}
-        if bh == "healthy" and ch not in (None, "healthy"):
-            regressions.append(f"health: {bh} -> {ch}")
     out["regressions"] = regressions
     return out
 
@@ -272,20 +211,8 @@ def render_diff(data: dict) -> str:
 
     fam("", data.get("totals", {}))
     fam("phase_ms", data.get("phase_ms", {}))
-    fam("latency", data.get("quantiles", {}))
-    if "alerts" in data:
-        fam("", {"alerts": data["alerts"]})
     lines = [render_table(
         ["metric", "base", "current", "delta", "status"], rows)]
-    windows = data.get("windows")
-    if windows:
-        lines.append(
-            f"windows: {windows['compared']} compared, "
-            f"{len(windows['flagged'])} flagged"
-        )
-    health = data.get("health")
-    if health and health.get("base") is not None:
-        lines.append(f"health: {health['base']} -> {health['cur']}")
     regs = data.get("regressions", [])
     if regs:
         lines.append(f"{len(regs)} regression(s) beyond "

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.api.registry import register_layout
 from repro.core.planner import CubePlan, plan_basic_cube
-from repro.errors import MappingError, _check_count
+from repro.errors import MappingError, _check_count, _check_int
 from repro.lvm.volume import LogicalVolume
 from repro.mappings.base import Mapper, RequestPlan, box_columns
 
@@ -87,6 +87,16 @@ class MultiMapMapper(Mapper):
         self.disk = disk
         zone_infos = volume.zones(disk)
         if zones is not None:
+            # integer indexes of the disk's zones: a bool or a negative
+            # index would silently pick a zone
+            zones = [_check_int(f"zones[{n}]", z, MappingError)
+                     for n, z in enumerate(zones)]
+            for z in zones:
+                if not 0 <= z < len(zone_infos):
+                    raise MappingError(
+                        f"zones entry {z} is not one of the disk's "
+                        f"{len(zone_infos)} zones"
+                    )
             zone_infos = [zone_infos[i] for i in zones]
         if not zone_infos:
             raise MappingError("no zones available")

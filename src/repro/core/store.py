@@ -164,7 +164,8 @@ class CellStore:
 
         ``coords`` are cell coordinates (repeats allowed); ``counts``
         optionally gives points per row.  Returns the number of points
-        that exceeded the fill-factor budget and went to overflow pages.
+        that exceeded the fill-factor budget, less what each cell already
+        holds, and went to overflow pages.
         Bad coordinates raise :class:`QueryError` and bad counts
         :class:`DatasetError`, before anything is stored.
         """
@@ -182,7 +183,9 @@ class CellStore:
             counts = counts.astype(np.int64, copy=False)
         budget = max(int(self.points_per_cell * self.fill_factor), 1)
         cells, totals = _cell_totals(flat, counts)
-        loaded = np.minimum(totals, budget)
+        loaded = np.minimum(
+            totals, np.maximum(budget - self._occupancy[cells], 0)
+        )
         extra = totals - loaded
         over = np.flatnonzero(extra)
         if over.size:
@@ -311,13 +314,15 @@ class CellStore:
     # ------------------------------------------------------------------
 
     def read_plan(self, coords) -> RequestPlan:
-        """Plan reading the given cells *including* their overflow pages."""
-        home = self.mapper.lbns(coords)  # validates coords first
+        """Plan reading the given cells — every one of a cell's
+        ``cell_blocks`` blocks — *including* their overflow pages."""
+        first = self.mapper.lbns(coords)  # validates coords first
+        home = (np.asarray(first, dtype=np.int64).reshape(-1, 1)
+                + np.arange(self.mapper.cell_blocks, dtype=np.int64))
         used = self._page_cell[:self._next_overflow_page]
         pages = np.flatnonzero(np.isin(used, self._flat(coords)))
         merged = sorted_unique(np.concatenate(
-            [np.asarray(home, dtype=np.int64).ravel(),
-             self._overflow_extent.start + pages]
+            [home.ravel(), self._overflow_extent.start + pages]
         ))
         starts, lengths = coalesce_ranks(merged)
         return RequestPlan(starts, lengths, policy="sorted", merge_gap=0)

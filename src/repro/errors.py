@@ -9,7 +9,9 @@ share live here too, below every layer that raises through them
 
 from __future__ import annotations
 
+import inspect
 import math
+from functools import cache
 
 import numpy as np
 
@@ -79,9 +81,9 @@ class ObsError(ReproError):
 
 
 class MonitorError(ReproError):
-    """Raised by :mod:`repro.monitor` for invalid monitoring
-    configuration (bad window size, unknown SLO rule, malformed run
-    summaries handed to the differ)."""
+    """Raised by :mod:`repro.bench.diff` for reports it cannot compare
+    (an unreadable or non-JSON file, a malformed field, a negative or
+    non-finite tolerance)."""
 
 
 class ExplainError(ReproError):
@@ -125,8 +127,26 @@ def _check_keywords(name: str, given, allowed, error=QueryError) -> None:
     if unknown:
         raise error(
             f"unknown {name} option(s) {', '.join(map(repr, unknown))} "
-            f"(accepted: {', '.join(sorted(allowed))})"
+            f"(accepted: {', '.join(sorted(allowed)) or 'none'})"
         )
+
+
+@cache
+def _keywords(cls) -> frozenset:
+    """The keywords ``cls(dims, ...)`` accepts after ``dims``: each
+    ``__init__``'s named parameters up the class chain, until one that
+    passes no ``**opts`` on."""
+    names: set[str] = set()
+    for klass in cls.__mro__:
+        init = klass.__dict__.get("__init__")
+        if init is None:
+            continue
+        params = list(inspect.signature(init).parameters.values())[2:]
+        names.update(p.name for p in params
+                     if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY))
+        if not any(p.kind is p.VAR_KEYWORD for p in params):
+            break
+    return frozenset(names)
 
 
 def _check_rng(rng, error=QueryError) -> None:

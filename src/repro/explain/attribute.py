@@ -1,13 +1,13 @@
 """Regression attribution: localize *why* two runs diverged.
 
 ``repro-bench diff`` says *that* a run regressed; :func:`attribute_runs`
-says *where*.  Given the same two exported reports (``trace`` or
-``dashboard`` JSON), it localizes the divergence to specific phases,
-disks, queries, and monitor signals, scoring each suspect with the
-diff's own band rule (:func:`repro.monitor.diff.band_score`, the same
-floors and the same input checks) and ranking worst-first.  Two
-same-seed runs are bit-identical, so a clean run attributes to zero
-suspects — the CI smoke's exact-zero check.
+says *where*.  Given the same two ``trace --json`` reports, it
+localizes the divergence to specific phases, disks and queries,
+scoring each suspect with the diff's own band rule
+(:func:`repro.bench.diff.band_score`, the same floors and the same
+input checks) and ranking worst-first.  Two same-seed runs are
+bit-identical, so a clean run attributes to zero suspects — the CI
+smoke's exact-zero check.
 
 Suspect kinds:
 
@@ -17,20 +17,15 @@ Suspect kinds:
              failed-over neighbour absorbing reads
 ``query``    a named query got slower, with its plan-shape drift
              (cells) when the reports carry it
-``alerts``   more SLO alerts fired
-``health``   the health state machine ended somewhere worse
 """
 
 from __future__ import annotations
 
 from repro.bench.reporting import render_table
 from repro.errors import ExplainError
-from repro.monitor.diff import band_score, check_runs
+from repro.bench.diff import band_score, check_runs
 
 __all__ = ["attribute_runs", "render_attribution"]
-
-#: health states ordered best to worst, for decline detection
-_HEALTH_ORDER = ("healthy", "recovering", "degraded", "saturated")
 
 
 def _suspect(kind: str, name: str, base: float, cur: float,
@@ -63,8 +58,8 @@ def attribute_runs(base: dict, cur: dict, *,
     by descending score (worst offender first) and a one-line
     ``summary``; both empty/clean for identical runs.
     """
-    tolerance, bmon, cmon = check_runs(base, cur, tolerance,
-                                       ExplainError, "attribution")
+    tolerance = check_runs(base, cur, tolerance, ExplainError,
+                           "attribution")
     suspects: list[dict] = []
 
     # 1. phase totals — which span category grew
@@ -105,33 +100,6 @@ def attribute_runs(base: dict, cur: dict, *,
             if b_cells is not None and b_cells != c_cells:
                 why += f" (plan shape drifted: {b_cells} -> {c_cells} cells)"
             suspects.append(_suspect("query", name, b, c, score, why))
-
-    # 4. monitor signals — alert volume and health decline
-    if bmon is not None and cmon is not None:
-        b_alerts = len(bmon.get("alerts") or ())
-        c_alerts = len(cmon.get("alerts") or ())
-        score = band_score(b_alerts, c_alerts, tolerance, floor="count")
-        if score > 1.0:
-            new_rules = sorted(
-                {a.get("rule") for a in cmon.get("alerts") or ()}
-                - {a.get("rule") for a in bmon.get("alerts") or ()}
-            )
-            why = f"alert volume rose {b_alerts} -> {c_alerts}"
-            if new_rules:
-                why += f" (new rules: {', '.join(map(str, new_rules))})"
-            suspects.append(_suspect(
-                "alerts", "alerts", b_alerts, c_alerts, score, why,
-            ))
-        bh = (bmon.get("health") or {}).get("state")
-        ch = (cmon.get("health") or {}).get("state")
-        if (bh in _HEALTH_ORDER and ch in _HEALTH_ORDER
-                and _HEALTH_ORDER.index(ch) > _HEALTH_ORDER.index(bh)):
-            suspects.append(_suspect(
-                "health", "health",
-                _HEALTH_ORDER.index(bh), _HEALTH_ORDER.index(ch),
-                float(_HEALTH_ORDER.index(ch) - _HEALTH_ORDER.index(bh)),
-                f"health declined {bh} -> {ch}",
-            ))
 
     suspects.sort(key=lambda s: (-s["score"], s["kind"], s["name"]))
     if suspects:

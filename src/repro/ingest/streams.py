@@ -17,9 +17,7 @@ Builtin generators (registered in :data:`STREAMS`):
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -29,6 +27,7 @@ from repro.errors import (
     _check_count,
     _check_float,
     _check_keywords,
+    _keywords,
 )
 from repro.registry import Registry, first_doc_line
 
@@ -98,24 +97,6 @@ def check_spread(spread) -> float:
     if spread <= 0:
         raise IngestError("spread must be > 0")
     return spread
-
-
-@cache
-def _keywords(cls) -> frozenset:
-    """The keywords ``cls(dims, **opts)`` accepts: each ``__init__``'s
-    keyword parameters up the class chain, until one that passes no
-    ``**opts`` on."""
-    names: set[str] = set()
-    for klass in cls.__mro__:
-        init = klass.__dict__.get("__init__")
-        if init is None:
-            continue
-        params = list(inspect.signature(init).parameters.values())[2:]
-        names.update(p.name for p in params
-                     if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY))
-        if not any(p.kind is p.VAR_KEYWORD for p in params):
-            break
-    return frozenset(names)
 
 
 def make_stream(spec, dims, **opts) -> "RecordStream":

@@ -18,7 +18,8 @@ guarantee every other layer's neutral setting gives):
 ``exporters``  the :data:`EXPORTERS` registry (``jsonl``, ``chrome``,
                ``prometheus``; extend with :func:`register_exporter`)
 ``trace_cmd``  the ``repro-bench trace`` subcommand: slowest queries,
-               phase totals, per-disk utilisation timeline
+               phase totals, per-disk utilisation timeline; its
+               ``--json`` export is what ``repro-bench diff`` compares
 
 Only ``trace_cmd`` (which builds Datasets) loads lazily; everything
 else imports nothing above :mod:`repro.errors`/:mod:`repro.registry`,

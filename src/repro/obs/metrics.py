@@ -98,64 +98,11 @@ class Histogram:
             return hi
         return lo + (hi - lo) * max(target - cum, 0.0) / c
 
-    def fraction_le(self, value: float) -> float:
-        """Fraction of observations ``<= value`` — the CDF counterpart
-        of :meth:`quantile`, interpolated linearly within the matched
-        bucket (the overflow bucket interpolates between the last edge
-        and the observed max); 0.0 when empty.
-
-        It is monotone in ``value``, exact at bucket edges, and the
-        round trip ``fraction_le(quantile(q)) >= q`` holds — the
-        properties the SLO burn-rate rule relies on to count the
-        fraction of a window's queries over an objective.
-        """
-        value = float(value)
-        if self.count == 0:
-            return 0.0
-        cum = 0.0
-        lo = 0.0
-        for bound, c in zip(self.bounds, self.counts):
-            if value <= bound:
-                frac = (value - lo) / (bound - lo)
-                cum += c * min(max(frac, 0.0), 1.0)
-                return min(cum / self.count, 1.0)
-            cum += c
-            lo = bound
-        hi = max(self.max, lo)
-        frac = (value - lo) / (hi - lo) if hi > lo else 1.0
-        cum += self.overflow * min(max(frac, 0.0), 1.0)
-        return min(cum / self.count, 1.0)
-
     def percentiles(self, qs=(0.50, 0.90, 0.99, 0.999)) -> dict:
         """A quantile summary at arbitrary points ``qs`` (each in
         [0, 1]), keyed ``p50``/``p95``/``p999``-style; the default is
         the standard latency summary."""
         return {_q_label(q): self.quantile(float(q)) for q in qs}
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """A new histogram observing both inputs' populations (bucket
-        layouts must match)."""
-        if not isinstance(other, Histogram):
-            raise ObsError(
-                f"can only merge Histogram, got {type(other).__name__}"
-            )
-        if self.bounds != other.bounds:
-            raise ObsError(
-                "cannot merge histograms with different bucket bounds"
-            )
-        out = Histogram(self.bounds)
-        out.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        out.overflow = self.overflow + other.overflow
-        out.count = self.count + other.count
-        out.sum = self.sum + other.sum
-        if self.count and other.count:
-            out.min = min(self.min, other.min)
-            out.max = max(self.max, other.max)
-        elif self.count:
-            out.min, out.max = self.min, self.max
-        else:
-            out.min, out.max = other.min, other.max
-        return out
 
     def to_dict(self) -> dict:
         """JSON-friendly summary: totals, percentiles, bucket counts."""

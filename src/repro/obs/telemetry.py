@@ -27,11 +27,10 @@ class Telemetry:
     """
 
     def __init__(self, *, trace: bool = True, metrics: bool = True,
-                 exporter: str | None = None, monitor=None):
-        if not trace and not metrics and monitor is None:
+                 exporter: str | None = None):
+        if not trace and not metrics:
             raise ObsError(
-                "a Telemetry needs at least one of trace=True, "
-                "metrics=True, or an attached monitor "
+                "a Telemetry needs trace=True or metrics=True "
                 "(Dataset.with_telemetry(trace=False, metrics=False) "
                 "detaches instead)"
             )
@@ -43,17 +42,12 @@ class Telemetry:
         self.tracer = Tracer() if trace else None
         self.metrics = MetricsRegistry() if metrics else None
         self.exporter = exporter
-        #: an attached :class:`repro.monitor.Monitor` (or None): every
-        #: completed root span is forwarded to it, so the windowed
-        #: time-series consumes exactly the values the tracer sees
-        self.monitor = monitor
 
     @property
     def active(self) -> bool:
         """Whether anything is attached (always true for a constructed
         instance; the check reads naturally at call sites)."""
-        return (self.tracer is not None or self.metrics is not None
-                or self.monitor is not None)
+        return self.tracer is not None or self.metrics is not None
 
     def observe_query(self, root: Span, *, advance: bool) -> None:
         """Record one completed query's span tree.
@@ -66,8 +60,6 @@ class Telemetry:
             self.tracer.record(root)
             if advance:
                 self.tracer.advance(root.dur_ms)
-        if self.monitor is not None:
-            self.monitor.ingest(root, advance=advance)
         if self.metrics is not None:
             if root.cat == "query":
                 self.metrics.inc("queries")
@@ -104,14 +96,11 @@ class Telemetry:
         return export_trace(self, name, path)
 
     def reset(self) -> None:
-        """Drop all recordings (tracer roots, clock, metric totals,
-        monitor windows)."""
+        """Drop all recordings (tracer roots, clock, metric totals)."""
         if self.tracer is not None:
             self.tracer.reset()
         if self.metrics is not None:
             self.metrics.reset()
-        if self.monitor is not None:
-            self.monitor.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = []
@@ -119,8 +108,6 @@ class Telemetry:
             parts.append(f"trace({self.tracer.n_queries} queries)")
         if self.metrics is not None:
             parts.append("metrics")
-        if self.monitor is not None:
-            parts.append("monitor")
         if self.exporter:
             parts.append(f"exporter={self.exporter!r}")
         return f"Telemetry({', '.join(parts)})"

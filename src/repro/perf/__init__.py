@@ -13,7 +13,7 @@ reference pipeline, and the pinned perf sweep.
 ``sweep``      ``repro-bench perf``: plans/s, cells/s, prep-vs-service
                split per layout, and the ``--check`` regression gate
                against the checked-in ``BENCH_perf.json``, scored by
-               the shared band rule of :mod:`repro.monitor.diff`
+               the shared band rule of :mod:`repro.bench.diff`
 
 Host time per layer is measured from outside the program by
 ``perfbench/run.py --trace 1``.  ``memo`` imports nothing from the rest

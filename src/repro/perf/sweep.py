@@ -20,7 +20,7 @@ machine in the same process, so it is stable across hardware —
 :func:`check_perf` gates primarily on it, with a very wide band on the
 absolute throughputs, which is what keeps the CI gate meaningful on
 shared runners.  Both bands are scored by the diff layer's
-:func:`~repro.monitor.diff.band_score` under its zero ``relative``
+:func:`~repro.bench.diff.band_score` under its zero ``relative``
 floor, and both inputs pass its report validator first.
 """
 
@@ -31,7 +31,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.errors import BenchmarkError
-from repro.monitor.diff import band_edge, band_score, validate_report
+from repro.bench.diff import band_edge, band_score, validate_report
 from repro.perf.memo import MEMO
 from repro.perf.reference import reference_codes, reference_prepare
 from repro.query.workload import BeamQuery, RangeQuery, random_beam, \

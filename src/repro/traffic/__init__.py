@@ -21,8 +21,8 @@ Quick tour::
 Everything is seeded and wall-clock free: the same seeds produce a
 bit-identical :class:`TrafficReport`.  :func:`run_storm` sweeps layouts
 x client counts (``repro-bench traffic``, on :mod:`repro.bench.sweep`);
-:func:`~repro.traffic.storm.run_one_storm` runs one storm for
-``trace`` and ``dashboard``.
+:func:`~repro.traffic.storm.run_one_storm` runs one telemetry-attached
+storm for ``repro-bench trace``.
 """
 
 from repro.traffic.arrivals import (

@@ -176,6 +176,32 @@ class _Query:
         # events — distilled into one span tree at completion
         self.obs: dict | None = None
 
+    def bill_cache(self, disk: int, t: float) -> None:
+        """End ``disk``'s portion at ``t`` plus its unbilled memory time.
+
+        ``disk_cache`` holds UNBILLED time: billing zeroes it, so a
+        failover that re-opens the disk later never bills it twice.
+        """
+        self.done_ms = max(self.done_ms, t + self.disk_cache.get(disk, 0.0))
+        self.disk_cache[disk] = 0.0
+
+    def release(self, disk: int, t: float) -> bool:
+        """One sub-plan on ``disk`` finished (or left it) at ``t``;
+        returns whether the query has no disk left.
+
+        The disk's last sub-plan bills its memory time and DELETES its
+        key, not leaving it at zero: ``disk_remaining`` must hold only
+        disks with pending subs, or a later failover onto this disk
+        would skip its ``remaining`` increment and the query would
+        never complete.
+        """
+        self.disk_remaining[disk] -= 1
+        if self.disk_remaining[disk] == 0:
+            del self.disk_remaining[disk]
+            self.bill_cache(disk, t)
+            self.remaining -= 1
+        return self.remaining == 0
+
 
 class _Job:
     """One sub-plan of a query moving through one drive's queue.
@@ -346,7 +372,7 @@ class TrafficSim:
             if tele is not None:
                 # snapshot the cache shares BEFORE billing zeroes them
                 # (plus the per-disk hit/run counts behind them, which
-                # the monitor's cache-hit-ratio column consumes)
+                # the cache spans carry)
                 hits: dict[int, int] = {}
                 hit_runs: dict[int, int] = {}
                 for sub in subs:
@@ -359,14 +385,10 @@ class TrafficSim:
                           "hits": hits, "runs": hit_runs,
                           "slices": [], "events": []}
             # a disk whose sub-plans all hit the cache is done after its
-            # memory service alone (it never occupies the drive queue).
-            # disk_cache holds UNBILLED memory time: every billing site
-            # zeroes what it bills, so a failover that re-opens a disk
-            # later never double-counts already-billed cache time
-            for disk, cache_ms in qs.disk_cache.items():
+            # memory service alone (it never occupies the drive queue)
+            for disk in qs.disk_cache:
                 if disk not in qs.disk_remaining:
-                    qs.done_ms = max(qs.done_ms, t + cache_ms)
-                    qs.disk_cache[disk] = 0.0
+                    qs.bill_cache(disk, t)
             if not real:
                 # every block of every sub-plan hit the cache at prepare
                 # time: the query completes at its slowest disk's memory
@@ -497,17 +519,8 @@ class TrafficSim:
                     )
                 if job.sub is not None:
                     qs.abandoned.append(job.sub)
-                old = job.disk
-                qs.disk_remaining[old] -= 1
-                if qs.disk_remaining[old] == 0:
-                    del qs.disk_remaining[old]
-                    qs.done_ms = max(
-                        qs.done_ms, t + qs.disk_cache.get(old, 0.0)
-                    )
-                    qs.disk_cache[old] = 0.0
-                    qs.remaining -= 1
-                    if qs.remaining == 0:
-                        push(qs.done_ms, "cache_done", qs)
+                if qs.release(job.disk, t):
+                    push(qs.done_ms, "cache_done", qs)
                 return
             # a chunk with no other live copy raises ReplicaError here
             source, sub = storage.failover_sub(job.source)
@@ -530,17 +543,9 @@ class TrafficSim:
                 )
             if job.sub is not None:
                 qs.abandoned.append(job.sub)
-            old = job.disk
-            qs.disk_remaining[old] -= 1
-            if qs.disk_remaining[old] == 0:
-                # the dead disk's portion is over: bill its (already
-                # served) memory time and release the pending slot
-                del qs.disk_remaining[old]
-                qs.done_ms = max(
-                    qs.done_ms, t + qs.disk_cache.get(old, 0.0)
-                )
-                qs.disk_cache[old] = 0.0
-                qs.remaining -= 1
+            # the dead disk's sub-plan is over; its replacement below
+            # re-opens a slot unless it hit the cache whole
+            qs.release(job.disk, t)
             new = sub.disk_index
             qs.disk_cache[new] = (
                 qs.disk_cache.get(new, 0.0) + sub.cache_ms
@@ -564,10 +569,7 @@ class TrafficSim:
             else:
                 # the whole failover sub hit the cache at re-prepare
                 if new not in qs.disk_remaining:
-                    qs.done_ms = max(
-                        qs.done_ms, t + qs.disk_cache[new]
-                    )
-                    qs.disk_cache[new] = 0.0
+                    qs.bill_cache(new, t)
                 if qs.remaining == 0:
                     push(qs.done_ms, "cache_done", qs)
 
@@ -586,23 +588,6 @@ class TrafficSim:
                 raise QueryError(
                     f"failure schedule names disk {disk}, but no "
                     f"client volume has that many member disks"
-                )
-
-        def notify_monitors(t: float, action: str, disk: int) -> None:
-            """Report one capacity event to every attached monitor
-            (after the storages applied it, so ``failed`` is current)."""
-            seen: list = []
-            for cs in states:
-                st = cs.client.storage
-                if disk >= st.volume.n_disks:
-                    continue
-                mon = None if st.obs is None else st.obs.monitor
-                if mon is None or any(mon is m for m in seen):
-                    continue
-                seen.append(mon)
-                total = st.volume.n_disks
-                mon.record_disk_event(
-                    t, action, disk, total - len(st.failed), total
                 )
 
         def kill_member(disk: int, t: float) -> None:
@@ -634,7 +619,6 @@ class TrafficSim:
                 ds.current = None
                 for job in jobs:
                     redispatch(job, t, disk)
-            notify_monitors(t, "kill", disk)
 
         def revive_member(disk: int, t: float) -> None:
             check_member(disk)
@@ -650,7 +634,6 @@ class TrafficSim:
                     if ds is not None:
                         ds.failed = False
                         maybe_start(ds, t)
-            notify_monitors(t, "revive", disk)
 
         # -- schedule failures (before arrivals: a kill at t applies
         #    ahead of any same-t submission) --------------------------
@@ -709,28 +692,11 @@ class TrafficSim:
                 ds.current = None
                 if job.next_slice < len(job.slices):
                     ds.queue.append(job)
-                else:
-                    qs = job.qs
-                    qs.disk_remaining[job.disk] -= 1
-                    if qs.disk_remaining[job.disk] == 0:
-                        # this disk's portion is done: bill its share of
-                        # the memory service time (zero without a pool).
-                        # The key is DELETED, not left at zero —
-                        # disk_remaining must hold only disks with
-                        # pending subs, or a later failover onto this
-                        # disk would skip its qs.remaining increment and
-                        # the query would never complete.
-                        del qs.disk_remaining[job.disk]
-                        qs.done_ms = max(
-                            qs.done_ms, t + qs.disk_cache[job.disk]
-                        )
-                        qs.disk_cache[job.disk] = 0.0
-                        qs.remaining -= 1
-                        if qs.remaining == 0:
-                            # the query completes when its LAST disk's
-                            # last slice (plus that disk's cache time)
-                            # finishes — the batch makespan rule
-                            complete(qs, qs.done_ms)
+                elif jq.release(job.disk, t):
+                    # the query completes when its LAST disk's last
+                    # slice (plus that disk's cache time) finishes —
+                    # the batch makespan rule
+                    complete(jq, jq.done_ms)
                 maybe_start(ds, t)
 
         drive_stats = tuple(
@@ -802,28 +768,12 @@ class TrafficSim:
                 teles.append(tele)
         if teles:
             # gated on a Telemetry being attached, so detached runs
-            # keep their JSON layout bit-for-bit (a monitor-only
-            # Telemetry describes to {} — its payload lives under
-            # "monitor" instead, so the empty "obs" block is skipped)
-            payloads = [p for p in (x.describe() for x in teles) if p]
-            if payloads:
-                meta.setdefault(
-                    "obs",
-                    payloads[0] if len(payloads) == 1 else payloads,
-                )
-            monitors = []
-            for tele in teles:
-                mon = tele.monitor
-                if mon is not None and not any(
-                    mon is m for m in monitors
-                ):
-                    monitors.append(mon)
-            if monitors:
-                meta.setdefault(
-                    "monitor",
-                    monitors[0].describe() if len(monitors) == 1
-                    else [m.describe() for m in monitors],
-                )
+            # keep their JSON layout bit-for-bit
+            meta.setdefault(
+                "obs",
+                teles[0].describe() if len(teles) == 1
+                else [x.describe() for x in teles],
+            )
         return TrafficReport(
             traces=tuple(traces),
             drives=drive_stats,

@@ -10,9 +10,8 @@ identical query stream in every cell and only the placement (and the
 contention it causes) differs.
 
 ``run_one_storm`` runs one such storm on one layout with telemetry
-attached, optionally killing a member disk mid-storm: the runner behind
-the ``trace`` and ``dashboard`` subcommands.  Both take the same
-workload keywords: ``clients``, ``queries`` per client, ``mix``, the
+attached: the runner behind the ``trace`` subcommand.  Both take the
+same workload keywords: ``clients``, ``queries`` per client, ``mix``, the
 ``arrival`` model by name with its ``rate`` and ``think_ms``,
 ``slice_runs`` (0 serves each query whole) and ``head``.
 """
@@ -20,13 +19,7 @@ workload keywords: ``clients``, ``queries`` per client, ``mix``, the
 from __future__ import annotations
 
 from repro.bench.sweep import DEFAULT_LAYOUTS, render_sweep, run_sweep
-from repro.errors import (
-    DatasetError,
-    ReplicaError,
-    _check_count,
-    _check_int,
-    _check_shape,
-)
+from repro.errors import _check_count, _check_shape
 from repro.traffic.arrivals import arrival_named
 from repro.traffic.clients import QueryMix
 
@@ -79,34 +72,20 @@ def run_one_storm(shape, *, clients: int, queries: int, telemetry: dict,
                   layout: str = "multimap", drive: str = "atlas10k3",
                   mix: QueryMix | None = None, arrival: str = "closed",
                   rate: float = 50.0, think_ms: float = 0.0, seed=42,
-                  slice_runs: int | None = 64, head: str = "random",
-                  shards: int | None = None, k: int | None = None,
-                  kill_at: float | None = None, kill_disk: int = 0,
-                  revive_at: float | None = None):
+                  slice_runs: int | None = 64, head: str = "random"):
     """Run one seeded storm on one layout; returns ``(dataset, report)``.
 
-    The dataset is declustered over ``shards`` disks and replicated
-    ``k`` times when those exceed 1, then gets ``telemetry``
-    (:meth:`Dataset.with_telemetry` keywords).  ``clients`` clients each
-    issue ``queries`` queries under the named ``arrival`` model
-    (:func:`~repro.traffic.arrivals.arrival_named`); ``kill_at`` kills
-    member disk ``kill_disk`` at that simulated ms, and ``revive_at``
-    brings it back.
+    The dataset gets ``telemetry`` (:meth:`Dataset.with_telemetry`
+    keywords), then ``clients`` clients each issue ``queries`` queries
+    under the named ``arrival`` model
+    (:func:`~repro.traffic.arrivals.arrival_named`).
     """
     from repro.api.dataset import Dataset
 
     shape = _check_shape(shape)
-    shards = 1 if shards is None else _check_count("shards", shards,
-                                                    DatasetError)
-    k = 1 if k is None else _check_count("k", k, DatasetError)
-    kill_disk = _check_int("kill_disk", kill_disk, ReplicaError)
     ds = Dataset.create(shape, layout=layout, drive=drive, seed=seed)
-    if shards > 1:
-        ds = ds.with_shards(shards)
-    if k > 1:
-        ds = ds.with_replication(k)
     ds.with_telemetry(**telemetry)
-    run = (
+    report = (
         ds.traffic()
         .clients(clients, mix=mix,
                  arrival=arrival_named(arrival, rate=rate,
@@ -114,12 +93,9 @@ def run_one_storm(shape, *, clients: int, queries: int, telemetry: dict,
                  queries=queries)
         .slice_runs(slice_runs or None)
         .head(head)
+        .run()
     )
-    if kill_at is not None:
-        run.kill(float(kill_at), kill_disk,
-                 revive_at_ms=(float(revive_at)
-                               if revive_at is not None else None))
-    return ds, run.run()
+    return ds, report
 
 
 def render_storm(data: dict) -> str:

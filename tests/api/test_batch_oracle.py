@@ -10,7 +10,7 @@ the head, service each sub-plan with ``service_runs`` and admit it, and
 record the gather.  The property runs both on twin datasets and requires
 equal results, Report JSON, drive clocks, heads and firmware-cache
 recency, pool stats, shard and replica stats, and telemetry spans and
-monitor state, over every registered layout, 1-3 shards x 1-2 copies,
+metrics, over every registered layout, 1-3 shards x 1-2 copies,
 pools across policies and prefetchers, telemetry, drives with a firmware
 track cache, lazy and fixed entries, repeats, small service groups, a
 failed disk, and an entry rejected mid-batch (same typed error, same
@@ -114,11 +114,7 @@ def oracle_run(ds, entries, repeats, rng):
         meta["replicas"] = storage.describe_replicas()
     tele = storage.obs
     if tele is not None:
-        obs_meta = tele.describe()
-        if obs_meta:
-            meta["obs"] = obs_meta
-        if tele.monitor is not None:
-            meta["monitor"] = tele.monitor.describe()
+        meta["obs"] = tele.describe()
     return Report(records=tuple(records), layout=ds.layout,
                   drive=ds.drive_name, shape=ds.shape, meta=meta)
 
@@ -133,7 +129,7 @@ def build(case):
     if case["pool"] is not None:
         ds.with_cache(*case["pool"])
     if case["obs"]:
-        ds.with_telemetry(monitor=case["obs"] == "monitor")
+        ds.with_telemetry()
     for drive in ds.volume.drives:
         if case["track_cache"]:
             drive.cache = TrackCache(case["track_cache"])
@@ -148,15 +144,14 @@ def state(ds):
                None if d.cache is None else list(d.cache._lru))
               for d in ds.volume.drives]
     tele = storage.obs
-    spans = metrics = monitor = None
+    spans = metrics = None
     if tele is not None:
         spans = [root.to_dict() for root in tele.tracer.roots]
         metrics = tele.metrics.snapshot()
-        monitor = None if tele.monitor is None else tele.monitor.describe()
     return (drives,
             None if ds.cache is None else ds.cache.describe(),
             storage.describe_shards(), storage.describe_replicas(),
-            spans, metrics, monitor)
+            spans, metrics)
 
 
 def as_batch(ds, entries, repeats):
@@ -206,7 +201,7 @@ def cases(draw):
             st.sampled_from([64, 512]),
             st.sampled_from(["lru", "scan", "slru"]),
             st.sampled_from(["none", "adjacent", "track"])))),
-        "obs": draw(st.sampled_from([None, "trace", "monitor"])),
+        "obs": draw(st.booleans()),
         "track_cache": draw(st.sampled_from([0, 1, 8])),
         "failed": (draw(st.one_of(st.none(), st.integers(0, shards - 1)))
                    if shards > 1 else None),
@@ -249,7 +244,7 @@ class TestRunEqualsOneQueryAtATime:
         the rejected one is not."""
         case = {"layout": "multimap", "shards": 2, "k": 1,
                 "read": "primary", "pool": (512, "lru", "track"),
-                "obs": "trace", "track_cache": 0, "failed": None}
+                "obs": True, "track_cache": 0, "failed": None}
         ds = build(case)
         batch = as_batch(ds, [("random_beam", 1), ("random_range", 5.0),
                               bad, ("random_beam", 2)], 1)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.api import Dataset
 from repro.api.registry import build_mapper, layout_names
-from repro.errors import DatasetError, QueryError, RegistryError
+from repro.errors import DatasetError, MappingError, QueryError, RegistryError
 from repro.lvm import LogicalVolume
 from repro.query import BeamQuery, QueryResult, RangeQuery, StorageManager
 
@@ -154,6 +154,16 @@ class TestCreate:
         assert ds.volume.depth(0) == 16
         ds = Dataset.create((8, 4, 4), layout="naive", drive="atlas10k3")
         assert ds.volume.depth(0) == 128  # the paper's pinned D
+
+    def test_unknown_layout_option_raises(self):
+        # used to succeed, and the first query raised a bare TypeError
+        with pytest.raises(MappingError, match="'bogus'"):
+            Dataset.create((16, 8, 8), "zorder", "minidrive", bogus=1)
+
+    def test_with_layout_rejects_unknown_option(self):
+        ds = Dataset.create((16, 8, 8), "zorder", "minidrive")
+        with pytest.raises(MappingError, match="'bogus'"):
+            ds.with_layout("zorder", bogus=1)
 
     def test_layout_opts_forwarded(self, small_model):
         ds = Dataset.create(DIMS, layout="multimap", drive=small_model,

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.monitor.diff import _FLOORS, band_edge, band_score
+from repro.bench.diff import _FLOORS, band_edge, band_score
 
 
 def diff_flag(base, cur, tolerance, floor, worse):
-    """``monitor/diff._flag``: the bad-direction delta beyond the band."""
+    """The differ's ``_flag``: the bad-direction delta beyond the band."""
     delta = cur - base
     bad = delta if worse == "up" else -delta
     return bad > max(abs(base) * tolerance, floor)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench.cli import main
 from repro.bench.harness import run_all
+from repro.errors import MonitorError
 
 
 class TestCli:
@@ -301,3 +302,72 @@ class TestSharedJsonWriter:
         assert rc == 0
         payload = json.loads(dest.read_text())
         assert "naive" in payload and "meta" in payload
+
+
+TRACE_QUICK = ["trace", "--shape", "16,8,8", "--drive", "minidrive",
+               "--clients", "2", "--queries", "3", "--seed", "11"]
+
+
+def export(tmp_path, name):
+    dest = tmp_path / name
+    assert main(TRACE_QUICK + ["--json", str(dest), "--quiet"]) == 0
+    return dest
+
+
+class TestDiff:
+    """``diff`` over ``trace --json`` exports."""
+
+    def test_same_seed_runs_diff_clean(self, tmp_path, capsys):
+        a = export(tmp_path, "a.json")
+        b = export(tmp_path, "b.json")
+        assert a.read_bytes() == b.read_bytes()
+        assert main(["diff", str(a), str(b)]) == 0
+        assert "no regressions" in capsys.readouterr().out
+
+    def test_regression_exits_nonzero(self, tmp_path, capsys):
+        a = export(tmp_path, "a.json")
+        data = json.loads(a.read_text())
+        data["makespan_ms"] *= 2.0
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps(data))
+        assert main(["diff", str(a), str(b)]) == 1
+        assert "REGRESSED" in capsys.readouterr().out
+
+    def test_tolerance_flag_loosens_the_band(self, tmp_path):
+        a = export(tmp_path, "a.json")
+        data = json.loads(a.read_text())
+        data["makespan_ms"] *= 1.2
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps(data))
+        assert main(["diff", str(a), str(b)]) == 1
+        assert main(["diff", str(a), str(b),
+                     "--tolerance", "0.5"]) == 0
+
+    def test_missing_report_names_the_file(self, tmp_path):
+        a = export(tmp_path, "a.json")
+        missing = tmp_path / "missing.json"
+        with pytest.raises(MonitorError, match="missing.json"):
+            main(["diff", str(missing), str(a)])
+
+    def test_non_json_report_names_the_file(self, tmp_path):
+        a = export(tmp_path, "a.json")
+        garbled = tmp_path / "garbled.json"
+        garbled.write_text("makespan 100 ms")
+        with pytest.raises(MonitorError, match="garbled.json is not JSON"):
+            main(["diff", str(a), str(garbled)])
+
+    def test_nan_tolerance_is_rejected(self, tmp_path):
+        data = json.loads(export(tmp_path, "run.json").read_text())
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(dict(data, makespan_ms=100.0)))
+        b.write_text(json.dumps(dict(data, makespan_ms=900.0)))
+        assert main(["diff", str(a), str(b)]) == 1
+        with pytest.raises(MonitorError, match="tolerance must be finite"):
+            main(["diff", str(a), str(b), "--tolerance", "nan"])
+
+    def test_json_export(self, tmp_path):
+        a = export(tmp_path, "a.json")
+        dest = tmp_path / "diff.json"
+        assert main(["diff", str(a), str(a), "--json", str(dest),
+                     "--quiet"]) == 0
+        assert json.loads(dest.read_text())["regressions"] == []

@@ -1,10 +1,10 @@
 """Default bench runs never leak observability keys into their JSON.
 
 The regression guard for the opt-in contract: at default settings
-every subcommand's report must contain NO ``obs``/``monitor``/
-``explain``/``attribution`` key anywhere (``trace`` attaches telemetry
-by design, so it is asserted monitor-free only; ``explain`` IS the
-diagnosis subcommand, so it is asserted obs/monitor-free only).
+every subcommand's report must contain NO ``obs``/``explain``/
+``attribution`` key anywhere (``trace`` attaches telemetry by design,
+so it is asserted to carry ``obs`` only; ``explain`` IS the diagnosis
+subcommand, so it is asserted obs-free only).
 """
 
 import json
@@ -17,8 +17,7 @@ QUICK = ["--shape", "16,8,8", "--layouts", "multimap",
          "--drive", "minidrive", "--quiet"]
 
 
-def gated_keys(obj, names=("obs", "monitor", "explain",
-                           "attribution")) -> set:
+def gated_keys(obj, names=("obs", "explain", "attribution")) -> set:
     """Every gated key present anywhere in a JSON payload."""
     found = set()
     if isinstance(obj, dict):
@@ -62,30 +61,23 @@ class TestDefaultRunsAreUnobserved:
             f"{name} leaked gated meta at default settings"
         )
 
-    def test_trace_attaches_obs_but_never_monitor(self, tmp_path):
+    def test_trace_attaches_obs_only(self, tmp_path):
         data = run_json(tmp_path, [
             "trace", "--shape", "16,8,8", "--drive", "minidrive",
             "--clients", "2", "--queries", "2", "--quiet",
         ])
         assert "obs" in data  # telemetry is the subcommand's point
-        assert gated_keys(data, names=("monitor",)) == set()
+        assert gated_keys(data, names=("explain", "attribution")) == set()
 
-    def test_dashboard_attaches_monitor(self, tmp_path):
-        data = run_json(tmp_path, [
-            "dashboard", "--shape", "16,8,8", "--drive", "minidrive",
-            "--clients", "2", "--queries", "2", "--quiet",
-        ])
-        assert "monitor" in data
-
-    def test_explain_never_carries_obs_or_monitor(self, tmp_path):
+    def test_explain_never_carries_obs(self, tmp_path):
         """EXPLAIN/ANALYZE runs under a *private* trace: the exported
-        payload must not leak the telemetry tree or monitor meta."""
+        payload must not leak the telemetry tree."""
         data = run_json(tmp_path, [
             "explain", "--shape", "16,8,8", "--drive", "minidrive",
             "--analyze", "--quiet",
         ])
         assert "layouts" in data
-        assert gated_keys(data, names=("obs", "monitor")) == set()
+        assert gated_keys(data, names=("obs",)) == set()
 
     def test_diff_without_attribute_stays_clean(self, tmp_path):
         src = tmp_path / "run.json"
@@ -97,5 +89,4 @@ class TestDefaultRunsAreUnobserved:
         assert main(["diff", str(src), str(src), "--quiet",
                      "--json", str(dest)]) == 0
         data = json.loads(dest.read_text())
-        assert gated_keys(data, names=("attribution", "monitor",
-                                       "explain")) == set()
+        assert gated_keys(data, names=("attribution", "explain")) == set()

@@ -215,22 +215,8 @@ def test_builders_reject_non_integer_counts(label, error, call):
         call()
 
 
-def _one_storm(**kw):
-    return run_one_storm(SHAPE, clients=1, queries=1, telemetry={},
-                         drive="minidrive", **kw)
-
-
-# run_one_storm (behind trace and dashboard) truncated these: 2.5 disks
-# ran 2, 0 and True ran 1, 1.5 and 0 copies ran one, disk 1.7 killed
-# disk 1, and a scalar shape escaped as a TypeError
+# run_one_storm (behind trace) let a scalar shape escape as a TypeError
 BAD_ONE_STORMS = [
-    ("shards=2.5", DatasetError, lambda: _one_storm(shards=2.5)),
-    ("shards=0", DatasetError, lambda: _one_storm(shards=0)),
-    ("shards=True", DatasetError, lambda: _one_storm(shards=True)),
-    ("k=1.5", DatasetError, lambda: _one_storm(shards=2, k=1.5)),
-    ("k=0", DatasetError, lambda: _one_storm(shards=2, k=0)),
-    ("kill_disk=1.7", ReplicaError,
-     lambda: _one_storm(shards=2, k=2, kill_at=1.0, kill_disk=1.7)),
     ("shape=16", DatasetError,
      lambda: run_one_storm(16, clients=1, queries=1, telemetry={},
                            drive="minidrive")),
@@ -242,13 +228,6 @@ BAD_ONE_STORMS = [
 def test_one_storm_rejects_bad_counts(label, error, call):
     with pytest.raises(error):
         call()
-
-
-def test_one_storm_accepts_numpy_integers():
-    ds, report = _one_storm(shards=np.int64(2), k=np.int32(2),
-                            kill_at=1.0, kill_disk=np.int8(1))
-    assert ds.n_shards == 2 and ds.replication_k == 2
-    assert report.aggregate()["n_queries"] == 1
 
 
 def test_builders_accept_numpy_integers():

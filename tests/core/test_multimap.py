@@ -128,6 +128,14 @@ class TestMappingInvariants:
         with pytest.raises(MappingError):
             MultiMapMapper((120, 1000, 500), vol)
 
+    @pytest.mark.parametrize("zones", [[99], [1.0], [-1], [True]],
+                             ids=repr)
+    def test_zones_must_index_the_disks_zones(self, small_volume, zones):
+        # 99 raised IndexError and 1.0 TypeError; -1 and True silently
+        # picked the disk's second zone
+        with pytest.raises(MappingError, match="zones"):
+            MultiMapMapper((40, 12, 10), small_volume, zones=zones)
+
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
     def test_property_track_distance_bounded_by_d(self, seed):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import Dataset, layout_names
 from repro.core import CellStore, MultiMapMapper
 from repro.errors import DatasetError, MappingError
 from repro.lvm import LogicalVolume
@@ -64,6 +65,19 @@ class TestBulkLoad:
         stats = store.stats()
         assert stats.n_points == 4
 
+    def test_budget_counts_what_a_cell_holds(self, store_setup):
+        vol, mapper, store = store_setup
+        cell = np.array([[0, 0, 0]])
+        assert store.bulk_load(cell, counts=np.array([6])) == 0
+        # the first load used the whole budget of 6: all 6 spill
+        assert store.bulk_load(cell, counts=np.array([6])) == 6
+        stats = store.stats()
+        assert stats.overflow_points == 6
+        assert stats.n_points == 12
+        # a cell filled past its budget by inserts takes none either
+        store.insert((1, 0, 0), 8)
+        assert store.bulk_load(np.array([[1, 0, 0]])) == 1
+
 
 class TestInserts:
     def test_insert_into_free_cell(self, store_setup):
@@ -117,6 +131,18 @@ class TestReadPlans:
         store.insert((0, 0, 0), 20)
         plan = store.read_plan(np.array([[0, 0, 0]]))
         assert plan.n_blocks == 1 + 2  # cell + ceil(12/8) overflow pages
+
+    @pytest.mark.parametrize("layout", layout_names())
+    def test_every_block_of_a_cell(self, layout):
+        ds = Dataset.create((8, 4, 4), layout=layout, drive="minidrive",
+                            cell_blocks=2)
+        coords = np.array([[1, 0, 0], [2, 1, 0]])
+        plan = ds.store.read_plan(coords)
+        got = [lbn for start, n in zip(plan.starts.tolist(),
+                                       plan.lengths.tolist())
+               for lbn in range(start, start + n)]
+        first = ds.store.mapper.lbns(coords).tolist()
+        assert got == sorted(f + b for f in first for b in range(2))
 
 
 class TestReclamation:

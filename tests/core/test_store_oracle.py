@@ -134,7 +134,7 @@ class ReferenceCellStore:
                 )
             counts = counts.astype(np.int64, copy=False)
         budget = int(self.points_per_cell * self.fill_factor)
-        budget = max(budget, 1)
+        budget = np.maximum(max(budget, 1) - self._occupancy, 0)
         overflowed = 0
         totals = np.bincount(
             flat, weights=counts, minlength=self.mapper.n_cells
@@ -143,7 +143,7 @@ class ReferenceCellStore:
         self._occupancy += loaded
         self._loaded |= totals > 0
         for cell in np.flatnonzero(totals > budget):
-            extra = int(totals[cell] - budget)
+            extra = int(totals[cell] - budget[cell])
             overflowed += extra
             self._spill(int(cell), extra)
         return overflowed

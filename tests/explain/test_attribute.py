@@ -6,15 +6,13 @@ from repro.errors import ExplainError
 from repro.explain import attribute_runs, render_attribution
 
 
-def _report(*, phase=None, busy=None, slowest=None, monitor=None):
+def _report(*, phase=None, busy=None, slowest=None):
     data = {"dataset": {"layout": "multimap"}}
     data["phase_ms"] = phase or {}
     if busy is not None:
         data["utilization"] = {"bin_ms": 10.0, "busy": busy}
     if slowest is not None:
         data["slowest"] = slowest
-    if monitor is not None:
-        data["monitor"] = monitor
     return data
 
 
@@ -62,21 +60,6 @@ class TestAttributeRuns:
         suspect = out["suspects"][0]
         assert suspect["kind"] == "query"
         assert "plan shape drifted" in suspect["why"]
-
-    def test_monitor_signals(self):
-        base = _report(monitor={
-            "alerts": [], "health": {"state": "healthy"},
-        })
-        cur = _report(monitor={
-            "alerts": [{"rule": "latency_threshold"}] * 3,
-            "health": {"state": "degraded"},
-        })
-        out = attribute_runs(base, cur)
-        kinds = {s["kind"] for s in out["suspects"]}
-        assert kinds == {"alerts", "health"}
-        alert = next(s for s in out["suspects"]
-                     if s["kind"] == "alerts")
-        assert "latency_threshold" in alert["why"]
 
     def test_suspects_ranked_by_score(self):
         base = _report(phase={"service": 100.0, "cache": 10.0})

@@ -57,28 +57,6 @@ class TestHistogram:
         h.observe(3.0)
         assert set(h.percentiles()) == {"p50", "p90", "p99", "p999"}
 
-    def test_merge_requires_matching_bounds(self):
-        with pytest.raises(ObsError):
-            Histogram((1.0,)).merge(Histogram((2.0,)))
-        with pytest.raises(ObsError):
-            Histogram((1.0,)).merge("nope")
-
-    def test_merge_combines_populations(self):
-        a, b = Histogram((1.0, 10.0)), Histogram((1.0, 10.0))
-        a.observe(0.5)
-        b.observe(5.0)
-        b.observe(99.0)
-        m = a.merge(b)
-        assert m.count == 3
-        assert m.min == 0.5 and m.max == 99.0
-        assert m.counts == [1, 1] and m.overflow == 1
-
-    def test_merge_with_empty_side_keeps_extrema(self):
-        a, b = Histogram((1.0,)), Histogram((1.0,))
-        a.observe(0.25)
-        assert a.merge(b).min == 0.25
-        assert b.merge(a).max == 0.25
-
     def test_to_dict_shape(self):
         h = Histogram((1.0, 2.0))
         h.observe(1.5)
