@@ -10,7 +10,7 @@ import pytest
 from repro.api import Dataset
 from repro.core import MultiMapMapper
 from repro.disk import DiskDrive, atlas_10k3
-from repro.disk.drive import SCALAR_RUNS
+from repro.disk.drive import PREPARED_SCALAR_RUNS, SCALAR_RUNS
 from repro.lvm import Extent, LogicalVolume
 from repro.mappings import (
     GrayMapper,
@@ -24,6 +24,7 @@ from repro.query.workload import (
     random_range_cube,
     range_for_selectivity,
 )
+from repro.traffic import QueryMix
 
 DIMS = (128, 64, 64)
 N = int(np.prod(DIMS))
@@ -92,14 +93,23 @@ def test_drive_small_batch_fixed_cost(benchmark, policy):
 @pytest.mark.parametrize("policy", ["fifo", "sorted"])
 @pytest.mark.parametrize("n", [40, 64])
 def test_drive_batch_near_threshold(benchmark, n, policy):
-    """The same path batch on either side of ``SCALAR_RUNS``: 40 runs
-    take the scalar pass, 64 the numpy preparation."""
-    assert (n <= SCALAR_RUNS) == (n == 40)
+    """The same path batch on either side of ``PREPARED_SCALAR_RUNS``,
+    prepared by ``prepare_batches`` as a ``Dataset.run`` batch's
+    sub-plans are: 40 runs take the scalar pass, 64 the numpy
+    preparation.  (Serviced on its own, a batch of ``SCALAR_RUNS``, 64,
+    runs still takes the scalar pass.)"""
+    assert (n <= PREPARED_SCALAR_RUNS) == (n == 40) and SCALAR_RUNS == 64
     model, starts, lengths = _beam_batch(n)
     if policy == "sorted":
         starts = starts[::-1].copy()
     drive = DiskDrive(model)
-    res = benchmark(drive.service_runs, starts, lengths, policy=policy)
+
+    def run():
+        batch, = drive.prepare_batches([(starts, lengths, policy)])
+        return drive.service_runs(starts, lengths, policy=policy,
+                                  prepared=batch)
+
+    res = benchmark(run)
     assert res.n_requests == n and res.n_blocks == n
 
 
@@ -189,6 +199,35 @@ def test_ingest_run(benchmark, layout):
     assert report.n_points == report.store["n_points"] == 2048
     assert report.reorg is not None
     assert report.store["overflow_pages"] == 0
+
+
+@pytest.mark.parametrize("layout", ["naive", "zorder", "hilbert", "multimap"])
+def test_traffic_storm(benchmark, layout):
+    """One failover-storm round on one layout: three closed-loop clients
+    of eight Dim1/Dim2 beams each on (64, 64, 32) atlas10k3, 3 disks x 2
+    copies, 64-run slices, disk 1 killed at 30 ms and revived at 230 ms.
+    Every head is parked before each call, as on a freshly built volume,
+    so every call replays the same storm (placement and plan tables
+    built beforehand)."""
+    ds = (Dataset.create((64, 64, 32), layout=layout, drive="atlas10k3",
+                         seed=3)
+          .with_shards(3).with_replication(2))
+    storm = (ds.traffic()
+             .clients(3, mix=QueryMix.beams(1, 2), queries=8)
+             .slice_runs(64)
+             .kill(30.0, 1, revive_at_ms=230.0))
+
+    def run():
+        for disk in range(ds.volume.n_disks):
+            ds.volume.drive(disk).reset()
+        return storm.run(rng=np.random.default_rng(4))
+
+    first = run()
+    report = benchmark.pedantic(run, rounds=20, iterations=1)
+    assert report.traces == first.traces
+    assert len(report.traces) == 24
+    assert report.meta["failures"]["redispatched_subs"] > 0
+    assert not report.meta["replicas"]["failed"]
 
 
 @pytest.mark.parametrize("cls", [ZOrderMapper, GrayMapper, HilbertMapper])

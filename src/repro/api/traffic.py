@@ -190,16 +190,14 @@ class TrafficRun:
     def kill(self, at_ms: float, disk: int,
              revive_at_ms: float | None = None) -> "TrafficRun":
         """Kill member ``disk`` at ``at_ms`` simulated ms (chainable);
-        an optional ``revive_at_ms`` brings it back."""
-        from repro.replica.failures import FailureEvent
+        an optional ``revive_at_ms``, after ``at_ms``, brings it back.
+        The values are checked as :class:`~repro.replica.FailureEvent`
+        checks them (a finite time of at least 0, an integer disk of at
+        least 0); a bad one raises :class:`~repro.errors.ReplicaError`
+        with nothing scheduled."""
+        from repro.replica.failures import kill_events
 
-        self._failure_events.append(
-            FailureEvent(float(at_ms), "kill", int(disk))
-        )
-        if revive_at_ms is not None:
-            self._failure_events.append(
-                FailureEvent(float(revive_at_ms), "revive", int(disk))
-            )
+        self._failure_events += kill_events(at_ms, disk, revive_at_ms)
         return self
 
     def __len__(self) -> int:

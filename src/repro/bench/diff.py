@@ -12,7 +12,7 @@ The band rule (:func:`band_score`), its floor table and the input
 checks (:func:`validate_report`) also serve ``diff --attribute``
 (:func:`repro.explain.attribute_runs`) and ``perf --check``
 (:func:`repro.perf.sweep.check_perf`).  Bad inputs raise
-:class:`~repro.errors.MonitorError`.
+:class:`~repro.errors.DiffError`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from numbers import Real
 from pathlib import Path
 
 from repro.bench.reporting import render_table
-from repro.errors import MonitorError
+from repro.errors import DiffError
 
 __all__ = ["band_edge", "band_score", "check_runs", "diff_runs",
            "load_report", "render_diff", "validate_report"]
@@ -31,8 +31,7 @@ __all__ = ["band_edge", "band_score", "check_runs", "diff_runs",
 #: absolute floors under which a delta never flags, keyed per metric
 #: family — tolerance bands are relative, these stop tiny denominators;
 #: ``relative`` is the zero floor of the purely relative perf bands
-_FLOORS = {"ms": 1.0, "qps": 1.0, "count": 0.5, "util": 0.02,
-           "relative": 0.0}
+_FLOORS = {"ms": 1.0, "qps": 1.0, "util": 0.02, "relative": 0.0}
 
 
 def _band(base: float, tolerance: float, floor: str) -> float:
@@ -61,7 +60,7 @@ def band_edge(base: float, tolerance: float, *, floor: str = "ms",
     return base + band if worse == "up" else base - band
 
 
-def load_report(path, error=MonitorError) -> dict:
+def load_report(path, error=DiffError) -> dict:
     """Read one exported JSON report; ``error`` names the file when it
     cannot be read or is not JSON."""
     try:
@@ -162,7 +161,7 @@ def diff_runs(base: dict, cur: dict, *, tolerance: float = 0.1) -> dict:
     every metric that moved beyond ``tolerance`` (relative) in the bad
     direction; empty for identical (same-seed) runs.
     """
-    tolerance = check_runs(base, cur, tolerance, MonitorError, "diff")
+    tolerance = check_runs(base, cur, tolerance, DiffError, "diff")
     regressions: list[str] = []
     out: dict = {
         "base_dataset": base.get("dataset"),

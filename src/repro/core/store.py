@@ -150,6 +150,23 @@ class CellStore:
         (integer dtype, rank, bounds; :class:`QueryError` otherwise)."""
         return self._flat(self.mapper._check_coords(coords))
 
+    def _rows(self, coords, counts) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices of caller coordinates (checked as in
+        :meth:`_cells`) and their int64 point counts: one per row when
+        ``counts`` is None, else one non-negative integer per row, or
+        :class:`DatasetError`."""
+        flat = self._cells(coords)
+        if counts is None:
+            return flat, np.ones(flat.shape, dtype=np.int64)
+        counts = np.asarray(counts)
+        if counts.dtype.kind not in "iu" or counts.shape != flat.shape \
+                or (counts.size and counts.min() < 0):
+            raise DatasetError(
+                f"counts must hold one non-negative integer per "
+                f"coordinate row ({flat.size} rows)"
+            )
+        return flat, counts.astype(np.int64, copy=False)
+
     def _cell(self, cell_coord) -> int:
         """One caller coordinate's flat index; each entry must be an
         integer (numpy would read ``(True, 0, 0)`` as row 1)."""
@@ -169,18 +186,7 @@ class CellStore:
         Bad coordinates raise :class:`QueryError` and bad counts
         :class:`DatasetError`, before anything is stored.
         """
-        flat = self._cells(coords)
-        if counts is None:
-            counts = np.ones(flat.shape, dtype=np.int64)
-        else:
-            counts = np.asarray(counts)
-            if counts.dtype.kind not in "iu" or counts.shape != flat.shape \
-                    or (counts.size and counts.min() < 0):
-                raise DatasetError(
-                    f"counts must hold one non-negative integer per "
-                    f"coordinate row ({flat.size} rows)"
-                )
-            counts = counts.astype(np.int64, copy=False)
+        flat, counts = self._rows(coords, counts)
         budget = max(int(self.points_per_cell * self.fill_factor), 1)
         cells, totals = _cell_totals(flat, counts)
         loaded = np.minimum(
@@ -233,11 +239,10 @@ class CellStore:
         """Vectorised :meth:`insert`: absorb into free cell space at full
         capacity (the fill-factor budget only applies to the initial
         load), spill the rest.  Returns the number of overflowed points.
+        Inputs are checked as in :meth:`bulk_load`, before anything is
+        stored.
         """
-        flat = self._flat(coords)
-        if counts is None:
-            counts = np.ones(flat.shape, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
+        flat, counts = self._rows(coords, counts)
         return self.bulk_insert_flat(*_cell_totals(flat, counts))
 
     def bulk_insert_flat(self, cells: np.ndarray,

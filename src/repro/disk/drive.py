@@ -27,23 +27,35 @@ one-run ``"fifo"`` batch.  Seek costs are looked up in
 :attr:`DiskModel.seek_table` (seek time by cylinder distance), and a run
 that crosses zones pays each zone's share at that zone's sector time and
 boundary cost.  A ``"fifo"`` or ``"sorted"`` batch takes one of two
-paths, chosen by its size alone; both evaluate the same float
+paths, chosen by its size and by whether it came from
+:meth:`DiskDrive.prepare_batches`; both evaluate the same float
 expressions in the same order, so they agree bit for bit
 (``tests/disk/test_drive_paths.py``).
 
 Most batches are small: MultiMap fetches a non-primary beam as one
 single-block run per cell (§5.2), and the §5.3 chunked layouts split
 every query into per-disk sub-plans.  On the benchmark's
-``failover-storm`` workload three fifo/sorted batches in four have at
-most 40 runs (median 11), and on ``ingest-reorg`` nineteen in twenty
-(median 10).  On such a batch numpy's per-call overhead is nearly all
-of the cost, so a batch of at most :data:`SCALAR_RUNS` runs is served by
-one Python pass: per run it locates the start's zone with ``bisect`` in
-a per-zone row table built at init, settles the firmware cache, prices
-the seek, rotational wait, transfer and in-run switches, and advances
-the clock.  Seek, transfer and switch are then summed by numpy's
-reduction, as the numpy path sums them.  The pass costs ~1.2 µs a run
-plus ~8 µs a batch.
+``failover-storm`` workload, whose traffic slices are batches serviced
+on their own, seven batches in ten have at most 20 runs (median 11) and
+none more than 64; ``ingest-reorg`` services its reorganisation's
+batches alone too, all of at most 20 runs (median 6).  On such a batch
+numpy's per-call overhead is nearly all of the cost, so a batch of at
+most :data:`SCALAR_RUNS` runs serviced on its own is served by one
+Python pass: per run it finds the start's zone in the model's per-zone
+rows (:class:`ZoneTables`, by ``bisect`` when the run leaves the
+previous run's zone), settles the firmware cache, prices the seek,
+rotational wait, transfer and in-run switches, and advances the clock.
+Seek, transfer and switch are then summed by :func:`_add_reduce`, a
+Python copy of the pairwise reduction numpy sums them with on the numpy
+path, so the sums agree bit for bit without building an array.  A
+``"sorted"`` batch whose starts are already in order, as planned ones
+mostly are, is not sorted again.  The pass costs ~1.0 µs a run plus ~6
+µs a batch: a one-run ``"fifo"`` batch took 7.1 µs through
+:meth:`DiskDrive.service_runs`, against 9.8 µs when numpy summed the
+pass and every run looked its zone up, an 11-run one 19.6 µs against
+23.0, a 64-run one 72.7 against 83.6 (best of 400, on a shared 2-vCPU
+x86 container where perfbench's calibration kernel took 3.3-5.5 ms
+against its 3.0 ms reference).
 
 A larger batch is prepared with numpy in service order (a stable sort
 of the starts for ``"sorted"``, issue order otherwise).  Preparation
@@ -54,13 +66,14 @@ their last LBN.  The only per-run Python work is then the
 rotational-position recurrence, which is inherently sequential, and,
 with a firmware :class:`TrackCache`, one lookup per run that settles the
 batch's hits before any timing; the prepared fields are gathered again
-only for the misses of a batch that had hits.  This path costs ~50 µs a
-batch up to ~64 runs.  Timed over fifo/sorted batches captured from the
-three benchmark workloads (best of seven per batch, median per bucket,
-2-vCPU x86), the two cross at 40-43 runs, where both take ~51-54 µs;
-an 11-run ``"fifo"`` batch of single blocks takes ~20-28 µs through
-:meth:`DiskDrive.service_runs`, against ~60-67 µs when it went through
-numpy, of which ~3 µs was the recurrence.
+only for the misses of a batch that had hits.  This path costs ~50-60
+µs a batch up to ~64 runs on the same box.  Serviced on its own, a
+``"fifo"`` path of single blocks a track apart took 53 µs by the scalar
+pass against 59 µs by numpy at 56 runs, 60 against 60 at 64 and 65
+against 63 at 72 (a ``"sorted"`` one 68 against 67 at 64), and
+failover-storm's 64-run slices, captured from the workload, took 61 µs
+either way (median of best-of-fifteen times): the two cross at
+:data:`SCALAR_RUNS`, 64.
 
 That fixed cost can be shared.  :meth:`DiskDrive.prepare_batches` takes
 several batches in service order (a :class:`~repro.api.Dataset` batch's
@@ -73,10 +86,13 @@ run before it.  Each batch is still serviced by its own
 the group: its first seek is priced from wherever the head then is, and
 its sums are numpy's reductions over its own rows, so every
 :class:`BatchResult` equals the batch's result alone
-(``tests/disk/test_drive_groups.py``).  Replaying paper-batch's fifo and
-sorted batches of more than :data:`SCALAR_RUNS` runs (22 a round, five
-or six per layout's batch) took 1.09 ms a round as groups against 1.61
-ms one batch at a time (raw, median of nine, 2-vCPU x86).
+(``tests/disk/test_drive_groups.py``).  A batch in a group costs the
+group less than one prepared alone, so the scalar pass keeps only the
+batches of at most :data:`PREPARED_SCALAR_RUNS` runs.  Replaying the
+groups paper-batch and ingest-reorg prepare (best of nine per group,
+same box) with that threshold at 0, 24, 40 and 64 runs took 2.90, 2.89,
+2.94 and 3.59 ms a round on paper-batch and 4.21, 2.75, 1.99 and 1.86
+ms on ingest-reorg: 40 costs the two workloads least together.
 
 An ``"sptf"`` batch takes one scheduling step per request, and a step
 scores only the queued requests that can still win.  The command queue
@@ -122,7 +138,7 @@ import numbers
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
-from operator import add
+from operator import add, gt
 
 import numpy as np
 
@@ -142,16 +158,63 @@ SNAP_REV = 1e-7
 #: the batch scheduling policies :meth:`DiskDrive.service_runs` accepts
 POLICIES = ("fifo", "sorted", "sptf")
 
-#: ``"fifo"``/``"sorted"`` batches of at most this many runs are served by
-#: one scalar pass, larger ones by numpy preparation; the two cost the
-#: same near here (module docstring)
-SCALAR_RUNS = 40
+#: a ``"fifo"``/``"sorted"`` batch serviced on its own (without
+#: ``prepared=``) of at most this many runs is served by one scalar pass,
+#: a larger one by numpy preparation; the two cost the same near here
+#: (module docstring)
+SCALAR_RUNS = 64
+
+#: the same threshold for a batch of :meth:`DiskDrive.prepare_batches`,
+#: where a larger batch shares its group's numpy preparation
+PREPARED_SCALAR_RUNS = 40
 
 
 def _wait_rev(delta: float) -> float:
     """Fractional-revolution wait to reach angle delta ahead (snapped)."""
     w = delta % 1.0
     return 0.0 if w > 1.0 - SNAP_REV else w
+
+
+def _add_reduce(values: list) -> float:
+    """``np.add.reduce`` of a list of floats, bit for bit, in Python.
+
+    numpy sums a float64 array pairwise (:func:`_pairwise`) and adds the
+    sum to the reduction's identity, 0.0, so an empty list gives 0.0.
+    Below 8 values the pairwise sum is one left-to-right pass from -0.0.
+    """
+    if len(values) >= 8:
+        return 0.0 + _pairwise(values, 0, len(values))
+    total = -0.0
+    for value in values:
+        total += value
+    return 0.0 + total
+
+
+def _pairwise(values: list, lo: int, n: int) -> float:
+    """numpy's float64 ``pairwise_sum`` of ``values[lo:lo + n]``, n >= 8:
+    up to 128 values in eight interleaved partial sums, combined as a
+    tree, then the remainder of a multiple of 8 one by one; more than
+    128 as two halves, cut at a multiple of 8."""
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return (_pairwise(values, lo, half)
+                + _pairwise(values, lo + half, n - half))
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[lo:lo + 8]
+    end = lo + n - n % 8
+    for i in range(lo + 8, end, 8):
+        r0 += values[i]
+        r1 += values[i + 1]
+        r2 += values[i + 2]
+        r3 += values[i + 3]
+        r4 += values[i + 4]
+        r5 += values[i + 5]
+        r6 += values[i + 6]
+        r7 += values[i + 7]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for i in range(end, lo + n):
+        total += values[i]
+    return total
 
 
 class TrackCache:
@@ -248,6 +311,19 @@ class BatchResult:
             overhead_ms=self.overhead_ms + other.overhead_ms,
         )
 
+    def __iadd__(self, other: "BatchResult") -> "BatchResult":
+        """Add ``other``'s totals into this result in place, each sum
+        as :meth:`__add__` forms it; the arrays are left as they are."""
+        self.total_ms += other.total_ms
+        self.n_requests += other.n_requests
+        self.n_blocks += other.n_blocks
+        self.seek_ms += other.seek_ms
+        self.rotation_ms += other.rotation_ms
+        self.transfer_ms += other.transfer_ms
+        self.switch_ms += other.switch_ms
+        self.overhead_ms += other.overhead_ms
+        return self
+
     @staticmethod
     def empty() -> "BatchResult":
         return BatchResult(0.0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -257,9 +333,10 @@ class RunBatch:
     """One checked batch of runs for :meth:`DiskDrive.service_runs`.
 
     Made by :meth:`DiskDrive.prepare_batches` from its ``starts`` and
-    ``lengths`` arrays.  A batch the drive prepares with
-    numpy (``"sptf"``, or more than :data:`SCALAR_RUNS` runs) is member
-    ``k`` of a ``group``; the others are served by the scalar pass.
+    ``lengths`` arrays.  A batch the drive prepares with numpy
+    (``"sptf"``, or more than :data:`PREPARED_SCALAR_RUNS` runs) is
+    member ``k`` of a ``group``; the others are served by the scalar
+    pass.
     """
 
     __slots__ = ("drive", "policy", "starts", "lengths", "n", "group", "k")
@@ -308,6 +385,56 @@ class _PreparedGroup:
         return self.perm[lo:hi] - lo
 
 
+class ZoneTables:
+    """The per-zone tables a drive's service paths read.
+
+    They depend on the :class:`DiskModel` alone, so each model builds
+    them once (:attr:`DiskModel.zone_tables`) and every drive of it
+    shares them read-only.
+
+    ``boundary_cost[z]`` is the exact cost of crossing a track boundary
+    mid-run in zone ``z``: settle, then the wait for the next track's
+    sector 0, which lies one skew past where the last track ended.
+    ``exit_cost[z]`` is that of leaving zone ``z`` for the next: its
+    last track ends where its own sector 0 sits, and the next zone's
+    first track starts at 0.  ``rows[z]`` holds the scalar pass's zone
+    row (first LBN, sectors per track, first track, skew, end LBN,
+    sector time, boundary cost) and ``firsts`` every zone's first LBN.
+    """
+
+    __slots__ = ("boundary_cost", "exit_cost", "rows", "firsts")
+
+    def __init__(self, model: DiskModel):
+        geom = model.geometry
+        rot = model.mechanics.rotation_ms
+        settle = model.mechanics.head_switch_ms
+
+        def crossing(delta: float) -> float:
+            return settle + _wait_rev(delta - settle / rot) * rot
+
+        self.boundary_cost = np.array([
+            crossing(z.skew_sectors / z.sectors_per_track) for z in geom.zones
+        ])
+        self.exit_cost = np.array([
+            crossing(0.0 - geom.start_angle(
+                geom.zone_lbn_span(z.index)[1] - z.sectors_per_track
+            ))
+            for z in geom.zones
+        ])
+        self.boundary_cost.flags.writeable = False
+        self.exit_cost.flags.writeable = False
+        rows = []
+        for z, cost in zip(geom.zones, self.boundary_cost.tolist()):
+            lo, hi = geom.zone_lbn_span(z.index)
+            spt = z.sectors_per_track
+            rows.append((
+                lo, spt, geom.zone_first_track(z.index), z.skew_sectors, hi,
+                rot / spt, cost,
+            ))
+        self.rows = tuple(rows)
+        self.firsts = tuple(row[0] for row in rows)
+
+
 class DiskDrive:
     """Simulated disk drive with positional state.
 
@@ -336,38 +463,11 @@ class DiskDrive:
         self._time_ms = 0.0
         self._track = 0
         self.cache = TrackCache(cache_tracks) if cache_tracks > 0 else None
-        # Exact cost of crossing a track boundary mid-run: settle, then
-        # the wait for the next track's sector 0, which lies `delta`
-        # revolutions past where the last track ended.  Inside a zone
-        # that is one skew.  A zone's last track ends where its own
-        # sector 0 sits, and the next zone's first track starts at 0.
-        rot = self._rot
-        settle = self.mechanics.head_switch_ms
-
-        def crossing(delta: float) -> float:
-            return settle + _wait_rev(delta - settle / rot) * rot
-
-        geom = self.geometry
-        self._boundary_cost = np.array([
-            crossing(z.skew_sectors / z.sectors_per_track) for z in geom.zones
-        ])
-        self._exit_cost = np.array([
-            crossing(0.0 - geom.start_angle(
-                geom.zone_lbn_span(z.index)[1] - z.sectors_per_track
-            ))
-            for z in geom.zones
-        ])
-        # The scalar pass's per-zone rows: first LBN, sectors per track,
-        # first track, skew, end LBN, sector time and boundary cost.
-        self._zone_rows = []
-        for z, cost in zip(geom.zones, self._boundary_cost.tolist()):
-            lo, hi = geom.zone_lbn_span(z.index)
-            spt = z.sectors_per_track
-            self._zone_rows.append((
-                lo, spt, geom.zone_first_track(z.index), z.skew_sectors, hi,
-                rot / spt, cost,
-            ))
-        self._zone_firsts = [row[0] for row in self._zone_rows]
+        tables = model.zone_tables
+        self._boundary_cost = tables.boundary_cost
+        self._exit_cost = tables.exit_cost
+        self._zone_rows = tables.rows
+        self._zone_firsts = tables.firsts
 
     # ------------------------------------------------------------------
     # state
@@ -386,10 +486,14 @@ class DiskDrive:
         return self._track // self.geometry.surfaces
 
     def reset(self, track: int = 0, time_ms: float = 0.0) -> None:
+        """Place the head on ``track`` at clock ``time_ms``: an integer
+        track of the disk (not a bool) and a finite real time, else
+        :class:`GeometryError` with nothing changed."""
         track = _check_int("track", track, GeometryError)
         if not 0 <= track < self.geometry.n_tracks:
             raise GeometryError(f"track {track} out of range")
-        if not (isinstance(time_ms, numbers.Real) and math.isfinite(time_ms)):
+        if not ((type(time_ms) is float or isinstance(time_ms, numbers.Real))
+                and math.isfinite(time_ms)):
             raise GeometryError(f"time_ms must be finite, got {time_ms!r}")
         self._track = track
         self._time_ms = float(time_ms)
@@ -402,9 +506,12 @@ class DiskDrive:
         query) and applied later with :meth:`reset` without perturbing the
         caller's random stream.
         """
+        # ``rng.random() * rot`` is ``rng.uniform(0.0, rot)`` bit for bit
+        # (numpy draws ``low + (high - low) * next_double``), at a third
+        # of its cost
         return (
             int(rng.integers(self.geometry.n_tracks)),
-            float(rng.uniform(0.0, self._rot)),
+            rng.random() * self._rot,
         )
 
     def randomize_position(self, rng: np.random.Generator) -> None:
@@ -586,8 +693,8 @@ class DiskDrive:
 
         ``batches`` holds ``(starts, lengths, policy)`` triples in the
         order they will be serviced.  Each is checked as
-        :meth:`service_runs` checks it, and the batches it would prepare
-        with numpy (``"sptf"``, or more than :data:`SCALAR_RUNS` runs)
+        :meth:`service_runs` checks it, and the batches to prepare with
+        numpy (``"sptf"``, or more than :data:`PREPARED_SCALAR_RUNS` runs)
         form one group, prepared when the first of them is serviced: one
         sort of the ``"sorted"`` ones, one geometry pass and one vector
         of in-batch seeks over all of them, so numpy's fixed cost is paid
@@ -606,20 +713,15 @@ class DiskDrive:
             starts, lengths = self._check_runs(starts, lengths, policy)
             out.append(RunBatch(self, policy, starts, lengths,
                                 int(starts.size)))
-        members = [b for b in out
-                   if b.n and (b.policy == "sptf" or b.n > SCALAR_RUNS)]
+        members = [b for b in out if b.n and (
+            b.policy == "sptf" or b.n > PREPARED_SCALAR_RUNS)]
         if members:
-            self._group(members)
+            group = _PreparedGroup(
+                [(b.starts, b.lengths, b.policy) for b in members]
+            )
+            for k, b in enumerate(members):
+                b.group, b.k = group, k
         return out
-
-    @staticmethod
-    def _group(batches: list["RunBatch"]) -> None:
-        """Make ``batches`` one group, each owning its rows of it."""
-        group = _PreparedGroup(
-            [(b.starts, b.lengths, b.policy) for b in batches]
-        )
-        for k, b in enumerate(batches):
-            b.group, b.k = group, k
 
     def _prepare(self, group: _PreparedGroup) -> None:
         """Prepare a group's batches in service order in one numpy pass."""
@@ -728,15 +830,15 @@ class DiskDrive:
             return BatchResult.empty()
         if policy == "sptf":
             _check_count("window", window, GeometryError)
-        elif n <= SCALAR_RUNS and (batch is None or batch.group is None):
+        elif (n <= SCALAR_RUNS if batch is None
+              # prepare_batches grouped it by PREPARED_SCALAR_RUNS
+              else batch.group is None):
             return self._service_scalar(
                 starts, lengths, policy == "sorted", collect
             )
         if batch is None:
             group, k = _PreparedGroup([(starts, lengths, policy)]), 0
         else:
-            if batch.group is None:
-                self._group([batch])
             group, k = batch.group, batch.k
         if group.info is None:
             self._prepare(group)
@@ -760,9 +862,9 @@ class DiskDrive:
         :meth:`_prepare_runs` and :meth:`_service_in_order` evaluate:
         locate the start's zone, settle the firmware cache, price the
         seek, rotational wait, transfer and in-run switches, advance the
-        clock.  Seek, transfer and switch are summed by numpy's reduction,
-        as the numpy path sums them, so the result is bit for bit its
-        result."""
+        clock.  Seek, transfer and switch are summed as numpy's reduction
+        sums them on the numpy path (:func:`_add_reduce`), so the result
+        is bit for bit its result."""
         geom = self.geometry
         starts_l = starts.tolist()
         lengths_l = lengths.tolist()
@@ -772,7 +874,9 @@ class DiskDrive:
             self._prepare_runs(starts, lengths)
         n = len(starts_l)
         order = None
-        if sort:
+        if sort and any(map(gt, starts_l, starts_l[1:])):
+            # a stable sort of sorted starts is the identity, so only
+            # unsorted batches pay for it
             order = sorted(range(n), key=starts_l.__getitem__)
             starts_l = [starts_l[i] for i in order]
             lengths_l = [lengths_l[i] for i in order]
@@ -790,12 +894,17 @@ class DiskDrive:
         track = self._track
         cyl = track // surfaces
         seeks, transfers, switches = [], [], []
+        add_seek, add_transfer = seeks.append, transfers.append
+        add_switch = switches.append
         bus_xfers = []  # the cache hits'
         per_request = [] if collect else None
         rot_total = 0.0
+        first = end = 0  # the LBN span of zone z, whose row is unpacked
         for lbn, length in zip(starts_l, lengths_l):
-            z = bisect_right(firsts, lbn) - 1
-            first, spt, track_first, skew, end, sector_time, boundary = rows[z]
+            if not first <= lbn < end:
+                z = bisect_right(firsts, lbn) - 1
+                first, spt, track_first, skew, end, sector_time, boundary = (
+                    rows[z])
             rel = lbn - first
             tz = rel // spt
             sector = rel - tz * spt
@@ -837,20 +946,18 @@ class DiskDrive:
             rot_total += wait
             t = arrival + wait + (transfer + switch)
             track, cyl = tracke, tracke // surfaces
-            seeks.append(seek)
-            transfers.append(transfer)
-            switches.append(switch)
+            add_seek(seek)
+            add_transfer(transfer)
+            add_switch(switch)
             if collect:
                 per_request.append(seek + wait + transfer + switch + overhead)
 
         total = t - self._time_ms
         self._time_ms = t
         self._track = track
-        seek_ms, transfer_ms, switch_ms = np.array(
-            (seeks, transfers, switches)
-        ).sum(axis=1).tolist()
+        transfer_ms = _add_reduce(transfers)
         if bus_xfers:
-            transfer_ms += float(np.array(bus_xfers).sum())
+            transfer_ms += _add_reduce(bus_xfers)
         if collect:
             order = (np.arange(n, dtype=np.int64) if order is None
                      else np.array(order, dtype=np.int64))
@@ -858,10 +965,10 @@ class DiskDrive:
             total_ms=total,
             n_requests=n,
             n_blocks=sum(lengths_l),
-            seek_ms=seek_ms,
+            seek_ms=_add_reduce(seeks),
             rotation_ms=rot_total,
             transfer_ms=transfer_ms,
-            switch_ms=switch_ms,
+            switch_ms=_add_reduce(switches),
             overhead_ms=overhead * n,
             per_request_ms=np.array(per_request) if collect else None,
             order=order if collect else None,

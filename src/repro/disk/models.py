@@ -85,6 +85,15 @@ class DiskModel:
         costs at least this much to reach."""
         return min([self.mechanics.head_switch_ms, *self.seek_list[1:]])
 
+    @cached_property
+    def zone_tables(self):
+        """The per-zone costs and rows the drive's service paths read
+        (:class:`repro.disk.drive.ZoneTables`), built on first use and
+        shared read-only by every drive of this model."""
+        from repro.disk.drive import ZoneTables
+
+        return ZoneTables(self)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         gb = self.capacity_bytes / 1e9
         return f"DiskModel({self.name!r}, {gb:.1f} GB)"

@@ -80,7 +80,7 @@ class ObsError(ReproError):
     (unknown exporter, mismatched histogram buckets, malformed spans)."""
 
 
-class MonitorError(ReproError):
+class DiffError(ReproError):
     """Raised by :mod:`repro.bench.diff` for reports it cannot compare
     (an unreadable or non-JSON file, a malformed field, a negative or
     non-finite tolerance)."""
@@ -93,7 +93,11 @@ class ExplainError(ReproError):
 
 
 def _check_int(name: str, value, error=QueryError) -> int:
-    # bool is an int subclass, but True as a coordinate is a bug
+    """``value`` as a Python int: an integer, numpy integers included,
+    bools not (bool is an int subclass, but True as a coordinate is a
+    bug); a plain int is returned at once."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)

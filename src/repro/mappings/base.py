@@ -277,6 +277,12 @@ class Mapper(ABC):
             raise QueryError(
                 f"coords must be integers, got dtype {arr.dtype}"
             )
+        if not isinstance(coords, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_))
+            for v in np.asarray(coords, dtype=object).flat
+        ):
+            # a list mixing bools and ints converts to an integer array
+            raise QueryError("coords must be integers, not bools")
         arr = arr.astype(np.int64, copy=False)
         if arr.ndim == 1:
             arr = arr[np.newaxis, :]

@@ -107,6 +107,24 @@ class PreparedQuery:
     #: batches invalidate instead
     is_write: ClassVar[bool] = False
 
+    @classmethod
+    def from_fields(cls, mapper_name: str, disk_index: int,
+                    plan: RequestPlan, policy: str, n_cells: int,
+                    cache_hits: int = 0, cache_runs: int = 0,
+                    cache_ms: float = 0.0,
+                    obs: object = None) -> "PreparedQuery":
+        """Set every field in one step, from values already of their
+        final types: the trusted constructor of the preparation hot
+        path (as :meth:`RequestPlan.from_arrays` is for plans), which
+        skips the frozen dataclass's field-by-field ``__setattr__``."""
+        prepared = cls.__new__(cls)
+        prepared.__dict__.update(
+            mapper_name=mapper_name, disk_index=disk_index, plan=plan,
+            policy=policy, n_cells=n_cells, cache_hits=cache_hits,
+            cache_runs=cache_runs, cache_ms=cache_ms, obs=obs,
+        )
+        return prepared
+
     @property
     def n_runs(self) -> int:
         return self.plan.n_runs
@@ -234,16 +252,10 @@ class StorageManager:
         # resolve the SPTF clamp on what the drive will actually queue:
         # a warm cache can shrink a too-large batch back under the limit
         policy = effective_policy(plan, self.sptf_run_limit)
-        return PreparedQuery(
-            mapper_name=mapper.name,
-            disk_index=mapper.disk_index,
-            plan=plan,
-            policy=policy,
-            n_cells=int(n_cells),
-            cache_hits=cache_hits,
-            cache_runs=cache_runs,
-            cache_ms=cache_ms,
-            obs={"raw_runs": raw_runs} if observing else None,
+        return PreparedQuery.from_fields(
+            mapper.name, mapper.disk_index, plan, policy, int(n_cells),
+            cache_hits, cache_runs, cache_ms,
+            {"raw_runs": raw_runs} if observing else None,
         )
 
     def prepare_write(
@@ -266,12 +278,9 @@ class StorageManager:
         cache = self.cache
         if cache is not None and cache.active:
             cache.invalidate(mapper.disk_index, lbns)
-        return WritePrepared(
-            mapper_name=mapper.name,
-            disk_index=mapper.disk_index,
-            plan=plan,
-            policy=effective_policy(plan, self.sptf_run_limit),
-            n_cells=int(n_points),
+        return WritePrepared.from_fields(
+            mapper.name, mapper.disk_index, plan,
+            effective_policy(plan, self.sptf_run_limit), int(n_points),
             obs=(
                 {"raw_runs": int(lbns.size)}
                 if self.obs is not None else None

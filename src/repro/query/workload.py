@@ -43,6 +43,16 @@ class BeamQuery:
         if self.hi is not None:
             set_(self, "hi", _check_int("hi", self.hi))
 
+    @classmethod
+    def from_ints(cls, axis: int, fixed: tuple[int, ...]) -> "BeamQuery":
+        """A full-length beam from Python ints the caller has checked
+        (``fixed`` a tuple), set in one step: the trusted constructor of
+        the query draws, which skips ``__post_init__``'s checks and the
+        frozen dataclass's field-by-field ``__setattr__``."""
+        query = cls.__new__(cls)
+        query.__dict__.update(axis=axis, fixed=fixed, lo=0, hi=None)
+        return query
+
     def n_cells(self, dims) -> int:
         hi = dims[self.axis] if self.hi is None else self.hi
         return hi - self.lo
@@ -59,6 +69,15 @@ class RangeQuery:
         object.__setattr__(self, "lo", _check_ints("lo", self.lo))
         object.__setattr__(self, "hi", _check_ints("hi", self.hi))
 
+    @classmethod
+    def from_ints(cls, lo: tuple[int, ...], hi: tuple[int, ...]
+                  ) -> "RangeQuery":
+        """A box from tuples of Python ints the caller has checked, set
+        in one step (see :meth:`BeamQuery.from_ints`)."""
+        query = cls.__new__(cls)
+        query.__dict__.update(lo=lo, hi=hi)
+        return query
+
     def n_cells(self, dims=None) -> int:
         return int(
             np.prod(
@@ -74,14 +93,14 @@ class RangeQuery:
 def random_beam(dims, axis: int, rng: np.random.Generator) -> BeamQuery:
     """Full-length beam along ``axis`` at a random position."""
     dims = tuple(int(s) for s in dims)
-    _check_int("axis", axis)
+    axis = _check_int("axis", axis)
     if not 0 <= axis < len(dims):
         raise QueryError(f"axis {axis} out of range for dims {dims}")
     fixed = tuple(
         int(rng.integers(0, s)) if d != axis else 0
         for d, s in enumerate(dims)
     )
-    return BeamQuery(axis=axis, fixed=fixed)
+    return BeamQuery.from_ints(axis, fixed)
 
 
 def range_for_selectivity(dims, selectivity_pct: float) -> tuple[int, ...]:
@@ -124,4 +143,4 @@ def random_range_cube(
         int(rng.integers(0, s - w + 1)) for s, w in zip(dims, shape)
     )
     hi = tuple(a + w for a, w in zip(lo, shape))
-    return RangeQuery(lo=lo, hi=hi)
+    return RangeQuery.from_ints(lo, hi)

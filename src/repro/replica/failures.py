@@ -15,16 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ReplicaError
+from repro.errors import ReplicaError, _check_count, _check_float
 
-__all__ = ["FailureEvent", "FailureInjector", "FailureSchedule"]
+__all__ = ["FailureEvent", "FailureInjector", "FailureSchedule",
+           "kill_events"]
 
 _ACTIONS = ("kill", "revive")
 
 
 @dataclass(frozen=True)
 class FailureEvent:
-    """One scheduled state change of one member disk."""
+    """One scheduled state change of one member disk.
+
+    ``t_ms`` must be a finite real number of at least 0 (stored as a
+    float) and ``disk`` an integer of at least 0, not a bool (stored as
+    an int); anything else raises :class:`ReplicaError`.
+    """
 
     t_ms: float
     action: str
@@ -36,10 +42,13 @@ class FailureEvent:
                 f"unknown failure action {self.action!r}; "
                 f"expected one of {_ACTIONS}"
             )
-        if self.t_ms < 0:
+        t_ms = _check_float("t_ms", self.t_ms, ReplicaError)
+        if t_ms < 0:
             raise ReplicaError("failure time must be >= 0 ms")
-        if self.disk < 0:
-            raise ReplicaError("disk index must be >= 0")
+        object.__setattr__(self, "t_ms", t_ms)
+        object.__setattr__(
+            self, "disk", _check_count("disk", self.disk, ReplicaError, 0)
+        )
 
     def describe(self) -> dict:
         return {
@@ -47,6 +56,19 @@ class FailureEvent:
             "action": self.action,
             "disk": int(self.disk),
         }
+
+
+def kill_events(at_ms, disk, revive_at_ms=None) -> tuple[FailureEvent, ...]:
+    """A kill of ``disk`` at ``at_ms`` and, given ``revive_at_ms``, its
+    revive, each checked as :class:`FailureEvent` checks it; a revive
+    that does not come after the kill raises :class:`ReplicaError`."""
+    kill = FailureEvent(at_ms, "kill", disk)
+    if revive_at_ms is None:
+        return (kill,)
+    revive = FailureEvent(revive_at_ms, "revive", disk)
+    if not revive.t_ms > kill.t_ms:
+        raise ReplicaError("revive must come after the kill")
+    return kill, revive
 
 
 @dataclass(frozen=True)
@@ -148,18 +170,12 @@ class FailureInjector:
                 )
             }
             disk = self.pick_disk(exclude=dead)
-        disk = int(disk)
-        if disk >= self.n_disks:
+        events = kill_events(at_ms, disk, revive_at_ms)
+        if events[0].disk >= self.n_disks:
             raise ReplicaError(
                 f"disk {disk} out of range for {self.n_disks} disks"
             )
-        self._events.append(FailureEvent(float(at_ms), "kill", disk))
-        if revive_at_ms is not None:
-            if revive_at_ms <= at_ms:
-                raise ReplicaError("revive must come after the kill")
-            self._events.append(
-                FailureEvent(float(revive_at_ms), "revive", disk)
-            )
+        self._events.extend(events)
         return self
 
     @property

@@ -14,6 +14,7 @@ pin.  Multi-part mixes spend one uniform draw choosing the part.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -77,7 +78,8 @@ class QueryMix:
         if (weights <= 0).any():
             raise QueryError("mix weights must be > 0")
         self.parts = parts
-        self._cum = np.cumsum(weights / weights.sum())
+        # the parts' cumulative weights, as Python floats for bisect
+        self._cum = np.cumsum(weights / weights.sum()).tolist()
 
     @classmethod
     def beams(cls, *axes: int) -> "QueryMix":
@@ -96,8 +98,7 @@ class QueryMix:
     def draw(self, dims, rng: np.random.Generator, index: int):
         if len(self.parts) == 1:
             return self.parts[0].draw(dims, rng)
-        k = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        k = min(k, len(self.parts) - 1)
+        k = min(bisect_right(self._cum, rng.random()), len(self.parts) - 1)
         return self.parts[k].draw(dims, rng)
 
     def describe(self) -> str:

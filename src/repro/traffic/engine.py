@@ -678,7 +678,7 @@ class TrafficSim:
                     # and the slice's work is lost, never counted
                     continue
                 jq = job.qs
-                jq.acc = jq.acc + res
+                jq.acc += res
                 if jq.obs is not None:
                     # the slice was dispatched at t - res.total_ms
                     jq.obs["slices"].append((
@@ -784,7 +784,7 @@ class TrafficSim:
     @staticmethod
     def _trace(qs: _Query, completion_ms: float) -> QueryTrace:
         acc = qs.acc
-        return QueryTrace(
+        return QueryTrace.from_fields(
             client=qs.cs.client.name,
             label=describe_query(qs.query),
             index=qs.index,

@@ -63,6 +63,16 @@ class QueryTrace:
     transfer_ms: float
     switch_ms: float
 
+    @classmethod
+    def from_fields(cls, **values) -> "QueryTrace":
+        """Set every field, each given by name, in one step: the
+        engine's trusted constructor (one trace per completed query),
+        which skips the frozen dataclass's field-by-field
+        ``__setattr__``."""
+        trace = cls.__new__(cls)
+        trace.__dict__.update(values)
+        return trace
+
     @property
     def latency_ms(self) -> float:
         return self.completion_ms - self.arrival_ms

@@ -4,9 +4,10 @@ Each case below used to run with a silently wrong result or die in a
 bare builtin or numpy error: a negative coordinate wrapped to the last
 cell, one past an edge landed in the next row, ``0.5`` truncated to 0,
 ``True`` read as 1, a negative ``n`` left occupancy below zero, and
-``2.5`` stored 2 points.  Coordinates are now checked by the mapper
-(:class:`QueryError`) and point counts by the store
-(:class:`DatasetError`), both before any state changes.
+``2.5`` stored 2 points; ``CellStore.bulk_insert`` stored ``(0, 5, 0)``
+in cell ``(0, 1, 1)`` and a count of -3 as -3 points.  Coordinates are
+now checked by the mapper (:class:`QueryError`) and point counts by the
+store (:class:`DatasetError`), both before any state changes.
 """
 
 import pytest
@@ -71,12 +72,36 @@ def test_delete_rejects_bad_input(coord, n, error):
     ([(0, 0, 0)], [1.5], DatasetError),
     ([(0, 0, 0)], [True], DatasetError),
     ([(0, 0, 0)], [1, 2], DatasetError),
+    ([(True, 0, 0)], None, QueryError),
 ])
 def test_bulk_load_rejects_bad_input(coords, counts, error):
     ds = dataset()
     with pytest.raises(error):
         ds.bulk_load(coords, counts)
     assert_untouched(ds)
+
+
+@pytest.mark.parametrize("coords, counts, error", [
+    ([(0, 5, 0)], None, QueryError),
+    ([(0, 0, 9)], None, QueryError),
+    ([(0.5, 0, 0)], None, QueryError),
+    ([(True, 0, 0)], None, QueryError),
+    ([(0, 0, 0)], [-3], DatasetError),
+    ([(0, 0, 0)], [2.5], DatasetError),
+    ([(0, 0, 0), (1, 0, 0)], [2], DatasetError),
+])
+def test_bulk_insert_rejects_bad_input(coords, counts, error):
+    ds = dataset()
+    with pytest.raises(error):
+        ds.store.bulk_insert(coords, counts)
+    assert_untouched(ds)
+
+
+def test_bulk_insert_lands_valid_rows():
+    ds = dataset()
+    assert ds.store.bulk_insert([(7, 3, 3), (7, 3, 3), (0, 1, 0)]) == 0
+    assert ds.store.bulk_insert([(0, 1, 0)], [0]) == 0
+    assert ds.store_stats().n_points == 3
 
 
 def test_valid_updates_still_land():

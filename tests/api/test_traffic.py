@@ -7,7 +7,14 @@ import pytest
 
 from repro.api import Dataset, TrafficRun
 from repro.errors import QueryError
-from repro.traffic import QueryMix, Replay, render_storm, run_storm
+from repro.traffic import (
+    BeamDraw,
+    QueryMix,
+    RangeDraw,
+    Replay,
+    render_storm,
+    run_storm,
+)
 
 SHAPE = (24, 12, 12)
 
@@ -124,6 +131,39 @@ class TestStorm:
             data["naive"][2]["served_blocks"]
             == data["multimap"][2]["served_blocks"]
         )
+
+
+class TestMixSelection:
+    def test_part_is_numpy_searchsorted_pick(self):
+        """A multi-part mix bisects its cumulative weights: the part
+        ``np.searchsorted(..., side="right")`` picks, clamped, for every
+        uniform draw, the edges and the top included."""
+        mix = QueryMix([BeamDraw(0, 1.0), BeamDraw(1, 3.0),
+                        BeamDraw(2, 0.5), RangeDraw(10.0, 2.5)])
+        cum = np.cumsum(np.array([1.0, 3.0, 0.5, 2.5]) / 7.0)
+        draws = [0.0, *cum.tolist(), np.nextafter(cum[0], 0.0),
+                 np.nextafter(cum[-1], 0.0),
+                 *np.random.default_rng(2).random(500).tolist()]
+        for u in draws:
+            want = min(int(np.searchsorted(cum, u, side="right")), 3)
+            rng = _FixedDraw(u)
+            got = mix.draw((8, 8, 8), rng, 0)
+            part = mix.parts[want]
+            assert got == part.draw((8, 8, 8), _FixedDraw(None)), u
+
+
+class _FixedDraw:
+    """A generator stand-in: ``random()`` returns ``u``; a part's own
+    draws return zeros."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+    def integers(self, low, high=None):
+        return 0
 
 
 class TestCliTraffic:

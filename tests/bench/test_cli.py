@@ -6,7 +6,7 @@ import pytest
 
 from repro.bench.cli import main
 from repro.bench.harness import run_all
-from repro.errors import MonitorError
+from repro.errors import DiffError
 
 
 class TestCli:
@@ -346,14 +346,14 @@ class TestDiff:
     def test_missing_report_names_the_file(self, tmp_path):
         a = export(tmp_path, "a.json")
         missing = tmp_path / "missing.json"
-        with pytest.raises(MonitorError, match="missing.json"):
+        with pytest.raises(DiffError, match="missing.json"):
             main(["diff", str(missing), str(a)])
 
     def test_non_json_report_names_the_file(self, tmp_path):
         a = export(tmp_path, "a.json")
         garbled = tmp_path / "garbled.json"
         garbled.write_text("makespan 100 ms")
-        with pytest.raises(MonitorError, match="garbled.json is not JSON"):
+        with pytest.raises(DiffError, match="garbled.json is not JSON"):
             main(["diff", str(a), str(garbled)])
 
     def test_nan_tolerance_is_rejected(self, tmp_path):
@@ -362,7 +362,7 @@ class TestDiff:
         a.write_text(json.dumps(dict(data, makespan_ms=100.0)))
         b.write_text(json.dumps(dict(data, makespan_ms=900.0)))
         assert main(["diff", str(a), str(b)]) == 1
-        with pytest.raises(MonitorError, match="tolerance must be finite"):
+        with pytest.raises(DiffError, match="tolerance must be finite"):
             main(["diff", str(a), str(b), "--tolerance", "nan"])
 
     def test_json_export(self, tmp_path):

@@ -5,7 +5,7 @@ import copy
 import pytest
 
 from repro.bench.diff import diff_runs, render_diff
-from repro.errors import MonitorError
+from repro.errors import DiffError
 
 
 def report(**overrides):
@@ -67,28 +67,28 @@ class TestRegressions:
 
 class TestValidation:
     def test_non_dict_inputs_rejected(self):
-        with pytest.raises(MonitorError, match="report dicts"):
+        with pytest.raises(DiffError, match="report dicts"):
             diff_runs([], report())
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(MonitorError, match="tolerance"):
+        with pytest.raises(DiffError, match="tolerance"):
             diff_runs(report(), report(), tolerance=-0.1)
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
     def test_non_finite_tolerance_rejected(self, tolerance):
         # a NaN band compares false everywhere: 100 -> 900 ms would
         # pass as "no regressions"
-        with pytest.raises(MonitorError, match="tolerance must be finite"):
+        with pytest.raises(DiffError, match="tolerance must be finite"):
             diff_runs(report(makespan_ms=100.0),
                       report(makespan_ms=900.0), tolerance=tolerance)
 
     def test_non_numeric_metric_names_the_field(self):
-        with pytest.raises(MonitorError,
+        with pytest.raises(DiffError,
                            match=r"current\.makespan_ms must be a number"):
             diff_runs(report(), report(makespan_ms="abc"))
 
     def test_non_mapping_phase_totals_name_the_field(self):
-        with pytest.raises(MonitorError,
+        with pytest.raises(DiffError,
                            match=r"base\.phase_ms must be a mapping"):
             diff_runs(report(phase_ms=[1, 2]), report())
 

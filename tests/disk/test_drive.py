@@ -1,11 +1,14 @@
 """Tests for the drive simulator: access timing, batch service, policies."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.disk import DiskDrive, synthetic_disk
+from repro.disk.drive import BatchResult, _add_reduce
 from repro.errors import GeometryError
 from test_service_oracle import reference_batch, reference_service
 
@@ -333,3 +336,73 @@ class TestPaperScaleTimings:
             assert tm.end_ms >= t
             assert tm.total_ms >= 0
             t = tm.end_ms
+
+
+class TestSharedZoneTables:
+    def test_built_once_per_model_and_read_only(self, small_model):
+        a, b = DiskDrive(small_model), DiskDrive(small_model, 4)
+        assert a._zone_rows is b._zone_rows is small_model.zone_tables.rows
+        assert a._boundary_cost is b._boundary_cost
+        assert a._exit_cost is b._exit_cost
+        for table in (a._boundary_cost, a._exit_cost):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+    def test_equal_across_equal_models(self):
+        specs = dict(surfaces=2, settle_cylinders=2,
+                     zone_specs=[(3, 20), (2, 16), (3, 12)])
+        a = synthetic_disk("three-zone", **specs).zone_tables
+        b = synthetic_disk("three-zone", **specs).zone_tables
+        assert a is not b
+        assert a.rows == b.rows and a.firsts == b.firsts
+        assert a.boundary_cost.tolist() == b.boundary_cost.tolist()
+        assert a.exit_cost.tolist() == b.exit_cost.tolist()
+
+
+def test_batch_results_add_in_place_as_they_add():
+    rng = np.random.default_rng(7)
+    parts = [BatchResult(*rng.random(1).tolist(), int(rng.integers(9)),
+                         int(rng.integers(9)), *rng.random(5).tolist())
+             for _ in range(6)]
+    total, acc = BatchResult.empty(), BatchResult.empty()
+    alias = acc
+    for part in parts:
+        total = total + part
+        acc += part
+    assert acc is alias and acc == total
+
+
+#: finite floats of every magnitude, subnormals and signed zeros
+#: included, small enough that no sum of 300 overflows
+_VALUES = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 1.0, 1e16, 0.1]),
+)
+
+
+class TestAddReduce:
+    """The scalar pass sums seek, transfer and switch in Python, as
+    numpy's pairwise float64 reduction sums them on the numpy path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_VALUES, max_size=300))
+    def test_equals_numpy_bit_for_bit(self, values):
+        want = np.add.reduce(np.array(values, dtype=np.float64))
+        got = _add_reduce(values)
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 127, 128, 129, 136,
+                                   255, 256, 300])
+    def test_every_branch(self, n):
+        rng = np.random.default_rng(n)
+        values = (rng.standard_normal(n)
+                  * 10.0 ** rng.integers(-8, 9, n)).tolist()
+        assert struct.pack("<d", _add_reduce(values)) == struct.pack(
+            "<d", np.add.reduce(np.array(values, dtype=np.float64)))
+
+    def test_empty_and_zeros(self):
+        for values in ([], [-0.0], [-0.0] * 9, [0.0, -0.0]):
+            got = _add_reduce(values)
+            assert type(got) is float and struct.pack("<d", got) == \
+                struct.pack("<d", 0.0)

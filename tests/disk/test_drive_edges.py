@@ -153,6 +153,12 @@ class TestSingleRunInputValidation:
         (0, math.nan, "time_ms"),
         (0, math.inf, "time_ms"),
         (0, "1.0", "time_ms"),
+        (np.float64(1.0), 0.0, "track"),
+        (np.bool_(True), 0.0, "track"),
+        (-1, 0.0, "track"),
+        (0, -math.inf, "time_ms"),
+        pytest.param(0, np.float64("nan"), "time_ms", id="0-np.nan-time_ms"),
+        (0, None, "time_ms"),
     ])
     def test_reset(self, small_drive, track, time_ms, name):
         small_drive.service(500)
@@ -165,6 +171,16 @@ class TestSingleRunInputValidation:
     def test_cache_tracks(self, small_model, cache_tracks):
         with pytest.raises(GeometryError, match="cache_tracks"):
             DiskDrive(small_model, cache_tracks=cache_tracks)
+
+    @pytest.mark.parametrize("track, time_ms", [
+        (3, 2.5), (np.int64(3), np.float64(2.5)), (np.uint16(3), 2.5),
+        (3, np.float32(2.5)),
+    ])
+    def test_reset_stores_python_numbers(self, small_drive, track, time_ms):
+        small_drive.reset(track, time_ms)
+        assert type(small_drive.current_track) is int
+        assert type(small_drive.now_ms) is float
+        assert (small_drive.current_track, small_drive.now_ms) == (3, 2.5)
 
     def test_numpy_integers_accepted(self, small_model):
         drive = DiskDrive(small_model, cache_tracks=np.int64(4))

@@ -1,8 +1,10 @@
 """The drive's two fifo/sorted paths agree bit for bit.
 
 :meth:`DiskDrive.service_runs` serves a ``"fifo"`` or ``"sorted"``
-batch of at most :data:`repro.disk.drive.SCALAR_RUNS` runs in one scalar
-pass (``_service_scalar``) and a larger one through numpy preparation
+batch of at most :data:`repro.disk.drive.SCALAR_RUNS` runs (at most
+:data:`~repro.disk.drive.PREPARED_SCALAR_RUNS` when it comes from
+``prepare_batches``) in one scalar pass (``_service_scalar``) and a
+larger one through numpy preparation
 (``_service_in_order(_prepare_runs(...))``).  The properties below run
 both on the same batches by moving the threshold, on batches of up to
 twice its size: every :class:`BatchResult` field, the per-request times
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 from repro.api.registry import get_drive
 from repro.disk import DiskDrive, synthetic_disk
 from repro.disk import drive as drive_module
-from repro.disk.drive import SCALAR_RUNS
+from repro.disk.drive import PREPARED_SCALAR_RUNS, SCALAR_RUNS
 from repro.errors import GeometryError
 
 MODELS = ("atlas10k3", "minidrive", "three-zone")
@@ -216,8 +218,11 @@ class TestRejectedBatch:
 
 
 def test_threshold_selects_the_path():
-    """A batch of exactly SCALAR_RUNS runs takes the scalar pass; one
-    more run takes the numpy path."""
+    """The path depends on the batch's size and on whether it came with
+    ``prepared=``: serviced on its own, a batch of exactly SCALAR_RUNS
+    runs takes the scalar pass and one more run the numpy path; from
+    ``prepare_batches``, the same holds at PREPARED_SCALAR_RUNS."""
+    assert PREPARED_SCALAR_RUNS < SCALAR_RUNS
     drive = DiskDrive(_model("atlas10k3"))
     calls = []
     scalar, prepare = drive._service_scalar, drive._prepare_runs
@@ -230,13 +235,23 @@ def test_threshold_selects_the_path():
 
     drive._service_scalar = spy("scalar", scalar)
     drive._prepare_runs = spy("numpy", prepare)
+    cases = [(False, n, path) for n, path in (
+        (PREPARED_SCALAR_RUNS, "scalar"), (SCALAR_RUNS, "scalar"),
+        (SCALAR_RUNS + 1, "numpy"))]
+    cases += [(True, n, path) for n, path in (
+        (PREPARED_SCALAR_RUNS, "scalar"),
+        (PREPARED_SCALAR_RUNS + 1, "numpy"), (SCALAR_RUNS, "numpy"))]
     for policy in ("fifo", "sorted"):
-        for n, path in ((SCALAR_RUNS, "scalar"), (SCALAR_RUNS + 1, "numpy")):
+        for grouped, n, path in cases:
             calls.clear()
             starts = 1000 + 700 * np.arange(n, dtype=np.int64)
-            drive.service_runs(starts, np.ones(n, dtype=np.int64),
-                               policy=policy)
-            assert calls == [path], (policy, n)
+            lengths = np.ones(n, dtype=np.int64)
+            batch = None
+            if grouped:
+                batch, = drive.prepare_batches([(starts, lengths, policy)])
+            drive.service_runs(starts, lengths, policy=policy,
+                               prepared=batch)
+            assert calls == [path], (policy, grouped, n)
     calls.clear()
     drive.service(1234, 3)
     assert calls == ["scalar"]

@@ -6,7 +6,9 @@ import pytest
 from repro.api import Dataset
 from repro.errors import QueryError
 from repro.lvm import LogicalVolume
+from repro.mappings.base import RequestPlan
 from repro.query import BeamQuery, RangeQuery, StorageManager
+from repro.query.executor import PreparedQuery, WritePrepared
 
 
 def make(small_model, dims, layout="naive", **opts):
@@ -151,3 +153,40 @@ class TestRelativePerformance:
         t_naive = beam(naive, 0, (0, 5, 5), rng=rng1).total_ms
         t_mm = beam(mm, 0, (0, 5, 5), rng=rng2).total_ms
         assert t_mm < t_naive * 1.8
+
+
+class TestTrustedRecords:
+    """The records the traffic path builds once per query or sub-plan
+    are set in one step and equal what the dataclasses' own
+    constructors build from the same values."""
+
+    @pytest.mark.parametrize("cls", [PreparedQuery, WritePrepared])
+    def test_prepared_query(self, cls):
+        plan = RequestPlan(np.array([4, 9]), np.array([2, 1]), "fifo", 0)
+        fields = dict(mapper_name="naive", disk_index=1, plan=plan,
+                      policy="fifo", n_cells=3, cache_hits=1, cache_runs=1,
+                      cache_ms=0.25)
+        got = cls.from_fields(**fields, obs={"raw_runs": 2})
+        want = cls(**fields)
+        assert type(got) is cls
+        assert got == want and repr(got) == repr(want)
+        assert got.obs == {"raw_runs": 2} and got.n_blocks == 3
+        assert cls.from_fields("naive", 1, plan, "fifo", 3) == cls(
+            "naive", 1, plan, "fifo", 3)
+
+    def test_query_trace(self):
+        from dataclasses import asdict
+
+        from repro.traffic.stats import QueryTrace
+
+        values = dict(
+            client="c0", label="beam[axis=1]", index=2, disk=1,
+            arrival_ms=1.0, start_ms=1.5, completion_ms=9.0,
+            service_ms=6.0, n_slices=2, n_runs=11, n_blocks=11,
+            n_cells=11, seek_ms=1.0, rotation_ms=2.0, transfer_ms=2.5,
+            switch_ms=0.0,
+        )
+        got = QueryTrace.from_fields(**values)
+        want = QueryTrace(**values)
+        assert got == want and asdict(got) == asdict(want)
+        assert got.queue_ms == want.queue_ms == 2.0

@@ -51,6 +51,23 @@ class TestRandomBeam:
         b = random_beam((10, 20), 0, np.random.default_rng(5))
         assert a == b
 
+    @pytest.mark.parametrize("axis", [1, np.int64(1), np.uint8(1)])
+    def test_equals_the_checked_constructor(self, axis):
+        """Built in one step, a drawn beam is the beam the dataclass's
+        checked constructor builds from the same draws, with a Python
+        int axis."""
+        q = random_beam((10, 20, 30), axis, np.random.default_rng(5))
+        assert type(q.axis) is int
+        assert all(type(v) is int for v in q.fixed)
+        assert q == BeamQuery(axis=1, fixed=q.fixed)
+        assert repr(q) == repr(BeamQuery(axis=1, fixed=q.fixed))
+        assert hash(q) == hash(BeamQuery(axis=1, fixed=q.fixed))
+
+    @pytest.mark.parametrize("axis", [True, 1.0, np.float64(1.0), "1"])
+    def test_bad_axis_type(self, axis, rng):
+        with pytest.raises(QueryError, match="axis"):
+            random_beam((10, 20), axis, rng)
+
 
 class TestSelectivityShapes:
     def test_cube_shape_for_cubic_dims(self):
@@ -94,6 +111,12 @@ class TestRandomRangeCube:
             q = random_range_cube(dims, 5.0, rng)
             for d in range(3):
                 assert 0 <= q.lo[d] < q.hi[d] <= dims[d]
+
+    def test_equals_the_checked_constructor(self):
+        q = random_range_cube((50, 60, 70), 5.0, np.random.default_rng(3))
+        assert all(type(v) is int for v in q.lo + q.hi)
+        assert q == RangeQuery(lo=q.lo, hi=q.hi)
+        assert hash(q) == hash(RangeQuery(lo=q.lo, hi=q.hi))
 
     def test_full_selectivity_covers_everything(self, rng):
         dims = (30, 40, 50)

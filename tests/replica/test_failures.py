@@ -1,5 +1,8 @@
 """Failure injection: schedules, determinism, and degraded traffic."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.api import Dataset
@@ -85,6 +88,46 @@ class TestSchedule:
         assert payload["events"][0] == {
             "t_ms": 1.5, "action": "kill", "disk": 2,
         }
+
+
+class TestTypedEvents:
+    """A failure event's time is a finite real >= 0 and its disk an
+    integer >= 0 (not a bool); ``TrafficRun.kill`` passes its arguments
+    through unconverted, so a bad one raises :class:`ReplicaError` and
+    schedules nothing."""
+
+    @pytest.mark.parametrize("at_ms, disk", [
+        (10.0, 1.7),
+        (10.0, True),
+        (10.0, "1"),
+        (math.nan, 0),
+        (math.inf, 0),
+        ("x", 0),
+    ])
+    def test_kill_rejects_bad_values(self, small_model, at_ms, disk):
+        run = build(small_model).traffic().clients(1, queries=2)
+        with pytest.raises(ReplicaError):
+            run.kill(at_ms, disk)
+        assert "failures" not in run.run().meta
+
+    def test_revive_must_come_after_the_kill(self, small_model):
+        run = build(small_model).traffic().clients(1, queries=2)
+        for revive_at_ms in (10.0, 50.0):
+            with pytest.raises(ReplicaError, match="revive"):
+                run.kill(50.0, 0, revive_at_ms=revive_at_ms)
+        assert "failures" not in run.run().meta
+
+    @pytest.mark.parametrize("t_ms, disk", [
+        (1.0, 1.5), (1.0, "0"), (1.0, False), (math.nan, 0), ("1", 0),
+    ])
+    def test_event_rejects_bad_values(self, t_ms, disk):
+        with pytest.raises(ReplicaError):
+            FailureEvent(t_ms, "kill", disk)
+
+    def test_numpy_numbers_are_stored_as_python_numbers(self):
+        ev = FailureEvent(np.int64(5), "kill", np.int64(2))
+        assert type(ev.t_ms) is float and type(ev.disk) is int
+        assert ev == FailureEvent(5.0, "kill", 2)
 
 
 class TestDegradedTraffic:

@@ -1,5 +1,8 @@
 """The exception hierarchy: everything catchable as ReproError."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro import errors
@@ -36,3 +39,21 @@ class TestHierarchy:
             vol.allocate_blocks(0, -5)
         with pytest.raises(errors.ReproError):
             small_model.geometry.check_lbn(-1)
+
+
+class TestIntegerCheck:
+    """``_check_int`` returns a plain int at once and checks anything
+    else in full, raising the caller's error type."""
+
+    @pytest.mark.parametrize("value", [3, -3, np.int64(3), np.uint8(3),
+                                       np.int32(-3)])
+    def test_integers_come_back_as_python_ints(self, value):
+        out = errors._check_int("x", value, errors.GeometryError)
+        assert type(out) is int and out == int(value)
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 3.0,
+                                       np.float64(3.0), math.nan, "3",
+                                       None])
+    def test_everything_else_raises_the_given_error(self, value):
+        with pytest.raises(errors.GeometryError, match="x must be an int"):
+            errors._check_int("x", value, errors.GeometryError)
