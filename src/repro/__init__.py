@@ -31,7 +31,7 @@ The layers underneath remain importable for direct use:
 ``repro.replica``   fault tolerance: replicated shards, failure injection
 ``repro.ingest``    streaming ingest, bulk loaders, write-path pipeline
 ``repro.traffic``   concurrent multi-client traffic simulation
-``repro.perf``      plan-prep fast path: memoization, probes, perf sweep
+``repro.perf``      plan-prep fast path: memoization, reference, perf sweep
 ``repro.obs``       telemetry: span tracing, metrics, trace exporters
 ``repro.explain``   EXPLAIN/ANALYZE plan diagnosis, regression attribution
 ``repro.datasets``  the paper's three evaluation datasets
@@ -70,7 +70,6 @@ _LAZY_EXPORTS = {
     "prefetcher_names": "repro.cache",
     "register_policy": "repro.cache",
     "register_prefetcher": "repro.cache",
-    "ShardedBufferPool": "repro.cache",
     "ShardMap": "repro.shard",
     "ShardedStorageManager": "repro.shard",
     "ReplicaMap": "repro.replica",

@@ -43,7 +43,6 @@ _LAZY_EXPORTS = {
     "prefetcher_names": "repro.cache",
     "register_policy": "repro.cache",
     "register_prefetcher": "repro.cache",
-    "ShardedBufferPool": "repro.cache",
     "PLACEMENTS": "repro.replica",
     "READ_POLICIES": "repro.replica",
     "FailureEvent": "repro.replica",

@@ -4,7 +4,8 @@ One object owns the whole stack the paper layers behind its two
 interfaces (the LVM adjacency API of §3 and the database storage manager
 of §5.1): simulated drives, a :class:`~repro.lvm.volume.LogicalVolume`,
 a registered layout's mappers, the storage manager, and (optionally, via
-:meth:`Dataset.with_cache`) a shared :class:`~repro.cache.BufferPool`::
+:meth:`Dataset.with_cache`) one :class:`~repro.cache.BufferPool` shared
+by every member disk::
 
     from repro.api import Dataset
 
@@ -53,6 +54,7 @@ from repro.errors import (
     DatasetError,
     MappingError,
     QueryError,
+    _check_coords,
     _check_count,
     _check_keywords,
     _check_rng,
@@ -61,7 +63,7 @@ from repro.errors import (
 )
 from repro.lvm.volume import LogicalVolume
 from repro.query.executor import QueryResult, check_setting
-from repro.query.scheduler import DEFAULT_WINDOW, SPTF_RUN_LIMIT
+from repro.query.scheduler import DEFAULT_WINDOW
 from repro.query.workload import (
     BeamQuery,
     RangeQuery,
@@ -223,7 +225,7 @@ class QueryBatch:
         records = [make_record(q, res, rep)
                    for (q, rep), res in zip(queries, results)]
         meta = {"repeats": n_rep, "seed": ds.seed}
-        if ds.cache is not None and ds.cache.active:
+        if ds.cache is not None:
             # pool-LIFETIME cumulative snapshot taken after the batch —
             # earlier batches on the same dataset are included (call
             # ds.cache.reset_stats() first to scope stats to one batch);
@@ -260,21 +262,13 @@ class Dataset:
     storage manager behind one object.  Use :meth:`create`."""
 
     def __init__(self, *, shape, layout, drive, cell_blocks=1, depth=None,
-                 seed=None, window=DEFAULT_WINDOW,
-                 sptf_run_limit=SPTF_RUN_LIMIT,
-                 coalesce_gap_blocks=24, layout_opts=None):
+                 seed=None, window=DEFAULT_WINDOW, layout_opts=None):
         # checked now: the storage manager that owns these settings is
         # only built on first use
         self.shape = _check_shape(shape)
         self.layout = str(layout)
         self.cell_blocks = check_setting("cell_blocks", cell_blocks)
-        self._sm_opts = {
-            "window": check_setting("window", window),
-            "sptf_run_limit": check_setting("sptf_run_limit",
-                                            sptf_run_limit),
-            "coalesce_gap_blocks": check_setting("coalesce_gap_blocks",
-                                                 coalesce_gap_blocks),
-        }
+        self.window = check_setting("window", window)
         self.depth = (None if depth is None
                       else _check_count("depth", depth, DatasetError))
         self.seed = (None if seed is None
@@ -311,8 +305,6 @@ class Dataset:
                drive="atlas10k3", *, cell_blocks: int = 1,
                depth: int | None = None, seed=None,
                window: int = DEFAULT_WINDOW,
-               sptf_run_limit: int = SPTF_RUN_LIMIT,
-               coalesce_gap_blocks: int = 24,
                **layout_opts) -> "Dataset":
         """Build the full stack for ``shape`` under a registered layout.
 
@@ -327,13 +319,13 @@ class Dataset:
         layout's mapper does not take raises
         :class:`~repro.errors.MappingError` here, before anything is
         built.
-        ``window``, ``sptf_run_limit`` and ``coalesce_gap_blocks`` are
-        the storage manager's settings (see
-        :class:`~repro.query.executor.StorageManager`; an
-        ``sptf_run_limit`` of 0 serves every SPTF batch ``"sorted"``).
-        All four must be integers, with ``window`` and ``cell_blocks``
-        at least 1 and the other two at least 0, and are checked before
-        any drive or volume is built: a bad one raises
+        ``window`` is the drive command-queue depth for SPTF batches
+        (see :class:`~repro.query.executor.StorageManager`); the §5.2
+        conventions' other two numbers are fixed
+        (:data:`~repro.query.scheduler.SPTF_RUN_LIMIT`,
+        :data:`~repro.query.scheduler.COALESCE_GAP_BLOCKS`).
+        ``window`` and ``cell_blocks`` must be integers of at least 1,
+        checked before any drive or volume is built: a bad one raises
         :class:`~repro.errors.QueryError`, or
         :class:`~repro.errors.MappingError` for ``cell_blocks``.
         ``shape`` must be a non-empty sequence of integers of at least 1
@@ -345,9 +337,7 @@ class Dataset:
         return cls(
             shape=shape, layout=layout, drive=drive,
             cell_blocks=cell_blocks, depth=depth, seed=seed,
-            window=window, sptf_run_limit=sptf_run_limit,
-            coalesce_gap_blocks=coalesce_gap_blocks,
-            layout_opts=layout_opts,
+            window=window, layout_opts=layout_opts,
         )
 
     @property
@@ -383,8 +373,8 @@ class Dataset:
         storage = ShardedStorageManager(
             volume, shard_map, self._layout_entry,
             k=k, placement=placement, read_policy=read_policy,
-            cell_blocks=self.cell_blocks, cache=stack.cache,
-            layout_opts=self.layout_opts, **self._sm_opts,
+            cell_blocks=self.cell_blocks, window=self.window,
+            cache=stack.cache, layout_opts=self.layout_opts,
         )
         storage.obs = stack.obs
         return storage
@@ -418,8 +408,8 @@ class Dataset:
             shape=self.shape, layout=layout,
             drive=(self.drive_name, self._drive_factory),
             cell_blocks=self.cell_blocks,
-            depth=self.depth, seed=self.seed, layout_opts=layout_opts,
-            **self._sm_opts,
+            depth=self.depth, seed=self.seed, window=self.window,
+            layout_opts=layout_opts,
         )
         clone._store_opts = dict(self._store_opts)
         if self._ingest_spec is not None:
@@ -463,7 +453,7 @@ class Dataset:
         last-axis slab chunking.  An unsharded dataset is the 1-disk
         case of the same storage manager, so ``with_shards(1)`` changes
         nothing but :attr:`is_sharded`.  An attached replication or
-        cache spec is re-applied on the new disk count (fresh pool(s)).
+        cache spec is re-applied on the new disk count (a fresh pool).
         Online updates are not available on sharded datasets.
         """
         from repro.shard import ShardMap
@@ -576,7 +566,7 @@ class Dataset:
         self.volume = volume
         self._storage = storage
         if self._cache_spec is not None:
-            # fresh pool(s) sized by the same spec on the new stack
+            # a fresh pool sized by the same spec on the new stack
             self.with_cache(**self._cache_spec)
 
     @staticmethod
@@ -660,86 +650,39 @@ class Dataset:
     # ------------------------------------------------------------------
 
     def with_cache(self, capacity_blocks: int, policy: str = "lru",
-                   prefetch: str = "none", scope: str = "shared",
-                   **cache_opts) -> "Dataset":
+                   prefetch: str = "none") -> "Dataset":
         """Attach a fresh :class:`~repro.cache.BufferPool` (chainable).
 
-        ``capacity_blocks == 0`` (the default state) detaches any pool
-        — queries then run bit-identical to a dataset that never had
-        one.  ``policy`` / ``prefetch`` resolve through the
-        :data:`~repro.cache.POLICIES` / :data:`~repro.cache.PREFETCHERS`
-        registries; extra keywords pass to the pool (e.g.
-        ``service_ms_per_block``, ``scan_threshold``,
-        ``prefetch_opts={"steps": 8}``).  ``with_layout`` clones carry
-        the same spec with a private pool, keeping layout comparisons
-        fair.
-
-        ``scope`` picks the composition on sharded datasets:
-        ``"shared"`` (default) is one host-side pool spanning every
-        member disk; ``"per_shard"`` gives each disk a private
-        :class:`~repro.cache.ShardedBufferPool` member of
-        ``capacity_blocks`` frames (the per-controller cache of a disk
-        array), so one shard's scan cannot evict another's working set.
-        ``with_shards`` re-instantiates the spec on the new disk count.
+        One pool of ``capacity_blocks`` frames spans every member disk
+        (one host-side DRAM pool); ``with_shards`` and
+        ``with_replication`` re-instantiate it on the new disks, and
+        ``with_layout`` clones carry the same spec with a private pool,
+        keeping layout comparisons fair.  ``capacity_blocks == 0`` (the
+        default state) detaches any pool: queries then run exactly as on
+        a dataset that never had one.  ``policy`` / ``prefetch`` are
+        names registered in :data:`~repro.cache.POLICIES` /
+        :data:`~repro.cache.PREFETCHERS`, checked on every call, so a
+        typo in a sweep's capacity-0 baseline fails loudly instead of
+        running uncached.
         """
         capacity_blocks = _check_count("capacity_blocks", capacity_blocks,
                                        DatasetError, low=0)
-        if scope not in ("shared", "per_shard"):
-            raise DatasetError(
-                f"cache scope must be 'shared' or 'per_shard', "
-                f"got {scope!r}"
-            )
-        from repro.cache import (
-            POLICIES,
-            PREFETCHERS,
-            BufferPool,
-            EvictionPolicy,
-            Prefetcher,
-            ShardedBufferPool,
-        )
+        from repro.cache import BufferPool
+        from repro.cache.policies import make_policy
+        from repro.cache.prefetch import make_prefetcher
 
-        # with_layout clones re-instantiate this spec for their private
-        # pools, so it must be re-instantiable: a pre-built (stateful)
-        # policy/prefetcher object would be *shared* across clones and
-        # leak one layout's residency into another's measurements —
-        # wire such an object into storage.cache by hand instead
-        if isinstance(policy, EvictionPolicy) \
-                or isinstance(prefetch, Prefetcher):
-            raise DatasetError(
-                "with_cache takes registered names or classes, not "
-                "instances; build a BufferPool directly for that"
-            )
-        # validate names even on the capacity-0 path, so a typo in a
-        # sweep's baseline cell fails loudly instead of running uncached
-        if isinstance(policy, str):
-            POLICIES.get(policy)
-        if isinstance(prefetch, str):
-            PREFETCHERS.get(prefetch)
         if not capacity_blocks:
+            # no pool is built, but the names are checked all the same
+            make_policy(policy, 1)
+            make_prefetcher(prefetch)
             self._cache_spec = None
             self._stack().cache = None
             return self
-
         # construct the pool before committing the spec, so a rejected
         # configuration leaves the dataset (and its describe()) unchanged
-        if scope == "per_shard":
-            pool = ShardedBufferPool(
-                self.volume.n_disks, int(capacity_blocks),
-                policy=policy, prefetch=prefetch, **cache_opts,
-            )
-        else:
-            pool = BufferPool(
-                int(capacity_blocks), policy=policy, prefetch=prefetch,
-                **cache_opts,
-            )
-        self._cache_spec = dict(
-            capacity_blocks=int(capacity_blocks), policy=policy,
-            prefetch=prefetch, **cache_opts,
-        )
-        if scope != "shared":
-            # recorded only when non-default, so shared-pool specs (and
-            # their report meta) keep the pre-shard JSON layout
-            self._cache_spec["scope"] = scope
+        pool = BufferPool(capacity_blocks, policy, prefetch)
+        self._cache_spec = dict(capacity_blocks=capacity_blocks,
+                                policy=policy, prefetch=prefetch)
         self._stack().cache = pool
         return self
 
@@ -951,7 +894,7 @@ class Dataset:
 
     def _invalidate_cell_blocks(self, cell_coord) -> None:
         """Write-invalidate the cache frames of one cell's home blocks."""
-        if self.cache is None or not self.cache.active:
+        if self.cache is None:
             return
         mapper = self._store.mapper
         first = int(mapper.lbns(np.asarray([cell_coord],
@@ -996,11 +939,12 @@ class Dataset:
 
     def read_cells(self, coords, *,
                    rng: np.random.Generator | None = None) -> QueryResult:
-        """Fetch specific cells (including any overflow chains)."""
+        """Fetch specific cells (including any overflow chains);
+        ``coords`` is one cell or a list of cells, checked as every
+        coordinate entry point checks them (a bad one raises
+        :class:`~repro.errors.QueryError`)."""
         _check_rng(rng)
-        coords = np.asarray(coords)
-        if coords.ndim == 1:
-            coords = coords[np.newaxis, :]
+        coords = _check_coords(coords, self.shape)
         plan = self.store.read_plan(coords)
         if rng is None:
             rng = self.rng()

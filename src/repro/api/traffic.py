@@ -48,7 +48,6 @@ class TrafficRun:
         self._slice_runs: int | None = 256
         self._head = "random"
         self._horizon_ms: float | None = None
-        self._collect_traces = True
         self._failures = None
         self._failure_events: list = []
 
@@ -160,16 +159,6 @@ class TrafficRun:
         self._horizon_ms = ms
         return self
 
-    def traces(self, collect: bool) -> "TrafficRun":
-        """Toggle per-query trace collection (on by default).
-
-        Latency statistics derive from traces, so with collection off
-        the report keeps only drive-level totals (served blocks/slices,
-        busy time) and renders latency columns as ``-``.
-        """
-        self._collect_traces = bool(collect)
-        return self
-
     # ------------------------------------------------------------------
     # failure injection
     # ------------------------------------------------------------------
@@ -226,7 +215,6 @@ class TrafficRun:
             slice_runs=self._slice_runs,
             head=self._head,
             horizon_ms=self._horizon_ms,
-            collect_traces=self._collect_traces,
         )
         ds = self._dataset
         n_clients = len(self._specs) + len(self._ingest_specs)

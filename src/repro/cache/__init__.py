@@ -1,10 +1,12 @@
 """repro.cache — buffer pool and locality-aware prefetch.
 
-The memory layer above the simulated drives: a block-level
-:class:`BufferPool` keyed by ``(disk, lbn)`` with pluggable,
-registry-registered eviction policies (:data:`POLICIES`) and
-prefetchers (:data:`PREFETCHERS`) that exploit the same LVM adjacency
-interface MultiMap maps onto.  See :mod:`repro.cache.pool` for how it
+The memory layer above the simulated drives: one block-level
+:class:`BufferPool` per dataset, keyed by ``(disk, lbn)`` across every
+member disk, with an eviction policy and a prefetcher picked by
+registered name (:data:`POLICIES`, :data:`PREFETCHERS`); the
+prefetchers exploit the same LVM adjacency interface MultiMap maps
+onto.  A dataset either has a pool of at least one frame or none
+(``with_cache(0)`` detaches).  See :mod:`repro.cache.pool` for how it
 plugs into the §5.2 issue-order pipeline, and :mod:`repro.cache.sweep`
 for the hit-ratio-vs-capacity sweep (``repro-bench cache``, on the
 shared sweep engine :mod:`repro.bench.sweep`)::
@@ -27,7 +29,6 @@ from repro.cache.policies import (
     register_policy,
 )
 from repro.cache.pool import BufferPool, CacheStats, expand_plan
-from repro.cache.sharded import ShardedBufferPool
 from repro.cache.prefetch import (
     PREFETCHERS,
     AdjacentPrefetcher,
@@ -55,7 +56,6 @@ __all__ = [
     "Prefetcher",
     "ScanResistantPolicy",
     "SegmentedLRUPolicy",
-    "ShardedBufferPool",
     "TrackPrefetcher",
     "expand_plan",
     "overlapping_beams",

@@ -14,7 +14,7 @@ Three builtins are registered (:data:`POLICIES`):
 ``"slru"``
     Segmented LRU (ARC-lite): admissions land in a probationary
     segment; a hit promotes into a protected segment capped at
-    ``protected_frac`` of capacity, demoting the protected LRU tail
+    80 % of capacity, demoting the protected LRU tail
     back to probation when full.  Victims come from probation first,
     so one-touch blocks (scans, failed prefetch) cannot flush the
     proven working set.
@@ -51,7 +51,7 @@ __all__ = [
 Key = tuple  # (disk, lbn)
 
 
-#: policy-name -> policy class (``cls(capacity, **opts)``); builtins
+#: policy-name -> policy class (``cls(capacity)``); builtins
 #: live in this module, so importing it is the whole population step
 POLICIES = Registry("cache policy")
 
@@ -71,18 +71,13 @@ def policy_names() -> tuple[str, ...]:
     return POLICIES.names()
 
 
-def make_policy(policy, capacity: int, **opts) -> "EvictionPolicy":
-    """Resolve a policy spec (name, class, or instance) for a pool."""
-    if isinstance(policy, EvictionPolicy):
-        return policy
-    if isinstance(policy, str):
-        policy = POLICIES.get(policy)
-    if isinstance(policy, type):
-        return policy(capacity, **opts)
-    raise CacheError(
-        f"policy must be a registered name, a class, or an instance; "
-        f"got {type(policy).__name__}"
-    )
+def make_policy(name: str, capacity: int) -> "EvictionPolicy":
+    """A fresh policy of the registered ``name`` for a pool of
+    ``capacity`` frames; anything but a name raises
+    :class:`~repro.errors.CacheError`."""
+    if not isinstance(name, str):
+        raise CacheError(f"policy must be a registered name, got {name!r}")
+    return POLICIES.get(name)(capacity)
 
 
 class EvictionPolicy(ABC):
@@ -188,11 +183,10 @@ class ScanResistantPolicy(LRUPolicy):
 class SegmentedLRUPolicy(EvictionPolicy):
     """Segmented LRU (ARC-lite): probationary + protected segments."""
 
-    def __init__(self, capacity: int, protected_frac: float = 0.8):
+    def __init__(self, capacity: int):
         super().__init__(capacity)
-        if not 0.0 < protected_frac < 1.0:
-            raise CacheError("protected_frac must be in (0, 1)")
-        self.protected_cap = int(capacity * protected_frac)
+        # the protected segment holds up to 80 % of the frames
+        self.protected_cap = int(capacity * 0.8)
         self._probation: OrderedDict[Key, None] = OrderedDict()
         self._protected: OrderedDict[Key, None] = OrderedDict()
 

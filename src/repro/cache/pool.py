@@ -10,17 +10,17 @@ neighbors' memory hits.
 The pool plugs into :class:`repro.query.executor.StorageManager` at the
 §5.2 issue-order stage: ``prepare_plan`` calls :meth:`filter_plan` to
 partition each prepared plan into *cached* blocks (served at
-``service_ms_per_block``, the bus/DRAM cost) and a *miss plan* the drive
-services mechanically; after servicing, :meth:`admit_plan` installs the
-missed blocks together with their prefetched neighbors
-(:mod:`repro.cache.prefetch`).  Filtering preserves the plan's issue
-order — a MultiMap semi-sequential (``"fifo"``) plan stays in path
-order, a ``"sorted"`` plan stays ascending — so the miss plan is
-serviced exactly as the §5.2 conventions dictate.
+:attr:`BufferPool.service_ms_per_block`, the drive's bus cost) and a
+*miss plan* the drive services mechanically; after servicing,
+:meth:`admit_plan` installs the missed blocks together with their
+prefetched neighbors (:mod:`repro.cache.prefetch`).  Filtering
+preserves the plan's issue order — a MultiMap semi-sequential
+(``"fifo"``) plan stays in path order, a ``"sorted"`` plan stays
+ascending — so the miss plan is serviced exactly as the §5.2
+conventions dictate.
 
-A pool with ``capacity_blocks == 0`` is inert: lookups miss, admissions
-are dropped, and every serviced plan is bit-identical to the uncached
-path (the parity the regression tests pin).
+A pool holds at least one frame; "no cache" is the absence of a pool
+(``cache=None`` on the storage manager), never an empty one.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cache.policies import EvictionPolicy, make_policy
-from repro.cache.prefetch import Prefetcher, make_prefetcher
+from repro.cache.policies import make_policy
+from repro.cache.prefetch import make_prefetcher
 from repro.disk.drive import DiskDrive
-from repro.errors import CacheError
+from repro.errors import CacheError, _check_count
 from repro.mappings.base import RequestPlan, coalesce_ranks
 
 __all__ = ["BufferPool", "CacheStats", "expand_plan"]
@@ -98,57 +98,38 @@ class CacheStats:
 
 
 class BufferPool:
-    """A shared, policy-pluggable block cache for one logical volume.
+    """A shared block cache for one logical volume.
 
     Parameters
     ----------
     capacity_blocks:
-        Frames in the pool (one 512-byte block each).  0 disables the
-        pool entirely.
+        Frames in the pool (one 512-byte block each): an integer of at
+        least 1 (not a bool), else :class:`~repro.errors.CacheError`.
     policy:
-        Eviction policy — a registered name (``"lru"``, ``"slru"``,
-        ``"scan"``), an :class:`EvictionPolicy` class, or an instance.
+        Eviction policy, by registered name (``"lru"``, ``"slru"``,
+        ``"scan"``).
     prefetch:
-        Prefetcher — a registered name (``"none"``, ``"track"``,
-        ``"adjacent"``), a :class:`Prefetcher` class, or an instance.
-    service_ms_per_block:
-        Memory service time per cached block; the default *is* the
-        drive's Ultra160-class bus cost
-        (:attr:`repro.disk.drive.DiskDrive.CACHE_BLOCK_MS`).
-    scan_threshold:
-        Demand admissions arriving in one batch of at least this many
-        blocks are flagged as a scan to the policy (scan-resistant
-        policies insert them cold).  Defaults to half the capacity.
+        Prefetcher, by registered name (``"none"``, ``"track"``,
+        ``"adjacent"``).
+
+    A cached block is served in :attr:`service_ms_per_block`, the
+    drive's Ultra160-class bus cost
+    (:attr:`repro.disk.drive.DiskDrive.CACHE_BLOCK_MS`).  Demand
+    admissions arriving in one batch of at least :attr:`scan_threshold`
+    blocks, half the capacity, are flagged as a scan to the policy
+    (scan-resistant policies insert them cold).
     """
 
-    def __init__(
-        self,
-        capacity_blocks: int,
-        policy: str | type | EvictionPolicy = "lru",
-        prefetch: str | type | Prefetcher = "none",
-        *,
-        service_ms_per_block: float | None = None,
-        scan_threshold: int | None = None,
-        policy_opts: dict | None = None,
-        prefetch_opts: dict | None = None,
-    ):
-        if service_ms_per_block is None:
-            service_ms_per_block = DiskDrive.CACHE_BLOCK_MS
-        if capacity_blocks < 0:
-            raise CacheError("capacity_blocks must be >= 0")
-        if service_ms_per_block < 0:
-            raise CacheError("service_ms_per_block must be >= 0")
-        self.capacity = int(capacity_blocks)
-        self.policy = make_policy(
-            policy, self.capacity, **(policy_opts or {})
-        )
-        self.prefetcher = make_prefetcher(
-            prefetch, **(prefetch_opts or {})
-        )
-        self.service_ms_per_block = float(service_ms_per_block)
-        if scan_threshold is None:
-            scan_threshold = max(1, self.capacity // 2)
-        self.scan_threshold = int(scan_threshold)
+    #: memory service time per cached block
+    service_ms_per_block = DiskDrive.CACHE_BLOCK_MS
+
+    def __init__(self, capacity_blocks: int, policy: str = "lru",
+                 prefetch: str = "none"):
+        self.capacity = _check_count("capacity_blocks", capacity_blocks,
+                                     CacheError)
+        self.policy = make_policy(policy, self.capacity)
+        self.prefetcher = make_prefetcher(prefetch)
+        self.scan_threshold = max(1, self.capacity // 2)
         self.stats = CacheStats()
         self._prefetched: set[tuple] = set()
         # per-disk LBN mirror of the policy's resident set, kept in sync
@@ -162,10 +143,6 @@ class BufferPool:
     # ------------------------------------------------------------------
     # residency
     # ------------------------------------------------------------------
-
-    @property
-    def active(self) -> bool:
-        return self.capacity > 0
 
     @property
     def occupancy(self) -> int:
@@ -192,7 +169,7 @@ class BufferPool:
         hits the original plan object is returned untouched, so an
         empty or cold pool is exactly the uncached path.
         """
-        if not self.active or plan.n_runs == 0:
+        if plan.n_runs == 0:
             return plan, 0, 0
         lbns = expand_plan(plan)
         d = int(disk)
@@ -252,7 +229,7 @@ class BufferPool:
         refresh, no prefetch accounting, no stats.  The EXPLAIN layer's
         probe for expected cache hits against the live pool.
         """
-        if not self.active or plan.n_runs == 0:
+        if plan.n_runs == 0:
             return 0, 0
         lbns = expand_plan(plan)
         d = int(disk)
@@ -289,7 +266,7 @@ class BufferPool:
         ``scan_threshold`` carry the scan flag); then the prefetcher's
         targets for the same runs, minus anything already resident.
         """
-        if not self.active or plan.n_runs == 0:
+        if plan.n_runs == 0:
             return
         demand = expand_plan(plan)
         scan = demand.size >= self.scan_threshold

@@ -17,8 +17,8 @@ disk internals:
     tracks — while scattered placements drag in whole tracks of
     unrelated cells per touched block.
 ``"adjacent"``
-    Semi-sequential successors: for each run the ``steps`` first
-    adjacent blocks of its boundary blocks (``get_adjacent``), i.e.
+    Semi-sequential successors: for each run the first four
+    adjacent blocks of its last block (``get_adjacent``), i.e.
     the blocks reachable in one settle with zero rotational latency.
     Under MultiMap those are the query's spatial neighbors in the
     non-streaming dimensions, so overlapping follow-up queries hit.
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-#: prefetcher-name -> prefetcher class (``cls(**opts)``); builtins live
+#: prefetcher-name -> prefetcher class (``cls()``); builtins live
 #: in this module, so importing it is the whole population step
 PREFETCHERS = Registry("prefetcher")
 
@@ -72,18 +72,14 @@ def prefetcher_names() -> tuple[str, ...]:
     return PREFETCHERS.names()
 
 
-def make_prefetcher(prefetch, **opts) -> "Prefetcher":
-    """Resolve a prefetcher spec (name, class, or instance)."""
-    if isinstance(prefetch, Prefetcher):
-        return prefetch
-    if isinstance(prefetch, str):
-        prefetch = PREFETCHERS.get(prefetch)
-    if isinstance(prefetch, type):
-        return prefetch(**opts)
-    raise CacheError(
-        f"prefetch must be a registered name, a class, or an instance; "
-        f"got {type(prefetch).__name__}"
-    )
+def make_prefetcher(name: str) -> "Prefetcher":
+    """A fresh prefetcher of the registered ``name``; anything but a
+    name raises :class:`~repro.errors.CacheError`."""
+    if not isinstance(name, str):
+        raise CacheError(
+            f"prefetch must be a registered name, got {name!r}"
+        )
+    return PREFETCHERS.get(name)()
 
 
 class Prefetcher(ABC):
@@ -141,17 +137,15 @@ class TrackPrefetcher(Prefetcher):
 class AdjacentPrefetcher(Prefetcher):
     """Pull each run's semi-sequential successors (``get_adjacent``).
 
-    For every run, the ``steps`` first adjacent blocks of its last LBN:
-    the continuation of the access path one settle away.  Steps beyond
-    the disk's adjacency depth *D* or across a zone boundary are
+    For every run, the first :attr:`steps` adjacent blocks of its last
+    LBN: the continuation of the access path one settle away.  Steps
+    beyond the disk's adjacency depth *D* or across a zone boundary are
     silently skipped (MultiMap never maps across zones, so nothing
     useful lives there).
     """
 
-    def __init__(self, steps: int = 4):
-        if steps < 1:
-            raise CacheError("steps must be >= 1")
-        self.steps = int(steps)
+    #: adjacent blocks pulled per run
+    steps = 4
 
     def targets(self, volume, disk: int, plan) -> np.ndarray:
         adjacency = volume.adjacency[disk]

@@ -2,9 +2,10 @@
 
 All library-raised exceptions derive from :class:`ReproError` so callers can
 catch everything coming out of this package with a single ``except`` clause.
-The integer, count, float, keyword and shape checks the API boundaries
-share live here too, below every layer that raises through them
-(:mod:`repro.query.workload` re-exports the integer checks).
+The integer, count, float, keyword, coordinate and shape checks the
+API boundaries share live here too, below every layer that raises
+through them (:mod:`repro.query.workload` re-exports the integer
+checks).
 """
 
 from __future__ import annotations
@@ -172,6 +173,43 @@ def _check_ints(name: str, values) -> tuple[int, ...]:
             # numpy integers pass, anything else raises
             _check_int(f"{name}[{d}]", v)
     return tuple(map(int, items))
+
+
+def _check_coords(coords, dims, error=QueryError) -> np.ndarray:
+    """Cell coordinates on the grid ``dims`` as an ``(n, len(dims))``
+    int64 array (one cell may come as a flat row): integers, numpy
+    integers included, bools not, each inside its axis; anything else,
+    a ragged list included, raises ``error``.  Only a list is scanned
+    for bools element by element: an integer ndarray holds none."""
+    try:
+        arr = np.asarray(coords)
+    except ValueError:
+        raise error("coords must be a rectangular array of integers") \
+            from None
+    if arr.dtype.kind not in "iu":
+        # floats would truncate silently; bools would read as 0/1
+        raise error(f"coords must be integers, got dtype {arr.dtype}")
+    if not isinstance(coords, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_))
+        for v in np.asarray(coords, dtype=object).flat
+    ):
+        # a list mixing bools and ints converts to an integer array
+        raise error("coords must be integers, not bools")
+    arr = arr.astype(np.int64, copy=False)
+    if arr.ndim == 1:
+        arr = arr[np.newaxis, :]
+    if arr.ndim != 2 or arr.shape[1] != len(dims):
+        raise error(
+            f"coordinate rank does not match the dataset: coords must "
+            f"be (n_cells, {len(dims)})"
+        )
+    # axis by axis: a comparison against all dims at once runs numpy
+    # over rows of ndim values
+    if arr.size and (arr.min() < 0 or any(
+        arr[:, d].max() >= s for d, s in enumerate(dims)
+    )):
+        raise error("coordinate out of dataset bounds")
+    return arr
 
 
 def _check_shape(shape, error=DatasetError) -> tuple[int, ...]:

@@ -192,7 +192,7 @@ def _peek_cache(storage, prepared) -> dict | None:
     """Expected buffer-pool hits for the prepared (cache-less) plans,
     probed without mutating pool policy or stats."""
     pool = storage.cache
-    if pool is None or not pool.active:
+    if pool is None:
         return None
     hits = hit_runs = blocks = 0
     for sub in prepared.subs:

@@ -54,7 +54,7 @@ from typing import ClassVar
 import numpy as np
 
 from repro.core.store import CellStore
-from repro.errors import IngestError
+from repro.errors import IngestError, _check_coords
 from repro.ingest.loader import IngestPlan, resolve_loader
 from repro.ingest.streams import RecordStream, check_count
 from repro.mappings.base import RequestPlan, box_columns, unflatten
@@ -226,7 +226,6 @@ class IngestPipeline:
                 )
             self._copy_extents.append(exts)
 
-        self._dims = np.asarray(dataset.shape, dtype=np.int64)
         # a cell's chunk is (coords // _base_shape) . _grid_strides; the
         # reference pipeline of tests/ingest/test_pipeline_oracle.py
         # routes its points by them
@@ -274,30 +273,6 @@ class IngestPipeline:
     # staging
     # ------------------------------------------------------------------
 
-    def _check_coords(self, coords) -> np.ndarray:
-        """A batch of cell coordinates as an ``(n, ndim)`` int64 array;
-        raises :class:`IngestError` for anything that is not integer
-        cells on the dataset's grid."""
-        coords = np.asarray(coords)
-        # bool is an integer to numpy, but True as a coordinate is a bug
-        if coords.dtype.kind not in "iu":
-            raise IngestError(
-                f"coords must be integers, got dtype {coords.dtype}"
-            )
-        coords = coords.astype(np.int64, copy=False)
-        if coords.ndim == 1:
-            coords = coords[np.newaxis, :]
-        if coords.ndim != 2 or coords.shape[1] != len(self._dims):
-            raise IngestError("coordinate rank does not match dataset")
-        # axis by axis: a comparison against all dims at once runs numpy
-        # over rows of ndim values
-        if coords.size and (coords.min() < 0 or any(
-            coords[:, d].max() >= s
-            for d, s in enumerate(self.dataset.shape)
-        )):
-            raise IngestError("coordinates out of dataset bounds")
-        return coords
-
     _unflatten_local = staticmethod(unflatten)
 
     def stage(self, coords) -> list[int]:
@@ -314,7 +289,7 @@ class IngestPipeline:
         yields those disks, with every point up to that batch buffered;
         a caller flushes them (:meth:`build_flush`) before resuming.
         The rest of the window is buffered when the generator ends."""
-        coords = self._check_coords(coords)
+        coords = _check_coords(coords, self.dataset.shape, IngestError)
         if ends is None:
             ends = (len(coords),)
         keys = self._cell_key[coords @ self._flat_strides]
@@ -449,7 +424,7 @@ class IngestPipeline:
         sub-plans.  ``final`` drains every buffer regardless of
         thresholds (the last batch acknowledges everything).
         """
-        coords = self._check_coords(coords)
+        coords = _check_coords(coords, self.dataset.shape, IngestError)
         ready = self.stage(coords)
         if final:
             ready = self.drain_disks()

@@ -20,6 +20,7 @@ import numpy as np
 from repro.errors import (
     MappingError,
     QueryError,
+    _check_coords,
     _check_count,
     _check_int,
     _check_ints,
@@ -271,28 +272,7 @@ class Mapper(ABC):
         return lo, hi
 
     def _check_coords(self, coords) -> np.ndarray:
-        arr = np.asarray(coords)
-        if arr.dtype.kind not in "iu":
-            # floats would truncate silently; bools would read as 0/1
-            raise QueryError(
-                f"coords must be integers, got dtype {arr.dtype}"
-            )
-        if not isinstance(coords, np.ndarray) and any(
-            isinstance(v, (bool, np.bool_))
-            for v in np.asarray(coords, dtype=object).flat
-        ):
-            # a list mixing bools and ints converts to an integer array
-            raise QueryError("coords must be integers, not bools")
-        arr = arr.astype(np.int64, copy=False)
-        if arr.ndim == 1:
-            arr = arr[np.newaxis, :]
-        if arr.ndim != 2 or arr.shape[1] != self.n_dims:
-            raise QueryError("coords must be (n_cells, n_dims)")
-        if arr.size:
-            upper = np.asarray(self.dims, dtype=np.int64)
-            if arr.min() < 0 or (arr >= upper).any():
-                raise QueryError("coordinate out of dataset bounds")
-        return arr
+        return _check_coords(coords, self.dims)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(dims={self.dims})"

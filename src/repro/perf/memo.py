@@ -15,8 +15,8 @@ mutates volume state and must run per mapper.
 
 The memo is deliberately simple: a per-kind dict with hit/miss
 counters, no eviction (entries are keyed per distinct grid shape, a
-handful per process), ``clear()`` for benchmark hygiene, and
-``enabled`` to bypass sharing entirely when measuring cold builds.
+handful per process) and ``clear()`` for benchmark hygiene (a cold
+build is measured after ``clear()`` or ``evict``).
 """
 
 from __future__ import annotations
@@ -30,15 +30,12 @@ class MapperMemo:
     """A keyed store of shared derived mapper state."""
 
     def __init__(self) -> None:
-        self.enabled = True
         self.hits = 0
         self.misses = 0
         self._store: dict[str, dict[Hashable, Any]] = {}
 
     def get(self, kind: str, key: Hashable):
         """The cached value, or ``None`` (counts a hit or a miss)."""
-        if not self.enabled:
-            return None
         value = self._store.get(kind, {}).get(key)
         if value is None:
             self.misses += 1
@@ -47,9 +44,8 @@ class MapperMemo:
         return value
 
     def put(self, kind: str, key: Hashable, value) -> None:
-        """Publish a value (no-op while disabled)."""
-        if self.enabled:
-            self._store.setdefault(kind, {})[key] = value
+        """Publish a value."""
+        self._store.setdefault(kind, {})[key] = value
 
     def get_or_build(self, kind: str, key: Hashable,
                      builder: Callable[[], Any]):

@@ -35,6 +35,7 @@ from repro.errors import QueryError
 from repro.mappings.base import RequestPlan, enumerate_box
 from repro.mappings.linear import CurveMapper
 from repro.query.executor import PreparedQuery
+from repro.query.scheduler import COALESCE_GAP_BLOCKS, SPTF_RUN_LIMIT
 from repro.query.workload import BeamQuery, RangeQuery
 
 __all__ = ["reference_prepare", "reference_codes", "reference_intersections"]
@@ -105,8 +106,7 @@ def _reference_raw_policy(mapper, query) -> tuple[str, int | None]:
 
 def reference_prepare(storage, mapper, query) -> PreparedQuery:
     """Prepare ``query`` per-cell in pure Python (uncached path only)."""
-    cache = getattr(storage, "cache", None)
-    if cache is not None and cache.active:
+    if getattr(storage, "cache", None) is not None:
         raise QueryError("reference_prepare models the uncached path")
     cells = _reference_cells(mapper, query)
     policy, merge_gap = _reference_raw_policy(mapper, query)
@@ -122,9 +122,7 @@ def reference_prepare(storage, mapper, query) -> PreparedQuery:
         )
     else:
         blocks = sorted({b + i for b in lbns for i in range(cb)})
-        gap = (
-            storage.coalesce_gap_blocks if merge_gap is None else merge_gap
-        )
+        gap = COALESCE_GAP_BLOCKS if merge_gap is None else merge_gap
         runs: list[list[int]] = []
         for b in blocks:
             if runs and b <= runs[-1][1] + gap:
@@ -138,7 +136,7 @@ def reference_prepare(storage, mapper, query) -> PreparedQuery:
             merge_gap=merge_gap,
         )
     effective = plan.policy
-    if effective == "sptf" and plan.n_runs > storage.sptf_run_limit:
+    if effective == "sptf" and plan.n_runs > SPTF_RUN_LIMIT:
         effective = "sorted"
     n_cells = (
         query.n_cells(mapper.dims)

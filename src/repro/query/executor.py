@@ -20,9 +20,15 @@ cache-filter step *after* the §5.2 coalescing: resident blocks are
 carved out of the plan (served at memory speed) and only the miss runs
 reach the drive, still in the plan's issue order; once serviced, the
 missed blocks and their prefetched neighbors are admitted back into the
-pool (:meth:`StorageManager.admit_prepared`).  Without a pool — or with
-a capacity-0 pool — every path below is bit-identical to the uncached
-storage manager.
+pool (:meth:`StorageManager.admit_prepared`).  Without a pool every
+path below is bit-identical to the uncached storage manager.
+
+The §5.2 conventions' numbers are fixed: a range plan without its own
+``merge_gap`` reads through holes of up to
+:data:`~repro.query.scheduler.COALESCE_GAP_BLOCKS` blocks, and an SPTF
+batch of more than :data:`~repro.query.scheduler.SPTF_RUN_LIMIT` runs is
+served ``"sorted"``.  Of the stage's numbers, only the drive's
+command-queue depth (``window``) is a setting.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from repro.mappings.base import (
     sorted_unique,
 )
 from repro.query.scheduler import (
+    COALESCE_GAP_BLOCKS,
     DEFAULT_WINDOW,
     SPTF_RUN_LIMIT,
     effective_policy,
@@ -55,22 +62,12 @@ __all__ = [
     "check_setting",
 ]
 
-#: the least legal value of each storage setting
-_LEAST = {
-    "window": 1,
-    "sptf_run_limit": 0,
-    "coalesce_gap_blocks": 0,
-    "cell_blocks": 1,
-}
-
-
 def check_setting(name: str, value) -> int:
-    """A storage setting as an int: an integer (not a bool) at or above
-    its least value (see :class:`StorageManager`).  Raises
-    :class:`QueryError`, or :class:`MappingError` for ``cell_blocks`` as
-    the mappers do."""
+    """A storage setting (``window`` or ``cell_blocks``) as an int: an
+    integer (not a bool) of at least 1.  Raises :class:`QueryError`, or
+    :class:`MappingError` for ``cell_blocks`` as the mappers do."""
     error = MappingError if name == "cell_blocks" else QueryError
-    return _check_count(name, value, error, _LEAST[name])
+    return _check_count(name, value, error)
 
 
 @dataclass(frozen=True)
@@ -182,22 +179,14 @@ class StorageManager:
         The logical volume whose drives service the requests.
     window:
         Drive command-queue depth for SPTF batches (real drives of the
-        paper's era exposed 32-256 tagged commands); at least 1.
-    sptf_run_limit:
-        Batches with more runs than this fall back to one elevator pass;
-        at least 0, which serves every SPTF batch ``"sorted"``.
-    coalesce_gap_blocks:
-        The largest hole, in blocks, a range plan without its own
-        ``merge_gap`` reads through when coalescing; at least 0.
+        paper's era exposed 32-256 tagged commands): an integer (not a
+        bool) of at least 1, else :class:`QueryError`
+        (:func:`check_setting`).
     cache:
         Optional :class:`repro.cache.BufferPool` shared by every query
         this manager prepares (and by every other manager handed the
         same pool — the per-volume cache of the traffic simulator).
-        ``None`` or a capacity-0 pool leaves all paths bit-identical to
-        the uncached manager.
-
-    The three settings must be integers (not bools); anything else
-    raises :class:`QueryError` (:func:`check_setting`).
+        ``None`` leaves all paths bit-identical to the uncached manager.
     """
 
     def __init__(
@@ -205,15 +194,9 @@ class StorageManager:
         volume: LogicalVolume,
         *,
         window: int = DEFAULT_WINDOW,
-        sptf_run_limit: int = SPTF_RUN_LIMIT,
-        coalesce_gap_blocks: int = 24,
         cache=None,
     ):
         self.window = check_setting("window", window)
-        self.sptf_run_limit = check_setting("sptf_run_limit", sptf_run_limit)
-        self.coalesce_gap_blocks = check_setting(
-            "coalesce_gap_blocks", coalesce_gap_blocks
-        )
         self.volume = volume
         self.cache = cache
         #: attached :class:`repro.obs.Telemetry`, or None (the default:
@@ -239,19 +222,19 @@ class StorageManager:
         if plan.policy in ("sorted", "sptf"):
             gap = plan.merge_gap
             if gap is None:
-                gap = self.coalesce_gap_blocks
+                gap = COALESCE_GAP_BLOCKS
             plan = merge_plan_runs(plan, gap)
         cache_hits = cache_runs = 0
         cache_ms = 0.0
         cache = self.cache
-        if cache is not None and cache.active:
+        if cache is not None:
             plan, cache_hits, cache_runs = cache.filter_plan(
                 mapper.disk_index, plan
             )
             cache_ms = cache_hits * cache.service_ms_per_block
         # resolve the SPTF clamp on what the drive will actually queue:
         # a warm cache can shrink a too-large batch back under the limit
-        policy = effective_policy(plan, self.sptf_run_limit)
+        policy = effective_policy(plan, SPTF_RUN_LIMIT)
         return PreparedQuery.from_fields(
             mapper.name, mapper.disk_index, plan, policy, int(n_cells),
             cache_hits, cache_runs, cache_ms,
@@ -276,11 +259,11 @@ class StorageManager:
         starts, lengths = coalesce_ranks(lbns)
         plan = RequestPlan(starts, lengths, policy="sorted", merge_gap=0)
         cache = self.cache
-        if cache is not None and cache.active:
+        if cache is not None:
             cache.invalidate(mapper.disk_index, lbns)
         return WritePrepared.from_fields(
             mapper.name, mapper.disk_index, plan,
-            effective_policy(plan, self.sptf_run_limit), int(n_points),
+            effective_policy(plan, SPTF_RUN_LIMIT), int(n_points),
             obs=(
                 {"raw_runs": int(lbns.size)}
                 if self.obs is not None else None
@@ -290,7 +273,7 @@ class StorageManager:
     def admit_prepared(self, prepared: PreparedQuery) -> None:
         """Admit a serviced query's missed blocks (plus prefetch).
 
-        No-op without an active pool.  The scatter-gather executor calls
+        No-op without a pool.  The scatter-gather executor calls
         this once a sub-plan's head positions are drawn (admission reads
         only the plan and the volume, so the drive may service it
         later), the traffic simulator when a query's *last* slice
@@ -300,6 +283,6 @@ class StorageManager:
         if prepared.is_write:
             return
         cache = self.cache
-        if cache is not None and cache.active:
+        if cache is not None:
             cache.admit_plan(self.volume, prepared.disk_index,
                              prepared.plan)

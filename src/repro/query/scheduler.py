@@ -18,7 +18,9 @@ from repro.errors import QueryError
 from repro.mappings.base import RequestPlan, coalesce_ranks
 
 __all__ = [
+    "COALESCE_GAP_BLOCKS",
     "DEFAULT_WINDOW",
+    "SPTF_RUN_LIMIT",
     "coalesce_lbns",
     "merge_plan_runs",
     "effective_policy",
@@ -35,6 +37,12 @@ SPTF_RUN_LIMIT = 150_000
 #: default drive command-queue depth for SPTF batches (real drives of the
 #: paper's era exposed 32-256 tagged commands)
 DEFAULT_WINDOW = 128
+
+#: the largest hole, in blocks, that a sortable plan without its own
+#: ``merge_gap`` (a range plan) reads through when its runs are
+#: coalesced, since reading a short hole costs less than positioning for
+#: the next run.  Like the run limit, moving it moves the figures.
+COALESCE_GAP_BLOCKS = 24
 
 
 def coalesce_lbns(lbns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

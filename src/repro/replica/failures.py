@@ -140,14 +140,15 @@ class FailureInjector:
 
     def kill(self, storage, disk: int | None = None) -> int:
         """Kill ``disk`` (or a drawn victim) on ``storage``; returns the
-        victim so callers can revive or rebuild it later."""
+        victim so callers can revive or rebuild it later.  ``disk`` is
+        checked by ``storage.fail_disk``, not truncated."""
         if disk is None:
             disk = self.pick_disk(exclude=storage.failed)
-        storage.fail_disk(int(disk))
+        storage.fail_disk(disk)
         return int(disk)
 
     def revive(self, storage, disk: int) -> None:
-        storage.revive_disk(int(disk))
+        storage.revive_disk(disk)
 
     # ------------------------------------------------------------------
     # schedule building (for the traffic engine)

@@ -29,7 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.api.registry import LayoutEntry, build_mapper
-from repro.errors import AllocationError, QueryError, ReplicaError
+from repro.errors import (
+    AllocationError,
+    QueryError,
+    ReplicaError,
+    _check_count,
+)
 from repro.lvm.volume import LogicalVolume
 from repro.query.executor import (
     PreparedQuery,
@@ -38,7 +43,7 @@ from repro.query.executor import (
     check_setting,
 )
 from repro.query.scatter import ShardedPrepared, scatter_batch
-from repro.query.scheduler import DEFAULT_WINDOW, SPTF_RUN_LIMIT
+from repro.query.scheduler import DEFAULT_WINDOW
 from repro.query.workload import BeamQuery, RangeQuery
 from repro.replica.executor import (
     READ_POLICIES,
@@ -170,18 +175,10 @@ class ShardedStorageManager(StorageManager):
         read_policy: str = "primary",
         cell_blocks: int = 1,
         window: int = DEFAULT_WINDOW,
-        sptf_run_limit: int = SPTF_RUN_LIMIT,
-        coalesce_gap_blocks: int = 24,
         cache=None,
         layout_opts: dict | None = None,
     ):
-        super().__init__(
-            volume,
-            window=window,
-            sptf_run_limit=sptf_run_limit,
-            coalesce_gap_blocks=coalesce_gap_blocks,
-            cache=cache,
-        )
+        super().__init__(volume, window=window, cache=cache)
         if shard_map.n_disks != volume.n_disks:
             raise AllocationError(
                 f"shard map expects {shard_map.n_disks} disks, volume "
@@ -233,25 +230,33 @@ class ShardedStorageManager(StorageManager):
             for i in range(self.shard_map.n_chunks)
         )
 
-    def fail_disk(self, disk: int) -> None:
-        """Mark a member disk dead: reads divert to surviving copies and
-        any cached frames of the disk are dropped (a revived or rebuilt
-        disk must not serve stale frames)."""
-        d = int(disk)
-        if not 0 <= d < self.shard_map.n_disks:
+    def _check_disk(self, disk) -> int:
+        """``disk`` as a member-disk index: an integer (not a bool) of at
+        least 0, as :class:`~repro.replica.FailureEvent` checks it, below
+        the disk count; else :class:`ReplicaError`."""
+        d = _check_count("disk", disk, ReplicaError, 0)
+        if d >= self.shard_map.n_disks:
             raise ReplicaError(
                 f"disk {d} out of range for {self.shard_map.n_disks} "
                 f"member disks"
             )
+        return d
+
+    def fail_disk(self, disk: int) -> None:
+        """Mark a member disk dead: reads divert to surviving copies and
+        any cached frames of the disk are dropped (a revived or rebuilt
+        disk must not serve stale frames).  A bad ``disk`` raises
+        :class:`ReplicaError` with nothing changed (:meth:`_check_disk`)."""
+        d = self._check_disk(disk)
         self.failed.add(d)
         self._refresh_live()
-        cache = self.cache
-        if cache is not None and cache.active:
-            cache.drop_disk(d)
+        if self.cache is not None:
+            self.cache.drop_disk(d)
 
     def revive_disk(self, disk: int) -> None:
-        """Bring a failed member disk back into rotation."""
-        self.failed.discard(int(disk))
+        """Bring a failed member disk back into rotation; ``disk`` is
+        checked as :meth:`fail_disk` checks it."""
+        self.failed.discard(self._check_disk(disk))
         self._refresh_live()
 
     # ------------------------------------------------------------------

@@ -108,7 +108,6 @@ class TrafficConfig:
     slice_runs: int | None = 256
     head: str = "random"
     horizon_ms: float | None = None
-    collect_traces: bool = True
 
     def __post_init__(self) -> None:
         if self.head not in ("random", "carry"):
@@ -468,8 +467,7 @@ class TrafficSim:
                     storage.admit_prepared(sub)
             cs.completed += 1
             makespan = max(makespan, t_done)
-            if cfg.collect_traces:
-                traces.append(self._trace(qs, t_done))
+            traces.append(self._trace(qs, t_done))
             if qs.obs is not None:
                 record_traffic_query(
                     qs.obs["tele"],
@@ -716,8 +714,7 @@ class TrafficSim:
         pools = []
         for c in self.clients:
             pool = c.storage.cache
-            if pool is not None and pool.active \
-                    and not any(pool is p for p in pools):
+            if pool is not None and not any(pool is p for p in pools):
                 pools.append(pool)
         if pools:
             # only present when a pool is attached, so uncached runs

@@ -238,7 +238,7 @@ class TrafficReport:
                    "p99", "blocks"]
 
         def fmt(lat: dict, key: str) -> str:
-            # latency stats are absent when no traces were collected
+            # latency stats are absent when no query completed
             return f"{lat[key]:.2f}" if key in lat else "-"
 
         def row(label: str, st: dict) -> list:

@@ -106,7 +106,7 @@ def oracle_run(ds, entries, repeats, rng):
             res = oracle_scatter(storage, storage.prepare(q), rng)
             records.append(make_record(q, res, rep))
     meta = {"repeats": repeats, "seed": ds.seed}
-    if ds.cache is not None and ds.cache.active:
+    if ds.cache is not None:
         meta["cache"] = ds.cache.describe()
     if ds.n_shards > 1:
         meta["shards"] = storage.describe_shards()

@@ -1,0 +1,76 @@
+"""The settings surface: every keyword a caller can set on the stack.
+
+Each entry lists a builder's parameters in signature order (``**name``
+for a pass-through of keywords checked elsewhere: ``Dataset.create``'s
+layout options against the mapper, ``with_ingest``'s against the
+stream).  A change that adds or retires a setting edits this table in
+the same diff, so the surface only grows on purpose.  The §5.2
+conventions' numbers are constants of :mod:`repro.query.scheduler`, not
+settings, and a pool has no tuning keywords beyond its size, policy and
+prefetcher.
+"""
+
+import dataclasses
+import inspect
+
+from repro.api import Dataset
+from repro.cache import BufferPool
+from repro.query import StorageManager, scheduler
+from repro.shard import ShardedStorageManager
+from repro.traffic.engine import TrafficConfig
+
+#: builder -> its parameters in signature order
+SURFACE = {
+    "Dataset.create": (
+        "shape", "layout", "drive", "cell_blocks", "depth", "seed",
+        "window", "**layout_opts",
+    ),
+    "Dataset.with_cache": ("capacity_blocks", "policy", "prefetch"),
+    "Dataset.with_shards": ("n_shards", "strategy", "chunk_shape"),
+    "Dataset.with_replication": ("k", "placement", "read_policy"),
+    "Dataset.with_telemetry": ("trace", "metrics", "exporter"),
+    "Dataset.with_ingest": ("stream", "loader", "**opts"),
+    "BufferPool": ("capacity_blocks", "policy", "prefetch"),
+    "StorageManager": ("volume", "window", "cache"),
+    "ShardedStorageManager": (
+        "volume", "shard_map", "layout", "k", "placement", "read_policy",
+        "cell_blocks", "window", "cache", "layout_opts",
+    ),
+    "TrafficConfig": ("slice_runs", "head", "horizon_ms"),
+}
+
+
+def parameters(fn) -> tuple[str, ...]:
+    return tuple(
+        ("**" if p.kind is p.VAR_KEYWORD else "") + p.name
+        for p in inspect.signature(fn).parameters.values()
+        if p.name != "self"
+    )
+
+
+def test_settings_surface():
+    builders = {
+        "Dataset.create": Dataset.create,
+        "Dataset.with_cache": Dataset.with_cache,
+        "Dataset.with_shards": Dataset.with_shards,
+        "Dataset.with_replication": Dataset.with_replication,
+        "Dataset.with_telemetry": Dataset.with_telemetry,
+        "Dataset.with_ingest": Dataset.with_ingest,
+        "BufferPool": BufferPool,
+        "StorageManager": StorageManager,
+        "ShardedStorageManager": ShardedStorageManager,
+    }
+    actual = {name: parameters(fn) for name, fn in builders.items()}
+    actual["TrafficConfig"] = tuple(
+        f.name for f in dataclasses.fields(TrafficConfig)
+    )
+    assert actual == SURFACE
+
+
+def test_storage_conventions_are_constants():
+    """The two §5.2 numbers every dataset shares, and the one queue
+    depth a dataset may set (``window``)."""
+    assert scheduler.SPTF_RUN_LIMIT == 150_000
+    assert scheduler.COALESCE_GAP_BLOCKS == 24
+    window = inspect.signature(Dataset.create).parameters["window"]
+    assert window.default == scheduler.DEFAULT_WINDOW == 128

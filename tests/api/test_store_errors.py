@@ -5,9 +5,11 @@ bare builtin or numpy error: a negative coordinate wrapped to the last
 cell, one past an edge landed in the next row, ``0.5`` truncated to 0,
 ``True`` read as 1, a negative ``n`` left occupancy below zero, and
 ``2.5`` stored 2 points; ``CellStore.bulk_insert`` stored ``(0, 5, 0)``
-in cell ``(0, 1, 1)`` and a count of -3 as -3 points.  Coordinates are
-now checked by the mapper (:class:`QueryError`) and point counts by the
-store (:class:`DatasetError`), both before any state changes.
+in cell ``(0, 1, 1)`` and a count of -3 as -3 points; a ragged list of
+coordinates raised numpy's bare ``ValueError``.  Coordinates are now
+checked by the one coordinate check of :mod:`repro.errors`
+(:class:`QueryError`) and point counts by the store
+(:class:`DatasetError`), both before any state changes.
 """
 
 import pytest
@@ -73,6 +75,7 @@ def test_delete_rejects_bad_input(coord, n, error):
     ([(0, 0, 0)], [True], DatasetError),
     ([(0, 0, 0)], [1, 2], DatasetError),
     ([(True, 0, 0)], None, QueryError),
+    ([(0, 0, 0), (1, 1)], None, QueryError),
 ])
 def test_bulk_load_rejects_bad_input(coords, counts, error):
     ds = dataset()
@@ -89,12 +92,38 @@ def test_bulk_load_rejects_bad_input(coords, counts, error):
     ([(0, 0, 0)], [-3], DatasetError),
     ([(0, 0, 0)], [2.5], DatasetError),
     ([(0, 0, 0), (1, 0, 0)], [2], DatasetError),
+    ([(0, 0, 0), (1, 1)], None, QueryError),
 ])
 def test_bulk_insert_rejects_bad_input(coords, counts, error):
     ds = dataset()
     with pytest.raises(error):
         ds.store.bulk_insert(coords, counts)
     assert_untouched(ds)
+
+
+RAGGED = [(0, 0, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda ds: ds.read_cells(RAGGED),
+    lambda ds: ds.mapper.lbns(RAGGED),
+], ids=["read_cells", "mapper.lbns"])
+def test_ragged_coordinates_raise_query_error(call):
+    """A ragged list used to escape as numpy's bare ValueError
+    ("inhomogeneous shape") from every coordinate entry point (the
+    store's are among the bad inputs above)."""
+    ds = dataset()
+    with pytest.raises(QueryError, match="rectangular"):
+        call(ds)
+    assert_untouched(ds)
+
+
+def test_read_cells_rejects_a_bool_in_a_list():
+    # used to read cell (1, 0, 0): read_cells converted the list to an
+    # integer array before the mapper's bool scan could see it
+    ds = dataset()
+    with pytest.raises(QueryError, match="bools"):
+        ds.read_cells([[True, 0, 0]])
 
 
 def test_bulk_insert_lands_valid_rows():

@@ -83,14 +83,20 @@ class TestWithCacheFacade:
     def test_policy_instances_rejected(self, small_model):
         """A pre-built policy object would be shared across with_layout
         clones (one pool's residency leaking into another layout's
-        measurements) — with_cache only takes re-instantiable specs."""
-        from repro.cache import LRUPolicy
-        from repro.errors import DatasetError
+        measurements), and a class bypasses the registry: with_cache
+        takes registered names only, at every capacity."""
+        from repro.cache import LRUPolicy, TrackPrefetcher
+        from repro.errors import CacheError
 
         ds = Dataset.create((24, 12, 12), layout="naive",
                             drive=small_model)
-        with pytest.raises(DatasetError):
-            ds.with_cache(64, policy=LRUPolicy(64))
+        for capacity in (64, 0):
+            for spec in (dict(policy=LRUPolicy(64)),
+                         dict(policy=LRUPolicy),
+                         dict(prefetch=TrackPrefetcher)):
+                with pytest.raises(CacheError):
+                    ds.with_cache(capacity, **spec)
+        assert ds.cache is None
 
     def test_describe_gains_cache_spec(self, cached_dataset):
         spec = cached_dataset.describe()["cache"]
@@ -108,10 +114,9 @@ class TestWithCacheFacade:
         ds = Dataset.create((24, 12, 12), layout="naive",
                             drive=small_model, seed=1).with_cache(
             512, policy="scan", prefetch="adjacent",
-            prefetch_opts={"steps": 2},
         )
         assert ds.cache.policy.describe() == "scan"
-        assert ds.cache.prefetcher.describe() == "adjacent[2]"
+        assert ds.cache.prefetcher.describe() == "adjacent[4]"
 
 
 class TestPrefetchers:
@@ -131,13 +136,12 @@ class TestPrefetchers:
     def test_adjacent_prefetch_pulls_successors(self, small_model):
         ds = Dataset.create((24, 12, 12), layout="multimap",
                             drive=small_model, seed=3)
-        ds.with_cache(8192, prefetch="adjacent",
-                      prefetch_opts={"steps": 3})
+        ds.with_cache(8192, prefetch="adjacent")
         ds.query().beam(0, fixed=(0, 2, 3)).run()
         plan = ds.mapper.beam_plan(0, (0, 2, 3))
         adj = ds.volume.adjacency[0]
         last = int(plan.starts[-1] + plan.lengths[-1] - 1)
-        for step in (1, 2, 3):
+        for step in (1, 2, 3, 4):
             assert ds.cache.contains(0, adj.get_adjacent(last, step))
 
     def test_prefetch_hits_counted(self, small_model):

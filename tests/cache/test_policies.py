@@ -65,12 +65,14 @@ class TestRegistry:
         assert POLICIES.get("rereg-demo") is Again
 
     def test_make_policy_specs(self):
-        assert isinstance(make_policy("lru", 8), LRUPolicy)
-        assert isinstance(make_policy(LRUPolicy, 8), LRUPolicy)
-        inst = LRUPolicy(8)
-        assert make_policy(inst, 99) is inst
-        with pytest.raises(CacheError):
-            make_policy(42, 8)
+        """Policies come by registered name only: a class or instance
+        would bypass the registry a pool's ``describe()`` names."""
+        policy = make_policy("slru", 8)
+        assert isinstance(policy, SegmentedLRUPolicy)
+        assert policy.protected_cap == 6
+        for spec in (LRUPolicy, LRUPolicy(8), 42):
+            with pytest.raises(CacheError, match="registered name"):
+                make_policy(spec, 8)
 
 
 class TestLRU:
@@ -172,7 +174,7 @@ class TestScanResistant:
 
 class TestSegmentedLRU:
     def test_promotion_protects(self):
-        p = SegmentedLRUPolicy(4, protected_frac=0.5)
+        p = SegmentedLRUPolicy(4)
         p.admit((0, 1))
         p.on_hit((0, 1))  # 1 now protected
         for k in (2, 3, 4, 5, 6):
@@ -183,17 +185,13 @@ class TestSegmentedLRU:
         assert (0, 1) in p
 
     def test_protected_overflow_demotes(self):
-        p = SegmentedLRUPolicy(4, protected_frac=0.5)  # protected cap 2
+        p = SegmentedLRUPolicy(3)  # protected cap int(0.8 * 3) = 2
         for k in (1, 2, 3):
             p.admit((0, k))
             p.on_hit((0, k))
         # 1 was demoted back to probation when 3 promoted
         assert len(p) == 3
         assert p.victim() == (0, 1)
-
-    def test_bad_frac_rejected(self):
-        with pytest.raises(CacheError):
-            SegmentedLRUPolicy(4, protected_frac=1.5)
 
     @given(events, st.integers(min_value=2, max_value=8))
     @settings(max_examples=60, deadline=None)

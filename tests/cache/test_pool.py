@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import BufferPool, expand_plan
+from repro.disk.drive import DiskDrive
 from repro.errors import CacheError
 from repro.mappings.base import RequestPlan
 
@@ -51,26 +52,20 @@ class TestConstruction:
         with pytest.raises(CacheError):
             BufferPool(-1)
 
-    def test_negative_service_rejected(self):
-        with pytest.raises(CacheError):
-            BufferPool(8, service_ms_per_block=-1.0)
+    @pytest.mark.parametrize("capacity", [0, 2.5, True, "8"])
+    def test_capacity_must_be_a_positive_integer(self, capacity):
+        """No pool is ``None``, never an empty one; a fractional
+        capacity is not truncated."""
+        with pytest.raises(CacheError, match="capacity_blocks"):
+            BufferPool(capacity)
 
     def test_describe_layout(self):
-        pool = BufferPool(8, policy="slru", prefetch="adjacent",
-                          prefetch_opts={"steps": 2})
+        pool = BufferPool(8, policy="slru", prefetch="adjacent")
         d = pool.describe()
         assert d["policy"] == "slru"
-        assert d["prefetch"] == "adjacent[2]"
+        assert d["prefetch"] == "adjacent[4]"
+        assert d["service_ms_per_block"] == DiskDrive.CACHE_BLOCK_MS
         assert d["stats"]["accesses"] == 0
-
-    def test_inactive_pool_is_inert(self):
-        pool = BufferPool(0)
-        plan = plan_of([5], [4])
-        out, hits, runs = pool.filter_plan(0, plan)
-        assert out is plan and hits == 0 and runs == 0
-        pool.admit_plan(None, 0, plan)  # volume unused when inactive
-        assert pool.occupancy == 0
-        assert pool.stats.accesses == 0
 
 
 class TestFilterPartition:
@@ -100,7 +95,7 @@ class TestFilterPartition:
         assert out.policy == "fifo"
         assert expand_plan(out).tolist() == [20, 21, 10, 13, 30]
 
-    @given(plan_streams, st.integers(min_value=0, max_value=64),
+    @given(plan_streams, st.integers(min_value=1, max_value=64),
            st.sampled_from(["lru", "slru", "scan"]))
     @settings(max_examples=60, deadline=None)
     def test_invariants(self, stream, capacity, policy):
@@ -119,14 +114,13 @@ class TestFilterPartition:
                 # miss blocks appear in plan order as a subsequence
                 it = iter(blocks.tolist())
                 assert all(b in it for b in miss_blocks.tolist())
-            # accounting (an inactive pool never counts)
+            # accounting
             s = pool.stats
-            expected = before + blocks.size if pool.active else 0
-            assert s.accesses == expected
+            assert s.accesses == before + blocks.size
             assert s.hits + s.misses == s.accesses
             pool.admit_plan(None, 0, miss)
             # occupancy bounded, always
-            assert pool.occupancy <= max(pool.capacity, 0)
+            assert pool.occupancy <= pool.capacity
             assert s.prefetch_hits <= s.prefetch_issued
         # resident set is exactly what the policy tracks, and the
         # per-disk mirror used for vectorized membership agrees

@@ -80,6 +80,22 @@ class TestValidation:
         assert pipe.stats.streamed_points == 0
         assert pipe.drain_disks() == []
 
+    @pytest.mark.parametrize("coords, match", [
+        ([[True, 0, 0]], "bools"),
+        ([[0, 0, 0], [1, 1]], "rectangular"),
+    ], ids=["bool in a list", "ragged"])
+    def test_stage_checks_coords_as_the_mapper_does(self, plain, coords,
+                                                    match):
+        """A bool mixed into a list used to stage cell (1, 0, 0), and a
+        ragged list escaped as numpy's bare ValueError; the pipeline
+        and the mapper share one check now."""
+        pipe = IngestPipeline(plain, make_stream())
+        for call in (pipe.stage, pipe.prepare_batch):
+            with pytest.raises(IngestError, match=match):
+                call(coords)
+        assert pipe.stats.streamed_points == 0
+        assert pipe.drain_disks() == []
+
     @pytest.mark.parametrize("flush_points", [2.5, 4.0, True])
     def test_rejects_non_integer_flush_points(self, plain, flush_points):
         with pytest.raises(IngestError, match="flush_points must be an "

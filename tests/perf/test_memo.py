@@ -13,11 +13,9 @@ def fresh_memo():
     """Run against a clean global memo, restoring prior contents."""
     MEMO.clear()
     MEMO.reset_stats()
-    MEMO.enabled = True
     yield MEMO
     MEMO.clear()
     MEMO.reset_stats()
-    MEMO.enabled = True
 
 
 def test_rank_table_shared_across_instances(fresh_memo, make_dataset):
@@ -43,19 +41,6 @@ def test_drop_cache_evicts_memo_entry(fresh_memo, make_dataset):
     t2 = m.rank_table()
     assert t2 is not t1
     assert np.array_equal(t1, t2)
-
-
-def test_disabled_memo_builds_fresh_per_instance(fresh_memo,
-                                                 make_dataset):
-    fresh_memo.enabled = False
-    a = make_dataset(layout="zorder", shape=(8, 8, 4))
-    b = make_dataset(layout="zorder", shape=(8, 8, 4))
-    ta = a.mapper.rank_table()
-    tb = b.mapper.rank_table()
-    assert ta is not tb
-    assert np.array_equal(ta, tb)
-    # each instance still reuses its own table across calls
-    assert a.mapper.rank_table() is ta
 
 
 def test_basic_cube_plan_memoized(fresh_memo):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.query.executor
 from repro.api import Dataset
 from repro.errors import QueryError
 from repro.lvm import LogicalVolume
@@ -97,8 +98,9 @@ class TestPolicyHandling:
         res = box(mm, (0, 0, 0), (30, 10, 8))
         assert res.policy == "sptf"
 
-    def test_sptf_clamp_on_large_batches(self, small_model):
-        mm = make(small_model, (40, 12, 10), "multimap", sptf_run_limit=3)
+    def test_sptf_clamp_on_large_batches(self, small_model, monkeypatch):
+        mm = make(small_model, (40, 12, 10), "multimap")
+        monkeypatch.setattr(repro.query.executor, "SPTF_RUN_LIMIT", 3)
         res = box(mm, (0, 0, 0), (30, 10, 8))
         assert res.policy == "sorted"
 
@@ -108,22 +110,25 @@ class TestPolicyHandling:
         with pytest.raises(QueryError, match="window"):
             StorageManager(vol, window=window)
 
-    def test_beam_plans_never_merge_gaps(self, small_model):
+    def test_beam_plans_never_merge_gaps(self, small_model, monkeypatch):
         """Beams must fetch exactly their blocks (paper issues per-block
         requests); n_blocks must equal the beam length."""
-        m = make(small_model, (16, 16, 16), "zorder",
-                 coalesce_gap_blocks=1000)
+        m = make(small_model, (16, 16, 16), "zorder")
+        monkeypatch.setattr(repro.query.executor, "COALESCE_GAP_BLOCKS",
+                            1000)
         res = beam(m, 1, (3, 0, 9))
         assert res.n_blocks == 16
 
     def test_range_plans_merge_small_gaps(self, small_model):
-        # rows of 5 with gap 5: generous threshold merges all rows
-        m = make(small_model, (10, 50, 1), coalesce_gap_blocks=6)
+        # rows of 5 with gap 5: the 24-block threshold merges all rows
+        m = make(small_model, (10, 50, 1))
         res = box(m, (0, 0, 0), (5, 50, 1))
         assert res.n_runs == 1
 
-    def test_zero_gap_threshold(self, small_model):
-        m = make(small_model, (10, 50, 1), coalesce_gap_blocks=0)
+    def test_zero_gap_threshold(self, small_model, monkeypatch):
+        m = make(small_model, (10, 50, 1))
+        monkeypatch.setattr(repro.query.executor, "COALESCE_GAP_BLOCKS",
+                            0)
         res = box(m, (0, 0, 0), (5, 50, 1))
         assert res.n_runs == 50
 

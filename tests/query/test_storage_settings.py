@@ -1,18 +1,18 @@
-"""The storage settings are integers at or above their least value.
+"""The storage settings are integers of at least 1.
 
-``window`` (>= 1), ``sptf_run_limit`` (>= 0; 0 serves every SPTF batch
-``"sorted"``), ``coalesce_gap_blocks`` (>= 0) and ``cell_blocks``
-(>= 1) are checked by :class:`StorageManager` and by
-:meth:`Dataset.create` before any drive or volume is built.  Each bad
-value below used to be accepted, truncated, or fail later in a bare
-``TypeError``/``ValueError``: ``window=nan`` only on the first range
-query, and ``coalesce_gap_blocks=-1`` silently changed range timings.
-The dataset's ``shape`` is checked at the same point.
+``window`` and ``cell_blocks`` are checked by :class:`StorageManager`
+and by :meth:`Dataset.create` before any drive or volume is built.
+Each bad value below used to be accepted, truncated, or fail later in a
+bare ``TypeError``/``ValueError`` (``window=nan`` only on the first
+range query).  The SPTF run limit and the coalescing gap are constants
+of :mod:`repro.query.scheduler`, not settings.  The dataset's ``shape``
+is checked at the same point.
 """
 
 import numpy as np
 import pytest
 
+import repro.query.executor
 from repro.api import Dataset
 from repro.disk import toy_disk
 from repro.errors import DatasetError, MappingError, QueryError
@@ -49,18 +49,13 @@ def test_window_must_be_an_integer(build, value):
         build(window=value)
 
 
-@pytest.mark.parametrize("build", [create, manager])
-@pytest.mark.parametrize("value", [-3, -1, *NOT_INTEGERS])
-def test_sptf_run_limit_must_be_a_non_negative_integer(build, value):
-    with pytest.raises(QueryError, match="sptf_run_limit"):
-        build(sptf_run_limit=value)
-
-
-@pytest.mark.parametrize("build", [create, manager])
-@pytest.mark.parametrize("value", [-1, -24, 1.5, *NOT_INTEGERS])
-def test_coalesce_gap_blocks_must_be_a_non_negative_integer(build, value):
-    with pytest.raises(QueryError, match="coalesce_gap_blocks"):
-        build(coalesce_gap_blocks=value)
+@pytest.mark.parametrize("name", ["sptf_run_limit",
+                                  "coalesce_gap_blocks"])
+def test_retired_storage_settings_are_refused(name):
+    """A retired setting is an unknown layout keyword to
+    ``Dataset.create``, refused before any drive is built."""
+    with pytest.raises(MappingError, match=name):
+        create(**{name: 0})
 
 
 @pytest.mark.parametrize("value", [0, -2, "2", *NOT_INTEGERS])
@@ -71,19 +66,17 @@ def test_cell_blocks_must_be_a_positive_integer(value):
 
 def test_integer_settings_are_stored_as_ints():
     ds = Dataset.create((5, 5, 5), layout="naive", drive="toy", depth=4,
-                        window=np.int32(8), sptf_run_limit=np.int64(0),
-                        coalesce_gap_blocks=np.uint8(0),
-                        cell_blocks=np.int16(1))
+                        window=np.int32(8), cell_blocks=np.int16(1))
     storage = ds.storage
-    settings = (storage.window, storage.sptf_run_limit,
-                storage.coalesce_gap_blocks, storage.cell_blocks)
-    assert settings == (8, 0, 0, 1)
+    settings = (storage.window, storage.cell_blocks)
+    assert settings == (8, 1)
     assert all(type(v) is int for v in settings)
 
 
-def test_zero_sptf_run_limit_serves_sptf_sorted():
+def test_zero_sptf_run_limit_serves_sptf_sorted(monkeypatch):
     ds = Dataset.create((5, 5, 5), layout="multimap", drive="toy",
-                        depth=4, sptf_run_limit=0, seed=1)
+                        depth=4, seed=1)
+    monkeypatch.setattr(repro.query.executor, "SPTF_RUN_LIMIT", 0)
     report = ds.range((0, 0, 0), (4, 4, 4)).run()
     assert [r.policy for r in report.results] == ["sorted"]
 

@@ -168,6 +168,42 @@ class TestFailover:
         with pytest.raises(ReplicaError, match="out of range"):
             ds.storage.fail_disk(9)
 
+    @pytest.mark.parametrize("method, disk", [
+        ("fail_disk", 1.7), ("fail_disk", True), ("fail_disk", "1"),
+        ("revive_disk", 99), ("revive_disk", 0.5),
+    ], ids=["fail 1.7", "fail True", "fail '1'", "revive 99",
+            "revive 0.5"])
+    def test_disk_argument_is_a_member_index(self, small_model, method,
+                                             disk):
+        """``disk`` is checked as a failure event checks it, then
+        range-checked: 1.7, True and "1" used to kill disk 1, 99 was
+        revived silently and 0.5 revived disk 0.  A rejected call
+        changes neither the failed set nor the pool."""
+        ds = build(small_model, n=3, k=2).with_cache(8192)
+        ds.storage.fail_disk(0)
+        ds.random_beams(axis=2, n=4).run()
+        resident = {d: set(lbns) for d, lbns in ds.cache._resident.items()}
+        assert any(resident.values())
+        with pytest.raises(ReplicaError, match="disk"):
+            getattr(ds.storage, method)(disk)
+        assert ds.storage.failed == {0}
+        assert {d: set(lbns) for d, lbns in ds.cache._resident.items()} \
+            == resident
+
+    def test_injector_passes_the_disk_on_unchanged(self, small_model):
+        # FailureInjector used to truncate: kill(storage, 1.7) killed
+        # disk 1 and revive(storage, 0.5) revived disk 0
+        from repro.replica import FailureInjector
+
+        ds = build(small_model, n=3, k=2)
+        inj = FailureInjector(3, seed=0)
+        ds.storage.fail_disk(0)
+        with pytest.raises(ReplicaError, match="disk"):
+            inj.kill(ds.storage, 1.7)
+        with pytest.raises(ReplicaError, match="disk"):
+            inj.revive(ds.storage, 0.5)
+        assert ds.storage.failed == {0}
+
     def test_failover_sub_restarts_on_live_copy(self, small_model):
         ds = build(small_model, n=3, k=2)
         prepared = ds.storage.prepare(RangeQuery((0, 0, 0), SHAPE))
@@ -212,18 +248,6 @@ class TestCacheIntegration:
         ds.storage.fail_disk(dead)
         assert _resident_on(pool, dead) == 0
         assert pool.occupancy == before - n_dead
-
-    def test_per_shard_pool_drops_failed_member(self, small_model):
-        ds = build(small_model, n=3, k=2).with_cache(
-            1024, scope="per_shard"
-        )
-        ds.random_beams(axis=2, n=4).run()
-        victim = max(
-            range(3), key=lambda d: ds.cache.pools[d].occupancy
-        )
-        assert ds.cache.pools[victim].occupancy > 0
-        ds.storage.fail_disk(victim)
-        assert ds.cache.pools[victim].occupancy == 0
 
     def test_admit_skips_failed_disks(self, small_model):
         ds = build(small_model, n=3, k=2).with_cache(8192)

@@ -287,7 +287,6 @@ EQUIVALENT = {
 CACHES = {
     "uncached": None,
     "shared": dict(capacity_blocks=2048, prefetch="track"),
-    "per_shard": dict(capacity_blocks=1024, scope="per_shard"),
 }
 
 
@@ -299,7 +298,7 @@ def test_equivalent_constructions_byte_identical(small_model, layout,
                                                  cache, slices, group):
     """Batch ``Report`` JSON and seeded traffic JSON are byte-identical
     across every construction of the same disks × copies, uncached and
-    under either cache scope, with sliced or whole-query traffic."""
+    with a pool, with sliced or whole-query traffic."""
     from repro.traffic import QueryMix
 
     outputs = set()
