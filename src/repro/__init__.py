@@ -73,7 +73,6 @@ _LAZY_EXPORTS = {
     "ShardMap": "repro.shard",
     "ShardedStorageManager": "repro.shard",
     "ReplicaMap": "repro.replica",
-    "FailureInjector": "repro.replica",
     "FailureSchedule": "repro.replica",
     "placement_names": "repro.replica",
     "read_policy_names": "repro.replica",

@@ -46,7 +46,6 @@ _LAZY_EXPORTS = {
     "PLACEMENTS": "repro.replica",
     "READ_POLICIES": "repro.replica",
     "FailureEvent": "repro.replica",
-    "FailureInjector": "repro.replica",
     "FailureSchedule": "repro.replica",
     "ReplicaMap": "repro.replica",
     "ReplicaStats": "repro.replica",

@@ -67,6 +67,7 @@ from repro.query.scheduler import DEFAULT_WINDOW
 from repro.query.workload import (
     BeamQuery,
     RangeQuery,
+    check_selectivity,
     random_beam,
     random_range_cube,
 )
@@ -141,10 +142,10 @@ class QueryBatch:
         return self
 
     def range_selectivity(self, pct: float) -> "QueryBatch":
-        """Append a ~``pct``-% cube at a random anchor per run (§5.1)."""
-        if not 0 < pct <= 100:
-            raise QueryError("selectivity must be in (0, 100]")
-        self._entries.append(("random_range", float(pct)))
+        """Append a ~``pct``-% cube at a random anchor per run (§5.1);
+        ``pct`` is a finite number in (0, 100], not a bool
+        (:func:`~repro.query.workload.check_selectivity`)."""
+        self._entries.append(("random_range", check_selectivity(pct)))
         return self
 
     def add(self, queries) -> "QueryBatch":
@@ -445,17 +446,20 @@ class Dataset:
 
         The volume is rebuilt with ``n_shards`` drives from the same
         factory, a :class:`~repro.shard.ShardMap` assigns each chunk a
-        disk via the registered ``strategy``
+        disk via the strategy registered as ``strategy``
         (:data:`repro.lvm.striping.STRATEGIES`: ``round_robin``,
-        ``disk_modulo``, ``cube_aligned``), and queries execute
-        scatter-gather (per-disk sub-plans in parallel, query time =
-        makespan over drives).  ``chunk_shape`` overrides the default
-        last-axis slab chunking.  An unsharded dataset is the 1-disk
-        case of the same storage manager, so ``with_shards(1)`` changes
-        nothing but :attr:`is_sharded`.  An attached replication or
+        ``disk_modulo``, ``cube_aligned``; any other value, a non-string
+        included, raises :class:`~repro.errors.RegistryError` with the
+        dataset unchanged), and queries execute scatter-gather (per-disk
+        sub-plans in parallel, query time = makespan over drives).
+        ``chunk_shape`` overrides the default last-axis slab chunking.
+        An unsharded dataset is the 1-disk case of the same storage
+        manager, so ``with_shards(1)`` changes nothing but
+        :attr:`is_sharded`.  An attached replication or
         cache spec is re-applied on the new disk count (a fresh pool).
         Online updates are not available on sharded datasets.
         """
+        from repro.lvm.striping import STRATEGIES
         from repro.shard import ShardMap
 
         self._check_rebuild("with_shards", "shard")
@@ -464,10 +468,9 @@ class Dataset:
         # everything validated: a failed call (unknown strategy, bad
         # chunk shape, too few disks for k, exhausted volume) must leave
         # the dataset intact
-        entry = self._strategy_entry(strategy)
+        entry = STRATEGIES.get(strategy)
         align = None
-        if chunk_shape is None and entry is not None \
-                and entry.align_cubes \
+        if chunk_shape is None and entry.align_cubes \
                 and self._layout_entry.wiring == "volume":
             # the basic-cube granule that keeps every cube intact on
             # one disk; ShardMap.build picks the aligned split axis.
@@ -505,16 +508,19 @@ class Dataset:
         The storage manager is rebuilt with ``k`` copies: copy 0 of
         every chunk stays exactly where :meth:`with_shards` placed it
         (replica mappers allocate after every primary), reads route to a
-        copy picked by the registered ``read_policy``
+        copy picked by the read policy registered as ``read_policy``
         (:data:`repro.replica.READ_POLICIES`: ``primary``,
         ``round_robin``, ``least_loaded``), and replica homes come from
-        the registered ``placement``
+        the placement registered as ``placement``
         (:data:`repro.replica.PLACEMENTS`: ``rotated`` chained
         declustering, or ``locality_aligned`` to keep replicas of
-        adjacent chunks together).  Killing a member disk
-        (``storage.fail_disk`` / :class:`repro.replica.FailureInjector`
-        / a traffic failure schedule) transparently diverts reads to
-        surviving copies.  Every dataset already holds one copy, so
+        adjacent chunks together).  Both are names: any other value
+        raises :class:`~repro.errors.RegistryError` with the dataset
+        unchanged.
+        Killing a member disk (``storage.fail_disk`` between queries,
+        :meth:`TrafficRun.kill <repro.api.traffic.TrafficRun.kill>` in
+        a storm) transparently diverts reads to surviving copies.
+        Every dataset already holds one copy, so
         ``with_replication(1)`` changes nothing but
         :attr:`is_replicated`.
         """
@@ -530,10 +536,8 @@ class Dataset:
         self._validate_replica_k(k, int(self._shard_spec["n_shards"]))
         # validate names before rebuilding, so a typo leaves the
         # dataset untouched
-        if isinstance(placement, str):
-            PLACEMENTS.get(placement)
-        if isinstance(read_policy, str):
-            READ_POLICIES.get(read_policy)
+        PLACEMENTS.get(placement)
+        READ_POLICIES.get(read_policy)
         replicas = dict(k=k, placement=placement, read_policy=read_policy)
         self._rebuild(self.storage.shard_map, **replicas)
         self._replica_spec = replicas
@@ -597,18 +601,6 @@ class Dataset:
             None if self._replica_spec is None
             else self.storage.replica_map
         )
-
-    @staticmethod
-    def _strategy_entry(strategy):
-        """Resolve a strategy spec to its registry entry (None for
-        non-registered callables/entries passed through)."""
-        from repro.lvm.striping import STRATEGIES, StrategyEntry
-
-        if isinstance(strategy, StrategyEntry):
-            return strategy
-        if isinstance(strategy, str):
-            return STRATEGIES.get(strategy)
-        return None
 
     def _basic_cube_sides(self, volume=None) -> tuple[int, ...]:
         """The basic-cube sides K the unsharded MultiMap placement would
@@ -769,31 +761,30 @@ class Dataset:
                     **opts) -> "Dataset":
         """Attach a streaming-ingest spec (chainable).
 
-        ``stream``/``loader`` resolve through the
+        ``stream`` and ``loader`` are names in the
         :data:`repro.ingest.STREAMS` / :data:`repro.ingest.LOADERS`
-        registries (validated now, so a typo'd sweep cell fails loudly);
-        extra keywords (``n_points``, ``batch_points``,
-        ``flush_points``, ``seed``, stream options like ``n_clusters``)
-        become the defaults of :meth:`ingest` runs.  The spec is carried
+        registries, checked now so a typo'd sweep cell fails loudly: a
+        stream that is not a string raises :class:`DatasetError`, an
+        unknown stream or any loader that is not a registered name
+        :class:`~repro.errors.RegistryError`.  The other keywords are
+        the run options of :meth:`ingest` (``n_points``, ``batch_points``,
+        ``flush_points``, ``seed``, ``reorganize``, ``loader_opts``)
+        and the stream's own (``n_clusters``, ``spread``, ``coords``),
+        and become the defaults of its runs.  The spec is carried
         through :meth:`with_layout` clones — like the cache spec — so
         per-layout ingest comparisons share their write workload, and it
         survives :meth:`with_shards` / :meth:`with_replication` (which
         mutate in place).
         """
         from repro.ingest import LOADERS, STREAMS
-        from repro.ingest.streams import RecordStream
 
-        if isinstance(stream, str):
-            STREAMS.get(stream)
-        elif not (isinstance(stream, RecordStream)
-                  or (isinstance(stream, type)
-                      and issubclass(stream, RecordStream))):
+        if not isinstance(stream, str):
             raise DatasetError(
-                f"stream must be a registered name or RecordStream, "
-                f"got {type(stream).__name__}"
+                f"stream must be a registered name, got "
+                f"{type(stream).__name__}"
             )
-        if isinstance(loader, str):
-            LOADERS.get(loader)
+        STREAMS.get(stream)
+        LOADERS.get(loader)
         self._ingest_spec = dict(stream=stream, loader=loader, **opts)
         return self
 

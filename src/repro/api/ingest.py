@@ -1,4 +1,4 @@
-"""Fluent streaming-ingest runs: ``Dataset.ingest(...).run()``.
+"""Streaming-ingest runs: ``Dataset.ingest(...).run()``.
 
 An :class:`IngestRun` binds a seeded record stream and a bulk loader to
 a dataset, drives the staged :class:`~repro.ingest.pipeline
@@ -6,9 +6,17 @@ a dataset, drives the staged :class:`~repro.ingest.pipeline
 scatter-gather, like read queries, after the batch whose staging
 triggers them), optionally folds overflow chains back with a modelled
 background reorganisation, and returns an
-:class:`~repro.ingest.report.IngestReport`.  Its options are checked
-when it is built (sizes, seed, throttle) or when :meth:`IngestRun.run`
-builds the stream and the plan (stream and loader options), before the
+:class:`~repro.ingest.report.IngestReport`.
+
+A run's options are the keywords of :meth:`Dataset.ingest
+<repro.api.Dataset.ingest>` layered on :meth:`Dataset.with_ingest
+<repro.api.Dataset.with_ingest>`'s: ``stream`` and ``loader`` by
+registered name, ``n_points``, ``batch_points``, ``flush_points``,
+``seed``, ``reorganize`` and ``loader_opts``; every other keyword goes
+to the stream.  They are checked when the run is built (sizes, seed,
+the loader name, the stream and its keywords, so a keyword the stream
+does not take raises :class:`~repro.errors.IngestError`) or when
+:meth:`IngestRun.run` builds the plan (loader options), before the
 loader re-chunks the dataset or any block is written.
 
 When the resolved plan suggests a chunk shape (the adaptive loader on a
@@ -23,8 +31,8 @@ import numpy as np
 
 from repro.errors import IngestError, _check_count, _check_rng
 from repro.ingest.loader import resolve_loader
-from repro.ingest.pipeline import IngestPipeline
-from repro.ingest.reorg import check_throttle, plan_reorganize
+from repro.ingest.pipeline import STAGE_MS_PER_POINT, IngestPipeline
+from repro.ingest.reorg import plan_reorganize
 from repro.ingest.streams import check_count, make_stream
 from repro.query.scatter import scatter_execute
 
@@ -32,74 +40,36 @@ __all__ = ["IngestRun"]
 
 
 class IngestRun:
-    """Builder for one synchronous ingest run against a dataset.
+    """One synchronous ingest run against a dataset.
 
     Options merge ``dataset.with_ingest(...)`` defaults with per-run
-    overrides; anything not consumed here is passed to the stream
-    factory (``n_clusters``, ``spread``, ``coords``, ...).
+    overrides.  The run's own are consumed here; every other keyword
+    goes to the stream factory (``n_clusters``, ``spread``, ``coords``),
+    and the stream is built now, so a bad stream option — a retired run
+    keyword included — raises :class:`IngestError` when the run is
+    built.
     """
 
     def __init__(self, dataset, overrides: dict | None = None):
         spec = dict(dataset._ingest_spec or {})
         spec.update(overrides or {})
         self.dataset = dataset
-        self.stream_spec = spec.pop("stream", "uniform")
-        self.loader_spec = spec.pop("loader", "fixed")
-        self.n_points = check_count("n_points",
-                                    spec.pop("n_points", 2048))
-        self.batch_points = check_count("batch_points",
-                                        spec.pop("batch_points", 256))
+        stream = spec.pop("stream", "uniform")
+        self.loader = resolve_loader(spec.pop("loader", "fixed"))
+        n_points = check_count("n_points", spec.pop("n_points", 2048))
+        batch_points = check_count("batch_points",
+                                   spec.pop("batch_points", 256))
         self.flush_points = check_count("flush_points",
                                         spec.pop("flush_points", 1024))
         seed = spec.pop("seed", None)
         if seed is None:
             seed = dataset.seed if dataset.seed is not None else 0
-        self.seed = _check_count("seed", seed, IngestError, low=0)
+        seed = _check_count("seed", seed, IngestError, low=0)
         self.reorganize = bool(spec.pop("reorganize", False))
-        self.throttle = check_throttle(spec.pop("throttle", 1.0))
-        self.adapt_chunks = bool(spec.pop("adapt_chunks", True))
         self.loader_opts = dict(spec.pop("loader_opts", {}))
-        self.stream_opts = spec
-
-    # chainable knobs --------------------------------------------------
-
-    def with_stream(self, stream, **opts) -> "IngestRun":
-        self.stream_spec = stream
-        self.stream_opts.update(opts)
-        return self
-
-    def with_loader(self, loader, **opts) -> "IngestRun":
-        self.loader_spec = loader
-        self.loader_opts.update(opts)
-        return self
-
-    def with_points(self, n_points: int,
-                    batch_points: int | None = None) -> "IngestRun":
-        self.n_points = check_count("n_points", n_points)
-        if batch_points is not None:
-            self.batch_points = check_count("batch_points", batch_points)
-        return self
-
-    def with_flush(self, flush_points: int) -> "IngestRun":
-        self.flush_points = check_count("flush_points", flush_points)
-        return self
-
-    def with_reorganize(self, on: bool = True, *,
-                        throttle: float = 1.0) -> "IngestRun":
-        self.reorganize = bool(on)
-        self.throttle = check_throttle(throttle)
-        return self
-
-    # execution --------------------------------------------------------
-
-    def build_stream(self):
-        return make_stream(
-            self.stream_spec,
-            tuple(self.dataset.shape),
-            n_points=self.n_points,
-            batch_points=self.batch_points,
-            seed=self.seed,
-            **self.stream_opts,
+        self.stream = make_stream(
+            stream, tuple(dataset.shape), n_points=n_points,
+            batch_points=batch_points, seed=seed, **spec,
         )
 
     def run(self, rng: np.random.Generator | None = None):
@@ -108,13 +78,11 @@ class IngestRun:
         Generator; anything else raises :class:`IngestError`."""
         _check_rng(rng, IngestError)
         ds = self.dataset
-        stream = self.build_stream()
-        entry = resolve_loader(self.loader_spec)
-        plan = entry.fn(ds, stream, **self.loader_opts)
+        stream = self.stream
+        plan = self.loader.fn(ds, stream, **self.loader_opts)
 
         if (
             plan.chunk_shape is not None
-            and self.adapt_chunks
             and ds.is_sharded
             and ds._store is None
             and tuple(plan.chunk_shape)
@@ -129,7 +97,7 @@ class IngestRun:
             )
 
         pipeline = IngestPipeline(
-            ds, stream, entry,
+            ds, stream, self.loader.name,
             plan=plan, flush_points=self.flush_points,
         )
         if rng is None:
@@ -169,7 +137,7 @@ class IngestRun:
         reorg = None
         reorg_ms = 0.0
         if self.reorganize:
-            report = plan_reorganize(pipeline, throttle=self.throttle)
+            report = plan_reorganize(pipeline)
             if report is not None:
                 reorg = report.to_dict()
                 reorg_ms = report.reorg_ms
@@ -179,9 +147,7 @@ class IngestRun:
 
                     record_reorg(tele, report)
 
-        stage_ms = (
-            pipeline.stats.streamed_points * pipeline.stage_ms_per_point
-        )
+        stage_ms = pipeline.stats.streamed_points * STAGE_MS_PER_POINT
         from repro.ingest.report import IngestReport
 
         return IngestReport(
@@ -189,7 +155,7 @@ class IngestRun:
             drive=ds.drive_name,
             shape=tuple(ds.shape),
             stream=stream.describe(),
-            loader=entry.name,
+            loader=self.loader.name,
             plan=plan.describe(),
             n_points=pipeline.stats.streamed_points,
             n_batches=n_batches,

@@ -7,10 +7,17 @@ chainable builder that owns seeding and wiring::
     report = (
         ds.traffic()
         .clients(4, mix=QueryMix.beams(1), queries=25)
-        .poisson(2, rate_qps=40, queries=50)
+        .clients(2, arrival=PoissonArrivals(rate_qps=40), queries=50)
         .slice_runs(64)
         .run()
     )
+
+Each setting has one form: read clients come from :meth:`TrafficRun
+.clients` (the arrival model is a :class:`~repro.traffic.arrivals
+.ClosedLoop`, :class:`~repro.traffic.arrivals.PoissonArrivals` or
+:class:`~repro.traffic.arrivals.BurstyArrivals`), the write client
+from :meth:`TrafficRun.ingest`, and a disk failure from
+:meth:`TrafficRun.kill`.
 
 Seeding: each client receives the next child generator of the dataset's
 seed sequence (:meth:`Dataset.rng`), in the order the clients were
@@ -25,12 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import QueryError, _check_count, _check_rng
-from repro.traffic.arrivals import (
-    ArrivalProcess,
-    BurstyArrivals,
-    ClosedLoop,
-    PoissonArrivals,
-)
+from repro.traffic.arrivals import ArrivalProcess, ClosedLoop
 from repro.traffic.clients import QueryMix, Replay, TrafficClient
 from repro.traffic.engine import TrafficConfig, TrafficSim
 from repro.traffic.stats import TrafficReport
@@ -47,8 +49,6 @@ class TrafficRun:
         self._ingest_specs: list[tuple] = []  # (name, arrival, overrides)
         self._slice_runs: int | None = 256
         self._head = "random"
-        self._horizon_ms: float | None = None
-        self._failures = None
         self._failure_events: list = []
 
     # ------------------------------------------------------------------
@@ -80,49 +80,15 @@ class TrafficRun:
             self._specs.append((cname, mix, arrival, queries))
         return self
 
-    def closed(self, n: int = 1, *, think_ms: float = 0.0,
-               queries: int = 50, mix=None,
-               name: str | None = None) -> "TrafficRun":
-        """``n`` closed-loop clients with the given think time."""
-        return self.clients(
-            n, mix=mix, arrival=ClosedLoop(think_ms=think_ms),
-            queries=queries, name=name,
-        )
-
-    def poisson(self, n: int = 1, *, rate_qps: float,
-                queries: int = 50, mix=None,
-                name: str | None = None) -> "TrafficRun":
-        """``n`` open-loop Poisson clients at ``rate_qps`` each."""
-        return self.clients(
-            n, mix=mix, arrival=PoissonArrivals(rate_qps=rate_qps),
-            queries=queries, name=name,
-        )
-
-    def bursty(self, n: int = 1, *, burst_rate_per_s: float,
-               mean_burst: float = 4.0, intra_ms: float = 0.5,
-               queries: int = 50, mix=None,
-               name: str | None = None) -> "TrafficRun":
-        """``n`` open-loop flash-crowd clients (batch-Poisson)."""
-        return self.clients(
-            n,
-            mix=mix,
-            arrival=BurstyArrivals(
-                burst_rate_per_s=burst_rate_per_s,
-                mean_burst=mean_burst,
-                intra_ms=intra_ms,
-            ),
-            queries=queries,
-            name=name,
-        )
-
     def ingest(self, *, arrival: ArrivalProcess | None = None,
                name: str | None = None, **overrides) -> "TrafficRun":
         """Append an ingest client streaming writes into the dataset.
 
         Options layer on any :meth:`Dataset.with_ingest` spec exactly
-        like :meth:`Dataset.ingest` runs (``stream``, ``loader``,
-        ``n_points``, ``batch_points``, ``flush_points``, ``seed``,
-        stream options).  The client submits one batch per arrival and
+        like :meth:`Dataset.ingest` runs (``stream`` and ``loader`` by
+        registered name, ``n_points``, ``batch_points``,
+        ``flush_points``, ``seed``, ``loader_opts``, stream options).
+        The client submits one batch per arrival and
         flushes ride the event heap as write sub-plans, contending with
         read queries at the drives.  Ingest clients are wired **after**
         every read client regardless of call order, so a storm's read
@@ -154,36 +120,21 @@ class TrafficRun:
         self._head = mode
         return self
 
-    def horizon(self, ms: float | None) -> "TrafficRun":
-        """Stop open-loop submissions after ``ms`` simulated ms."""
-        self._horizon_ms = ms
-        return self
-
     # ------------------------------------------------------------------
     # failure injection
     # ------------------------------------------------------------------
-
-    def failures(self, schedule) -> "TrafficRun":
-        """Attach a failure schedule (a
-        :class:`~repro.replica.FailureSchedule`, a
-        :class:`~repro.replica.FailureInjector`, or an iterable of
-        ``(t_ms, action, disk)`` events).  Queries in flight on a killed
-        disk re-dispatch onto surviving replicas; the dataset must be
-        replicated (``with_replication(k >= 2)``) for every query to
-        stay serviceable."""
-        from repro.replica.failures import FailureSchedule
-
-        self._failures = FailureSchedule.coerce(schedule)
-        return self
 
     def kill(self, at_ms: float, disk: int,
              revive_at_ms: float | None = None) -> "TrafficRun":
         """Kill member ``disk`` at ``at_ms`` simulated ms (chainable);
         an optional ``revive_at_ms``, after ``at_ms``, brings it back.
-        The values are checked as :class:`~repro.replica.FailureEvent`
-        checks them (a finite time of at least 0, an integer disk of at
-        least 0); a bad one raises :class:`~repro.errors.ReplicaError`
-        with nothing scheduled."""
+        Queries in flight on a killed disk re-dispatch onto surviving
+        replicas; the dataset must be replicated
+        (``with_replication(k >= 2)``) for every query to stay
+        serviceable.  The values are checked as
+        :class:`~repro.replica.FailureEvent` checks them (a finite time
+        of at least 0, an integer disk of at least 0); a bad one raises
+        :class:`~repro.errors.ReplicaError` with nothing scheduled."""
         from repro.replica.failures import kill_events
 
         self._failure_events += kill_events(at_ms, disk, revive_at_ms)
@@ -211,11 +162,8 @@ class TrafficRun:
             raise QueryError("add at least one client before run()")
         _check_rng(rng)
         # checked before any client draws from the dataset's generators
-        config = TrafficConfig(
-            slice_runs=self._slice_runs,
-            head=self._head,
-            horizon_ms=self._horizon_ms,
-        )
+        config = TrafficConfig(slice_runs=self._slice_runs,
+                               head=self._head)
         ds = self._dataset
         n_clients = len(self._specs) + len(self._ingest_specs)
         if rng is None:
@@ -249,9 +197,9 @@ class TrafficRun:
             from repro.ingest.traffic import IngestClient, WriteMix
 
             opts = IngestRun(ds, overrides)
-            stream = opts.build_stream()
+            stream = opts.stream
             pipeline = IngestPipeline(
-                ds, stream, opts.loader_spec,
+                ds, stream, opts.loader.name,
                 flush_points=opts.flush_points,
                 loader_opts=opts.loader_opts,
             )
@@ -267,14 +215,11 @@ class TrafficRun:
                     pipeline=pipeline,
                 )
             )
-        failures = self._failures
+        failures = None
         if self._failure_events:
             from repro.replica.failures import FailureSchedule
 
-            events = tuple(failures.events if failures else ()) + tuple(
-                self._failure_events
-            )
-            failures = FailureSchedule(events)
+            failures = FailureSchedule(tuple(self._failure_events))
         meta = {"dataset": ds.describe(), "seed": ds.seed}
         return TrafficSim(
             clients, config, meta=meta, failures=failures

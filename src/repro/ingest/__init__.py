@@ -7,13 +7,16 @@ as one count array keyed by owning member disk, chunk and cell, a
 locality-preserving flush that packs buffered points into whole basic
 cubes before issuing sorted sequential writes, and a modelled
 background reorganisation
-(:func:`plan_reorganize`) that folds overflow chains back with the
-rebuild layer's throttled-interference accounting.  A bulk loader
+(:func:`plan_reorganize`) that folds overflow chains back within the
+ideal makespan and reports its interference with the rebuild layer's
+dilation estimate.  A bulk loader
 (:data:`LOADERS`: ``fixed`` / ``adaptive``) fixes the ingest plan;
 ``adaptive`` samples the stream to size cell capacity and pick the
 chunk split axis from observed density.  On a replicated dataset every
 flush writes the primary *and* all live copies block-for-block
-identically, so an acknowledged batch survives ``fail_disk``::
+identically, so an acknowledged batch survives ``fail_disk``.  Streams
+and loaders are given by registered name, and a run's options are the
+keywords of ``with_ingest`` / ``ingest``::
 
     from repro import Dataset
 

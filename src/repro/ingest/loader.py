@@ -92,16 +92,15 @@ def loader_names() -> tuple[str, ...]:
     return LOADERS.names()
 
 
-def resolve_loader(spec) -> LoaderEntry:
-    """Resolve a loader spec (registered name or entry) to its entry."""
-    if isinstance(spec, LoaderEntry):
-        return spec
-    if isinstance(spec, str):
-        return LOADERS.get(spec)
-    raise IngestError(
-        f"unknown loader spec {spec!r} (registered: "
-        f"{', '.join(loader_names())})"
-    )
+def resolve_loader(name) -> LoaderEntry:
+    """The entry of the loader registered as ``name``; a name that is
+    not a string raises :class:`IngestError`."""
+    if not isinstance(name, str):
+        raise IngestError(
+            f"unknown loader spec {name!r} (registered: "
+            f"{', '.join(loader_names())})"
+        )
+    return LOADERS.get(name)
 
 
 def _linear_quantile(values, q: float) -> float:

@@ -62,12 +62,21 @@ from repro.query.executor import WritePrepared
 from repro.query.scatter import ShardedPrepared
 
 __all__ = [
+    "MAX_OVERFLOW_PAGES",
+    "STAGE_MS_PER_POINT",
     "FlushPlan",
     "IngestPipeline",
     "IngestPrepared",
     "IngestStats",
     "WriteSource",
 ]
+
+#: modelled memory cost of buffering one point (ms): an ingest report's
+#: ``stage_ms`` and the staging sub's service time on the traffic path
+STAGE_MS_PER_POINT = 2e-4
+
+#: overflow pages each chunk's :class:`CellStore` may chain
+MAX_OVERFLOW_PAGES = 256
 
 
 @dataclass(frozen=True)
@@ -157,26 +166,24 @@ class IngestPipeline:
     stream:
         A :class:`~repro.ingest.streams.RecordStream`.
     loader:
-        Registered loader name (or entry) fixing the ingest plan;
-        ``plan`` overrides with a pre-resolved :class:`IngestPlan`.
+        Registered loader name fixing the ingest plan; ``plan``
+        overrides with a pre-resolved :class:`IngestPlan`.
     flush_points:
         Per-disk buffered backlog that triggers a flush of that disk.
-    stage_ms_per_point:
-        Memory cost of buffering one point (the staging sub's service
-        time on the traffic path).
+
+    Buffering costs :data:`STAGE_MS_PER_POINT` per point, and each
+    chunk's store chains at most :data:`MAX_OVERFLOW_PAGES` overflow
+    pages.
     """
 
     def __init__(
         self,
         dataset,
         stream: RecordStream,
-        loader="fixed",
+        loader: str = "fixed",
         *,
         plan: IngestPlan | None = None,
         flush_points: int = 1024,
-        stage_ms_per_point: float = 2e-4,
-        reclaim_threshold: float = 0.25,
-        max_overflow_pages: int = 256,
         loader_opts: dict | None = None,
     ):
         if tuple(stream.dims) != tuple(dataset.shape):
@@ -191,7 +198,6 @@ class IngestPipeline:
         if plan is None:
             plan = self.loader.fn(dataset, stream, **(loader_opts or {}))
         self.plan = plan
-        self.stage_ms_per_point = float(stage_ms_per_point)
         self.stats = IngestStats()
 
         storage = dataset.storage
@@ -209,8 +215,7 @@ class IngestPipeline:
                 storage.volume,
                 points_per_cell=plan.points_per_cell,
                 fill_factor=plan.fill_factor,
-                reclaim_threshold=reclaim_threshold,
-                max_overflow_pages=max_overflow_pages,
+                max_overflow_pages=MAX_OVERFLOW_PAGES,
             )
             for m in self._chunk_mappers
         )
@@ -437,7 +442,7 @@ class IngestPipeline:
             plan=RequestPlan(empty, empty, policy="sorted", merge_gap=0),
             policy="sorted",
             n_cells=len(coords),
-            cache_ms=len(coords) * self.stage_ms_per_point,
+            cache_ms=len(coords) * STAGE_MS_PER_POINT,
         )
         if flush is None:
             return IngestPrepared(

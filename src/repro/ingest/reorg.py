@@ -8,9 +8,9 @@ cells where they now fit) and *models* the background I/O on fresh
 drive instances — reading each chained cell's home blocks plus its
 chain pages, writing the folded cells back, on every live copy — so
 foreground traffic's head state is untouched, exactly like the replica
-rebuild model.  A ``throttle`` fraction stretches the window, and the
-:meth:`ReorgReport.interference` profile reuses the rebuild layer's
-``1 / (1 - busy_frac)`` dilation estimate
+rebuild model.  The window is the ideal makespan, the busiest disk's
+I/O time, and the :meth:`ReorgReport.interference` profile reuses the
+rebuild layer's ``1 / (1 - busy_frac)`` dilation estimate
 (:func:`repro.replica.rebuild.interference_profile`).
 """
 
@@ -21,31 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.disk.drive import DiskDrive
-from repro.errors import IngestError, _check_float
 from repro.mappings.base import coalesce_ranks, sorted_unique
 from repro.replica.rebuild import interference_profile
 
-__all__ = ["ReorgReport", "check_throttle", "plan_reorganize"]
-
-
-def check_throttle(throttle) -> float:
-    """A reorganisation throttle as a finite float in (0, 1]."""
-    throttle = _check_float("throttle", throttle, IngestError)
-    if not 0 < throttle <= 1:
-        raise IngestError("throttle must be in (0, 1]")
-    return throttle
+__all__ = ["ReorgReport", "plan_reorganize"]
 
 
 @dataclass(frozen=True)
 class ReorgReport:
-    """Timing of one modelled background reorganisation."""
+    """Timing of one modelled background reorganisation: ``reorg_ms``
+    is the window, the ideal makespan over ``io_ms_by_disk``.  The
+    payload keeps its ``ideal_ms`` and ``throttle`` (1.0) keys."""
 
     chunks: tuple[int, ...]
     pages_freed: int
     n_blocks: int
     io_ms_by_disk: dict
-    ideal_ms: float
-    throttle: float
     reorg_ms: float
 
     def interference(self) -> dict:
@@ -63,8 +54,8 @@ class ReorgReport:
                 str(d): float(ms)
                 for d, ms in sorted(self.io_ms_by_disk.items())
             },
-            "ideal_ms": float(self.ideal_ms),
-            "throttle": float(self.throttle),
+            "ideal_ms": float(self.reorg_ms),
+            "throttle": 1.0,
             "reorg_ms": float(self.reorg_ms),
             "interference": {
                 str(d): v for d, v in self.interference().items()
@@ -85,21 +76,17 @@ def _service(drive: DiskDrive, lbns: np.ndarray,
     return res.total_ms, int(blocks.size)
 
 
-def plan_reorganize(pipeline, *, throttle: float = 1.0,
-                    grow: bool = True):
+def plan_reorganize(pipeline):
     """Reorganise every store of ``pipeline`` that needs it and model
     the background I/O.  Returns a :class:`ReorgReport`, or ``None``
     when no chunk needed work.
 
-    With ``grow`` (the default) each chained store's per-cell capacity
-    is first raised to its :meth:`~repro.core.store.CellStore
-    .required_capacity` — the §4.6 re-provisioning a fixed plan
-    deferred: cells are resized to the density the stream delivered
-    (what the adaptive loader would have picked up front), so every
-    chain folds back and its pages free.  Without it only chains whose
-    cells already have free space fold.
+    Each chained store's per-cell capacity is first raised to its
+    :meth:`~repro.core.store.CellStore.required_capacity` — the §4.6
+    re-provisioning a fixed plan deferred: cells are resized to the
+    density the stream delivered (what the adaptive loader would have
+    picked up front), so every chain folds back and its pages free.
     """
-    throttle = check_throttle(throttle)
     storage = pipeline.storage
     drives: dict[int, DiskDrive] = {}
     io_ms: dict[int, float] = {}
@@ -121,8 +108,7 @@ def plan_reorganize(pipeline, *, throttle: float = 1.0,
         if not (cells.size or store.needs_reorganization):
             continue
         page_idx = store.overflow_page_lbns() - store.overflow_extent.start
-        if grow:
-            store.points_per_cell = store.required_capacity()
+        store.points_per_cell = store.required_capacity()
         freed = store.reorganize()
         if freed == 0 and cells.size == 0:
             continue
@@ -153,13 +139,10 @@ def plan_reorganize(pipeline, *, throttle: float = 1.0,
 
     if not chunks:
         return None
-    ideal = max(io_ms.values(), default=0.0)
     return ReorgReport(
         chunks=tuple(chunks),
         pages_freed=pages_freed,
         n_blocks=n_blocks,
         io_ms_by_disk=io_ms,
-        ideal_ms=ideal,
-        throttle=throttle,
-        reorg_ms=ideal / throttle,
+        reorg_ms=max(io_ms.values(), default=0.0),
     )

@@ -99,21 +99,16 @@ def check_spread(spread) -> float:
     return spread
 
 
-def make_stream(spec, dims, **opts) -> "RecordStream":
-    """Resolve a stream spec — a registered name, a stream class, or an
-    already-built instance — into a :class:`RecordStream`; a keyword
-    the stream does not take raises :class:`IngestError`."""
-    if isinstance(spec, RecordStream):
-        return spec
-    if isinstance(spec, str):
-        factory = STREAMS.get(spec).factory
-    elif isinstance(spec, type) and issubclass(spec, RecordStream):
-        factory = spec
-    else:
+def make_stream(name, dims, **opts) -> "RecordStream":
+    """Build the stream registered as ``name`` over ``dims``.  A name
+    that is not a string, or a keyword the stream does not take, raises
+    :class:`IngestError`."""
+    if not isinstance(name, str):
         raise IngestError(
-            f"unknown stream spec {spec!r} (registered: "
+            f"unknown stream spec {name!r} (registered: "
             f"{', '.join(stream_names())})"
         )
+    factory = STREAMS.get(name).factory
     _check_keywords(factory.__name__, opts, _keywords(factory), IngestError)
     return factory(dims, **opts)
 

@@ -147,8 +147,7 @@ def assign_chunks(
 ) -> np.ndarray:
     """Dispatch to a registered declustering strategy by name."""
     try:
-        entry = (strategy if isinstance(strategy, StrategyEntry)
-                 else STRATEGIES.get(strategy))
+        entry = STRATEGIES.get(strategy)
     except RegistryError as exc:
         raise AllocationError(str(exc)) from None
     if grid_shape is None:

@@ -282,8 +282,8 @@ def record_reorg(telemetry, report) -> None:
         attrs={
             "pages_freed": int(report.pages_freed),
             "blocks": int(report.n_blocks),
-            "ideal_ms": report.ideal_ms,
-            "throttle": report.throttle,
+            "ideal_ms": report.reorg_ms,
+            "throttle": 1.0,
             "io_ms_by_disk": {
                 str(d): report.io_ms_by_disk[d]
                 for d in sorted(report.io_ms_by_disk)

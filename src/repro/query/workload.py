@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import QueryError, _check_int, _check_ints
+from repro.errors import QueryError, _check_float, _check_int, _check_ints
 
 __all__ = [
     "BeamQuery",
     "RangeQuery",
+    "check_selectivity",
     "random_beam",
     "random_range_cube",
     "range_for_selectivity",
@@ -103,6 +104,15 @@ def random_beam(dims, axis: int, rng: np.random.Generator) -> BeamQuery:
     return BeamQuery.from_ints(axis, fixed)
 
 
+def check_selectivity(pct) -> float:
+    """A range selectivity in percent as a float: a finite number in
+    (0, 100], not a bool; anything else raises :class:`QueryError`."""
+    pct = _check_float("selectivity", pct)
+    if not 0 < pct <= 100:
+        raise QueryError("selectivity must be in (0, 100]")
+    return pct
+
+
 def range_for_selectivity(dims, selectivity_pct: float) -> tuple[int, ...]:
     """Side lengths of an equal-length cube covering ~p% of the dataset.
 
@@ -111,8 +121,7 @@ def range_for_selectivity(dims, selectivity_pct: float) -> tuple[int, ...]:
     100% selectivity covers the whole dataset even for non-cubic grids).
     """
     dims = tuple(int(s) for s in dims)
-    if not 0 < selectivity_pct <= 100:
-        raise QueryError("selectivity must be in (0, 100]")
+    selectivity_pct = check_selectivity(selectivity_pct)
     target = selectivity_pct / 100.0 * float(np.prod(dims, dtype=np.float64))
     shape = [0] * len(dims)
     free = list(range(len(dims)))

@@ -63,15 +63,16 @@ class Registry:
         self._entries[name] = entry
 
     def get(self, name: str):
+        """The entry registered as ``name``; anything else — an unknown
+        name or a non-string — raises :class:`RegistryError`."""
         self._ensure()
-        try:
+        if isinstance(name, str) and name in self._entries:
             return self._entries[name]
-        except KeyError:
-            valid = ", ".join(repr(n) for n in sorted(self._entries))
-            raise RegistryError(
-                f"unknown {self.kind} {name!r}; registered {self.kind}s: "
-                f"{valid or '<none>'}"
-            ) from None
+        valid = ", ".join(repr(n) for n in sorted(self._entries))
+        raise RegistryError(
+            f"unknown {self.kind} {name!r}; registered {self.kind}s: "
+            f"{valid or '<none>'}"
+        )
 
     def names(self) -> tuple[str, ...]:
         self._ensure()

@@ -10,21 +10,24 @@ one storage manager (:class:`~repro.shard.ShardedStorageManager`, which
 every dataset runs on with k = 1 by default) routes every per-chunk
 sub-plan to a copy chosen by a registered read policy
 (:data:`READ_POLICIES`: ``primary`` / ``round_robin`` /
-``least_loaded``), and a seeded
-:class:`FailureInjector` kills and revives disks deterministically —
-reads transparently fail over to surviving replicas, with degraded-mode
-accounting and a rebuild model (:func:`plan_rebuild`) that streams a
-dead disk's chunks from replicas onto a spare::
+``least_loaded``; placements and read policies are given by registered
+name).  A disk fails between queries through ``storage.fail_disk`` /
+``revive_disk``, or mid-storm through :meth:`TrafficRun.kill
+<repro.api.traffic.TrafficRun.kill>` (a :class:`FailureSchedule` of
+:class:`FailureEvent` s) — reads transparently fail over to surviving
+replicas, with degraded-mode accounting and a rebuild model
+(:func:`plan_rebuild`) that streams a dead disk's chunks from replicas
+onto a spare::
 
     from repro import Dataset
-    from repro.replica import FailureInjector, plan_rebuild
+    from repro.replica import plan_rebuild
 
     ds = Dataset.create((64, 16, 16), layout="multimap", seed=42)
     ds.with_shards(3).with_replication(2, placement="locality_aligned")
-    dead = FailureInjector(3, seed=7).kill(ds.storage)
+    ds.storage.fail_disk(1)
     report = ds.random_beams(axis=2, n=8).run()   # fails over, degraded
     print(report.meta["replicas"]["stats"]["degraded_queries"])
-    print(plan_rebuild(ds.storage, dead).rebuild_ms)
+    print(plan_rebuild(ds.storage, 1).rebuild_ms)
 
 :func:`run_avail_sweep` produces the availability/overhead-vs-k curves
 per layout (``repro-bench avail``, on :mod:`repro.bench.sweep`).
@@ -39,11 +42,7 @@ from repro.replica.executor import (
     read_policy_names,
     register_read_policy,
 )
-from repro.replica.failures import (
-    FailureEvent,
-    FailureInjector,
-    FailureSchedule,
-)
+from repro.replica.failures import FailureEvent, FailureSchedule
 from repro.replica.map import (
     PLACEMENTS,
     PlacementEntry,
@@ -59,7 +58,6 @@ from repro.replica.rebuild import (
 
 __all__ = [
     "FailureEvent",
-    "FailureInjector",
     "FailureSchedule",
     "PLACEMENTS",
     "PlacementEntry",

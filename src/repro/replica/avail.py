@@ -18,6 +18,8 @@ mapping, so its degraded MB/s stays ahead of every baseline
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.bench.sweep import DEFAULT_LAYOUTS, render_sweep, run_sweep
 from repro.errors import (
     DatasetError,
@@ -26,7 +28,6 @@ from repro.errors import (
     _check_int,
     _check_shape,
 )
-from repro.replica.failures import FailureInjector
 from repro.shard.scale import _beam_axes, _mb_per_s, scale_beams
 
 __all__ = ["run_avail_sweep", "render_avail_sweep"]
@@ -50,9 +51,8 @@ def run_avail_sweep(
 
     Returns ``layout -> {k: cell}`` plus a ``meta`` entry; each cell
     carries healthy/degraded totals, MB/s, availability, and completed
-    query counts.  ``kill_disk=None`` draws the victim from a
-    :class:`FailureInjector` seeded with ``seed`` (one draw, shared by
-    every cell).
+    query counts.  ``kill_disk=None`` draws the victim uniformly from
+    a generator seeded with ``seed`` (one draw, shared by every cell).
     """
     shape = _check_shape(shape)
     ks = [_check_count("k", k, DatasetError) for k in ks]
@@ -62,7 +62,7 @@ def run_avail_sweep(
             f"every k in {tuple(ks)} must be <= n_disks={n_disks}"
         )
     victim = (
-        FailureInjector(n_disks, seed=seed).pick_disk()
+        int(np.random.default_rng(seed).integers(n_disks))
         if kill_disk is None else _check_int("kill_disk", kill_disk,
                                              ReplicaError)
     )

@@ -166,8 +166,7 @@ class ReplicaMap:
                 f"k={k} copies need 1 <= k <= {shard_map.n_disks} "
                 f"member disks"
             )
-        entry = (placement if isinstance(placement, PlacementEntry)
-                 else PLACEMENTS.get(placement))
+        entry = PLACEMENTS.get(placement)
         disks = np.asarray(entry.fn(shard_map, k), dtype=np.int64)
         return cls(shard_map, k, entry.name, disks)
 

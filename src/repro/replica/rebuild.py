@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.disk.drive import DiskDrive
-from repro.errors import ReplicaError
+from repro.errors import ReplicaError, _check_float
 
 __all__ = ["RebuildReport", "interference_profile", "plan_rebuild"]
 
@@ -96,15 +96,14 @@ def plan_rebuild(storage, dead_disk: int, *,
     healthy disk (disks in ``storage.failed`` are skipped too).  A
     chunk whose only copy lived on the dead disk — every chunk of a
     single-copy dataset — is unrebuildable and raises
-    :class:`ReplicaError`.
+    :class:`ReplicaError`.  ``dead_disk`` is checked as
+    ``storage.fail_disk`` checks it (an integer member-disk index, not
+    a bool) and ``throttle`` is a finite number in (0, 1], not a bool;
+    anything else raises :class:`ReplicaError`.
     """
     replica_map = storage.replica_map
-    dead = int(dead_disk)
-    if not 0 <= dead < replica_map.n_disks:
-        raise ReplicaError(
-            f"disk {dead} out of range for {replica_map.n_disks} "
-            f"member disks"
-        )
+    dead = storage._check_disk(dead_disk)
+    throttle = _check_float("throttle", throttle, ReplicaError)
     if not 0 < throttle <= 1:
         raise ReplicaError("throttle must be in (0, 1]")
     unavailable = set(storage.failed) | {dead}
@@ -170,6 +169,6 @@ def plan_rebuild(storage, dead_disk: int, *,
         source_blocks=source_blocks,
         spare_write_ms=spare_write_ms,
         ideal_ms=ideal,
-        throttle=float(throttle),
-        rebuild_ms=ideal / float(throttle),
+        throttle=throttle,
+        rebuild_ms=ideal / throttle,
     )

@@ -45,12 +45,7 @@ from repro.query.executor import (
 from repro.query.scatter import ShardedPrepared, scatter_batch
 from repro.query.scheduler import DEFAULT_WINDOW
 from repro.query.workload import BeamQuery, RangeQuery
-from repro.replica.executor import (
-    READ_POLICIES,
-    ReadPolicyEntry,
-    ReplicaStats,
-    SubSource,
-)
+from repro.replica.executor import READ_POLICIES, ReplicaStats, SubSource
 from repro.replica.map import ReplicaMap
 from repro.shard.map import ShardMap
 
@@ -186,10 +181,7 @@ class ShardedStorageManager(StorageManager):
             )
         self.shard_map = shard_map
         self.replica_map = ReplicaMap.build(shard_map, k, placement)
-        self.read_policy = (
-            read_policy if isinstance(read_policy, ReadPolicyEntry)
-            else READ_POLICIES.get(read_policy)
-        )
+        self.read_policy = READ_POLICIES.get(read_policy)
         self.cell_blocks = check_setting("cell_blocks", cell_blocks)
         self.layout_opts = dict(layout_opts or {})
         copies = [[self._build_copy(layout, chunk, chunk.disk)]

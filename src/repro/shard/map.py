@@ -128,10 +128,7 @@ class ShardMap:
         chunks = GridDataset(dims).chunks(chunk_shape, n_disks,
                                           strategy=strategy)
         grid = tuple(-(-s // m) for s, m in zip(dims, chunk_shape))
-        name = strategy if isinstance(strategy, str) else getattr(
-            strategy, "name", str(strategy)
-        )
-        return cls(dims, n_disks, name, tuple(chunks), grid)
+        return cls(dims, n_disks, strategy, tuple(chunks), grid)
 
     @classmethod
     def from_chunks(cls, dims, chunks, n_disks: int,

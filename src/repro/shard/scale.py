@@ -102,10 +102,7 @@ def run_scale_sweep(
             f"shape {shape}, got {split_axis}"
         )
     split_axis %= len(shape)
-    entry = STRATEGIES.get(strategy) if isinstance(strategy, str) \
-        else strategy
-    align_cubes = bool(getattr(entry, "align_cubes", False))
-    strategy_name = getattr(entry, "name", str(strategy))
+    entry = STRATEGIES.get(strategy)
     # resolve one chunk shape per shard count up front and hand the SAME
     # shape to every layout — the fairness condition of the sweep (cells
     # compare placements, never chunk grids).  cube_aligned shapes split
@@ -113,7 +110,7 @@ def run_scale_sweep(
     # depends only on shape/drive, so one probe dataset resolves it for
     # every shard count.  Otherwise: split_axis slabs.
     align = None
-    if align_cubes and chunk_shape is None:
+    if entry.align_cubes and chunk_shape is None:
         from repro.shard.map import ShardMap
 
         align = Dataset.create(shape, layout="multimap", drive=drive,
@@ -150,11 +147,11 @@ def run_scale_sweep(
     data = run_sweep(
         shape, layouts, shard_counts, measure, drive=drive, seed=seed,
         meta={
-            "strategy": strategy_name,
+            "strategy": entry.name,
             # cube_aligned overrides the slab axis (it splits on a
             # basic-cube boundary instead), so don't record a split_axis
             # it ignored
-            "split_axis": None if (align_cubes and chunk_shape is None)
+            "split_axis": None if (entry.align_cubes and chunk_shape is None)
             else split_axis,
             "chunk_shape": list(chunk_shape) if chunk_shape else None,
             "chunk_shapes": {n: list(s) for n, s in shapes_by_n.items()},

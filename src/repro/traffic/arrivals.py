@@ -25,12 +25,12 @@ in fixed per-client order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
 
-from repro.errors import QueryError
+from repro.errors import QueryError, _check_float
 
 __all__ = ["ARRIVALS", "ArrivalProcess", "ClosedLoop", "PoissonArrivals",
            "BurstyArrivals", "arrival_named"]
@@ -40,10 +40,16 @@ ARRIVALS = ("closed", "poisson", "bursty")
 
 
 class ArrivalProcess:
-    """Base class; subclasses are either closed- or open-loop."""
+    """Base class; subclasses are either closed- or open-loop.  Every
+    parameter is a finite real number, not a bool; anything else raises
+    :class:`QueryError` when the process is built."""
 
     #: closed-loop processes schedule from completions, not a stream
     closed: bool = False
+
+    def _check_finite(self) -> None:
+        for f in fields(self):
+            _check_float(f.name, getattr(self, f.name))
 
     def arrivals(self, rng: np.random.Generator) -> Iterator[float]:
         """Infinite iterator of absolute submission times (ms)."""
@@ -67,6 +73,7 @@ class ClosedLoop(ArrivalProcess):
     closed = True
 
     def __post_init__(self) -> None:
+        self._check_finite()
         if self.think_ms < 0 or self.initial_delay_ms < 0:
             raise QueryError("think/initial delay must be >= 0")
 
@@ -94,6 +101,7 @@ class PoissonArrivals(ArrivalProcess):
     start_ms: float = 0.0
 
     def __post_init__(self) -> None:
+        self._check_finite()
         if self.rate_qps <= 0:
             raise QueryError("rate_qps must be > 0")
 
@@ -128,6 +136,7 @@ class BurstyArrivals(ArrivalProcess):
     start_ms: float = 0.0
 
     def __post_init__(self) -> None:
+        self._check_finite()
         if self.burst_rate_per_s <= 0:
             raise QueryError("burst_rate_per_s must be > 0")
         if self.mean_burst < 1:

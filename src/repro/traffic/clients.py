@@ -20,11 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import QueryError
+from repro.errors import QueryError, _check_count
 from repro.mappings.base import Mapper
 from repro.query.workload import (
     BeamQuery,
     RangeQuery,
+    check_selectivity,
     random_beam,
     random_range_cube,
 )
@@ -83,17 +84,20 @@ class QueryMix:
 
     @classmethod
     def beams(cls, *axes: int) -> "QueryMix":
-        """Equal-weight random beams along the given axes."""
+        """Equal-weight random beams along the given axes, each an
+        integer of at least 0 (not a bool)."""
         if not axes:
             raise QueryError("beams() needs at least one axis")
-        return cls([BeamDraw(int(a)) for a in axes])
+        return cls([BeamDraw(_check_count("axis", a, QueryError, low=0))
+                    for a in axes])
 
     @classmethod
     def ranges(cls, *pcts: float) -> "QueryMix":
-        """Equal-weight random range cubes at the given selectivities."""
+        """Equal-weight random range cubes at the given selectivities
+        (:func:`~repro.query.workload.check_selectivity`)."""
         if not pcts:
             raise QueryError("ranges() needs at least one selectivity")
-        return cls([RangeDraw(float(p)) for p in pcts])
+        return cls([RangeDraw(check_selectivity(p)) for p in pcts])
 
     def draw(self, dims, rng: np.random.Generator, index: int):
         if len(self.parts) == 1:

@@ -50,8 +50,10 @@ without occupying the drive.  Without a pool the engine is bit-identical
 to the pre-cache behaviour.
 
 Failures: a :class:`~repro.replica.failures.FailureSchedule` passed as
-``TrafficSim(..., failures=...)`` kills and revives member disks at
-fixed simulated times.  A killed disk stops servicing immediately: its
+``TrafficSim(..., failures=...)`` (a schedule or None; what
+:meth:`TrafficRun.kill <repro.api.traffic.TrafficRun.kill>` builds)
+kills and revives member disks at fixed simulated times.  A killed disk
+stops servicing immediately: its
 queued jobs — and the job whose slice was in flight, whose partial work
 is lost — re-dispatch through the owning client's storage manager
 (:meth:`~repro.shard.executor.ShardedStorageManager.failover_sub`),
@@ -80,6 +82,7 @@ from repro.errors import QueryError
 from repro.obs.span import record_traffic_query
 from repro.query.scheduler import slice_plan
 from repro.query.workload import _check_int
+from repro.replica.failures import FailureSchedule
 from repro.shard.executor import ShardedStorageManager
 from repro.traffic.clients import TrafficClient
 from repro.traffic.stats import (
@@ -100,14 +103,12 @@ class TrafficConfig:
     one query the drive services before other queued requests may cut
     in; ``None`` services each query as one batch (the batch executor's
     behaviour, required for exact parity with :meth:`Dataset.run
-    <repro.api.Dataset.run>` timings).  ``horizon_ms`` stops open-loop
-    clients from *submitting* past the horizon (queries already
-    submitted still finish).
+    <repro.api.Dataset.run>` timings).  Every client submits all of its
+    queries; :meth:`describe` keeps a ``horizon_ms`` key, always None.
     """
 
     slice_runs: int | None = 256
     head: str = "random"
-    horizon_ms: float | None = None
 
     def __post_init__(self) -> None:
         if self.head not in ("random", "carry"):
@@ -122,7 +123,7 @@ class TrafficConfig:
         return {
             "slice_runs": self.slice_runs,
             "head": self.head,
-            "horizon_ms": self.horizon_ms,
+            "horizon_ms": None,
         }
 
 
@@ -254,14 +255,13 @@ class _DriveState:
 class _ClientState:
     """Mutable per-run bookkeeping for one client."""
 
-    __slots__ = ("client", "issued", "completed", "stream", "stopped")
+    __slots__ = ("client", "issued", "completed", "stream")
 
     def __init__(self, client: TrafficClient):
         self.client = client
         self.issued = 0
         self.completed = 0
         self.stream = None  # open-loop arrival iterator
-        self.stopped = False  # open-loop horizon reached
 
 
 class TrafficSim:
@@ -291,12 +291,13 @@ class TrafficSim:
                 )
         self.config = config or TrafficConfig()
         self.meta = dict(meta or {})
-        if failures is None:
-            self.failures = None
-        else:
-            from repro.replica.failures import FailureSchedule
-
-            self.failures = FailureSchedule.coerce(failures)
+        if failures is not None and not isinstance(failures,
+                                                   FailureSchedule):
+            raise QueryError(
+                f"failures must be a FailureSchedule or None, got "
+                f"{type(failures).__name__}"
+            )
+        self.failures = failures
 
     # ------------------------------------------------------------------
     # event loop
@@ -412,13 +413,8 @@ class TrafficSim:
                 maybe_start(ds, t)
 
         def schedule_next_open(cs: _ClientState) -> None:
-            if cs.stopped or cs.issued >= cs.client.n_queries:
-                return
-            t_next = next(cs.stream)
-            if cfg.horizon_ms is not None and t_next > cfg.horizon_ms:
-                cs.stopped = True
-                return
-            push(t_next, "arrive", cs)
+            if cs.issued < cs.client.n_queries:
+                push(next(cs.stream), "arrive", cs)
 
         def maybe_start(ds: _DriveState, t: float) -> None:
             if ds.failed or ds.busy or not ds.queue:

@@ -196,3 +196,48 @@ class TestBuildMapper:
             build_mapper(
                 "bogus", (4, 4), LogicalVolume([small_model], depth=16)
             )
+
+
+class TestNonStringNames:
+    """A registry lookup refuses a non-string name with
+    :class:`RegistryError`, the class an unknown name raises (an
+    unhashable one used to raise a bare ``TypeError``), and a dataset
+    method that refuses it changes nothing."""
+
+    @staticmethod
+    def sharded(small_model):
+        from repro.api import Dataset
+
+        return Dataset.create((16, 8, 8), layout="naive",
+                              drive=small_model, seed=1).with_shards(2)
+
+    @pytest.mark.parametrize("name", [["naive"], {"naive": 1}])
+    def test_get(self, name):
+        with pytest.raises(RegistryError, match="unknown layout"):
+            LAYOUTS.get(name)
+
+    def test_with_shards_strategy_list(self, small_model):
+        ds = self.sharded(small_model)
+        storage = ds.storage
+        with pytest.raises(RegistryError, match="unknown strategy"):
+            ds.with_shards(2, strategy=["disk_modulo"])
+        assert ds.storage is storage
+
+    def test_with_replication_placement_list(self, small_model):
+        ds = self.sharded(small_model)
+        with pytest.raises(RegistryError, match="unknown placement"):
+            ds.with_replication(2, placement=["rotated"])
+        assert not ds.is_replicated
+
+    def test_with_replication_read_policy_list(self, small_model):
+        ds = self.sharded(small_model)
+        with pytest.raises(RegistryError, match="unknown read policy"):
+            ds.with_replication(2, read_policy=["primary"])
+        assert not ds.is_replicated
+
+    def test_with_ingest_loader_int(self, small_model):
+        # used to be accepted until a run started
+        ds = self.sharded(small_model)
+        with pytest.raises(RegistryError, match="unknown loader"):
+            ds.with_ingest(loader=5)
+        assert ds._ingest_spec is None

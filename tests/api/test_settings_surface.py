@@ -2,19 +2,30 @@
 
 Each entry lists a builder's parameters in signature order (``**name``
 for a pass-through of keywords checked elsewhere: ``Dataset.create``'s
-layout options against the mapper, ``with_ingest``'s against the
-stream).  A change that adds or retires a setting edits this table in
-the same diff, so the surface only grows on purpose.  The §5.2
-conventions' numbers are constants of :mod:`repro.query.scheduler`, not
-settings, and a pool has no tuning keywords beyond its size, policy and
-prefetcher.
+layout options against the mapper, ``with_ingest``'s, ``ingest``'s and
+``make_stream``'s against the stream).  A change that adds or retires a
+setting edits this table in the same diff, so the surface only grows on
+purpose.  The §5.2 conventions' numbers are constants of
+:mod:`repro.query.scheduler`, not settings, and a pool has no tuning
+keywords beyond its size, policy and prefetcher.  The ingest pipeline's
+staging cost and overflow bound are constants of
+:mod:`repro.ingest.pipeline`, and a reorganisation takes only its
+pipeline.  The public methods of the traffic and ingest runs are a
+table too, so a second way to set something (an alias method) is an
+edit here.
 """
 
 import dataclasses
 import inspect
 
 from repro.api import Dataset
+from repro.api.ingest import IngestRun
+from repro.api.traffic import TrafficRun
 from repro.cache import BufferPool
+from repro.ingest import pipeline
+from repro.ingest.pipeline import IngestPipeline
+from repro.ingest.reorg import plan_reorganize
+from repro.ingest.streams import make_stream
 from repro.query import StorageManager, scheduler
 from repro.shard import ShardedStorageManager
 from repro.traffic.engine import TrafficConfig
@@ -36,7 +47,24 @@ SURFACE = {
         "volume", "shard_map", "layout", "k", "placement", "read_policy",
         "cell_blocks", "window", "cache", "layout_opts",
     ),
-    "TrafficConfig": ("slice_runs", "head", "horizon_ms"),
+    "Dataset.ingest": ("**overrides",),
+    "IngestPipeline": (
+        "dataset", "stream", "loader", "plan", "flush_points",
+        "loader_opts",
+    ),
+    "plan_reorganize": ("pipeline",),
+    "make_stream": ("name", "dims", "**opts"),
+    "TrafficRun.clients": ("n", "mix", "arrival", "queries", "name"),
+    "TrafficRun.ingest": ("arrival", "name", "**overrides"),
+    "TrafficRun.kill": ("at_ms", "disk", "revive_at_ms"),
+    "TrafficConfig": ("slice_runs", "head"),
+}
+
+#: run class -> its public methods, sorted
+METHODS = {
+    "TrafficRun": ("clients", "head", "ingest", "kill", "run",
+                   "slice_runs"),
+    "IngestRun": ("run",),
 }
 
 
@@ -59,12 +87,36 @@ def test_settings_surface():
         "BufferPool": BufferPool,
         "StorageManager": StorageManager,
         "ShardedStorageManager": ShardedStorageManager,
+        "Dataset.ingest": Dataset.ingest,
+        "IngestPipeline": IngestPipeline,
+        "plan_reorganize": plan_reorganize,
+        "make_stream": make_stream,
+        "TrafficRun.clients": TrafficRun.clients,
+        "TrafficRun.ingest": TrafficRun.ingest,
+        "TrafficRun.kill": TrafficRun.kill,
     }
     actual = {name: parameters(fn) for name, fn in builders.items()}
     actual["TrafficConfig"] = tuple(
         f.name for f in dataclasses.fields(TrafficConfig)
     )
     assert actual == SURFACE
+
+
+def test_run_methods():
+    actual = {
+        cls.__name__: tuple(sorted(
+            name for name, value in vars(cls).items()
+            if callable(value) and not name.startswith("_")
+        ))
+        for cls in (TrafficRun, IngestRun)
+    }
+    assert actual == METHODS
+
+
+def test_ingest_constants():
+    """The retired pipeline keywords' values, now constants."""
+    assert pipeline.STAGE_MS_PER_POINT == 2e-4
+    assert pipeline.MAX_OVERFLOW_PAGES == 256
 
 
 def test_storage_conventions_are_constants():

@@ -9,6 +9,9 @@ from repro.api import Dataset, TrafficRun
 from repro.errors import QueryError
 from repro.traffic import (
     BeamDraw,
+    BurstyArrivals,
+    ClosedLoop,
+    PoissonArrivals,
     QueryMix,
     RangeDraw,
     Replay,
@@ -54,11 +57,16 @@ class TestBuilder:
         assert labels <= {"beam[axis=1]", "beam[axis=2]"}
 
     def test_arrival_shorthands(self, ds):
+        """The ``closed`` / ``poisson`` / ``bursty`` shorthands are gone:
+        each arrival model is one ``clients(arrival=...)`` call."""
+        assert not any(hasattr(TrafficRun, name)
+                       for name in ("closed", "poisson", "bursty"))
         run = (
             ds.traffic()
-            .closed(1, think_ms=5.0, queries=2)
-            .poisson(1, rate_qps=100, queries=2)
-            .bursty(1, burst_rate_per_s=50, queries=2)
+            .clients(1, arrival=ClosedLoop(think_ms=5.0), queries=2)
+            .clients(1, arrival=PoissonArrivals(rate_qps=100), queries=2)
+            .clients(1, arrival=BurstyArrivals(burst_rate_per_s=50),
+                     queries=2)
         )
         rep = run.run()
         models = [c["arrival"]["model"] for c in rep.meta["clients"]]
@@ -201,3 +209,56 @@ class TestCliTraffic:
 
         with pytest.raises(SystemExit):
             main(["traffic", "--mix", "diagonal:3"])
+
+
+class TestTypedWorkloadInputs:
+    """A mix's axes and selectivities, and a batch's range selectivity,
+    are checked when they are built (:class:`QueryError`)."""
+
+    def test_beam_axis_float(self):
+        # used to run as axis 1
+        with pytest.raises(QueryError, match="axis must be an integer"):
+            QueryMix.beams(1.5)
+
+    def test_beam_axis_bool(self):
+        # used to run as axis 1
+        with pytest.raises(QueryError, match="axis must be an integer"):
+            QueryMix.beams(True)
+
+    def test_beam_axis_negative(self):
+        with pytest.raises(QueryError, match="axis must be >= 0"):
+            QueryMix.beams(-1)
+
+    def test_range_selectivity_string(self):
+        # used to raise a bare ValueError
+        with pytest.raises(QueryError, match="selectivity must be a number"):
+            QueryMix.ranges("x")
+
+    def test_range_selectivity_zero(self):
+        # used to fail only at run
+        with pytest.raises(QueryError, match=r"\(0, 100\]"):
+            QueryMix.ranges(0)
+
+    def test_range_selectivity_nan(self):
+        # used to fail only at run
+        with pytest.raises(QueryError, match="selectivity must be finite"):
+            QueryMix.ranges(float("nan"))
+
+    def test_batch_selectivity_string(self, ds):
+        # used to raise a bare TypeError
+        with pytest.raises(QueryError, match="selectivity must be a number"):
+            ds.range_selectivity("x")
+
+    def test_batch_selectivity_bool(self, ds):
+        # used to run a 1 % cube
+        with pytest.raises(QueryError, match="selectivity must be a number"):
+            ds.range_selectivity(True)
+
+    def test_cli_rate_nan(self):
+        # used to exit 0 with NaN latencies and 0.0 throughput
+        from repro.bench.cli import main
+
+        with pytest.raises(QueryError, match="rate_qps must be finite"):
+            main(["traffic", "--shape", "16,8,8", "--clients", "1",
+                  "--queries", "2", "--layouts", "naive", "--quiet",
+                  "--arrival", "poisson", "--rate", "nan"])

@@ -30,11 +30,22 @@ class TestWithIngest:
         with pytest.raises(DatasetError, match="stream"):
             plain.with_ingest(stream=42)
 
-    def test_accepts_stream_classes_and_instances(self, plain):
-        plain.with_ingest(stream=UniformStream)
-        plain.with_ingest(
-            stream=UniformStream(SHAPE, n_points=16), loader="adaptive"
-        )
+    def test_refuses_stream_classes_and_instances(self, plain):
+        """A stream is a registered name: a class or a built instance is
+        refused, by the spec and by a run (an instance used to replace
+        the run's own options silently)."""
+        for stream in (UniformStream, UniformStream(SHAPE, n_points=16)):
+            with pytest.raises(DatasetError, match="registered name"):
+                plain.with_ingest(stream=stream)
+            with pytest.raises(IngestError, match="stream"):
+                plain.ingest(stream=stream, n_points=500)
+        assert plain._ingest_spec is None
+
+    def test_loader_must_be_a_registered_name(self, plain):
+        for loader in (5, LOADERS.get("fixed"), ["fixed"]):
+            with pytest.raises(RegistryError, match="unknown loader"):
+                plain.with_ingest(loader=loader)
+        assert plain._ingest_spec is None
 
     def test_describe_key_gated_on_spec(self, plain):
         assert "ingest" not in plain.describe()
@@ -62,26 +73,30 @@ class TestIngestRun:
         plain.with_ingest(stream="clustered", n_points=64,
                           flush_points=32)
         run = plain.ingest(n_points=128)
-        assert run.stream_spec == "clustered"
-        assert run.n_points == 128
+        assert run.stream.kind == "clustered"
+        assert run.stream.n_points == 128
         assert run.flush_points == 32
 
     def test_fluent_setters(self, plain):
-        run = (
-            plain.ingest()
-            .with_stream("drifting", spread=0.1)
-            .with_loader("adaptive", quantile=0.9)
-            .with_points(96, 32)
-            .with_flush(48)
-            .with_reorganize(throttle=0.5)
+        """What the retired ``with_stream`` / ``with_loader`` /
+        ``with_points`` / ``with_flush`` / ``with_reorganize`` setters
+        set, the run's keywords set."""
+        run = plain.ingest(
+            stream="drifting", spread=0.1, loader="adaptive",
+            loader_opts={"quantile": 0.9}, n_points=96, batch_points=32,
+            flush_points=48, reorganize=True,
         )
-        assert run.stream_spec == "drifting"
-        assert run.stream_opts["spread"] == 0.1
-        assert run.loader_spec == "adaptive"
+        assert run.stream.kind == "drifting"
+        assert run.stream.spread == 0.1
+        assert run.loader.name == "adaptive"
         assert run.loader_opts["quantile"] == 0.9
-        assert run.n_points == 96 and run.batch_points == 32
+        assert run.stream.n_points == 96 and run.stream.batch_points == 32
         assert run.flush_points == 48
-        assert run.reorganize and run.throttle == 0.5
+        assert run.reorganize
+        assert not any(hasattr(run, name) for name in (
+            "with_stream", "with_loader", "with_points", "with_flush",
+            "with_reorganize",
+        ))
 
     @pytest.mark.parametrize("field, value", [
         ("n_points", 100.7), ("batch_points", 10.9),
@@ -97,20 +112,21 @@ class TestIngestRun:
             plain.ingest()
 
     def test_fluent_setters_reject_non_integer_sizes(self, plain):
+        """The sizes the retired setters took are the run's keywords,
+        checked the same way."""
         with pytest.raises(IngestError, match="n_points"):
-            plain.ingest().with_points(96.5)
+            plain.ingest(n_points=96.5)
         with pytest.raises(IngestError, match="batch_points"):
-            plain.ingest().with_points(96, 32.5)
+            plain.ingest(n_points=96, batch_points=32.5)
         with pytest.raises(IngestError, match="flush_points"):
-            plain.ingest().with_flush(48.5)
+            plain.ingest(flush_points=48.5)
 
     def test_seed_defaults_to_the_dataset(self, plain):
-        assert plain.ingest().build_stream().seed == plain.seed
-        assert plain.ingest(seed=9).build_stream().seed == 9
+        assert plain.ingest().stream.seed == plain.seed
+        assert plain.ingest(seed=9).stream.seed == 9
 
     def test_stream_opts_reach_the_factory(self, plain):
-        stream = plain.ingest(stream="clustered",
-                              n_clusters=2).build_stream()
+        stream = plain.ingest(stream="clustered", n_clusters=2).stream
         assert isinstance(stream, ClusteredStream)
         assert stream.n_clusters == 2
 
@@ -168,18 +184,21 @@ class TestAdaptiveRechunk:
                             seed=7).with_shards(2)
         run = ds.ingest(stream="clustered", loader="adaptive",
                         n_points=256, flush_points=64)
-        stream = run.build_stream()
-        plan = LOADERS.get("adaptive").fn(ds, stream)
+        plan = LOADERS.get("adaptive").fn(ds, run.stream)
         run.run()
         assert tuple(ds.storage.shard_map.chunks[0].shape) \
             == tuple(plan.chunk_shape)
 
     def test_adapt_chunks_false_keeps_the_grid(self, small_model):
+        """``adapt_chunks`` is retired (a suggested chunk shape always
+        re-chunks): the keyword is refused as an unknown stream option
+        before the grid changes."""
         ds = Dataset.create(SHAPE, layout="zorder", drive=small_model,
                             seed=7).with_shards(2)
         before = tuple(ds.storage.shard_map.chunks[0].shape)
-        ds.ingest(stream="clustered", loader="adaptive", n_points=256,
-                  flush_points=64, adapt_chunks=False).run()
+        with pytest.raises(IngestError, match="adapt_chunks"):
+            ds.ingest(stream="clustered", loader="adaptive", n_points=256,
+                      flush_points=64, adapt_chunks=False).run()
         assert tuple(ds.storage.shard_map.chunks[0].shape) == before
 
 
@@ -263,10 +282,10 @@ class TestRunOptionsChecked:
     @pytest.mark.parametrize("throttle", [NAN, 0, 0.0, 1.5, True, "1"])
     def test_throttle_is_checked_when_the_run_is_built(self, sharded,
                                                        throttle):
-        with pytest.raises(IngestError, match="throttle"):
+        """The reorganisation throttle is retired (the window is the
+        ideal makespan): any value is an unknown stream option."""
+        with pytest.raises(IngestError, match="unknown .* 'throttle'"):
             sharded.ingest(reorganize=True, throttle=throttle)
-        with pytest.raises(IngestError, match="throttle"):
-            sharded.ingest().with_reorganize(throttle=throttle)
 
     def test_unknown_stream_keyword(self, sharded):
         self.assert_refused(sharded, "bogus", bogus=1)

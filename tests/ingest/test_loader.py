@@ -41,9 +41,12 @@ class TestRegistry:
         assert "adaptive" in loader_names()
 
     def test_resolve_by_name_and_entry(self):
+        """A loader resolves by registered name only: its entry is
+        refused."""
         entry = LOADERS.get("fixed")
         assert resolve_loader("fixed") is entry
-        assert resolve_loader(entry) is entry
+        with pytest.raises(IngestError, match="unknown loader spec"):
+            resolve_loader(entry)
 
     def test_resolve_rejects_unknown_spec(self):
         with pytest.raises(IngestError, match="unknown loader spec"):

@@ -5,7 +5,11 @@ import pytest
 
 from repro.api import Dataset
 from repro.errors import IngestError
-from repro.ingest.pipeline import IngestPipeline, IngestPrepared
+from repro.ingest.pipeline import (
+    STAGE_MS_PER_POINT,
+    IngestPipeline,
+    IngestPrepared,
+)
 from repro.ingest.streams import ReplayStream, UniformStream
 from repro.query.executor import WritePrepared
 
@@ -309,8 +313,7 @@ class TestCubePacking:
 
 class TestPrepareBatch:
     def test_stage_only_batch_is_memory_only(self, plain):
-        pipe = IngestPipeline(plain, make_stream(), flush_points=100,
-                              stage_ms_per_point=0.5)
+        pipe = IngestPipeline(plain, make_stream(), flush_points=100)
         prepared = pipe.prepare_batch([[0, 0, 0], [1, 1, 1]])
         # no flush rides along: the staging sub is the only sub-plan
         assert isinstance(prepared, IngestPrepared)
@@ -318,7 +321,7 @@ class TestPrepareBatch:
         (stage,) = prepared.subs
         assert isinstance(stage, WritePrepared)
         assert len(stage.plan.starts) == 0
-        assert prepared.cache_ms == stage.cache_ms == pytest.approx(1.0)
+        assert prepared.cache_ms == stage.cache_ms == 2 * STAGE_MS_PER_POINT
         assert prepared.n_cells == stage.n_cells == 2
 
     def test_triggered_flush_rides_along(self, plain):

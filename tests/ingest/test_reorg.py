@@ -1,4 +1,4 @@
-"""Background reorganisation: chain folding, throttling, interference."""
+"""Background reorganisation: chain folding, the window, interference."""
 
 import json
 
@@ -54,22 +54,24 @@ class TestPlanReorganize:
         }
         assert set(report.io_ms_by_disk) == touched
         assert all(ms > 0 for ms in report.io_ms_by_disk.values())
-        assert report.ideal_ms == max(report.io_ms_by_disk.values())
 
-    def test_throttle_stretches_the_window(self, small_model):
-        full = plan_reorganize(overflowing_pipeline(small_model),
-                               throttle=1.0)
-        half = plan_reorganize(overflowing_pipeline(small_model),
-                               throttle=0.5)
-        assert half.ideal_ms == pytest.approx(full.ideal_ms)
-        assert half.reorg_ms == pytest.approx(2.0 * full.reorg_ms)
+    def test_window_is_the_ideal_makespan(self, small_model):
+        """The window is the busiest disk's I/O time; the payload keeps
+        its ``ideal_ms`` key beside it and a ``throttle`` of 1.0."""
+        report = plan_reorganize(overflowing_pipeline(small_model))
+        assert report.reorg_ms == max(report.io_ms_by_disk.values())
+        payload = report.to_dict()
+        assert payload["ideal_ms"] == payload["reorg_ms"] == report.reorg_ms
+        assert payload["throttle"] == 1.0
 
     def test_throttle_validation(self, small_model):
+        """The throttle is retired: a reorganisation takes only its
+        pipeline, and a run refuses the keyword when it is built."""
         pipe = overflowing_pipeline(small_model)
-        with pytest.raises(IngestError, match="throttle"):
-            plan_reorganize(pipe, throttle=0.0)
-        with pytest.raises(IngestError, match="throttle"):
-            plan_reorganize(pipe, throttle=1.5)
+        with pytest.raises(TypeError, match="throttle"):
+            plan_reorganize(pipe, throttle=0.5)
+        with pytest.raises(IngestError, match="unknown .* 'throttle'"):
+            pipe.dataset.ingest(reorganize=True, throttle=0.5)
 
     def test_foreground_head_state_is_untouched(self, small_model):
         """The background model runs on fresh drive instances."""

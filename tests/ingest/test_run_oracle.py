@@ -27,8 +27,7 @@ from repro.api.registry import layout_names
 from repro.disk import TrackCache
 from repro.errors import ReproError
 from repro.ingest import streams
-from repro.ingest.loader import resolve_loader
-from repro.ingest.pipeline import IngestPipeline
+from repro.ingest.pipeline import STAGE_MS_PER_POINT, IngestPipeline
 from repro.ingest.reorg import plan_reorganize
 from repro.ingest.report import IngestReport
 from repro.query.scatter import scatter_execute
@@ -39,12 +38,11 @@ SHAPE = (16, 8, 6)
 def reference_run(run, rng):
     """``IngestRun.run`` as it staged one batch at a time."""
     ds = run.dataset
-    stream = run.build_stream()
-    entry = resolve_loader(run.loader_spec)
+    stream = run.stream
+    entry = run.loader
     plan = entry.fn(ds, stream, **run.loader_opts)
     if (
         plan.chunk_shape is not None
-        and run.adapt_chunks
         and ds.is_sharded
         and ds._store is None
         and tuple(plan.chunk_shape)
@@ -55,7 +53,7 @@ def reference_run(run, rng):
             int(spec["n_shards"]), spec["strategy"],
             chunk_shape=tuple(plan.chunk_shape),
         )
-    pipeline = IngestPipeline(ds, stream, entry, plan=plan,
+    pipeline = IngestPipeline(ds, stream, entry.name, plan=plan,
                               flush_points=run.flush_points)
     write_ms = 0.0
     flushes = 0
@@ -85,7 +83,7 @@ def reference_run(run, rng):
     reorg = None
     reorg_ms = 0.0
     if run.reorganize:
-        report = plan_reorganize(pipeline, throttle=run.throttle)
+        report = plan_reorganize(pipeline)
         if report is not None:
             reorg = report.to_dict()
             reorg_ms = report.reorg_ms
@@ -94,7 +92,7 @@ def reference_run(run, rng):
                 from repro.obs.span import record_reorg
 
                 record_reorg(tele, report)
-    stage_ms = pipeline.stats.streamed_points * pipeline.stage_ms_per_point
+    stage_ms = pipeline.stats.streamed_points * STAGE_MS_PER_POINT
     return IngestReport(
         layout=ds.layout, drive=ds.drive_name, shape=tuple(ds.shape),
         stream=stream.describe(), loader=entry.name,

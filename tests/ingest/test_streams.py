@@ -32,11 +32,13 @@ class TestRegistry:
             assert STREAMS.get(name).description
 
     def test_make_stream_by_name_class_and_instance(self):
+        """A stream is built by registered name only: a class or an
+        instance is refused."""
         by_name = make_stream("uniform", DIMS, n_points=32)
         assert isinstance(by_name, UniformStream)
-        by_class = make_stream(UniformStream, DIMS, n_points=32)
-        assert isinstance(by_class, UniformStream)
-        assert make_stream(by_name, DIMS) is by_name
+        for spec in (UniformStream, by_name):
+            with pytest.raises(IngestError, match="unknown stream spec"):
+                make_stream(spec, DIMS, n_points=32)
 
     def test_make_stream_rejects_unknown_spec(self):
         with pytest.raises(IngestError, match="unknown stream spec"):

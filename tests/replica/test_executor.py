@@ -190,20 +190,6 @@ class TestFailover:
         assert {d: set(lbns) for d, lbns in ds.cache._resident.items()} \
             == resident
 
-    def test_injector_passes_the_disk_on_unchanged(self, small_model):
-        # FailureInjector used to truncate: kill(storage, 1.7) killed
-        # disk 1 and revive(storage, 0.5) revived disk 0
-        from repro.replica import FailureInjector
-
-        ds = build(small_model, n=3, k=2)
-        inj = FailureInjector(3, seed=0)
-        ds.storage.fail_disk(0)
-        with pytest.raises(ReplicaError, match="disk"):
-            inj.kill(ds.storage, 1.7)
-        with pytest.raises(ReplicaError, match="disk"):
-            inj.revive(ds.storage, 0.5)
-        assert ds.storage.failed == {0}
-
     def test_failover_sub_restarts_on_live_copy(self, small_model):
         ds = build(small_model, n=3, k=2)
         prepared = ds.storage.prepare(RangeQuery((0, 0, 0), SHAPE))

@@ -1,4 +1,4 @@
-"""Failure injection: schedules, determinism, and degraded traffic."""
+"""Failure schedules: typed events, determinism, and degraded traffic."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.api import Dataset
 from repro.errors import QueryError, ReplicaError
-from repro.replica import FailureEvent, FailureInjector, FailureSchedule
+from repro.replica import FailureEvent, FailureSchedule
 from repro.traffic import QueryMix, TrafficConfig, TrafficSim
 from repro.traffic.clients import TrafficClient
 
@@ -21,43 +21,46 @@ def build(small_model, *, n=3, k=2, seed=9, layout="multimap", **opts):
 
 
 class TestInjector:
-    def test_pick_disk_deterministic(self):
-        a = FailureInjector(8, seed=3)
-        b = FailureInjector(8, seed=3)
-        assert [a.pick_disk() for _ in range(10)] == \
-            [b.pick_disk() for _ in range(10)]
+    """Failure injection on its kept forms: ``storage.fail_disk`` /
+    ``revive_disk`` between queries, :meth:`TrafficRun.kill` in a storm,
+    and the avail sweep's seeded victim draw."""
 
-    def test_pick_disk_respects_exclusions(self):
-        inj = FailureInjector(3, seed=0)
-        assert inj.pick_disk(exclude=(0, 1)) == 2
-        with pytest.raises(ReplicaError, match="no disk left"):
-            inj.pick_disk(exclude=(0, 1, 2))
+    def test_pick_disk_deterministic(self):
+        """The avail sweep's victim is one seeded draw, the draw the
+        retired ``FailureInjector(n_disks, seed).pick_disk()`` made."""
+        from repro.replica import run_avail_sweep
+
+        def victim(seed):
+            return run_avail_sweep(
+                (16, 8, 8), layouts=("naive",), ks=(1,), n_disks=3,
+                n_beams=1, drive="minidrive", seed=seed,
+            )["meta"]["killed_disk"]
+
+        for seed in (0, 3, 7):
+            expected = int(np.random.default_rng(seed).integers(3))
+            assert victim(seed) == victim(seed) == expected
 
     def test_kill_and_revive_roundtrip(self, small_model):
         ds = build(small_model)
-        inj = FailureInjector(3, seed=4)
-        dead = inj.kill(ds.storage)
-        assert dead in ds.storage.failed
-        inj.revive(ds.storage, dead)
+        ds.storage.fail_disk(1)
+        assert ds.storage.failed == {1}
+        ds.storage.revive_disk(1)
         assert not ds.storage.failed
 
-    def test_schedule_builder(self):
-        inj = FailureInjector(4, seed=1)
-        inj.schedule_kill(10.0, disk=2, revive_at_ms=50.0)
-        inj.schedule_kill(20.0, disk=0)
-        sched = inj.schedule
-        assert [ev.action for ev in sched] == ["kill", "kill", "revive"]
-        assert [ev.t_ms for ev in sched] == [10.0, 20.0, 50.0]
+    def test_schedule_builder(self, small_model):
+        run = (
+            build(small_model).traffic().clients(1, queries=2)
+            .kill(10.0, 2, revive_at_ms=50.0)
+            .kill(20.0, 0)
+        )
+        events = run.run().meta["failures"]["schedule"]
+        assert [ev["action"] for ev in events] == ["kill", "kill", "revive"]
+        assert [ev["t_ms"] for ev in events] == [10.0, 20.0, 50.0]
 
-    def test_schedule_kill_draws_victim(self):
-        a = FailureInjector(6, seed=11).schedule_kill(5.0).schedule
-        b = FailureInjector(6, seed=11).schedule_kill(5.0).schedule
-        assert a.events == b.events
-
-    def test_revive_must_follow_kill(self):
-        inj = FailureInjector(2, seed=0)
+    def test_revive_must_follow_kill(self, small_model):
+        run = build(small_model).traffic().clients(1, queries=2)
         with pytest.raises(ReplicaError, match="revive"):
-            inj.schedule_kill(10.0, disk=0, revive_at_ms=5.0)
+            run.kill(10.0, 0, revive_at_ms=5.0)
 
 
 class TestSchedule:
@@ -72,13 +75,20 @@ class TestSchedule:
         with pytest.raises(ReplicaError):
             FailureEvent(-1.0, "kill", 0)
 
-    def test_coerce_forms(self):
-        sched = FailureSchedule((FailureEvent(1.0, "kill", 0),))
-        assert FailureSchedule.coerce(sched) is sched
-        from_tuples = FailureSchedule.coerce([(1.0, "kill", 0)])
-        assert from_tuples.events == sched.events
-        inj = FailureInjector(2, seed=0).schedule_kill(1.0, disk=0)
-        assert FailureSchedule.coerce(inj).events == sched.events
+    def test_coerce_forms(self, small_model):
+        """A schedule holds events and the engine takes a schedule: the
+        coerced forms (``(t_ms, action, disk)`` tuples, a bare list)
+        are refused."""
+        assert not hasattr(FailureSchedule, "coerce")
+        with pytest.raises(ReplicaError, match="FailureEvent"):
+            FailureSchedule(((1.0, "kill", 0),))
+        ds = build(small_model)
+        client = TrafficClient(
+            name="c0", storage=ds.storage, mapper=ds.mapper,
+            mix=QueryMix.beams(1, 2), n_queries=1, rng=ds.rng(),
+        )
+        with pytest.raises(QueryError, match="FailureSchedule"):
+            TrafficSim([client], failures=[FailureEvent(1.0, "kill", 0)])
 
     def test_describe_round_trips_json(self):
         import json
@@ -177,18 +187,6 @@ class TestDegradedTraffic:
         assert "failures" not in report.meta
         assert report.meta["replicas"]["k"] == 2
 
-    def test_failures_method_accepts_schedule(self, small_model):
-        ds = build(small_model)
-        sched = FailureInjector(3, seed=2).schedule_kill(4.0, disk=0)
-        report = (
-            ds.traffic()
-            .clients(2, mix=QueryMix.beams(1, 2), queries=4)
-            .failures(sched)
-            .run()
-        )
-        assert len(report.traces) == 8
-        assert report.meta["failures"]["schedule"][0]["disk"] == 0
-
     def test_unreplicated_client_failure_raises(self, small_model):
         ds = Dataset.create(SHAPE, layout="multimap", drive=small_model,
                             seed=5).with_shards(3)
@@ -228,7 +226,7 @@ class TestDegradedTraffic:
         ).with_shards(2).with_replication(2)
         report = (
             ds.traffic()
-            .closed(1, think_ms=0.0, queries=3)
+            .clients(1, queries=3)
             .kill(51.5, 1)
             .run()
         )
@@ -282,7 +280,7 @@ class TestDegradedTraffic:
         ]
         sim = TrafficSim(
             clients, TrafficConfig(slice_runs=8),
-            failures=[(4.0, "kill", 2)],
+            failures=FailureSchedule((FailureEvent(4.0, "kill", 2),)),
         )
         report = sim.run()
         assert len(report.traces) == 5

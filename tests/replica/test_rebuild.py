@@ -90,6 +90,28 @@ class TestPlanRebuild:
         with pytest.raises(ReplicaError, match="throttle"):
             plan_rebuild(storage, 0, throttle=0.0)
 
+    @pytest.mark.parametrize("disk", [1.7, True, "1"])
+    def test_dead_disk_is_a_member_index(self, small_model, disk):
+        """Checked as ``fail_disk`` checks it: 1.7, True and "1" used to
+        model disk 1's rebuild."""
+        with pytest.raises(ReplicaError, match="disk must be an integer"):
+            plan_rebuild(build(small_model).storage, disk)
+
+    def test_throttle_string(self, small_model):
+        # used to raise a bare TypeError
+        with pytest.raises(ReplicaError, match="throttle must be a number"):
+            plan_rebuild(build(small_model).storage, 0, throttle="x")
+
+    def test_throttle_bool(self, small_model):
+        # used to be accepted as 1.0
+        with pytest.raises(ReplicaError, match="throttle must be a number"):
+            plan_rebuild(build(small_model).storage, 0, throttle=True)
+
+    def test_throttle_nan(self, small_model):
+        with pytest.raises(ReplicaError, match="throttle must be finite"):
+            plan_rebuild(build(small_model).storage, 0,
+                         throttle=float("nan"))
+
     def test_second_failure_narrows_sources(self, small_model):
         """With another disk already failed, it cannot serve reads."""
         ds = build(small_model, n=3, k=3)

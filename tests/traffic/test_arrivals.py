@@ -112,3 +112,41 @@ class TestBursty:
         d = BurstyArrivals(burst_rate_per_s=5).describe()
         assert d["model"] == "bursty"
         assert d["burst_rate_per_s"] == 5.0
+
+
+NAN = float("nan")
+
+
+class TestParametersAreFinite:
+    """Every arrival parameter is a finite real number (not a bool),
+    checked when the process is built: a NaN used to give every trace
+    ``arrival_ms=nan`` (Poisson) or NaN arrivals (closed loop), and a
+    bursty NaN or string died in numpy or a bare TypeError at run."""
+
+    def test_poisson_rate_nan(self):
+        with pytest.raises(QueryError, match="rate_qps must be finite"):
+            PoissonArrivals(rate_qps=NAN)
+
+    def test_closed_loop_think_nan(self):
+        with pytest.raises(QueryError, match="think_ms must be finite"):
+            ClosedLoop(think_ms=NAN)
+
+    def test_bursty_mean_burst_nan(self):
+        with pytest.raises(QueryError, match="mean_burst must be finite"):
+            BurstyArrivals(burst_rate_per_s=10, mean_burst=NAN)
+
+    def test_bursty_mean_burst_string(self):
+        with pytest.raises(QueryError, match="mean_burst must be a number"):
+            BurstyArrivals(burst_rate_per_s=10, mean_burst="x")
+
+    @pytest.mark.parametrize("build", [
+        lambda v: ClosedLoop(initial_delay_ms=v),
+        lambda v: PoissonArrivals(rate_qps=10, start_ms=v),
+        lambda v: BurstyArrivals(burst_rate_per_s=v),
+        lambda v: BurstyArrivals(burst_rate_per_s=10, intra_ms=v),
+    ], ids=["initial_delay_ms", "start_ms", "burst_rate_per_s",
+            "intra_ms"])
+    @pytest.mark.parametrize("value", [NAN, float("inf"), True, "1"])
+    def test_every_parameter(self, build, value):
+        with pytest.raises(QueryError):
+            build(value)

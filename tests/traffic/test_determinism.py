@@ -12,7 +12,7 @@ Two guarantees are pinned:
 
 import pytest
 
-from repro.traffic import QueryMix
+from repro.traffic import BurstyArrivals, PoissonArrivals, QueryMix
 
 
 def beams_run(make_dataset, *, seed=42, slice_runs=16, head="random",
@@ -39,8 +39,10 @@ class TestBitIdenticalReplay:
             return (
                 make_dataset(seed=11)
                 .traffic()
-                .poisson(2, rate_qps=80, queries=6)
-                .bursty(1, burst_rate_per_s=10, queries=6)
+                .clients(2, arrival=PoissonArrivals(rate_qps=80),
+                         queries=6)
+                .clients(1, arrival=BurstyArrivals(burst_rate_per_s=10),
+                         queries=6)
                 .run()
                 .to_json()
             )
@@ -85,8 +87,8 @@ class TestInterleavingInvariance:
             run = (
                 make_dataset(seed=13)
                 .traffic()
-                .poisson(3, rate_qps=150, queries=8,
-                         mix=QueryMix.beams(1, 2))
+                .clients(3, arrival=PoissonArrivals(rate_qps=150),
+                         queries=8, mix=QueryMix.beams(1, 2))
             )
             run = run.slice_runs(cfg.get("slice_runs", 16))
             run = run.head(cfg.get("head", "random"))
