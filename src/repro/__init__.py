@@ -83,7 +83,6 @@ _LAZY_EXPORTS = {
     "IngestRun": "repro.api.ingest",
     "IngestPipeline": "repro.ingest",
     "IngestReport": "repro.ingest",
-    "WriteMix": "repro.ingest",
     "loader_names": "repro.ingest",
     "register_loader": "repro.ingest",
     "stream_names": "repro.ingest",

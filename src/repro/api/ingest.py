@@ -1,23 +1,26 @@
 """Streaming-ingest runs: ``Dataset.ingest(...).run()``.
 
 An :class:`IngestRun` binds a seeded record stream and a bulk loader to
-a dataset, drives the staged :class:`~repro.ingest.pipeline
-.IngestPipeline` a window of batches at a time (flushes execute
-scatter-gather, like read queries, after the batch whose staging
-triggers them), optionally folds overflow chains back with a modelled
-background reorganisation, and returns an
-:class:`~repro.ingest.report.IngestReport`.
+a dataset, resolves the loader's plan, drives the staged
+:class:`~repro.ingest.pipeline.IngestPipeline` a window of batches at a
+time (flushes execute scatter-gather, like read queries, after the
+batch whose staging triggers them), optionally folds overflow chains
+back with a modelled background reorganisation, and returns an
+:class:`~repro.ingest.report.IngestReport`.  It is the only code that
+runs the pipeline: traffic storms only read.
 
 A run's options are the keywords of :meth:`Dataset.ingest
 <repro.api.Dataset.ingest>` layered on :meth:`Dataset.with_ingest
 <repro.api.Dataset.with_ingest>`'s: ``stream`` and ``loader`` by
 registered name, ``n_points``, ``batch_points``, ``flush_points``,
-``seed``, ``reorganize`` and ``loader_opts``; every other keyword goes
-to the stream.  They are checked when the run is built (sizes, seed,
-the loader name, the stream and its keywords, so a keyword the stream
-does not take raises :class:`~repro.errors.IngestError`) or when
-:meth:`IngestRun.run` builds the plan (loader options), before the
-loader re-chunks the dataset or any block is written.
+``seed``, ``reorganize`` and ``loader_opts`` (a dict of the loader's
+own keywords); every other keyword goes to the stream.  They are
+checked when the run is built (sizes, seed, the loader name and the
+names of its options, the stream and its keywords, so a keyword the
+stream or the loader does not take raises
+:class:`~repro.errors.IngestError`) or when :meth:`IngestRun.run`
+builds the plan (the loader options' values), before the loader
+re-chunks the dataset or any block is written.
 
 When the resolved plan suggests a chunk shape (the adaptive loader on a
 sharded dataset) the run re-chunks the dataset *before* building the
@@ -29,7 +32,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import IngestError, _check_count, _check_rng
+from repro.errors import (
+    IngestError,
+    _check_count,
+    _check_keywords,
+    _check_rng,
+    _keywords,
+)
 from repro.ingest.loader import resolve_loader
 from repro.ingest.pipeline import STAGE_MS_PER_POINT, IngestPipeline
 from repro.ingest.reorg import plan_reorganize
@@ -66,7 +75,15 @@ class IngestRun:
             seed = dataset.seed if dataset.seed is not None else 0
         seed = _check_count("seed", seed, IngestError, low=0)
         self.reorganize = bool(spec.pop("reorganize", False))
-        self.loader_opts = dict(spec.pop("loader_opts", {}))
+        loader_opts = spec.pop("loader_opts", {})
+        if not isinstance(loader_opts, dict):
+            raise IngestError(
+                f"loader_opts must be a dict, got "
+                f"{type(loader_opts).__name__}"
+            )
+        _check_keywords(f"{self.loader.name} loader", loader_opts,
+                        _keywords(self.loader.fn), IngestError)
+        self.loader_opts = dict(loader_opts)
         self.stream = make_stream(
             stream, tuple(dataset.shape), n_points=n_points,
             batch_points=batch_points, seed=seed, **spec,
@@ -96,10 +113,8 @@ class IngestRun:
                 chunk_shape=tuple(plan.chunk_shape),
             )
 
-        pipeline = IngestPipeline(
-            ds, stream, self.loader.name,
-            plan=plan, flush_points=self.flush_points,
-        )
+        pipeline = IngestPipeline(ds, stream, plan,
+                                  flush_points=self.flush_points)
         if rng is None:
             rng = ds.rng()
 

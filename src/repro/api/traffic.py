@@ -12,12 +12,12 @@ chainable builder that owns seeding and wiring::
         .run()
     )
 
-Each setting has one form: read clients come from :meth:`TrafficRun
+Each setting has one form: clients come from :meth:`TrafficRun
 .clients` (the arrival model is a :class:`~repro.traffic.arrivals
 .ClosedLoop`, :class:`~repro.traffic.arrivals.PoissonArrivals` or
-:class:`~repro.traffic.arrivals.BurstyArrivals`), the write client
-from :meth:`TrafficRun.ingest`, and a disk failure from
-:meth:`TrafficRun.kill`.
+:class:`~repro.traffic.arrivals.BurstyArrivals`), and a disk failure
+from :meth:`TrafficRun.kill`.  A storm only reads: writes go through
+:meth:`Dataset.ingest <repro.api.Dataset.ingest>` runs between storms.
 
 Seeding: each client receives the next child generator of the dataset's
 seed sequence (:meth:`Dataset.rng`), in the order the clients were
@@ -46,7 +46,6 @@ class TrafficRun:
     def __init__(self, dataset):
         self._dataset = dataset
         self._specs: list[tuple] = []  # (name, mix, arrival, n_queries)
-        self._ingest_specs: list[tuple] = []  # (name, arrival, overrides)
         self._slice_runs: int | None = 256
         self._head = "random"
         self._failure_events: list = []
@@ -78,28 +77,6 @@ class TrafficRun:
             else:
                 cname = name if n == 1 else f"{name}{i}"
             self._specs.append((cname, mix, arrival, queries))
-        return self
-
-    def ingest(self, *, arrival: ArrivalProcess | None = None,
-               name: str | None = None, **overrides) -> "TrafficRun":
-        """Append an ingest client streaming writes into the dataset.
-
-        Options layer on any :meth:`Dataset.with_ingest` spec exactly
-        like :meth:`Dataset.ingest` runs (``stream`` and ``loader`` by
-        registered name, ``n_points``, ``batch_points``,
-        ``flush_points``, ``seed``, ``loader_opts``, stream options).
-        The client submits one batch per arrival and
-        flushes ride the event heap as write sub-plans, contending with
-        read queries at the drives.  Ingest clients are wired **after**
-        every read client regardless of call order, so a storm's read
-        streams are seeded identically with the ingest client attached
-        or not — the mixed-storm parity condition.
-        """
-        idx = len(self._ingest_specs)
-        cname = name if name is not None else f"ingest{idx}"
-        self._ingest_specs.append(
-            (cname, arrival or ClosedLoop(), dict(overrides))
-        )
         return self
 
     # ------------------------------------------------------------------
@@ -158,14 +135,14 @@ class TrafficRun:
         that is not a :class:`numpy.random.Generator` raises
         :class:`~repro.errors.QueryError`.
         """
-        if not self._specs and not self._ingest_specs:
+        if not self._specs:
             raise QueryError("add at least one client before run()")
         _check_rng(rng)
         # checked before any client draws from the dataset's generators
         config = TrafficConfig(slice_runs=self._slice_runs,
                                head=self._head)
         ds = self._dataset
-        n_clients = len(self._specs) + len(self._ingest_specs)
+        n_clients = len(self._specs)
         if rng is None:
             rngs = [ds.rng() for _ in range(n_clients)]
         elif n_clients == 1:
@@ -186,35 +163,6 @@ class TrafficRun:
             for (name, mix, arrival, queries), crng
             in zip(self._specs, rngs)
         ]
-        for (name, arrival, overrides), crng in zip(
-            self._ingest_specs, rngs[len(self._specs):]
-        ):
-            # reuse the IngestRun option resolution (with_ingest spec +
-            # overrides), then wire a client whose query count is the
-            # stream's batch count — the final batch drains every buffer
-            from repro.api.ingest import IngestRun
-            from repro.ingest.pipeline import IngestPipeline
-            from repro.ingest.traffic import IngestClient, WriteMix
-
-            opts = IngestRun(ds, overrides)
-            stream = opts.stream
-            pipeline = IngestPipeline(
-                ds, stream, opts.loader.name,
-                flush_points=opts.flush_points,
-                loader_opts=opts.loader_opts,
-            )
-            clients.append(
-                IngestClient(
-                    name=name,
-                    storage=ds.storage,
-                    mapper=ds.mapper,
-                    mix=WriteMix(stream),
-                    arrival=arrival,
-                    n_queries=stream.n_batches,
-                    rng=crng,
-                    pipeline=pipeline,
-                )
-            )
         failures = None
         if self._failure_events:
             from repro.replica.failures import FailureSchedule

@@ -78,7 +78,9 @@ import json
 from pathlib import Path
 
 from repro.bench.harness import FIGURES, run_all
-from repro.traffic.arrivals import ARRIVALS
+from repro.errors import QueryError
+from repro.traffic.arrivals import ARRIVALS, ClosedLoop, PoissonArrivals
+from repro.traffic.clients import BeamDraw, QueryMix
 
 __all__ = ["main"]
 
@@ -145,28 +147,65 @@ def _csv_strs(text: str) -> tuple[str, ...]:
 
 
 def _parse_mix(text: str):
-    """``beam:1,beam:2,range:1.0`` -> :class:`QueryMix`."""
-    from repro.traffic import BeamDraw, QueryMix, RangeDraw
-
+    """``beam:1,beam:2,range:1.0`` -> :class:`QueryMix`, each part
+    checked as :meth:`QueryMix.beams` / :meth:`QueryMix.ranges` check
+    theirs (an axis of at least 0, a selectivity in (0, 100]); whether
+    an axis fits ``--shape`` is checked once both are parsed
+    (:func:`_check_mix_axes`)."""
     parts = []
     for item in _csv_strs(text):
         kind, _, arg = item.partition(":")
         try:
             if kind == "beam":
-                parts.append(BeamDraw(int(arg)))
+                parts += QueryMix.beams(int(arg)).parts
             elif kind == "range":
-                parts.append(RangeDraw(float(arg)))
+                parts += QueryMix.ranges(float(arg)).parts
             else:
                 raise ValueError(kind)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"mix parts are beam:<axis> or range:<pct>; got {item!r}"
             ) from None
+        except QueryError as exc:
+            raise argparse.ArgumentTypeError(f"{item!r}: {exc}") from None
     if not parts:
         raise argparse.ArgumentTypeError(
             "mix needs at least one beam:<axis> or range:<pct> part"
         )
     return QueryMix(parts)
+
+
+def _check_mix_axes(p, args) -> None:
+    """Exit 2 through parser ``p`` when a ``--mix`` beam axis is not an
+    axis of ``--shape`` (the storm would raise at its first draw)."""
+    ndim = len(args.shape)
+    for part in args.mix.parts:
+        if isinstance(part, BeamDraw) and part.axis >= ndim:
+            p.error(f"argument --mix: beam:{part.axis} is not an axis of "
+                    f"the {ndim}-D --shape {args.shape}")
+
+
+def _arrival_value(model, field: str):
+    """Argparse type for a storm flag that becomes arrival ``model``'s
+    ``field``, checked as that model checks it: ``--rate`` as
+    :class:`PoissonArrivals`'s ``rate_qps`` (the bursty model's rate
+    has the same bound), ``--think-ms`` as :class:`ClosedLoop`'s
+    ``think_ms``."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a number, got {text!r}"
+            ) from None
+        try:
+            model(**{field: value})
+        except QueryError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
 
 
 def _add_output_flags(p, quiet_help: str = "suppress table output") -> None:
@@ -212,9 +251,11 @@ def _add_storm_flags(p, *, sweep: bool, clients, queries: int) -> None:
                    "(default: beams over axes 1..n-1)")
     p.add_argument("--arrival", choices=ARRIVALS, default="closed",
                    help="arrival model (default closed)")
-    p.add_argument("--think-ms", type=float, default=0.0,
+    p.add_argument("--think-ms", default=0.0,
+                   type=_arrival_value(ClosedLoop, "think_ms"),
                    help="closed-loop think time in ms")
-    p.add_argument("--rate", type=float, default=50.0,
+    p.add_argument("--rate", default=50.0,
+                   type=_arrival_value(PoissonArrivals, "rate_qps"),
                    help="per-client rate for poisson (q/s) or bursty "
                    "(bursts/s)")
     p.add_argument("--slice-runs", type=int, default=64,
@@ -777,6 +818,9 @@ def main(argv=None) -> int:
     _add_explain_parser(subparsers)
     _add_diff_parser(subparsers)
     args = parser.parse_args(argv)
+    if getattr(args, "mix", None) is not None:
+        # traffic and trace: checked before any dataset is built
+        _check_mix_axes(subparsers.choices[args.command], args)
     listed = _list_registries(args)
     if args.command is not None:
         # a listing combined with a subcommand prints both: the listing

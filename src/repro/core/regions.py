@@ -46,14 +46,6 @@ class UniformRegion:
     def n_leaves(self) -> int:
         return int(np.prod(self.grid, dtype=np.int64))
 
-    def contains_leaf(self, origin, side) -> bool:
-        if side != self.leaf_side:
-            return False
-        return all(
-            self.origin[d] <= origin[d] < self.origin[d] + self.shape[d]
-            for d in range(3)
-        )
-
     def leaf_local_coords(self, origins: np.ndarray) -> np.ndarray:
         """Leaf-grid coordinates of leaves given their cell origins."""
         rel = origins - np.asarray(self.origin, dtype=np.int64)

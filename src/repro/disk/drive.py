@@ -529,11 +529,6 @@ class DiskDrive:
         if t_ms > self._time_ms:
             self._time_ms = float(t_ms)
 
-    def head_angle(self, t_ms: float | None = None) -> float:
-        """Platter angle under the head at time ``t`` (revolutions)."""
-        t = self._time_ms if t_ms is None else t_ms
-        return (t / self._rot) % 1.0
-
     # ------------------------------------------------------------------
     # single-request service
     # ------------------------------------------------------------------

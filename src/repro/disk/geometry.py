@@ -60,10 +60,6 @@ class Zone:
                 "skew_sectors must lie in [0, sectors_per_track)"
             )
 
-    @property
-    def last_cylinder(self) -> int:
-        return self.first_cylinder + self.cylinders - 1
-
 
 class DiskGeometry:
     """Immutable description of a drive's data layout.
@@ -141,14 +137,6 @@ class DiskGeometry:
     @property
     def capacity_bytes(self) -> int:
         return self.n_lbns * SECTOR_BYTES
-
-    @property
-    def max_sectors_per_track(self) -> int:
-        return int(self._spt.max())
-
-    @property
-    def min_sectors_per_track(self) -> int:
-        return int(self._spt.min())
 
     def zone(self, index: int) -> Zone:
         return self.zones[index]
@@ -282,15 +270,6 @@ class DiskGeometry:
         track = self._zone_first_track[zi] + tz
         angle = ((sector + self._skew[zi] * tz) % spt) / spt
         return zi, track, sector, spt, angle
-
-    def tracks_of(self, lbns: np.ndarray) -> np.ndarray:
-        return self.decompose(lbns)[1]
-
-    def cylinders_of(self, lbns: np.ndarray) -> np.ndarray:
-        return self.decompose(lbns)[1] // self.surfaces
-
-    def angles_of(self, lbns: np.ndarray) -> np.ndarray:
-        return self.decompose(lbns)[4]
 
     def track_first_lbns(self, tracks: np.ndarray) -> np.ndarray:
         tracks = np.asarray(tracks, dtype=np.int64)

@@ -177,10 +177,6 @@ class DiskMechanics:
         """Arm seek time for a cylinder distance (scalar or array), in ms."""
         return self.seek.time(distance)
 
-    def positioning_floor_ms(self) -> float:
-        """Lower bound for reaching a block on another track (= settle)."""
-        return self.settle_ms
-
     def avg_rotational_latency_ms(self) -> float:
         """Expected rotational delay for a randomly placed target block."""
         return self.rotation_ms / 2.0

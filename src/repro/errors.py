@@ -137,13 +137,15 @@ def _check_keywords(name: str, given, allowed, error=QueryError) -> None:
 
 
 @cache
-def _keywords(cls) -> frozenset:
-    """The keywords ``cls(dims, ...)`` accepts after ``dims``: each
-    ``__init__``'s named parameters up the class chain, until one that
-    passes no ``**opts`` on."""
+def _keywords(fn) -> frozenset:
+    """The keywords ``fn`` accepts after its first two parameters (a
+    loader's ``dataset, stream``); for a class, those ``cls(dims, ...)``
+    accepts after ``dims``: each ``__init__``'s named parameters up the
+    class chain, until one that passes no ``**opts`` on."""
+    chain = ([klass.__dict__.get("__init__") for klass in fn.__mro__]
+             if isinstance(fn, type) else [fn])
     names: set[str] = set()
-    for klass in cls.__mro__:
-        init = klass.__dict__.get("__init__")
+    for init in chain:
         if init is None:
             continue
         params = list(inspect.signature(init).parameters.values())[2:]

@@ -99,16 +99,6 @@ class Octree:
         """All leaves as an (n, 4) array of (level, ix, iy, iz)."""
         return self._leaves
 
-    def leaf_objects(self) -> list[OctreeLeaf]:
-        return [OctreeLeaf(*map(int, row)) for row in self._leaves]
-
-    def leaf_centers(self) -> np.ndarray:
-        """Finest-grid center coordinates of each leaf, (n, 3) float."""
-        lv = self._leaves[:, 0]
-        side = (1 << (self.depth - lv)).astype(np.float64)
-        coords = self._leaves[:, 1:4].astype(np.float64)
-        return coords * side[:, None] + side[:, None] / 2.0
-
     def leaf_origins(self) -> np.ndarray:
         """Finest-grid origin of each leaf plus per-leaf side, (n, 4)."""
         lv = self._leaves[:, 0]

@@ -26,9 +26,11 @@ keywords of ``with_ingest`` / ``ingest``::
                             n_points=4096).ingest().run()
     print(report.mb_per_s)          # goodput: home-cube bytes / time
 
-Mixed read/write storms ride the traffic engine via :class:`WriteMix`
-and :class:`IngestClient` (``TrafficRun.ingest``); with ingest detached
-the read path is bit-identical to the read-only stack — the parity
+:class:`~repro.api.ingest.IngestRun` is the only code that runs the
+pipeline: it resolves the loader's plan, re-chunks if the plan asks,
+and executes each flush scatter-gather, like a read query; the
+traffic engine only reads.  With ingest detached the read path is
+bit-identical to the read-only stack — the parity
 ``tests/ingest/test_parity.py`` pins.  :func:`run_ingest_sweep`
 produces the ingest-MB/s tables per layout × loader
 (``repro-bench ingest``, on :mod:`repro.bench.sweep`).
@@ -64,7 +66,6 @@ from repro.ingest.streams import (
     stream_names,
 )
 from repro.ingest.sweep import render_ingest_sweep, run_ingest_sweep
-from repro.ingest.traffic import IngestBatch, IngestClient, WriteMix
 
 __all__ = [
     "LOADERS",
@@ -72,8 +73,6 @@ __all__ = [
     "ClusteredStream",
     "DriftingStream",
     "FlushPlan",
-    "IngestBatch",
-    "IngestClient",
     "IngestPipeline",
     "IngestPlan",
     "IngestPrepared",
@@ -85,7 +84,6 @@ __all__ = [
     "ReplayStream",
     "StreamEntry",
     "UniformStream",
-    "WriteMix",
     "WriteSource",
     "loader_names",
     "make_stream",

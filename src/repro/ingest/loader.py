@@ -63,7 +63,8 @@ class LoaderEntry:
 
     ``fn(dataset, stream, **opts)`` returns an :class:`IngestPlan`; it
     must not mutate either argument (sampling uses the stream's
-    independent substream).
+    independent substream).  Its keyword parameters are the loader's
+    options: an ingest run's ``loader_opts`` may name only those.
     """
 
     name: str
@@ -131,7 +132,7 @@ def _check_fraction(name: str, value) -> float:
 
 @register_loader("fixed")
 def _fixed(dataset, stream, *, points_per_cell: int = 16,
-           fill_factor: float = 1.0, **_ignored) -> IngestPlan:
+           fill_factor: float = 1.0) -> IngestPlan:
     """Keep the configured chunking and a fixed per-cell capacity."""
     return IngestPlan(
         points_per_cell=_check_count("points_per_cell", points_per_cell,
@@ -145,8 +146,7 @@ def _fixed(dataset, stream, *, points_per_cell: int = 16,
 @register_loader("adaptive")
 def _adaptive(dataset, stream, *, points_per_cell: int = 16,
               fill_factor: float = 1.0, sample_points: int = 512,
-              quantile: float = 0.98, headroom: float = 1.25,
-              **_ignored) -> IngestPlan:
+              quantile: float = 0.98, headroom: float = 1.25) -> IngestPlan:
     """Sample the stream: size cells to the observed density, split
     chunks along the flattest marginal."""
     points_per_cell = _check_count("points_per_cell", points_per_cell,

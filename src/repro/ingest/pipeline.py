@@ -8,8 +8,10 @@ disk's chunks sit side by side.  When a disk's backlog crosses
 ``flush_points`` — or the stream ends — that disk's chunks flush in
 chunk order.
 
-A run is staged a **window** at a time (:meth:`IngestPipeline
-.stage_window`): consecutive batches, at most
+The pipeline is driven by :class:`~repro.api.ingest.IngestRun`, which
+resolves the loader's :class:`~repro.ingest.loader.IngestPlan` and
+executes each flush.  A run is staged a **window** at a time
+(:meth:`IngestPipeline.stage_window`): consecutive batches, at most
 :data:`~repro.ingest.streams.WINDOW_POINTS` points (whole batches, at
 least one), so memory stays bounded however long the stream.  The
 window's points are checked and keyed once, and one ``bincount`` counts
@@ -18,7 +20,7 @@ batches finds which disks cross ``flush_points`` after which batch.
 At each such flush event the points staged since the previous one fold
 into the count array (one ``np.add.at``), so a flush sees exactly the
 buffer that staging the batches one by one would leave.  ``stage()``
-and the traffic path's ``prepare_batch()`` stage a window of one batch.
+stages a window of one batch.
 
 A flush reads a chunk's buffered cells, already sorted by local index,
 as the nonzero entries of its segment.  They fold into the chunk's
@@ -38,8 +40,9 @@ live copies of its chunk (``write_copies``; one copy unless the dataset
 is replicated), with a twin
 overflow extent allocated per copy so chain pages land block-for-block
 identically everywhere — an acknowledged batch survives any single
-``fail_disk``.  Copies on dead disks are skipped (counted, rebuilt
-later); a chunk with **no** live copy refuses the flush loudly.
+``fail_disk``.  A copy on a disk failed before or between runs is
+skipped and counted (``skipped_copy_writes``; rebuilt later); a chunk
+with **no** live copy refuses the flush loudly.
 
 One logical :class:`CellStore` exists per chunk regardless of k: the
 copies are byte-equal by construction, so occupancy bookkeeping is
@@ -49,16 +52,14 @@ shared and only the block writes fan out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from repro.core.store import CellStore
 from repro.errors import IngestError, _check_coords
-from repro.ingest.loader import IngestPlan, resolve_loader
+from repro.ingest.loader import IngestPlan
 from repro.ingest.streams import RecordStream, check_count
-from repro.mappings.base import RequestPlan, box_columns, unflatten
-from repro.query.executor import WritePrepared
+from repro.mappings.base import box_columns, unflatten
 from repro.query.scatter import ShardedPrepared
 
 __all__ = [
@@ -72,7 +73,7 @@ __all__ = [
 ]
 
 #: modelled memory cost of buffering one point (ms): an ingest report's
-#: ``stage_ms`` and the staging sub's service time on the traffic path
+#: ``stage_ms``
 STAGE_MS_PER_POINT = 2e-4
 
 #: overflow pages each chunk's :class:`CellStore` may chain
@@ -81,16 +82,11 @@ MAX_OVERFLOW_PAGES = 256
 
 @dataclass(frozen=True)
 class WriteSource:
-    """Provenance of one write sub-plan: which chunk copy it targets.
-
-    The traffic engine's failure path reads ``is_write`` to *drop* a
-    dead copy's write (the surviving copies already hold the batch)
-    instead of failing the whole flush over like a read."""
+    """Provenance of one write sub-plan: which chunk copy it targets."""
 
     chunk: int
     copy: int
     disk: int
-    is_write: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
@@ -98,13 +94,11 @@ class IngestPrepared(ShardedPrepared):
     """One flush prepared as per-copy, per-disk write sub-plans.
 
     A :class:`~repro.query.scatter.ShardedPrepared` whose
-    ``sources[i]`` is the :class:`WriteSource` of ``subs[i]`` (``None``
-    for the memory-only staging sub the traffic path prepends), so the
-    engine's sub-plan bookkeeping needs no new cases.  ``n_points``
-    counts the points the flush acknowledges."""
+    ``sources[i]`` is the :class:`WriteSource` of ``subs[i]``, so
+    :func:`~repro.query.scatter.scatter_execute` services it like a
+    read.  ``n_points`` counts the points the flush acknowledges."""
 
     n_points: int = 0
-    is_write: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
@@ -121,7 +115,6 @@ class IngestStats:
     """Cumulative pipeline totals over its lifetime."""
 
     streamed_points: int = 0
-    batches_staged: int = 0
     flushes: int = 0
     flushed_points: int = 0
     home_blocks: int = 0
@@ -131,18 +124,6 @@ class IngestStats:
     @property
     def buffered_points(self) -> int:
         return self.streamed_points - self.flushed_points
-
-    def to_dict(self) -> dict:
-        return {
-            "streamed_points": self.streamed_points,
-            "batches_staged": self.batches_staged,
-            "flushes": self.flushes,
-            "flushed_points": self.flushed_points,
-            "buffered_points": self.buffered_points,
-            "home_blocks": self.home_blocks,
-            "overflow_points": self.overflow_points,
-            "skipped_copy_writes": self.skipped_copy_writes,
-        }
 
 
 def _expand_extents(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -165,9 +146,11 @@ class IngestPipeline:
         apply here — this is the write path it points at.
     stream:
         A :class:`~repro.ingest.streams.RecordStream`.
-    loader:
-        Registered loader name fixing the ingest plan; ``plan``
-        overrides with a pre-resolved :class:`IngestPlan`.
+    plan:
+        The :class:`IngestPlan` a loader fixed for this stream
+        (``resolve_loader(name).fn(dataset, stream, **opts)``; a run
+        resolves it in :meth:`IngestRun.run
+        <repro.api.ingest.IngestRun.run>`).
     flush_points:
         Per-disk buffered backlog that triggers a flush of that disk.
 
@@ -176,16 +159,8 @@ class IngestPipeline:
     pages.
     """
 
-    def __init__(
-        self,
-        dataset,
-        stream: RecordStream,
-        loader: str = "fixed",
-        *,
-        plan: IngestPlan | None = None,
-        flush_points: int = 1024,
-        loader_opts: dict | None = None,
-    ):
+    def __init__(self, dataset, stream: RecordStream, plan: IngestPlan,
+                 *, flush_points: int):
         if tuple(stream.dims) != tuple(dataset.shape):
             raise IngestError(
                 f"stream dims {tuple(stream.dims)} do not match dataset "
@@ -194,9 +169,6 @@ class IngestPipeline:
         self.flush_points = check_count("flush_points", flush_points)
         self.dataset = dataset
         self.stream = stream
-        self.loader = resolve_loader(loader)
-        if plan is None:
-            plan = self.loader.fn(dataset, stream, **(loader_opts or {}))
         self.plan = plan
         self.stats = IngestStats()
 
@@ -418,47 +390,6 @@ class IngestPipeline:
         )
         return FlushPlan(prepared, n_points, tuple(flushed))
 
-    def prepare_batch(self, coords, *, final: bool = False):
-        """The traffic path: stage a batch and prepare its flush (if
-        any) as one submission.
-
-        The returned prepared query always carries a memory-only
-        *staging sub* (empty plan, ``cache_ms`` = buffering time) so a
-        batch that only buffers still completes through the engine's
-        cache-done path; a triggered flush rides along as write
-        sub-plans.  ``final`` drains every buffer regardless of
-        thresholds (the last batch acknowledges everything).
-        """
-        coords = _check_coords(coords, self.dataset.shape, IngestError)
-        ready = self.stage(coords)
-        if final:
-            ready = self.drain_disks()
-        flush = self.build_flush(ready) if ready else None
-        self.stats.batches_staged += 1
-        empty = np.empty(0, dtype=np.int64)
-        stage_sub = WritePrepared(
-            mapper_name=self.mapper_name,
-            disk_index=self.chunks[0].disk,
-            plan=RequestPlan(empty, empty, policy="sorted", merge_gap=0),
-            policy="sorted",
-            n_cells=len(coords),
-            cache_ms=len(coords) * STAGE_MS_PER_POINT,
-        )
-        if flush is None:
-            return IngestPrepared(
-                mapper_name=self.mapper_name,
-                subs=(stage_sub,),
-                n_cells=len(coords),
-                sources=(None,),
-            )
-        return IngestPrepared(
-            mapper_name=self.mapper_name,
-            subs=(stage_sub,) + flush.prepared.subs,
-            n_cells=len(coords),
-            sources=(None,) + flush.prepared.sources,
-            n_points=flush.n_points,
-        )
-
     # ------------------------------------------------------------------
     # reclamation + reporting
     # ------------------------------------------------------------------
@@ -484,15 +415,4 @@ class IngestPipeline:
                 sum(s.mean_fill * s.n_cells for s in stats) / cells
                 if cells else 0.0
             ),
-        }
-
-    def describe(self) -> dict:
-        return {
-            "stream": self.stream.describe(),
-            "loader": self.loader.name,
-            "plan": self.plan.describe(),
-            "flush_points": self.flush_points,
-            "n_chunks": len(self.chunks),
-            "n_copies": self.n_copies,
-            "stats": self.stats.to_dict(),
         }

@@ -227,8 +227,8 @@ def record_traffic_query(telemetry, *, client: str, label: str,
     captured at submission, before the engine's billing zeroes it), and
     ``hits``/``runs`` carry the matching per-disk hit/run counts when
     the engine captured them; ``slices`` holds ``(disk, t0,
-    BatchResult, is_write)`` per serviced slice; ``events`` holds
-    failover/drop instants from re-dispatch.  The root spans
+    BatchResult)`` per serviced slice; ``events`` holds ``(t, from
+    disk, to disk)`` per failover re-dispatch.  The root spans
     ``[arrival, completion)``, so queueing delay is the gap between the
     root start and its first service child.
     """
@@ -245,17 +245,14 @@ def record_traffic_query(telemetry, *, client: str, label: str,
                 f"cache d{disk}", "cache", arrival_ms, share,
                 attrs=attrs,
             ))
-    for disk, t0, res, is_write in slices:
-        children.append(_service_span(
-            t0, res, disk,
-            cat="flush" if is_write else "service",
-            name=f"slice d{disk}",
+    for disk, t0, res in slices:
+        children.append(_service_span(t0, res, disk,
+                                      name=f"slice d{disk}"))
+    for t, old, new in events:
+        children.append(Span(
+            "failover", "failover", t, 0.0,
+            attrs={"from_disk": int(old), "to_disk": int(new)},
         ))
-    for kind, t, old, new in events:
-        attrs = {"from_disk": int(old)}
-        if new is not None:
-            attrs["to_disk"] = int(new)
-        children.append(Span(kind, "failover", t, 0.0, attrs=attrs))
     root = Span(
         f"{client}#{index}", "query", arrival_ms,
         done_ms - arrival_ms,

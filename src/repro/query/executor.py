@@ -138,9 +138,8 @@ class WritePrepared(PreparedQuery):
     Serviced exactly like a read batch — writes follow the same §5.2
     issue-order conventions — but ``is_write`` routes it past every
     cache admit/filter path (written blocks were *invalidated* at
-    preparation instead) and lets the traffic engine drop, rather than
-    fail over, a dead replica's copy of a flush.  ``n_cells`` counts the
-    points acknowledged by this batch.
+    preparation instead) and marks its service spans as flushes.
+    ``n_cells`` counts the points acknowledged by this batch.
     """
 
     is_write: ClassVar[bool] = True

@@ -55,10 +55,11 @@ class ShardedPrepared:
     intersected chunk, in chunk-enumeration order; sub-plans of the same
     disk are serviced sequentially in that order, different disks in
     parallel.  ``sources[i]`` describes ``subs[i]``: a
-    :class:`~repro.replica.executor.SubSource` for a read piece, or
-    ``None`` for a sub-plan with no box to re-plan (an explicit cell
-    list, ingest's memory-only staging sub).  Aggregate counters below
-    sum over the sub-plans.
+    :class:`~repro.replica.executor.SubSource` for a read piece (the box
+    a failover re-plans), a :class:`~repro.ingest.pipeline.WriteSource`
+    for an ingest flush's write, or ``None`` for an explicit plan on one
+    disk (a cell-list read; no box to re-plan).  Aggregate counters
+    below sum over the sub-plans.
     """
 
     mapper_name: str

@@ -108,9 +108,6 @@ class SubSource(NamedTuple):
     llo: tuple[int, ...]
     lhi: tuple[int, ...]
     n_cells: int
-    #: a read piece fails over to another copy; ingest's write sources
-    #: (:class:`~repro.ingest.pipeline.WriteSource`) are dropped instead
-    is_write = False
 
 
 @dataclass

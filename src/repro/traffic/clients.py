@@ -158,12 +158,6 @@ class TrafficClient:
         if self.rng is None:
             self.rng = np.random.default_rng()
 
-    def prepare(self, query):
-        """Plan one drawn query against this client's stack.  Subclasses
-        override to route submissions elsewhere (the ingest client plans
-        write batches through its pipeline instead)."""
-        return self.storage.prepare(query)
-
     def describe(self) -> dict:
         return {
             "name": self.name,

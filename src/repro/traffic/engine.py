@@ -12,7 +12,9 @@ slice at a time from a FIFO queue, and a multi-slice sub-plan re-enters
 the queue behind whatever arrived meanwhile — so requests from different
 clients interleave at the drive rather than running whole queries
 back-to-back, and a query's later slices resume from wherever the
-contending traffic left the head.
+contending traffic left the head.  Every submission is a read: writes
+go through :class:`~repro.api.ingest.IngestRun` between storms, never
+onto the event heap.
 
 A query fanned out over several member disks occupies several drive
 queues at once: every sub-plan's slices queue on the drive that holds
@@ -216,15 +218,14 @@ class _Job:
                  "disk", "source", "sub")
 
     def __init__(self, qs: _Query, slices, head_pos, policy: str,
-                 disk: int, source=None, sub=None):
+                 disk: int, source, sub):
         self.qs = qs
         self.slices = slices
         self.next_slice = 0
         self.head_pos = head_pos
         self.policy = policy
         self.disk = disk
-        # the sub-plan's source — the SubSource failover re-dispatch
-        # re-plans from, or an ingest WriteSource — and the
+        # the SubSource failover re-dispatch re-plans from, and the
         # PreparedQuery itself, marked abandoned on re-dispatch
         self.source = source
         self.sub = sub
@@ -314,7 +315,6 @@ class TrafficSim:
 
         dead_ids: set[int] = set()  # id(drive) of currently dead drives
         n_redispatched = 0
-        n_dropped_writes = 0
 
         def drive_state(cs: _ClientState, disk: int) -> _DriveState:
             drive = cs.client.storage.volume.drive(disk)
@@ -336,10 +336,7 @@ class TrafficSim:
             """Draw, prepare, and enqueue one query of ``cs`` at ``t``."""
             c = cs.client
             query = c.mix.draw(c.mapper.dims, c.rng, cs.issued)
-            # the client routes its own submissions: reads through the
-            # storage manager's prepare (the batch path), ingest batches
-            # through the client's pipeline
-            prepared = c.prepare(query)
+            prepared = c.storage.prepare(query)
             subs = prepared.subs
             # one head draw per involved disk, in sub-plan order — drawn
             # at submission even for all-hit queries, keeping the
@@ -486,43 +483,15 @@ class TrafficSim:
             if arrival.closed and cs.issued < cs.client.n_queries:
                 push(arrival.next_after_completion(t_done), "arrive", cs)
 
-        def redispatch(job: _Job, t: float, dead: int) -> None:
+        def redispatch(job: _Job, t: float) -> None:
             """Restart one dead disk's sub-plan on a surviving copy."""
-            nonlocal n_redispatched, n_dropped_writes
+            nonlocal n_redispatched
             qs = job.qs
-            c = qs.cs.client
-            storage = c.storage
-            if job.source.is_write:
-                # a write sub targets ONE copy; the surviving copies'
-                # subs of the same flush already carry the batch, so a
-                # dead copy's write is DROPPED (rebuild restores it),
-                # never replayed elsewhere.  No live copy left means
-                # acknowledged data would be lost — that raises.
-                if not storage.replica_map.live_copies(
-                    job.source.chunk, storage.failed
-                ):
-                    raise QueryError(
-                        f"disk {dead} failed mid-flush and chunk "
-                        f"{job.source.chunk} has no surviving copy: "
-                        f"an acknowledged ingest batch would be lost"
-                    )
-                n_dropped_writes += 1
-                if qs.obs is not None:
-                    qs.obs["events"].append(
-                        ("dropped_write", t, job.disk, None)
-                    )
-                if job.sub is not None:
-                    qs.abandoned.append(job.sub)
-                if qs.release(job.disk, t):
-                    push(qs.done_ms, "cache_done", qs)
-                return
             # a chunk with no other live copy raises ReplicaError here
-            source, sub = storage.failover_sub(job.source)
+            source, sub = qs.cs.client.storage.failover_sub(job.source)
             n_redispatched += 1
             if qs.obs is not None:
-                qs.obs["events"].append(
-                    ("failover", t, job.disk, sub.disk_index)
-                )
+                qs.obs["events"].append((t, job.disk, sub.disk_index))
                 qs.obs["cache"][sub.disk_index] = (
                     qs.obs["cache"].get(sub.disk_index, 0.0)
                     + sub.cache_ms
@@ -535,8 +504,7 @@ class TrafficSim:
                     qs.obs["runs"].get(sub.disk_index, 0)
                     + sub.cache_runs
                 )
-            if job.sub is not None:
-                qs.abandoned.append(job.sub)
+            qs.abandoned.append(job.sub)
             # the dead disk's sub-plan is over; its replacement below
             # re-opens a slot unless it hit the cache whole
             qs.release(job.disk, t)
@@ -612,7 +580,7 @@ class TrafficSim:
                 ds.queue.clear()
                 ds.current = None
                 for job in jobs:
-                    redispatch(job, t, disk)
+                    redispatch(job, t)
 
         def revive_member(disk: int, t: float) -> None:
             check_member(disk)
@@ -675,10 +643,9 @@ class TrafficSim:
                 jq.acc += res
                 if jq.obs is not None:
                     # the slice was dispatched at t - res.total_ms
-                    jq.obs["slices"].append((
-                        job.disk, t - res.total_ms, res,
-                        job.source.is_write,
-                    ))
+                    jq.obs["slices"].append(
+                        (job.disk, t - res.total_ms, res)
+                    )
                 ds.busy_ms += res.total_ms
                 ds.served_slices += 1
                 ds.served_blocks += res.n_blocks
@@ -720,31 +687,13 @@ class TrafficSim:
                 pools[0].describe() if len(pools) == 1
                 else [p.describe() for p in pools],
             )
-        pipelines = []
-        for c in self.clients:
-            p = getattr(c, "pipeline", None)
-            if p is not None and not any(p is q for q in pipelines):
-                pipelines.append(p)
         if self.failures is not None:
             # gated on a schedule being passed, so failure-free runs
             # keep their JSON layout bit-for-bit
-            fail_meta = {
+            meta.setdefault("failures", {
                 "schedule": self.failures.describe()["events"],
                 "redispatched_subs": n_redispatched,
-            }
-            if pipelines:
-                # only under ingest clients: read-only failure runs keep
-                # the PR 5 failures payload bit-for-bit
-                fail_meta["dropped_write_subs"] = n_dropped_writes
-            meta.setdefault("failures", fail_meta)
-        if pipelines:
-            # gated on an ingest client being present, so read-only
-            # storms keep their pre-ingest JSON layout bit-for-bit
-            meta.setdefault(
-                "ingest",
-                pipelines[0].describe() if len(pipelines) == 1
-                else [p.describe() for p in pipelines],
-            )
+            })
         replicated = [st for st in storages if st.replica_map.k > 1]
         if replicated:
             # gated on k > 1, so single-copy runs keep their JSON layout

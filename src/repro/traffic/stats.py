@@ -25,10 +25,6 @@ _PCTS = (50, 90, 95, 99)
 
 def describe_query(query) -> str:
     """Short label for a workload query (matches the Report labels)."""
-    label = getattr(query, "traffic_label", None)
-    if label is not None:
-        # non-workload submissions (ingest batches) label themselves
-        return str(label)
     if isinstance(query, BeamQuery):
         return f"beam[axis={query.axis}]"
     if isinstance(query, RangeQuery):

@@ -439,6 +439,36 @@ class TestLazyImport:
             with pytest.raises(AttributeError):
                 pkg.nonexistent_attribute
 
+    def test_ingest_loads_no_traffic_module(self):
+        """The write path is driven by ``IngestRun`` alone: importing
+        ``repro.ingest`` and running an ingest load nothing of the
+        traffic engine."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        code = (
+            "import sys\n"
+            "import repro.ingest\n"
+            "from repro.api import Dataset\n"
+            "ds = Dataset.create((12, 8, 8), layout='naive', "
+            "drive='minidrive', seed=1)\n"
+            "ds.ingest(n_points=64, flush_points=32).run()\n"
+            "loaded = sorted(m for m in sys.modules "
+            "if m.startswith('repro.traffic'))\n"
+            "assert not loaded, loaded\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__
+        )))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_storage_stack_skips_figures_and_generators(self):
         """Building and querying a dataset loads neither the figure
         harness nor the earthquake, OLAP and TPC-H generators."""

@@ -48,22 +48,17 @@ SURFACE = {
         "cell_blocks", "window", "cache", "layout_opts",
     ),
     "Dataset.ingest": ("**overrides",),
-    "IngestPipeline": (
-        "dataset", "stream", "loader", "plan", "flush_points",
-        "loader_opts",
-    ),
+    "IngestPipeline": ("dataset", "stream", "plan", "flush_points"),
     "plan_reorganize": ("pipeline",),
     "make_stream": ("name", "dims", "**opts"),
     "TrafficRun.clients": ("n", "mix", "arrival", "queries", "name"),
-    "TrafficRun.ingest": ("arrival", "name", "**overrides"),
     "TrafficRun.kill": ("at_ms", "disk", "revive_at_ms"),
     "TrafficConfig": ("slice_runs", "head"),
 }
 
 #: run class -> its public methods, sorted
 METHODS = {
-    "TrafficRun": ("clients", "head", "ingest", "kill", "run",
-                   "slice_runs"),
+    "TrafficRun": ("clients", "head", "kill", "run", "slice_runs"),
     "IngestRun": ("run",),
 }
 
@@ -92,7 +87,6 @@ def test_settings_surface():
         "plan_reorganize": plan_reorganize,
         "make_stream": make_stream,
         "TrafficRun.clients": TrafficRun.clients,
-        "TrafficRun.ingest": TrafficRun.ingest,
         "TrafficRun.kill": TrafficRun.kill,
     }
     actual = {name: parameters(fn) for name, fn in builders.items()}

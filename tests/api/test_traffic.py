@@ -254,11 +254,14 @@ class TestTypedWorkloadInputs:
         with pytest.raises(QueryError, match="selectivity must be a number"):
             ds.range_selectivity(True)
 
-    def test_cli_rate_nan(self):
-        # used to exit 0 with NaN latencies and 0.0 throughput
+    def test_cli_rate_nan(self, capsys):
+        # used to exit 0 with NaN latencies and 0.0 throughput, then to
+        # end in the arrival model's QueryError; argparse refuses it now
         from repro.bench.cli import main
 
-        with pytest.raises(QueryError, match="rate_qps must be finite"):
+        with pytest.raises(SystemExit) as exc:
             main(["traffic", "--shape", "16,8,8", "--clients", "1",
                   "--queries", "2", "--layouts", "naive", "--quiet",
                   "--arrival", "poisson", "--rate", "nan"])
+        assert exc.value.code == 2
+        assert "rate_qps must be finite" in capsys.readouterr().err

@@ -308,6 +308,47 @@ TRACE_QUICK = ["trace", "--shape", "16,8,8", "--drive", "minidrive",
                "--clients", "2", "--queries", "3", "--seed", "11"]
 
 
+class TestStormFlagsChecked:
+    """Storm values the library refuses exit 2 through argparse before
+    any dataset is built, for ``traffic`` and ``trace`` alike; each used
+    to pass argparse and end in a :class:`QueryError` traceback."""
+
+    @pytest.mark.parametrize("command", [TRAFFIC_QUICK, TRACE_QUICK],
+                             ids=["traffic", "trace"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--mix", "beam:-1"], "axis must be >= 0"),
+        (["--mix", "range:0"], "selectivity must be in (0, 100]"),
+        (["--mix", "range:101"], "selectivity must be in (0, 100]"),
+        (["--mix", "beam:1,beam:5"], "beam:5 is not an axis of the 3-D"),
+        (["--arrival", "poisson", "--rate", "nan"], "must be finite"),
+        (["--arrival", "poisson", "--rate", "0"], "rate_qps must be > 0"),
+        (["--arrival", "bursty", "--rate", "inf"], "must be finite"),
+        (["--think-ms", "-1"], "must be >= 0"),
+        (["--think-ms", "nan"], "think_ms must be finite"),
+    ])
+    def test_exits_2_before_any_dataset(self, capsys, monkeypatch,
+                                        command, flags, message):
+        from repro.api import Dataset
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dataset was built")
+
+        monkeypatch.setattr(Dataset, "create", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(command + flags)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and message in err
+
+    @pytest.mark.parametrize("command", [TRAFFIC_QUICK, TRACE_QUICK],
+                             ids=["traffic", "trace"])
+    def test_valid_values_still_run(self, capsys, command):
+        assert main(command + [
+            "--mix", "beam:2,range:100", "--arrival", "bursty",
+            "--rate", "0.5", "--think-ms", "0", "--quiet",
+        ]) == 0
+
+
 def export(tmp_path, name):
     dest = tmp_path / name
     assert main(TRACE_QUICK + ["--json", str(dest), "--quiet"]) == 0

@@ -7,7 +7,12 @@ import pytest
 
 from repro.api import Dataset
 from repro.api.ingest import IngestRun
-from repro.errors import DatasetError, IngestError, RegistryError
+from repro.errors import (
+    DatasetError,
+    IngestError,
+    RegistryError,
+    ReplicaError,
+)
 from repro.ingest import LOADERS
 from repro.ingest.report import IngestReport
 from repro.ingest.streams import ClusteredStream, UniformStream
@@ -215,6 +220,33 @@ class TestStoreGate:
         assert report.skipped_copy_writes == 0
 
 
+class TestFailedDisks:
+    """A disk failed before or between runs: the flushes skip and count
+    its copies, and a chunk left with no live copy refuses its flush."""
+
+    def test_acked_batches_live_on_survivors(self, small_model):
+        ds = Dataset.create(SHAPE, layout="multimap", drive=small_model,
+                            seed=42).with_shards(4).with_replication(2)
+        ds.storage.fail_disk(1)
+        report = ds.ingest(stream="clustered", n_points=512,
+                           batch_points=128, flush_points=128).run()
+        assert report.n_points == report.store["n_points"] == 512
+        assert report.skipped_copy_writes > 0
+        rm = ds.storage.replica_map
+        failed = ds.storage.failed
+        assert failed == {1}
+        for ci in range(len(ds.storage.shard_map.chunks)):
+            assert rm.live_copies(ci, failed)
+
+    def test_unreplicated_write_loss_is_loud(self, small_model):
+        ds = Dataset.create(SHAPE, layout="multimap", drive=small_model,
+                            seed=42).with_shards(2)
+        ds.storage.fail_disk(1)
+        with pytest.raises(ReplicaError, match="unwritable"):
+            ds.ingest(stream="clustered", n_points=768,
+                      batch_points=128, flush_points=128).run()
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -272,6 +304,36 @@ class TestRunOptionsChecked:
     def test_loader_options_are_checked(self, sharded, opts, match):
         self.assert_refused(sharded, match, stream="clustered",
                             loader_opts=opts)
+
+    @pytest.mark.parametrize("loader_opts", [5, "ab",
+                                             [("points_per_cell", 1)]])
+    def test_loader_opts_must_be_a_dict(self, sharded, loader_opts):
+        """A bare ``dict(...)`` copy raised a bare TypeError for 5, a
+        ValueError for "ab" and took a list of pairs."""
+        before = self.untouched(sharded)
+        with pytest.raises(IngestError, match="loader_opts must be a dict"):
+            sharded.ingest(loader="adaptive", loader_opts=loader_opts)
+        assert self.untouched(sharded) == before
+
+    @pytest.mark.parametrize("loader, opts", [
+        ("fixed", {"point_per_cell": 1}),
+        ("fixed", {"sample_points": 64}),
+        ("adaptive", {"bogus": 1}),
+    ])
+    def test_loader_opts_are_the_loaders_keywords(self, sharded, loader,
+                                                  opts):
+        """Both loaders swallowed unknown keys: a misspelt
+        ``point_per_cell`` ran at 16 points per cell.  The names are
+        checked when the run is built, with nothing written."""
+        before = self.untouched(sharded)
+        with pytest.raises(IngestError,
+                           match=f"unknown {loader} loader option.*"
+                           f"{next(iter(opts))}"):
+            sharded.ingest(loader=loader, loader_opts=opts)
+        sharded.with_ingest(loader=loader, loader_opts=opts)
+        with pytest.raises(IngestError, match="loader option"):
+            sharded.ingest()
+        assert self.untouched(sharded) == before
 
     def test_fixed_loader_options_are_checked(self, sharded):
         before = self.untouched(sharded)

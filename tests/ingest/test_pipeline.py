@@ -5,13 +5,9 @@ import pytest
 
 from repro.api import Dataset
 from repro.errors import IngestError
-from repro.ingest.pipeline import (
-    STAGE_MS_PER_POINT,
-    IngestPipeline,
-    IngestPrepared,
-)
+from repro.ingest.loader import resolve_loader
+from repro.ingest.pipeline import IngestPipeline
 from repro.ingest.streams import ReplayStream, UniformStream
-from repro.query.executor import WritePrepared
 
 SHAPE = (16, 8, 8)
 
@@ -19,6 +15,13 @@ SHAPE = (16, 8, 8)
 def make_stream(n_points=64, batch_points=32, seed=1):
     return UniformStream(SHAPE, n_points=n_points,
                          batch_points=batch_points, seed=seed)
+
+
+def make_pipeline(ds, stream=None, *, flush_points=1024, **loader_opts):
+    """A pipeline under the fixed loader's plan for ``loader_opts``."""
+    stream = make_stream() if stream is None else stream
+    plan = resolve_loader("fixed").fn(ds, stream, **loader_opts)
+    return IngestPipeline(ds, stream, plan, flush_points=flush_points)
 
 
 def plan_blocks(sub) -> np.ndarray:
@@ -49,19 +52,19 @@ class TestValidation:
     def test_rejects_stream_dims_mismatch(self, plain):
         bad = UniformStream((4, 4), n_points=8)
         with pytest.raises(IngestError, match="dims"):
-            IngestPipeline(plain, bad)
+            make_pipeline(plain, bad)
 
     def test_rejects_bad_flush_points(self, plain):
         with pytest.raises(IngestError, match="flush_points"):
-            IngestPipeline(plain, make_stream(), flush_points=0)
+            make_pipeline(plain, flush_points=0)
 
     def test_stage_rejects_wrong_rank(self, plain):
-        pipe = IngestPipeline(plain, make_stream())
+        pipe = make_pipeline(plain)
         with pytest.raises(IngestError, match="rank"):
             pipe.stage(np.zeros((3, 2), dtype=np.int64))
 
     def test_stage_rejects_out_of_bounds(self, plain):
-        pipe = IngestPipeline(plain, make_stream())
+        pipe = make_pipeline(plain)
         with pytest.raises(IngestError, match="bounds"):
             pipe.stage([[16, 0, 0]])
         with pytest.raises(IngestError, match="bounds"):
@@ -74,13 +77,11 @@ class TestValidation:
     ])
     def test_stage_rejects_non_integer_coords(self, plain, coords, dtype):
         """Floats are not truncated onto cells, bools are not 0/1 and
-        strings fail as an IngestError, not numpy's bare ValueError;
-        the traffic path's prepare_batch checks the same way."""
-        pipe = IngestPipeline(plain, make_stream())
-        for call in (pipe.stage, pipe.prepare_batch):
-            with pytest.raises(IngestError,
-                               match=f"coords must be integers.*{dtype}"):
-                call(coords)
+        strings fail as an IngestError, not numpy's bare ValueError."""
+        pipe = make_pipeline(plain)
+        with pytest.raises(IngestError,
+                           match=f"coords must be integers.*{dtype}"):
+            pipe.stage(coords)
         assert pipe.stats.streamed_points == 0
         assert pipe.drain_disks() == []
 
@@ -93,10 +94,9 @@ class TestValidation:
         """A bool mixed into a list used to stage cell (1, 0, 0), and a
         ragged list escaped as numpy's bare ValueError; the pipeline
         and the mapper share one check now."""
-        pipe = IngestPipeline(plain, make_stream())
-        for call in (pipe.stage, pipe.prepare_batch):
-            with pytest.raises(IngestError, match=match):
-                call(coords)
+        pipe = make_pipeline(plain)
+        with pytest.raises(IngestError, match=match):
+            pipe.stage(coords)
         assert pipe.stats.streamed_points == 0
         assert pipe.drain_disks() == []
 
@@ -104,12 +104,12 @@ class TestValidation:
     def test_rejects_non_integer_flush_points(self, plain, flush_points):
         with pytest.raises(IngestError, match="flush_points must be an "
                            "integer"):
-            IngestPipeline(plain, make_stream(), flush_points=flush_points)
+            make_pipeline(plain, flush_points=flush_points)
 
 
 class TestStaging:
     def test_below_threshold_buffers_quietly(self, plain):
-        pipe = IngestPipeline(plain, make_stream(), flush_points=100)
+        pipe = make_pipeline(plain, flush_points=100)
         ready = pipe.stage([[0, 0, 0], [1, 1, 1]])
         assert ready == []
         assert pipe.stats.streamed_points == 2
@@ -117,7 +117,7 @@ class TestStaging:
         assert pipe.drain_disks() == [plain.mapper.disk_index]
 
     def test_crossing_threshold_names_the_disk(self, plain):
-        pipe = IngestPipeline(plain, make_stream(), flush_points=3)
+        pipe = make_pipeline(plain, flush_points=3)
         assert pipe.stage([[0, 0, 0], [1, 0, 0]]) == []
         assert pipe.stage([[2, 0, 0]]) == [plain.mapper.disk_index]
 
@@ -126,21 +126,21 @@ class TestStaging:
         chunks = sharded.storage.shard_map.chunks
         hot = chunks[0]
         target = np.asarray(hot.origin, dtype=np.int64)
-        pipe = IngestPipeline(sharded, make_stream(), flush_points=4)
+        pipe = make_pipeline(sharded, flush_points=4)
         other = next(c for c in chunks if c.disk != hot.disk)
         pipe.stage([np.asarray(other.origin, dtype=np.int64)])
         ready = pipe.stage([target, target, target, target])
         assert ready == [hot.disk]
 
     def test_single_coordinate_row_accepted(self, plain):
-        pipe = IngestPipeline(plain, make_stream(), flush_points=100)
+        pipe = make_pipeline(plain, flush_points=100)
         pipe.stage([0, 0, 0])
         assert pipe.stats.streamed_points == 1
 
 
 class TestFlush:
     def test_flush_of_nothing_is_none(self, plain):
-        pipe = IngestPipeline(plain, make_stream())
+        pipe = make_pipeline(plain)
         assert pipe.build_flush([plain.mapper.disk_index]) is None
         assert pipe.build_flush([]) is None
 
@@ -151,7 +151,7 @@ class TestFlush:
         leaves disk 0's backlog (and its threshold count) alone."""
         ds = Dataset.create(SHAPE, layout="zorder", drive=small_model,
                             seed=5).with_shards(3, chunk_shape=SHAPE)
-        pipe = IngestPipeline(ds, make_stream(), flush_points=3)
+        pipe = make_pipeline(ds, flush_points=3)
         assert pipe.stage([[0, 0, 0], [1, 1, 1]]) == []
         assert pipe.build_flush([-1, 1, 2, 3]) is None
         assert pipe.drain_disks() == [0]
@@ -163,11 +163,7 @@ class TestFlush:
         """No overflow: the write blocks are precisely the cells'
         home blocks under the dataset's own mapper."""
         coords = np.array([[0, 0, 0], [3, 1, 2], [15, 7, 7], [3, 1, 2]])
-        pipe = IngestPipeline(
-            plain, make_stream(),
-            plan=None, flush_points=1,
-            loader_opts={"points_per_cell": 64},
-        )
+        pipe = make_pipeline(plain, flush_points=1, points_per_cell=64)
         pipe.stage(coords)
         flush = pipe.build_flush(pipe.drain_disks())
         assert flush is not None and flush.n_points == 4
@@ -186,10 +182,7 @@ class TestFlush:
 
     def test_overflow_spills_into_the_overflow_extent(self, plain):
         coords = np.repeat([[2, 2, 2]], 10, axis=0)
-        pipe = IngestPipeline(
-            plain, make_stream(), flush_points=1,
-            loader_opts={"points_per_cell": 2},
-        )
+        pipe = make_pipeline(plain, flush_points=1, points_per_cell=2)
         pipe.stage(coords)
         flush = pipe.build_flush(pipe.drain_disks())
         assert pipe.stats.overflow_points == 8
@@ -203,7 +196,7 @@ class TestFlush:
         assert chain.size > 0
 
     def test_flush_clears_the_buffers(self, plain):
-        pipe = IngestPipeline(plain, make_stream(), flush_points=1)
+        pipe = make_pipeline(plain, flush_points=1)
         pipe.stage([[1, 2, 3], [4, 5, 6]])
         pipe.build_flush(pipe.drain_disks())
         assert pipe.drain_disks() == []
@@ -216,7 +209,7 @@ class TestFlush:
         coords = np.stack(
             [rng.integers(0, s, size=40) for s in SHAPE], axis=1
         )
-        pipe = IngestPipeline(sharded, make_stream(), flush_points=1)
+        pipe = make_pipeline(sharded, flush_points=1)
         pipe.stage(coords)
         flush = pipe.build_flush(pipe.drain_disks())
         for sub, source in zip(flush.prepared.subs,
@@ -237,8 +230,8 @@ class TestReplicaFanOut:
         coords = np.stack(
             [rng.integers(0, s, size=40) for s in SHAPE], axis=1
         )
-        pipe = IngestPipeline(replicated, make_stream(), flush_points=1,
-                              loader_opts={"points_per_cell": 2})
+        pipe = make_pipeline(replicated, flush_points=1,
+                             points_per_cell=2)
         pipe.stage(coords)
         flush = pipe.build_flush(pipe.drain_disks())
         by_chunk: dict = {}
@@ -254,7 +247,7 @@ class TestReplicaFanOut:
             assert len(counts) == 1
 
     def test_twin_overflow_extents_match_the_primary(self, replicated):
-        pipe = IngestPipeline(replicated, make_stream())
+        pipe = make_pipeline(replicated)
         for ci, store in enumerate(pipe.stores):
             exts = pipe._copy_extents[ci]
             assert set(exts) == {0, 1}
@@ -263,7 +256,7 @@ class TestReplicaFanOut:
 
     def test_dead_copy_is_skipped_and_counted(self, replicated):
         replicated.storage.fail_disk(1)
-        pipe = IngestPipeline(replicated, make_stream(), flush_points=1)
+        pipe = make_pipeline(replicated, flush_points=1)
         pipe.stage([[0, 0, 0], [15, 7, 7]])
         flush = pipe.build_flush(pipe.drain_disks())
         assert all(s.disk != 1 for s in flush.prepared.sources)
@@ -293,8 +286,7 @@ class TestCubePacking:
         whole track groups — in a handful of sequential runs."""
         ds = Dataset.create(SHAPE, layout="multimap", drive=small_model,
                             seed=5)
-        pipe = IngestPipeline(ds, make_stream(), flush_points=1,
-                              loader_opts={"points_per_cell": 64})
+        pipe = make_pipeline(ds, flush_points=1, points_per_cell=64)
         coords = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
         pipe.stage(coords)
         flush = pipe.build_flush(pipe.drain_disks())
@@ -311,40 +303,9 @@ class TestCubePacking:
         assert got.size >= np.unique(coords, axis=0).shape[0] * cb
 
 
-class TestPrepareBatch:
-    def test_stage_only_batch_is_memory_only(self, plain):
-        pipe = IngestPipeline(plain, make_stream(), flush_points=100)
-        prepared = pipe.prepare_batch([[0, 0, 0], [1, 1, 1]])
-        # no flush rides along: the staging sub is the only sub-plan
-        assert isinstance(prepared, IngestPrepared)
-        assert prepared.sources == (None,)
-        (stage,) = prepared.subs
-        assert isinstance(stage, WritePrepared)
-        assert len(stage.plan.starts) == 0
-        assert prepared.cache_ms == stage.cache_ms == 2 * STAGE_MS_PER_POINT
-        assert prepared.n_cells == stage.n_cells == 2
-
-    def test_triggered_flush_rides_along(self, plain):
-        pipe = IngestPipeline(plain, make_stream(), flush_points=2)
-        prepared = pipe.prepare_batch([[0, 0, 0], [1, 1, 1]])
-        assert isinstance(prepared, IngestPrepared)
-        assert prepared.is_write
-        assert prepared.sources[0] is None  # the staging sub
-        assert len(prepared.subs) == len(prepared.sources)
-        assert all(s is not None for s in prepared.sources[1:])
-
-    def test_final_batch_drains_everything(self, plain):
-        pipe = IngestPipeline(plain, make_stream(), flush_points=1000)
-        pipe.prepare_batch([[0, 0, 0]])
-        prepared = pipe.prepare_batch([[1, 1, 1]], final=True)
-        assert isinstance(prepared, IngestPrepared)
-        assert pipe.stats.buffered_points == 0
-        assert prepared.n_points == 2
-
-
 class TestSummaries:
     def test_store_summary_aggregates_chunks(self, sharded):
-        pipe = IngestPipeline(sharded, make_stream(), flush_points=1)
+        pipe = make_pipeline(sharded, flush_points=1)
         pipe.stage([[0, 0, 0], [15, 7, 7]])
         pipe.build_flush(pipe.drain_disks())
         out = pipe.store_summary()
@@ -352,18 +313,10 @@ class TestSummaries:
         assert out["n_points"] == 2
         assert out["points_per_cell"] == pipe.plan.points_per_cell
 
-    def test_describe_carries_stream_loader_and_stats(self, plain):
-        pipe = IngestPipeline(plain, make_stream())
-        out = pipe.describe()
-        assert out["loader"] == "fixed"
-        assert out["stream"]["stream"] == "uniform"
-        assert out["stats"]["streamed_points"] == 0
-        assert out["n_copies"] == 1
-
     def test_replay_stream_through_pipeline(self, plain):
         coords = np.array([[1, 1, 1]] * 5 + [[2, 2, 2]] * 3)
         stream = ReplayStream(SHAPE, coords=coords, batch_points=4)
-        pipe = IngestPipeline(plain, stream, flush_points=4)
+        pipe = make_pipeline(plain, stream, flush_points=4)
         for batch in stream.batches():
             ready = pipe.stage(batch)
             if ready:

@@ -24,6 +24,7 @@ from hypothesis.stateful import (
 
 from repro.api import Dataset
 from repro.errors import IngestError
+from repro.ingest.loader import resolve_loader
 from repro.ingest.pipeline import (
     FlushPlan,
     IngestPipeline,
@@ -238,8 +239,9 @@ class PipelineOracle(RuleBasedStateMachine):
             if k > 1:
                 ds = ds.with_replication(k)
             stream = ClusteredStream(SHAPE, n_points=8, seed=1)
-            return cls(ds, stream, flush_points=flush_points,
-                       loader_opts={"points_per_cell": ppc})
+            plan = resolve_loader("fixed").fn(ds, stream,
+                                              points_per_cell=ppc)
+            return cls(ds, stream, plan, flush_points=flush_points)
 
         self.new = make(IngestPipeline)
         self.ref = make(ReferencePipeline)
@@ -261,20 +263,12 @@ class PipelineOracle(RuleBasedStateMachine):
         assert_flush_equal(self.new.build_flush(disks),
                            self.ref.build_flush(disks))
 
-    @precondition(lambda self: self.staged < MAX_STAGED)
-    @rule(batch=batches, final=st.booleans())
-    def prepare_batch(self, batch, final):
-        coords = np.asarray(batch, dtype=np.int64).reshape(-1, len(SHAPE))
-        self.staged += len(coords)
-        assert_prepared_equal(self.new.prepare_batch(coords, final=final),
-                              self.ref.prepare_batch(coords, final=final))
-
     @invariant()
     def same_state(self):
         if not hasattr(self, "new"):
             return
         assert self.new.drain_disks() == self.ref.drain_disks()
-        assert self.new.stats.to_dict() == self.ref.stats.to_dict()
+        assert self.new.stats == self.ref.stats
         assert self.new.store_summary() == self.ref.store_summary()
 
 

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Dataset
+from repro.ingest.loader import resolve_loader
 from repro.ingest.pipeline import IngestPipeline
 from repro.ingest.streams import UniformStream
 
@@ -45,10 +46,8 @@ def build(small_model, *, shards=0, k=0, ppc=64, chunk_shape=None):
     if k:
         ds = ds.with_replication(k)
     stream = UniformStream(SHAPE, n_points=8, seed=1)
-    return ds, IngestPipeline(
-        ds, stream, flush_points=10**9,
-        loader_opts={"points_per_cell": ppc},
-    )
+    plan = resolve_loader("fixed").fn(ds, stream, points_per_cell=ppc)
+    return ds, IngestPipeline(ds, stream, plan, flush_points=10**9)
 
 
 def plan_blocks(sub) -> np.ndarray:

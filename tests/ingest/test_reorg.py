@@ -7,6 +7,7 @@ import pytest
 
 from repro.api import Dataset
 from repro.errors import IngestError
+from repro.ingest.loader import resolve_loader
 from repro.ingest.pipeline import IngestPipeline
 from repro.ingest.reorg import plan_reorganize
 from repro.ingest.streams import UniformStream
@@ -21,8 +22,8 @@ def overflowing_pipeline(small_model, *, shards=2, ppc=1):
     if shards:
         ds = ds.with_shards(shards)
     stream = UniformStream(SHAPE, n_points=8, seed=1)
-    pipe = IngestPipeline(ds, stream, flush_points=1,
-                          loader_opts={"points_per_cell": ppc})
+    plan = resolve_loader("fixed").fn(ds, stream, points_per_cell=ppc)
+    pipe = IngestPipeline(ds, stream, plan, flush_points=1)
     coords = np.repeat([[0, 0, 0], [15, 7, 7]], 6, axis=0)
     pipe.stage(coords)
     pipe.build_flush(pipe.drain_disks())

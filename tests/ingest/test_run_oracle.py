@@ -53,7 +53,7 @@ def reference_run(run, rng):
             int(spec["n_shards"]), spec["strategy"],
             chunk_shape=tuple(plan.chunk_shape),
         )
-    pipeline = IngestPipeline(ds, stream, entry.name, plan=plan,
+    pipeline = IngestPipeline(ds, stream, plan,
                               flush_points=run.flush_points)
     write_ms = 0.0
     flushes = 0

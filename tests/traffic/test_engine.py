@@ -246,6 +246,24 @@ class TestEngineValidation:
             TrafficSim([client])
 
 
+class TestMetaGating:
+    """A storm only reads: its meta carries no ingest block, and its
+    failure block no write counter."""
+
+    def test_no_ingest_client_no_ingest_meta(self, make_dataset):
+        ds = make_dataset().with_shards(2)
+        rep = ds.traffic().clients(1, queries=3).run()
+        assert "ingest" not in rep.meta
+        assert "failures" not in rep.meta
+
+    def test_read_only_failures_have_no_write_counter(self, make_dataset):
+        ds = make_dataset().with_shards(2).with_replication(2)
+        rep = (
+            ds.traffic().clients(2, queries=4).kill(5.0, 1).run()
+        )
+        assert "dropped_write_subs" not in rep.meta["failures"]
+
+
 class TestReportShape:
     def test_render_and_str(self, make_dataset):
         rep = make_dataset().traffic().clients(2, queries=3).run()
