@@ -60,7 +60,6 @@ def main(argv=None) -> int:
         params["shape"],
         layouts=LAYOUTS,
         capacities=params["capacities"],
-        policy="lru",
         prefetch="track",
         n_beams=params["n_beams"],
         repeats=params["repeats"],

@@ -26,13 +26,13 @@ The layers underneath remain importable for direct use:
 ``repro.mappings``  Naive / Z-order / Hilbert / Gray baselines
 ``repro.core``      MultiMap itself: basic cubes, planner, mapper
 ``repro.query``     beam and range queries, storage manager
-``repro.cache``     buffer pool, eviction policies, locality prefetch
+``repro.cache``     buffer pool, LRU eviction, locality prefetch
 ``repro.shard``     multi-disk scale-out: shard maps, scatter-gather
 ``repro.replica``   fault tolerance: replicated shards, failure injection
 ``repro.ingest``    streaming ingest, bulk loaders, write-path pipeline
 ``repro.traffic``   concurrent multi-client traffic simulation
 ``repro.perf``      plan-prep fast path: memoization, reference, perf sweep
-``repro.obs``       telemetry: span tracing, metrics, trace exporters
+``repro.obs``       telemetry: span tracing, metrics, Chrome trace export
 ``repro.explain``   EXPLAIN/ANALYZE plan diagnosis, regression attribution
 ``repro.datasets``  the paper's three evaluation datasets
 ``repro.analytic``  the expected-cost model
@@ -66,18 +66,12 @@ _LAZY_EXPORTS = {
     "TrafficReport": "repro.traffic.stats",
     "BufferPool": "repro.cache",
     "CacheStats": "repro.cache",
-    "policy_names": "repro.cache",
     "prefetcher_names": "repro.cache",
-    "register_policy": "repro.cache",
     "register_prefetcher": "repro.cache",
     "ShardMap": "repro.shard",
     "ShardedStorageManager": "repro.shard",
     "ReplicaMap": "repro.replica",
     "FailureSchedule": "repro.replica",
-    "placement_names": "repro.replica",
-    "read_policy_names": "repro.replica",
-    "register_placement": "repro.replica",
-    "register_read_policy": "repro.replica",
     "register_strategy": "repro.lvm.striping",
     "strategy_names": "repro.lvm.striping",
     "IngestRun": "repro.api.ingest",
@@ -90,9 +84,6 @@ _LAZY_EXPORTS = {
     "Telemetry": "repro.obs",
     "MetricsRegistry": "repro.obs",
     "Tracer": "repro.obs",
-    "EXPORTERS": "repro.obs",
-    "exporter_names": "repro.obs",
-    "register_exporter": "repro.obs",
     "COST_CLASSES": "repro.explain",
     "attribute_runs": "repro.explain",
     "explain_query": "repro.explain",

@@ -37,22 +37,13 @@ _LAZY_EXPORTS = {
     "TrafficReport": "repro.traffic.stats",
     "BufferPool": "repro.cache",
     "CacheStats": "repro.cache",
-    "POLICIES": "repro.cache",
     "PREFETCHERS": "repro.cache",
-    "policy_names": "repro.cache",
     "prefetcher_names": "repro.cache",
-    "register_policy": "repro.cache",
     "register_prefetcher": "repro.cache",
-    "PLACEMENTS": "repro.replica",
-    "READ_POLICIES": "repro.replica",
     "FailureEvent": "repro.replica",
     "FailureSchedule": "repro.replica",
     "ReplicaMap": "repro.replica",
     "ReplicaStats": "repro.replica",
-    "placement_names": "repro.replica",
-    "read_policy_names": "repro.replica",
-    "register_placement": "repro.replica",
-    "register_read_policy": "repro.replica",
     "ShardMap": "repro.shard",
     "ShardStats": "repro.shard",
     "ShardedMapper": "repro.shard",

@@ -361,9 +361,7 @@ class Dataset:
         the holder they wait in until the lazy build."""
         return self._unbuilt if self._storage is None else self._storage
 
-    def _build_storage(self, volume, shard_map, k: int = 1,
-                       placement: str = "rotated",
-                       read_policy: str = "primary"):
+    def _build_storage(self, volume, shard_map, k: int = 1):
         """Construct the storage manager — the one place every
         configuration's manager is built — carrying over the attached
         pool and telemetry (the SAME Telemetry object rides onto the new
@@ -372,8 +370,7 @@ class Dataset:
 
         stack = self._stack()
         storage = ShardedStorageManager(
-            volume, shard_map, self._layout_entry,
-            k=k, placement=placement, read_policy=read_policy,
+            volume, shard_map, self._layout_entry, k=k,
             cell_blocks=self.cell_blocks, window=self.window,
             cache=stack.cache, layout_opts=self.layout_opts,
         )
@@ -448,9 +445,9 @@ class Dataset:
         factory, a :class:`~repro.shard.ShardMap` assigns each chunk a
         disk via the strategy registered as ``strategy``
         (:data:`repro.lvm.striping.STRATEGIES`: ``round_robin``,
-        ``disk_modulo``, ``cube_aligned``; any other value, a non-string
-        included, raises :class:`~repro.errors.RegistryError` with the
-        dataset unchanged), and queries execute scatter-gather (per-disk
+        ``disk_modulo``; any other value, a non-string included, raises
+        :class:`~repro.errors.RegistryError` with the dataset
+        unchanged), and queries execute scatter-gather (per-disk
         sub-plans in parallel, query time = makespan over drives).
         ``chunk_shape`` overrides the default last-axis slab chunking.
         An unsharded dataset is the 1-disk case of the same storage
@@ -468,28 +465,16 @@ class Dataset:
         # everything validated: a failed call (unknown strategy, bad
         # chunk shape, too few disks for k, exhausted volume) must leave
         # the dataset intact
-        entry = STRATEGIES.get(strategy)
-        align = None
-        if chunk_shape is None and entry.align_cubes \
-                and self._layout_entry.wiring == "volume":
-            # the basic-cube granule that keeps every cube intact on
-            # one disk; ShardMap.build picks the aligned split axis.
-            # A 1-disk probe volume suffices — the granule depends only
-            # on the (identical) drives' zones and adjacency depth
-            align = self._basic_cube_sides(
-                LogicalVolume([self._drive_factory()], depth=self.depth)
-            )
+        STRATEGIES.get(strategy)
         shard_map = ShardMap.build(
-            self.shape, n, strategy, chunk_shape=chunk_shape, align=align
+            self.shape, n, strategy, chunk_shape=chunk_shape
         )
-        replicas = self._replica_spec or {}
-        if replicas:
-            self._validate_replica_k(int(replicas["k"]), n)
-        self._rebuild(shard_map, **replicas)
+        k = self.replication_k
+        self._validate_replica_k(k, n)
+        self._rebuild(shard_map, k)
         # record the RESOLVED chunk shape (chunk 0 is always full-size),
-        # so with_layout clones rebuild the identical chunk grid even
-        # when this layout's alignment shaped the default — the fairness
-        # condition for cross-layout comparisons
+        # so with_layout clones rebuild the identical chunk grid — the
+        # fairness condition for cross-layout comparisons
         self._shard_spec = dict(
             n_shards=n, strategy=strategy,
             chunk_shape=shard_map.chunks[0].shape,
@@ -500,23 +485,16 @@ class Dataset:
     # replication (fault tolerance across member disks)
     # ------------------------------------------------------------------
 
-    def with_replication(self, k: int, placement: str = "rotated",
-                         read_policy: str = "primary") -> "Dataset":
+    def with_replication(self, k: int) -> "Dataset":
         """Keep ``k`` copies of every chunk on distinct member disks
         (chainable; shard first).
 
         The storage manager is rebuilt with ``k`` copies: copy 0 of
         every chunk stays exactly where :meth:`with_shards` placed it
-        (replica mappers allocate after every primary), reads route to a
-        copy picked by the read policy registered as ``read_policy``
-        (:data:`repro.replica.READ_POLICIES`: ``primary``,
-        ``round_robin``, ``least_loaded``), and replica homes come from
-        the placement registered as ``placement``
-        (:data:`repro.replica.PLACEMENTS`: ``rotated`` chained
-        declustering, or ``locality_aligned`` to keep replicas of
-        adjacent chunks together).  Both are names: any other value
-        raises :class:`~repro.errors.RegistryError` with the dataset
-        unchanged.
+        (replica mappers allocate after every primary), copy r of a
+        chunk whose primary is disk d lives on disk (d + r) mod n
+        (chained declustering, :meth:`repro.replica.ReplicaMap.build`),
+        and every read goes to the lowest copy on a live disk.
         Killing a member disk (``storage.fail_disk`` between queries,
         :meth:`TrafficRun.kill <repro.api.traffic.TrafficRun.kill>` in
         a storm) transparently diverts reads to surviving copies.
@@ -524,8 +502,6 @@ class Dataset:
         ``with_replication(1)`` changes nothing but
         :attr:`is_replicated`.
         """
-        from repro.replica import PLACEMENTS, READ_POLICIES
-
         self._check_rebuild("with_replication", "replicate")
         if self._shard_spec is None:
             raise DatasetError(
@@ -534,13 +510,8 @@ class Dataset:
             )
         k = _check_count("k", k, DatasetError)
         self._validate_replica_k(k, int(self._shard_spec["n_shards"]))
-        # validate names before rebuilding, so a typo leaves the
-        # dataset untouched
-        PLACEMENTS.get(placement)
-        READ_POLICIES.get(read_policy)
-        replicas = dict(k=k, placement=placement, read_policy=read_policy)
-        self._rebuild(self.storage.shard_map, **replicas)
-        self._replica_spec = replicas
+        self._rebuild(self.storage.shard_map, k)
+        self._replica_spec = dict(k=k)
         return self
 
     def _check_rebuild(self, method: str, verb: str) -> None:
@@ -559,14 +530,15 @@ class Dataset:
                 f"(or use with_cache)"
             )
 
-    def _rebuild(self, shard_map, **replicas) -> None:
-        """Build the manager for ``shard_map`` on a fresh identical
-        volume, then commit it (and a fresh pool for the cache spec)."""
+    def _rebuild(self, shard_map, k: int) -> None:
+        """Build the manager for ``shard_map`` with ``k`` copies on a
+        fresh identical volume, then commit it (and a fresh pool for the
+        cache spec)."""
         volume = LogicalVolume(
             [self._drive_factory() for _ in range(shard_map.n_disks)],
             depth=self.depth,
         )
-        storage = self._build_storage(volume, shard_map, **replicas)
+        storage = self._build_storage(volume, shard_map, k)
         self.volume = volume
         self._storage = storage
         if self._cache_spec is not None:
@@ -602,25 +574,6 @@ class Dataset:
             else self.storage.replica_map
         )
 
-    def _basic_cube_sides(self, volume=None) -> tuple[int, ...]:
-        """The basic-cube sides K the unsharded MultiMap placement would
-        plan (outer-zone candidate) — the ``cube_aligned`` granule:
-        chunk boundaries land on this plan's cube boundaries, so
-        sharding never cuts through what the single-disk layout would
-        have kept as one cube.  (Each chunk's mapper then plans its own
-        cubes for the chunk's dimensions.)"""
-        from repro.core.planner import plan_basic_cube
-
-        volume = self.volume if volume is None else volume
-        zone_infos = volume.zones(0)
-        t_outer = zone_infos[0].track_length // self.cell_blocks
-        min_tracks = min(z.tracks for z in zone_infos)
-        plan = plan_basic_cube(
-            self.shape, t_outer, min_tracks, volume.depth(0),
-            strategy=self.layout_opts.get("strategy", "compact"),
-        )
-        return plan.K
-
     @property
     def n_shards(self) -> int:
         """Member-disk count (1 until :meth:`with_shards`)."""
@@ -641,7 +594,7 @@ class Dataset:
     # caching
     # ------------------------------------------------------------------
 
-    def with_cache(self, capacity_blocks: int, policy: str = "lru",
+    def with_cache(self, capacity_blocks: int,
                    prefetch: str = "none") -> "Dataset":
         """Attach a fresh :class:`~repro.cache.BufferPool` (chainable).
 
@@ -651,8 +604,8 @@ class Dataset:
         ``with_layout`` clones carry the same spec with a private pool,
         keeping layout comparisons fair.  ``capacity_blocks == 0`` (the
         default state) detaches any pool: queries then run exactly as on
-        a dataset that never had one.  ``policy`` / ``prefetch`` are
-        names registered in :data:`~repro.cache.POLICIES` /
+        a dataset that never had one.  The pool evicts the least
+        recently used block; ``prefetch`` is a name registered in
         :data:`~repro.cache.PREFETCHERS`, checked on every call, so a
         typo in a sweep's capacity-0 baseline fails loudly instead of
         running uncached.
@@ -660,21 +613,19 @@ class Dataset:
         capacity_blocks = _check_count("capacity_blocks", capacity_blocks,
                                        DatasetError, low=0)
         from repro.cache import BufferPool
-        from repro.cache.policies import make_policy
         from repro.cache.prefetch import make_prefetcher
 
         if not capacity_blocks:
-            # no pool is built, but the names are checked all the same
-            make_policy(policy, 1)
+            # no pool is built, but the name is checked all the same
             make_prefetcher(prefetch)
             self._cache_spec = None
             self._stack().cache = None
             return self
         # construct the pool before committing the spec, so a rejected
         # configuration leaves the dataset (and its describe()) unchanged
-        pool = BufferPool(capacity_blocks, policy, prefetch)
+        pool = BufferPool(capacity_blocks, prefetch)
         self._cache_spec = dict(capacity_blocks=capacity_blocks,
-                                policy=policy, prefetch=prefetch)
+                                prefetch=prefetch)
         self._stack().cache = pool
         return self
 
@@ -687,20 +638,19 @@ class Dataset:
     # telemetry (repro.obs) — per-query tracing and metrics
     # ------------------------------------------------------------------
 
-    def with_telemetry(self, trace: bool = True, metrics: bool = True,
-                       exporter: str | None = None) -> "Dataset":
+    def with_telemetry(self, trace: bool = True,
+                       metrics: bool = True) -> "Dataset":
         """Attach a fresh :class:`~repro.obs.Telemetry` (chainable).
 
         ``trace`` records one deterministic span tree per query (phases:
         prepare, cache, per-disk service with seek/rotate/transfer
         attribution, ingest flush, failover, reorganisation);
         ``metrics`` accumulates counters and latency histograms;
-        ``exporter`` names a default :data:`~repro.obs.EXPORTERS` entry
-        (``jsonl``, ``chrome``, ``prometheus``) for
-        ``ds.telemetry.export()``.  ``trace=False, metrics=False``
-        detaches — the default state, in which every result and
-        report is bit-identical to a build without telemetry (the same
-        parity guarantee ``with_cache(0)`` gives).  The handle survives
+        ``ds.telemetry.export()`` renders the spans as Chrome trace
+        JSON.  ``trace=False, metrics=False`` detaches — the default
+        state, in which every result and report is bit-identical to a
+        build without telemetry (the same parity guarantee
+        ``with_cache(0)`` gives).  The handle survives
         :meth:`with_shards`/:meth:`with_replication` rebuilds, and
         :meth:`with_layout` clones carry the spec with a private
         recording.
@@ -711,12 +661,8 @@ class Dataset:
             return self
         from repro.obs import Telemetry
 
-        self._stack().obs = Telemetry(
-            trace=trace, metrics=metrics, exporter=exporter
-        )
-        self._obs_spec = dict(
-            trace=bool(trace), metrics=bool(metrics), exporter=exporter
-        )
+        self._stack().obs = Telemetry(trace=trace, metrics=metrics)
+        self._obs_spec = dict(trace=bool(trace), metrics=bool(metrics))
         return self
 
     @property
@@ -763,19 +709,23 @@ class Dataset:
 
         ``stream`` and ``loader`` are names in the
         :data:`repro.ingest.STREAMS` / :data:`repro.ingest.LOADERS`
-        registries, checked now so a typo'd sweep cell fails loudly: a
-        stream that is not a string raises :class:`DatasetError`, an
-        unknown stream or any loader that is not a registered name
-        :class:`~repro.errors.RegistryError`.  The other keywords are
-        the run options of :meth:`ingest` (``n_points``, ``batch_points``,
-        ``flush_points``, ``seed``, ``reorganize``, ``loader_opts``)
-        and the stream's own (``n_clusters``, ``spread``, ``coords``),
-        and become the defaults of its runs.  The spec is carried
-        through :meth:`with_layout` clones — like the cache spec — so
-        per-layout ingest comparisons share their write workload, and it
-        survives :meth:`with_shards` / :meth:`with_replication` (which
-        mutate in place).
+        registries: a stream that is not a string raises
+        :class:`DatasetError`, an unknown stream or any loader that is
+        not a registered name :class:`~repro.errors.RegistryError`.  The
+        other keywords are the run options of :meth:`ingest`
+        (``n_points``, ``batch_points``, ``flush_points``, ``seed``,
+        ``reorganize``, ``loader_opts``) and the stream's own
+        (``n_clusters``, ``spread``), and become the defaults of its
+        runs.  The whole spec is checked now, as a run built from it
+        alone checks it (:class:`~repro.api.ingest.IngestRun`), so a
+        typo'd sweep cell fails where it is written: a bad option raises
+        :class:`~repro.errors.IngestError` and the dataset keeps its
+        previous spec.  The spec is carried through :meth:`with_layout`
+        clones — like the cache spec — so per-layout ingest comparisons
+        share their write workload, and it survives :meth:`with_shards`
+        / :meth:`with_replication` (which mutate in place).
         """
+        from repro.api.ingest import IngestRun
         from repro.ingest import LOADERS, STREAMS
 
         if not isinstance(stream, str):
@@ -785,7 +735,9 @@ class Dataset:
             )
         STREAMS.get(stream)
         LOADERS.get(loader)
-        self._ingest_spec = dict(stream=stream, loader=loader, **opts)
+        spec = dict(stream=stream, loader=loader, **opts)
+        IngestRun(self, spec)
+        self._ingest_spec = spec
         return self
 
     def ingest(self, **overrides) -> "IngestRun":
@@ -795,7 +747,7 @@ class Dataset:
         top of any :meth:`with_ingest` spec."""
         from repro.api.ingest import IngestRun
 
-        return IngestRun(self, overrides)
+        return IngestRun(self, {**(self._ingest_spec or {}), **overrides})
 
     def run(self, queries: Iterable | QueryBatch | None = None, *,
             repeats: int | None = None,
@@ -981,7 +933,13 @@ class Dataset:
         }
         if self._cache_spec is not None:
             # gated so uncached datasets keep the pre-cache JSON layout
-            out["cache"] = dict(self._cache_spec)
+            from repro.cache import LRUPolicy
+
+            out["cache"] = dict(
+                capacity_blocks=self._cache_spec["capacity_blocks"],
+                policy=LRUPolicy.name,
+                prefetch=self._cache_spec["prefetch"],
+            )
         if self.n_shards > 1:
             # gated on > 1: a one-disk dataset reports as a plain one
             # (it runs identically, the one-storage-path guarantee)
@@ -989,7 +947,11 @@ class Dataset:
         if self.replication_k > 1:
             # gated on k > 1: every dataset holds one copy unless
             # replicated
-            out["replicas"] = dict(self._replica_spec)
+            from repro.replica import PLACEMENT, READ_POLICY
+
+            out["replicas"] = dict(k=self.replication_k,
+                                   placement=PLACEMENT,
+                                   read_policy=READ_POLICY)
         if self._obs_spec is not None:
             # gated so detached datasets keep the pre-obs JSON layout
             out["obs"] = dict(self._obs_spec)

@@ -15,12 +15,12 @@ A run's options are the keywords of :meth:`Dataset.ingest
 registered name, ``n_points``, ``batch_points``, ``flush_points``,
 ``seed``, ``reorganize`` and ``loader_opts`` (a dict of the loader's
 own keywords); every other keyword goes to the stream.  They are
-checked when the run is built (sizes, seed, the loader name and the
-names of its options, the stream and its keywords, so a keyword the
-stream or the loader does not take raises
-:class:`~repro.errors.IngestError`) or when :meth:`IngestRun.run`
-builds the plan (the loader options' values), before the loader
-re-chunks the dataset or any block is written.
+checked when the run is built, and when ``with_ingest`` stores them
+(sizes, seed, the loader name and the names of its options, the stream
+and its keywords, so a keyword the stream or the loader does not take
+raises :class:`~repro.errors.IngestError`), or when
+:meth:`IngestRun.run` builds the plan (the loader options' values),
+before the loader re-chunks the dataset or any block is written.
 
 When the resolved plan suggests a chunk shape (the adaptive loader on a
 sharded dataset) the run re-chunks the dataset *before* building the
@@ -51,17 +51,18 @@ __all__ = ["IngestRun"]
 class IngestRun:
     """One synchronous ingest run against a dataset.
 
-    Options merge ``dataset.with_ingest(...)`` defaults with per-run
-    overrides.  The run's own are consumed here; every other keyword
-    goes to the stream factory (``n_clusters``, ``spread``, ``coords``),
-    and the stream is built now, so a bad stream option — a retired run
-    keyword included — raises :class:`IngestError` when the run is
-    built.
+    ``spec`` holds the run's options: :meth:`Dataset.ingest
+    <repro.api.Dataset.ingest>` layers its overrides on the
+    ``with_ingest(...)`` defaults.  The run's own are consumed here;
+    every other keyword goes to the stream factory (``n_clusters``,
+    ``spread``), and the stream is built now, so a bad stream option — a
+    retired run keyword included — raises :class:`IngestError` when the
+    run is built.  Building a run draws nothing from the dataset's
+    generators.
     """
 
-    def __init__(self, dataset, overrides: dict | None = None):
-        spec = dict(dataset._ingest_spec or {})
-        spec.update(overrides or {})
+    def __init__(self, dataset, spec: dict):
+        spec = dict(spec)
         self.dataset = dataset
         stream = spec.pop("stream", "uniform")
         self.loader = resolve_loader(spec.pop("loader", "fixed"))

@@ -14,10 +14,11 @@ chainable builder that owns seeding and wiring::
 
 Each setting has one form: clients come from :meth:`TrafficRun
 .clients` (the arrival model is a :class:`~repro.traffic.arrivals
-.ClosedLoop`, :class:`~repro.traffic.arrivals.PoissonArrivals` or
-:class:`~repro.traffic.arrivals.BurstyArrivals`), and a disk failure
-from :meth:`TrafficRun.kill`.  A storm only reads: writes go through
-:meth:`Dataset.ingest <repro.api.Dataset.ingest>` runs between storms.
+.ClosedLoop` or a :class:`~repro.traffic.arrivals.PoissonArrivals`),
+and a disk failure from :meth:`TrafficRun.kill`.  Every query starts
+from a random head position drawn from its client's stream.  A storm
+only reads: writes go through :meth:`Dataset.ingest
+<repro.api.Dataset.ingest>` runs between storms.
 
 Seeding: each client receives the next child generator of the dataset's
 seed sequence (:meth:`Dataset.rng`), in the order the clients were
@@ -47,7 +48,6 @@ class TrafficRun:
         self._dataset = dataset
         self._specs: list[tuple] = []  # (name, mix, arrival, n_queries)
         self._slice_runs: int | None = 256
-        self._head = "random"
         self._failure_events: list = []
 
     # ------------------------------------------------------------------
@@ -89,12 +89,6 @@ class TrafficRun:
         An integer >= 1 or None; anything else makes :meth:`run` raise
         :class:`QueryError` before any client is built."""
         self._slice_runs = n
-        return self
-
-    def head(self, mode: str) -> "TrafficRun":
-        """``"random"`` (per-query random start, paper methodology) or
-        ``"carry"`` (position carries over; idle time spins the platter)."""
-        self._head = mode
         return self
 
     # ------------------------------------------------------------------
@@ -139,8 +133,7 @@ class TrafficRun:
             raise QueryError("add at least one client before run()")
         _check_rng(rng)
         # checked before any client draws from the dataset's generators
-        config = TrafficConfig(slice_runs=self._slice_runs,
-                               head=self._head)
+        config = TrafficConfig(slice_runs=self._slice_runs)
         ds = self._dataset
         n_clients = len(self._specs)
         if rng is None:

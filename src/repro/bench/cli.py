@@ -19,8 +19,8 @@ and four run one job each:
                it against a pinned baseline such as ``BENCH_perf.json``
                and exits 1 on regression (:mod:`repro.perf.sweep`)
 ``trace``      one telemetry-attached storm: slowest queries, phase
-               totals, per-disk utilisation; ``--export`` writes the
-               span trace (:mod:`repro.obs.trace_cmd`)
+               totals, per-disk utilisation; ``--trace-out`` writes the
+               span trace as Chrome JSON (:mod:`repro.obs.trace_cmd`)
 ``explain``    a query's plan and predicted cost per layout;
                ``--analyze`` reconciles it against one execution,
                ``--model`` prints the analytic model (:mod:`repro.explain`)
@@ -45,25 +45,24 @@ registered names with descriptions and exit.
 
 Examples::
 
-    repro-bench --list-layouts --list-drives
-    repro-bench --list-policies --list-prefetchers
-    repro-bench --list-placements --list-read-policies
+    repro-bench --list-layouts --list-drives --list-prefetchers
     repro-bench --scale small --figure fig6a
     repro-bench --scale paper --out results/
     repro-bench traffic --shape 64,64,32 --clients 1,2,4 --queries 10
     repro-bench traffic --arrival poisson --rate 50 --json storm.json
     repro-bench cache --shape 32,16,16 --capacities 0,1024,4096
-    repro-bench cache --policy slru --prefetch track --json curve.json
+    repro-bench cache --prefetch none --json curve.json
     repro-bench scale --shape 64,64,32 --shards 1,2,4,8
-    repro-bench scale --strategy cube_aligned --json scale.json
+    repro-bench scale --strategy round_robin --json scale.json
     repro-bench avail --shape 64,16,16 --disks 3 --ks 1,2,3
-    repro-bench avail --placement locality_aligned --json avail.json
+    repro-bench avail --kill-disk 0 --json avail.json
     repro-bench --list-loaders --list-streams
     repro-bench ingest --shape 64,16,16 --stream clustered --k 2
     repro-bench ingest --loaders fixed,adaptive --json ingest.json
     repro-bench perf --json BENCH_perf.json
     repro-bench perf --check BENCH_perf.json --json results/perf.json
     repro-bench trace --shape 24,12,12 --drive minidrive --json run_a.json
+    repro-bench trace --shape 24,12,12 --trace-out results/trace.json
     repro-bench diff run_a.json run_b.json --tolerance 0.05
     repro-bench --list-costs
     repro-bench explain --shape 240,12,12 --layouts multimap,zorder
@@ -115,20 +114,33 @@ def _emit(args, data: dict, render, default_name: str) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type for counts that must be >= 1 (a zero or negative
-    value would silently render an empty table)."""
+def _int_at_least(text: str, low: int, what: str) -> int:
+    """``text`` as an integer of at least ``low``; anything else exits 2
+    through argparse with a message naming ``what`` it must be."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer, got {text!r}"
         ) from None
-    if value <= 0:
+    if value < low:
         raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}"
+            f"must be a {what} integer, got {value}"
         )
     return value
+
+
+def _positive_int(text: str) -> int:
+    """Argparse type for counts that must be >= 1 (a zero or negative
+    value would silently render an empty table or fail mid-run)."""
+    return _int_at_least(text, 1, "positive")
+
+
+def _nonnegative_int(text: str) -> int:
+    """Argparse type for an integer >= 0: a seed, a disk or axis index,
+    or a count where 0 means none (``--slice-runs 0`` is whole queries,
+    ``--cache-blocks 0`` no pool)."""
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -140,6 +152,45 @@ def _csv_ints(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
+
+
+def _csv_ints_at_least(text: str, low: int,
+                       what: str) -> tuple[int, ...]:
+    """``text`` as comma-separated integers, each at least ``low``."""
+    values = _csv_ints(text)
+    for value in values:
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"each entry must be a {what} integer, got {value}"
+            )
+    return values
+
+
+def _csv_positive_ints(text: str) -> tuple[int, ...]:
+    """Argparse type for comma-separated counts or dims, each >= 1."""
+    return _csv_ints_at_least(text, 1, "positive")
+
+
+def _csv_nonnegative_ints(text: str) -> tuple[int, ...]:
+    """Argparse type for comma-separated integers, each >= 0 (pool
+    capacities, where 0 is the uncached baseline)."""
+    return _csv_ints_at_least(text, 0, "non-negative")
+
+
+def _sweep_values(parse):
+    """Argparse type for a swept list: ``parse(text)``, refused unless it
+    holds at least one value and no value twice, as
+    :func:`repro.bench.sweep.run_sweep` requires."""
+
+    def check(text: str) -> tuple:
+        values = parse(text)
+        if not values or len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(
+                f"a sweep needs distinct values, at least one; got {text!r}"
+            )
+        return values
+
+    return check
 
 
 def _csv_strs(text: str) -> tuple[str, ...]:
@@ -188,9 +239,8 @@ def _check_mix_axes(p, args) -> None:
 def _arrival_value(model, field: str):
     """Argparse type for a storm flag that becomes arrival ``model``'s
     ``field``, checked as that model checks it: ``--rate`` as
-    :class:`PoissonArrivals`'s ``rate_qps`` (the bursty model's rate
-    has the same bound), ``--think-ms`` as :class:`ClosedLoop`'s
-    ``think_ms``."""
+    :class:`PoissonArrivals`'s ``rate_qps``, ``--think-ms`` as
+    :class:`ClosedLoop`'s ``think_ms``."""
 
     def parse(text: str) -> float:
         try:
@@ -220,31 +270,35 @@ def _add_output_flags(p, quiet_help: str = "suppress table output") -> None:
 #: take: :func:`repro.traffic.storm.run_storm` (``traffic``) and
 #: :func:`repro.traffic.storm.run_one_storm` (``trace``)
 _STORM_KEYS = ("clients", "queries", "mix", "arrival", "rate", "think_ms",
-               "slice_runs", "head")
+               "slice_runs")
 
 
 def _add_storm_flags(p, *, sweep: bool, clients, queries: int) -> None:
     """The storm workload flags (:data:`_STORM_KEYS`).  ``traffic``
     sweeps layouts x client counts (``sweep``: ``clients`` is a
     comma-separated list, and :func:`_add_sweep_parser` adds the dataset
-    flags); ``trace`` runs one storm on one layout."""
+    flags); ``trace`` runs one storm on one layout.  Client and query
+    counts are at least 1 (no client count swept twice) and
+    ``--slice-runs`` at least 0, checked while parsing."""
     if sweep:
-        p.add_argument("--clients", default=clients, type=_csv_ints,
+        p.add_argument("--clients", default=clients,
+                       type=_sweep_values(_csv_positive_ints),
                        help="comma-separated client counts to sweep")
     else:
-        p.add_argument("--shape", default="64,64,32", type=_csv_ints,
+        p.add_argument("--shape", default="64,64,32",
+                       type=_csv_positive_ints,
                        help="dataset dims, comma-separated (default "
                        "64,64,32)")
         p.add_argument("--layout", default="multimap",
                        help="registered layout (default multimap)")
         p.add_argument("--drive", default="atlas10k3",
                        help="registered drive model (default atlas10k3)")
-        p.add_argument("--seed", type=int, default=42,
+        p.add_argument("--seed", type=_nonnegative_int, default=42,
                        help="base seed; every client stream derives from "
                        "it")
-        p.add_argument("--clients", type=int, default=clients,
+        p.add_argument("--clients", type=_positive_int, default=clients,
                        help=f"concurrent clients (default {clients})")
-    p.add_argument("--queries", type=int, default=queries,
+    p.add_argument("--queries", type=_positive_int, default=queries,
                    help=f"queries per client (default {queries})")
     p.add_argument("--mix", default=None, type=_parse_mix,
                    help="query mix, e.g. 'beam:1,beam:2,range:1.0' "
@@ -256,13 +310,10 @@ def _add_storm_flags(p, *, sweep: bool, clients, queries: int) -> None:
                    help="closed-loop think time in ms")
     p.add_argument("--rate", default=50.0,
                    type=_arrival_value(PoissonArrivals, "rate_qps"),
-                   help="per-client rate for poisson (q/s) or bursty "
-                   "(bursts/s)")
-    p.add_argument("--slice-runs", type=int, default=64,
+                   help="per-client poisson rate (q/s)")
+    p.add_argument("--slice-runs", type=_nonnegative_int, default=64,
                    help="runs per service slice; 0 = whole query per "
                    "batch (default 64)")
-    p.add_argument("--head", choices=("random", "carry"), default="random",
-                   help="per-query random head position or carry-over")
 
 
 def _storm_kwargs(args) -> dict:
@@ -308,16 +359,19 @@ def _add_sweep_parser(subparsers, name: str, keys, *,
     caller adds the sweep's own flags, each with its runner keyword as
     ``dest``, and lists those keywords in ``keys``."""
     p = subparsers.add_parser(name, **parser_kw)
-    p.add_argument("--shape", default=shape, type=_csv_ints,
+    p.add_argument("--shape", default=shape, type=_csv_positive_ints,
                    help=f"dataset dims, comma-separated (default {shape})")
     p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
-                   type=_csv_strs, help="comma-separated registered layouts")
+                   type=_sweep_values(_csv_strs),
+                   help="comma-separated registered layouts")
     p.add_argument("--drive", default=drive,
                    help=f"registered drive model (default {drive})")
-    p.add_argument("--seed", type=int, default=42, help=seed_help)
+    p.add_argument("--seed", type=_nonnegative_int, default=42,
+                   help=seed_help)
     keys = ("layouts", "drive", "seed") + tuple(keys)
     if beams is not None:
-        p.add_argument("--beams", dest="n_beams", type=int, default=beams,
+        p.add_argument("--beams", dest="n_beams", type=_positive_int,
+                       default=beams,
                        help=f"beams in the workload (default {beams})")
         p.add_argument("--axes", default=axes, type=_csv_ints,
                        help="beam axes, cycled (default: "
@@ -343,7 +397,7 @@ def _add_traffic_parser(subparsers) -> None:
 def _add_cache_parser(subparsers) -> None:
     p = _add_sweep_parser(
         subparsers, "cache",
-        ("capacities", "policy", "prefetch", "repeats", "region_frac"),
+        ("capacities", "prefetch", "repeats", "region_frac"),
         shape="120,16,16", drive="minidrive", beams=16, axes="1",
         help="hit-ratio-vs-capacity sweep per layout",
         description="Replay a seeded overlapping-beam workload against "
@@ -353,14 +407,12 @@ def _add_cache_parser(subparsers) -> None:
         "fills whole minidrive tracks along dim 0.",
     )
     p.add_argument("--capacities", default="0,4096,12288,24576",
-                   type=_csv_ints,
+                   type=_sweep_values(_csv_nonnegative_ints),
                    help="comma-separated pool capacities in blocks "
                    "(0 = uncached baseline)")
-    p.add_argument("--policy", default="lru",
-                   help="eviction policy (lru, slru, scan, or registered)")
     p.add_argument("--prefetch", default="track",
-                   help="prefetcher (none, track, adjacent, or registered)")
-    p.add_argument("--repeats", type=int, default=3,
+                   help="prefetcher (none, track, or registered)")
+    p.add_argument("--repeats", type=_positive_int, default=3,
                    help="rounds over the same beams (default 3)")
     p.add_argument("--region", dest="region_frac", type=float, default=0.4,
                    help="fraction of each dim beam anchors cluster in")
@@ -378,11 +430,11 @@ def _add_scale_parser(subparsers) -> None:
         "locality dividend.",
     )
     p.add_argument("--shards", dest="shard_counts", default="1,2,4",
-                   type=_csv_ints,
+                   type=_sweep_values(_csv_positive_ints),
                    help="comma-separated shard counts to sweep")
     p.add_argument("--strategy", default="disk_modulo",
                    help="registered declustering strategy "
-                   "(round_robin, disk_modulo, cube_aligned, ...)")
+                   "(round_robin, disk_modulo, ...)")
     p.add_argument("--split-axis", type=int, default=1,
                    help="axis the chunking slabs (default 1)")
 
@@ -390,7 +442,7 @@ def _add_scale_parser(subparsers) -> None:
 def _add_avail_parser(subparsers) -> None:
     p = _add_sweep_parser(
         subparsers, "avail",
-        ("ks", "n_disks", "placement", "read_policy", "kill_disk"),
+        ("ks", "n_disks", "kill_disk"),
         shape="64,16,16", beams=8,
         seed_help="workload + head-position + victim seed",
         help="availability/overhead-vs-k sweep per layout",
@@ -400,17 +452,13 @@ def _add_avail_parser(subparsers) -> None:
         "single-failure availability — the fault-tolerance half of "
         "MultiMap's locality dividend.",
     )
-    p.add_argument("--ks", default="1,2,3", type=_csv_ints,
+    p.add_argument("--ks", default="1,2,3",
+                   type=_sweep_values(_csv_positive_ints),
                    help="comma-separated replication factors to sweep")
-    p.add_argument("--disks", dest="n_disks", type=int, default=3,
+    p.add_argument("--disks", dest="n_disks", type=_positive_int,
+                   default=3,
                    help="member disks (>= max k, default 3)")
-    p.add_argument("--placement", default="rotated",
-                   help="registered replica placement "
-                   "(rotated, locality_aligned, ...)")
-    p.add_argument("--read-policy", default="primary",
-                   help="registered read policy "
-                   "(primary, round_robin, least_loaded, ...)")
-    p.add_argument("--kill-disk", type=int, default=None,
+    p.add_argument("--kill-disk", type=_nonnegative_int, default=None,
                    help="member disk to kill (default: seeded draw)")
 
 
@@ -428,20 +476,22 @@ def _add_ingest_parser(subparsers) -> None:
         "overflow per mapping — the write-path half of MultiMap's "
         "locality dividend.",
     )
-    p.add_argument("--loaders", default="fixed,adaptive", type=_csv_strs,
+    p.add_argument("--loaders", default="fixed,adaptive",
+                   type=_sweep_values(_csv_strs),
                    help="comma-separated registered loaders")
     p.add_argument("--stream", default="clustered",
-                   help="registered record stream "
-                   "(uniform, clustered, drifting)")
-    p.add_argument("--points", dest="n_points", type=int, default=4096,
+                   help="registered record stream (uniform, clustered)")
+    p.add_argument("--points", dest="n_points", type=_positive_int,
+                   default=4096,
                    help="points streamed per cell (default 4096)")
-    p.add_argument("--batch-points", type=int, default=256,
+    p.add_argument("--batch-points", type=_positive_int, default=256,
                    help="points per arriving batch (default 256)")
-    p.add_argument("--flush-points", type=int, default=1024,
+    p.add_argument("--flush-points", type=_positive_int, default=1024,
                    help="per-disk backlog that triggers a flush")
-    p.add_argument("--shards", dest="n_shards", type=int, default=2,
+    p.add_argument("--shards", dest="n_shards", type=_positive_int,
+                   default=2,
                    help="member disks (default 2)")
-    p.add_argument("--k", type=int, default=1,
+    p.add_argument("--k", type=_positive_int, default=1,
                    help="replication factor (default 1)")
     p.add_argument("--strategy", default="disk_modulo",
                    help="registered declustering strategy")
@@ -461,20 +511,12 @@ _LISTINGS = (
      "print registered drive-model names and exit"),
     ("list_strategies", "strategies", "repro.lvm.striping", "STRATEGIES",
      "print registered declustering strategies and exit"),
-    ("list_policies", "cache policies", "repro.cache", "POLICIES",
-     "print registered cache eviction policies and exit"),
     ("list_prefetchers", "prefetchers", "repro.cache", "PREFETCHERS",
      "print registered cache prefetchers and exit"),
-    ("list_placements", "replica placements", "repro.replica",
-     "PLACEMENTS", "print registered replica placements and exit"),
-    ("list_read_policies", "read policies", "repro.replica",
-     "READ_POLICIES", "print registered replica read policies and exit"),
     ("list_loaders", "bulk loaders", "repro.ingest", "LOADERS",
      "print registered bulk loaders and exit"),
     ("list_streams", "record streams", "repro.ingest", "STREAMS",
      "print registered record streams and exit"),
-    ("list_exporters", "trace exporters", "repro.obs", "EXPORTERS",
-     "print registered trace exporters and exit"),
     ("list_costs", "dominant-cost classes", "repro.explain",
      "COST_CLASSES",
      "print the dominant-cost classifier's classes and exit"),
@@ -556,29 +598,29 @@ def _add_perf_parser(subparsers) -> None:
         " before timing is trusted).  With --check, gate the numbers "
         "against a pinned baseline JSON and exit 1 on regression.",
     )
-    p.add_argument("--shape", default="64,64,32", type=_csv_ints,
+    p.add_argument("--shape", default="64,64,32", type=_csv_positive_ints,
                    help="dataset dims, comma-separated (default 64,64,32)")
     p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
                    help="comma-separated registered layouts")
     p.add_argument("--drive", default="atlas10k3",
                    help="registered drive model (default atlas10k3)")
-    p.add_argument("--beams", type=int, default=12,
+    p.add_argument("--beams", type=_nonnegative_int, default=12,
                    help="beams in the workload, axes cycled (default 12)")
-    p.add_argument("--ranges", type=int, default=4,
+    p.add_argument("--ranges", type=_nonnegative_int, default=4,
                    help="random range cubes in the workload (default 4)")
     p.add_argument("--selectivity", type=float, default=12.5,
                    help="range-cube selectivity in percent (default 12.5)")
-    p.add_argument("--full-ranges", type=int, default=1,
+    p.add_argument("--full-ranges", type=_nonnegative_int, default=1,
                    help="full-box scans in the workload (default 1)")
-    p.add_argument("--repeats", type=int, default=3,
+    p.add_argument("--repeats", type=_positive_int, default=3,
                    help="timing passes, best-of (default 3)")
-    p.add_argument("--ref-plans", type=int, default=8,
+    p.add_argument("--ref-plans", type=_positive_int, default=8,
                    help="workload prefix prepared through the reference "
                    "path for the speedup metric (default 8)")
-    p.add_argument("--ref-cell-cap", type=int, default=4096,
+    p.add_argument("--ref-cell-cap", type=_positive_int, default=4096,
                    help="skip queries above this many cells in the "
                    "reference subset (default 4096)")
-    p.add_argument("--seed", type=int, default=42,
+    p.add_argument("--seed", type=_nonnegative_int, default=42,
                    help="workload seed (default 42)")
     p.add_argument("--check", default=None, metavar="BASELINE",
                    help="baseline JSON (e.g. BENCH_perf.json) to gate "
@@ -598,21 +640,14 @@ def _trace_main(args) -> int:
     from repro.obs.trace_cmd import render_trace, run_trace
 
     data, tele = run_trace(
-        args.shape,
-        top=args.top,
-        bins=args.bins,
-        exporter=args.export,
-        **_storm_kwargs(args),
+        args.shape, top=args.top, bins=args.bins, **_storm_kwargs(args),
     )
     if not args.quiet:
         print(render_trace(data))
-    if args.export:
-        text = tele.export(args.export, path=args.trace_out)
-        if args.trace_out:
-            if not args.quiet:
-                print(f"wrote {args.export} trace to {args.trace_out}")
-        else:
-            print(text, end="" if text.endswith("\n") else "\n")
+    if args.trace_out:
+        tele.export(args.trace_out)
+        if not args.quiet:
+            print(f"wrote chrome trace to {args.trace_out}")
     if args.json:
         _write_json_report(args.json, data, "trace.json", args.quiet)
     return 0
@@ -626,21 +661,19 @@ def _add_trace_parser(subparsers) -> None:
         description="Run one traffic storm with tracing and metrics "
         "attached, then print the top-N slowest queries with per-phase "
         "breakdowns, aggregate phase totals, and a per-disk utilisation "
-        "timeline.  --export renders the span trace through a "
-        "registered exporter (see --list-exporters).",
+        "timeline.  --trace-out writes the span trace as Chrome "
+        "trace_event JSON.",
     )
     _add_storm_flags(p, sweep=False, clients=2, queries=8)
     p.add_argument("--top", type=_positive_int, default=5,
                    help="slowest queries to show (default 5, must be "
                    "positive)")
-    p.add_argument("--bins", type=int, default=24,
+    p.add_argument("--bins", type=_positive_int, default=24,
                    help="time bins in the utilisation timeline "
                    "(default 24)")
-    p.add_argument("--export", default=None,
-                   help="render the span trace through this exporter "
-                   "(jsonl, chrome, prometheus)")
     p.add_argument("--trace-out", default=None,
-                   help="file for the exported trace (default: stdout)")
+                   help="write the span trace to this file as Chrome "
+                   "trace_event JSON (chrome://tracing, Perfetto)")
     _add_output_flags(p)
     p.set_defaults(func=_trace_main)
 
@@ -671,7 +704,6 @@ def _explain_main(args) -> int:
         shards=args.shards,
         k=args.k,
         cache_blocks=args.cache_blocks,
-        cache_policy=args.cache_policy,
         prefetch=args.prefetch,
         seed=args.seed,
         analyze=args.analyze,
@@ -695,13 +727,13 @@ def _add_explain_parser(subparsers) -> None:
         "per phase and per disk.  --model prints the analytic model's "
         "predicted beam/range speedups.",
     )
-    p.add_argument("--shape", default="240,12,12", type=_csv_ints,
+    p.add_argument("--shape", default="240,12,12", type=_csv_positive_ints,
                    help="dataset dimensions, comma separated")
     p.add_argument("--layouts", default="multimap",
                    help="comma-separated layouts to explain")
     p.add_argument("--drive", default="minidrive",
                    help="drive model (see --list-drives)")
-    p.add_argument("--axis", type=int, default=None,
+    p.add_argument("--axis", type=_nonnegative_int, default=None,
                    help="beam axis (default 0)")
     p.add_argument("--fixed", default=None, type=_csv_ints,
                    help="beam's pinned coordinates, comma separated "
@@ -712,13 +744,12 @@ def _add_explain_parser(subparsers) -> None:
                    help="shard the dataset over this many disks")
     p.add_argument("--k", type=_positive_int, default=None,
                    help="replication factor (needs --shards)")
-    p.add_argument("--cache-blocks", type=int, default=0,
+    p.add_argument("--cache-blocks", type=_nonnegative_int, default=0,
                    help="attach a buffer pool of this many blocks")
-    p.add_argument("--cache-policy", default="lru",
-                   help="pool eviction policy (see --list-policies)")
     p.add_argument("--prefetch", default="none",
                    help="pool prefetcher (see --list-prefetchers)")
-    p.add_argument("--seed", type=int, default=42, help="base seed")
+    p.add_argument("--seed", type=_nonnegative_int, default=42,
+                   help="base seed")
     p.add_argument("--analyze", action="store_true",
                    help="execute the query once and reconcile "
                    "predicted vs measured cost")

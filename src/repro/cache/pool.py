@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cache.policies import make_policy
+from repro.cache.policies import LRUPolicy
 from repro.cache.prefetch import make_prefetcher
 from repro.disk.drive import DiskDrive
 from repro.errors import CacheError, _check_count
@@ -105,31 +105,23 @@ class BufferPool:
     capacity_blocks:
         Frames in the pool (one 512-byte block each): an integer of at
         least 1 (not a bool), else :class:`~repro.errors.CacheError`.
-    policy:
-        Eviction policy, by registered name (``"lru"``, ``"slru"``,
-        ``"scan"``).
     prefetch:
-        Prefetcher, by registered name (``"none"``, ``"track"``,
-        ``"adjacent"``).
+        Prefetcher, by registered name (``"none"``, ``"track"``).
 
-    A cached block is served in :attr:`service_ms_per_block`, the
-    drive's Ultra160-class bus cost
-    (:attr:`repro.disk.drive.DiskDrive.CACHE_BLOCK_MS`).  Demand
-    admissions arriving in one batch of at least :attr:`scan_threshold`
-    blocks, half the capacity, are flagged as a scan to the policy
-    (scan-resistant policies insert them cold).
+    Eviction is least recently used (:class:`~repro.cache.policies
+    .LRUPolicy`).  A cached block is served in
+    :attr:`service_ms_per_block`, the drive's Ultra160-class bus cost
+    (:attr:`repro.disk.drive.DiskDrive.CACHE_BLOCK_MS`).
     """
 
     #: memory service time per cached block
     service_ms_per_block = DiskDrive.CACHE_BLOCK_MS
 
-    def __init__(self, capacity_blocks: int, policy: str = "lru",
-                 prefetch: str = "none"):
+    def __init__(self, capacity_blocks: int, prefetch: str = "none"):
         self.capacity = _check_count("capacity_blocks", capacity_blocks,
                                      CacheError)
-        self.policy = make_policy(policy, self.capacity)
+        self.policy = LRUPolicy()
         self.prefetcher = make_prefetcher(prefetch)
-        self.scan_threshold = max(1, self.capacity // 2)
         self.stats = CacheStats()
         self._prefetched: set[tuple] = set()
         # per-disk LBN mirror of the policy's resident set, kept in sync
@@ -262,34 +254,30 @@ class BufferPool:
     def admit_plan(self, volume, disk: int, plan: RequestPlan) -> None:
         """Install a serviced miss plan's blocks plus their prefetch.
 
-        Demand blocks are admitted first (batches at or above
-        ``scan_threshold`` carry the scan flag); then the prefetcher's
-        targets for the same runs, minus anything already resident.
+        Demand blocks are admitted first, then the prefetcher's targets
+        for the same runs, minus anything already resident.
         """
         if plan.n_runs == 0:
             return
-        demand = expand_plan(plan)
-        scan = demand.size >= self.scan_threshold
         d = int(disk)
-        for lbn in demand.tolist():
-            self._admit((d, lbn), scan=scan, prefetch=False)
+        for lbn in expand_plan(plan).tolist():
+            self._admit((d, lbn), prefetch=False)
         targets = self.prefetcher.targets(volume, disk, plan)
         for lbn in targets.tolist():
-            self._admit((d, lbn), scan=scan, prefetch=True)
+            self._admit((d, lbn), prefetch=True)
 
-    def _admit(self, key: tuple, *, scan: bool, prefetch: bool) -> None:
+    def _admit(self, key: tuple, *, prefetch: bool) -> None:
         policy = self.policy
         if key in policy:
             # Demand re-fetch of a resident block (e.g. admitted by a
             # contending client between filter and service) is a real
             # reference: refresh recency.  A speculative prefetch that
-            # lands on a resident block is NOT — promoting on it would
-            # let repeated track prefetch push one-touch blocks into an
-            # SLRU protected segment without any demand access.
+            # lands on a resident block is NOT, and leaves its recency
+            # alone.
             if not prefetch:
                 policy.on_hit(key)
             return
-        policy.admit(key, scan=scan)
+        policy.admit(key)
         self._resident.setdefault(key[0], set()).add(key[1])
         self._resident_arr.pop(key[0], None)
         self.stats.admitted += 1
@@ -344,8 +332,8 @@ class BufferPool:
         """JSON-friendly config + lifetime stats snapshot."""
         return {
             "capacity_blocks": self.capacity,
-            "policy": self.policy.describe(),
-            "prefetch": self.prefetcher.describe(),
+            "policy": self.policy.name,
+            "prefetch": self.prefetcher.name,
             "service_ms_per_block": self.service_ms_per_block,
             "occupancy": self.occupancy,
             "stats": self.stats.to_dict(),
@@ -353,7 +341,7 @@ class BufferPool:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"BufferPool({self.capacity}, policy={self.policy.describe()!r},"
-            f" prefetch={self.prefetcher.describe()!r},"
+            f"BufferPool({self.capacity}, policy={self.policy.name!r},"
+            f" prefetch={self.prefetcher.name!r},"
             f" occupancy={self.occupancy})"
         )

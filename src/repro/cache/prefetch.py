@@ -1,10 +1,9 @@
 """Prefetchers: layout-knowledge-driven readahead for the buffer pool.
 
 A prefetcher turns the *miss runs* a query just serviced into the set of
-LBNs worth pulling into the pool alongside them.  Both non-trivial
-builtins exploit exactly the knowledge MultiMap itself builds on — the
-LVM's exported geometry and adjacency interfaces (paper §3.2), never raw
-disk internals:
+LBNs worth pulling into the pool alongside them.  The track prefetcher
+exploits exactly the knowledge MultiMap itself builds on — the LVM's
+exported geometry interface (paper §3.2), never raw disk internals:
 
 ``"none"``
     No prefetch (demand blocks only).
@@ -16,12 +15,6 @@ disk internals:
     naive) this is nearly free of pollution — a query's runs *are*
     tracks — while scattered placements drag in whole tracks of
     unrelated cells per touched block.
-``"adjacent"``
-    Semi-sequential successors: for each run the first four
-    adjacent blocks of its last block (``get_adjacent``), i.e.
-    the blocks reachable in one settle with zero rotational latency.
-    Under MultiMap those are the query's spatial neighbors in the
-    non-streaming dimensions, so overlapping follow-up queries hit.
 
 Prefetched blocks are admitted at zero simulated cost — the model is
 that readahead overlaps the mechanical work the miss already paid for —
@@ -39,11 +32,10 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.registry import Registry
-from repro.errors import AdjacencyError, CacheError
+from repro.errors import CacheError
 
 __all__ = [
     "PREFETCHERS",
-    "AdjacentPrefetcher",
     "NoPrefetcher",
     "Prefetcher",
     "TrackPrefetcher",
@@ -95,9 +87,6 @@ class Prefetcher(ABC):
         pool admits only the new ones.  Returns a sorted int64 array.
         """
 
-    def describe(self) -> str:
-        return self.name
-
 
 @register_prefetcher("none")
 class NoPrefetcher(Prefetcher):
@@ -131,36 +120,3 @@ class TrackPrefetcher(Prefetcher):
         return np.concatenate(
             [np.arange(lo, hi, dtype=np.int64) for lo, hi in merged]
         )
-
-
-@register_prefetcher("adjacent")
-class AdjacentPrefetcher(Prefetcher):
-    """Pull each run's semi-sequential successors (``get_adjacent``).
-
-    For every run, the first :attr:`steps` adjacent blocks of its last
-    LBN: the continuation of the access path one settle away.  Steps
-    beyond the disk's adjacency depth *D* or across a zone boundary are
-    silently skipped (MultiMap never maps across zones, so nothing
-    useful lives there).
-    """
-
-    #: adjacent blocks pulled per run
-    steps = 4
-
-    def targets(self, volume, disk: int, plan) -> np.ndarray:
-        adjacency = volume.adjacency[disk]
-        steps = min(self.steps, adjacency.D)
-        out: list[int] = []
-        for start, length in zip(plan.starts, plan.lengths):
-            last = int(start + length - 1)
-            for step in range(1, steps + 1):
-                try:
-                    out.append(adjacency.get_adjacent(last, step))
-                except AdjacencyError:
-                    break
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.asarray(out, dtype=np.int64))
-
-    def describe(self) -> str:
-        return f"{self.name}[{self.steps}]"

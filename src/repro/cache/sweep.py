@@ -26,6 +26,7 @@ from numbers import Real
 import numpy as np
 
 from repro.bench.sweep import DEFAULT_LAYOUTS, render_sweep, run_sweep
+from repro.cache.policies import LRUPolicy
 from repro.errors import (
     BenchmarkError,
     DatasetError,
@@ -81,7 +82,6 @@ def run_cache_sweep(
     layouts=DEFAULT_LAYOUTS,
     capacities=(0, 4096, 12288, 24576),
     *,
-    policy: str = "lru",
     prefetch: str = "track",
     n_beams: int = 16,
     repeats: int = 3,
@@ -107,7 +107,7 @@ def run_cache_sweep(
     )
 
     def measure(fresh, cap: int) -> dict:
-        ds = fresh().with_cache(cap, policy=policy, prefetch=prefetch)
+        ds = fresh().with_cache(cap, prefetch=prefetch)
         report = ds.query().add(queries).repeats(repeats).run()
         cell = {
             "capacity": cap,
@@ -128,7 +128,7 @@ def run_cache_sweep(
     return run_sweep(
         shape, layouts, capacities, measure, drive=drive, seed=seed,
         meta={
-            "policy": policy,
+            "policy": LRUPolicy.name,
             "prefetch": prefetch,
             "n_beams": int(n_beams),
             "repeats": repeats,

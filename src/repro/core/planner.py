@@ -130,8 +130,8 @@ def plan_basic_cube(
         raise MappingError("adjacency depth must be >= 1")
 
     # a pure function of its (validated) arguments returning a frozen
-    # plan: memoize it, so with_layout/with_shards clones and the
-    # cube_aligned granule probe share one copy instead of re-searching
+    # plan: memoize it, so with_layout/with_shards clones share one copy
+    # instead of re-searching
     memo_key = (
         dims, int(track_length), int(zone_tracks), int(depth), strategy
     )

@@ -518,17 +518,6 @@ class DiskDrive:
         """Place the head at a uniformly random track and rotation phase."""
         self._track, self._time_ms = self.draw_position(rng)
 
-    def advance_clock(self, t_ms: float) -> None:
-        """Advance the clock to ``t_ms`` without moving the head.
-
-        Models the platter spinning while the drive sits idle between
-        requests (the traffic simulator calls this when dispatching to an
-        idle drive, so the rotational phase reflects the wait).  Clocks
-        never move backwards; a ``t_ms`` at or before *now* is a no-op.
-        """
-        if t_ms > self._time_ms:
-            self._time_ms = float(t_ms)
-
     # ------------------------------------------------------------------
     # single-request service
     # ------------------------------------------------------------------

@@ -78,7 +78,8 @@ class IngestError(ReproError):
 
 class ObsError(ReproError):
     """Raised by :mod:`repro.obs` for invalid telemetry configuration
-    (unknown exporter, mismatched histogram buckets, malformed spans)."""
+    (a trace export without spans, mismatched histogram buckets,
+    malformed spans)."""
 
 
 class DiffError(ReproError):

@@ -77,9 +77,8 @@ def model_block(ds, shape) -> dict:
 def run_explain(shape, *, layouts=("multimap",), drive: str = "minidrive",
                 axis: int | None = None, fixed=None, box=None,
                 shards: int | None = None, k: int | None = None,
-                cache_blocks: int = 0, cache_policy: str = "lru",
-                prefetch: str = "none", seed=42, analyze: bool = False,
-                model: bool = False) -> dict:
+                cache_blocks: int = 0, prefetch: str = "none", seed=42,
+                analyze: bool = False, model: bool = False) -> dict:
     """EXPLAIN (and optionally ANALYZE) one query across layouts."""
     from repro.api.dataset import Dataset
 
@@ -100,8 +99,7 @@ def run_explain(shape, *, layouts=("multimap",), drive: str = "minidrive",
         if k and int(k) > 1:
             ds.with_replication(int(k))
         if cache_blocks:
-            ds.with_cache(int(cache_blocks), policy=cache_policy,
-                          prefetch=prefetch)
+            ds.with_cache(int(cache_blocks), prefetch=prefetch)
         data["layouts"][layout] = ds.explain(query, analyze=analyze)
         if model_ds is None or layout == "multimap":
             model_ds = ds

@@ -5,7 +5,8 @@
 — but against *ghost* state, so nothing observable changes: the live
 drives never move, the buffer pool is consulted through the
 non-mutating :meth:`BufferPool.peek_plan` probe, and replica
-read-routing counters are snapshotted and restored.  Predicted per-run mechanical cost comes from servicing
+routing stats are snapshotted and restored.  Predicted per-run
+mechanical cost comes from servicing
 the prepared runs on a fresh drive instance built from the same
 :class:`DiskModel` (deterministic: track 0, time 0), mirroring the
 scatter-gather accounting (per-disk sub-plans back to back, makespan =
@@ -28,6 +29,7 @@ from repro.explain.classify import (
 )
 from repro.query.scheduler import DEFAULT_WINDOW
 from repro.query.workload import BeamQuery, RangeQuery
+from repro.replica.executor import READ_POLICY
 
 __all__ = [
     "analytic_block",
@@ -66,15 +68,13 @@ def prepare_readonly(ds, query):
     """Prepare ``query`` on ``ds`` without mutating any live state.
 
     The cache is detached for the duration (so plans cover every block
-    and cache stats stay untouched), and replica read-routing state is
-    snapshotted and restored (prepare records sub-reads and advances
-    round-robin counters).
+    and cache stats stay untouched), and the replica routing stats are
+    snapshotted and restored (prepare records sub-reads).
     """
     storage = ds.storage
     saved_cache = storage.cache
     saved_obs = storage.obs
     saved_stats = copy.deepcopy(storage.replica_stats)
-    saved_rr = copy.deepcopy(storage._rr_counts)
     storage.cache = None
     storage.obs = _RAW_PROBE
     try:
@@ -82,11 +82,8 @@ def prepare_readonly(ds, query):
     finally:
         storage.cache = saved_cache
         storage.obs = saved_obs
-        # restore in place so references to the stats object and the
-        # round-robin counter dict stay valid
+        # restore in place so references to the stats object stay valid
         storage.replica_stats.__dict__.update(vars(saved_stats))
-        storage._rr_counts.clear()
-        storage._rr_counts.update(saved_rr)
 
 
 def predict_mechanics(volume, prepared, *,
@@ -285,7 +282,7 @@ def explain_query(ds, query) -> dict:
         }
     if ds.replication_k > 1:
         data["routing"] = {
-            "read_policy": storage.read_policy.name,
+            "read_policy": READ_POLICY,
             "k": int(ds.replication_k),
             "failed_disks": sorted(int(d) for d in storage.failed),
             "sources": [

@@ -1,12 +1,11 @@
 """repro.ingest — streaming ingest & adaptive bulk loading.
 
 The write path for the scaled-out stack: seeded record streams
-(:data:`STREAMS`: ``uniform`` / ``clustered`` / ``drifting`` /
-``replay``) feed a staged :class:`IngestPipeline` — write buffers kept
-as one count array keyed by owning member disk, chunk and cell, a
-locality-preserving flush that packs buffered points into whole basic
-cubes before issuing sorted sequential writes, and a modelled
-background reorganisation
+(:data:`STREAMS`: ``uniform`` / ``clustered``) feed a staged
+:class:`IngestPipeline` — write buffers kept as one count array keyed
+by owning member disk, chunk and cell, a locality-preserving flush
+that packs buffered points into whole basic cubes before issuing sorted
+sequential writes, and a modelled background reorganisation
 (:func:`plan_reorganize`) that folds overflow chains back within the
 ideal makespan and reports its interference with the rebuild layer's
 dilation estimate.  A bulk loader
@@ -56,9 +55,7 @@ from repro.ingest.report import IngestReport
 from repro.ingest.streams import (
     STREAMS,
     ClusteredStream,
-    DriftingStream,
     RecordStream,
-    ReplayStream,
     StreamEntry,
     UniformStream,
     make_stream,
@@ -71,7 +68,6 @@ __all__ = [
     "LOADERS",
     "STREAMS",
     "ClusteredStream",
-    "DriftingStream",
     "FlushPlan",
     "IngestPipeline",
     "IngestPlan",
@@ -81,7 +77,6 @@ __all__ = [
     "LoaderEntry",
     "RecordStream",
     "ReorgReport",
-    "ReplayStream",
     "StreamEntry",
     "UniformStream",
     "WriteSource",

@@ -13,7 +13,7 @@ flattest across the member disks (least imbalanced slabs).
 
 Loaders are registered in :data:`LOADERS` (``repro-bench
 --list-loaders``) with the plain ``fn(dataset, stream, **opts) ->
-IngestPlan`` shape, mirroring the read policies' registry.
+IngestPlan`` shape, mirroring the declustering strategies' registry.
 """
 
 from __future__ import annotations

@@ -10,9 +10,7 @@ substream without disturbing the batches the pipeline will consume.
 Builtin generators (registered in :data:`STREAMS`):
 
 - ``uniform`` — points uniform over the whole grid,
-- ``clustered`` — a fixed set of Gaussian hotspots,
-- ``drifting`` — one hotspot sweeping corner to corner over the run,
-- ``replay`` — a caller-supplied coordinate array, batched.
+- ``clustered`` — a fixed set of Gaussian hotspots.
 """
 
 from __future__ import annotations
@@ -35,9 +33,7 @@ __all__ = [
     "STREAMS",
     "WINDOW_POINTS",
     "ClusteredStream",
-    "DriftingStream",
     "RecordStream",
-    "ReplayStream",
     "StreamEntry",
     "UniformStream",
     "make_stream",
@@ -122,14 +118,12 @@ class RecordStream:
     order, and the window's draws are then turned into coordinates by
     one :meth:`_place` and one clip onto the grid.  Subclasses implement
     those two: ``_draw_batch(rng, n)`` returns one batch's raw draws as
-    a tuple of arrays, one row per point, and ``_place(raw, idx)`` the
+    a tuple of arrays, one row per point, and ``_place(raw)`` the
     ``(n, ndim)`` coordinates of the raw draws of consecutive batches,
-    concatenated array by array, at the global point indices ``idx``.  Every
-    step of ``_place`` is elementwise, so a window's coordinates are
-    bit-identical to drawing and placing its batches one by one.
-    ``sample()`` gives loaders an independent look at the distribution
-    (separate seeded substream, indices spread over the whole run so
-    drifting streams are sampled fairly).
+    concatenated array by array.  Every step of ``_place`` is
+    elementwise, so a window's coordinates are bit-identical to drawing
+    and placing its batches one by one.  ``sample()`` gives loaders an
+    independent look at the distribution (a separate seeded substream).
     """
 
     kind = "stream"
@@ -170,8 +164,7 @@ class RecordStream:
             raw = raws[0] if len(raws) == 1 else tuple(
                 np.concatenate(parts) for parts in zip(*raws)
             )
-            idx = np.arange(done, stop, dtype=np.int64)
-            yield self._clip(self._place(raw, idx)), ends
+            yield self._clip(self._place(raw)), ends
             done = stop
 
     def batches(self):
@@ -181,14 +174,13 @@ class RecordStream:
             yield coords
 
     def sample(self, n: int) -> np.ndarray:
-        """``n`` points from an independent substream, indices spread
-        over the whole run; never disturbs :meth:`batches`."""
+        """``n`` points (at most the stream's) from an independent
+        substream; never disturbs :meth:`batches`."""
         n = min(int(n), self.n_points)
         if n < 1:
             raise IngestError("sample size must be >= 1")
         rng = np.random.default_rng((self.seed, 0x5A))
-        idx = np.linspace(0, self.n_points - 1, n).astype(np.int64)
-        return self._clip(self._place(self._draw_batch(rng, n), idx))
+        return self._clip(self._place(self._draw_batch(rng, n)))
 
     def _clip(self, coords: np.ndarray) -> np.ndarray:
         """Clip freshly placed int64 coordinates onto the grid, in place,
@@ -203,7 +195,7 @@ class RecordStream:
     def _draw_batch(self, rng: np.random.Generator, n: int):
         raise NotImplementedError
 
-    def _place(self, raw, idx: np.ndarray) -> np.ndarray:
+    def _place(self, raw) -> np.ndarray:
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -234,7 +226,7 @@ class UniformStream(RecordStream):
     def _draw_batch(self, rng, n):
         return tuple(rng.integers(0, s, size=n) for s in self.dims)
 
-    def _place(self, raw, idx):
+    def _place(self, raw):
         return np.stack(raw, axis=1)
 
 
@@ -260,7 +252,7 @@ class ClusteredStream(RecordStream):
         pick = rng.integers(0, self.n_clusters, size=n)
         return pick, rng.standard_normal((n, len(self.dims)))
 
-    def _place(self, raw, idx):
+    def _place(self, raw):
         pick, z = raw
         out = np.empty(z.shape, dtype=np.int64)
         for d, (center, scale) in enumerate(zip(self.centers.T,
@@ -273,69 +265,3 @@ class ClusteredStream(RecordStream):
         out["n_clusters"] = self.n_clusters
         out["spread"] = self.spread
         return out
-
-
-@register_stream("drifting")
-class DriftingStream(RecordStream):
-    """One hotspot sweeping corner to corner as the stream progresses."""
-
-    kind = "drifting"
-
-    def __init__(self, dims, *, spread: float = 0.08, **opts):
-        super().__init__(dims, **opts)
-        self.spread = check_spread(spread)
-        self._scale = _noise_scale(self.spread, self.dims)
-        self._span = np.asarray(self.dims, dtype=np.float64) - 1
-
-    def _draw_batch(self, rng, n):
-        return (rng.standard_normal((n, len(self.dims))),)
-
-    def _place(self, raw, idx):
-        progress = idx / max(self.n_points - 1, 1)
-        z = raw[0]
-        out = np.empty(z.shape, dtype=np.int64)
-        for d, (span, scale) in enumerate(zip(self._span, self._scale)):
-            out[:, d] = np.rint(progress * span + z[:, d] * scale)
-        return out
-
-    def describe(self) -> dict:
-        out = super().describe()
-        out["spread"] = self.spread
-        return out
-
-
-@register_stream("replay")
-class ReplayStream(RecordStream):
-    """A caller-supplied coordinate array, batched; no randomness."""
-
-    kind = "replay"
-
-    def __init__(self, dims, *, coords, batch_points: int = 256, seed=0,
-                 n_points=None):
-        coords = np.asarray(coords)
-        # bool is not a coordinate, and batches are never clipped onto
-        # the grid for the caller: both are bugs to report
-        if coords.dtype.kind not in "iu":
-            raise IngestError(
-                f"replay coords must be integers, got dtype {coords.dtype}"
-            )
-        coords = coords.astype(np.int64, copy=False)
-        if coords.ndim != 2 or coords.shape[0] < 1:
-            raise IngestError("replay coords must be a (n, ndim) array")
-        if coords.shape[1] != len(tuple(dims)):
-            raise IngestError("replay coords rank does not match dims")
-        super().__init__(dims, n_points=coords.shape[0],
-                         batch_points=batch_points, seed=seed)
-        off = np.flatnonzero(((coords < 0) | (coords > self._hi)).any(axis=1))
-        if off.size:
-            raise IngestError(
-                f"replay coords row {int(off[0])} "
-                f"{coords[off[0]].tolist()} is off the {self.dims} grid"
-            )
-        self.coords = coords
-
-    def _draw_batch(self, rng, n):
-        return ()
-
-    def _place(self, raw, idx):
-        return self.coords[idx]

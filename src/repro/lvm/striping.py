@@ -11,14 +11,7 @@ kind the layout/drive/cache registries use; extend with
   the paper's evaluation uses for its 259³ chunks);
 * ``disk_modulo`` — Du & Sobolewski-style modulo of the chunk-grid
   coordinate sum, which spreads every axis-aligned beam of the chunk grid
-  across disks evenly;
-* ``cube_aligned`` — the locality-aware strategy of the shard layer:
-  the same disk-modulo assignment, but flagged so that
-  :meth:`repro.shard.ShardMap.build` rounds chunk boundaries up to
-  multiples of the basic-cube sides the *unsharded* MultiMap placement
-  would use — sharding then never cuts through what would have been a
-  basic cube.  (Each chunk's mapper still plans its own cubes for the
-  chunk's dimensions, which are disk-local by construction.)
+  across disks evenly (``Dataset.with_shards``'s default).
 
 A strategy function takes ``(grid_shape, n_disks)`` and returns one disk
 index per chunk as a flat array whose *first* grid coordinate varies
@@ -84,15 +77,12 @@ class StrategyEntry:
     """A registered declustering strategy.
 
     ``needs_grid`` marks strategies whose assignment depends on the chunk
-    grid's shape (not just the chunk count); ``align_cubes`` asks the
-    shard layer to round chunk boundaries to basic-cube multiples before
-    assigning (see :meth:`repro.shard.ShardMap.build`).
+    grid's shape (not just the chunk count).
     """
 
     name: str
     fn: Callable[[tuple[int, ...], int], np.ndarray]
     needs_grid: bool = True
-    align_cubes: bool = False
     description: str = ""
 
 
@@ -102,15 +92,13 @@ STRATEGIES = Registry("strategy")
 
 
 def register_strategy(name: str, *, needs_grid: bool = True,
-                      align_cubes: bool = False, description: str = ""):
+                      description: str = ""):
     """Function decorator adding a declustering strategy to
     :data:`STRATEGIES`."""
 
     def deco(fn):
         desc = description or first_doc_line(fn)
-        STRATEGIES.add(
-            name, StrategyEntry(name, fn, needs_grid, align_cubes, desc)
-        )
+        STRATEGIES.add(name, StrategyEntry(name, fn, needs_grid, desc))
         return fn
 
     return deco
@@ -130,12 +118,6 @@ def _round_robin_grid(grid_shape: tuple[int, ...], n_disks: int) -> np.ndarray:
 @register_strategy("disk_modulo")
 def _disk_modulo_grid(grid_shape: tuple[int, ...], n_disks: int) -> np.ndarray:
     """Coordinate-sum modulo: every axis-aligned beam spreads evenly."""
-    return disk_modulo(grid_shape, n_disks)
-
-
-@register_strategy("cube_aligned", align_cubes=True)
-def _cube_aligned_grid(grid_shape: tuple[int, ...], n_disks: int) -> np.ndarray:
-    """Disk-modulo over chunks aligned to the unsharded layout's cubes."""
     return disk_modulo(grid_shape, n_disks)
 
 

@@ -1,4 +1,4 @@
-"""End-to-end telemetry: per-query tracing, metrics, and exporters.
+"""End-to-end telemetry: per-query tracing, metrics, and trace export.
 
 ``repro.obs`` is the observability layer of the repository — opt-in
 (``Dataset.with_telemetry``), deterministic (every recorded value comes
@@ -14,9 +14,9 @@ guarantee every other layer's neutral setting gives):
                service with seek/rotate/transfer attribution, ingest
                flush, failover, reorganisation)
 ``telemetry``  :class:`Telemetry` — the handle storage managers carry
-               (``storage.obs``) bundling tracer + metrics + exporter
-``exporters``  the :data:`EXPORTERS` registry (``jsonl``, ``chrome``,
-               ``prometheus``; extend with :func:`register_exporter`)
+               (``storage.obs``) bundling tracer + metrics
+``exporters``  :func:`export_chrome`, the Chrome ``trace_event`` JSON
+               that :meth:`Telemetry.export` renders
 ``trace_cmd``  the ``repro-bench trace`` subcommand: slowest queries,
                phase totals, per-disk utilisation timeline; its
                ``--json`` export is what ``repro-bench diff`` compares
@@ -28,13 +28,7 @@ so the executor and traffic engine can hook it without cycles.
 
 from __future__ import annotations
 
-from repro.obs.exporters import (
-    EXPORTERS,
-    ExporterEntry,
-    export_trace,
-    exporter_names,
-    register_exporter,
-)
+from repro.obs.exporters import export_chrome
 from repro.obs.metrics import DEFAULT_BUCKETS_MS, Histogram, MetricsRegistry
 from repro.obs.span import Span, Tracer
 from repro.obs.telemetry import Telemetry
@@ -50,16 +44,12 @@ _LAZY_EXPORTS = {
 
 __all__ = [
     "DEFAULT_BUCKETS_MS",
-    "EXPORTERS",
-    "ExporterEntry",
     "Histogram",
     "MetricsRegistry",
     "Span",
     "Telemetry",
     "Tracer",
-    "export_trace",
-    "exporter_names",
-    "register_exporter",
+    "export_chrome",
     *_LAZY_EXPORTS,
 ]
 

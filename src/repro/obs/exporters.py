@@ -1,125 +1,30 @@
-"""Trace/metrics exporters behind a string-keyed registry.
+"""The trace export: Chrome ``trace_event`` JSON.
 
-Every exporter is a function ``(telemetry) -> str`` registered with
-:func:`register_exporter`; returning text (rather than writing a file)
-is what lets the determinism tests pin same-seed exports byte-for-byte.
-:func:`export_trace` resolves a name, renders, and optionally writes.
-
-Builtins:
-
-``jsonl``       one JSON object per span, depth-first, with stable ids
-``chrome``      Chrome ``trace_event`` JSON — load in ``chrome://tracing``
-                or https://ui.perfetto.dev (per-disk service rows as tids)
-``prometheus``  Prometheus text exposition of the metrics snapshot
-
-Third parties register their own the way every other registry in the
-package works::
-
-    from repro.obs import register_exporter
-
-    @register_exporter("flamegraph")
-    def export_flamegraph(telemetry):
-        \"\"\"folded stacks for flamegraph.pl\"\"\"
-        ...
+:func:`export_chrome` renders a telemetry recording's span trees for
+``chrome://tracing`` or https://ui.perfetto.dev, one row per drive.  It
+returns text rather than writing a file, which is what lets the
+determinism tests pin same-seed exports byte-for-byte;
+:meth:`Telemetry.export <repro.obs.telemetry.Telemetry.export>` also
+writes it to a path.
 """
 
 from __future__ import annotations
 
 import json
-import re
-from dataclasses import dataclass
-from pathlib import Path
 
 from repro.errors import ObsError
-from repro.registry import Registry, first_doc_line
 
-__all__ = [
-    "EXPORTERS",
-    "ExporterEntry",
-    "export_trace",
-    "exporter_names",
-    "register_exporter",
-]
+__all__ = ["export_chrome"]
 
 
-@dataclass(frozen=True)
-class ExporterEntry:
-    """One registered exporter: ``fn(telemetry) -> str``."""
-
-    name: str
-    fn: object
-    description: str
-
-
-EXPORTERS = Registry("exporter")
-
-
-def register_exporter(name: str, *, description: str = ""):
-    """Class-/function-decorator registering an exporter under ``name``
-    (description defaults to the docstring first line, like every other
-    registry)."""
-
-    def decorator(fn):
-        EXPORTERS.add(name, ExporterEntry(
-            name=name, fn=fn,
-            description=description or first_doc_line(fn),
-        ))
-        return fn
-
-    return decorator
-
-
-def exporter_names() -> tuple[str, ...]:
-    """Registered exporter names, sorted."""
-    return EXPORTERS.names()
-
-
-def _require_tracer(telemetry):
+def export_chrome(telemetry) -> str:
+    """Chrome trace_event JSON for chrome://tracing / Perfetto"""
     tracer = getattr(telemetry, "tracer", None)
     if tracer is None:
         raise ObsError(
-            "this exporter needs span traces; attach with "
+            "the trace export needs span traces; attach with "
             "with_telemetry(trace=True)"
         )
-    return tracer
-
-
-@register_exporter("jsonl")
-def export_jsonl(telemetry) -> str:
-    """one JSON object per span (depth-first, stable ids), for jq/pandas"""
-    tracer = _require_tracer(telemetry)
-    lines: list[str] = []
-    next_id = 0
-
-    def emit(span, parent, query, depth):
-        nonlocal next_id
-        sid = next_id
-        next_id += 1
-        obj = {
-            "id": sid,
-            "parent": parent,
-            "query": query,
-            "depth": depth,
-            "name": span.name,
-            "cat": span.cat,
-            "t0_ms": span.t0_ms,
-            "dur_ms": span.dur_ms,
-        }
-        if span.attrs:
-            obj["attrs"] = {k: span.attrs[k] for k in sorted(span.attrs)}
-        lines.append(json.dumps(obj, sort_keys=True, default=str))
-        for child in span.children:
-            emit(child, sid, query, depth + 1)
-
-    for qi, root in enumerate(tracer.roots):
-        emit(root, None, qi, 0)
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-@register_exporter("chrome")
-def export_chrome(telemetry) -> str:
-    """Chrome trace_event JSON for chrome://tracing / Perfetto"""
-    tracer = _require_tracer(telemetry)
     events = []
     for qi, root in enumerate(tracer.roots):
         for span in root.walk():
@@ -143,64 +48,3 @@ def export_chrome(telemetry) -> str:
         {"displayTimeUnit": "ms", "traceEvents": events},
         sort_keys=True, default=str,
     )
-
-
-def _prom_name(name: str) -> str:
-    return "repro_" + re.sub(r"[^a-zA-Z0-9_]", "_", name)
-
-
-@register_exporter("prometheus")
-def export_prometheus(telemetry) -> str:
-    """Prometheus text exposition snapshot of the metrics registry"""
-    metrics = getattr(telemetry, "metrics", None)
-    if metrics is None:
-        raise ObsError(
-            "the prometheus exporter needs metrics; attach with "
-            "with_telemetry(metrics=True)"
-        )
-    snap = metrics.snapshot()
-    lines: list[str] = []
-    for name, value in snap.get("counters", {}).items():
-        pname = _prom_name(name) + "_total"
-        lines.append(f"# TYPE {pname} counter")
-        lines.append(f"{pname} {value}")
-    for name, value in snap.get("timers_ms", {}).items():
-        pname = _prom_name(name)
-        lines.append(f"# TYPE {pname} gauge")
-        lines.append(f"{pname} {value}")
-    for name, value in snap.get("gauges", {}).items():
-        pname = _prom_name(name)
-        lines.append(f"# TYPE {pname} gauge")
-        lines.append(f"{pname} {value}")
-    for name, hist in snap.get("histograms", {}).items():
-        pname = _prom_name(name)
-        lines.append(f"# TYPE {pname} histogram")
-        cum = 0
-        for bound, count in hist["buckets"]:
-            cum += count
-            lines.append(f'{pname}_bucket{{le="{bound}"}} {cum}')
-        cum += hist["overflow"]
-        lines.append(f'{pname}_bucket{{le="+Inf"}} {cum}')
-        lines.append(f"{pname}_sum {hist['sum']}")
-        lines.append(f"{pname}_count {hist['count']}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def export_trace(telemetry, name: str | None = None,
-                 path=None) -> str:
-    """Render ``telemetry`` through the named exporter (default: the
-    one attached at construction) and optionally write it to ``path``
-    (parents created).  Returns the rendered text either way."""
-    name = name or getattr(telemetry, "exporter", None)
-    if not name:
-        raise ObsError(
-            "no exporter named: pass export_trace(tele, 'chrome') or "
-            "attach one with with_telemetry(exporter=...)"
-        )
-    entry: ExporterEntry = EXPORTERS.get(name)
-    text = entry.fn(telemetry)
-    if path is not None:
-        out = Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-    return text

@@ -10,6 +10,8 @@ the bit-identity the parity tests pin.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from repro.errors import ObsError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Span, Tracer
@@ -18,7 +20,7 @@ __all__ = ["Telemetry"]
 
 
 class Telemetry:
-    """Per-dataset telemetry state: tracer, metrics, default exporter.
+    """Per-dataset telemetry state: tracer and metrics.
 
     Constructed by :meth:`Dataset.with_telemetry` and attached to the
     storage manager as ``storage.obs``; the same object survives
@@ -26,22 +28,15 @@ class Telemetry:
     reconfiguration.
     """
 
-    def __init__(self, *, trace: bool = True, metrics: bool = True,
-                 exporter: str | None = None):
+    def __init__(self, *, trace: bool = True, metrics: bool = True):
         if not trace and not metrics:
             raise ObsError(
                 "a Telemetry needs trace=True or metrics=True "
                 "(Dataset.with_telemetry(trace=False, metrics=False) "
                 "detaches instead)"
             )
-        if exporter is not None:
-            # fail fast on typos, before any query runs
-            from repro.obs.exporters import EXPORTERS
-
-            EXPORTERS.get(exporter)
         self.tracer = Tracer() if trace else None
         self.metrics = MetricsRegistry() if metrics else None
-        self.exporter = exporter
 
     @property
     def active(self) -> bool:
@@ -84,16 +79,20 @@ class Telemetry:
             }
         if self.metrics is not None:
             out["metrics"] = self.metrics.snapshot()
-        if self.exporter is not None:
-            out["exporter"] = self.exporter
         return out
 
-    def export(self, name: str | None = None, path=None) -> str:
-        """Render the collected telemetry through an exporter (the
-        attached default when ``name`` is omitted)."""
-        from repro.obs.exporters import export_trace
+    def export(self, path=None) -> str:
+        """The recorded spans as Chrome trace JSON
+        (:func:`~repro.obs.exporters.export_chrome`), also written to
+        ``path`` (parents created) when one is given."""
+        from repro.obs.exporters import export_chrome
 
-        return export_trace(self, name, path)
+        text = export_chrome(self)
+        if path is not None:
+            out = Path(path)
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(text)
+        return text
 
     def reset(self) -> None:
         """Drop all recordings (tracer roots, clock, metric totals)."""
@@ -108,6 +107,4 @@ class Telemetry:
             parts.append(f"trace({self.tracer.n_queries} queries)")
         if self.metrics is not None:
             parts.append("metrics")
-        if self.exporter:
-            parts.append(f"exporter={self.exporter!r}")
         return f"Telemetry({', '.join(parts)})"

@@ -93,8 +93,7 @@ def disk_utilization(tracer, horizon_ms: float, bins: int = 24) -> dict:
 
 
 def run_trace(shape, *, clients: int = 2, queries: int = 8,
-              top: int = 5, bins: int = 24, exporter: str | None = None,
-              **storm):
+              top: int = 5, bins: int = 24, **storm):
     """Run one telemetry-attached traffic storm and distil its trace.
 
     ``storm`` holds :func:`~repro.traffic.storm.run_one_storm`'s
@@ -105,7 +104,7 @@ def run_trace(shape, *, clients: int = 2, queries: int = 8,
 
     ds, report = run_one_storm(
         shape, clients=clients, queries=queries,
-        telemetry=dict(trace=True, metrics=True, exporter=exporter),
+        telemetry=dict(trace=True, metrics=True),
         **storm,
     )
     tele = ds.telemetry

@@ -3,10 +3,13 @@
 :class:`Registry` is a name -> entry map with duplicate protection,
 helpful unknown-name errors, and an optional lazy-population hook.  It
 lives at the package root so registries can exist at any layer without
-inverting the layering: the façade's layout/drive tables
-(:mod:`repro.api.registry`), the cache's policy/prefetcher tables
-(:mod:`repro.cache`), and the LVM's declustering strategies
-(:mod:`repro.lvm.striping`) all instantiate it.
+inverting the layering.  Six tables instantiate it, each holding the
+alternatives a figure, pin, example or benchmark selects: the façade's
+layouts and drives (:mod:`repro.api.registry`), the cache's prefetchers
+(:mod:`repro.cache`), the LVM's declustering strategies
+(:mod:`repro.lvm.striping`), and the ingest layer's bulk loaders and
+record streams (:mod:`repro.ingest`).  A setting with one alternative is
+plain code, not a table.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ class Registry:
     lookup; it imports the modules whose decorators contribute the
     builtin entries (and must be idempotent).  The layout/drive
     registries of :mod:`repro.api.registry` use it for lazy population.
-    Other packages reuse the class without a hook (e.g. the cache-policy
+    Other packages reuse the class without a hook (e.g. the prefetcher
     and declustering-strategy registries, whose builtins live in the
     same module as the registry, so importing one populates the other).
     """
@@ -138,7 +141,7 @@ def _same_registrant(old, new) -> bool:
 
     Entries may be wrapper dataclasses carrying ``cls``/``factory``/``fn``
     (layouts, drives, declustering strategies) or the registered class
-    itself (cache policies, prefetchers)."""
+    itself (prefetchers)."""
 
     def key(entry):
         obj = (getattr(entry, "cls", None) or getattr(entry, "factory", None)

@@ -28,6 +28,8 @@ from repro.errors import (
     _check_int,
     _check_shape,
 )
+from repro.replica.executor import READ_POLICY
+from repro.replica.map import PLACEMENT
 from repro.shard.scale import _beam_axes, _mb_per_s, scale_beams
 
 __all__ = ["run_avail_sweep", "render_avail_sweep"]
@@ -39,8 +41,6 @@ def run_avail_sweep(
     ks=(1, 2, 3),
     *,
     n_disks: int = 3,
-    placement: str = "rotated",
-    read_policy: str = "primary",
     n_beams: int = 8,
     axes=None,
     drive: str = "atlas10k3",
@@ -71,9 +71,7 @@ def run_avail_sweep(
 
     def measure(fresh, k: int) -> dict:
         def build():
-            return fresh().with_shards(n_disks).with_replication(
-                k, placement=placement, read_policy=read_policy,
-            )
+            return fresh().with_shards(n_disks).with_replication(k)
 
         report = build().query().add(queries).run()
         h_blocks = sum(r.result.n_blocks for r in report.records)
@@ -111,8 +109,8 @@ def run_avail_sweep(
         shape, layouts, ks, measure, drive=drive, seed=seed,
         meta={
             "n_disks": n_disks,
-            "placement": placement,
-            "read_policy": read_policy,
+            "placement": PLACEMENT,
+            "read_policy": READ_POLICY,
             "killed_disk": victim,
             "n_beams": int(n_beams),
             "axes": list(axes),

@@ -3,108 +3,31 @@
 A :class:`ReplicaMap` extends a :class:`~repro.shard.map.ShardMap` with
 k-way declustered replication: copy 0 of every chunk stays on the shard
 map's primary disk (so healthy-mode reads are exactly the sharded
-stack), and copies 1..k-1 land on k-1 *other* member disks chosen by a
-registered placement strategy (:data:`PLACEMENTS`):
-
-* ``rotated`` — classic chained declustering: copy r of a chunk whose
-  primary is disk d lives on disk ``(d + r) mod n``, so one disk's data
-  spreads over its successors and any single failure splits the extra
-  load across several survivors;
-* ``locality_aligned`` — the locality-preserving strategy of this
-  layer: contiguous runs of the chunk enumeration (grid-adjacent
-  chunks) keep their copy-r replicas *together* on one disk, so after a
-  failover the surviving replicas of neighbouring chunks are neighbours
-  on their home disk too — degraded-mode reads keep MultiMap's
-  basic-cube adjacency instead of scattering across the array.  (Each
-  copy is placed by a full per-chunk mapper on its home disk, so
-  *within* a chunk every copy preserves adjacency by construction; the
-  strategies differ in how copies of *adjacent chunks* cluster.)
-
-Placement functions take ``(shard_map, k)`` and return an
-``(n_chunks, k)`` integer array of member-disk indices whose column 0
-must equal the shard map's primary assignment.  Third parties extend
-the table with :func:`register_placement`.
+stack), and copies 1..k-1 land on k-1 *other* member disks by classic
+chained declustering (:data:`PLACEMENT`): copy r of a chunk whose
+primary is disk d lives on disk ``(d + r) mod n``, so one disk's data
+spreads over its successors and any single failure splits the extra
+load across several survivors.  (Each copy is placed by a full
+per-chunk mapper on its home disk, so *within* a chunk every copy
+preserves adjacency by construction.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ReplicaError
-from repro.registry import Registry, first_doc_line
-from repro.shard.map import ShardMap
 
-__all__ = [
-    "PLACEMENTS",
-    "PlacementEntry",
-    "ReplicaMap",
-    "placement_names",
-    "register_placement",
-]
+if TYPE_CHECKING:  # the shard package imports this module
+    from repro.shard.map import ShardMap
 
+__all__ = ["PLACEMENT", "ReplicaMap"]
 
-@dataclass(frozen=True)
-class PlacementEntry:
-    """A registered replica-placement strategy."""
-
-    name: str
-    fn: Callable[[ShardMap, int], np.ndarray]
-    description: str = ""
-
-
-#: placement-name -> :class:`PlacementEntry`; builtins live in this
-#: module, so importing it is the whole population step
-PLACEMENTS = Registry("placement")
-
-
-def register_placement(name: str, *, description: str = ""):
-    """Function decorator adding a replica placement to
-    :data:`PLACEMENTS`."""
-
-    def deco(fn):
-        desc = description or first_doc_line(fn)
-        PLACEMENTS.add(name, PlacementEntry(name, fn, desc))
-        return fn
-
-    return deco
-
-
-def placement_names() -> tuple[str, ...]:
-    return PLACEMENTS.names()
-
-
-@register_placement("rotated")
-def rotated(shard_map: ShardMap, k: int) -> np.ndarray:
-    """Chained declustering: copy r on disk (primary + r) mod n."""
-    n = shard_map.n_disks
-    primaries = np.asarray([c.disk for c in shard_map.chunks],
-                           dtype=np.int64)
-    offsets = np.arange(int(k), dtype=np.int64)
-    return (primaries[:, np.newaxis] + offsets[np.newaxis, :]) % n
-
-
-@register_placement("locality_aligned")
-def locality_aligned(shard_map: ShardMap, k: int) -> np.ndarray:
-    """Replicas of grid-adjacent chunks co-locate, keeping adjacency."""
-    n = shard_map.n_disks
-    n_chunks = shard_map.n_chunks
-    out = np.empty((n_chunks, int(k)), dtype=np.int64)
-    for i, chunk in enumerate(shard_map.chunks):
-        # contiguous block of the chunk enumeration: chunks i with the
-        # same block id are grid neighbours (the enumeration's fastest
-        # axis), so their copy-r replicas share a home disk
-        block = (i * n) // n_chunks
-        disks = [int(chunk.disk)]
-        for r in range(1, int(k)):
-            d = (block + r) % n
-            while d in disks:
-                d = (d + 1) % n
-            disks.append(d)
-        out[i] = disks
-    return out
+#: the copy placement every replica map uses, as ``describe()`` reports it
+PLACEMENT = "rotated"
 
 
 @dataclass(frozen=True)
@@ -119,7 +42,6 @@ class ReplicaMap:
 
     shard_map: ShardMap
     k: int
-    placement: str
     disks: np.ndarray
 
     def __post_init__(self) -> None:
@@ -157,18 +79,21 @@ class ReplicaMap:
     # ------------------------------------------------------------------
 
     @classmethod
-    def build(cls, shard_map: ShardMap, k: int,
-              placement: str = "rotated") -> "ReplicaMap":
-        """Place ``k`` copies of every chunk via a registered placement."""
+    def build(cls, shard_map: ShardMap, k: int) -> "ReplicaMap":
+        """Place ``k`` copies of every chunk: copy r on disk
+        (primary + r) mod n."""
         k = int(k)
         if not 1 <= k <= shard_map.n_disks:
             raise ReplicaError(
                 f"k={k} copies need 1 <= k <= {shard_map.n_disks} "
                 f"member disks"
             )
-        entry = PLACEMENTS.get(placement)
-        disks = np.asarray(entry.fn(shard_map, k), dtype=np.int64)
-        return cls(shard_map, k, entry.name, disks)
+        primaries = np.asarray([c.disk for c in shard_map.chunks],
+                               dtype=np.int64)
+        offsets = np.arange(k, dtype=np.int64)
+        disks = (primaries[:, np.newaxis] + offsets[np.newaxis, :]) \
+            % shard_map.n_disks
+        return cls(shard_map, k, disks)
 
     # ------------------------------------------------------------------
     # lookups
@@ -218,7 +143,7 @@ class ReplicaMap:
         """JSON-friendly placement summary."""
         return {
             "k": int(self.k),
-            "placement": self.placement,
+            "placement": PLACEMENT,
             "n_disks": self.n_disks,
             "n_chunks": self.n_chunks,
             "copy_counts": self.copy_counts(),
@@ -227,6 +152,6 @@ class ReplicaMap:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ReplicaMap(k={self.k}, placement={self.placement!r}, "
-            f"chunks={self.n_chunks}, disks={self.n_disks})"
+            f"ReplicaMap(k={self.k}, chunks={self.n_chunks}, "
+            f"disks={self.n_disks})"
         )

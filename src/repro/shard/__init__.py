@@ -4,8 +4,8 @@ The shard layer holds the storage manager every dataset runs on: a
 :class:`ShardMap` declusters a dataset's chunks across the member disks
 of one :class:`~repro.lvm.volume.LogicalVolume` using the registered
 strategies of :data:`repro.lvm.striping.STRATEGIES` (``round_robin``,
-``disk_modulo``, ``cube_aligned``), one registered mapper per chunk
-copy places its cells on the owning disk, and the
+``disk_modulo``), one registered mapper per chunk copy places its cells
+on the owning disk, and the
 :class:`ShardedStorageManager` (n disks × k copies; one chunk on one
 disk for a plain ``Dataset.create``) services queries scatter-gather —
 drives in parallel, per-drive head state preserved, query time =

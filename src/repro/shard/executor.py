@@ -8,8 +8,8 @@ the dataset's chunks across the volume's member disks, a
 on distinct disks (k = 1 by default), one mapper per chunk copy places
 its cells (same registry wiring as the façade, so a chunk is laid out
 exactly as a standalone dataset of the chunk's shape would be), and
-queries split into per-chunk sub-plans — each routed to a live copy by
-the registered read policy — serviced scatter-gather, a batch at a time
+queries split into per-chunk sub-plans — each routed to the lowest
+live copy of its chunk — serviced scatter-gather, a batch at a time
 (:func:`repro.query.scatter.scatter_batch`): drives in parallel,
 per-drive head state preserved, query time = makespan over drives.
 Killed disks (:meth:`fail_disk`) divert reads to surviving copies, and
@@ -45,7 +45,7 @@ from repro.query.executor import (
 from repro.query.scatter import ShardedPrepared, scatter_batch
 from repro.query.scheduler import DEFAULT_WINDOW
 from repro.query.workload import BeamQuery, RangeQuery
-from repro.replica.executor import READ_POLICIES, ReplicaStats, SubSource
+from repro.replica.executor import READ_POLICY, ReplicaStats, SubSource
 from repro.replica.map import ReplicaMap
 from repro.shard.map import ShardMap
 
@@ -151,12 +151,11 @@ class ShardedStorageManager(StorageManager):
     manager builds one mapper per chunk copy from the registered
     ``layout`` — every chunk's copy 0 first, on the disk the shard map
     assigns it (chunk order, so placement is deterministic), then copies
-    1..k-1 on the disks the registered ``placement``
-    (:data:`repro.replica.PLACEMENTS`) picks, so adding copies never
-    moves a primary.  ``read_policy`` (:data:`repro.replica.READ_POLICIES`)
-    chooses the copy every sub-plan reads.  The volume must have
-    exactly the map's disk count — a mismatch raises instead of
-    silently truncating the placement.
+    1..k-1 on the disks the :class:`~repro.replica.ReplicaMap` picks, so
+    adding copies never moves a primary.  Every sub-plan reads the
+    lowest copy of its chunk on a live disk: the primary while its disk
+    is healthy.  The volume must have exactly the map's disk count — a
+    mismatch raises instead of silently truncating the placement.
     """
 
     def __init__(
@@ -166,8 +165,6 @@ class ShardedStorageManager(StorageManager):
         layout,
         *,
         k: int = 1,
-        placement: str = "rotated",
-        read_policy: str = "primary",
         cell_blocks: int = 1,
         window: int = DEFAULT_WINDOW,
         cache=None,
@@ -180,8 +177,7 @@ class ShardedStorageManager(StorageManager):
                 f"has {volume.n_disks}"
             )
         self.shard_map = shard_map
-        self.replica_map = ReplicaMap.build(shard_map, k, placement)
-        self.read_policy = READ_POLICIES.get(read_policy)
+        self.replica_map = ReplicaMap.build(shard_map, k)
         self.cell_blocks = check_setting("cell_blocks", cell_blocks)
         self.layout_opts = dict(layout_opts or {})
         copies = [[self._build_copy(layout, chunk, chunk.disk)]
@@ -202,7 +198,6 @@ class ShardedStorageManager(StorageManager):
         self._refresh_live()
         self.shard_stats = ShardStats(shard_map.n_disks)
         self.replica_stats = ReplicaStats(shard_map.n_disks)
-        self._rr_counts: dict[int, int] = {}
 
     def _build_copy(self, layout, chunk, disk: int):
         return build_mapper(
@@ -279,6 +274,8 @@ class ShardedStorageManager(StorageManager):
         raise QueryError(f"unknown query type {type(query).__name__}")
 
     def _select_copy(self, chunk_index: int, exclude_copy=None) -> int:
+        """The lowest live copy of a chunk, other than ``exclude_copy``
+        (the one a failing-over sub-plan leaves)."""
         live = self._live[chunk_index]
         if exclude_copy is not None:
             live = tuple(r for r in live if r != exclude_copy)
@@ -288,7 +285,7 @@ class ShardedStorageManager(StorageManager):
                 f"{self.replica_map.k} copies are on failed disks "
                 f"{sorted(self.failed)}"
             )
-        return int(self.read_policy.fn(self, chunk_index, live))
+        return live[0]
 
     def _prepare_source(self, source: SubSource) -> PreparedQuery:
         """Plan + prepare one chunk piece on its source's chosen copy."""
@@ -306,8 +303,8 @@ class ShardedStorageManager(StorageManager):
 
     def prepare(self, query) -> ShardedPrepared:
         """Split a query across the chunks it touches and prepare each
-        piece (coalescing, cache filter, policy clamp) on a live copy
-        chosen by the read policy."""
+        piece (coalescing, cache filter, policy clamp) on its chunk's
+        lowest live copy."""
         lo, hi, axis = self._query_box(query)
         subs, sources = [], []
         total_cells = 0
@@ -434,7 +431,7 @@ class ShardedStorageManager(StorageManager):
         """Placement summary plus lifetime routing stats (cumulative,
         like the shard snapshot; ``reset_replica_stats`` scopes it)."""
         out = self.replica_map.describe()
-        out["read_policy"] = self.read_policy.name
+        out["read_policy"] = READ_POLICY
         out["failed"] = sorted(self.failed)
         out["stats"] = self.replica_stats.to_dict()
         return out

@@ -13,9 +13,7 @@ Chunking defaults to slabs along the *last* axis (one slab per disk):
 chunks keep the full Dim0 extent, so every chunk's layout preserves the
 track-streaming dimension, while beams along the last axis scatter
 across all disks.  Pass ``chunk_shape`` for finer grids (e.g. the
-paper's 259³ cubes).  A ``cube_aligned`` strategy additionally rounds
-chunk boundaries up to multiples of the MultiMap basic-cube sides
-(``align=K``), so no basic cube is ever split across disks.
+paper's 259³ cubes).
 """
 
 from __future__ import annotations
@@ -76,47 +74,23 @@ class ShardMap:
         strategy: str = "disk_modulo",
         *,
         chunk_shape=None,
-        align=None,
     ) -> "ShardMap":
         """Chunk ``dims`` and decluster the chunks across ``n_disks``.
 
-        Without ``align``, ``chunk_shape`` defaults to last-axis slabs
-        of ``ceil(dims[-1] / n_disks)`` cells (1 disk ⇒ one chunk
-        covering the whole dataset, a plain dataset's placement).  With
-        ``align`` (the per-axis granule — MultiMap's basic-cube sides
-        ``K`` for the ``cube_aligned`` strategy), the default instead
-        splits the *last axis whose granule does not span it* — the
-        only axes where aligned chunk boundaries exist — rounding the
-        chunk side up to whole granules; when every granule spans its
-        axis the dataset stays one chunk (a granule is never split,
-        even at the cost of fan-out).  An explicit ``chunk_shape`` is
-        authoritative — used as given (clipped to ``dims``), never
-        re-aligned, so the same shape always reproduces the same chunk
-        grid (the fairness condition ``Dataset.with_layout`` clones
-        rely on).
+        ``chunk_shape`` defaults to last-axis slabs of
+        ``ceil(dims[-1] / n_disks)`` cells (1 disk ⇒ one chunk covering
+        the whole dataset, a plain dataset's placement).  An explicit
+        ``chunk_shape`` is used as given (clipped to ``dims``), so the
+        same shape always reproduces the same chunk grid (the fairness
+        condition ``Dataset.with_layout`` clones rely on).
         """
         dims = tuple(int(s) for s in dims)
         n_disks = int(n_disks)
         if n_disks < 1:
             raise AllocationError("need at least one disk")
         if chunk_shape is None:
-            axis = len(dims) - 1
-            granule = 1
-            if align is not None:
-                align = tuple(int(a) for a in align)
-                if len(align) != len(dims):
-                    raise AllocationError("align rank mismatch")
-                splittable = [
-                    i for i, (a, s) in enumerate(zip(align, dims)) if a < s
-                ]
-                if splittable:
-                    axis = splittable[-1]
-                    granule = align[axis]
-                else:
-                    granule = align[axis]  # spans the axis: one chunk
-            raw = -(-dims[axis] // n_disks)
-            side = min(dims[axis], -(-raw // granule) * granule)
-            chunk_shape = dims[:axis] + (side,) + dims[axis + 1:]
+            side = -(-dims[-1] // n_disks)
+            chunk_shape = dims[:-1] + (side,)
         if len(tuple(chunk_shape)) != len(dims):
             raise AllocationError(
                 f"chunk_shape rank {len(tuple(chunk_shape))} does not "

@@ -87,8 +87,6 @@ def run_scale_sweep(
     first shard count, plus a ``meta`` entry recording the sweep
     parameters.
     """
-    from repro.api.dataset import Dataset
-
     from repro.lvm.striping import STRATEGIES
 
     shape = _check_shape(shape)
@@ -102,27 +100,14 @@ def run_scale_sweep(
             f"shape {shape}, got {split_axis}"
         )
     split_axis %= len(shape)
-    entry = STRATEGIES.get(strategy)
+    STRATEGIES.get(strategy)
     # resolve one chunk shape per shard count up front and hand the SAME
     # shape to every layout — the fairness condition of the sweep (cells
-    # compare placements, never chunk grids).  cube_aligned shapes split
-    # on a basic-cube boundary (overriding split_axis); the granule K
-    # depends only on shape/drive, so one probe dataset resolves it for
-    # every shard count.  Otherwise: split_axis slabs.
-    align = None
-    if entry.align_cubes and chunk_shape is None:
-        from repro.shard.map import ShardMap
-
-        align = Dataset.create(shape, layout="multimap", drive=drive,
-                               seed=seed)._basic_cube_sides()
+    # compare placements, never chunk grids): split_axis slabs
     shapes_by_n: dict[int, tuple[int, ...]] = {}
     for n in shard_counts:
         if chunk_shape is not None:
             shapes_by_n[n] = tuple(chunk_shape)
-        elif align is not None:
-            shapes_by_n[n] = ShardMap.build(
-                shape, n, strategy, align=align
-            ).chunks[0].shape
         else:
             cs = list(shape)
             cs[split_axis] = -(-shape[split_axis] // n)
@@ -147,12 +132,8 @@ def run_scale_sweep(
     data = run_sweep(
         shape, layouts, shard_counts, measure, drive=drive, seed=seed,
         meta={
-            "strategy": entry.name,
-            # cube_aligned overrides the slab axis (it splits on a
-            # basic-cube boundary instead), so don't record a split_axis
-            # it ignored
-            "split_axis": None if (entry.align_cubes and chunk_shape is None)
-            else split_axis,
+            "strategy": strategy,
+            "split_axis": split_axis,
             "chunk_shape": list(chunk_shape) if chunk_shape else None,
             "chunk_shapes": {n: list(s) for n, s in shapes_by_n.items()},
             "n_beams": int(n_beams),

@@ -25,12 +25,7 @@ x client counts (``repro-bench traffic``, on :mod:`repro.bench.sweep`);
 storm for ``repro-bench trace``.
 """
 
-from repro.traffic.arrivals import (
-    ArrivalProcess,
-    BurstyArrivals,
-    ClosedLoop,
-    PoissonArrivals,
-)
+from repro.traffic.arrivals import ArrivalProcess, ClosedLoop, PoissonArrivals
 from repro.traffic.clients import (
     BeamDraw,
     QueryMix,
@@ -45,7 +40,6 @@ from repro.traffic.storm import render_storm, run_storm
 __all__ = [
     "ArrivalProcess",
     "BeamDraw",
-    "BurstyArrivals",
     "ClosedLoop",
     "DriveStats",
     "PoissonArrivals",

@@ -23,20 +23,16 @@ when its **last** disk's portion finishes (each disk's last slice plus
 that disk's share of cache memory time) — the traffic analogue of the
 batch executor's per-disk busy + makespan accounting.
 
-Head position (``TrafficConfig.head``):
-
-* ``"random"`` — every query starts from a uniformly random head
-  position *pre-drawn from the submitting client's stream at submission
-  time* (one draw per involved disk, in sub-plan order) and applied when
-  its first slice on that drive is dispatched.  Pre-drawing keeps each
-  client's random stream a pure function of its own submission order,
-  so per-drive served-block totals are invariant under re-interleavings,
-  while a lone zero-think closed-loop client consumes draws in exactly
-  the order of :meth:`repro.api.QueryBatch.run` (query, head, query,
-  head, ...) — the parity the regression tests pin.
-* ``"carry"`` — the head stays wherever the previous request left it;
-  idle gaps advance the drive clock (:meth:`DiskDrive.advance_clock`)
-  so the platter keeps rotating while the queue is empty.
+Head position: every query starts from a uniformly random head
+position *pre-drawn from the submitting client's stream at submission
+time* (one draw per involved disk, in sub-plan order) and applied when
+its first slice on that drive is dispatched (:data:`HEAD`, the paper's
+methodology).  Pre-drawing keeps each client's random stream a pure
+function of its own submission order, so per-drive served-block totals
+are invariant under re-interleavings, while a lone zero-think
+closed-loop client consumes draws in exactly the order of
+:meth:`repro.api.QueryBatch.run` (query, head, query, head, ...) — the
+parity the regression tests pin.
 
 Caching: when a client's storage manager carries a
 :class:`repro.cache.BufferPool`, queries are cache-filtered at
@@ -94,7 +90,11 @@ from repro.traffic.stats import (
     describe_query,
 )
 
-__all__ = ["TrafficConfig", "TrafficSim"]
+__all__ = ["HEAD", "TrafficConfig", "TrafficSim"]
+
+#: where a query's service starts, as :meth:`TrafficConfig.describe`
+#: reports it: a random head position per query and involved disk
+HEAD = "random"
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,8 @@ class TrafficConfig:
     """
 
     slice_runs: int | None = 256
-    head: str = "random"
 
     def __post_init__(self) -> None:
-        if self.head not in ("random", "carry"):
-            raise QueryError(f"unknown head mode {self.head!r}")
         if self.slice_runs is not None:
             n = _check_int("slice_runs", self.slice_runs)
             if n < 1:
@@ -124,7 +121,7 @@ class TrafficConfig:
     def describe(self) -> dict:
         return {
             "slice_runs": self.slice_runs,
-            "head": self.head,
+            "head": HEAD,
             "horizon_ms": None,
         }
 
@@ -341,17 +338,14 @@ class TrafficSim:
             # one head draw per involved disk, in sub-plan order — drawn
             # at submission even for all-hit queries, keeping the
             # client's stream draw-for-draw with the batch path
-            heads: dict[int, tuple | None] = {}
+            heads: dict[int, tuple] = {}
             disk_states: dict[int, _DriveState] = {}
             for sub in subs:
                 disk = sub.disk_index
                 if disk not in disk_states:
                     ds = drive_state(cs, disk)
                     disk_states[disk] = ds
-                    heads[disk] = (
-                        ds.drive.draw_position(c.rng)
-                        if cfg.head == "random" else None
-                    )
+                    heads[disk] = ds.drive.draw_position(c.rng)
             qs = _Query(cs, query, prepared, t, cs.issued)
             cs.issued += 1
             real = []
@@ -420,8 +414,6 @@ class TrafficSim:
             ds.busy = True
             ds.current = job
             drive = ds.drive
-            if cfg.head == "carry":
-                drive.advance_clock(t)
             qs = job.qs
             if job.next_slice == 0:
                 if not qs.started:

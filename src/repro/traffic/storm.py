@@ -12,8 +12,9 @@ contention it causes) differs.
 ``run_one_storm`` runs one such storm on one layout with telemetry
 attached: the runner behind the ``trace`` subcommand.  Both take the
 same workload keywords: ``clients``, ``queries`` per client, ``mix``, the
-``arrival`` model by name with its ``rate`` and ``think_ms``,
-``slice_runs`` (0 serves each query whole) and ``head``.
+``arrival`` model by name with its ``rate`` and ``think_ms``, and
+``slice_runs`` (0 serves each query whole).  Every query starts from a
+random head position, as the meta's ``head`` records.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.bench.sweep import DEFAULT_LAYOUTS, render_sweep, run_sweep
 from repro.errors import _check_count, _check_shape
 from repro.traffic.arrivals import arrival_named
 from repro.traffic.clients import QueryMix
+from repro.traffic.engine import HEAD
 
 __all__ = ["run_one_storm", "run_storm", "render_storm"]
 
@@ -30,8 +32,7 @@ def run_storm(shape, layouts=DEFAULT_LAYOUTS, clients=(1, 2, 4, 8), *,
               drive: str = "atlas10k3", queries: int = 20,
               mix: QueryMix | None = None, arrival: str = "closed",
               rate: float = 50.0, think_ms: float = 0.0, seed=42,
-              slice_runs: int | None = 64,
-              head: str = "random") -> dict:
+              slice_runs: int | None = 64) -> dict:
     """Sweep layouts × client counts; returns a JSON-friendly dict.
 
     The result maps ``layout -> {n_clients: aggregate}`` (see
@@ -50,7 +51,6 @@ def run_storm(shape, layouts=DEFAULT_LAYOUTS, clients=(1, 2, 4, 8), *,
             fresh().traffic()
             .clients(n, mix=mix, arrival=arrival, queries=queries)
             .slice_runs(slice_runs)
-            .head(head)
             .run()
         ).aggregate()
 
@@ -62,7 +62,7 @@ def run_storm(shape, layouts=DEFAULT_LAYOUTS, clients=(1, 2, 4, 8), *,
             "arrival": arrival.describe(),
             "seed": seed,
             "slice_runs": slice_runs,
-            "head": head,
+            "head": HEAD,
             "client_counts": clients,
         },
     )
@@ -72,7 +72,7 @@ def run_one_storm(shape, *, clients: int, queries: int, telemetry: dict,
                   layout: str = "multimap", drive: str = "atlas10k3",
                   mix: QueryMix | None = None, arrival: str = "closed",
                   rate: float = 50.0, think_ms: float = 0.0, seed=42,
-                  slice_runs: int | None = 64, head: str = "random"):
+                  slice_runs: int | None = 64):
     """Run one seeded storm on one layout; returns ``(dataset, report)``.
 
     The dataset gets ``telemetry`` (:meth:`Dataset.with_telemetry`
@@ -92,7 +92,6 @@ def run_one_storm(shape, *, clients: int, queries: int, telemetry: dict,
                                        think_ms=think_ms),
                  queries=queries)
         .slice_runs(slice_runs or None)
-        .head(head)
         .run()
     )
     return ds, report

@@ -11,7 +11,7 @@ record the gather.  The property runs both on twin datasets and requires
 equal results, Report JSON, drive clocks, heads and firmware-cache
 recency, pool stats, shard and replica stats, and telemetry spans and
 metrics, over every registered layout, 1-3 shards x 1-2 copies,
-pools across policies and prefetchers, telemetry, drives with a firmware
+pools with either prefetcher, telemetry, drives with a firmware
 track cache, lazy and fixed entries, repeats, small service groups, a
 failed disk, and an entry rejected mid-batch (same typed error, same
 state).
@@ -125,7 +125,7 @@ def build(case):
     if case["shards"] > 1:
         ds.with_shards(case["shards"])
         if case["k"] > 1:
-            ds.with_replication(case["k"], read_policy=case["read"])
+            ds.with_replication(case["k"])
     if case["pool"] is not None:
         ds.with_cache(*case["pool"])
     if case["obs"]:
@@ -195,12 +195,9 @@ def cases(draw):
         "layout": draw(st.sampled_from(sorted(layout_names()))),
         "shards": shards,
         "k": k,
-        "read": draw(st.sampled_from(["primary", "round_robin",
-                                      "least_loaded"])),
         "pool": draw(st.one_of(st.none(), st.tuples(
             st.sampled_from([64, 512]),
-            st.sampled_from(["lru", "scan", "slru"]),
-            st.sampled_from(["none", "adjacent", "track"])))),
+            st.sampled_from(["none", "track"])))),
         "obs": draw(st.booleans()),
         "track_cache": draw(st.sampled_from([0, 1, 8])),
         "failed": (draw(st.one_of(st.none(), st.integers(0, shards - 1)))
@@ -243,8 +240,8 @@ class TestRunEqualsOneQueryAtATime:
         """The entries before a rejected one are serviced and recorded;
         the rejected one is not."""
         case = {"layout": "multimap", "shards": 2, "k": 1,
-                "read": "primary", "pool": (512, "lru", "track"),
-                "obs": True, "track_cache": 0, "failed": None}
+                "pool": (512, "track"), "obs": True, "track_cache": 0,
+                "failed": None}
         ds = build(case)
         batch = as_batch(ds, [("random_beam", 1), ("random_range", 5.0),
                               bad, ("random_beam", 2)], 1)

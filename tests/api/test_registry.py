@@ -161,7 +161,7 @@ class TestSharedModels:
         entry = get_drive("minidrive")
         ds = Dataset.create((16, 8, 8), layout="multimap",
                             drive="minidrive").with_shards(
-            2, "cube_aligned")
+            2, "round_robin")
         clone = ds.with_layout("naive")
         models = ds.volume.models + clone.volume.models
         assert len(models) == 4
@@ -222,18 +222,6 @@ class TestNonStringNames:
         with pytest.raises(RegistryError, match="unknown strategy"):
             ds.with_shards(2, strategy=["disk_modulo"])
         assert ds.storage is storage
-
-    def test_with_replication_placement_list(self, small_model):
-        ds = self.sharded(small_model)
-        with pytest.raises(RegistryError, match="unknown placement"):
-            ds.with_replication(2, placement=["rotated"])
-        assert not ds.is_replicated
-
-    def test_with_replication_read_policy_list(self, small_model):
-        ds = self.sharded(small_model)
-        with pytest.raises(RegistryError, match="unknown read policy"):
-            ds.with_replication(2, read_policy=["primary"])
-        assert not ds.is_replicated
 
     def test_with_ingest_loader_int(self, small_model):
         # used to be accepted until a run started

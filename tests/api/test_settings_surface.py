@@ -7,16 +7,21 @@ layout options against the mapper, ``with_ingest``'s, ``ingest``'s and
 setting edits this table in the same diff, so the surface only grows on
 purpose.  The §5.2 conventions' numbers are constants of
 :mod:`repro.query.scheduler`, not settings, and a pool has no tuning
-keywords beyond its size, policy and prefetcher.  The ingest pipeline's
+keywords beyond its size and prefetcher.  The ingest pipeline's
 staging cost and overflow bound are constants of
 :mod:`repro.ingest.pipeline`, and a reorganisation takes only its
 pipeline.  The public methods of the traffic and ingest runs are a
 table too, so a second way to set something (an alias method) is an
-edit here.
+edit here.  So are the registries' names (:data:`REGISTRIES`): a
+registry holds only what a figure, pin, example or benchmark selects,
+and a setting with one alternative is a constant, not a table.
 """
 
 import dataclasses
+import importlib
 import inspect
+
+import pytest
 
 from repro.api import Dataset
 from repro.api.ingest import IngestRun
@@ -36,16 +41,16 @@ SURFACE = {
         "shape", "layout", "drive", "cell_blocks", "depth", "seed",
         "window", "**layout_opts",
     ),
-    "Dataset.with_cache": ("capacity_blocks", "policy", "prefetch"),
+    "Dataset.with_cache": ("capacity_blocks", "prefetch"),
     "Dataset.with_shards": ("n_shards", "strategy", "chunk_shape"),
-    "Dataset.with_replication": ("k", "placement", "read_policy"),
-    "Dataset.with_telemetry": ("trace", "metrics", "exporter"),
+    "Dataset.with_replication": ("k",),
+    "Dataset.with_telemetry": ("trace", "metrics"),
     "Dataset.with_ingest": ("stream", "loader", "**opts"),
-    "BufferPool": ("capacity_blocks", "policy", "prefetch"),
+    "BufferPool": ("capacity_blocks", "prefetch"),
     "StorageManager": ("volume", "window", "cache"),
     "ShardedStorageManager": (
-        "volume", "shard_map", "layout", "k", "placement", "read_policy",
-        "cell_blocks", "window", "cache", "layout_opts",
+        "volume", "shard_map", "layout", "k", "cell_blocks", "window",
+        "cache", "layout_opts",
     ),
     "Dataset.ingest": ("**overrides",),
     "IngestPipeline": ("dataset", "stream", "plan", "flush_points"),
@@ -53,13 +58,39 @@ SURFACE = {
     "make_stream": ("name", "dims", "**opts"),
     "TrafficRun.clients": ("n", "mix", "arrival", "queries", "name"),
     "TrafficRun.kill": ("at_ms", "disk", "revive_at_ms"),
-    "TrafficConfig": ("slice_runs", "head"),
+    "TrafficConfig": ("slice_runs",),
 }
 
 #: run class -> its public methods, sorted
 METHODS = {
-    "TrafficRun": ("clients", "head", "kill", "run", "slice_runs"),
+    "TrafficRun": ("clients", "kill", "run", "slice_runs"),
     "IngestRun": ("run",),
+}
+
+#: (module, table) -> its names, sorted
+REGISTRIES = {
+    ("repro.api.registry", "LAYOUTS"): (
+        "gray", "hilbert", "multimap", "naive", "zorder",
+    ),
+    ("repro.api.registry", "DRIVES"): (
+        "atlas10k3", "cheetah36es", "minidrive", "toy",
+    ),
+    ("repro.lvm.striping", "STRATEGIES"): ("disk_modulo", "round_robin"),
+    ("repro.cache", "PREFETCHERS"): ("none", "track"),
+    ("repro.ingest", "LOADERS"): ("adaptive", "fixed"),
+    ("repro.ingest", "STREAMS"): ("clustered", "uniform"),
+    ("repro.traffic.arrivals", "ARRIVALS"): ("closed", "poisson"),
+}
+
+#: package -> the retired tables and helpers it no longer exports (a
+#: setting with one alternative is a constant of its module)
+RETIRED = {
+    "repro.cache": ("POLICIES", "EvictionPolicy", "policy_names",
+                    "register_policy"),
+    "repro.replica": ("PLACEMENTS", "READ_POLICIES", "placement_names",
+                      "read_policy_names", "register_placement",
+                      "register_read_policy"),
+    "repro.obs": ("EXPORTERS", "exporter_names", "register_exporter"),
 }
 
 
@@ -120,3 +151,31 @@ def test_storage_conventions_are_constants():
     assert scheduler.COALESCE_GAP_BLOCKS == 24
     window = inspect.signature(Dataset.create).parameters["window"]
     assert window.default == scheduler.DEFAULT_WINDOW == 128
+
+
+def test_registries():
+    actual = {
+        (module, table): tuple(sorted(
+            getattr(importlib.import_module(module), table)
+        ))
+        for module, table in REGISTRIES
+    }
+    assert actual == REGISTRIES
+
+
+@pytest.mark.parametrize("package", sorted(RETIRED))
+def test_retired_tables_are_gone(package):
+    module = importlib.import_module(package)
+    for name in RETIRED[package]:
+        assert not hasattr(module, name), f"{package}.{name}"
+
+
+def test_single_alternatives_are_constants():
+    """What the retired one-entry tables named, the pins still record."""
+    from repro.cache import LRUPolicy
+    from repro.replica import PLACEMENT, READ_POLICY
+    from repro.traffic.engine import HEAD
+
+    assert (LRUPolicy.name, PLACEMENT, READ_POLICY, HEAD) == (
+        "lru", "rotated", "primary", "random",
+    )

@@ -9,7 +9,6 @@ from repro.api import Dataset, TrafficRun
 from repro.errors import QueryError
 from repro.traffic import (
     BeamDraw,
-    BurstyArrivals,
     ClosedLoop,
     PoissonArrivals,
     QueryMix,
@@ -65,13 +64,11 @@ class TestBuilder:
             ds.traffic()
             .clients(1, arrival=ClosedLoop(think_ms=5.0), queries=2)
             .clients(1, arrival=PoissonArrivals(rate_qps=100), queries=2)
-            .clients(1, arrival=BurstyArrivals(burst_rate_per_s=50),
-                     queries=2)
         )
         rep = run.run()
         models = [c["arrival"]["model"] for c in rep.meta["clients"]]
-        assert models == ["closed", "poisson", "bursty"]
-        assert len(rep) == 6
+        assert models == ["closed", "poisson"]
+        assert len(rep) == 4
 
     def test_rejects_zero_clients(self, ds):
         with pytest.raises(QueryError):

@@ -79,12 +79,6 @@ class TestCacheSubcommand:
         assert rc == 0
         assert (tmp_path / "sub" / "cache.json").exists()
 
-    def test_rejects_unknown_policy(self, capsys):
-        from repro.errors import RegistryError
-
-        with pytest.raises(RegistryError):
-            main(CACHE_QUICK + ["--policy", "nope"])
-
 
 SCALE_QUICK = [
     "scale", "--shape", "24,8,8", "--shards", "1,2",
@@ -126,10 +120,6 @@ class TestScaleSubcommand:
         assert rc == 0
         assert f"saved {dest}" in capsys.readouterr().out
 
-    def test_cube_aligned_strategy(self, capsys):
-        rc = main(SCALE_QUICK + ["--strategy", "cube_aligned"])
-        assert rc == 0
-
     def test_rejects_unknown_strategy(self, capsys):
         from repro.errors import ReproError
 
@@ -142,13 +132,21 @@ class TestTypedErrors:
     message, never a bare builtin traceback."""
 
     @pytest.mark.parametrize("shards", ["0", "1,0", "-2"])
-    def test_scale_rejects_shard_counts_below_one(self, shards):
+    def test_scale_rejects_shard_counts_below_one(self, capsys, shards):
         from repro.errors import DatasetError
+        from repro.shard import run_scale_sweep
 
         # a zero count used to die in ZeroDivisionError while the sweep
-        # computed its chunk shapes
-        with pytest.raises(DatasetError, match="shard counts"):
+        # computed its chunk shapes: the CLI refuses it while parsing,
+        # and the runner itself with a typed error
+        with pytest.raises(SystemExit) as exc:
             main(SCALE_QUICK + ["--shards", shards])
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+        counts = tuple(int(v) for v in shards.split(","))
+        with pytest.raises(DatasetError, match="shard counts"):
+            run_scale_sweep((24, 8, 8), ("naive",), counts, n_beams=4,
+                            drive="minidrive")
 
     @pytest.mark.parametrize("flag, value", [
         ("--shape", "16,8,x"),
@@ -202,7 +200,7 @@ class TestListFlags:
         rc = main(["--list-strategies"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "round_robin" in out and "cube_aligned" in out
+        assert "round_robin" in out and "disk_modulo" in out
 
     def test_combined_flags_skip_figures(self, capsys):
         rc = main(["--list-layouts", "--list-drives"])
@@ -211,43 +209,41 @@ class TestListFlags:
         assert "registered layouts:" in out
         assert "registered drives:" in out
 
-    def test_list_policies(self, capsys):
-        rc = main(["--list-policies"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "registered cache policies:" in out
-        for name in ("lru", "slru", "scan"):
-            assert name in out
-
     def test_list_prefetchers(self, capsys):
         rc = main(["--list-prefetchers"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "registered prefetchers:" in out
-        for name in ("none", "track", "adjacent"):
-            assert name in out
-
-    def test_list_placements(self, capsys):
-        rc = main(["--list-placements"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "registered replica placements:" in out
-        assert "rotated" in out and "locality_aligned" in out
-
-    def test_list_read_policies(self, capsys):
-        rc = main(["--list-read-policies"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "registered read policies:" in out
-        for name in ("primary", "round_robin", "least_loaded"):
+        for name in ("none", "track"):
             assert name in out
 
     def test_list_flags_carry_descriptions(self, capsys):
-        """Cache registries hold bare classes; their docstring first
-        line must still surface as the description."""
-        main(["--list-policies"])
+        """The prefetcher registry holds bare classes; their docstring
+        first line must still surface as the description."""
+        main(["--list-prefetchers"])
         out = capsys.readouterr().out
-        assert "least-recently-used" in out.lower()
+        assert "round every run out to whole tracks" in out.lower()
+
+    @pytest.mark.parametrize("argv", [
+        ["--list-policies"],
+        ["--list-placements"],
+        ["--list-read-policies"],
+        ["--list-exporters"],
+        ["cache", "--policy", "lru"],
+        ["avail", "--placement", "rotated"],
+        ["avail", "--read-policy", "primary"],
+        ["explain", "--cache-policy", "lru"],
+        ["traffic", "--head", "random"],
+        ["trace", "--head", "random"],
+        ["trace", "--export", "chrome"],
+    ])
+    def test_retired_flags_exit_2(self, capsys, argv):
+        """A setting with one alternative is a constant: its flag is
+        gone, and argparse refuses it before anything runs."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 AVAIL_QUICK = [
@@ -279,18 +275,9 @@ class TestAvailSubcommand:
         assert rc == 0
         assert (tmp_path / "sub" / "avail.json").exists()
 
-    def test_kill_disk_and_placement_flags(self, capsys):
-        rc = main(AVAIL_QUICK + [
-            "--kill-disk", "1", "--placement", "locality_aligned",
-            "--read-policy", "least_loaded",
-        ])
+    def test_kill_disk_flag(self, capsys):
+        rc = main(AVAIL_QUICK + ["--kill-disk", "1"])
         assert rc == 0
-
-    def test_rejects_unknown_placement(self, capsys):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError):
-            main(AVAIL_QUICK + ["--placement", "nope"])
 
 
 class TestSharedJsonWriter:
@@ -322,9 +309,13 @@ class TestStormFlagsChecked:
         (["--mix", "beam:1,beam:5"], "beam:5 is not an axis of the 3-D"),
         (["--arrival", "poisson", "--rate", "nan"], "must be finite"),
         (["--arrival", "poisson", "--rate", "0"], "rate_qps must be > 0"),
-        (["--arrival", "bursty", "--rate", "inf"], "must be finite"),
+        (["--arrival", "poisson", "--rate", "inf"], "must be finite"),
         (["--think-ms", "-1"], "must be >= 0"),
         (["--think-ms", "nan"], "think_ms must be finite"),
+        (["--clients", "0"], "must be a positive integer, got 0"),
+        (["--queries", "0"], "must be a positive integer, got 0"),
+        (["--queries", "-1"], "must be a positive integer, got -1"),
+        (["--slice-runs", "-5"], "must be a non-negative integer, got -5"),
     ])
     def test_exits_2_before_any_dataset(self, capsys, monkeypatch,
                                         command, flags, message):
@@ -344,9 +335,156 @@ class TestStormFlagsChecked:
                              ids=["traffic", "trace"])
     def test_valid_values_still_run(self, capsys, command):
         assert main(command + [
-            "--mix", "beam:2,range:100", "--arrival", "bursty",
+            "--mix", "beam:2,range:100", "--arrival", "poisson",
             "--rate", "0.5", "--think-ms", "0", "--quiet",
         ]) == 0
+
+    @pytest.mark.parametrize("command", [TRAFFIC_QUICK, TRACE_QUICK],
+                             ids=["traffic", "trace"])
+    def test_whole_query_slices_and_single_counts_still_run(self, capsys,
+                                                             command):
+        """``--slice-runs 0`` still means whole queries, and one client
+        with one query still runs."""
+        assert main(command + ["--clients", "1", "--queries", "1",
+                               "--slice-runs", "0", "--quiet"]) == 0
+
+    @pytest.mark.parametrize("clients", ["0,1", "2,0", "1,-3"])
+    def test_traffic_client_list_entries_are_positive(
+            self, capsys, monkeypatch, clients):
+        from repro.api import Dataset
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dataset was built")
+
+        monkeypatch.setattr(Dataset, "create", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(TRAFFIC_QUICK + ["--clients", clients])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be a positive integer" in err
+
+
+INGEST_QUICK = [
+    "ingest", "--shape", "16,8,8", "--layouts", "naive",
+    "--loaders", "fixed", "--points", "256", "--batch-points", "128",
+    "--flush-points", "256", "--shards", "2", "--drive", "minidrive",
+    "--quiet",
+]
+
+EXPLAIN_QUICK = ["explain", "--shape", "16,8,8", "--quiet"]
+
+PERF_QUICK = [
+    "perf", "--shape", "16,8,8", "--layouts", "naive",
+    "--drive", "minidrive", "--quiet",
+]
+
+POSITIVE = "must be a positive integer, got "
+NON_NEGATIVE = "must be a non-negative integer, got "
+DISTINCT = "a sweep needs distinct values, at least one"
+
+#: (argv, message): every count, seed, index and swept list a runner
+#: refuses, in each subcommand that takes it
+BAD_COUNTS = {
+    "cache-repeats-0": (CACHE_QUICK + ["--repeats", "0"], POSITIVE + "0"),
+    "cache-beams-0": (CACHE_QUICK + ["--beams", "0"], POSITIVE + "0"),
+    "cache-capacities-negative": (CACHE_QUICK + ["--capacities", "0,-5"],
+                                  NON_NEGATIVE + "-5"),
+    "cache-capacities-repeated": (CACHE_QUICK + ["--capacities", "512,512"],
+                                  DISTINCT),
+    "cache-capacities-empty": (CACHE_QUICK + ["--capacities", ","],
+                               DISTINCT),
+    "cache-shape-0": (CACHE_QUICK + ["--shape", "0,8,8"], POSITIVE + "0"),
+    "cache-seed-negative": (CACHE_QUICK + ["--seed", "-1"],
+                            NON_NEGATIVE + "-1"),
+    "scale-beams-0": (SCALE_QUICK + ["--beams", "0"], POSITIVE + "0"),
+    "scale-shards-repeated": (SCALE_QUICK + ["--shards", "2,2"], DISTINCT),
+    "scale-layouts-repeated": (SCALE_QUICK + ["--layouts", "naive,naive"],
+                               DISTINCT),
+    "avail-disks-0": (AVAIL_QUICK + ["--disks", "0"], POSITIVE + "0"),
+    "avail-ks-0": (AVAIL_QUICK + ["--ks", "0,1"], POSITIVE + "0"),
+    "avail-ks-repeated": (AVAIL_QUICK + ["--ks", "2,2"], DISTINCT),
+    "avail-kill-disk-negative": (AVAIL_QUICK + ["--kill-disk", "-1"],
+                                 NON_NEGATIVE + "-1"),
+    "avail-beams-0": (AVAIL_QUICK + ["--beams", "0"], POSITIVE + "0"),
+    "ingest-points-0": (INGEST_QUICK + ["--points", "0"], POSITIVE + "0"),
+    "ingest-batch-points-0": (INGEST_QUICK + ["--batch-points", "0"],
+                              POSITIVE + "0"),
+    "ingest-flush-points-0": (INGEST_QUICK + ["--flush-points", "0"],
+                              POSITIVE + "0"),
+    "ingest-shards-0": (INGEST_QUICK + ["--shards", "0"], POSITIVE + "0"),
+    "ingest-k-0": (INGEST_QUICK + ["--k", "0"], POSITIVE + "0"),
+    "ingest-loaders-repeated": (INGEST_QUICK + ["--loaders", "fixed,fixed"],
+                                DISTINCT),
+    "ingest-layouts-repeated": (INGEST_QUICK + ["--layouts", "zorder,zorder"],
+                                DISTINCT),
+    "traffic-clients-repeated": (TRAFFIC_QUICK + ["--clients", "1,1"],
+                                 DISTINCT),
+    "traffic-seed-negative": (TRAFFIC_QUICK + ["--seed", "-1"],
+                              NON_NEGATIVE + "-1"),
+    "trace-bins-0": (TRACE_QUICK + ["--bins", "0"], POSITIVE + "0"),
+    "trace-shape-0": (TRACE_QUICK + ["--shape", "16,0,8"], POSITIVE + "0"),
+    "trace-seed-negative": (TRACE_QUICK + ["--seed", "-3"],
+                            NON_NEGATIVE + "-3"),
+    "explain-cache-blocks-negative": (EXPLAIN_QUICK + ["--cache-blocks",
+                                                       "-5"],
+                                      NON_NEGATIVE + "-5"),
+    "explain-axis-negative": (EXPLAIN_QUICK + ["--axis", "-1"],
+                              NON_NEGATIVE + "-1"),
+    "explain-shape-negative": (EXPLAIN_QUICK + ["--shape", "16,-8,8"],
+                               POSITIVE + "-8"),
+    "explain-seed-negative": (EXPLAIN_QUICK + ["--seed", "-1"],
+                              NON_NEGATIVE + "-1"),
+    "perf-repeats-0": (PERF_QUICK + ["--repeats", "0"], POSITIVE + "0"),
+    "perf-beams-negative": (PERF_QUICK + ["--beams", "-1"],
+                            NON_NEGATIVE + "-1"),
+    "perf-ranges-negative": (PERF_QUICK + ["--ranges", "-1"],
+                             NON_NEGATIVE + "-1"),
+    "perf-full-ranges-negative": (PERF_QUICK + ["--full-ranges", "-2"],
+                                  NON_NEGATIVE + "-2"),
+    "perf-ref-plans-0": (PERF_QUICK + ["--ref-plans", "0"], POSITIVE + "0"),
+    "perf-ref-cell-cap-0": (PERF_QUICK + ["--ref-cell-cap", "0"],
+                            POSITIVE + "0"),
+    "perf-shape-0": (PERF_QUICK + ["--shape", "16,8,0"], POSITIVE + "0"),
+    "perf-seed-negative": (PERF_QUICK + ["--seed", "-1"],
+                           NON_NEGATIVE + "-1"),
+}
+
+
+class TestCountFlagsChecked:
+    """Counts, dims, seeds, indexes and swept lists a runner refuses exit
+    2 through argparse before any dataset is built.  Each used to pass
+    argparse and end in a typed-error traceback with exit 1, a bare
+    numpy ``ValueError`` (a negative seed) or, for ``perf``'s negative
+    workload counts, an empty part of the workload."""
+
+    @pytest.mark.parametrize("argv, message", list(BAD_COUNTS.values()),
+                             ids=list(BAD_COUNTS))
+    def test_exits_2_before_any_dataset(self, capsys, monkeypatch, argv,
+                                        message):
+        from repro.api import Dataset
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dataset was built")
+
+        monkeypatch.setattr(Dataset, "create", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and message in err
+
+    @pytest.mark.parametrize("argv", [
+        CACHE_QUICK + ["--capacities", "0"],
+        AVAIL_QUICK + ["--kill-disk", "0"],
+        EXPLAIN_QUICK + ["--cache-blocks", "0", "--axis", "0", "--seed",
+                         "0"],
+        PERF_QUICK + ["--beams", "0", "--full-ranges", "0"],
+    ], ids=["cache-uncached-only", "avail-kill-disk-0",
+            "explain-zeros", "perf-ranges-only"])
+    def test_zero_where_zero_is_meaningful_still_runs(self, capsys, argv):
+        """The uncached baseline, the first member disk, no pool, axis 0,
+        seed 0 and a workload without beams stay valid."""
+        assert main(argv) == 0
 
 
 def export(tmp_path, name):

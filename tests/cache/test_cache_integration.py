@@ -12,7 +12,7 @@ from repro.traffic import QueryMix
 def cached_dataset(small_model):
     ds = Dataset.create((24, 12, 12), layout="multimap",
                         drive=small_model, seed=3)
-    ds.with_cache(4096, policy="lru", prefetch="none")
+    ds.with_cache(4096, prefetch="none")
     return ds
 
 
@@ -76,26 +76,21 @@ class TestWithCacheFacade:
         ds = Dataset.create((24, 12, 12), layout="naive",
                             drive=small_model)
         with pytest.raises(RegistryError):
-            ds.with_cache(0, policy="nope")
-        with pytest.raises(RegistryError):
             ds.with_cache(0, prefetch="bogus")
 
     def test_policy_instances_rejected(self, small_model):
-        """A pre-built policy object would be shared across with_layout
-        clones (one pool's residency leaking into another layout's
-        measurements), and a class bypasses the registry: with_cache
-        takes registered names only, at every capacity."""
-        from repro.cache import LRUPolicy, TrackPrefetcher
+        """A pre-built prefetcher object would be shared across
+        with_layout clones, and a class bypasses the registry:
+        with_cache takes registered names only, at every capacity."""
+        from repro.cache import TrackPrefetcher
         from repro.errors import CacheError
 
         ds = Dataset.create((24, 12, 12), layout="naive",
                             drive=small_model)
         for capacity in (64, 0):
-            for spec in (dict(policy=LRUPolicy(64)),
-                         dict(policy=LRUPolicy),
-                         dict(prefetch=TrackPrefetcher)):
+            for prefetch in (TrackPrefetcher, TrackPrefetcher()):
                 with pytest.raises(CacheError):
-                    ds.with_cache(capacity, **spec)
+                    ds.with_cache(capacity, prefetch=prefetch)
         assert ds.cache is None
 
     def test_describe_gains_cache_spec(self, cached_dataset):
@@ -113,13 +108,41 @@ class TestWithCacheFacade:
     def test_chainable_from_create(self, small_model):
         ds = Dataset.create((24, 12, 12), layout="naive",
                             drive=small_model, seed=1).with_cache(
-            512, policy="scan", prefetch="adjacent",
+            512, prefetch="track",
         )
-        assert ds.cache.policy.describe() == "scan"
-        assert ds.cache.prefetcher.describe() == "adjacent[4]"
+        assert ds.cache.policy.name == "lru"
+        assert ds.cache.prefetcher.name == "track"
 
 
 class TestPrefetchers:
+    def test_registry_holds_bare_classes(self):
+        """The prefetcher table registers the classes themselves: a
+        second class under a taken name is refused, and the same class
+        re-registering (its module re-executed) is a benign overwrite."""
+        from repro.cache import (
+            PREFETCHERS,
+            TrackPrefetcher,
+            register_prefetcher,
+        )
+        from repro.errors import RegistryError
+
+        assert PREFETCHERS.get("track") is TrackPrefetcher
+        with pytest.raises(RegistryError, match="already registered"):
+
+            @register_prefetcher("track")
+            class Impostor(TrackPrefetcher):
+                pass
+
+        class Again(TrackPrefetcher):
+            pass
+
+        try:
+            register_prefetcher("rereg-demo")(Again)
+            register_prefetcher("rereg-demo")(Again)
+            assert PREFETCHERS.get("rereg-demo") is Again
+        finally:
+            PREFETCHERS._entries.pop("rereg-demo", None)
+
     def test_track_prefetch_rounds_to_track(self, small_model):
         ds = Dataset.create((24, 12, 12), layout="multimap",
                             drive=small_model, seed=3)
@@ -132,17 +155,6 @@ class TestPrefetchers:
             lo, hi = geom.track_boundaries(int(start))
             assert all(ds.cache.contains(0, lbn) for lbn in range(lo, hi))
         assert ds.cache.stats.prefetch_issued > 0
-
-    def test_adjacent_prefetch_pulls_successors(self, small_model):
-        ds = Dataset.create((24, 12, 12), layout="multimap",
-                            drive=small_model, seed=3)
-        ds.with_cache(8192, prefetch="adjacent")
-        ds.query().beam(0, fixed=(0, 2, 3)).run()
-        plan = ds.mapper.beam_plan(0, (0, 2, 3))
-        adj = ds.volume.adjacency[0]
-        last = int(plan.starts[-1] + plan.lengths[-1] - 1)
-        for step in (1, 2, 3, 4):
-            assert ds.cache.contains(0, adj.get_adjacent(last, step))
 
     def test_prefetch_hits_counted(self, small_model):
         # naive on the 120-sector tracks packs 5 rows per track, so

@@ -1,7 +1,7 @@
 """BufferPool invariants: occupancy, stats accounting, plan filtering.
 
-The hypothesis suites drive pools of every builtin policy with random
-plan streams and pin the ISSUE's invariants: occupancy never exceeds
+The hypothesis suites drive pools with random plan streams and pin the
+invariants: occupancy never exceeds
 capacity, ``hits + misses == accesses``, and the filter partitions each
 plan exactly (hit blocks + miss-plan blocks == plan blocks, disjoint,
 order preserved).
@@ -60,10 +60,10 @@ class TestConstruction:
             BufferPool(capacity)
 
     def test_describe_layout(self):
-        pool = BufferPool(8, policy="slru", prefetch="adjacent")
+        pool = BufferPool(8, prefetch="track")
         d = pool.describe()
-        assert d["policy"] == "slru"
-        assert d["prefetch"] == "adjacent[4]"
+        assert d["policy"] == "lru"
+        assert d["prefetch"] == "track"
         assert d["service_ms_per_block"] == DiskDrive.CACHE_BLOCK_MS
         assert d["stats"]["accesses"] == 0
 
@@ -95,11 +95,10 @@ class TestFilterPartition:
         assert out.policy == "fifo"
         assert expand_plan(out).tolist() == [20, 21, 10, 13, 30]
 
-    @given(plan_streams, st.integers(min_value=1, max_value=64),
-           st.sampled_from(["lru", "slru", "scan"]))
+    @given(plan_streams, st.integers(min_value=1, max_value=64))
     @settings(max_examples=60, deadline=None)
-    def test_invariants(self, stream, capacity, policy):
-        pool = BufferPool(capacity, policy=policy)
+    def test_invariants(self, stream, capacity):
+        pool = BufferPool(capacity)
         for plan in stream:
             before = pool.stats.accesses
             miss, hits, hit_runs = pool.filter_plan(0, plan)
@@ -163,12 +162,12 @@ class TestMaintenance:
 
     def test_prefetch_readmission_does_not_promote(self):
         """A speculative prefetch landing on a resident block is not a
-        reference: an SLRU probation block must stay probationary."""
-        pool = BufferPool(16, policy="slru")
-        pool.admit_plan(None, 0, plan_of([5], [1]))  # demand -> probation
-        assert (0, 5) in pool.policy._probation
-        pool._admit((0, 5), scan=False, prefetch=True)
-        assert (0, 5) in pool.policy._probation
+        reference: the block keeps its place in the eviction order."""
+        pool = BufferPool(16)
+        pool.admit_plan(None, 0, plan_of([5, 6], [1, 1]))
+        assert pool.policy.keys() == ((0, 5), (0, 6))
+        pool._admit((0, 5), prefetch=True)
+        assert pool.policy.keys() == ((0, 5), (0, 6))
         # a demand re-fetch of the same block IS a reference
-        pool._admit((0, 5), scan=False, prefetch=False)
-        assert (0, 5) in pool.policy._protected
+        pool._admit((0, 5), prefetch=False)
+        assert pool.policy.keys() == ((0, 6), (0, 5))

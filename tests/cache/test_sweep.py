@@ -7,7 +7,6 @@ from repro.cache import overlapping_beams, render_cache_sweep, run_cache_sweep
 QUICK = dict(
     shape=(120, 16, 16),
     capacities=(12288, 24576),
-    policy="lru",
     prefetch="track",
     n_beams=16,
     repeats=3,

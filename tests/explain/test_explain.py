@@ -119,18 +119,16 @@ class TestZeroSideEffects:
         ds = (Dataset.create((48, 12, 12), layout="multimap",
                              drive="minidrive", seed=42)
               .with_shards(2)
-              .with_replication(2, read_policy="round_robin"))
+              .with_replication(2))
         stats = ds.storage.replica_stats
-        rr = ds.storage._rr_counts
         snapshot = (list(stats.reads), list(stats.planned_blocks),
-                    dict(rr))
+                    stats.primary_reads)
         out = ds.explain(BEAM)
-        assert out["routing"]["read_policy"] == "round_robin"
-        # same objects, same values: restored in place
+        assert out["routing"]["read_policy"] == "primary"
+        # same object, same values: restored in place
         assert ds.storage.replica_stats is stats
-        assert ds.storage._rr_counts is rr
-        assert snapshot == (list(stats.reads),
-                            list(stats.planned_blocks), dict(rr))
+        assert snapshot == (list(stats.reads), list(stats.planned_blocks),
+                            stats.primary_reads)
 
     def test_restores_on_prepare_failure(self, ds):
         from repro.errors import ReproError

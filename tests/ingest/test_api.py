@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.api import Dataset
@@ -68,9 +67,54 @@ class TestWithIngest:
         assert plain._ingest_spec["stream"] == "clustered"
 
     def test_spec_survives_sharding_and_replication(self, plain):
-        plain.with_ingest(stream="drifting")
+        plain.with_ingest(stream="clustered")
         plain.with_shards(2).with_replication(2)
-        assert plain.describe()["ingest"]["stream"] == "drifting"
+        assert plain.describe()["ingest"]["stream"] == "clustered"
+
+    @pytest.mark.parametrize("opts, match", [
+        (dict(loader_opts=5, bogus=1, n_points=-3), "n_points"),
+        (dict(n_points=-3), "n_points must be >= 1"),
+        (dict(batch_points=0), "batch_points"),
+        (dict(seed=-1), "seed"),
+        (dict(loader_opts=5), "loader_opts must be a dict"),
+        (dict(loader_opts={"bogus": 1}), "unknown fixed loader option"),
+        (dict(bogus=1), "bogus"),
+        (dict(stream="uniform", n_clusters=2), "n_clusters"),
+        (dict(stream="clustered", spread=0.0), "spread"),
+    ])
+    def test_spec_is_checked_before_it_is_stored(self, plain, opts,
+                                                 match):
+        """A spec a run would refuse is refused when it is set, and the
+        dataset keeps its previous spec (``with_ingest`` used to store
+        anything and ``describe()`` reported it)."""
+        with pytest.raises(IngestError, match=match):
+            plain.with_ingest(**opts)
+        assert plain._ingest_spec is None
+        assert "ingest" not in plain.describe()
+        plain.with_ingest(stream="clustered", n_points=64)
+        before = plain.describe()
+        with pytest.raises(IngestError, match=match):
+            plain.with_ingest(**opts)
+        assert plain.describe() == before
+
+    def test_spec_is_checked_on_its_own(self, plain):
+        """A new spec replaces the old one, so it is checked alone: a
+        stream option of the earlier spec does not reach the new one."""
+        plain.with_ingest(stream="clustered", n_clusters=2)
+        plain.with_ingest(stream="uniform", n_points=64)
+        assert plain.describe()["ingest"] == {
+            "stream": "uniform", "loader": "fixed", "n_points": 64,
+        }
+        assert plain.ingest().stream.n_points == 64
+
+    def test_checking_a_spec_draws_nothing(self, plain, small_model):
+        """Building the run that checks a spec leaves the dataset's
+        generators where they were."""
+        plain.with_ingest(stream="clustered", loader="adaptive",
+                          n_points=256)
+        fresh = Dataset.create(SHAPE, layout="zorder", drive=small_model,
+                               seed=5)
+        assert plain.rng().random() == fresh.rng().random()
 
 
 class TestIngestRun:
@@ -87,11 +131,11 @@ class TestIngestRun:
         ``with_points`` / ``with_flush`` / ``with_reorganize`` setters
         set, the run's keywords set."""
         run = plain.ingest(
-            stream="drifting", spread=0.1, loader="adaptive",
+            stream="clustered", spread=0.1, loader="adaptive",
             loader_opts={"quantile": 0.9}, n_points=96, batch_points=32,
             flush_points=48, reorganize=True,
         )
-        assert run.stream.kind == "drifting"
+        assert run.stream.kind == "clustered"
         assert run.stream.spread == 0.1
         assert run.loader.name == "adaptive"
         assert run.loader_opts["quantile"] == 0.9
@@ -112,9 +156,9 @@ class TestIngestRun:
         with pytest.raises(IngestError,
                            match=f"{field} must be an integer"):
             plain.ingest(**{field: value})
-        plain.with_ingest(**{field: value})
         with pytest.raises(IngestError, match=field):
-            plain.ingest()
+            plain.with_ingest(**{field: value})
+        assert plain._ingest_spec is None
 
     def test_fluent_setters_reject_non_integer_sizes(self, plain):
         """The sizes the retired setters took are the run's keywords,
@@ -273,7 +317,7 @@ class TestRunOptionsChecked:
                       **opts).run()
         assert self.untouched(ds) == before
 
-    @pytest.mark.parametrize("stream", ["clustered", "drifting"])
+    @pytest.mark.parametrize("stream", ["clustered"])
     @pytest.mark.parametrize("spread", [NAN, INF, -INF, True, "0.1"])
     def test_spread_must_be_a_finite_number(self, sharded, stream,
                                             spread):
@@ -330,9 +374,9 @@ class TestRunOptionsChecked:
                            match=f"unknown {loader} loader option.*"
                            f"{next(iter(opts))}"):
             sharded.ingest(loader=loader, loader_opts=opts)
-        sharded.with_ingest(loader=loader, loader_opts=opts)
         with pytest.raises(IngestError, match="loader option"):
-            sharded.ingest()
+            sharded.with_ingest(loader=loader, loader_opts=opts)
+        assert sharded._ingest_spec is None
         assert self.untouched(sharded) == before
 
     def test_fixed_loader_options_are_checked(self, sharded):
@@ -351,19 +395,17 @@ class TestRunOptionsChecked:
 
     def test_unknown_stream_keyword(self, sharded):
         self.assert_refused(sharded, "bogus", bogus=1)
-        sharded.with_ingest(stream="clustered", bogus=1)
         before = self.untouched(sharded)
         with pytest.raises(IngestError, match="bogus"):
-            sharded.ingest().run()
+            sharded.with_ingest(stream="clustered", bogus=1)
+        assert sharded._ingest_spec is None
         assert self.untouched(sharded) == before
 
     def test_every_stream_keyword_is_accepted(self, sharded):
         for stream, opts in [
             ("uniform", {}),
             ("clustered", {"n_clusters": 2, "spread": 0.1}),
-            ("drifting", {"spread": 0.1}),
-            ("replay", {"coords": np.zeros((4, 3), dtype=np.int64)}),
         ]:
             report = sharded.ingest(stream=stream, n_points=64,
                                     flush_points=32, **opts).run()
-            assert report.n_points == (4 if stream == "replay" else 64)
+            assert report.n_points == 64

@@ -43,7 +43,7 @@ class TestRegistryListings:
         assert main(["--list-streams"]) == 0
         out = capsys.readouterr().out
         assert "registered record streams:" in out
-        for name in ("uniform", "clustered", "drifting", "replay"):
+        for name in ("uniform", "clustered"):
             assert name in out
 
     def test_listings_combine(self, capsys):

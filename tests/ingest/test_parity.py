@@ -98,7 +98,7 @@ class TestCachedParity:
             ds = Dataset.create(SHAPE, layout="multimap",
                                 drive=small_model, seed=21) \
                 .with_shards(2) \
-                .with_cache(2048, policy="slru", prefetch="track")
+                .with_cache(2048, prefetch="track")
             return attach_pipeline(ds) if load else ds
 
         r_bare = build(False).query().random_beams(axis=1, n=6) \

@@ -7,7 +7,7 @@ from repro.api import Dataset
 from repro.errors import IngestError
 from repro.ingest.loader import resolve_loader
 from repro.ingest.pipeline import IngestPipeline
-from repro.ingest.streams import ReplayStream, UniformStream
+from repro.ingest.streams import UniformStream
 
 SHAPE = (16, 8, 8)
 
@@ -312,16 +312,3 @@ class TestSummaries:
         assert out["n_chunks"] == len(pipe.chunks)
         assert out["n_points"] == 2
         assert out["points_per_cell"] == pipe.plan.points_per_cell
-
-    def test_replay_stream_through_pipeline(self, plain):
-        coords = np.array([[1, 1, 1]] * 5 + [[2, 2, 2]] * 3)
-        stream = ReplayStream(SHAPE, coords=coords, batch_points=4)
-        pipe = make_pipeline(plain, stream, flush_points=4)
-        for batch in stream.batches():
-            ready = pipe.stage(batch)
-            if ready:
-                pipe.build_flush(ready)
-        pipe.build_flush(pipe.drain_disks())
-        assert pipe.stats.streamed_points == 8
-        assert pipe.stats.buffered_points == 0
-        assert pipe.stores[0].stats().n_points == 8

@@ -31,7 +31,7 @@ from repro.ingest.pipeline import (
     IngestPrepared,
     WriteSource,
 )
-from repro.ingest.streams import ClusteredStream, DriftingStream
+from repro.ingest.streams import ClusteredStream
 from repro.mappings.base import sorted_unique
 
 SHAPE = (16, 8, 8)
@@ -298,18 +298,13 @@ def test_sorted_unique_matches_np_unique(values):
     assert np.array_equal(values, before)  # the input is not sorted in place
 
 
-def reference_draw(stream, rng, idx):
+def reference_draw(stream, rng, n):
     """The draw as ``rng.normal`` with an array scale, re-deriving the
-    scale, hotspot path and clip bound on every batch."""
-    n, ndim = len(idx), len(stream.dims)
+    scale, hotspot centres and clip bound on every batch."""
+    ndim = len(stream.dims)
     scale = stream.spread * np.asarray(stream.dims, dtype=np.float64)
-    if isinstance(stream, ClusteredStream):
-        pick = rng.integers(0, stream.n_clusters, size=n)
-        center = stream.centers[pick]
-    else:
-        progress = idx / max(stream.n_points - 1, 1)
-        hi = np.asarray(stream.dims, dtype=np.float64) - 1
-        center = progress[:, None] * hi[None, :]
+    pick = rng.integers(0, stream.n_clusters, size=n)
+    center = stream.centers[pick]
     noise = rng.normal(0.0, scale, size=(n, ndim))
     coords = np.rint(center + noise).astype(np.int64)
     return np.clip(coords, 0, np.asarray(stream.dims, dtype=np.int64) - 1)
@@ -317,26 +312,24 @@ def reference_draw(stream, rng, idx):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from((ClusteredStream, DriftingStream)),
     dims=st.lists(st.integers(1, 40), min_size=1, max_size=4),
     n_points=st.integers(1, 300),
     batch_points=st.integers(1, 120),
     seed=st.integers(0, 2**32 - 1),
     spread=st.floats(0.01, 2.0),
 )
-def test_stream_draws_match_rng_normal(kind, dims, n_points, batch_points,
+def test_stream_draws_match_rng_normal(dims, n_points, batch_points,
                                        seed, spread):
-    stream = kind(tuple(dims), n_points=n_points, batch_points=batch_points,
-                  seed=seed, spread=spread)
+    stream = ClusteredStream(tuple(dims), n_points=n_points,
+                             batch_points=batch_points, seed=seed,
+                             spread=spread)
     rng = np.random.default_rng(seed)
     done = 0
     for batch in stream.batches():
         n = min(batch_points, n_points - done)
-        idx = np.arange(done, done + n, dtype=np.int64)
-        assert np.array_equal(batch, reference_draw(stream, rng, idx))
+        assert np.array_equal(batch, reference_draw(stream, rng, n))
         done += n
     assert done == n_points
     sample_rng = np.random.default_rng((seed, 0x5A))
-    idx = np.linspace(0, n_points - 1, n_points).astype(np.int64)
     assert np.array_equal(stream.sample(n_points),
-                          reference_draw(stream, sample_rng, idx))
+                          reference_draw(stream, sample_rng, n_points))

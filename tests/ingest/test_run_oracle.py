@@ -145,25 +145,17 @@ def state(ds):
 def cases(draw):
     shards = draw(st.integers(1, 3))
     n_points = draw(st.integers(1, 700))
-    stream = draw(st.sampled_from(["uniform", "clustered", "drifting",
-                                   "replay"]))
+    stream = draw(st.sampled_from(["uniform", "clustered"]))
     opts = {}
-    if stream == "replay":
-        opts["coords"] = np.array(draw(st.lists(
-            st.tuples(*(st.integers(0, s - 1) for s in SHAPE)),
-            min_size=1, max_size=300)), dtype=np.int64)
-    elif stream == "clustered":
+    if stream == "clustered":
         opts["n_clusters"] = draw(st.integers(1, 4))
         opts["spread"] = draw(st.sampled_from([0.02, 0.1, 0.4]))
-    elif stream == "drifting":
-        opts["spread"] = draw(st.sampled_from([0.02, 0.1]))
     return {
         "layout": draw(st.sampled_from(sorted(layout_names()))),
         "shards": shards,
         "k": draw(st.integers(1, min(2, shards))),
         "pool": draw(st.one_of(st.none(), st.tuples(
             st.sampled_from([64, 512]),
-            st.sampled_from(["lru", "slru"]),
             st.sampled_from(["none", "track"])))),
         "trace": draw(st.booleans()),
         "track_cache": draw(st.sampled_from([0, 1, 8])),

@@ -7,8 +7,6 @@ from repro.errors import IngestError
 from repro.ingest.streams import (
     STREAMS,
     ClusteredStream,
-    DriftingStream,
-    ReplayStream,
     UniformStream,
     make_stream,
     stream_names,
@@ -24,11 +22,11 @@ def _drain(stream):
 class TestRegistry:
     def test_builtins_registered(self):
         names = stream_names()
-        for name in ("uniform", "clustered", "drifting", "replay"):
+        for name in ("uniform", "clustered"):
             assert name in names
 
     def test_entries_carry_descriptions(self):
-        for name in ("uniform", "clustered", "drifting"):
+        for name in ("uniform", "clustered"):
             assert STREAMS.get(name).description
 
     def test_make_stream_by_name_class_and_instance(self):
@@ -46,7 +44,7 @@ class TestRegistry:
 
 
 class TestReplayability:
-    @pytest.mark.parametrize("name", ["uniform", "clustered", "drifting"])
+    @pytest.mark.parametrize("name", ["uniform", "clustered"])
     def test_batches_replay_identically(self, name):
         stream = make_stream(name, DIMS, n_points=300, batch_points=64,
                              seed=7)
@@ -67,12 +65,12 @@ class TestReplayability:
         assert np.array_equal(_drain(stream), untouched)
 
     def test_sample_is_deterministic(self):
-        stream = DriftingStream(DIMS, n_points=300, seed=5)
+        stream = ClusteredStream(DIMS, n_points=300, seed=5)
         assert np.array_equal(stream.sample(40), stream.sample(40))
 
 
 class TestShapes:
-    @pytest.mark.parametrize("name", ["uniform", "clustered", "drifting"])
+    @pytest.mark.parametrize("name", ["uniform", "clustered"])
     def test_points_in_bounds_and_counted(self, name):
         stream = make_stream(name, DIMS, n_points=250, batch_points=64,
                              seed=11)
@@ -97,40 +95,6 @@ class TestShapes:
         assert out["dims"] == list(DIMS)
         assert out["n_points"] == 64
         assert "n_clusters" in out and "spread" in out
-
-
-class TestReplayStream:
-    def test_replays_exact_coords(self):
-        coords = np.array([[0, 0, 0], [15, 7, 7], [3, 2, 1]])
-        stream = ReplayStream(DIMS, coords=coords, batch_points=2)
-        assert stream.n_points == 3
-        assert np.array_equal(_drain(stream), coords)
-
-    def test_rejects_rank_mismatch(self):
-        with pytest.raises(IngestError, match="rank"):
-            ReplayStream(DIMS, coords=np.zeros((4, 2), dtype=np.int64))
-
-    def test_rejects_empty(self):
-        with pytest.raises(IngestError):
-            ReplayStream(DIMS, coords=np.zeros((0, 3), dtype=np.int64))
-
-    @pytest.mark.parametrize("coords, dtype", [
-        ([[1.7, 2.2, 3.9]], "float64"),
-        ([[0, 0, float("nan")]], "float64"),
-        ([[True, False, True]], "bool"),
-    ])
-    def test_rejects_non_integer_coords(self, coords, dtype):
-        with pytest.raises(IngestError,
-                           match=f"replay coords must be integers.*{dtype}"):
-            ReplayStream(DIMS, coords=coords)
-
-    @pytest.mark.parametrize("row", [[100, 0, 0], [0, -5, 0], [0, 0, 8]])
-    def test_rejects_off_grid_coords(self, row):
-        """Caller coordinates are never clipped onto the grid: the
-        first off-grid row is named instead."""
-        coords = [[1, 1, 1], row]
-        with pytest.raises(IngestError, match=r"row 1 \[.*\] is off"):
-            ReplayStream(DIMS, coords=coords)
 
 
 class TestValidation:
@@ -159,7 +123,7 @@ class TestValidation:
         with pytest.raises(IngestError):
             ClusteredStream(DIMS, spread=0.0)
         with pytest.raises(IngestError):
-            DriftingStream(DIMS, spread=-1.0)
+            ClusteredStream(DIMS, spread=-1.0)
 
     def test_sample_size_must_be_positive(self):
         with pytest.raises(IngestError):

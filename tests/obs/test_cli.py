@@ -1,4 +1,4 @@
-"""The ``trace`` subcommand and the exporter listing."""
+"""The ``trace`` subcommand and its Chrome trace export."""
 
 import json
 
@@ -10,21 +10,6 @@ TRACE_QUICK = [
     "trace", "--shape", "24,12,12", "--clients", "2",
     "--queries", "3", "--drive", "minidrive",
 ]
-
-
-class TestListExporters:
-    def test_lists_builtins(self, capsys):
-        assert main(["--list-exporters"]) == 0
-        out = capsys.readouterr().out
-        assert "registered trace exporters:" in out
-        for name in ("jsonl", "chrome", "prometheus"):
-            assert name in out
-
-    def test_combines_with_other_listings(self, capsys):
-        assert main(["--list-exporters", "--list-costs"]) == 0
-        out = capsys.readouterr().out
-        assert "registered dominant-cost classes:" in out
-        assert "registered trace exporters:" in out
 
 
 class TestTraceCommand:
@@ -39,17 +24,9 @@ class TestTraceCommand:
         assert main(TRACE_QUICK + ["--quiet"]) == 0
         assert capsys.readouterr().out == ""
 
-    def test_export_to_stdout(self, capsys):
-        assert main(TRACE_QUICK + ["--quiet", "--export", "jsonl"]) == 0
-        out = capsys.readouterr().out
-        rows = [json.loads(line) for line in out.splitlines()]
-        assert rows and rows[0]["id"] == 0
-
     def test_export_to_file(self, tmp_path, capsys):
         dest = tmp_path / "trace.json"
-        assert main(TRACE_QUICK + [
-            "--export", "chrome", "--trace-out", str(dest),
-        ]) == 0
+        assert main(TRACE_QUICK + ["--trace-out", str(dest)]) == 0
         doc = json.loads(dest.read_text())
         assert doc["displayTimeUnit"] == "ms"
         assert doc["traceEvents"]

@@ -8,8 +8,7 @@ import pytest
 def batch_exports(make_dataset, *, seed=42):
     ds = make_dataset(seed=seed).with_telemetry()
     ds.random_beams(axis=1, n=4).run()
-    tele = ds.telemetry
-    return tele.export("jsonl"), tele.export("chrome")
+    return ds.telemetry.export()
 
 
 def traffic_exports(make_dataset, *, seed=42, slice_runs=16):
@@ -20,8 +19,7 @@ def traffic_exports(make_dataset, *, seed=42, slice_runs=16):
         .slice_runs(slice_runs)
         .run()
     )
-    tele = ds.telemetry
-    return tele.export("jsonl"), tele.export("chrome")
+    return ds.telemetry.export()
 
 
 class TestByteIdenticalExports:
@@ -37,14 +35,6 @@ class TestByteIdenticalExports:
         assert traffic_exports(make_dataset) == traffic_exports(
             make_dataset
         )
-
-    def test_prometheus_same_seed_same_bytes(self, make_dataset):
-        def one():
-            ds = make_dataset().with_telemetry()
-            ds.random_beams(axis=2, n=3).run()
-            return ds.telemetry.export("prometheus")
-
-        assert one() == one()
 
 
 class TestObserverInvariance:
@@ -89,7 +79,5 @@ class TestObserverInvariance:
         ds = make_dataset().with_telemetry()
         ds.random_beams(axis=1, n=2).run()
         tele = ds.telemetry
-        first = tele.export("jsonl")
-        tele.export("chrome")
-        tele.export("prometheus")
-        assert tele.export("jsonl") == first
+        first = tele.export()
+        assert tele.export() == first

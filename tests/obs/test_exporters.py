@@ -1,16 +1,11 @@
-"""The exporter registry and the three builtin renderers."""
+"""The Chrome trace export."""
 
 import json
 
 import pytest
 
 from repro.errors import ObsError
-from repro.obs import (
-    EXPORTERS,
-    Telemetry,
-    exporter_names,
-    register_exporter,
-)
+from repro.obs import Telemetry
 from repro.obs.span import Span
 
 
@@ -24,47 +19,9 @@ def traced_telemetry() -> Telemetry:
     return tele
 
 
-class TestRegistry:
-    def test_builtins_registered(self):
-        assert {"jsonl", "chrome", "prometheus"} <= set(exporter_names())
-
-    def test_register_exporter_uses_docstring(self):
-        @register_exporter("zz-null-test")
-        def export_null(telemetry):
-            """does nothing, for the registry test"""
-            return ""
-
-        entry = EXPORTERS.get("zz-null-test")
-        assert entry.description == "does nothing, for the registry test"
-        assert entry.fn is export_null
-
-    def test_unknown_exporter_errors(self):
-        with pytest.raises(Exception, match="unknown exporter"):
-            EXPORTERS.get("missing")
-
-
-class TestJsonl:
-    def test_depth_first_stable_ids(self):
-        text = traced_telemetry().export("jsonl")
-        rows = [json.loads(line) for line in text.splitlines()]
-        assert [r["id"] for r in rows] == [0, 1, 2]
-        assert [r["parent"] for r in rows] == [None, 0, 0]
-        assert all(r["query"] == 0 for r in rows)
-        assert rows[0]["attrs"] == {"cells": 4}
-        assert "attrs" not in rows[1]  # gated, like Span.to_dict
-
-    def test_requires_tracer(self):
-        tele = Telemetry(trace=False, metrics=True)
-        with pytest.raises(ObsError, match="needs span traces"):
-            tele.export("jsonl")
-
-    def test_empty_trace_is_empty_text(self):
-        assert Telemetry().export("jsonl") == ""
-
-
 class TestChrome:
     def test_trace_event_schema(self):
-        doc = json.loads(traced_telemetry().export("chrome"))
+        doc = json.loads(traced_telemetry().export())
         assert doc["displayTimeUnit"] == "ms"
         events = doc["traceEvents"]
         assert len(events) == 3
@@ -79,39 +36,15 @@ class TestChrome:
         assert root["tid"] == 0
         assert svc["tid"] == 1
 
-
-class TestPrometheus:
-    def test_exposition_format(self):
-        tele = traced_telemetry()
-        text = tele.export("prometheus")
-        assert "# TYPE repro_queries_total counter" in text
-        assert "repro_queries_total 1" in text
-        assert "repro_service_ms 3.0" in text
-        assert '_bucket{le="+Inf"} 1' in text
-        assert "repro_query_ms_count 1" in text
-
-    def test_requires_metrics(self):
-        tele = Telemetry(trace=True, metrics=False)
-        with pytest.raises(ObsError, match="needs metrics"):
-            tele.export("prometheus")
-
-    def test_name_sanitisation(self):
-        tele = Telemetry()
-        tele.metrics.inc("weird name-1")
-        assert "repro_weird_name_1_total" in tele.export("prometheus")
+    def test_requires_tracer(self):
+        tele = Telemetry(trace=False, metrics=True)
+        with pytest.raises(ObsError, match="needs span traces"):
+            tele.export()
 
 
 class TestExportTrace:
-    def test_no_name_no_default_errors(self):
-        with pytest.raises(ObsError, match="no exporter named"):
-            Telemetry().export()
-
-    def test_attached_default_used(self):
-        tele = Telemetry(exporter="jsonl")
-        assert tele.export() == ""
-
     def test_writes_path_with_parents(self, tmp_path):
         tele = traced_telemetry()
         out = tmp_path / "deep" / "trace.json"
-        text = tele.export("chrome", path=out)
+        text = tele.export(path=out)
         assert out.read_text() == text

@@ -11,10 +11,6 @@ class TestConstruction:
         with pytest.raises(ObsError):
             Telemetry(trace=False, metrics=False)
 
-    def test_unknown_exporter_fails_fast(self):
-        with pytest.raises(Exception):
-            Telemetry(exporter="nope")
-
     def test_halves_are_optional(self):
         t = Telemetry(trace=True, metrics=False)
         assert t.tracer is not None and t.metrics is None
@@ -25,8 +21,8 @@ class TestConstruction:
     def test_describe_gates_halves(self):
         t = Telemetry(trace=True, metrics=False)
         assert set(t.describe()) == {"trace"}
-        m = Telemetry(trace=False, metrics=True, exporter="jsonl")
-        assert set(m.describe()) == {"metrics", "exporter"}
+        m = Telemetry(trace=False, metrics=True)
+        assert set(m.describe()) == {"metrics"}
 
 
 class TestFacade:
@@ -47,10 +43,8 @@ class TestFacade:
         assert traced.meta["obs"]["trace"]["n_queries"] == 2
 
     def test_describe_carries_spec(self, make_dataset):
-        ds = make_dataset().with_telemetry(exporter="chrome")
-        assert ds.describe()["obs"] == {
-            "trace": True, "metrics": True, "exporter": "chrome",
-        }
+        ds = make_dataset().with_telemetry(metrics=False)
+        assert ds.describe()["obs"] == {"trace": True, "metrics": False}
         ds.with_telemetry(trace=False, metrics=False)
         assert "obs" not in ds.describe()
 
@@ -70,12 +64,12 @@ class TestFacade:
         assert ds.telemetry is tele
 
     def test_with_layout_clone_gets_fresh_telemetry(self, make_dataset):
-        ds = make_dataset().with_telemetry(exporter="jsonl")
+        ds = make_dataset().with_telemetry(metrics=False)
         ds.random_beams(axis=1, n=1).run()
         clone = ds.with_layout("zorder")
         assert clone.telemetry is not None
         assert clone.telemetry is not ds.telemetry
-        assert clone.telemetry.exporter == "jsonl"
+        assert clone.telemetry.metrics is None
         assert clone.telemetry.tracer.n_queries == 0
 
     def test_traffic_meta_carries_obs(self, make_dataset):

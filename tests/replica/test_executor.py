@@ -1,21 +1,20 @@
-"""Replicated datasets: read policies, failover, degraded stats."""
+"""Replicated datasets: copy routing, failover, degraded stats."""
 
 import numpy as np
 import pytest
 
 from repro.api import Dataset
-from repro.errors import DatasetError, RegistryError, ReplicaError
-from repro.query.workload import BeamQuery, RangeQuery
+from repro.errors import DatasetError, ReplicaError
+from repro.query.workload import RangeQuery
 from repro.query.scatter import ShardedPrepared
-from repro.replica import read_policy_names
 
 SHAPE = (24, 12, 12)
 
 
-def build(small_model, *, n=3, k=2, layout="multimap", seed=7, **opts):
+def build(small_model, *, n=3, k=2, layout="multimap", seed=7):
     return Dataset.create(
         SHAPE, layout=layout, drive=small_model, seed=seed,
-    ).with_shards(n).with_replication(k, **opts)
+    ).with_shards(n).with_replication(k)
 
 
 class TestFacadeWiring:
@@ -31,19 +30,8 @@ class TestFacadeWiring:
         with pytest.raises(DatasetError, match="k must be >= 1"):
             ds.with_replication(0)
 
-    def test_bad_names_leave_dataset_untouched(self, small_model):
-        ds = Dataset.create(SHAPE, drive=small_model,
-                            seed=1).with_shards(2)
-        storage = ds.storage
-        with pytest.raises(RegistryError):
-            ds.with_replication(2, placement="nope")
-        with pytest.raises(RegistryError):
-            ds.with_replication(2, read_policy="nope")
-        assert ds.storage is storage
-        assert not ds.is_replicated
-
     def test_with_layout_clone_carries_replication(self, small_model):
-        ds = build(small_model, k=2, read_policy="round_robin")
+        ds = build(small_model, k=2)
         clone = ds.with_layout("zorder")
         assert clone.replication_k == 2
         assert clone._replica_spec == ds._replica_spec
@@ -91,32 +79,12 @@ class TestFacadeWiring:
 
 
 class TestReadPolicies:
-    def test_builtins_registered(self):
-        for name in ("primary", "round_robin", "least_loaded"):
-            assert name in read_policy_names()
-
     def test_primary_routes_to_copy_zero_when_healthy(self, small_model):
-        ds = build(small_model, k=2, read_policy="primary")
+        ds = build(small_model, k=2)
         ds.random_beams(axis=2, n=4).run()
         stats = ds.storage.replica_stats
         assert stats.replica_reads == 0
         assert stats.primary_reads > 0
-
-    def test_round_robin_alternates_copies(self, small_model):
-        ds = build(small_model, k=2, read_policy="round_robin")
-        q = BeamQuery(2, (0, 0, 0), 0, None)
-        rng = np.random.default_rng(0)
-        ds.storage.run_query(q, rng=rng)
-        ds.storage.run_query(q, rng=rng)
-        stats = ds.storage.replica_stats
-        assert stats.primary_reads > 0 and stats.replica_reads > 0
-
-    def test_least_loaded_spreads_blocks(self, small_model):
-        ds = build(small_model, k=2, read_policy="least_loaded")
-        ds.random_beams(axis=1, n=6).run()
-        stats = ds.storage.replica_stats
-        blocks = [b for b in stats.planned_blocks if b]
-        assert len(blocks) >= 2  # load landed on several disks
 
     def test_prepared_carries_sources(self, small_model):
         ds = build(small_model, k=2)
@@ -141,6 +109,25 @@ class TestFailover:
         # no sub-plan may touch the dead disk
         prepared = ds.storage.prepare(RangeQuery((0, 0, 0), SHAPE))
         assert all(s.disk_index != victim for s in prepared.subs)
+
+    @pytest.mark.parametrize("failed", [(0,), (0, 1), (1, 3)])
+    def test_lowest_live_copy_serves(self, small_model, failed):
+        """Every chunk piece reads its lowest-numbered copy on a live
+        disk: copy 0 while its primary lives, else the next copy along
+        the rotation."""
+        ds = build(small_model, n=4, k=3)
+        for disk in failed:
+            ds.storage.fail_disk(disk)
+        prepared = ds.storage.prepare(RangeQuery((0, 0, 0), SHAPE))
+        disks = ds.replica_map.disks
+        copies = set()
+        for source, sub in zip(prepared.sources, prepared.subs):
+            live = [r for r in range(3)
+                    if int(disks[source.chunk, r]) not in failed]
+            assert source.copy == live[0]
+            assert sub.disk_index == int(disks[source.chunk, live[0]])
+            copies.add(source.copy)
+        assert len(copies) > 1  # some pieces moved off their primary
 
     def test_revive_restores_primary_routing(self, small_model):
         ds = build(small_model, n=3, k=2)

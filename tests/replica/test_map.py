@@ -1,23 +1,15 @@
-"""ReplicaMap construction, placements, and invariant enforcement."""
+"""ReplicaMap construction, placement, and invariant enforcement."""
 
 import numpy as np
 import pytest
 
-from repro.errors import RegistryError, ReplicaError
-from repro.replica import (
-    PLACEMENTS,
-    ReplicaMap,
-    placement_names,
-    register_placement,
-)
+from repro.errors import ReplicaError
+from repro.replica import ReplicaMap
 from repro.shard import ShardMap
 
 
-def rmap(dims=(12, 6, 6), n_disks=3, k=2, placement="rotated",
-         **build_opts):
-    return ReplicaMap.build(
-        ShardMap.build(dims, n_disks, **build_opts), k, placement
-    )
+def rmap(dims=(12, 6, 6), n_disks=3, k=2, **build_opts):
+    return ReplicaMap.build(ShardMap.build(dims, n_disks, **build_opts), k)
 
 
 class TestBuild:
@@ -30,33 +22,15 @@ class TestBuild:
             )
 
     def test_copy_zero_is_primary_everywhere(self):
-        for placement in ("rotated", "locality_aligned"):
-            rm = rmap(k=2, placement=placement)
-            primaries = [c.disk for c in rm.shard_map.chunks]
-            np.testing.assert_array_equal(rm.disks[:, 0], primaries)
-
-    def test_locality_aligned_groups_adjacent_chunks(self):
-        """Replica-1 copies of enumeration-adjacent chunks co-locate
-        (modulo primary-collision probing)."""
-        rm = rmap(dims=(8, 4, 12), n_disks=4, k=2,
-                  placement="locality_aligned", chunk_shape=(8, 4, 1))
-        homes = rm.disks[:, 1]
-        # 12 chunks over 4 disks: blocks of 3 consecutive chunks share a
-        # base home; distinct replica homes stay <= distinct blocks + 1
-        n_blocks = len({(i * 4) // 12 for i in range(12)})
-        for b in range(n_blocks):
-            block = homes[3 * b: 3 * b + 3]
-            assert len(set(block.tolist())) <= 2
+        rm = rmap(k=2)
+        primaries = [c.disk for c in rm.shard_map.chunks]
+        np.testing.assert_array_equal(rm.disks[:, 0], primaries)
 
     def test_k_must_fit_disk_count(self):
         with pytest.raises(ReplicaError, match="k=4"):
             rmap(n_disks=3, k=4)
         with pytest.raises(ReplicaError):
             rmap(k=0)
-
-    def test_unknown_placement(self):
-        with pytest.raises(RegistryError, match="unknown placement"):
-            rmap(placement="nope")
 
     def test_k1_single_column(self):
         rm = rmap(k=1)
@@ -72,26 +46,26 @@ class TestInvariants:
              np.asarray([c.disk for c in sm.chunks])], axis=1,
         )
         with pytest.raises(ReplicaError, match="primary"):
-            ReplicaMap(sm, 2, "custom", disks)
+            ReplicaMap(sm, 2, disks)
 
     def test_rejects_duplicate_disks(self):
         sm = ShardMap.build((12, 6, 6), 3)
         primaries = np.asarray([c.disk for c in sm.chunks])
         disks = np.stack([primaries, primaries], axis=1)
         with pytest.raises(ReplicaError, match="non-distinct"):
-            ReplicaMap(sm, 2, "custom", disks)
+            ReplicaMap(sm, 2, disks)
 
     def test_rejects_out_of_range(self):
         sm = ShardMap.build((12, 6, 6), 3)
         primaries = np.asarray([c.disk for c in sm.chunks])
         disks = np.stack([primaries, primaries + 3], axis=1)
         with pytest.raises(ReplicaError, match="out of range"):
-            ReplicaMap(sm, 2, "custom", disks)
+            ReplicaMap(sm, 2, disks)
 
     def test_rejects_shape_mismatch(self):
         sm = ShardMap.build((12, 6, 6), 3)
         with pytest.raises(ReplicaError, match="shape"):
-            ReplicaMap(sm, 2, "custom", np.zeros((1, 2), dtype=np.int64))
+            ReplicaMap(sm, 2, np.zeros((1, 2), dtype=np.int64))
 
 
 class TestLookups:
@@ -122,33 +96,10 @@ class TestLookups:
             assert rm1.readable_fraction({d}) == pytest.approx(expected)
 
     def test_describe(self):
-        rm = rmap(n_disks=3, k=2, placement="locality_aligned")
+        rm = rmap(n_disks=3, k=2)
         d = rm.describe()
         assert d["k"] == 2
-        assert d["placement"] == "locality_aligned"
+        assert d["placement"] == "rotated"
         assert d["copy_counts"] == rm.copy_counts()
         assert sum(d["primary_counts"]) == rm.n_chunks
 
-
-class TestRegistry:
-    def test_builtins_registered(self):
-        assert "rotated" in placement_names()
-        assert "locality_aligned" in placement_names()
-        assert PLACEMENTS.get("rotated").description
-
-    def test_third_party_placement(self):
-        @register_placement("test_reverse_rotated")
-        def _reverse(shard_map, k):
-            """Copy r on disk (primary - r) mod n."""
-            n = shard_map.n_disks
-            primaries = np.asarray(
-                [c.disk for c in shard_map.chunks], dtype=np.int64
-            )
-            offs = np.arange(int(k), dtype=np.int64)
-            return (primaries[:, np.newaxis] - offs[np.newaxis, :]) % n
-
-        rm = rmap(k=2, placement="test_reverse_rotated")
-        assert rm.placement == "test_reverse_rotated"
-        for i in range(rm.n_chunks):
-            p = rm.shard_map.chunks[i].disk
-            assert rm.copies_of(i) == (p, (p - 1) % 3)

@@ -2,7 +2,7 @@
 
 The contracts the replica layer leans on:
 
-* every placement puts a chunk's k copies on k *distinct*, in-range
+* the placement puts a chunk's k copies on k *distinct*, in-range
   disks with copy 0 pinned to the shard map's primary;
 * ``rotated`` keeps per-disk primary+replica load within one copy of
   balanced whenever the primaries are balanced — and *exactly* balanced
@@ -20,8 +20,6 @@ from hypothesis import strategies as st
 from repro.replica import ReplicaMap
 from repro.shard import ShardMap
 
-placements = st.sampled_from(["rotated", "locality_aligned"])
-
 
 @st.composite
 def maps_and_k(draw):
@@ -38,10 +36,10 @@ def maps_and_k(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=maps_and_k(), placement=placements)
-def test_k_distinct_in_range_primary_pinned(data, placement):
+@given(data=maps_and_k())
+def test_k_distinct_in_range_primary_pinned(data):
     sm, k = data
-    rm = ReplicaMap.build(sm, k, placement)
+    rm = ReplicaMap.build(sm, k)
     assert rm.disks.shape == (sm.n_chunks, k)
     assert rm.disks.min() >= 0 and rm.disks.max() < sm.n_disks
     primaries = np.asarray([c.disk for c in sm.chunks])
@@ -62,19 +60,19 @@ def test_rotated_divisible_load_exactly_balanced(n_disks, mult, head, k):
     sm = ShardMap.build(
         (head, n_chunks), n_disks, "round_robin", chunk_shape=(head, 1)
     )
-    rm = ReplicaMap.build(sm, k, "rotated")
+    rm = ReplicaMap.build(sm, k)
     counts = rm.copy_counts()
     assert max(counts) - min(counts) <= 1
     assert max(counts) == min(counts) == k * mult
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=maps_and_k(), placement=placements)
-def test_single_failure_leaves_every_chunk_readable(data, placement):
+@given(data=maps_and_k())
+def test_single_failure_leaves_every_chunk_readable(data):
     sm, k = data
     if k < 2:
         return  # one copy cannot survive a failure by construction
-    rm = ReplicaMap.build(sm, k, placement)
+    rm = ReplicaMap.build(sm, k)
     for dead in range(sm.n_disks):
         assert rm.readable_fraction({dead}) == 1.0
         for i in range(sm.n_chunks):
@@ -83,10 +81,10 @@ def test_single_failure_leaves_every_chunk_readable(data, placement):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=maps_and_k(), placement=placements)
-def test_copy_counts_conserve_total(data, placement):
+@given(data=maps_and_k())
+def test_copy_counts_conserve_total(data):
     sm, k = data
-    rm = ReplicaMap.build(sm, k, placement)
+    rm = ReplicaMap.build(sm, k)
     assert sum(rm.copy_counts()) == sm.n_chunks * k
     # copies_on_disk partitions the copy set
     total = sum(len(rm.copies_on_disk(d)) for d in range(sm.n_disks))

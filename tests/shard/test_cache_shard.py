@@ -37,7 +37,7 @@ class TestDatasetComposition:
         """A pool constructor failure must not commit a stale spec."""
         ds = Dataset.create(SHAPE, layout="multimap", drive=small_model)
         with pytest.raises(RegistryError):
-            ds.with_cache(1024, policy="nope")
+            ds.with_cache(1024, prefetch="nope")
         assert ds.cache is None
         assert "cache" not in ds.describe()
         # and the dataset still shards cleanly afterwards

@@ -135,12 +135,11 @@ class TestDatasetIntegration:
 
     def test_with_layout_clone_keeps_identical_chunk_grid(self,
                                                           small_model):
-        """Fairness: clones compare layouts on the SAME declustering,
-        even when one layout's cube alignment shaped the default."""
+        """Fairness: clones compare layouts on the SAME declustering."""
         for src, dst in (("naive", "multimap"), ("multimap", "naive")):
             ds = Dataset.create((24, 8, 200), layout=src,
                                 drive=small_model, seed=1).with_shards(
-                2, strategy="cube_aligned",
+                2, chunk_shape=(24, 8, 50),
             )
             clone = ds.with_layout(dst)
             assert clone.shard_map.grid == ds.shard_map.grid
@@ -199,33 +198,6 @@ class TestDatasetIntegration:
         ds.with_cache(1024).with_shards(2)
         assert ds.cache is not None
 
-    def test_cube_aligned_keeps_basic_cubes_whole(self, small_model):
-        """cube_aligned splits on an axis with real cube boundaries and
-        every chunk boundary lands on a multiple of the cube side."""
-        ds = Dataset.create((24, 8, 200), layout="multimap",
-                            drive=small_model, seed=1)
-        K = ds._basic_cube_sides()
-        ds.with_shards(2, strategy="cube_aligned")
-        assert ds.shard_map.n_chunks > 1  # a real split happened
-        split_axes = [
-            d for d in range(3) if ds.shard_map.grid[d] > 1
-        ]
-        for axis in split_axes:
-            assert K[axis] < ds.shape[axis]
-            for chunk in ds.shard_map.chunks:
-                assert chunk.origin[axis] % K[axis] == 0
-
-    def test_cube_aligned_single_cube_stays_whole(self):
-        """When every basic cube spans its axis (the whole dataset is
-        one cube column), cube_aligned refuses to split — one chunk
-        beats a broken cube."""
-        ds = Dataset.create((24, 8), layout="multimap",
-                            drive="minidrive", seed=1)
-        K = ds._basic_cube_sides()
-        assert all(k >= s for k, s in zip(K, ds.shape))
-        ds.with_shards(2, strategy="cube_aligned")
-        assert ds.shard_map.n_chunks == 1
-
     def test_reconfigured_create_builds_no_whole_grid(self, small_model,
                                                       monkeypatch):
         """The storage manager is built on first use: a dataset
@@ -276,11 +248,6 @@ EQUIVALENT = {
     "two disks": (
         lambda ds: ds.with_shards(2),
         lambda ds: ds.with_shards(2).with_replication(1),
-        # one copy per chunk: every read policy and placement picks it
-        lambda ds: ds.with_shards(2).with_replication(
-            1, placement="locality_aligned", read_policy="round_robin"),
-        lambda ds: ds.with_shards(2).with_replication(
-            1, read_policy="least_loaded"),
     ),
 }
 
@@ -360,14 +327,14 @@ class TestMetaGating:
 
     def test_multi_copy_meta_present(self, small_model):
         ds = Dataset.create(SHAPE, layout="multimap", drive=small_model,
-                            seed=1).with_shards(3).with_replication(
-            2, placement="locality_aligned", read_policy="round_robin",
-        )
+                            seed=1).with_shards(3).with_replication(2)
         report = ds.random_beams(axis=2, n=2).run()
         assert report.meta["replicas"]["k"] == 2
-        assert report.meta["replicas"]["read_policy"] == "round_robin"
-        assert ds.describe()["replicas"]["placement"] == \
-            "locality_aligned"
+        assert report.meta["replicas"]["read_policy"] == "primary"
+        assert report.meta["replicas"]["placement"] == "rotated"
+        assert ds.describe()["replicas"] == {
+            "k": 2, "placement": "rotated", "read_policy": "primary",
+        }
         assert ds.replication_k == 2
 
     def test_unreplicated_dataset_properties(self, small_model):

@@ -41,16 +41,6 @@ class TestBuild:
             seen[sl] += 1
         assert (seen == 1).all()
 
-    def test_align_rounds_split_axis_up(self):
-        # split axis 2 into 3 -> raw 4, align granule 3 -> 6
-        smap = ShardMap.build((24, 12, 12), 3, align=(8, 4, 3))
-        assert smap.chunks[0].shape[2] == 6
-
-    def test_align_ignores_full_axes(self):
-        smap = ShardMap.build((24, 12, 12), 2, align=(5, 5, 3))
-        # axes 0/1 are unsplit: stay at the full dim despite alignment
-        assert smap.chunks[0].shape[:2] == (24, 12)
-
     def test_short_axis_uses_fewer_disks(self):
         smap = ShardMap.build((8, 4, 2), 4)
         assert smap.n_chunks == 2
@@ -156,6 +146,5 @@ class TestVolumeConsistency:
 
     def test_strategy_registry_lists_builtins(self):
         names = STRATEGIES.names()
-        assert {"round_robin", "disk_modulo", "cube_aligned"} <= set(names)
-        assert STRATEGIES.get("cube_aligned").align_cubes
+        assert {"round_robin", "disk_modulo"} <= set(names)
         assert not STRATEGIES.get("round_robin").needs_grid

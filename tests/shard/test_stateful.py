@@ -120,7 +120,6 @@ class StoragePath(RuleBasedStateMachine):
                   for d in map(st_.volume.drive, range(st_.volume.n_disks))]
         cache = None if st_.cache is None else st_.cache.stats.to_dict()
         replicas = copy.deepcopy(vars(st_.replica_stats))
-        rr = dict(st_._rr_counts)
         out = self.ds.explain(query)
         per_disk = out["predicted"]["per_disk"].values()
         assert sum(row["blocks"] for row in per_disk) \
@@ -133,7 +132,6 @@ class StoragePath(RuleBasedStateMachine):
         assert cache == (None if st_.cache is None
                          else st_.cache.stats.to_dict())
         assert vars(st_.replica_stats) == replicas
-        assert st_._rr_counts == rr
 
     # -- failures, cache, reconfiguration -------------------------------
 
@@ -161,11 +159,9 @@ class StoragePath(RuleBasedStateMachine):
             n, data.draw(st.sampled_from(["disk_modulo", "round_robin"]))
         )
 
-    @rule(k=st.integers(1, 2),
-          policy=st.sampled_from(["primary", "round_robin",
-                                  "least_loaded"]))
-    def replicate(self, k, policy):
-        self.ds.with_replication(k, read_policy=policy)
+    @rule(k=st.integers(1, 2))
+    def replicate(self, k):
+        self.ds.with_replication(k)
 
     # -- invariants ------------------------------------------------------
 

@@ -81,8 +81,7 @@ def test_disk_modulo_beams_touch_disks_evenly(grid, n_disks):
 
 @settings(max_examples=40, deadline=None)
 @given(grid=grids, n_disks=disks,
-       name=st.sampled_from(["round_robin", "disk_modulo",
-                             "cube_aligned"]))
+       name=st.sampled_from(["round_robin", "disk_modulo"]))
 def test_registered_strategies_total_and_in_range(grid, n_disks, name):
     n_chunks = int(np.prod(grid, dtype=np.int64))
     out = assign_chunks(n_chunks, n_disks, name, grid_shape=grid)

@@ -110,13 +110,3 @@ class TestMultiDriveJobs:
         expected_latency = (SHAPE[2] / 2) * per_block
         assert warm.latency_ms == pytest.approx(expected_latency)
         assert warm.latency_ms < total_cache
-
-    def test_carry_head_mode_runs(self, small_model):
-        ds = make(small_model, n=2, seed=3)
-        rep = (
-            ds.traffic()
-            .clients(2, mix=QueryMix.beams(2), queries=4)
-            .head("carry")
-            .run()
-        )
-        assert rep.makespan_ms > 0

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import QueryError
-from repro.traffic import BurstyArrivals, ClosedLoop, PoissonArrivals
+from repro.traffic import ClosedLoop, PoissonArrivals
+from repro.traffic.arrivals import ARRIVALS, arrival_named
 
 
 def take(it, n):
@@ -78,40 +79,24 @@ class TestPoisson:
         with pytest.raises(QueryError):
             PoissonArrivals(rate_qps=0)
 
-
-class TestBursty:
-    def test_non_decreasing_with_bursts(self):
-        times = take(
-            BurstyArrivals(
-                burst_rate_per_s=20, mean_burst=5, intra_ms=0.25
-            ).arrivals(np.random.default_rng(5)),
-            500,
-        )
-        gaps = np.diff(times)
-        assert (gaps >= 0).all()
-        # batch-Poisson signature: many tiny intra-burst gaps plus
-        # larger exponential inter-burst gaps
-        assert np.isclose(gaps, 0.25).sum() > 50
-        assert (gaps > 5.0).sum() > 10
-
-    def test_seeded_determinism(self):
-        spec = BurstyArrivals(burst_rate_per_s=10)
-        a = take(spec.arrivals(np.random.default_rng(2)), 100)
-        b = take(spec.arrivals(np.random.default_rng(2)), 100)
-        assert a == b
-
-    def test_validation(self):
-        with pytest.raises(QueryError):
-            BurstyArrivals(burst_rate_per_s=0)
-        with pytest.raises(QueryError):
-            BurstyArrivals(burst_rate_per_s=1, mean_burst=0.5)
-        with pytest.raises(QueryError):
-            BurstyArrivals(burst_rate_per_s=1, intra_ms=-1)
-
     def test_describe(self):
-        d = BurstyArrivals(burst_rate_per_s=5).describe()
-        assert d["model"] == "bursty"
-        assert d["burst_rate_per_s"] == 5.0
+        d = PoissonArrivals(rate_qps=40, start_ms=5.0).describe()
+        assert d == {"model": "poisson", "rate_qps": 40.0, "start_ms": 5.0}
+
+
+class TestArrivalNamed:
+    """The storms and the CLI pick an arrival model by name."""
+
+    @pytest.mark.parametrize("name", ARRIVALS)
+    def test_each_name_builds_its_model(self, name):
+        arrival = arrival_named(name, rate=20.0, think_ms=3.0)
+        assert arrival.describe()["model"] == name
+        assert arrival == {"closed": ClosedLoop(think_ms=3.0),
+                           "poisson": PoissonArrivals(rate_qps=20.0)}[name]
+
+    def test_retired_bursty_is_refused(self):
+        with pytest.raises(QueryError, match="closed or poisson"):
+            arrival_named("bursty")
 
 
 NAN = float("nan")
@@ -120,8 +105,7 @@ NAN = float("nan")
 class TestParametersAreFinite:
     """Every arrival parameter is a finite real number (not a bool),
     checked when the process is built: a NaN used to give every trace
-    ``arrival_ms=nan`` (Poisson) or NaN arrivals (closed loop), and a
-    bursty NaN or string died in numpy or a bare TypeError at run."""
+    ``arrival_ms=nan`` (Poisson) or NaN arrivals (closed loop)."""
 
     def test_poisson_rate_nan(self):
         with pytest.raises(QueryError, match="rate_qps must be finite"):
@@ -131,21 +115,10 @@ class TestParametersAreFinite:
         with pytest.raises(QueryError, match="think_ms must be finite"):
             ClosedLoop(think_ms=NAN)
 
-    def test_bursty_mean_burst_nan(self):
-        with pytest.raises(QueryError, match="mean_burst must be finite"):
-            BurstyArrivals(burst_rate_per_s=10, mean_burst=NAN)
-
-    def test_bursty_mean_burst_string(self):
-        with pytest.raises(QueryError, match="mean_burst must be a number"):
-            BurstyArrivals(burst_rate_per_s=10, mean_burst="x")
-
     @pytest.mark.parametrize("build", [
         lambda v: ClosedLoop(initial_delay_ms=v),
         lambda v: PoissonArrivals(rate_qps=10, start_ms=v),
-        lambda v: BurstyArrivals(burst_rate_per_s=v),
-        lambda v: BurstyArrivals(burst_rate_per_s=10, intra_ms=v),
-    ], ids=["initial_delay_ms", "start_ms", "burst_rate_per_s",
-            "intra_ms"])
+    ], ids=["initial_delay_ms", "start_ms"])
     @pytest.mark.parametrize("value", [NAN, float("inf"), True, "1"])
     def test_every_parameter(self, build, value):
         with pytest.raises(QueryError):

@@ -6,23 +6,22 @@ Two guarantees are pinned:
   (no wall-clock, no hash-order anywhere in the engine);
 * per-client random streams depend only on the client's own submission
   order, so re-interleaving service at the drive (different slice
-  granularity, different head mode) never changes *what* is read — only
-  *when* — and per-drive served-block totals are invariant.
+  granularity) never changes *what* is read — only *when* — and
+  per-drive served-block totals are invariant.
 """
 
 import pytest
 
-from repro.traffic import BurstyArrivals, PoissonArrivals, QueryMix
+from repro.traffic import PoissonArrivals, QueryMix
 
 
-def beams_run(make_dataset, *, seed=42, slice_runs=16, head="random",
-              n_clients=3, queries=5, layout="multimap"):
+def beams_run(make_dataset, *, seed=42, slice_runs=16, n_clients=3,
+              queries=5, layout="multimap"):
     return (
         make_dataset(layout=layout, seed=seed)
         .traffic()
         .clients(n_clients, mix=QueryMix.beams(1, 2), queries=queries)
         .slice_runs(slice_runs)
-        .head(head)
         .run()
     )
 
@@ -41,8 +40,6 @@ class TestBitIdenticalReplay:
                 .traffic()
                 .clients(2, arrival=PoissonArrivals(rate_qps=80),
                          queries=6)
-                .clients(1, arrival=BurstyArrivals(burst_rate_per_s=10),
-                         queries=6)
                 .run()
                 .to_json()
             )
@@ -59,12 +56,10 @@ class TestInterleavingInvariance:
     @pytest.mark.parametrize("variant", [
         dict(slice_runs=4),
         dict(slice_runs=None),
-        dict(slice_runs=4, head="carry"),
     ])
     def test_served_block_totals_closed_loop(self, make_dataset,
                                              variant):
-        base = beams_run(make_dataset, slice_runs=16,
-                         head=variant.get("head", "random"))
+        base = beams_run(make_dataset, slice_runs=16)
         other = beams_run(make_dataset, **variant)
         assert (
             [d.served_blocks for d in base.drives]
@@ -80,23 +75,21 @@ class TestInterleavingInvariance:
     @pytest.mark.parametrize("variant", [
         dict(slice_runs=4),
         dict(slice_runs=None),
-        dict(slice_runs=4, head="carry"),
     ])
     def test_served_block_totals_open_loop(self, make_dataset, variant):
-        def go(**cfg):
-            run = (
+        def go(slice_runs=16):
+            return (
                 make_dataset(seed=13)
                 .traffic()
                 .clients(3, arrival=PoissonArrivals(rate_qps=150),
                          queries=8, mix=QueryMix.beams(1, 2))
+                .slice_runs(slice_runs)
+                .run()
             )
-            run = run.slice_runs(cfg.get("slice_runs", 16))
-            run = run.head(cfg.get("head", "random"))
-            return run.run()
 
-        # interleaving = slice granularity; the head model itself must
-        # stay fixed because per-query head draws are part of the stream
-        base = go(head=variant.get("head", "random"))
+        # interleaving = slice granularity; per-query head draws are part
+        # of each client's stream, so they stay fixed
+        base = go()
         other = go(**variant)
         assert (
             [d.served_blocks for d in base.drives]

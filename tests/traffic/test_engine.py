@@ -1,4 +1,4 @@
-"""Engine behaviour: queueing, slicing, head modes, open loops."""
+"""Engine behaviour: queueing, slicing, open loops."""
 
 import numpy as np
 import pytest
@@ -20,10 +20,6 @@ from repro.traffic import (
 
 
 class TestConfig:
-    def test_rejects_bad_head(self):
-        with pytest.raises(QueryError):
-            TrafficConfig(head="sideways")
-
     def test_rejects_bad_slice_runs(self):
         with pytest.raises(QueryError):
             TrafficConfig(slice_runs=0)
@@ -158,27 +154,6 @@ class TestContention:
         total_service = sum(tr.service_ms for tr in rep.traces)
         total_busy = sum(d.busy_ms for d in rep.drives)
         assert total_busy == pytest.approx(total_service)
-
-
-class TestHeadModes:
-    def test_carry_mode_runs(self, make_dataset):
-        rep = (
-            make_dataset().traffic()
-            .clients(2, queries=4)
-            .head("carry")
-            .run()
-        )
-        assert len(rep) == 8
-
-    def test_carry_differs_from_random(self, make_dataset):
-        r1 = make_dataset(seed=3).traffic().clients(1, queries=5).run()
-        r2 = (
-            make_dataset(seed=3).traffic().clients(1, queries=5)
-            .head("carry").run()
-        )
-        lat1 = [tr.latency_ms for tr in r1.traces]
-        lat2 = [tr.latency_ms for tr in r2.traces]
-        assert lat1 != lat2
 
 
 class TestOpenLoop:
