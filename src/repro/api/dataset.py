@@ -63,6 +63,7 @@ from repro.errors import (
 )
 from repro.lvm.volume import LogicalVolume
 from repro.query.executor import QueryResult, check_setting
+from repro.query.scatter import scatter_batch
 from repro.query.scheduler import DEFAULT_WINDOW
 from repro.query.workload import (
     BeamQuery,
@@ -71,6 +72,8 @@ from repro.query.workload import (
     random_beam,
     random_range_cube,
 )
+from repro.replica.executor import ReplicaStats
+from repro.shard.executor import ShardStats
 
 __all__ = ["Dataset", "QueryBatch"]
 
@@ -202,7 +205,9 @@ class QueryBatch:
         n_rep = (self._repeats if repeats is None
                  else _check_count("repeats", repeats))
         storage = ds.storage
-        queries = []
+        n_disks = storage.shard_map.n_disks
+        shards, replicas = ShardStats(n_disks), ReplicaStats(n_disks)
+        queries, results = [], []
 
         def prepared():
             # each query is drawn and prepared only once the one before
@@ -220,9 +225,15 @@ class QueryBatch:
                     else:  # random_range
                         q = random_range_cube(ds.shape, entry[1], rng)
                     queries.append((q, rep))
-                    yield storage.prepare(q)
+                    p = storage.prepare(q)
+                    replicas.record_query(p)
+                    yield p
 
-        results = storage.execute_batch(prepared(), rng=rng)
+        def gather(result: QueryResult, per_disk: dict) -> None:
+            shards.record(per_disk, result.total_ms)
+            results.append(result)
+
+        scatter_batch(storage, prepared(), gather, rng=rng)
         records = [make_record(q, res, rep)
                    for (q, rep), res in zip(queries, results)]
         meta = {"repeats": n_rep, "seed": ds.seed}
@@ -234,15 +245,14 @@ class QueryBatch:
             # bit-identical to pre-cache
             meta["cache"] = ds.cache.describe()
         if ds.n_shards > 1:
-            # per-shard gather totals, cumulative like the cache snapshot
-            # (ds.storage.reset_shard_stats() scopes them); gated on > 1
-            # so single-disk reports keep their JSON layout
-            meta["shards"] = storage.describe_shards()
+            # this run's per-shard gather totals; gated on > 1 so
+            # single-disk reports keep their JSON layout
+            meta["shards"] = storage.describe_shards(shards)
         if ds.replication_k > 1:
-            # copy placement + routing totals (failed disks, failovers,
-            # degraded queries); gated on k > 1 so single-copy reports
-            # keep their JSON layout
-            meta["replicas"] = storage.describe_replicas()
+            # copy placement, failed disks and this run's routing totals
+            # (failovers, degraded queries); gated on k > 1 so
+            # single-copy reports keep their JSON layout
+            meta["replicas"] = storage.describe_replicas(replicas)
         tele = storage.obs
         if tele is not None:
             # telemetry-LIFETIME totals (spans and metrics accumulate

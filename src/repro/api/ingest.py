@@ -129,9 +129,7 @@ class IngestRun:
             flush = pipeline.build_flush(disks)
             if flush is None:
                 return
-            result, disk_stats = scatter_execute(
-                ds.storage, flush.prepared, rng=rng
-            )
+            result, disk_stats = scatter_execute(ds.storage, flush, rng=rng)
             write_ms += result.total_ms
             blocks_written += result.n_blocks
             flushes += 1

@@ -15,10 +15,11 @@ chainable builder that owns seeding and wiring::
 Each setting has one form: clients come from :meth:`TrafficRun
 .clients` (the arrival model is a :class:`~repro.traffic.arrivals
 .ClosedLoop` or a :class:`~repro.traffic.arrivals.PoissonArrivals`),
-and a disk failure from :meth:`TrafficRun.kill`.  Every query starts
-from a random head position drawn from its client's stream.  A storm
-only reads: writes go through :meth:`Dataset.ingest
-<repro.api.Dataset.ingest>` runs between storms.
+and a disk failure from :meth:`TrafficRun.kill`.  A storm runs on the
+dataset's one storage manager, from heads parked as on a fresh volume,
+and every query starts from a random head position drawn from its
+client's stream.  A storm only reads: writes go through
+:meth:`Dataset.ingest <repro.api.Dataset.ingest>` runs between storms.
 
 Seeding: each client receives the next child generator of the dataset's
 seed sequence (:meth:`Dataset.rng`), in the order the clients were
@@ -35,7 +36,7 @@ import numpy as np
 from repro.errors import QueryError, _check_count, _check_rng
 from repro.traffic.arrivals import ArrivalProcess, ClosedLoop
 from repro.traffic.clients import QueryMix, Replay, TrafficClient
-from repro.traffic.engine import TrafficConfig, TrafficSim
+from repro.traffic.engine import TrafficConfig, TrafficSim, check_failures
 from repro.traffic.stats import TrafficReport
 
 __all__ = ["TrafficRun"]
@@ -105,7 +106,9 @@ class TrafficRun:
         serviceable.  The values are checked as
         :class:`~repro.replica.FailureEvent` checks them (a finite time
         of at least 0, an integer disk of at least 0); a bad one raises
-        :class:`~repro.errors.ReplicaError` with nothing scheduled."""
+        :class:`~repro.errors.ReplicaError` with nothing scheduled, and a
+        disk the volume lacks makes :meth:`run` raise
+        :class:`~repro.errors.QueryError` before any client is built."""
         from repro.replica.failures import kill_events
 
         self._failure_events += kill_events(at_ms, disk, revive_at_ms)
@@ -127,14 +130,16 @@ class TrafficRun:
         directly (mirroring ``QueryBatch.run(rng=...)``); several clients
         get independent generators seeded from its draws.  An ``rng``
         that is not a :class:`numpy.random.Generator` raises
-        :class:`~repro.errors.QueryError`.
+        :class:`~repro.errors.QueryError`, and so does a :meth:`kill` of
+        a disk the dataset's volume lacks.
         """
         if not self._specs:
             raise QueryError("add at least one client before run()")
         _check_rng(rng)
+        ds = self._dataset
         # checked before any client draws from the dataset's generators
         config = TrafficConfig(slice_runs=self._slice_runs)
-        ds = self._dataset
+        check_failures(ds.volume, self._failure_events)
         n_clients = len(self._specs)
         if rng is None:
             rngs = [ds.rng() for _ in range(n_clients)]
@@ -144,15 +149,8 @@ class TrafficRun:
             seeds = rng.integers(2**63, size=n_clients)
             rngs = [np.random.default_rng(int(s)) for s in seeds]
         clients = [
-            TrafficClient(
-                name=name,
-                storage=ds.storage,
-                mapper=ds.mapper,
-                mix=mix,
-                arrival=arrival,
-                n_queries=queries,
-                rng=crng,
-            )
+            TrafficClient(name=name, mix=mix, arrival=arrival,
+                          n_queries=queries, rng=crng)
             for (name, mix, arrival, queries), crng
             in zip(self._specs, rngs)
         ]
@@ -163,5 +161,5 @@ class TrafficRun:
             failures = FailureSchedule(tuple(self._failure_events))
         meta = {"dataset": ds.describe(), "seed": ds.seed}
         return TrafficSim(
-            clients, config, meta=meta, failures=failures
+            ds.storage, clients, config, meta=meta, failures=failures
         ).run()

@@ -202,7 +202,7 @@ def _parse_mix(text: str):
     checked as :meth:`QueryMix.beams` / :meth:`QueryMix.ranges` check
     theirs (an axis of at least 0, a selectivity in (0, 100]); whether
     an axis fits ``--shape`` is checked once both are parsed
-    (:func:`_check_mix_axes`)."""
+    (:func:`_check_axes`)."""
     parts = []
     for item in _csv_strs(text):
         kind, _, arg = item.partition(":")
@@ -226,14 +226,27 @@ def _parse_mix(text: str):
     return QueryMix(parts)
 
 
-def _check_mix_axes(p, args) -> None:
-    """Exit 2 through parser ``p`` when a ``--mix`` beam axis is not an
-    axis of ``--shape`` (the storm would raise at its first draw)."""
+def _check_axes(p, args) -> None:
+    """Exit 2 through parser ``p`` when an axis flag names no axis of
+    ``--shape`` (the run would raise at its first query): ``--axes``,
+    ``--axis`` and a ``--mix`` beam take ``0..ndim-1``, and
+    ``--split-axis`` may also count from the end, as the shard map's
+    does."""
     ndim = len(args.shape)
-    for part in args.mix.parts:
-        if isinstance(part, BeamDraw) and part.axis >= ndim:
-            p.error(f"argument --mix: beam:{part.axis} is not an axis of "
-                    f"the {ndim}-D --shape {args.shape}")
+    named = [("--axes", a, a) for a in getattr(args, "axes", None) or ()]
+    if getattr(args, "axis", None) is not None:
+        named.append(("--axis", args.axis, args.axis))
+    split = getattr(args, "split_axis", None)
+    if split is not None:
+        named.append(("--split-axis", split,
+                      split + ndim if split < 0 else split))
+    if getattr(args, "mix", None) is not None:
+        named += [("--mix", f"beam:{part.axis}", part.axis)
+                  for part in args.mix.parts if isinstance(part, BeamDraw)]
+    for flag, value, axis in named:
+        if not 0 <= axis < ndim:
+            p.error(f"argument {flag}: {value} is not an axis of the "
+                    f"{ndim}-D --shape {args.shape}")
 
 
 def _arrival_value(model, field: str):
@@ -849,9 +862,9 @@ def main(argv=None) -> int:
     _add_explain_parser(subparsers)
     _add_diff_parser(subparsers)
     args = parser.parse_args(argv)
-    if getattr(args, "mix", None) is not None:
-        # traffic and trace: checked before any dataset is built
-        _check_mix_axes(subparsers.choices[args.command], args)
+    if getattr(args, "shape", None) is not None:
+        # checked before any dataset is built
+        _check_axes(subparsers.choices[args.command], args)
     listed = _list_registries(args)
     if args.command is not None:
         # a listing combined with a subcommand prints both: the listing

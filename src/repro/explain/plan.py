@@ -4,8 +4,8 @@
 — §5.2 run coalescing, SPTF clamping, shard splitting, replica routing
 — but against *ghost* state, so nothing observable changes: the live
 drives never move, the buffer pool is consulted through the
-non-mutating :meth:`BufferPool.peek_plan` probe, and replica
-routing stats are snapshotted and restored.  Predicted per-run
+non-mutating :meth:`BufferPool.peek_plan` probe, and preparation
+records no routing stats (a run counts its own).  Predicted per-run
 mechanical cost comes from servicing
 the prepared runs on a fresh drive instance built from the same
 :class:`DiskModel` (deterministic: track 0, time 0), mirroring the
@@ -14,8 +14,6 @@ slowest disk).
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -67,14 +65,13 @@ def query_spec(query) -> dict:
 def prepare_readonly(ds, query):
     """Prepare ``query`` on ``ds`` without mutating any live state.
 
-    The cache is detached for the duration (so plans cover every block
-    and cache stats stay untouched), and the replica routing stats are
-    snapshotted and restored (prepare records sub-reads).
+    The cache is detached for the duration, so plans cover every block
+    and cache stats stay untouched; preparation records nothing else
+    (routing totals are counted by the run that services a query).
     """
     storage = ds.storage
     saved_cache = storage.cache
     saved_obs = storage.obs
-    saved_stats = copy.deepcopy(storage.replica_stats)
     storage.cache = None
     storage.obs = _RAW_PROBE
     try:
@@ -82,8 +79,6 @@ def prepare_readonly(ds, query):
     finally:
         storage.cache = saved_cache
         storage.obs = saved_obs
-        # restore in place so references to the stats object stay valid
-        storage.replica_stats.__dict__.update(vars(saved_stats))
 
 
 def predict_mechanics(volume, prepared, *,

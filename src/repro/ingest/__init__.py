@@ -43,13 +43,7 @@ from repro.ingest.loader import (
     register_loader,
     resolve_loader,
 )
-from repro.ingest.pipeline import (
-    FlushPlan,
-    IngestPipeline,
-    IngestPrepared,
-    IngestStats,
-    WriteSource,
-)
+from repro.ingest.pipeline import IngestPipeline, IngestStats, WriteSource
 from repro.ingest.reorg import ReorgReport, plan_reorganize
 from repro.ingest.report import IngestReport
 from repro.ingest.streams import (
@@ -68,10 +62,8 @@ __all__ = [
     "LOADERS",
     "STREAMS",
     "ClusteredStream",
-    "FlushPlan",
     "IngestPipeline",
     "IngestPlan",
-    "IngestPrepared",
     "IngestReport",
     "IngestStats",
     "LoaderEntry",

@@ -65,9 +65,7 @@ from repro.query.scatter import ShardedPrepared
 __all__ = [
     "MAX_OVERFLOW_PAGES",
     "STAGE_MS_PER_POINT",
-    "FlushPlan",
     "IngestPipeline",
-    "IngestPrepared",
     "IngestStats",
     "WriteSource",
 ]
@@ -87,27 +85,6 @@ class WriteSource:
     chunk: int
     copy: int
     disk: int
-
-
-@dataclass(frozen=True)
-class IngestPrepared(ShardedPrepared):
-    """One flush prepared as per-copy, per-disk write sub-plans.
-
-    A :class:`~repro.query.scatter.ShardedPrepared` whose
-    ``sources[i]`` is the :class:`WriteSource` of ``subs[i]``, so
-    :func:`~repro.query.scatter.scatter_execute` services it like a
-    read.  ``n_points`` counts the points the flush acknowledges."""
-
-    n_points: int = 0
-
-
-@dataclass(frozen=True)
-class FlushPlan:
-    """One buffered flush, ready to execute."""
-
-    prepared: IngestPrepared
-    n_points: int
-    chunks: tuple[int, ...]
 
 
 @dataclass
@@ -145,7 +122,9 @@ class IngestPipeline:
         *primary* chunk mapper; the cell-store façade gate does not
         apply here — this is the write path it points at.
     stream:
-        A :class:`~repro.ingest.streams.RecordStream`.
+        A :class:`~repro.ingest.streams.RecordStream` whose dims must
+        match the dataset's shape (its run stages the batches; the
+        pipeline does not keep it).
     plan:
         The :class:`IngestPlan` a loader fixed for this stream
         (``resolve_loader(name).fn(dataset, stream, **opts)``; a run
@@ -168,7 +147,6 @@ class IngestPipeline:
             )
         self.flush_points = check_count("flush_points", flush_points)
         self.dataset = dataset
-        self.stream = stream
         self.plan = plan
         self.stats = IngestStats()
 
@@ -308,13 +286,18 @@ class IngestPipeline:
     # flushing
     # ------------------------------------------------------------------
 
-    def build_flush(self, disks) -> FlushPlan | None:
+    def build_flush(self, disks) -> ShardedPrepared | None:
         """Fold the given disks' buffers into their stores and prepare
-        one write sub-plan per (chunk, live copy)."""
+        one write sub-plan per (chunk, live copy), or return None when
+        they buffer nothing.
+
+        The flush is a :class:`~repro.query.scatter.ShardedPrepared`
+        whose ``sources[i]`` is the :class:`WriteSource` of ``subs[i]``,
+        so :func:`~repro.query.scatter.scatter_execute` services it like
+        a read; its ``n_cells`` counts the points it acknowledges."""
         subs: list = []
         sources: list = []
         n_points = 0
-        flushed: list[int] = []
         for disk in sorted({int(d) for d in disks}):
             if not 0 <= disk < self._backlog.size:
                 continue  # off the volume: nothing was ever buffered
@@ -374,21 +357,14 @@ class IngestPipeline:
                         self.stats.home_blocks += len(home)
                 n_points += pts
                 self.stats.overflow_points += spilled
-                flushed.append(ci)
                 segment[flats] = 0
             self._backlog[disk] = 0
         if not subs:
             return None
         self.stats.flushes += 1
         self.stats.flushed_points += n_points
-        prepared = IngestPrepared(
-            mapper_name=self.mapper_name,
-            subs=tuple(subs),
-            n_cells=n_points,
-            sources=tuple(sources),
-            n_points=n_points,
-        )
-        return FlushPlan(prepared, n_points, tuple(flushed))
+        return ShardedPrepared(self.mapper_name, tuple(subs), n_points,
+                               tuple(sources))
 
     # ------------------------------------------------------------------
     # reclamation + reporting

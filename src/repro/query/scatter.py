@@ -22,12 +22,14 @@ admits its sub-plans, in the order serving them one at a time would;
 then per disk it prepares every pending sub-plan in one drive
 preparation (:meth:`~repro.disk.drive.DiskDrive.prepare_batches`), and
 services each through :meth:`~repro.disk.drive.DiskDrive.service_runs`,
-which stays the call every serviced batch goes through.  Results, shard
-stats and telemetry are then gathered query by query, in order.  The
-pending sub-plans are serviced whenever they reach :data:`GROUP_RUNS`
-runs, so a long batch never holds more than one group of plans.
-``tests/api/test_batch_oracle.py`` pins a batch to the one-at-a-time
-loop: results, reports, drive, pool, shard, replica and telemetry state.
+which stays the call every serviced batch goes through.  Results and
+telemetry are then gathered query by query, in order, each with its
+per-disk totals (which :meth:`QueryBatch.run <repro.api.QueryBatch.run>`
+sums into its run's shard stats).  The pending sub-plans are serviced
+whenever they reach :data:`GROUP_RUNS` runs, so a long batch never
+holds more than one group of plans.  ``tests/api/test_batch_oracle.py``
+pins a batch to the one-at-a-time loop: results, reports, drive, pool,
+placement and telemetry state.
 """
 
 from __future__ import annotations
@@ -255,8 +257,7 @@ def scatter_execute(
     """Service one query scatter-gather: a :func:`scatter_batch` of one.
 
     Returns ``(result, per_disk)`` where ``per_disk`` maps each involved
-    disk to its ``{"busy_ms", "blocks", "runs"}`` contribution (the
-    gather half the shard stats merge into reports).
+    disk to its ``{"busy_ms", "blocks", "runs"}`` contribution.
     """
     out: list[tuple] = []
     scatter_batch(storage, (prepared,), lambda *gathered: out.append(gathered),

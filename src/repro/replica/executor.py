@@ -7,7 +7,8 @@ the lowest copy on a live disk — the primary while its disk is healthy
 (:data:`READ_POLICY`); this module holds the pieces of that routing the
 manager is built from: :class:`SubSource` (which chunk piece a sub-plan
 reads, from which copy — what failover re-plans from) and the
-:class:`ReplicaStats` routing totals behind ``describe_replicas``.
+:class:`ReplicaStats` routing totals a run reports through
+``describe_replicas``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,16 @@ class SubSource(NamedTuple):
 
 @dataclass
 class ReplicaStats:
-    """Cumulative read-routing totals over a manager's lifetime."""
+    """Read-routing totals of one run, counted from what it prepared.
+
+    :meth:`QueryBatch.run <repro.api.QueryBatch.run>` and
+    :meth:`TrafficSim.run <repro.traffic.TrafficSim.run>` each build a
+    fresh one and report it as ``meta.replicas.stats``: every prepared
+    sub-plan is a read of its disk (:meth:`record_query`), and every
+    re-dispatch one more (:meth:`record_failover`).  A read routes to
+    the lowest live copy, so it leaves copy 0 exactly when its primary's
+    disk is dead: a query with such a read is *degraded*.
+    """
 
     n_disks: int
     reads: list = field(init=False)
@@ -53,13 +63,28 @@ class ReplicaStats:
         self.reads = [0] * self.n_disks
         self.planned_blocks = [0] * self.n_disks
 
-    def record_sub(self, disk: int, copy: int, n_blocks: int) -> None:
+    def record_sub(self, sub, source: SubSource) -> None:
+        """Count one prepared sub-plan read from ``source``'s copy."""
+        disk = sub.disk_index
         self.reads[disk] += 1
-        self.planned_blocks[disk] += int(n_blocks)
-        if copy == 0:
+        self.planned_blocks[disk] += int(sub.n_blocks + sub.cache_hits)
+        if source.copy == 0:
             self.primary_reads += 1
         else:
             self.replica_reads += 1
+
+    def record_query(self, prepared) -> None:
+        """Count the reads of one query from the manager's ``prepare``."""
+        degraded = False
+        for sub, source in zip(prepared.subs, prepared.sources):
+            self.record_sub(sub, source)
+            degraded = degraded or source.copy != 0
+        self.degraded_queries += degraded
+
+    def record_failover(self, sub, source: SubSource) -> None:
+        """Count one sub-plan re-dispatched onto ``source``'s copy."""
+        self.record_sub(sub, source)
+        self.failovers += 1
 
     def to_dict(self) -> dict:
         return {

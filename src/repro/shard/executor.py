@@ -42,7 +42,7 @@ from repro.query.executor import (
     StorageManager,
     check_setting,
 )
-from repro.query.scatter import ShardedPrepared, scatter_batch
+from repro.query.scatter import ShardedPrepared, scatter_execute
 from repro.query.scheduler import DEFAULT_WINDOW
 from repro.query.workload import BeamQuery, RangeQuery
 from repro.replica.executor import READ_POLICY, ReplicaStats, SubSource
@@ -88,12 +88,14 @@ class ShardedMapper:
 
 @dataclass
 class ShardStats:
-    """Cumulative per-disk gather totals over a manager's lifetime.
+    """Per-disk gather totals of one batch run (:meth:`QueryBatch.run
+    <repro.api.QueryBatch.run>` builds a fresh one per run and reports
+    it as ``meta.shards.stats``).
 
     ``busy_ms`` is each drive's mechanical + memory service time;
     ``parallel_efficiency`` compares the work actually overlapped
     against perfect speedup (sum of busy time over ``n_disks`` × the
-    accumulated makespan; 1.0 = every drive always busy).
+    run's summed makespan; 1.0 = every drive always busy).
     """
 
     n_disks: int
@@ -193,11 +195,8 @@ class ShardedStorageManager(StorageManager):
                 else str(layout))
         self.mapper = ShardedMapper(name, shard_map,
                                     [ms[0] for ms in copies])
-        self._primary_disks = tuple(c.disk for c in shard_map.chunks)
         self.failed: set[int] = set()
         self._refresh_live()
-        self.shard_stats = ShardStats(shard_map.n_disks)
-        self.replica_stats = ReplicaStats(shard_map.n_disks)
 
     def _build_copy(self, layout, chunk, disk: int):
         return build_mapper(
@@ -295,11 +294,7 @@ class ShardedStorageManager(StorageManager):
             plan = mapper.range_plan(llo, lhi)
         else:
             plan = mapper.beam_plan(axis, llo, llo[axis], lhi[axis])
-        sub = self.prepare_plan(mapper, plan, source.n_cells)
-        self.replica_stats.record_sub(
-            sub.disk_index, source.copy, sub.n_blocks + sub.cache_hits
-        )
-        return sub
+        return self.prepare_plan(mapper, plan, source.n_cells)
 
     def prepare(self, query) -> ShardedPrepared:
         """Split a query across the chunks it touches and prepare each
@@ -321,10 +316,6 @@ class ShardedStorageManager(StorageManager):
             subs.append(self._prepare_source(source))
             sources.append(source)
             total_cells += n_cells
-        failed = self.failed
-        if failed and any(self._primary_disks[source.chunk] in failed
-                          for source in sources):
-            self.replica_stats.degraded_queries += 1
         return ShardedPrepared(
             self.mapper.name, tuple(subs), total_cells, tuple(sources)
         )
@@ -342,9 +333,7 @@ class ShardedStorageManager(StorageManager):
         """
         copy = self._select_copy(source.chunk, exclude_copy=source.copy)
         moved = source._replace(copy=copy)
-        sub = self._prepare_source(moved)
-        self.replica_stats.failovers += 1
-        return moved, sub
+        return moved, self._prepare_source(moved)
 
     def write_copies(self, chunk_index: int):
         """Every live ``(copy, mapper)`` an ingest flush must write.
@@ -366,27 +355,12 @@ class ShardedStorageManager(StorageManager):
     # gather: concurrent service, makespan timing
     # ------------------------------------------------------------------
 
-    def execute_batch(self, entries, *, rng=None) -> list[QueryResult]:
-        """Service queries from :meth:`prepare` scatter-gather, in two
-        phases per group (:func:`~repro.query.scatter.scatter_batch`),
-        and return their results in order.  ``entries`` may prepare each
-        query lazily.  Each query's gather totals are recorded in
-        :attr:`shard_stats` in order, those of the queries before an
-        entry that raises included."""
-        results: list[QueryResult] = []
-
-        def gather(result: QueryResult, per_disk: dict) -> None:
-            self.shard_stats.record(per_disk, result.total_ms)
-            results.append(result)
-
-        scatter_batch(self, entries, gather, rng=rng)
-        return results
-
     def execute_prepared(self, prepared: ShardedPrepared, *,
                          rng=None) -> QueryResult:
-        """Service one query from :meth:`prepare` (a batch of one; an
-        explicit plan on one disk goes through :meth:`execute_plan`)."""
-        return self.execute_batch((prepared,), rng=rng)[0]
+        """Service one query from :meth:`prepare` scatter-gather
+        (:func:`~repro.query.scatter.scatter_execute`; an explicit plan
+        on one disk goes through :meth:`execute_plan`)."""
+        return scatter_execute(self, prepared, rng=rng)[0]
 
     def admit_prepared(self, prepared: PreparedQuery) -> None:
         """Admit one serviced sub-plan, skipping copies on failed disks
@@ -414,24 +388,17 @@ class ShardedStorageManager(StorageManager):
     # introspection
     # ------------------------------------------------------------------
 
-    def reset_shard_stats(self) -> None:
-        self.shard_stats = ShardStats(self.shard_map.n_disks)
-
-    def describe_shards(self) -> dict:
-        """Placement summary plus lifetime gather stats (cumulative, like
-        the cache snapshot; ``reset_shard_stats`` scopes it)."""
+    def describe_shards(self, stats: ShardStats) -> dict:
+        """Placement summary plus one run's gather ``stats``."""
         out = self.shard_map.describe()
-        out["stats"] = self.shard_stats.to_dict()
+        out["stats"] = stats.to_dict()
         return out
 
-    def reset_replica_stats(self) -> None:
-        self.replica_stats = ReplicaStats(self.shard_map.n_disks)
-
-    def describe_replicas(self) -> dict:
-        """Placement summary plus lifetime routing stats (cumulative,
-        like the shard snapshot; ``reset_replica_stats`` scopes it)."""
+    def describe_replicas(self, stats: ReplicaStats) -> dict:
+        """Placement summary, failed disks and one run's routing
+        ``stats``."""
         out = self.replica_map.describe()
         out["read_policy"] = READ_POLICY
         out["failed"] = sorted(self.failed)
-        out["stats"] = self.replica_stats.to_dict()
+        out["stats"] = stats.to_dict()
         return out

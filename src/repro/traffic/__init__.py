@@ -2,7 +2,7 @@
 
 The batch executor (:meth:`repro.api.Dataset.run`) times one query at a
 time on idle drives; this package models *contention*: many clients issuing
-beam/range queries concurrently against drives they share, with
+beam/range queries concurrently against one dataset's drives, with
 queueing, slice-level interleaving, and per-client fairness statistics.
 
 Quick tour::
@@ -18,8 +18,9 @@ Quick tour::
     )
     print(report.render_table())
 
-Everything is seeded and wall-clock free: the same seeds produce a
-bit-identical :class:`TrafficReport`.  :func:`run_storm` sweeps layouts
+Everything is seeded and wall-clock free: the same dataset
+configuration and seeds produce a bit-identical :class:`TrafficReport`,
+whatever ran on the dataset before.  :func:`run_storm` sweeps layouts
 x client counts (``repro-bench traffic``, on :mod:`repro.bench.sweep`);
 :func:`~repro.traffic.storm.run_one_storm` runs one telemetry-attached
 storm for ``repro-bench trace``.

@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import QueryError, _check_count
-from repro.mappings.base import Mapper
 from repro.query.workload import (
     BeamQuery,
     RangeQuery,
@@ -29,7 +28,6 @@ from repro.query.workload import (
     random_beam,
     random_range_cube,
 )
-from repro.shard.executor import ShardedStorageManager
 from repro.traffic.arrivals import ArrivalProcess, ClosedLoop
 
 __all__ = ["BeamDraw", "RangeDraw", "QueryMix", "Replay", "TrafficClient"]
@@ -130,23 +128,16 @@ class Replay:
 
 @dataclass
 class TrafficClient:
-    """One traffic source: a query mix, an arrival process, and a stack.
+    """One traffic source: a query mix, an arrival process, a stream.
 
-    ``storage`` is the dataset's
-    :class:`~repro.shard.executor.ShardedStorageManager` (the engine
-    reads its sub-plans, copy routing and failure state); it plans every
-    query on its own placement, so ``mapper`` only names the layout and
-    gives the query draws their dims.  Several clients may share one
-    manager (the common case) or use managers built on the same volume
-    — contention happens at the drive either way.  ``rng`` is the
-    client's private stream: it drives arrivals, query draws, and (in
-    per-query head randomisation mode) the initial head position, all
-    consumed in submission order.
+    A client holds no storage: :class:`~repro.traffic.engine.TrafficSim`
+    plans every client's queries on the one dataset's storage manager it
+    drives.  ``rng`` is the client's private stream: it drives arrivals,
+    query draws, and each query's head positions, all consumed in
+    submission order.
     """
 
     name: str
-    storage: ShardedStorageManager
-    mapper: Mapper
     mix: QueryMix | Replay
     arrival: ArrivalProcess = field(default_factory=ClosedLoop)
     n_queries: int = 50
@@ -158,10 +149,12 @@ class TrafficClient:
         if self.rng is None:
             self.rng = np.random.default_rng()
 
-    def describe(self) -> dict:
+    def describe(self, mapper: str) -> dict:
+        """JSON-friendly summary; ``mapper`` names the layout the
+        client's queries read."""
         return {
             "name": self.name,
-            "mapper": self.mapper.name,
+            "mapper": mapper,
             "mix": self.mix.describe(),
             "arrival": self.arrival.describe(),
             "n_queries": int(self.n_queries),

@@ -1,12 +1,13 @@
-"""Discrete-event engine servicing many clients on shared drives.
+"""Discrete-event engine servicing many clients on one dataset's drives.
 
-The simulation advances through a single event heap keyed on simulated
-milliseconds.  Clients submit queries according to their arrival process;
-each query is prepared once by its client's storage manager
-(:class:`~repro.shard.executor.ShardedStorageManager`: coalescing +
-effective policy, exactly the batch path) as a
-:class:`~repro.query.scatter.ShardedPrepared` of per-disk sub-plans, and
-every sub-plan is split into *service slices*
+A :class:`TrafficSim` drives one dataset's storage manager
+(:class:`~repro.shard.executor.ShardedStorageManager`); every client is
+a query mix, an arrival process and a random stream.  The simulation
+advances through a single event heap keyed on simulated milliseconds.
+Clients submit queries according to their arrival process; each query
+is prepared once by the manager (coalescing + effective policy, exactly
+the batch path) as a :class:`~repro.query.scatter.ShardedPrepared` of
+per-disk sub-plans, and every sub-plan is split into *service slices*
 (:func:`repro.query.scheduler.slice_plan`).  Every drive services one
 slice at a time from a FIFO queue, and a multi-slice sub-plan re-enters
 the queue behind whatever arrived meanwhile — so requests from different
@@ -23,24 +24,26 @@ when its **last** disk's portion finishes (each disk's last slice plus
 that disk's share of cache memory time) — the traffic analogue of the
 batch executor's per-disk busy + makespan accounting.
 
-Head position: every query starts from a uniformly random head
-position *pre-drawn from the submitting client's stream at submission
-time* (one draw per involved disk, in sub-plan order) and applied when
-its first slice on that drive is dispatched (:data:`HEAD`, the paper's
-methodology).  Pre-drawing keeps each client's random stream a pure
-function of its own submission order, so per-drive served-block totals
-are invariant under re-interleavings, while a lone zero-think
-closed-loop client consumes draws in exactly the order of
+Head position: a run first parks every member drive as a fresh volume
+holds it (track 0, clock 0), so nothing an earlier run left on the
+drives reaches this one.  Every query then starts from a uniformly
+random head position *pre-drawn from the submitting client's stream at
+submission time* (one draw per involved disk, in sub-plan order) and
+applied when its first slice on that drive is dispatched (:data:`HEAD`,
+the paper's methodology).  Pre-drawing keeps each client's random
+stream a pure function of its own submission order, so per-drive
+served-block totals are invariant under re-interleavings, while a lone
+zero-think closed-loop client consumes draws in exactly the order of
 :meth:`repro.api.QueryBatch.run` (query, head, query, head, ...) — the
 parity the regression tests pin.
 
-Caching: when a client's storage manager carries a
-:class:`repro.cache.BufferPool`, queries are cache-filtered at
-*submission* (inside :meth:`ShardedStorageManager.prepare`, which runs
+Caching: when the manager carries a :class:`repro.cache.BufferPool`,
+queries are cache-filtered at *submission* (inside
+:meth:`ShardedStorageManager.prepare`, which runs
 :meth:`~repro.query.executor.StorageManager.prepare_plan` per
 sub-plan) and the missed
 blocks are admitted — with their prefetched neighbors — when the last
-slice completes, so concurrent clients sharing one pool interact the
+slice completes, so concurrent clients sharing the pool interact the
 way shared caches do: one client's miss work becomes another's hits,
 and one client's scan can pollute everyone's working set.  Memory-served
 blocks add their (bus-speed) service time to the query's completion
@@ -53,20 +56,23 @@ Failures: a :class:`~repro.replica.failures.FailureSchedule` passed as
 kills and revives member disks at fixed simulated times.  A killed disk
 stops servicing immediately: its
 queued jobs — and the job whose slice was in flight, whose partial work
-is lost — re-dispatch through the owning client's storage manager
+is lost — re-dispatch through the manager
 (:meth:`~repro.shard.executor.ShardedStorageManager.failover_sub`),
-restarting the whole sub-plan on a surviving copy's disk; queries
-submitted afterwards avoid dead disks at prepare time.  A chunk left
+restarting the whole sub-plan on a surviving copy's disk, from wherever
+that drive's head is (it draws no head position); queries submitted
+afterwards avoid dead disks at prepare time.  A chunk left
 with no live copy raises :class:`~repro.errors.ReplicaError` — the
 engine never silently drops queries.  The report's meta gains gated
 ``"failures"`` (the schedule plus re-dispatch totals) and
-``"replicas"`` (the managers' placement + routing snapshots, for
-k > 1) entries; without a schedule and without replicated clients both
-keys are absent.
+``"replicas"`` (the manager's placement, failed disks and this run's
+routing totals, for k > 1) entries; without a schedule and without
+replication both keys are absent.
 
 Determinism: no wall-clock, no hash-order iteration; ties in the event
-heap break by submission sequence number.  Same clients + same seeds
-⇒ bit-identical :class:`TrafficReport`.
+heap break by submission sequence number.  Same dataset configuration +
+same client seeds ⇒ bit-identical :class:`TrafficReport`, whatever ran
+on the dataset before (an attached pool and telemetry aside: both
+accumulate by design).
 """
 
 from __future__ import annotations
@@ -80,6 +86,7 @@ from repro.errors import QueryError
 from repro.obs.span import record_traffic_query
 from repro.query.scheduler import slice_plan
 from repro.query.workload import _check_int
+from repro.replica.executor import ReplicaStats
 from repro.replica.failures import FailureSchedule
 from repro.shard.executor import ShardedStorageManager
 from repro.traffic.clients import TrafficClient
@@ -90,7 +97,7 @@ from repro.traffic.stats import (
     describe_query,
 )
 
-__all__ = ["HEAD", "TrafficConfig", "TrafficSim"]
+__all__ = ["HEAD", "TrafficConfig", "TrafficSim", "check_failures"]
 
 #: where a query's service starts, as :meth:`TrafficConfig.describe`
 #: reports it: a random head position per query and involved disk
@@ -124,6 +131,19 @@ class TrafficConfig:
             "head": HEAD,
             "horizon_ms": None,
         }
+
+
+def check_failures(volume, failures) -> None:
+    """Refuse failure events naming a disk ``volume`` lacks, with
+    :class:`QueryError`: a typo'd disk must neither measure the healthy
+    path while the meta reports a failure nor serve queries before the
+    kill fires."""
+    for ev in failures or ():
+        if ev.disk >= volume.n_disks:
+            raise QueryError(
+                f"failure schedule names disk {ev.disk}, but the volume "
+                f"has {volume.n_disks} member disks"
+            )
 
 
 class _Query:
@@ -169,8 +189,8 @@ class _Query:
         # the disk is revived before the query completes)
         self.failover_subs: list = []
         self.abandoned: list = []
-        # telemetry scratchpad (None when the client's storage carries
-        # no Telemetry): the cache shares as captured at submission
+        # telemetry scratchpad (None when the manager carries no
+        # Telemetry): the cache shares as captured at submission
         # (before billing zeroes them), serviced slices, and failover
         # events — distilled into one span tree at completion
         self.obs: dict | None = None
@@ -205,10 +225,8 @@ class _Query:
 class _Job:
     """One sub-plan of a query moving through one drive's queue.
 
-    ``disk`` is the sub-plan's member index on its OWN client's volume —
-    the key of the query's ``disk_cache``/``disk_remaining`` maps.  (A
-    shared :class:`_DriveState` records whatever index the first client
-    discovered the drive under, which need not match.)
+    ``disk`` is the member disk the sub-plan reads — the key of the
+    query's ``disk_cache``/``disk_remaining`` maps.
     """
 
     __slots__ = ("qs", "slices", "next_slice", "head_pos", "policy",
@@ -263,30 +281,30 @@ class _ClientState:
 
 
 class TrafficSim:
-    """Run a set of :class:`TrafficClient` s to completion.
+    """Run a set of :class:`TrafficClient` s on one dataset to completion.
 
-    Drives are discovered from each prepared query's member disks on the
-    client's volume, so clients of different datasets contend exactly
-    when their plans land on the same :class:`DiskDrive` object (e.g.
-    two layouts sharing one :class:`LogicalVolume`), and a sharded
-    client occupies one queue per involved member disk.
+    ``storage`` is the dataset's
+    :class:`~repro.shard.executor.ShardedStorageManager`: every client's
+    queries are planned on its placement and serviced on its volume's
+    drives, one queue per member disk a run touches (listed in
+    ``report.drives`` in first-use order).  A schedule naming a disk the
+    volume lacks is refused here (:func:`check_failures`).
     """
 
-    def __init__(self, clients, config: TrafficConfig | None = None,
-                 meta: dict | None = None, failures=None):
+    def __init__(self, storage, clients, config: TrafficConfig | None = None,
+                 *, meta: dict | None = None, failures=None):
+        if not isinstance(storage, ShardedStorageManager):
+            raise QueryError(
+                f"traffic needs a dataset's ShardedStorageManager, got "
+                f"{type(storage).__name__}"
+            )
+        self.storage = storage
         self.clients = list(clients)
         if not self.clients:
             raise QueryError("traffic needs at least one client")
         names = [c.name for c in self.clients]
         if len(set(names)) != len(names):
             raise QueryError("client names must be unique")
-        for c in self.clients:
-            if not isinstance(c.storage, ShardedStorageManager):
-                raise QueryError(
-                    f"client {c.name!r} needs a dataset's "
-                    f"ShardedStorageManager, got "
-                    f"{type(c.storage).__name__}"
-                )
         self.config = config or TrafficConfig()
         self.meta = dict(meta or {})
         if failures is not None and not isinstance(failures,
@@ -295,6 +313,7 @@ class TrafficSim:
                 f"failures must be a FailureSchedule or None, got "
                 f"{type(failures).__name__}"
             )
+        check_failures(storage.volume, failures)
         self.failures = failures
 
     # ------------------------------------------------------------------
@@ -303,25 +322,28 @@ class TrafficSim:
 
     def run(self) -> TrafficReport:
         cfg = self.config
+        storage = self.storage
+        volume = storage.volume
+        window = storage.window
+        tele = storage.obs
+        dims = storage.mapper.dims
         heap: list[tuple] = []
         seq = 0
-        drives: dict[int, _DriveState] = {}
-        drive_order: list[int] = []
+        drives: dict[int, _DriveState] = {}  # by disk, in first-use order
         traces: list[QueryTrace] = []
         states = [_ClientState(c) for c in self.clients]
-
-        dead_ids: set[int] = set()  # id(drive) of currently dead drives
+        replicas = ReplicaStats(volume.n_disks)
         n_redispatched = 0
 
-        def drive_state(cs: _ClientState, disk: int) -> _DriveState:
-            drive = cs.client.storage.volume.drive(disk)
-            key = id(drive)
-            ds = drives.get(key)
+        # a fresh volume's heads: a failed-over sub-plan draws no head,
+        # so on an idle survivor it starts exactly as on a fresh dataset
+        for disk in range(volume.n_disks):
+            volume.drive(disk).reset()
+
+        def drive_state(disk: int) -> _DriveState:
+            ds = drives.get(disk)
             if ds is None:
-                ds = _DriveState(drive, disk)
-                ds.failed = key in dead_ids
-                drives[key] = ds
-                drive_order.append(key)
+                ds = drives[disk] = _DriveState(volume.drive(disk), disk)
             return ds
 
         def push(t: float, kind: str, payload) -> None:
@@ -332,8 +354,9 @@ class TrafficSim:
         def submit(cs: _ClientState, t: float) -> None:
             """Draw, prepare, and enqueue one query of ``cs`` at ``t``."""
             c = cs.client
-            query = c.mix.draw(c.mapper.dims, c.rng, cs.issued)
-            prepared = c.storage.prepare(query)
+            query = c.mix.draw(dims, c.rng, cs.issued)
+            prepared = storage.prepare(query)
+            replicas.record_query(prepared)
             subs = prepared.subs
             # one head draw per involved disk, in sub-plan order — drawn
             # at submission even for all-hit queries, keeping the
@@ -343,7 +366,7 @@ class TrafficSim:
             for sub in subs:
                 disk = sub.disk_index
                 if disk not in disk_states:
-                    ds = drive_state(cs, disk)
+                    ds = drive_state(disk)
                     disk_states[disk] = ds
                     heads[disk] = ds.drive.draw_position(c.rng)
             qs = _Query(cs, query, prepared, t, cs.issued)
@@ -359,7 +382,6 @@ class TrafficSim:
                         qs.disk_remaining.get(disk, 0) + 1
                     )
                     real.append((sub, source))
-            tele = c.storage.obs
             if tele is not None:
                 # snapshot the cache shares BEFORE billing zeroes them
                 # (plus the per-disk hit/run counts behind them, which
@@ -372,7 +394,7 @@ class TrafficSim:
                     hit_runs[disk] = (
                         hit_runs.get(disk, 0) + sub.cache_runs
                     )
-                qs.obs = {"tele": tele, "cache": dict(qs.disk_cache),
+                qs.obs = {"cache": dict(qs.disk_cache),
                           "hits": hits, "runs": hit_runs,
                           "slices": [], "events": []}
             # a disk whose sub-plans all hit the cache is done after its
@@ -426,9 +448,7 @@ class TrafficSim:
             sl = job.slices[job.next_slice]
             job.next_slice += 1
             res = drive.service_runs(
-                sl.starts, sl.lengths,
-                policy=job.policy,
-                window=qs.cs.client.storage.window,
+                sl.starts, sl.lengths, policy=job.policy, window=window,
             )
             # the result is counted at slice_done, not here: a slice
             # interrupted by a disk failure is LOST work and must not
@@ -446,7 +466,6 @@ class TrafficSim:
             # Sub-plans abandoned by failover were never fully serviced
             # (their frames were dropped with the disk), so they are
             # skipped even if their disk has since been revived.
-            storage = cs.client.storage
             for sub in (*qs.prepared.subs, *qs.failover_subs):
                 if not any(sub is a for a in qs.abandoned):
                     storage.admit_prepared(sub)
@@ -455,7 +474,7 @@ class TrafficSim:
             traces.append(self._trace(qs, t_done))
             if qs.obs is not None:
                 record_traffic_query(
-                    qs.obs["tele"],
+                    tele,
                     client=cs.client.name,
                     label=describe_query(qs.query),
                     index=qs.index,
@@ -480,7 +499,8 @@ class TrafficSim:
             nonlocal n_redispatched
             qs = job.qs
             # a chunk with no other live copy raises ReplicaError here
-            source, sub = qs.cs.client.storage.failover_sub(job.source)
+            source, sub = storage.failover_sub(job.source)
+            replicas.record_failover(sub, source)
             n_redispatched += 1
             if qs.obs is not None:
                 qs.obs["events"].append((t, job.disk, sub.disk_index))
@@ -511,13 +531,13 @@ class TrafficSim:
                     qs.remaining += 1
                 qs.disk_remaining[new] += 1
                 # no head draw: the replica drive resumes from wherever
-                # contending traffic left it (a drawn head would also
-                # perturb the client's pre-kill stream)
+                # this run left it (a drawn head would also perturb the
+                # client's pre-kill stream)
                 nj = _Job(qs, slice_plan(sub.plan, cfg.slice_runs),
                           None, sub.policy, new, source=source,
                           sub=sub)
                 qs.n_slices += len(nj.slices)
-                target = drive_state(qs.cs, new)
+                target = drive_state(new)
                 target.queue.append(nj)
                 maybe_start(target, t)
             else:
@@ -527,67 +547,32 @@ class TrafficSim:
                 if qs.remaining == 0:
                     push(qs.done_ms, "cache_done", qs)
 
-        storages: list = []
-        for cs in states:
-            if not any(cs.client.storage is s for s in storages):
-                storages.append(cs.client.storage)
-
-        def check_member(disk: int) -> None:
-            # a typo'd disk index must not silently measure the healthy
-            # path while the meta reports a failure was injected
-            if not any(
-                disk < cs.client.storage.volume.n_disks
-                for cs in states
-            ):
-                raise QueryError(
-                    f"failure schedule names disk {disk}, but no "
-                    f"client volume has that many member disks"
-                )
-
         def kill_member(disk: int, t: float) -> None:
-            check_member(disk)
-            # mark storages first, so failover re-prepares avoid the
-            # dead disk (and caches drop its frames)
-            for st in storages:
-                if disk < st.volume.n_disks:
-                    st.fail_disk(disk)
-            affected: list[_DriveState] = []
-            for cs in states:
-                vol = cs.client.storage.volume
-                if disk < vol.n_disks:
-                    key = id(vol.drive(disk))
-                    dead_ids.add(key)
-                    ds = drives.get(key)
-                    if ds is not None and not ds.failed:
-                        affected.append(ds)
-            for ds in affected:
-                ds.failed = True
-                ds.epoch += 1  # in-flight slice_done becomes stale
-                ds.busy = False
-                jobs = list(ds.queue)
-                if ds.current is not None:
-                    # the in-flight slice's partial work is lost; the
-                    # whole sub-plan restarts on a replica
-                    jobs.insert(0, ds.current)
-                ds.queue.clear()
-                ds.current = None
-                for job in jobs:
-                    redispatch(job, t)
+            # mark the manager first, so failover re-prepares avoid the
+            # dead disk (and the pool drops its frames)
+            storage.fail_disk(disk)
+            ds = drives.get(disk)
+            if ds is None or ds.failed:
+                return
+            ds.failed = True
+            ds.epoch += 1  # in-flight slice_done becomes stale
+            ds.busy = False
+            jobs = list(ds.queue)
+            if ds.current is not None:
+                # the in-flight slice's partial work is lost; the whole
+                # sub-plan restarts on a replica
+                jobs.insert(0, ds.current)
+            ds.queue.clear()
+            ds.current = None
+            for job in jobs:
+                redispatch(job, t)
 
         def revive_member(disk: int, t: float) -> None:
-            check_member(disk)
-            for st in storages:
-                if disk < st.volume.n_disks:
-                    st.revive_disk(disk)
-            for cs in states:
-                vol = cs.client.storage.volume
-                if disk < vol.n_disks:
-                    key = id(vol.drive(disk))
-                    dead_ids.discard(key)
-                    ds = drives.get(key)
-                    if ds is not None:
-                        ds.failed = False
-                        maybe_start(ds, t)
+            storage.revive_disk(disk)
+            ds = drives.get(disk)
+            if ds is not None:
+                ds.failed = False
+                maybe_start(ds, t)
 
         # -- schedule failures (before arrivals: a kill at t applies
         #    ahead of any same-t submission) --------------------------
@@ -654,31 +639,23 @@ class TrafficSim:
 
         drive_stats = tuple(
             DriveStats(
-                disk=drives[k].disk,
-                busy_ms=drives[k].busy_ms,
-                served_slices=drives[k].served_slices,
-                served_blocks=drives[k].served_blocks,
+                disk=ds.disk,
+                busy_ms=ds.busy_ms,
+                served_slices=ds.served_slices,
+                served_blocks=ds.served_blocks,
             )
-            for k in drive_order
+            for ds in drives.values()
         )
         meta = dict(self.meta)
         meta.setdefault("config", cfg.describe())
         meta.setdefault(
-            "clients", [c.describe() for c in self.clients]
+            "clients",
+            [c.describe(storage.mapper.name) for c in self.clients],
         )
-        pools = []
-        for c in self.clients:
-            pool = c.storage.cache
-            if pool is not None and not any(pool is p for p in pools):
-                pools.append(pool)
-        if pools:
+        if storage.cache is not None:
             # only present when a pool is attached, so uncached runs
             # keep their pre-cache JSON layout bit-for-bit
-            meta.setdefault(
-                "cache",
-                pools[0].describe() if len(pools) == 1
-                else [p.describe() for p in pools],
-            )
+            meta.setdefault("cache", storage.cache.describe())
         if self.failures is not None:
             # gated on a schedule being passed, so failure-free runs
             # keep their JSON layout bit-for-bit
@@ -686,28 +663,13 @@ class TrafficSim:
                 "schedule": self.failures.describe()["events"],
                 "redispatched_subs": n_redispatched,
             })
-        replicated = [st for st in storages if st.replica_map.k > 1]
-        if replicated:
+        if storage.replica_map.k > 1:
             # gated on k > 1, so single-copy runs keep their JSON layout
-            meta.setdefault(
-                "replicas",
-                replicated[0].describe_replicas()
-                if len(replicated) == 1
-                else [s.describe_replicas() for s in replicated],
-            )
-        teles = []
-        for c in self.clients:
-            tele = c.storage.obs
-            if tele is not None and not any(tele is x for x in teles):
-                teles.append(tele)
-        if teles:
+            meta.setdefault("replicas", storage.describe_replicas(replicas))
+        if tele is not None:
             # gated on a Telemetry being attached, so detached runs
             # keep their JSON layout bit-for-bit
-            meta.setdefault(
-                "obs",
-                teles[0].describe() if len(teles) == 1
-                else [x.describe() for x in teles],
-            )
+            meta.setdefault("obs", tele.describe())
         return TrafficReport(
             traces=tuple(traces),
             drives=drive_stats,

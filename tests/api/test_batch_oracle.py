@@ -9,8 +9,8 @@ query, prepare it, then per involved disk (first-appearance order) draw
 the head, service each sub-plan with ``service_runs`` and admit it, and
 record the gather.  The property runs both on twin datasets and requires
 equal results, Report JSON, drive clocks, heads and firmware-cache
-recency, pool stats, shard and replica stats, and telemetry spans and
-metrics, over every registered layout, 1-3 shards x 1-2 copies,
+recency, pool stats, placement and failed disks, and telemetry spans
+and metrics, over every registered layout, 1-3 shards x 1-2 copies,
 pools with either prefetcher, telemetry, drives with a firmware
 track cache, lazy and fixed entries, repeats, small service groups, a
 failed disk, and an entry rejected mid-batch (same typed error, same
@@ -37,6 +37,8 @@ from repro.query.workload import (
     random_beam,
     random_range_cube,
 )
+from repro.replica.executor import ReplicaStats
+from repro.shard.executor import ShardStats
 
 SHAPE = (16, 8, 6)
 
@@ -86,13 +88,30 @@ def oracle_scatter(storage, prepared, rng):
         from repro.obs.span import record_scatter
 
         record_scatter(tele, prepared, parts, result)
-    storage.shard_stats.record(per_disk, result.total_ms)
-    return result
+    return result, per_disk
+
+
+def oracle_routing(storage, prepared, stats):
+    """Count a query's reads as preparation once recorded them: one per
+    sub-plan, and a degraded query when a chunk's primary disk is dead."""
+    for sub, source in zip(prepared.subs, prepared.sources):
+        stats.reads[sub.disk_index] += 1
+        stats.planned_blocks[sub.disk_index] += (sub.n_blocks
+                                                 + sub.cache_hits)
+        if source.copy == 0:
+            stats.primary_reads += 1
+        else:
+            stats.replica_reads += 1
+    chunks = storage.shard_map.chunks
+    if any(chunks[s.chunk].disk in storage.failed for s in prepared.sources):
+        stats.degraded_queries += 1
 
 
 def oracle_run(ds, entries, repeats, rng):
     """The one-query-at-a-time batch loop, with the report it built."""
     storage = ds.storage
+    n_disks = storage.shard_map.n_disks
+    shards, replicas = ShardStats(n_disks), ReplicaStats(n_disks)
     records = []
     for rep in range(repeats):
         for entry in entries:
@@ -103,15 +122,18 @@ def oracle_run(ds, entries, repeats, rng):
                 q = random_beam(ds.shape, entry[1], rng)
             else:
                 q = random_range_cube(ds.shape, entry[1], rng)
-            res = oracle_scatter(storage, storage.prepare(q), rng)
+            prepared = storage.prepare(q)
+            oracle_routing(storage, prepared, replicas)
+            res, per_disk = oracle_scatter(storage, prepared, rng)
+            shards.record(per_disk, res.total_ms)
             records.append(make_record(q, res, rep))
     meta = {"repeats": repeats, "seed": ds.seed}
     if ds.cache is not None:
         meta["cache"] = ds.cache.describe()
     if ds.n_shards > 1:
-        meta["shards"] = storage.describe_shards()
+        meta["shards"] = storage.describe_shards(shards)
     if ds.replication_k > 1:
-        meta["replicas"] = storage.describe_replicas()
+        meta["replicas"] = storage.describe_replicas(replicas)
     tele = storage.obs
     if tele is not None:
         meta["obs"] = tele.describe()
@@ -150,8 +172,8 @@ def state(ds):
         metrics = tele.metrics.snapshot()
     return (drives,
             None if ds.cache is None else ds.cache.describe(),
-            storage.describe_shards(), storage.describe_replicas(),
-            spans, metrics)
+            storage.shard_map.describe(), storage.replica_map.describe(),
+            sorted(storage.failed), spans, metrics)
 
 
 def as_batch(ds, entries, repeats):
@@ -247,6 +269,5 @@ class TestRunEqualsOneQueryAtATime:
                               bad, ("random_beam", 2)], 1)
         with pytest.raises(ReproError):
             batch.run(rng=np.random.default_rng(4))
-        assert ds.storage.shard_stats.n_queries == 2
         assert ds.telemetry.tracer.n_queries == 2
         assert ds.cache.stats.accesses > 0

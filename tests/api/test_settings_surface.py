@@ -33,7 +33,8 @@ from repro.ingest.reorg import plan_reorganize
 from repro.ingest.streams import make_stream
 from repro.query import StorageManager, scheduler
 from repro.shard import ShardedStorageManager
-from repro.traffic.engine import TrafficConfig
+from repro.traffic.clients import TrafficClient
+from repro.traffic.engine import TrafficConfig, TrafficSim
 
 #: builder -> its parameters in signature order
 SURFACE = {
@@ -58,6 +59,8 @@ SURFACE = {
     "make_stream": ("name", "dims", "**opts"),
     "TrafficRun.clients": ("n", "mix", "arrival", "queries", "name"),
     "TrafficRun.kill": ("at_ms", "disk", "revive_at_ms"),
+    "TrafficSim": ("storage", "clients", "config", "meta", "failures"),
+    "TrafficClient": ("name", "mix", "arrival", "n_queries", "rng"),
     "TrafficConfig": ("slice_runs",),
 }
 
@@ -119,6 +122,8 @@ def test_settings_surface():
         "make_stream": make_stream,
         "TrafficRun.clients": TrafficRun.clients,
         "TrafficRun.kill": TrafficRun.kill,
+        "TrafficSim": TrafficSim,
+        "TrafficClient": TrafficClient,
     }
     actual = {name: parameters(fn) for name, fn in builders.items()}
     actual["TrafficConfig"] = tuple(

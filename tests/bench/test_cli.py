@@ -487,6 +487,40 @@ class TestCountFlagsChecked:
         assert main(argv) == 0
 
 
+class TestAxisFlagsChecked:
+    """An axis flag naming no axis of ``--shape`` exits 2 through
+    argparse before any dataset is built; each used to end in a
+    :class:`QueryError`, :class:`ExplainError` or
+    :class:`BenchmarkError` traceback with exit 1."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (CACHE_QUICK + ["--axes", "1,3"], "--axes: 3"),
+        (SCALE_QUICK + ["--axes", "3"], "--axes: 3"),
+        (AVAIL_QUICK + ["--axes", "-1"], "--axes: -1"),
+        (EXPLAIN_QUICK + ["--axis", "3"], "--axis: 3"),
+        (SCALE_QUICK + ["--split-axis", "3"], "--split-axis: 3"),
+        (SCALE_QUICK + ["--split-axis", "-4"], "--split-axis: -4"),
+    ], ids=["cache-axes", "scale-axes", "avail-axes-negative",
+            "explain-axis", "scale-split-axis", "scale-split-axis-low"])
+    def test_exits_2_before_any_dataset(self, capsys, monkeypatch, argv,
+                                        named):
+        from repro.api import Dataset
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dataset was built")
+
+        monkeypatch.setattr(Dataset, "create", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {named} is not an axis of the 3-D --shape" in err
+
+    def test_split_axis_may_count_from_the_end(self, capsys):
+        assert main(SCALE_QUICK + ["--split-axis", "-1"]) == 0
+
+
 def export(tmp_path, name):
     dest = tmp_path / name
     assert main(TRACE_QUICK + ["--json", str(dest), "--quiet"]) == 0

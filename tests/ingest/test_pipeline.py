@@ -157,7 +157,8 @@ class TestFlush:
         assert pipe.drain_disks() == [0]
         assert pipe.stage([[2, 2, 2]]) == [0]
         flush = pipe.build_flush([0, -1])
-        assert flush.n_points == 3 and flush.chunks == (0,)
+        assert flush.n_cells == 3
+        assert {source.chunk for source in flush.sources} == {0}
 
     def test_flush_covers_exactly_the_mapped_cells(self, plain):
         """No overflow: the write blocks are precisely the cells'
@@ -166,7 +167,7 @@ class TestFlush:
         pipe = make_pipeline(plain, flush_points=1, points_per_cell=64)
         pipe.stage(coords)
         flush = pipe.build_flush(pipe.drain_disks())
-        assert flush is not None and flush.n_points == 4
+        assert flush is not None and flush.n_cells == 4
         cb = int(plain.mapper.cell_blocks)
         home = np.asarray(
             plain.mapper.lbns(np.unique(coords, axis=0)), dtype=np.int64
@@ -175,7 +176,7 @@ class TestFlush:
             (home[:, None] + np.arange(cb, dtype=np.int64)).ravel()
         )
         got = np.unique(np.concatenate(
-            [plan_blocks(s) for s in flush.prepared.subs]
+            [plan_blocks(s) for s in flush.subs]
         ))
         assert np.array_equal(got, expected)
         assert pipe.stats.home_blocks == expected.size
@@ -189,7 +190,7 @@ class TestFlush:
         store = pipe.stores[0]
         ext = store.overflow_extent
         blocks = np.concatenate(
-            [plan_blocks(s) for s in flush.prepared.subs]
+            [plan_blocks(s) for s in flush.subs]
         )
         chain = blocks[(blocks >= ext.start)
                        & (blocks < ext.start + ext.nblocks)]
@@ -212,8 +213,8 @@ class TestFlush:
         pipe = make_pipeline(sharded, flush_points=1)
         pipe.stage(coords)
         flush = pipe.build_flush(pipe.drain_disks())
-        for sub, source in zip(flush.prepared.subs,
-                               flush.prepared.sources):
+        for sub, source in zip(flush.subs,
+                               flush.sources):
             assert sub.disk_index == source.disk
             assert pipe.chunks[source.chunk].disk == source.disk
             assert source.copy == 0
@@ -235,8 +236,8 @@ class TestReplicaFanOut:
         pipe.stage(coords)
         flush = pipe.build_flush(pipe.drain_disks())
         by_chunk: dict = {}
-        for sub, source in zip(flush.prepared.subs,
-                               flush.prepared.sources):
+        for sub, source in zip(flush.subs,
+                               flush.sources):
             by_chunk.setdefault(source.chunk, []).append((source, sub))
         for ci, pairs in by_chunk.items():
             assert sorted(s.copy for s, _ in pairs) == [0, 1]
@@ -259,7 +260,7 @@ class TestReplicaFanOut:
         pipe = make_pipeline(replicated, flush_points=1)
         pipe.stage([[0, 0, 0], [15, 7, 7]])
         flush = pipe.build_flush(pipe.drain_disks())
-        assert all(s.disk != 1 for s in flush.prepared.sources)
+        assert all(s.disk != 1 for s in flush.sources)
         assert pipe.stats.skipped_copy_writes > 0
 
 
@@ -296,7 +297,7 @@ class TestCubePacking:
             for s, n in zip(starts.tolist(), lengths.tolist())
         ])
         got = np.unique(np.concatenate(
-            [plan_blocks(s) for s in flush.prepared.subs]
+            [plan_blocks(s) for s in flush.subs]
         ))
         assert np.array_equal(got, np.unique(expected))
         cb = int(ds.mapper.cell_blocks)

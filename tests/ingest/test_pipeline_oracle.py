@@ -25,14 +25,10 @@ from hypothesis.stateful import (
 from repro.api import Dataset
 from repro.errors import IngestError
 from repro.ingest.loader import resolve_loader
-from repro.ingest.pipeline import (
-    FlushPlan,
-    IngestPipeline,
-    IngestPrepared,
-    WriteSource,
-)
+from repro.ingest.pipeline import IngestPipeline, WriteSource
 from repro.ingest.streams import ClusteredStream
 from repro.mappings.base import sorted_unique
+from repro.query.scatter import ShardedPrepared
 
 SHAPE = (16, 8, 8)
 LAYOUTS = ("naive", "zorder", "hilbert", "multimap")
@@ -104,11 +100,10 @@ class ReferencePipeline(IngestPipeline):
             if any(bufs.values())
         )
 
-    def build_flush(self, disks) -> FlushPlan | None:
+    def build_flush(self, disks) -> ShardedPrepared | None:
         subs: list = []
         sources: list = []
         n_points = 0
-        flushed: list[int] = []
         for disk in sorted({int(d) for d in disks}):
             chunk_bufs = self._buffers.get(disk, {})
             for ci in sorted(chunk_bufs):
@@ -165,28 +160,28 @@ class ReferencePipeline(IngestPipeline):
                         self.stats.home_blocks += len(home)
                 n_points += pts
                 self.stats.overflow_points += spilled
-                flushed.append(ci)
                 chunk_bufs[ci] = {}
             self._pending[disk] = 0
         if not subs:
             return None
         self.stats.flushes += 1
         self.stats.flushed_points += n_points
-        prepared = IngestPrepared(
+        return ShardedPrepared(
             mapper_name=self.mapper_name,
             subs=tuple(subs),
             n_cells=n_points,
             sources=tuple(sources),
-            n_points=n_points,
         )
-        return FlushPlan(prepared, n_points, tuple(flushed))
 
 
-def assert_prepared_equal(got: IngestPrepared, want: IngestPrepared):
+def assert_flush_equal(got: ShardedPrepared | None,
+                       want: ShardedPrepared | None):
+    assert (got is None) == (want is None)
+    if want is None:
+        return
     assert type(got) is type(want)
     assert got.mapper_name == want.mapper_name
     assert got.n_cells == want.n_cells
-    assert got.n_points == want.n_points
     assert got.sources == want.sources
     assert len(got.subs) == len(want.subs)
     for g, w in zip(got.subs, want.subs):
@@ -198,15 +193,6 @@ def assert_prepared_equal(got: IngestPrepared, want: IngestPrepared):
         assert g.n_cells == w.n_cells
         assert g.disk_index == w.disk_index
         assert g.cache_ms == w.cache_ms
-
-
-def assert_flush_equal(got: FlushPlan | None, want: FlushPlan | None):
-    assert (got is None) == (want is None)
-    if want is None:
-        return
-    assert got.chunks == want.chunks
-    assert got.n_points == want.n_points
-    assert_prepared_equal(got.prepared, want.prepared)
 
 
 cells = st.tuples(*(st.integers(0, s - 1) for s in SHAPE))

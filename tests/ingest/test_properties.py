@@ -107,11 +107,11 @@ def test_buffers_only_hold_their_own_disks_chunks(small_model, coords,
         if flush is None:
             assert not routed.any()
             continue
-        assert all(pipe.chunks[ci].disk == disk for ci in flush.chunks)
-        assert set(flush.chunks) == set(chunk_of[routed].tolist())
-        assert {s.chunk for s in flush.prepared.sources} == set(flush.chunks)
-        assert flush.n_points == int(routed.sum())
-        acked += flush.n_points
+        chunks = {s.chunk for s in flush.sources}
+        assert all(pipe.chunks[ci].disk == disk for ci in chunks)
+        assert chunks == set(chunk_of[routed].tolist())
+        assert flush.n_cells == int(routed.sum())
+        acked += flush.n_cells
     assert acked == len(coords)
 
 
@@ -126,7 +126,7 @@ def test_flush_blocks_are_the_mappers_cells(small_model, coords):
     flush = pipe.build_flush(pipe.drain_disks())
     assert flush is not None
     got: dict[int, np.ndarray] = {}
-    for sub, source in zip(flush.prepared.subs, flush.prepared.sources):
+    for sub, source in zip(flush.subs, flush.sources):
         got[source.chunk] = np.union1d(
             got.get(source.chunk, np.empty(0, dtype=np.int64)),
             plan_blocks(sub),
@@ -159,7 +159,7 @@ def test_replica_copies_get_identical_write_shapes(small_model, coords,
     flush = pipe.build_flush(pipe.drain_disks())
     assert flush is not None
     by_chunk: dict[int, list] = {}
-    for sub, source in zip(flush.prepared.subs, flush.prepared.sources):
+    for sub, source in zip(flush.subs, flush.sources):
         by_chunk.setdefault(source.chunk, []).append((source, sub))
     for pairs in by_chunk.values():
         assert sorted(s.copy for s, _ in pairs) == [0, 1]

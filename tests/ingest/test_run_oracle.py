@@ -65,7 +65,7 @@ def reference_run(run, rng):
         flush = pipeline.build_flush(disks)
         if flush is None:
             return
-        result, disk_stats = scatter_execute(ds.storage, flush.prepared,
+        result, disk_stats = scatter_execute(ds.storage, flush,
                                              rng=rng)
         write_ms += result.total_ms
         blocks_written += result.n_blocks
@@ -137,8 +137,8 @@ def state(ds):
         metrics = tele.metrics.snapshot()
     return (drives, tuple(storage.shard_map.chunks[0].shape),
             None if ds.cache is None else ds.cache.describe(),
-            storage.describe_shards(), storage.describe_replicas(),
-            spans, metrics)
+            storage.shard_map.describe(), storage.replica_map.describe(),
+            sorted(storage.failed), spans, metrics)
 
 
 @st.composite

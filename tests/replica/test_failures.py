@@ -7,6 +7,7 @@ import pytest
 
 from repro.api import Dataset
 from repro.errors import QueryError, ReplicaError
+from repro.query.workload import RangeQuery
 from repro.replica import FailureEvent, FailureSchedule
 from repro.traffic import QueryMix, TrafficConfig, TrafficSim
 from repro.traffic.clients import TrafficClient
@@ -83,12 +84,11 @@ class TestSchedule:
         with pytest.raises(ReplicaError, match="FailureEvent"):
             FailureSchedule(((1.0, "kill", 0),))
         ds = build(small_model)
-        client = TrafficClient(
-            name="c0", storage=ds.storage, mapper=ds.mapper,
-            mix=QueryMix.beams(1, 2), n_queries=1, rng=ds.rng(),
-        )
+        client = TrafficClient(name="c0", mix=QueryMix.beams(1, 2),
+                               n_queries=1, rng=ds.rng())
         with pytest.raises(QueryError, match="FailureSchedule"):
-            TrafficSim([client], failures=[FailureEvent(1.0, "kill", 0)])
+            TrafficSim(ds.storage, [client],
+                       failures=[FailureEvent(1.0, "kill", 0)])
 
     def test_describe_round_trips_json(self):
         import json
@@ -235,15 +235,38 @@ class TestDegradedTraffic:
 
     def test_out_of_range_disk_raises(self, small_model):
         """A typo'd disk index must not silently measure the healthy
-        path while the meta claims a failure was injected."""
+        path while the meta claims a failure was injected, nor serve a
+        query first: the run is refused before any client draws from
+        the dataset's generators, so drive clocks, heads and the next
+        ``rng()`` are untouched (the kill used to raise only when it
+        fired, after the storm had started)."""
         ds = build(small_model)
-        with pytest.raises(QueryError, match="no client volume"):
+        ds.run([RangeQuery((0, 0, 0), (4, 4, 4))])
+        heads = [(d.now_ms, d.current_track) for d in ds.volume.drives]
+        with pytest.raises(QueryError, match="names disk 7, but the "
+                           "volume has 3 member disks"):
             (
                 ds.traffic()
                 .clients(2, mix=QueryMix.beams(1, 2), queries=4)
-                .kill(2.0, 7)
+                .kill(5.0, 7)
                 .run()
             )
+        assert [(d.now_ms, d.current_track)
+                for d in ds.volume.drives] == heads
+        twin = build(small_model)
+        twin.run([RangeQuery((0, 0, 0), (4, 4, 4))])
+        assert ds.rng().random() == twin.rng().random()
+
+    def test_engine_refuses_missing_disk_before_running(self,
+                                                        small_model):
+        ds = build(small_model)
+        client = TrafficClient(name="c0", mix=QueryMix.beams(1),
+                               n_queries=4, rng=np.random.default_rng(0))
+        with pytest.raises(QueryError, match="names disk 3"):
+            TrafficSim(ds.storage, [client],
+                       failures=FailureSchedule(
+                           (FailureEvent(5.0, "kill", 3),)))
+        assert all(d.now_ms == 0.0 for d in ds.volume.drives)
 
     def test_abandoned_sub_not_admitted_after_revive(self, small_model):
         """A sub-plan abandoned by failover was never fully serviced:
@@ -273,13 +296,11 @@ class TestDegradedTraffic:
         """TrafficSim accepts the schedule directly (no façade)."""
         ds = build(small_model, seed=31)
         clients = [
-            TrafficClient(
-                name="c0", storage=ds.storage, mapper=ds.mapper,
-                mix=QueryMix.beams(1, 2), n_queries=5, rng=ds.rng(),
-            )
+            TrafficClient(name="c0", mix=QueryMix.beams(1, 2),
+                          n_queries=5, rng=ds.rng())
         ]
         sim = TrafficSim(
-            clients, TrafficConfig(slice_runs=8),
+            ds.storage, clients, TrafficConfig(slice_runs=8),
             failures=FailureSchedule((FailureEvent(4.0, "kill", 2),)),
         )
         report = sim.run()

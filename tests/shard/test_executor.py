@@ -105,15 +105,19 @@ class TestExecute:
         assert len(rep) == 3
         assert rep.meta["shards"]["n_chunks"] == 4
 
-    def test_shard_stats_accumulate(self, small_model):
-        ds = make(small_model, n=3)
-        ds.random_beams(axis=2, n=4).run()
-        stats = ds.storage.shard_stats
-        assert stats.n_queries == 4
-        assert sum(stats.queries) >= 4
-        assert 0.0 < stats.parallel_efficiency <= 1.0
-        ds.storage.reset_shard_stats()
-        assert ds.storage.shard_stats.n_queries == 0
+    def test_stats_cover_one_run(self, small_model):
+        """A report's shard and replica stats total its own run: the
+        same healthy batch run twice reports the same four queries and
+        reads, not four and then eight."""
+        ds = make(small_model, n=3).with_replication(2)
+        reports = [ds.random_beams(axis=1, n=4).run(
+            rng=np.random.default_rng(0)) for _ in range(2)]
+        assert reports[0].to_json() == reports[1].to_json()
+        shards = reports[1].meta["shards"]["stats"]
+        assert shards["n_queries"] == 4
+        assert sum(d["queries"] for d in shards["per_disk"]) == 4
+        assert 0.0 < shards["parallel_efficiency"] <= 1.0
+        assert reports[1].meta["replicas"]["stats"]["primary_reads"] == 4
 
     def test_beam_range_entry_points(self, small_model):
         ds = make(small_model, n=2)

@@ -1,10 +1,11 @@
 """Operation sequences over the one storage path (hypothesis stateful).
 
 A small 3-disk × 2-copy ``minidrive`` dataset runs random interleavings
-of batch queries, disk kills and revives, a kill landing between a
-query's preparation and its service, cache attach/detach, EXPLAIN, and
-``with_shards`` / ``with_replication`` reconfiguration.  After every
-step the invariants of the storage manager must hold:
+of batch queries, storms with a mid-run kill, disk kills and revives, a
+kill landing between a query's preparation and its service, cache
+attach/detach, EXPLAIN, and ``with_shards`` / ``with_replication``
+reconfiguration.  After every step the invariants of the storage
+manager must hold:
 
 * a query returns exactly its cells and at least that many blocks, and
   every sub-plan reads a copy on a live disk;
@@ -12,11 +13,13 @@ step the invariants of the storage manager must hold:
   else, and nothing silently;
 * the buffer pool holds no frame of a failed disk;
 * EXPLAIN predicts exactly the prepared block total and leaves drive
-  clocks, cache stats and replica counters untouched;
-* ``primary_reads + replica_reads`` equals the per-disk read total.
+  clocks and cache stats untouched;
+* with no pool attached, a batch and a storm report on this dataset
+  exactly what they report on a fresh one of the same configuration
+  (layout, seed, shards, copies, failed disks) from the same ``rng``;
+* in the last run's ``meta.replicas.stats``, ``primary_reads +
+  replica_reads`` equals the per-disk read total.
 """
-
-import copy
 
 import numpy as np
 from hypothesis import settings
@@ -25,13 +28,15 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
+    precondition,
     rule,
 )
 
 from repro.api import Dataset
-from repro.errors import ReplicaError
+from repro.errors import ReplicaError, ReproError
 from repro.explain.plan import prepare_readonly
 from repro.query.workload import BeamQuery, RangeQuery
+from repro.traffic import QueryMix
 
 SHAPE = (24, 8, 8)
 LAYOUTS = ("naive", "zorder", "hilbert", "multimap")
@@ -51,13 +56,33 @@ def queries(draw):
     return RangeQuery(tuple(lo), tuple(hi))
 
 
+def outcome(call, ds):
+    """``call(ds)``'s report, or its typed error as ``(type, message)``."""
+    try:
+        return call(ds)
+    except ReproError as exc:
+        return type(exc), str(exc)
+
+
 class StoragePath(RuleBasedStateMachine):
     @initialize(layout=st.sampled_from(LAYOUTS))
     def build(self, layout):
-        self.ds = Dataset.create(
-            SHAPE, layout=layout, drive="minidrive", seed=11,
-        ).with_shards(3).with_replication(2)
+        self.layout = layout
+        self.shards = (3, "disk_modulo")
+        self.k = 2
+        self.ds = self.fresh()
         self.rng = np.random.default_rng(0)
+        self.routing = None  # the last report's meta.replicas.stats
+
+    def fresh(self, failed=()) -> Dataset:
+        """A new dataset of the machine's layout, shards and copies, with
+        the ``failed`` disks dead."""
+        ds = Dataset.create(SHAPE, layout=self.layout, drive="minidrive",
+                            seed=11)
+        ds.with_shards(*self.shards).with_replication(self.k)
+        for disk in sorted(failed):
+            ds.storage.fail_disk(disk)
+        return ds
 
     @property
     def storage(self):
@@ -107,6 +132,38 @@ class StoragePath(RuleBasedStateMachine):
             query, self.storage.execute_prepared(prepared, rng=self.rng)
         )
 
+    @precondition(lambda self: self.ds.cache is None)
+    @rule(query=queries(), seed=st.integers(0, 2**32 - 1),
+          kill_ms=st.floats(0.0, 30.0), revive=st.booleans(),
+          data=st.data())
+    def replays_fresh(self, query, seed, kill_ms, revive, data):
+        """A run reports only its own work: what ran on the dataset
+        before (runs, kills, revives, rebuilds) leaves the drives and
+        stats of this run as on a fresh dataset, so the same ``rng``
+        gives the same report JSON."""
+        disk = data.draw(st.integers(0, self.storage.volume.n_disks - 1))
+
+        def batch(ds):
+            return ds.run([query], rng=np.random.default_rng(seed))
+
+        def storm(ds):
+            return (ds.traffic()
+                    .clients(1, mix=QueryMix.beams(0, 1, 2), queries=3)
+                    .slice_runs(4)
+                    .kill(kill_ms, disk,
+                          revive_at_ms=kill_ms + 20.0 if revive else None)
+                    .run(rng=np.random.default_rng(seed)))
+
+        for call in (batch, storm):
+            want = outcome(call, self.fresh(self.storage.failed))
+            got = outcome(call, self.ds)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert not isinstance(got, tuple), got
+                assert got.to_json() == want.to_json()
+                self.routing = got.meta.get("replicas", {}).get("stats")
+
     @rule(query=queries())
     def explain(self, query):
         if self.unreadable(query):
@@ -119,7 +176,6 @@ class StoragePath(RuleBasedStateMachine):
         drives = [(d.now_ms, d.current_track)
                   for d in map(st_.volume.drive, range(st_.volume.n_disks))]
         cache = None if st_.cache is None else st_.cache.stats.to_dict()
-        replicas = copy.deepcopy(vars(st_.replica_stats))
         out = self.ds.explain(query)
         per_disk = out["predicted"]["per_disk"].values()
         assert sum(row["blocks"] for row in per_disk) \
@@ -131,7 +187,6 @@ class StoragePath(RuleBasedStateMachine):
         ]
         assert cache == (None if st_.cache is None
                          else st_.cache.stats.to_dict())
-        assert vars(st_.replica_stats) == replicas
 
     # -- failures, cache, reconfiguration -------------------------------
 
@@ -155,12 +210,14 @@ class StoragePath(RuleBasedStateMachine):
     def reshard(self, n, data):
         if self.ds.replication_k > n:
             return
-        self.ds.with_shards(
+        self.shards = (
             n, data.draw(st.sampled_from(["disk_modulo", "round_robin"]))
         )
+        self.ds.with_shards(*self.shards)
 
     @rule(k=st.integers(1, 2))
     def replicate(self, k):
+        self.k = k
         self.ds.with_replication(k)
 
     # -- invariants ------------------------------------------------------
@@ -174,8 +231,10 @@ class StoragePath(RuleBasedStateMachine):
 
     @invariant()
     def read_totals_agree(self):
-        stats = self.storage.replica_stats
-        assert stats.primary_reads + stats.replica_reads == sum(stats.reads)
+        stats = self.routing
+        if stats is not None:
+            reads = sum(row["reads"] for row in stats["per_disk"])
+            assert stats["primary_reads"] + stats["replica_reads"] == reads
 
 
 StoragePath.TestCase.settings = settings(

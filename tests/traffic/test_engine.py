@@ -190,18 +190,17 @@ class TestReplayMix:
 
 
 class TestEngineValidation:
-    def test_needs_clients(self):
-        with pytest.raises(QueryError):
-            TrafficSim([])
+    def test_needs_clients(self, make_dataset):
+        with pytest.raises(QueryError, match="at least one client"):
+            TrafficSim(make_dataset().storage, [])
 
     def test_unique_names(self, make_dataset):
         ds = make_dataset()
         mk = lambda name: TrafficClient(
-            name=name, storage=ds.storage, mapper=ds.mapper,
-            mix=QueryMix.beams(1), rng=np.random.default_rng(0),
+            name=name, mix=QueryMix.beams(1), rng=np.random.default_rng(0),
         )
-        with pytest.raises(QueryError):
-            TrafficSim([mk("a"), mk("a")])
+        with pytest.raises(QueryError, match="unique"):
+            TrafficSim(ds.storage, [mk("a"), mk("a")])
 
     def test_run_requires_client(self, make_dataset):
         with pytest.raises(QueryError):
@@ -213,12 +212,10 @@ class TestEngineValidation:
         from repro.query import StorageManager
 
         ds = make_dataset()
-        client = TrafficClient(
-            name="a", storage=StorageManager(ds.volume), mapper=ds.mapper,
-            mix=QueryMix.beams(1), rng=np.random.default_rng(0),
-        )
+        client = TrafficClient(name="a", mix=QueryMix.beams(1),
+                               rng=np.random.default_rng(0))
         with pytest.raises(QueryError, match="ShardedStorageManager"):
-            TrafficSim([client])
+            TrafficSim(StorageManager(ds.volume), [client])
 
 
 class TestMetaGating:
